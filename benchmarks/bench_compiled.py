@@ -1,10 +1,11 @@
-"""Compiled kernel backend benchmark: csr-c vs csr (and windowed) (PR 7).
+"""Compiled kernel benchmark: csr's C vs numpy kernels (and windowed) (PR 7).
 
-Times the sweep hot pair on growing G(n, p) instances under the numpy
-csr engine and the compiled ``csr-c`` engine, at three levels:
+Times the sweep hot pair on growing G(n, p) instances on csr's numpy
+kernels (``CSREngine()``, or ``REPRO_CC=0`` where a call goes through
+the registry) and on the default csr's C kernels, at three levels:
 
 * ``base``: sweep-handle construction - the ordered base BFS plus the
-  Euler walk (one foreign call on csr-c);
+  Euler walk (one foreign call in C);
 * ``sweep``: a full all-edges failure sweep - dominated by the
   per-failure subtree recomputes;
 * ``verify``: end-to-end ``verify_subgraph`` with H = G (two sweep
@@ -21,9 +22,10 @@ numpy-backed csr-mt within noise (``_WALLCLOCK_FLOOR``).  Parity is
 asserted row by row, so every timing doubles as a bit-identity
 certificate.  The compile toolchain (cc version, flags, kernel cache
 path) is stamped into the record's params so the trajectory stays
-comparable across hosts.  Saves ``BENCH_compiled.json``.  Skips without
-numpy or a C compiler (the no-numpy and no-compiler CI jobs assert the
-corresponding gating).
+comparable across hosts.  The floor keys keep their names: ``csr`` is
+the numpy kernels, ``csrc`` the C kernels.  Saves
+``BENCH_compiled.json``.  Skips without numpy or a C compiler (the
+no-numpy and no-compiler CI jobs assert the corresponding gating).
 """
 
 import os
@@ -35,6 +37,7 @@ pytest.importorskip("numpy")
 
 from repro.engine import ThreadedEngine, distances_equal, get_engine
 from repro.engine import cbuild
+from repro.engine.csr_engine import CSREngine
 from repro.core.verify import verify_subgraph
 from repro.graphs import connected_gnp_graph
 from repro.harness import ExperimentRecord, save_record
@@ -63,15 +66,21 @@ def _best_of(reps, fn):
     return best, out
 
 
-def test_compiled_kernels_vs_csr(benchmark, quick_mode, bench_seed):
-    if "csr-c" not in __import__("repro.engine", fromlist=["available_engines"]).available_engines():
-        pytest.skip("no C compiler: csr-c engine not registered")
+def test_compiled_kernels_vs_csr(benchmark, quick_mode, bench_seed, monkeypatch):
     if cbuild.kernel_library() is None:
-        pytest.skip("compiler present but kernels failed to build")
+        pytest.skip("no C compiler (or the kernels failed to build)")
+
+    def on_numpy(fn):
+        """``fn`` with csr on its numpy kernels (``REPRO_CC=0``)."""
+        def run():
+            with monkeypatch.context() as patch:
+                patch.setenv(cbuild.CC_ENV_VAR, "0")
+                return fn()
+        return run
 
     record = ExperimentRecord(
         experiment_id="BENCH_compiled",
-        title="compiled sweep kernels: csr-c vs csr wall-clock",
+        title="compiled sweep kernels: csr C vs numpy wall-clock",
         params={
             "quick": quick_mode,
             "seed": bench_seed,
@@ -86,10 +95,9 @@ def test_compiled_kernels_vs_csr(benchmark, quick_mode, bench_seed):
             "mt_csr_s", "mt_c_s",
         ],
     )
-    csr = get_engine("csr")
-    compiled = get_engine("csr-c")
-    mt_csr = ThreadedEngine(base="csr", max_threads=2, min_batch=1)
-    mt_c = ThreadedEngine(base="csr-c", max_threads=2, min_batch=1)
+    csr = CSREngine()
+    compiled = get_engine("csr")
+    mt = ThreadedEngine(max_threads=2, min_batch=1)
     reps = 2 if quick_mode else 3
 
     for index, (n, deg) in enumerate(_instances(quick_mode)):
@@ -119,19 +127,20 @@ def test_compiled_kernels_vs_csr(benchmark, quick_mode, bench_seed):
             assert distances_equal(r, g)
 
         verify_csr, rep_ref = _best_of(
-            reps, lambda: verify_subgraph(graph, 0, h_edges, engine="csr")
+            reps,
+            on_numpy(lambda: verify_subgraph(graph, 0, h_edges, engine="csr")),
         )
         verify_c, rep_c = _best_of(
-            reps, lambda: verify_subgraph(graph, 0, h_edges, engine="csr-c")
+            reps, lambda: verify_subgraph(graph, 0, h_edges, engine="csr")
         )
         assert rep_ref.ok and rep_c.ok
         assert rep_c.checked_failures == rep_ref.checked_failures
 
         mt_csr_s, mt_ref = _best_of(
-            reps, lambda: list(mt_csr.failure_sweep(graph, 0, eids))
+            reps, on_numpy(lambda: list(mt.failure_sweep(graph, 0, eids)))
         )
         mt_c_s, mt_got = _best_of(
-            reps, lambda: list(mt_c.failure_sweep(graph, 0, eids))
+            reps, lambda: list(mt.failure_sweep(graph, 0, eids))
         )
         for r, g in zip(mt_ref, mt_got):
             assert distances_equal(r, g)
@@ -158,10 +167,10 @@ def test_compiled_kernels_vs_csr(benchmark, quick_mode, bench_seed):
         if not quick_mode and index == len(_instances(quick_mode)) - 1:
             assert sweep_c <= sweep_csr / _SWEEP_FLOOR, (
                 f"compiled sweep speedup below the {_SWEEP_FLOOR}x floor on "
-                f"n={n}: csr {sweep_csr:.3f}s vs csr-c {sweep_c:.3f}s"
+                f"n={n}: numpy {sweep_csr:.3f}s vs C {sweep_c:.3f}s"
             )
             assert mt_c_s <= mt_csr_s / _WALLCLOCK_FLOOR, (
-                f"csr-mt over compiled kernels regressed vs numpy base on "
+                f"csr-mt over the C kernels regressed vs the numpy ones on "
                 f"n={n}: {mt_c_s:.3f}s vs {mt_csr_s:.3f}s"
             )
 
@@ -169,7 +178,7 @@ def test_compiled_kernels_vs_csr(benchmark, quick_mode, bench_seed):
         "best-of timing per cell.  base = sweep-handle build (ordered BFS "
         "+ Euler walk); sweep = all-edges failure sweep; verify = "
         "verify_subgraph with H = G; mt_* = csr-mt (2 threads, forced "
-        "windowing) over each base engine.  sweep + windowing floors "
+        "windowing) over csr on each backend.  sweep + windowing floors "
         "asserted only on full-size runs; the verify floor lives in "
         "tests/test_engine_perf.py."
     )

@@ -3,18 +3,21 @@
 Measures what the PR 3 refactor is for: the *construction* traversals
 (the tree Dijkstra of ``build_spt``, the subtree-restricted replacement
 recomputes, and the detour Dijkstras of ``Pcons``) under the random
-weight scheme, on a G(n, p) with >= 50k edges, across the engine stack:
-python reference, csr array kernels, and - when a C compiler is
-around - the compiled ``csr-c`` backend whose weighted relaxation runs
-in ``_ckernels.c``.  Since PR 4 the csr engine runs the replacement
-recomputes through the stacked ``weighted_failure_sweep`` and the
-detours through ``batched_shortest_paths``, which raised the acceptance
-floor from 3x to a 4.5x end-to-end ``run_pcons`` speedup
-(``bench_replacement.py`` breaks the two components out); PR 8 adds the
-compiled rows with their own floors - ``run_pcons`` and the standalone
-weighted failure sweep, csr-c vs csr.  Outputs are asserted
-bit-identical between engines first, so every timing row doubles as a
-parity certificate.  The compile toolchain (cc version, flags, kernel
+weight scheme, on a G(n, p) with >= 50k edges, across the backend
+stack: the python reference, the csr engine on its numpy kernels
+(``REPRO_CC=0``; ``CSREngine()`` for the standalone sweep), and - when
+a C compiler is around - the default csr on its C kernels, whose
+weighted relaxation runs in ``_ckernels.c``.  Since PR 4 the csr engine
+runs the replacement recomputes through the stacked
+``weighted_failure_sweep`` and the detours through
+``batched_shortest_paths``, which raised the acceptance floor from 3x
+to a 4.5x end-to-end ``run_pcons`` speedup (``bench_replacement.py``
+breaks the two components out); PR 8 adds the compiled rows with their
+own floors - ``run_pcons`` and the standalone weighted failure sweep, C
+over numpy.  The speedup keys keep their names: ``csr`` is the numpy
+kernels, ``csrc`` the C kernels.  Outputs are asserted bit-identical
+between backends first, so every timing row doubles as a parity
+certificate.  The compile toolchain (cc version, flags, kernel
 cache path) is stamped into the record's params, and the floors plus
 the measured speedups land in ``params["floors"]`` /
 ``derived["speedups"]`` where ``tools/perf_guard.py`` reads them.
@@ -29,7 +32,8 @@ quick mode asserts parity plus relaxed sanity floors.
 import time
 
 from repro.core.pcons import run_pcons
-from repro.engine import available_engines, cbuild, engine_context, get_engine
+from repro.engine import cbuild, engine_context, get_engine
+from repro.engine.csr_engine import CSREngine
 from repro.graphs import connected_gnp_graph
 from repro.harness import ExperimentRecord, save_record
 
@@ -38,7 +42,7 @@ from repro.harness import ExperimentRecord, save_record
 #: subsystem (stacked sweep + detour batch) raised it past 4.5x.
 SPEEDUP_FLOOR = 4.5
 
-#: Compiled floors, csr-c over csr on the full-size instance: end-to-end
+#: Compiled floors, C over numpy on the full-size instance: end-to-end
 #: ``run_pcons`` (measured ~3x) and the standalone weighted failure
 #: sweep (measured ~1.8x; the numpy seed intake the csr path keeps is a
 #: large shared fraction of the sweep, so its margin is structurally
@@ -47,7 +51,8 @@ COMPILED_PCONS_FLOOR = 1.3
 COMPILED_SWEEP_FLOOR = 1.5
 
 #: Quick-mode sanity floor for the compiled ratios: tiny instances only
-#: prove csr-c is not pathologically slower, not the real margins.
+#: prove the C kernels are not pathologically slower, not the real
+#: margins.
 _QUICK_SANITY = 0.7
 
 
@@ -56,11 +61,16 @@ def _instance(quick: bool):
     return connected_gnp_graph(n, deg / (n - 1), seed=0)
 
 
-def _engines():
-    names = ["python", "csr"]
-    if "csr-c" in available_engines() and cbuild.kernel_library() is not None:
-        names.append("csr-c")
-    return names
+#: The row of csr on its numpy kernels: the ``csr`` of the speedup keys.
+NUMPY_ROW = "csr REPRO_CC=0"
+
+
+def _rows():
+    """Row labels: python, csr on numpy, and csr on C where it builds."""
+    rows = ["python", NUMPY_ROW]
+    if cbuild.kernel_library() is not None:
+        rows.append("csr")
+    return rows
 
 
 def _best_of(reps, fn):
@@ -72,16 +82,23 @@ def _best_of(reps, fn):
     return best, out
 
 
-def test_weighted_construction_speedup(benchmark, quick_mode, bench_seed):
+def test_weighted_construction_speedup(
+    benchmark, quick_mode, bench_seed, monkeypatch
+):
     graph = _instance(quick_mode)
     assert quick_mode or graph.num_edges >= 50_000
-    engines = _engines()
+    engines = _rows()
 
     results = {}
     timings = {}
+    backends = {}
     for name in engines:
-        with engine_context(name):
-            if name == "csr":
+        engine = "python" if name == "python" else "csr"
+        with monkeypatch.context() as patch, engine_context(engine):
+            if name == NUMPY_ROW:
+                patch.setenv(cbuild.CC_ENV_VAR, "0")
+            backends[name] = get_engine().weighted_backend
+            if name == NUMPY_ROW:
                 t0 = time.perf_counter()
                 results[name] = benchmark.pedantic(
                     run_pcons,
@@ -108,21 +125,22 @@ def test_weighted_construction_speedup(benchmark, quick_mode, bench_seed):
         assert ref.tree.parent_eid == fast.tree.parent_eid, name
         assert ref.pairs.pairs == fast.pairs.pairs, name
 
-    # The standalone weighted failure sweep, csr vs csr-c: the hot
+    # The standalone weighted failure sweep, numpy vs C: the hot
     # primitive behind the replacement recomputes (and the shm/threaded
     # sharding), timed over one shared tree.
-    sweep_engines = [e for e in ("csr", "csr-c") if e in engines]
-    tree, weights = results["csr"].tree, results["csr"].weights
+    sweep_engines = {NUMPY_ROW: CSREngine()}
+    if "csr" in engines:
+        sweep_engines["csr"] = get_engine("csr")
+    tree, weights = results[NUMPY_ROW].tree, results[NUMPY_ROW].weights
     sweep_t = {}
     sweep_out = {}
     reps = 2 if quick_mode else 3
-    for name in sweep_engines:
-        eng = get_engine(name)
+    for name, eng in sweep_engines.items():
         sweep_t[name], sweep_out[name] = _best_of(
             reps, lambda: list(eng.weighted_failure_sweep(graph, weights, tree))
         )
-    for name in sweep_engines[1:]:
-        assert sweep_out[name] == sweep_out["csr"], name
+    for name in sweep_engines:
+        assert sweep_out[name] == sweep_out[NUMPY_ROW], name
 
     if quick_mode:
         floors = {
@@ -138,15 +156,15 @@ def test_weighted_construction_speedup(benchmark, quick_mode, bench_seed):
         }
     speedups = {
         "pcons_csr_vs_python": round(
-            timings["python"] / max(timings["csr"], 1e-9), 3
+            timings["python"] / max(timings[NUMPY_ROW], 1e-9), 3
         ),
     }
-    if "csr-c" in engines:
+    if "csr" in engines:
         speedups["pcons_csrc_vs_csr"] = round(
-            timings["csr"] / max(timings["csr-c"], 1e-9), 3
+            timings[NUMPY_ROW] / max(timings["csr"], 1e-9), 3
         )
         speedups["sweep_csrc_vs_csr"] = round(
-            sweep_t["csr"] / max(sweep_t["csr-c"], 1e-9), 3
+            sweep_t[NUMPY_ROW] / max(sweep_t["csr"], 1e-9), 3
         )
 
     record = ExperimentRecord(
@@ -172,11 +190,11 @@ def test_weighted_construction_speedup(benchmark, quick_mode, bench_seed):
             graph.num_edges,
             results[name].weights.scheme,
             name,
-            get_engine(name).weighted_backend,
+            backends[name],
             round(timings[name], 3),
             round(timings["python"] / max(timings[name], 1e-9), 2),
             round(sweep_t[name], 3) if name in sweep_t else None,
-            round(sweep_t["csr"] / max(sweep_t[name], 1e-9), 2)
+            round(sweep_t[NUMPY_ROW] / max(sweep_t[name], 1e-9), 2)
             if name in sweep_t else None,
             results[name].stats.num_pairs,
             results[name].stats.num_uncovered,
@@ -189,8 +207,9 @@ def test_weighted_construction_speedup(benchmark, quick_mode, bench_seed):
     )
     record.note(
         f"acceptance floors (full-size, >= 50k edges, random scheme): "
-        f"{SPEEDUP_FLOOR}x csr vs python pcons; {COMPILED_PCONS_FLOOR}x / "
-        f"{COMPILED_SWEEP_FLOOR}x csr-c vs csr pcons / sweep"
+        f"{SPEEDUP_FLOOR}x csr numpy vs python pcons; "
+        f"{COMPILED_PCONS_FLOOR}x / {COMPILED_SWEEP_FLOOR}x C vs numpy "
+        "pcons / sweep"
     )
     print()
     print(record.render())
@@ -205,7 +224,7 @@ def test_weighted_construction_speedup(benchmark, quick_mode, bench_seed):
 
 
 def test_micro_weighted_sssp(benchmark, quick_mode):
-    """One full random-scheme traversal on the csr kernels (multi-round)."""
+    """One full random-scheme traversal on the default csr (multi-round)."""
     from repro.spt.weights import make_weights
 
     graph = _instance(True)

@@ -5,7 +5,7 @@ The project metadata lives in pyproject.toml; this file exists so that
 environments without the ``wheel`` package (pip falls back to
 ``setup.py develop``).  Keep the two in sync: numpy is the ``fast``
 extra (the pure-Python reference engine needs nothing), and the C
-kernel source ships as package data so csr-c can compile on demand.
+kernel source ships as package data so csr can compile it on demand.
 """
 
 from setuptools import find_packages, setup

@@ -91,7 +91,7 @@ environment variables:
                          --jobs 0 (default: cores - 1)
   REPRO_THREADS          thread budget for the csr-mt engine
                          (default: the REPRO_MAX_WORKERS worker default)
-  REPRO_CC               0 disables the compiled csr-c engine; any other
+  REPRO_CC               0 runs csr on its numpy kernels; any other
                          value names the C compiler to use (default:
                          $CC, then cc/gcc/clang on PATH)
   REPRO_CC_CACHE         directory for compiled kernels (default:

@@ -20,9 +20,10 @@ All per-failure distances come from the traversal engine's **batched
 failure sweep** (:meth:`~repro.engine.base.TraversalEngine.failure_sweep`):
 one lazy sweep over the graph side and one over the structure side.  On
 the csr engine each sweep reuses a single base BFS tree and recomputes
-only the subtree hanging under a failed tree edge, which is what makes
-``verify_structure`` fast at scale; the python engine runs the historical
-two-BFS-per-failure loop.  Graphs above ``REPRO_SHARD_THRESHOLD`` edges
+only the subtree hanging under a failed tree edge (in C when the kernels
+compile, else on numpy), which is what makes ``verify_structure`` fast
+at scale; the python engine runs the historical two-BFS-per-failure
+loop.  Graphs above ``REPRO_SHARD_THRESHOLD`` edges
 (default 100000 when a zero-copy parallel runner exists - the
 shared-memory shard transport or the thread-parallel ``csr-mt`` engine -
 200000 when only the pickle transport does) are automatically verified
@@ -128,12 +129,10 @@ def _resolve_engine(graph: Graph, engine: Optional[str]):
     bandwidth, zero-copy attach), else to the thread-parallel ``csr-mt``
     engine when registered (zero-copy without any transport - exactly
     the regime where the sharded engine would be stuck re-pickling the
-    graph per shard), else to sharded-over-pickle.  Small graphs that
-    resolve to plain csr upgrade to the compiled ``csr-c`` engine when
-    a C toolchain is present.  The upgrades only change *where* (or how
-    fast) sweeps run, never their values (wrappers and the compiled
-    kernels are bit-identical to csr by construction), so the report is
-    the same either way.
+    graph per shard), else to sharded-over-pickle.  The upgrade only
+    changes *where* sweeps run, never their values (the wrappers are
+    bit-identical to their base by construction), so the report is the
+    same either way.
     """
     eng = get_engine(engine)
     if engine is not None or getattr(eng, "parallel_sweeps", False):
@@ -149,15 +148,6 @@ def _resolve_engine(graph: Graph, engine: Optional[str]):
             return get_engine("sharded")
         except Exception:  # pragma: no cover - both are always registered
             return eng
-    # Below the parallel threshold, a default-resolved csr upgrades to
-    # the compiled kernels when a toolchain produced them - same values
-    # (parity-enforced), strictly less per-failure work.  An explicit
-    # engine choice (kwarg/context/env) is never overridden.
-    if eng.name == "csr":
-        from repro.engine.registry import available_engines
-
-        if "csr-c" in available_engines():
-            return get_engine("csr-c")
     return eng
 
 

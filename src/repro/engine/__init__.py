@@ -38,8 +38,17 @@ Built-in engines
 ``"python"``
     The executable specification (pure-Python loops).
 ``"csr"``
-    Frontier-based numpy kernels over a CSR view cached on the graph;
-    registered only when numpy imports.  Default when present.
+    Array kernels over a CSR view cached on the graph
+    (:mod:`repro.engine.compiled`); registered only when numpy imports,
+    and the default then.  The traversal hot paths - the sweep hot pair
+    and the weighted ``(hops, pert_sum)`` stacked relaxation behind
+    ``run_pcons`` and the batched primitives - run as C loops that
+    :mod:`repro.engine.cbuild` compiles once on demand and loads via
+    ctypes.  With no compiler, under ``REPRO_CC=0``, after a failed
+    compile, and on the C kernel's tie bails the same engine runs its
+    numpy kernels (:mod:`repro.engine.csr_engine`) - same bits, same
+    exceptions.  ``compiler`` (shown by ``repro engines``) reports the
+    toolchain.
 ``"sharded"``
     Process-sharded ``failure_sweep`` over a single-process base engine
     (:mod:`repro.engine.sharded`); bit-identical to the base, used for
@@ -56,27 +65,8 @@ Built-in engines
     inside one process (:mod:`repro.engine.threaded`); zero-copy by
     construction - no pickling or shared-memory segments at all - and
     bit-identical to csr.  Registered only when numpy imports (the
-    kernels' GIL-releasing array passes are what make threads pay);
-    never the implicit default.  Its base engine is pluggable and
-    prefers ``csr-c`` when registered, so thread windows run the
-    compiled kernels for free.
-``"csr-c"``
-    The csr engine with the traversal hot paths - the sweep hot pair
-    (ordered base BFS + Euler walk, per-failure subtree recompute) and
-    the weighted ``(hops, pert_sum)`` stacked relaxation behind
-    ``run_pcons``, the weighted failure sweep, and the batched
-    shortest-path primitives - compiled to C flat loops over the same
-    cached CSR arrays (:mod:`repro.engine.compiled`).  Exact-scheme
-    weighted runs keep the big-int reference path (their perturbations
-    are not int64-representable), and the reference's order-dependent
-    tie events bail back to the numpy replay - same exceptions, same
-    messages.  ``_ckernels.c`` is compiled once
-    on demand by the system compiler into a hash-keyed cache
-    (:mod:`repro.engine.cbuild`) and loaded via ctypes; registered only
-    when numpy *and* a C compiler are present (``REPRO_CC=0`` gates it
-    out), never the implicit default, bit-identical by the same parity
-    suites.  Each engine reports its toolchain via ``compiler`` (shown
-    by ``repro engines``).
+    kernels' GIL-releasing calls are what make threads pay); never the
+    implicit default.
 
 Selection
 ---------

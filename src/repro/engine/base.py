@@ -169,9 +169,9 @@ class TraversalEngine:
     plane_segments: str = "none (in-process memory)"
 
     #: Which compiled toolchain backs the engine's kernels (``repro
-    #: engines`` reports it).  Interpreted and numpy engines have none;
-    #: the compiled engine overrides this with its resolved cc, flags,
-    #: and kernel cache path (see :mod:`repro.engine.cbuild`).
+    #: engines`` reports it).  Interpreted engines have none; the csr
+    #: engine overrides this with its resolved cc, flags, and kernel
+    #: cache path (see :mod:`repro.engine.cbuild`).
     compiler: str = "none (interpreted/numpy kernels)"
 
     #: Whether ``failure_sweep``/``weighted_failure_sweep`` fan out over

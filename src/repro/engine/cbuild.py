@@ -1,13 +1,15 @@
-"""Compile-on-demand loader for the ``csr-c`` engine's C kernels.
+"""Compile-on-demand loader for the ``csr`` engine's C kernels.
 
 ``_ckernels.c`` (the sweep hot pair - ordered BFS + Euler walk, subtree
 recompute - and the weighted stacked-level relaxation) ships as source;
 no wheel, no build step at install time.
-The first time the compiled engine needs its kernels this module
+The first time the csr engine needs its kernels this module
 
 1. finds a system C compiler (``$REPRO_CC`` override > ``$CC`` >
-   ``cc`` > ``gcc`` > ``clang``; ``REPRO_CC=0`` disables the backend
-   entirely, the moral twin of running without numpy);
+   ``cc`` > ``gcc`` > ``clang``; ``REPRO_CC=0`` disables the kernels,
+   so csr runs on its numpy kernels); the answer is memoized per
+   setting of ``REPRO_CC``, ``CC`` and ``PATH``, so the ``PATH`` scan
+   runs once per process while a changed setting still probes again;
 2. compiles the source once into a per-version cache directory
    (``$REPRO_CC_CACHE`` > ``$XDG_CACHE_HOME/repro`` > ``~/.cache/repro``
    > a temp dir), with the shared object keyed by a hash of the source,
@@ -16,16 +18,15 @@ The first time the compiled engine needs its kernels this module
 3. loads it with stdlib :mod:`ctypes` and pins argument/return types.
 
 Everything degrades, never raises, at the module boundary:
-:func:`kernel_library` returns ``None`` when the backend is disabled,
+:func:`kernel_library` returns ``None`` when the kernels are disabled,
 no compiler exists, or the compile/load fails (with a one-time
-warning), and the compiled engine falls back to its numpy superclass.
-:func:`available` is the cheap registration gate - it only checks for a
-plausible compiler and defers the actual compile to first use.
+warning), and the csr engine falls back to its numpy kernels.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -42,7 +43,6 @@ __all__ = [
     "CC_FLAGS_ENV_VAR",
     "CFLAGS",
     "KernelLib",
-    "available",
     "cache_dir",
     "cc_disabled",
     "cflags",
@@ -53,8 +53,9 @@ __all__ = [
     "toolchain_info",
 ]
 
-#: ``0`` disables the compiled backend; any other value names/paths the
-#: compiler to use instead of the ``$CC``/cc/gcc/clang search.
+#: ``0`` disables the C kernels (csr runs on numpy); any other value
+#: names/paths the compiler to use instead of the ``$CC``/cc/gcc/clang
+#: search.
 CC_ENV_VAR = "REPRO_CC"
 
 #: Overrides the kernel cache directory.
@@ -90,34 +91,34 @@ def cflags() -> Tuple[str, ...]:
 
 
 def cc_disabled() -> bool:
-    """True when ``REPRO_CC=0`` gates the compiled backend out."""
+    """True when ``REPRO_CC=0`` gates the C kernels out."""
     return os.environ.get(CC_ENV_VAR, "").strip() == "0"
 
 
 def find_compiler() -> Optional[str]:
-    """Absolute path of the C compiler to use, or None."""
-    override = os.environ.get(CC_ENV_VAR, "").strip()
+    """Absolute path of the C compiler to use, or None.
+
+    Memoized on the three settings it reads (``REPRO_CC``, ``CC``,
+    ``PATH``): every kernel call asks, but only a new setting scans
+    ``PATH`` again, so mid-process flips apply with no reset hook.
+    """
+    env = os.environ
+    return _probe_compiler(
+        env.get(CC_ENV_VAR, "").strip(), env.get("CC", "").strip(), env.get("PATH")
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_compiler(
+    override: str, env_cc: str, path: Optional[str]
+) -> Optional[str]:
     if override == "0":
         return None
-    candidates = [override] if override else []
-    env_cc = os.environ.get("CC", "").strip()
-    if env_cc:
-        candidates.append(env_cc)
-    candidates += ["cc", "gcc", "clang"]
-    for cand in candidates:
-        path = shutil.which(cand)
-        if path:
-            return path
+    for cand in [c for c in (override, env_cc) if c] + ["cc", "gcc", "clang"]:
+        found = shutil.which(cand, path=path)
+        if found:
+            return found
     return None
-
-
-def available() -> bool:
-    """Cheap registration gate: a compiler plausibly exists and the
-    backend is not disabled.  (Compilation itself is deferred to first
-    kernel use; a compiler that is found but then fails to compile
-    degrades to the numpy kernels at runtime instead of unregistering.)
-    """
-    return find_compiler() is not None
 
 
 _version_cache: dict = {}
@@ -224,8 +225,6 @@ def kernel_library() -> Optional[KernelLib]:
     once); ``REPRO_CC=0`` is honored even between calls, so tests can
     gate an already-warm process back out.
     """
-    if cc_disabled():
-        return None
     cc = find_compiler()
     if cc is None:
         return None
@@ -239,7 +238,7 @@ def kernel_library() -> Optional[KernelLib]:
         _loaded[memo_key] = KernelLib(lib_path, cc)
     except Exception as exc:  # compile or load failure: degrade, once
         warnings.warn(
-            f"csr-c kernels unavailable ({exc}); falling back to numpy kernels",
+            f"C kernels unavailable ({exc}); csr falls back to its numpy kernels",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -250,10 +249,10 @@ def kernel_library() -> Optional[KernelLib]:
 def compiler_description() -> str:
     """One line for ``repro engines``: toolchain + kernel cache path."""
     if cc_disabled():
-        return f"disabled (${CC_ENV_VAR}=0)"
+        return f"disabled (${CC_ENV_VAR}=0; numpy kernels in use)"
     cc = find_compiler()
     if cc is None:
-        return "no C compiler found (cc/gcc/clang)"
+        return "no C compiler found (cc/gcc/clang; numpy kernels in use)"
     lib = kernel_library()
     if lib is None:
         return f"{_cc_version(cc)} (compile failed; numpy kernels in use)"

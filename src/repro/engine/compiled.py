@@ -1,18 +1,18 @@
-"""The compiled-kernel engine (``csr-c``): C loops for the traversal hot paths.
+"""The ``csr`` engine: C loops for the traversal hot paths, numpy behind.
 
-:class:`CompiledEngine` subclasses the csr engine and replaces the
-kernels the experiment suite spends its time in - the sweep hot pair
-(ordered base BFS + Euler walk, per-failure subtree recompute) and the
-weighted ``(hops, pert_sum)`` level relaxation behind ``run_pcons``,
+:class:`CompiledEngine` is the engine the registry serves as ``csr``.
+It subclasses the numpy :class:`~repro.engine.csr_engine.CSREngine` and
+replaces the kernels the library spends its time in - the sweep hot
+pair (ordered base BFS + Euler walk, per-failure subtree recompute) and
+the weighted ``(hops, pert_sum)`` level relaxation behind ``run_pcons``,
 ``weighted_failure_sweep``, and the batched shortest-path primitives -
 with the flat C loops of ``_ckernels.c``, compiled on demand and loaded
 by :mod:`repro.engine.cbuild`.  The C functions read the same cached
 CSR int64 arrays and boolean masks through raw pointers and fill
 caller-allocated numpy outputs, so results are **bit-identical** to the
 numpy kernels (same adjacency-order tie-breaking, same weighted settle
-order and tie events, enforced by the parity suites under
-``REPRO_ENGINE=csr-c``) while skipping numpy's per-level array
-orchestration.
+order and tie events, enforced by the parity suites with and without
+``REPRO_CC=0``) while skipping numpy's per-level array orchestration.
 
 The weighted routing goes through ``CSREngine._weighted_levels``, so
 every weighted surface - single-source, seeded, the stacked batched
@@ -29,17 +29,15 @@ which replays ties exactly and raises the reference's
 
 Because ctypes releases the GIL around every call, the ``csr-mt``
 engine windows these kernels - unweighted and weighted alike - across
-genuinely concurrent threads by simply using ``csr-c`` as its base
-engine (its default when this engine is registered), and the
-sharded/shm plane is untouched: the arrays are the same,
-:class:`CompiledFailureSweep` publishes and rebuilds the exact base
-state the numpy sweep does, and the shm tree plane's mapped arrays
-feed the weighted sweep's C kernel zero-copy.
+genuinely concurrent threads, and the sharded/shm plane is untouched:
+the arrays are the same, :class:`CompiledFailureSweep` publishes and
+rebuilds the exact base state the numpy sweep does, and the shm tree
+plane's mapped arrays feed the weighted sweep's C kernel zero-copy.
 
-Degradation mirrors the csr engine's no-numpy gating: with no working
-compiler (or under ``REPRO_CC=0``) the engine is not registered at
-all, and a compile/load failure after registration falls back to the
-inherited numpy paths at runtime (one warning, identical results).
+Every method asks :func:`~repro.engine.cbuild.kernel_library` per call
+and runs the inherited numpy path when it returns None: with no working
+compiler, under ``REPRO_CC=0``, or after a compile/load failure (one
+warning) - identical results either way.
 """
 
 from __future__ import annotations
@@ -171,9 +169,10 @@ class CompiledFailureSweep(FailureSweep):
 
 
 class CompiledEngine(CSREngine):
-    """csr engine with the traversal hot paths compiled to C (see module doc)."""
+    """The csr engine: hot paths in C, numpy when the kernels are
+    unavailable (see module doc)."""
 
-    name = "csr-c"
+    name = "csr"
 
     @property
     def compiler(self) -> str:
@@ -199,11 +198,6 @@ class CompiledEngine(CSREngine):
         if self._kernels() is None:
             return "inherited numpy " + CSREngine.detour_backend
         return "compiled C stacked levels (random scheme) + reference fallback"
-
-    @staticmethod
-    def available() -> bool:
-        """Registration gate: a C compiler exists and ``REPRO_CC`` != 0."""
-        return cbuild.available()
 
     def _kernels(self) -> Optional[cbuild.KernelLib]:
         return cbuild.kernel_library()

@@ -1,6 +1,9 @@
-"""The numpy/CSR engine: array kernels behind the reference contract.
+"""The csr engine's numpy kernels: array kernels behind the reference contract.
 
-Hop traversals run on the cached CSR view through the kernels in
+:class:`CSREngine` is the numpy base of
+:class:`~repro.engine.compiled.CompiledEngine`, which the registry
+serves as ``csr``; its paths run whenever the C kernels are unavailable
+and on their tie bails.  Hop traversals run on the cached CSR view through the kernels in
 :mod:`repro.engine.kernels`; results are converted back to the plain
 Python containers the contract promises (except ``failure_sweep``, which
 yields numpy vectors - values-only contract).

@@ -8,14 +8,14 @@ Selection precedence for :func:`get_engine` with no explicit name:
 
 Built-in engines register lazily on first lookup, so importing this
 module costs nothing and works without numpy (the csr engine is simply
-absent then).  ``"sharded"`` (the process-sharded ``failure_sweep``
-wrapper, :mod:`repro.engine.sharded`) is always registered but never
-the implicit default — it is selected explicitly or by the verification
-oracle's large-graph threshold.  ``"csr-c"`` (the compiled-kernel
-engine, :mod:`repro.engine.compiled`) additionally requires a system C
-compiler (``REPRO_CC=0`` gates it out) and is likewise never the
-implicit default — the verification oracle prefers it over plain csr
-when present.
+absent then).  ``"csr"`` is :class:`~repro.engine.compiled.CompiledEngine`:
+it runs the C kernels whenever they compile and load, and its inherited
+numpy kernels otherwise (no compiler, ``REPRO_CC=0``, a failed compile),
+so a C toolchain changes its speed, never its registration.
+``"sharded"`` (the process-sharded ``failure_sweep`` wrapper,
+:mod:`repro.engine.sharded`) is always registered but never the implicit
+default — it is selected explicitly or by the verification oracle's
+large-graph threshold.
 """
 
 from __future__ import annotations
@@ -55,23 +55,16 @@ def _ensure_builtins() -> None:
     register_engine(PythonEngine())
     register_engine(ShardedEngine())
     try:
-        from repro.engine.csr_engine import CSREngine
+        from repro.engine.compiled import CompiledEngine
     except ImportError:  # numpy unavailable: the fast backend is gated out
         return
-    register_engine(CSREngine())
-    # The thread-parallel wrapper only pays on the GIL-releasing numpy
-    # kernels, so it is gated out with them.
+    # Compilation is deferred to the first kernel call.
+    register_engine(CompiledEngine())
+    # The thread-parallel wrapper only pays on the GIL-releasing kernels,
+    # so it is gated out with them.
     from repro.engine.threaded import ThreadedEngine
 
     register_engine(ThreadedEngine())
-    # The compiled backend shares the csr engine's arrays (and its numpy
-    # fallback paths), so it is additionally gated on a C toolchain:
-    # absent under REPRO_CC=0 or with no system compiler, exactly like
-    # csr is without numpy.  Compilation itself is deferred to first use.
-    from repro.engine.compiled import CompiledEngine
-
-    if CompiledEngine.available():
-        register_engine(CompiledEngine())
 
 
 def register_engine(engine: TraversalEngine) -> None:

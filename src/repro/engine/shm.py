@@ -992,12 +992,12 @@ def _weighted_sweep_state(
 ):
     """The memoized weighted-sweep setup for one (plane, request, engine).
 
-    Engines exposing ``prepared_weighted_sweep`` (csr and its compiled
-    subclass) get their whole per-sweep setup - plan gating,
-    decomposition arrays (zero-copy off the plane via the tree façade's
-    ``_base_state``), the edge->child map and chunk sizes - built once
-    per worker and shared by every shard; under ``csr-c`` the mapped
-    plane arrays feed the compiled weighted kernel directly.  Engines without the hook (or requests the plan rejects)
+    Engines exposing ``prepared_weighted_sweep`` (csr) get their whole
+    per-sweep setup - plan gating, decomposition arrays (zero-copy off
+    the plane via the tree façade's ``_base_state``), the edge->child
+    map and chunk sizes - built once per worker and shared by every
+    shard; the mapped plane arrays feed csr's C weighted kernel
+    directly.  Engines without the hook (or requests the plan rejects)
     memoize None and run each shard through the engine's own sweep, the
     pre-memoization behavior.
     """

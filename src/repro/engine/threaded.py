@@ -2,10 +2,9 @@
 
 :class:`ThreadedEngine` (registry name ``csr-mt``) fans the two failure
 sweeps - ``failure_sweep`` and ``weighted_failure_sweep`` - out over a
-thread pool inside the calling process.  The numpy kernels release the
-GIL for their array passes - and the compiled ``csr-c`` base (the
-default when registered) holds it released for *whole* unweighted and
-weighted kernel calls - so shard windows genuinely overlap on
+thread pool inside the calling process.  The csr engine's C kernels
+hold the GIL released for *whole* kernel calls (its numpy fallback
+kernels for each array pass), so shard windows genuinely overlap on
 multi-core hosts, and because every thread shares the parent's address
 space there is *nothing to transport at all*: no pickling, no
 shared-memory segments, no worker-side attach or façade build.  The
@@ -111,21 +110,11 @@ class ThreadedEngine(TraversalEngine):
 
     # -- delegation ----------------------------------------------------
     def base_engine(self) -> TraversalEngine:
-        """The wrapped single-process engine (best kernels unless forced).
+        """The wrapped single-process engine: csr unless forced (any base
+        can be forced for testing)."""
+        from repro.engine.registry import get_engine
 
-        Prefers the compiled ``csr-c`` engine when registered: its C
-        kernels release the GIL for the *entire* sweep call rather than
-        per numpy array pass, so thread windows overlap even better and
-        the compiled speedup multiplies the thread speedup for free.
-        Falls back to ``csr`` (and any base can be forced for testing).
-        """
-        from repro.engine.registry import available_engines, get_engine
-
-        if self._base_name is not None:
-            return get_engine(self._base_name)
-        return get_engine(
-            "csr-c" if "csr-c" in available_engines() else "csr"
-        )
+        return get_engine(self._base_name or "csr")
 
     def distances(self, graph, source, **kwargs):
         return self.base_engine().distances(graph, source, **kwargs)

@@ -30,6 +30,10 @@ Protocol ops (all responses carry ``ok`` and the answering ``pid``):
     Update the standing failure set; echoes the new set.
 ``{"op": "stats"}`` / ``{"op": "ping"}`` / ``{"op": "shutdown"}``
     Introspection / liveness / orderly stop.
+
+Ids (``v``, ``targets``, ``failed``, ``eid``) must be JSON integers: a
+bool, float or string answers ``ok: false`` naming the field instead of
+being coerced to some other vertex or edge.
 """
 
 from __future__ import annotations
@@ -84,6 +88,27 @@ def _worker_answer(request: Dict[str, Any]) -> Dict[str, Any]:
     return _answer(_WORKER_ORACLE, request)
 
 
+def _json_id(value: Any, field: str) -> int:
+    """``value`` if it is a JSON integer; no coercion (``int(True)`` is
+    vertex 1, ``int(2.9)`` vertex 2), so anything else is a ValueError
+    naming ``field``."""
+    if type(value) is not int:
+        raise ValueError(
+            f"field {field!r}: ids must be JSON integers, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _json_ids(values: Any, field: str) -> List[int]:
+    """A JSON list of integer ids (see :func:`_json_id`)."""
+    if type(values) is not list:
+        raise ValueError(
+            f"field {field!r}: expected a list of ids, got {type(values).__name__}"
+        )
+    return [_json_id(x, field) for x in values]
+
+
 def _answer(oracle: QueryOracle, request: Dict[str, Any]) -> Dict[str, Any]:
     """Answer one dist/path request; never raises (errors become
     ``ok: false`` responses so a bad query cannot kill the server)."""
@@ -95,8 +120,9 @@ def _answer(oracle: QueryOracle, request: Dict[str, Any]) -> Dict[str, Any]:
             targets = request.get("targets")
             single = targets is None
             if single:
-                targets = [request["v"]]
-            targets = [int(t) for t in targets]
+                targets = [_json_id(request["v"], "v")]
+            else:
+                targets = _json_ids(targets, "targets")
             shift = oracle.structure.shift
             dists = oracle.dist_many(targets, failed)
             resp: Dict[str, Any] = {
@@ -111,7 +137,7 @@ def _answer(oracle: QueryOracle, request: Dict[str, Any]) -> Dict[str, Any]:
                 resp["v"] = targets[0]
             return resp
         if op == "path":
-            v = int(request["v"])
+            v = _json_id(request["v"], "v")
             vertices = oracle.path(v, failed)
             edges = oracle.path_edges(v, failed)
             return {
@@ -298,7 +324,7 @@ class OracleServer:
             }
         if op in ("mark_down", "mark_up"):
             try:
-                getattr(self.oracle, op)(int(request["eid"]))
+                getattr(self.oracle, op)(_json_id(request["eid"], "eid"))
             except KeyError as exc:
                 return {
                     "ok": False, "op": op,
@@ -313,9 +339,10 @@ class OracleServer:
                 "pid": pid,
             }
         if op in ("dist", "path"):
+            failed = request.get("failed")
             try:
-                explicit = {int(e) for e in request.get("failed") or []}
-            except (TypeError, ValueError) as exc:
+                explicit = set(_json_ids([] if failed is None else failed, "failed"))
+            except ValueError as exc:
                 return {"ok": False, "op": op, "error": str(exc), "pid": pid}
             payload = dict(request)
             # Effective failure set resolved here so workers stay

@@ -1,19 +1,24 @@
-"""The compiled C engine (``csr-c``): gating, parity, fallback, caching.
+"""The csr engine's C kernels: registration, parity, fallback, caching.
 
-The acceptance bar is the usual one: bit-identity with the csr engine
-(and through it the python reference) on every accelerated primitive -
-masked distances, ordered parent maps, and both ends of the failure
-sweep (base BFS + Euler state, per-failure subtree recomputes) - plus
-clean degradation on every axis the backend can be missing:
+The acceptance bar is the usual one: bit-identity with the numpy
+kernels (and through them the python reference) on every accelerated
+primitive - masked distances, ordered parent maps, and both ends of the
+failure sweep (base BFS + Euler state, per-failure subtree recomputes) -
+plus clean degradation on every axis the kernels can be missing:
 
-* no C compiler / ``REPRO_CC=0``: not registered at all (checked in a
-  subprocess - registration is resolved once per process);
-* compile or load failure after registration: the engine's methods
-  fall back to the inherited numpy kernels (same values);
+* no C compiler / ``REPRO_CC=0``: csr stays registered and runs its
+  inherited numpy kernels, building the same structures (checked in
+  subprocesses);
+* compile or load failure: the engine's methods fall back to the
+  inherited numpy kernels (same values);
 * rebuilt handles (the shm base-state path) interoperate bit-for-bit
   with numpy-built ones in either direction.
+
+``CSREngine()`` - the numpy superclass, instantiated directly - is the
+numpy side of every comparison.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -23,11 +28,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-pytest.importorskip("numpy")  # the compiled engine subclasses the csr engine
+pytest.importorskip("numpy")  # the csr engine is numpy-gated
 import numpy as np
 
 from repro.engine import available_engines, distances_equal, get_engine
 from repro.engine import cbuild
+from repro.engine.compiled import CompiledEngine
+from repro.engine.csr_engine import CSREngine
+from repro.errors import EngineError
 from repro.graphs import connected_gnp_graph
 
 from tests.conftest import graph_with_source
@@ -35,9 +43,9 @@ from tests.test_engine_parity import masked_instance
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
-HAVE_CSRC = "csr-c" in available_engines()
-requires_csrc = pytest.mark.skipif(
-    not HAVE_CSRC, reason="no C compiler: csr-c engine not registered"
+HAVE_CC = cbuild.find_compiler() is not None
+requires_cc = pytest.mark.skipif(
+    not HAVE_CC, reason="no C compiler: csr runs on numpy only"
 )
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -56,16 +64,67 @@ def _run_py(code: str, **env_overrides) -> subprocess.CompletedProcess:
     )
 
 
+#: Builds the random-scheme Theorem 5.1 gadget (3 reinforced edges) on
+#: the default engine and prints its edges, reinforced set and verify
+#: report as one JSON line.
+_BUILD_GADGET = """
+import json
+from repro.core import build_epsilon_ftbfs, verify_structure
+from repro.core.construct import ConstructOptions
+from repro.lower_bounds import build_theorem51
+lb = build_theorem51(400, 0.2, d=8, k=4, x_size=8)
+s = build_epsilon_ftbfs(
+    lb.graph, lb.source, 0.2,
+    options=ConstructOptions(weight_scheme="random", seed=1),
+)
+rep = verify_structure(s)
+print(json.dumps({
+    "edges": sorted(s.edges),
+    "reinforced": sorted(s.reinforced),
+    "verify": [rep.ok, rep.checked_failures, [str(v) for v in rep.violations]],
+}))
+"""
+
+
 class TestRegistration:
-    def test_registered_iff_toolchain_present(self):
-        assert ("csr-c" in available_engines()) == cbuild.available()
+    def test_csr_registered_with_or_without_a_compiler(self):
+        names = available_engines()
+        assert "csr" in names and "csr-c" not in names, names
+        assert isinstance(get_engine("csr"), CompiledEngine)
 
-    @requires_csrc
-    def test_never_the_implicit_default(self, monkeypatch):
+    def test_csr_c_is_no_engine_name(self):
+        with pytest.raises(EngineError) as info:
+            get_engine("csr-c")
+        for name in available_engines():
+            assert name in str(info.value)
+
+    @requires_cc
+    def test_default_engine_runs_the_c_kernels(self, monkeypatch):
+        """With a compiler, the implicit default is the compiled csr, and
+        a default random-scheme build calls into the loaded library."""
+        from repro.core import build_epsilon_ftbfs
+        from repro.core.construct import ConstructOptions
+
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert get_engine().name != "csr-c"
+        engine = get_engine()
+        assert isinstance(engine, CompiledEngine) and engine.name == "csr"
+        lib = cbuild.kernel_library()
+        assert lib is not None
+        calls = []
+        kernel = lib.weighted_levels
 
-    @requires_csrc
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(lib, "weighted_levels", counted)
+        graph = connected_gnp_graph(120, 0.06, seed=2)
+        build_epsilon_ftbfs(
+            graph, 0, 0.25, options=ConstructOptions(weight_scheme="random")
+        )
+        assert calls, "the default build never reached the C kernels"
+
+    @requires_cc
     def test_kernels_compile_and_cache(self):
         lib = cbuild.kernel_library()
         assert lib is not None
@@ -73,44 +132,46 @@ class TestRegistration:
         assert Path(lib.path).parent == cbuild.cache_dir()
         # memoized: the second lookup is the same loaded object
         assert cbuild.kernel_library() is lib
-        assert str(lib.path) in get_engine("csr-c").compiler
+        assert str(lib.path) in get_engine("csr").compiler
 
-    def test_repro_cc_0_gates_the_engine_out(self):
-        """With the toolchain disabled, csr-c is absent from the registry
-        (and from ``repro engines``) while everything else still works -
+    def test_repro_cc_0_runs_csr_on_numpy(self):
+        """With the toolchain disabled, csr stays registered (and the
+        default) on its inherited numpy kernels, and nothing else moves -
         the no-compiler analogue of csr's no-numpy gating."""
         proc = _run_py(
-            "from repro.engine import available_engines, get_engine\n"
+            "from repro.engine import available_engines, cbuild, get_engine\n"
             "names = available_engines()\n"
-            "assert 'csr-c' not in names, names\n"
-            "assert 'csr' in names and 'csr-mt' in names, names\n"
-            "assert get_engine('csr-mt').base_engine().name == 'csr'\n"
+            "assert names == ['python', 'csr', 'csr-mt', 'sharded'], names\n"
+            "eng = get_engine()\n"
+            "assert eng.name == 'csr' and cbuild.kernel_library() is None\n"
+            "assert eng.weighted_backend.startswith('inherited numpy')\n"
+            "assert get_engine('csr-mt').base_engine() is eng\n"
             "from repro.graphs import connected_gnp_graph\n"
             "from repro.core.verify import verify_subgraph, _resolve_engine\n"
             "g = connected_gnp_graph(40, 0.1, seed=1)\n"
-            "assert _resolve_engine(g, None).name == 'csr'\n"
+            "assert _resolve_engine(g, None) is eng\n"
             "assert verify_subgraph(g, 0, set(range(g.num_edges))).ok\n",
             REPRO_CC="0",
         )
         assert proc.returncode == 0, proc.stderr
 
-    @requires_csrc
+    @requires_cc
     def test_bogus_compiler_degrades_to_numpy_at_runtime(self, tmp_path):
-        """A compiler that exists at registration but fails to compile:
-        the engine stays registered and its methods fall back (warning
-        once), bit-identically."""
+        """A compiler that is found but fails to compile: csr's methods
+        fall back (warning once), bit-identically."""
         proc = _run_py(
             "import warnings\n"
             "from repro.engine import get_engine\n"
+            "from repro.engine.csr_engine import CSREngine\n"
             "from repro.graphs import connected_gnp_graph\n"
             "g = connected_gnp_graph(30, 0.15, seed=2)\n"
-            "eng = get_engine('csr-c')\n"
+            "eng = get_engine('csr')\n"
             "with warnings.catch_warnings(record=True) as caught:\n"
             "    warnings.simplefilter('always')\n"
             "    d = eng.distances(g, 0)\n"
-            "assert any('csr-c' in str(w.message) for w in caught), caught\n"
-            "assert d == get_engine('csr').distances(g, 0)\n"
-            "ref = list(get_engine('csr').failure_sweep(g, 0, range(g.num_edges)))\n"
+            "assert any('C kernels' in str(w.message) for w in caught), caught\n"
+            "assert d == CSREngine().distances(g, 0)\n"
+            "ref = list(CSREngine().failure_sweep(g, 0, range(g.num_edges)))\n"
             "got = list(eng.failure_sweep(g, 0, range(g.num_edges)))\n"
             "assert all(list(a) == list(b) for a, b in zip(ref, got))\n",
             REPRO_CC="false",  # /usr/bin/false: found by which, compiles nothing
@@ -119,7 +180,60 @@ class TestRegistration:
         assert proc.returncode == 0, proc.stderr
 
 
-@requires_csrc
+class TestFindCompiler:
+    """The compiler probe runs once per setting of the variables it
+    reads, not once per kernel call."""
+
+    def test_probe_memoized_until_path_changes(self, monkeypatch, tmp_path):
+        calls = []
+
+        def which(cmd, path=None):
+            calls.append((cmd, path))
+            return f"/opt/fake/{cmd}"
+
+        monkeypatch.setattr(cbuild.shutil, "which", which)
+        monkeypatch.delenv(cbuild.CC_ENV_VAR, raising=False)
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv("PATH", str(tmp_path / "a"))
+        for _ in range(5):
+            assert cbuild.find_compiler() == "/opt/fake/cc"
+        assert len(calls) == 1
+        monkeypatch.setenv("PATH", str(tmp_path / "b"))
+        assert cbuild.find_compiler() == "/opt/fake/cc"
+        assert calls[-1] == ("cc", str(tmp_path / "b"))
+        assert len(calls) == 2
+
+    def test_cc_settings_apply_mid_process(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            cbuild.shutil, "which", lambda cmd, path=None: f"/opt/fake/{cmd}"
+        )
+        monkeypatch.delenv(cbuild.CC_ENV_VAR, raising=False)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setenv("CC", "clang")
+        assert cbuild.find_compiler() == "/opt/fake/clang"
+        monkeypatch.setenv(cbuild.CC_ENV_VAR, "gcc")
+        assert cbuild.find_compiler() == "/opt/fake/gcc"
+        monkeypatch.setenv(cbuild.CC_ENV_VAR, "0")
+        assert cbuild.find_compiler() is None
+        assert cbuild.kernel_library() is None
+
+
+@requires_cc
+class TestNumpyFallback:
+    def test_repro_cc_0_builds_the_same_structure(self):
+        """C here, numpy in a ``REPRO_CC=0`` subprocess: the same edges,
+        the same reinforced set, the same verify report."""
+        assert cbuild.kernel_library() is not None
+        on_c = _run_py(_BUILD_GADGET)
+        on_numpy = _run_py(_BUILD_GADGET, REPRO_CC="0")
+        assert on_c.returncode == 0, on_c.stderr
+        assert on_numpy.returncode == 0, on_numpy.stderr
+        c_out = json.loads(on_c.stdout)
+        assert c_out["reinforced"], "instance lost its reinforced edges"
+        assert c_out == json.loads(on_numpy.stdout)
+
+
+@requires_cc
 class TestCcFlags:
     """``$REPRO_CC_FLAGS``: extra flags reach the compile line and key
     the cache, so a sanitizer build never reuses (or poisons) the plain
@@ -164,7 +278,7 @@ class TestCcFlags:
             "assert cbuild.kernel_library() is not None\n"
             "from repro.graphs import connected_gnp_graph\n"
             "g = connected_gnp_graph(60, 0.1, seed=3)\n"
-            "assert get_engine('csr-c').distances(g, 0) == "
+            "assert get_engine('csr').distances(g, 0) == "
             "get_engine('python').distances(g, 0)\n",
             REPRO_CC_FLAGS="-fno-omit-frame-pointer -g",
             REPRO_CC_CACHE=str(tmp_path / "kernels"),
@@ -172,13 +286,13 @@ class TestCcFlags:
         assert proc.returncode == 0, proc.stderr
 
 
-@requires_csrc
+@requires_cc
 class TestParity:
     @given(inst=masked_instance())
     @settings(max_examples=60, **COMMON)
     def test_masked_distances_match_reference(self, inst):
         graph, source, kwargs = inst
-        assert get_engine("csr-c").distances(graph, source, **kwargs) == (
+        assert get_engine("csr").distances(graph, source, **kwargs) == (
             get_engine("python").distances(graph, source, **kwargs)
         )
 
@@ -186,7 +300,7 @@ class TestParity:
     @settings(max_examples=60, **COMMON)
     def test_parents_match_reference_including_order(self, gs):
         graph, source = gs
-        mine = get_engine("csr-c").parents(graph, source)
+        mine = get_engine("csr").parents(graph, source)
         ref = get_engine("python").parents(graph, source)
         assert mine == ref
         assert list(mine) == list(ref)  # discovery order, not just mapping
@@ -208,7 +322,7 @@ class TestParity:
             )
         )
         got = list(
-            get_engine("csr-c").failure_sweep(
+            get_engine("csr").failure_sweep(
                 graph, source, eids, allowed_edges=allowed
             )
         )
@@ -220,8 +334,8 @@ class TestParity:
         """shm interop: the C-built handle publishes exactly the arrays
         the numpy sweep would (same keys, dtypes, values)."""
         graph = connected_gnp_graph(120, 0.06, seed=9)
-        mine = get_engine("csr-c").sweep(graph, 0)
-        ref = get_engine("csr").sweep(graph, 0)
+        mine = get_engine("csr").sweep(graph, 0)
+        ref = CSREngine().sweep(graph, 0)
         for (k_mine, a_mine), (k_ref, a_ref) in zip(
             mine.base_state(), ref.base_state()
         ):
@@ -232,7 +346,7 @@ class TestParity:
         """A handle rebuilt from the *other* engine's base state answers
         every failure identically - the sharded/shm worker path."""
         graph = connected_gnp_graph(100, 0.07, seed=4)
-        compiled, numpy_eng = get_engine("csr-c"), get_engine("csr")
+        compiled, numpy_eng = get_engine("csr"), CSREngine()
         from_c = numpy_eng.sweep_from_base_state(
             graph, 0, dict(compiled.sweep(graph, 0).base_state())
         )
@@ -245,38 +359,28 @@ class TestParity:
             assert list(from_c.failed(eid)) == want
             assert list(from_np.failed(eid)) == want
 
-    def test_verify_report_identical(self):
+    def test_verify_report_identical(self, monkeypatch):
+        """The same report on C and, under ``REPRO_CC=0``, on numpy."""
         from repro.core.verify import verify_subgraph
 
         graph = connected_gnp_graph(80, 0.08, seed=5)
         h = set(range(0, graph.num_edges, 2)) | {0, 1}
+        got = verify_subgraph(graph, 0, h, engine="csr")
+        monkeypatch.setenv(cbuild.CC_ENV_VAR, "0")
         ref = verify_subgraph(graph, 0, h, engine="csr")
-        got = verify_subgraph(graph, 0, h, engine="csr-c")
         assert got.ok == ref.ok
         assert got.checked_failures == ref.checked_failures
         assert got.violations == ref.violations
 
     def test_threaded_windows_over_compiled_base(self):
-        """csr-mt prefers csr-c as its base and stays bit-identical."""
+        """csr-mt windows the compiled csr and stays bit-identical to
+        the numpy kernels."""
         from repro.engine import ThreadedEngine
 
-        assert get_engine("csr-mt").base_engine().name == "csr-c"
+        assert get_engine("csr-mt").base_engine() is get_engine("csr")
         graph = connected_gnp_graph(90, 0.08, seed=7)
         eids = list(range(graph.num_edges))
-        ref = list(get_engine("csr").failure_sweep(graph, 0, eids))
-        engine = ThreadedEngine(base="csr-c", max_threads=4, min_batch=1)
+        ref = list(CSREngine().failure_sweep(graph, 0, eids))
+        engine = ThreadedEngine(max_threads=4, min_batch=1)
         for r, x in zip(ref, engine.failure_sweep(graph, 0, eids)):
             assert distances_equal(r, x)
-
-
-@requires_csrc
-class TestVerifyUpgrade:
-    def test_small_graph_default_upgrades_csr_to_compiled(self, monkeypatch):
-        from repro.core.verify import _resolve_engine
-
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        graph = connected_gnp_graph(40, 0.1, seed=0)
-        assert _resolve_engine(graph, None).name == "csr-c"
-        # an explicit engine always wins over the upgrade
-        assert _resolve_engine(graph, "csr").name == "csr"
-        assert _resolve_engine(graph, "python").name == "python"

@@ -46,35 +46,42 @@ def test_csr_verify_at_least_3x_faster_than_reference():
     )
 
 
-def test_compiled_verify_at_least_1_3x_faster_than_csr():
-    """The compiled backend's headline claim: end-to-end verification is
-    at least 1.3x faster under csr-c than under the numpy csr kernels on
-    a mid-size G(n, p) (measured ~2-2.5x; the floor leaves headroom for
-    loaded CI workers).  Skipped where no C toolchain is available."""
-    from repro.engine import available_engines
+def _numpy_then_c(monkeypatch, fn, reps=3):
+    """``fn()`` timed (best of ``reps``, after a warm-up call whose
+    result is returned) on csr's numpy kernels under ``REPRO_CC=0``,
+    then on its C kernels: ``(t_numpy, out_numpy, t_c, out_c)``."""
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_CC", "0")
+        out_numpy = fn()
+        t_numpy = _best_of(reps, fn)
+    out_c = fn()
+    return t_numpy, out_numpy, _best_of(reps, fn), out_c
+
+
+def test_compiled_verify_at_least_1_3x_faster_than_csr(monkeypatch):
+    """The compiled kernels' headline claim: end-to-end verification is
+    at least 1.3x faster on csr's C kernels than on its numpy kernels
+    (``REPRO_CC=0``) on a mid-size G(n, p) (measured ~2-2.5x; the floor
+    leaves headroom for loaded CI workers).  Skipped where no C
+    toolchain is available."""
     from repro.engine import cbuild
 
-    if "csr-c" not in available_engines():
-        pytest.skip("no C compiler: csr-c engine not registered")
     if cbuild.kernel_library() is None:
-        pytest.skip("compiler present but kernels failed to build")
+        pytest.skip("no C compiler (or the kernels failed to build)")
     from repro.core.verify import verify_subgraph
-    from repro.graphs import connected_gnp_graph
 
     graph = connected_gnp_graph(1000, 12.0 / 999, seed=3)
     h_edges = set(range(graph.num_edges))  # H = G: every edge a candidate
 
-    ref = verify_subgraph(graph, 0, h_edges, engine="csr")
-    fast = verify_subgraph(graph, 0, h_edges, engine="csr-c")
+    t_np, ref, t_c, fast = _numpy_then_c(
+        monkeypatch, lambda: verify_subgraph(graph, 0, h_edges, engine="csr")
+    )
     assert ref.ok and fast.ok
     assert ref.checked_failures == fast.checked_failures
-
-    t_csr = _best_of(3, lambda: verify_subgraph(graph, 0, h_edges, engine="csr"))
-    t_c = _best_of(3, lambda: verify_subgraph(graph, 0, h_edges, engine="csr-c"))
-    speedup = t_csr / t_c
+    speedup = t_np / t_c
     assert speedup >= 1.3, (
-        f"csr-c verify speedup {speedup:.2f}x below the 1.3x acceptance floor "
-        f"(csr {t_csr:.3f}s, csr-c {t_c:.3f}s)"
+        f"C verify speedup {speedup:.2f}x below the 1.3x acceptance floor "
+        f"(numpy {t_np:.3f}s, C {t_c:.3f}s)"
     )
 
 
@@ -155,12 +162,12 @@ def test_oracle_floors():
         )
 
 
-def test_compiled_weighted_floors():
+def test_compiled_weighted_floors(monkeypatch):
     """The compiled *weighted* stack's floors, tier-1-sized.
 
     The real acceptance numbers live in ``benchmarks/bench_weighted.py``
     on the full-size G(5000, ~50k edges) instance (>= 1.3x end-to-end
-    ``run_pcons``, >= 1.5x ``weighted_failure_sweep``, csr-c over csr).
+    ``run_pcons``, >= 1.5x ``weighted_failure_sweep``, C over numpy).
     This test keeps a scaled-down version in every tier-1 run: on
     mid-size instances the pcons margin is already the full one
     (measured ~2.4x at n=1000), while the sweep margin is structurally
@@ -168,38 +175,33 @@ def test_compiled_weighted_floors():
     instance shrinks; measured ~1.4x at n=2500), so its floor here is
     1.1x - enough to catch the compiled path silently degrading to the
     inherited numpy kernels."""
-    from repro.engine import available_engines, cbuild, engine_context
+    from repro.engine import cbuild, engine_context, get_engine
+    from repro.engine.csr_engine import CSREngine
 
-    if "csr-c" not in available_engines():
-        pytest.skip("no C compiler: csr-c engine not registered")
     if cbuild.kernel_library() is None:
-        pytest.skip("compiler present but kernels failed to build")
+        pytest.skip("no C compiler (or the kernels failed to build)")
     from repro.core.pcons import run_pcons
-    from repro.engine import get_engine
     from repro.spt import build_spt, make_weights
 
     graph = connected_gnp_graph(1000, 12.0 / 999, seed=3)
-    timings = {}
-    results = {}
-    for name in ("csr", "csr-c"):
-        with engine_context(name):
-            run_pcons(graph, 0, weight_scheme="random", seed=1)  # warm
-            t0 = time.perf_counter()
-            results[name] = run_pcons(graph, 0, weight_scheme="random", seed=1)
-            timings[name] = time.perf_counter() - t0
-    assert results["csr"].pairs.pairs == results["csr-c"].pairs.pairs
-    pcons_speedup = timings["csr"] / timings["csr-c"]
+    with engine_context("csr"):
+        t_np, on_np, t_c, on_c = _numpy_then_c(
+            monkeypatch,
+            lambda: run_pcons(graph, 0, weight_scheme="random", seed=1),
+            reps=1,
+        )
+    assert on_np.pairs.pairs == on_c.pairs.pairs
+    pcons_speedup = t_np / t_c
     assert pcons_speedup >= 1.3, (
-        f"csr-c run_pcons speedup {pcons_speedup:.2f}x below the 1.3x floor "
-        f"(csr {timings['csr']:.3f}s, csr-c {timings['csr-c']:.3f}s)"
+        f"C run_pcons speedup {pcons_speedup:.2f}x below the 1.3x floor "
+        f"(numpy {t_np:.3f}s, C {t_c:.3f}s)"
     )
 
     sweep_graph = connected_gnp_graph(2500, 16.0 / 2499, seed=3)
     weights = make_weights(sweep_graph, "random", seed=3)
     tree = build_spt(sweep_graph, weights, 0)
     sweeps = {}
-    for name in ("csr", "csr-c"):
-        eng = get_engine(name)
+    for name, eng in (("numpy", CSREngine()), ("c", get_engine("csr"))):
         out = list(eng.weighted_failure_sweep(sweep_graph, weights, tree))
         sweeps[name] = (
             _best_of(
@@ -210,9 +212,9 @@ def test_compiled_weighted_floors():
             ),
             out,
         )
-    assert sweeps["csr"][1] == sweeps["csr-c"][1]
-    sweep_speedup = sweeps["csr"][0] / sweeps["csr-c"][0]
+    assert sweeps["numpy"][1] == sweeps["c"][1]
+    sweep_speedup = sweeps["numpy"][0] / sweeps["c"][0]
     assert sweep_speedup >= 1.1, (
-        f"csr-c weighted sweep speedup {sweep_speedup:.2f}x below the 1.1x "
-        f"floor (csr {sweeps['csr'][0]:.3f}s, csr-c {sweeps['csr-c'][0]:.3f}s)"
+        f"C weighted sweep speedup {sweep_speedup:.2f}x below the 1.1x "
+        f"floor (numpy {sweeps['numpy'][0]:.3f}s, C {sweeps['c'][0]:.3f}s)"
     )

@@ -139,29 +139,30 @@ class TestContextRestoration:
 
 
 class TestThreadedWeightedBase:
-    """csr-mt must prefer the compiled base for *weighted* windows too.
+    """csr-mt windows its *weighted* sweeps over the compiled csr too.
 
-    The unweighted preference is pinned in test_engine_compiled; this
-    class closes the weighted gap: the base the threaded engine windows
-    its weighted sweeps over is csr-c when registered, and degrades to
-    csr - same values - when ``REPRO_CC=0`` gates the toolchain out.
+    The unweighted side is pinned in test_engine_compiled; this class
+    closes the weighted gap: the base the threaded engine windows its
+    weighted sweeps over is csr on its C kernels, and the same csr on
+    numpy - same values - when ``REPRO_CC=0`` gates the toolchain out.
     """
 
     def test_prefers_compiled_base_for_weighted_windows(self):
-        if "csr-c" not in available_engines():
-            pytest.skip("no C compiler: csr-c engine not registered")
+        from repro.engine import cbuild
+
+        if cbuild.find_compiler() is None:
+            pytest.skip("no C compiler: csr runs on numpy only")
         mt = get_engine("csr-mt")
-        assert mt.base_engine().name == "csr-c"
+        assert mt.base_engine() is get_engine("csr")
         # The capability lines agree: the weighted sweep is windowed
-        # over the compiled base, not the plain numpy engine.
-        assert "'csr-c'" in mt.weighted_backend
-        assert "'csr-c'" in mt.replacement_backend
+        # over csr, whose weighted kernels are the compiled ones.
+        assert "'csr'" in mt.replacement_backend
+        assert mt.base_engine().weighted_backend.startswith("compiled C")
 
     def test_falls_back_to_csr_base_under_repro_cc_0(self):
-        """With the toolchain disabled, the weighted base degrades to
-        csr and a threaded weighted sweep still produces the reference
-        values (checked in a subprocess: base resolution is memoized
-        per process)."""
+        """With the toolchain disabled, the weighted base is csr on its
+        numpy kernels and a threaded weighted sweep still produces the
+        reference values (checked in a subprocess)."""
         if "csr" not in available_engines():
             pytest.skip("csr-mt needs numpy")
         env = dict(os.environ)
@@ -177,6 +178,8 @@ class TestThreadedWeightedBase:
                 "mt = get_engine('csr-mt')\n"
                 "assert mt.base_engine().name == 'csr', mt.base_engine().name\n"
                 "assert \"'csr'\" in mt.weighted_backend\n"
+                "assert mt.base_engine().weighted_backend.startswith("
+                "'inherited numpy')\n"
                 "from repro.graphs import connected_gnp_graph\n"
                 "from repro.spt import build_spt, make_weights\n"
                 "g = connected_gnp_graph(60, 0.08, seed=11)\n"

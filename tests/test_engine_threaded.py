@@ -55,11 +55,10 @@ class TestRegistration:
         assert get_engine().name != "csr-mt"
 
     def test_base_engine_defaults_to_best_kernels(self):
-        """csr-c when a C toolchain produced it, else csr; any forced
-        base still wins."""
-        expected = "csr-c" if "csr-c" in available_engines() else "csr"
-        assert get_engine("csr-mt").base_engine().name == expected
-        assert ThreadedEngine(base="csr").base_engine().name == "csr"
+        """csr, whose kernels are C whenever a toolchain built them; any
+        forced base still wins."""
+        assert get_engine("csr-mt").base_engine() is get_engine("csr")
+        assert ThreadedEngine(base="python").base_engine().name == "python"
 
     def test_advertises_threads_and_segments(self):
         engine = get_engine("csr-mt")

@@ -416,6 +416,54 @@ class TestServeWorkers:
         structure.close()
 
 
+#: Ids that ``int()`` would coerce into some other vertex or edge.
+_NOT_IDS = [True, 2.9, "3"]
+
+
+def _id_requests(field, bad):
+    if field == "v":
+        return [{"op": "dist", "v": bad}, {"op": "path", "v": bad}]
+    if field == "targets":
+        return [{"op": "dist", "targets": [0, bad]}, {"op": "dist", "targets": bad}]
+    if field == "failed":
+        return [
+            {"op": op, "v": 1, "failed": fail}
+            for op in ("dist", "path")
+            for fail in ([bad], bad)
+        ]
+    return [{"op": "mark_down", "eid": bad}, {"op": "mark_up", "eid": bad}]
+
+
+class TestStrictIds:
+    """Every id field takes JSON integers only: a bool, float or string
+    answers ``ok: false`` naming the field, inline and through workers."""
+
+    @pytest.mark.parametrize(
+        "workers",
+        [0, pytest.param(2, marks=needs_shm)],
+    )
+    def test_non_integer_ids_are_rejected(self, snap, workers):
+        structure = load_structure(snap, mapped=workers > 0)
+        table = [
+            (field, bad, request)
+            for field in ("v", "targets", "failed", "eid")
+            for bad in _NOT_IDS
+            for request in _id_requests(field, bad)
+        ]
+        summary, responses = _roundtrip(
+            structure,
+            [request for _, _, request in table] + [{"op": "stats"}],
+            workers=workers,
+        )
+        structure.close()
+        assert summary["workers"] == workers
+        assert summary["errors"] == len(table)
+        for (field, bad, request), resp in zip(table, responses):
+            assert resp["ok"] is False, (request, resp)
+            assert repr(field) in resp["error"], (request, resp)
+        assert responses[-1]["marked"] == []  # no bad eid marked an edge
+
+
 # ----------------------------------------------------------------------
 # CLI-owned constants are re-exported for callers of the format
 # ----------------------------------------------------------------------

@@ -15,10 +15,11 @@ per-call loops they amortize, across engines, both weight schemes,
 disconnected subtrees included.
 
 The fast engine under test follows ``REPRO_ENGINE``: the weighted CI
-matrix reruns this module under ``csr``, ``csr-mt``, and ``csr-c``, so
-the compiled weighted kernels face the same tie-replay and chunking
-cases as the numpy path.  The reference row stays the python engine
-(an ambient ``python``/``sharded`` selection degenerates to ``csr``).
+matrix reruns this module under ``csr`` and ``csr-mt``, and csr runs
+its C kernels unless ``REPRO_CC=0`` (the no-compiler job) puts it on
+numpy, so both backends face the same tie-replay and chunking cases.
+The reference row stays the python engine (an ambient
+``python``/``sharded`` selection degenerates to ``csr``).
 """
 
 import os
@@ -33,10 +34,12 @@ pytest.importorskip("numpy")
 from repro.core.pcons import run_pcons
 from repro.engine import (
     available_engines,
+    cbuild,
     engine_context,
     get_engine,
     replacement_failure,
 )
+from repro.engine.csr_engine import CSREngine
 from repro.errors import GraphError, TieBreakError
 from repro.graphs import Graph, cycle_graph, gnp_random_graph
 from repro.spt.spt_tree import build_spt
@@ -268,8 +271,8 @@ def test_degenerate_weights_tie_parity(pair, salt):
 
 
 @pytest.mark.skipif(
-    "csr-c" not in available_engines(),
-    reason="no C compiler: csr-c engine not registered",
+    cbuild.find_compiler() is None,
+    reason="no C compiler: csr runs on numpy only",
 )
 @settings(max_examples=25, **COMMON)
 @given(graph_with_source(max_vertices=14, connected=False), st.integers(0, 2**10))
@@ -277,8 +280,9 @@ def test_degenerate_weights_compiled_tie_set_identical(pair, salt):
     """The C kernel's exact running-min tie detection must reproduce the
     numpy path's tie *set*: for every degenerate instance, raise vs
     no-raise, the exception message, and the raise_on_tie=False result
-    all agree between csr and csr-c - the compiled bail-and-rerun may
-    never tie where numpy does not, nor miss a tie numpy reports."""
+    all agree between the numpy and C kernels - the compiled
+    bail-and-rerun may never tie where numpy does not, nor miss a tie
+    numpy reports."""
     g, source = pair
     rng = random.Random(salt)
     big = 1 << 16
@@ -286,7 +290,7 @@ def test_degenerate_weights_compiled_tie_set_identical(pair, salt):
     w = WeightAssignment(weights=weights, shift=16, scheme=RANDOM, seed=0)
     for kwargs in ({}, {"raise_on_tie": False}):
         outcomes = []
-        for engine in (get_engine("csr"), get_engine("csr-c")):
+        for engine in (CSREngine(), get_engine("csr")):
             try:
                 r = engine.shortest_paths(g, w, source, **kwargs)
                 outcomes.append(("ok", r.dist, r.parent, r.parent_eid))

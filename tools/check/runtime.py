@@ -11,15 +11,20 @@ shifts, and asserts far less than the registry can.
 Profiles (``python -m tools.check --engines PROFILE``):
 
 ``full``
-    A numpy + C-toolchain install: all five engines registered, the
+    A numpy + C-toolchain install: all four engines registered, the
     sharded transport on the shared-memory plane with per-sweep
-    base-state segments, csr-c on compiled weighted kernels.
+    base-state segments, csr on compiled weighted kernels with a loaded
+    kernel library.
 ``no-numpy``
     A bare install: numpy genuinely absent, only python + sharded
     registered, sharded degraded to the pickle transport.
 ``no-compiler``
-    numpy without a C toolchain (``REPRO_CC=0``): csr/csr-mt survive,
-    csr-c is gated out, nothing claims a compiler.
+    numpy without a C toolchain (``REPRO_CC=0``): csr and csr-mt still
+    registered, csr on its inherited numpy kernels, nothing claims a
+    compiler.
+
+No profile may register ``csr-c``: the compiled kernels are csr's own
+backend, not an engine of their own.
 
 ``--serve-log`` parses a ``repro serve`` JSONL transcript (every
 response must be ``"ok": true``); ``--resume-log`` parses ``repro run``
@@ -31,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 __all__ = ["ENGINE_PROFILES", "check_engines", "check_serve_log", "check_resume_log"]
 
@@ -52,12 +57,21 @@ def _numpy_available() -> bool:
         return False
 
 
+def _check_names(names: List[str], required: Tuple[str, ...]) -> List[str]:
+    """Missing required engines, plus any ``csr-c`` registration."""
+    failures = [
+        f"engine {name!r} not registered (have {names})"
+        for name in required
+        if name not in names
+    ]
+    if "csr-c" in names:
+        failures.append("csr-c registered: the C kernels belong to csr")
+    return failures
+
+
 def _check_full() -> List[str]:
-    failures: List[str] = []
     names, engines = _registry()
-    for required in ("python", "csr", "csr-mt", "csr-c", "sharded"):
-        if required not in names:
-            failures.append(f"engine {required!r} not registered (have {names})")
+    failures = _check_names(names, ("python", "csr", "csr-mt", "sharded"))
     if failures:
         return failures
     sharded = engines["sharded"]
@@ -71,15 +85,15 @@ def _check_full() -> List[str]:
             f"sharded segments are {sharded.plane_segments!r}, expected "
             "per-sweep base-state segments"
         )
-    csrc = engines["csr-c"]
-    if not csrc.weighted_backend.startswith("compiled C"):
+    csr = engines["csr"]
+    if not csr.weighted_backend.startswith("compiled C"):
         failures.append(
-            f"csr-c weighted_backend is {csrc.weighted_backend!r}, expected "
+            f"csr weighted_backend is {csr.weighted_backend!r}, expected "
             "the compiled C levels"
         )
-    if "cache:" not in csrc.compiler:
+    if "cache:" not in csr.compiler:
         failures.append(
-            f"csr-c compiler is {csrc.compiler!r}, expected a loaded "
+            f"csr compiler is {csr.compiler!r}, expected a loaded "
             "toolchain with a kernel-cache path"
         )
     for name, engine in engines.items():
@@ -95,7 +109,7 @@ def _check_no_numpy() -> List[str]:
     names, engines = _registry()
     if "python" not in names:
         failures.append(f"pure-python engine missing (have {names})")
-    for gated in ("csr", "csr-mt", "csr-c"):
+    for gated in ("csr", "csr-mt"):
         if gated in names:
             failures.append(f"engine {gated!r} registered without numpy")
     sharded = engines.get("sharded")
@@ -114,16 +128,18 @@ def _check_no_compiler() -> List[str]:
     if not _numpy_available():
         failures.append("numpy missing - the no-compiler profile gates only cc")
     names, engines = _registry()
-    for required in ("python", "csr", "csr-mt", "sharded"):
-        if required not in names:
-            failures.append(f"engine {required!r} not registered (have {names})")
-    if "csr-c" in names:
-        failures.append("csr-c registered although the toolchain is disabled")
+    failures += _check_names(names, ("python", "csr", "csr-mt", "sharded"))
     csr = engines.get("csr")
-    if csr is not None and "none (interpreted/numpy kernels)" not in csr.compiler:
-        failures.append(
-            f"csr compiler is {csr.compiler!r}, expected no toolchain claim"
-        )
+    if csr is not None:
+        if not csr.weighted_backend.startswith("inherited numpy"):
+            failures.append(
+                f"csr weighted_backend is {csr.weighted_backend!r}, "
+                "expected the inherited numpy kernels"
+            )
+        if "cache:" in csr.compiler:
+            failures.append(
+                f"csr compiler is {csr.compiler!r}, expected no toolchain claim"
+            )
     return failures
 
 

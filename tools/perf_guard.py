@@ -82,7 +82,7 @@ def check_artifact(
         got = speedups.get(key)
         if got is None:
             # The ratio was never measured this run (e.g. no compiler
-            # registered the csr-c engine) - nothing to guard.
+            # built the C kernels) - nothing to guard.
             lines.append(f"{eid} [{mode}] {key}: not measured (skipped)")
             continue
         if got >= floor:
