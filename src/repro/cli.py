@@ -261,6 +261,7 @@ def _cmd_engines() -> int:
         print(f"  {'':<8}   weighted_backend: {engine.weighted_backend}")
         print(f"  {'':<8}   replacement: {engine.replacement_backend}")
         print(f"  {'':<8}   detours: {engine.detour_backend}")
+        print(f"  {'':<8}   interference: {engine.interference_backend}")
         print(f"  {'':<8}   transport: {engine.transport}")
         print(f"  {'':<8}   threads: {engine.threads}")
         print(f"  {'':<8}   segments: {engine.plane_segments}")

@@ -48,7 +48,7 @@ class ConstructOptions:
     seed: int = 0
     #: Run phases S1/S2 even for eps >= 1/2 (ablation studies).
     force_main: bool = False
-    #: Defensive Phase S1 iteration cap (None = 4K + 16).
+    #: Defensive Phase S1 iteration cap (None = max(4K + 16, 32)).
     s1_iteration_cap: Optional[int] = None
     #: Traversal engine for the run (None = the registry default); see
     #: :mod:`repro.engine`.

@@ -21,13 +21,23 @@ queries Phase S1 needs (with early exit, so the common case is cheap):
 the detour of ``P_{v,e}`` contains a vertex of
 ``pi(LCA(v,t), t) \\ {LCA(v,t)}``; with Euler intervals this is an O(1)
 check per detour vertex (``z`` is an inclusive ancestor of ``t`` strictly
-deeper than the LCA).
+deeper than the LCA).  This module keeps that literal LCA form as the
+spec.
+
+The interval form needs no LCA at all.  Pcons's detour Dijkstra bans
+``pi(s, v) \\ {v}``, so no internal detour vertex ``z`` lies on
+``pi(s, v)``; if ``z`` lies on ``pi(s, t)`` it is therefore strictly below
+``LCA(v, t)``.  The endpoints ``d(P)`` and ``v`` lie on ``pi(s, v)``, so
+when they lie on ``pi(s, t)`` they are common ancestors and never count.
+Hence ``P_{v,e}`` pi-intersects ``P_{t,e'}`` exactly when some internal
+detour vertex ``z`` has ``tin[z] <= tin[t] < tout[z]`` - the test the
+csr engine's C kernel runs (``TraversalEngine.exists_live_partners``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro._types import Vertex
 from repro.core.pairs import PairRecord
@@ -47,12 +57,15 @@ class InterferenceIndex:
         #: internal detour vertex -> list of pair ids passing through it
         self.by_vertex: Dict[Vertex, List[int]] = {}
         #: pair_id -> internal vertex tuple (parallel to ``pairs`` order)
-        self._internal: Dict[int, Tuple[Vertex, ...]] = {}
+        self.internal: Dict[int, Tuple[Vertex, ...]] = {}
         self._pi_cache: Dict[Tuple[int, Vertex], bool] = {}
+        #: Engine-built arrays of this index (the csr engine's C kernel
+        #: inputs), filled on first use; see :mod:`repro.engine.compiled`.
+        self._kernel_cache = None
         self.by_id: Dict[int, PairRecord] = {p.pair_id: p for p in self.pairs}
         for rec in self.pairs:
             internal = rec.detour_internal()
-            self._internal[rec.pair_id] = internal
+            self.internal[rec.pair_id] = internal
             for z in internal:
                 self.by_vertex.setdefault(z, []).append(rec.pair_id)
 
@@ -69,8 +82,8 @@ class InterferenceIndex:
         """Eq. 1: distinct terminals and internally intersecting detours."""
         if rec1.v == rec2.v:
             return False
-        i1 = self._internal.get(rec1.pair_id, ())
-        i2 = self._internal.get(rec2.pair_id, ())
+        i1 = self.internal.get(rec1.pair_id, ())
+        i2 = self.internal.get(rec2.pair_id, ())
         if not i1 or not i2:
             return False
         if len(i1) > len(i2):
@@ -103,7 +116,7 @@ class InterferenceIndex:
         """Yield each (!~)-interference partner of ``rec`` once (``I_!~``)."""
         seen: Set[int] = set()
         by_id = self.by_id
-        for z in self._internal.get(rec.pair_id, ()):
+        for z in self.internal.get(rec.pair_id, ()):
             for qid in self.by_vertex.get(z, ()):
                 if qid == rec.pair_id or qid in seen:
                     continue
@@ -124,24 +137,20 @@ class InterferenceIndex:
         live: Set[int],
         *,
         require_pi_intersect: bool,
-        exclude: Optional[Set[int]] = None,
-        by_id: Optional[Dict[int, PairRecord]] = None,
     ) -> bool:
         """Early-exit existence query over a live pair-id subset.
 
         ``require_pi_intersect=True`` implements the type-A test; with
-        ``False`` plus an ``exclude`` set it implements the type-B test.
+        ``False`` over the live pairs outside A it implements the type-B
+        test, and over every pair the ``I_1`` membership test.
         """
-        if by_id is None:
-            by_id = self.by_id
+        by_id = self.by_id
         checked: Set[int] = set()
-        for z in self._internal.get(rec.pair_id, ()):
+        for z in self.internal.get(rec.pair_id, ()):
             for qid in self.by_vertex.get(z, ()):
                 if qid == rec.pair_id or qid not in live or qid in checked:
                     continue
                 checked.add(qid)
-                if exclude is not None and qid in exclude:
-                    continue
                 q = by_id[qid]
                 if q.v == rec.v or self.similar(rec, q):
                     continue

@@ -18,6 +18,15 @@ count so the benchmark can check the lemma's prediction.  If the cap is
 ever hit, all remaining last edges are added directly - the output is
 then still a valid structure, only its size bound is affected (and the
 event is visible in the stats).
+
+Every interference test is a batched call to the current engine's
+``exists_live_partners``: one for the ``I_1``/``I_2`` split (every pair
+allowed), then two per iteration in :func:`classify_pairs` (the A pass
+over the live set, the B pass over live minus A).  The python engine
+loops over :meth:`InterferenceIndex.exists_live_partner` (the spec);
+the csr engine answers each call with one C scan (see
+:mod:`repro.engine.compiled`).  Either way the outputs - ``I_2``, the
+C-sets in order, the added edges and the iteration log - are the same.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 from repro._types import EdgeId, Vertex
 from repro.core.interference import InterferenceIndex
 from repro.core.pairs import PairRecord
+from repro.engine.registry import get_engine
 
 __all__ = ["S1Result", "run_phase_s1", "classify_pairs"]
 
@@ -69,25 +79,26 @@ def classify_pairs(
     * B: not A, and has a live (!~)-partner outside A.
     * C: the rest (their live (!~)-partners, if any, are all of type A).
     """
+    engine = get_engine()
+    ids = list(live_ids)
     by_id = index.by_id
-    live_records = [by_id[pid] for pid in live_ids]
-    a_ids: Set[int] = set()
+    a_flags = engine.exists_live_partners(
+        index, ids, live_ids, require_pi_intersect=True
+    )
     a_list: List[PairRecord] = []
-    for rec in live_records:
-        if index.exists_live_partner(rec, live_ids, require_pi_intersect=True):
-            a_ids.add(rec.pair_id)
-            a_list.append(rec)
+    rest: List[int] = []
+    for pid, is_a in zip(ids, a_flags):
+        if is_a:
+            a_list.append(by_id[pid])
+        else:
+            rest.append(pid)
+    b_flags = engine.exists_live_partners(
+        index, rest, set(rest), require_pi_intersect=False
+    )
     b_list: List[PairRecord] = []
     c_list: List[PairRecord] = []
-    for rec in live_records:
-        if rec.pair_id in a_ids:
-            continue
-        if index.exists_live_partner(
-            rec, live_ids, require_pi_intersect=False, exclude=a_ids
-        ):
-            b_list.append(rec)
-        else:
-            c_list.append(rec)
+    for pid, is_b in zip(rest, b_flags):
+        (b_list if is_b else c_list).append(by_id[pid])
     return a_list, b_list, c_list
 
 
@@ -106,8 +117,14 @@ def run_phase_s1(
     """
     i1: List[PairRecord] = []
     i2: List[PairRecord] = []
-    for rec in uncovered:
-        (i1 if index.has_nonsim_interference(rec) else i2).append(rec)
+    in_i1 = get_engine().exists_live_partners(
+        index,
+        [rec.pair_id for rec in uncovered],
+        set(index.by_id),
+        require_pi_intersect=False,
+    )
+    for rec, nonsim in zip(uncovered, in_i1):
+        (i1 if nonsim else i2).append(rec)
 
     cap = iteration_cap if iteration_cap is not None else max(4 * k_bound + 16, 32)
     added: Set[EdgeId] = set()

@@ -1,6 +1,7 @@
 /* Flat-loop C implementations of the traversal hot paths: the sweep
- * hot pair (ordered BFS + Euler-interval subtree recompute) and the
- * weighted (hops, pert_sum) level relaxation.
+ * hot pair (ordered BFS + Euler-interval subtree recompute), the
+ * weighted (hops, pert_sum) level relaxation, and Phase S1's batched
+ * interference existence query.
  *
  * Compiled on demand by repro.engine.cbuild with the system C compiler
  * and loaded through ctypes; repro/engine/compiled.py is the only
@@ -520,4 +521,109 @@ int64_t repro_weighted_levels(
     }
     free(sched); free(act); free(fr); free(nx);
     return rc;
+}
+
+/* Phase S1's existence query (InterferenceIndex.exists_live_partner),
+ * batched: for each query pair p, is there an allowed partner q != p
+ * that shares an internal detour vertex with p, has a different
+ * terminal, whose failing edge is not ancestor-related to p's (the
+ * paper's !~), and - with require_pi - that p pi-intersects?
+ *
+ * Pairs are dense positions 0..num_pairs-1.  int_ptr/int_verts list
+ * each pair's internal detour vertices (CSR); terminal and child are
+ * per pair; tin and tout are the tree's Euler intervals (-1 where
+ * unreached, so no interval test holds for an unreached vertex).  The
+ * vertex -> allowed pairs buckets are counting-sorted here, per call,
+ * in pair order, so partners are scanned in the spec's order (its
+ * by_vertex lists) and tested once per query, with the same early
+ * exit.  Scratch memory is O(num_vertices + pairs + detour vertices).
+ *
+ * pi-intersection needs no LCA: Pcons's detour Dijkstra bans
+ * pi(s, v) \ {v}, so no internal detour vertex z of p lies on pi(s, v),
+ * and z on pi(s, t) is then strictly below LCA(v, t).  "A detour
+ * vertex on pi(LCA(v, t), t) \ {LCA}" is thus "some internal z with
+ * tin[z] <= tin[t] < tout[z]"; the detour's endpoints, d(P) and v, are
+ * common ancestors of v and t whenever they lie on pi(s, t), so they
+ * never count.
+ *
+ * out[i] (uint8) receives query i's answer.  Returns 0, or -1 on
+ * allocation failure (the caller falls back to the spec). */
+int64_t repro_exists_live_partner(
+    int64_t num_vertices,
+    int64_t num_pairs,
+    const int64_t *int_ptr,
+    const int64_t *int_verts,
+    const int64_t *terminal,
+    const int64_t *child,
+    const int64_t *tin,
+    const int64_t *tout,
+    int64_t num_queries,
+    const int64_t *queries,
+    const uint8_t *allowed,
+    int64_t require_pi,
+    uint8_t *out)
+{
+    if (num_queries <= 0)
+        return 0;
+    int64_t total = int_ptr[num_pairs];
+    int64_t *vtx_ptr = calloc((size_t)(num_vertices + 1), sizeof(int64_t));
+    int64_t *fill = malloc((size_t)(num_vertices + 1) * sizeof(int64_t));
+    int64_t *vtx_pairs = malloc((size_t)(total > 0 ? total : 1) * sizeof(int64_t));
+    int64_t *seen = malloc((size_t)(num_pairs > 0 ? num_pairs : 1) * sizeof(int64_t));
+    if (!vtx_ptr || !fill || !vtx_pairs || !seen) {
+        free(vtx_ptr); free(fill); free(vtx_pairs); free(seen);
+        return -1;
+    }
+    for (int64_t q = 0; q < num_pairs; q++) {
+        seen[q] = -1;  /* seen[q] == i: partner q already tested for query i */
+        if (!allowed[q]) continue;
+        for (int64_t k = int_ptr[q]; k < int_ptr[q + 1]; k++)
+            vtx_ptr[int_verts[k] + 1]++;
+    }
+    for (int64_t z = 0; z < num_vertices; z++)
+        vtx_ptr[z + 1] += vtx_ptr[z];
+    memcpy(fill, vtx_ptr, (size_t)(num_vertices + 1) * sizeof(int64_t));
+    for (int64_t q = 0; q < num_pairs; q++) {
+        if (!allowed[q]) continue;
+        for (int64_t k = int_ptr[q]; k < int_ptr[q + 1]; k++)
+            vtx_pairs[fill[int_verts[k]]++] = q;
+    }
+
+    for (int64_t i = 0; i < num_queries; i++) {
+        int64_t p = queries[i];
+        int64_t v = terminal[p], b = child[p];
+        int64_t tb = tin[b], ob = tout[b];
+        uint8_t found = 0;
+        for (int64_t k = int_ptr[p]; k < int_ptr[p + 1] && !found; k++) {
+            int64_t z = int_verts[k];
+            for (int64_t j = vtx_ptr[z]; j < vtx_ptr[z + 1]; j++) {
+                int64_t q = vtx_pairs[j];
+                if (q == p || seen[q] == i) continue;
+                seen[q] = i;
+                int64_t t = terminal[q];
+                if (t == v) continue;
+                int64_t d = child[q];
+                int64_t td = tin[d], od = tout[d];
+                if ((tb <= td && td < ob) || (td <= tb && tb < od))
+                    continue;  /* e ~ e': one child is the other's ancestor */
+                if (require_pi) {
+                    int64_t tt = tin[t];
+                    int64_t hit = 0;
+                    for (int64_t kk = int_ptr[p]; kk < int_ptr[p + 1]; kk++) {
+                        int64_t zz = int_verts[kk];
+                        if (tin[zz] <= tt && tt < tout[zz]) {
+                            hit = 1;
+                            break;
+                        }
+                    }
+                    if (!hit) continue;
+                }
+                found = 1;
+                break;
+            }
+        }
+        out[i] = found;
+    }
+    free(vtx_ptr); free(fill); free(vtx_pairs); free(seen);
+    return 0;
 }

@@ -61,10 +61,21 @@ Contract
   one does).  Backends advertise these paths via
   :attr:`TraversalEngine.replacement_backend` and
   :attr:`TraversalEngine.detour_backend`.
+* **Phase S1 interference** (not a traversal, but Phase S1's hot loop).
+  ``exists_live_partners`` answers, for each pair id of an
+  :class:`~repro.core.interference.InterferenceIndex`, whether some
+  partner in an allowed id set shares an internal detour vertex with
+  it, has a different terminal, has a failing edge not
+  ancestor-related to its own (the paper's ``!~``) and - when asked -
+  is pi-intersected by it.  The reference implementation loops over
+  :meth:`~repro.core.interference.InterferenceIndex.exists_live_partner`,
+  which stays the spec; backends must return the same flags.  Backends
+  advertise the path via :attr:`TraversalEngine.interference_backend`.
 
 Parity between registered engines is enforced by
-``tests/test_engine_parity.py`` and ``tests/test_weighted_parity.py``;
-the python engine remains the spec.
+``tests/test_engine_parity.py``, ``tests/test_weighted_parity.py`` and
+``tests/test_interference_parity.py``; the python engine remains the
+spec.
 """
 
 from __future__ import annotations
@@ -150,6 +161,12 @@ class TraversalEngine:
     #: How the engine runs batched multi-source traversals (``repro
     #: engines`` and E16's ``detour_batch`` column report it).
     detour_backend: str = "per-source reference Dijkstra"
+
+    #: How the engine answers Phase S1's interference existence queries
+    #: (``repro engines`` reports it).
+    interference_backend: str = (
+        "interpreted spec (InterferenceIndex.exists_live_partner)"
+    )
 
     #: How the engine moves inputs to its compute (``repro engines``
     #: reports it).  In-process engines share the caller's memory; the
@@ -364,6 +381,32 @@ class TraversalEngine:
                 banned_edge=banned_edge,
                 raise_on_tie=raise_on_tie,
             )
+
+    # -- Phase S1 interference -----------------------------------------
+    def exists_live_partners(
+        self,
+        index,
+        pair_ids: Sequence[int],
+        allowed: Set[int],
+        *,
+        require_pi_intersect: bool,
+    ) -> List[bool]:
+        """Per id of ``pair_ids`` (pairs of ``index``): whether some
+        partner in ``allowed`` passes the existence test of
+        :meth:`~repro.core.interference.InterferenceIndex.exists_live_partner`.
+
+        ``require_pi_intersect=True`` is Phase S1's type-A test; with
+        ``False`` and ``allowed`` = live minus A it is the type-B test,
+        and with every id allowed the ``I_1`` membership test.  This
+        reference implementation *is* the per-pair loop.
+        """
+        by_id = index.by_id
+        return [
+            index.exists_live_partner(
+                by_id[pid], allowed, require_pi_intersect=require_pi_intersect
+            )
+            for pid in pair_ids
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

@@ -1,7 +1,8 @@
 """Compile-on-demand loader for the ``csr`` engine's C kernels.
 
 ``_ckernels.c`` (the sweep hot pair - ordered BFS + Euler walk, subtree
-recompute - and the weighted stacked-level relaxation) ships as source;
+recompute - the weighted stacked-level relaxation, and Phase S1's
+interference existence query) ships as source;
 no wheel, no build step at install time.
 The first time the csr engine needs its kernels this module
 
@@ -215,6 +216,11 @@ class KernelLib:
         self.weighted_levels.argtypes = [
             i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
             i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+        ]
+        self.exists_live_partner = dll.repro_exists_live_partner
+        self.exists_live_partner.restype = i64
+        self.exists_live_partner.argtypes = [
+            i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr,
         ]
 
 

@@ -34,15 +34,30 @@ the arrays are the same, :class:`CompiledFailureSweep` publishes and
 rebuilds the exact base state the numpy sweep does, and the shm tree
 plane's mapped arrays feed the weighted sweep's C kernel zero-copy.
 
+Phase S1's ``exists_live_partners`` runs in C too, one call per batch
+of pairs, over arrays built once per
+:class:`~repro.core.interference.InterferenceIndex` (pair -> internal
+detour vertices as CSR, per-pair terminal and failing-edge child, the
+tree's Euler ``tin``/``tout``).  The kernel counting-sorts the vertex ->
+allowed-pairs buckets itself, then runs one early-exit scan per pair,
+with pi-intersection as an Euler-interval test instead of an LCA (why
+that is exact: ``_ckernels.c`` and :mod:`repro.core.interference`).
+
+Kernels, all in ``_ckernels.c``: ``repro_bfs_order``,
+``repro_bfs_euler``, ``repro_recompute_subtree``,
+``repro_weighted_levels`` and ``repro_exists_live_partner``.
+
 Every method asks :func:`~repro.engine.cbuild.kernel_library` per call
-and runs the inherited numpy path when it returns None: with no working
+and runs the inherited path when it returns None: with no working
 compiler, under ``REPRO_CC=0``, or after a compile/load failure (one
-warning) - identical results either way.
+warning) - the numpy kernels for traversals, the interpreted spec for
+Phase S1, identical results either way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -53,6 +68,7 @@ from repro.engine.csr_engine import CSREngine, _edge_ok_mask, _vertex_ok_mask
 from repro.engine.kernels import FailureSweep
 from repro.engine.python_engine import _check_source
 from repro.engine.weighted_kernels import SeedArrays
+from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
 __all__ = ["CompiledEngine", "CompiledFailureSweep"]
@@ -61,6 +77,35 @@ __all__ = ["CompiledEngine", "CompiledFailureSweep"]
 def _ptr(array: Optional[np.ndarray]):
     """ctypes ``void*`` for an array (None passes NULL)."""
     return None if array is None else array.ctypes.data
+
+
+class _InterferenceArrays:
+    """An interference index as the arrays the C existence kernel reads;
+    pairs are addressed by their position in ``index.pairs``.  The
+    vertex -> pairs buckets are built inside each kernel call."""
+
+    def __init__(self, index) -> None:
+        pairs = index.pairs
+        num = len(pairs)
+        internal = [index.internal[rec.pair_id] for rec in pairs]
+        self.position = {rec.pair_id: i for i, rec in enumerate(pairs)}
+        self.int_ptr = np.zeros(num + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, internal), dtype=np.int64, count=num),
+            out=self.int_ptr[1:],
+        )
+        self.int_verts = np.fromiter(
+            chain.from_iterable(internal), dtype=np.int64,
+            count=int(self.int_ptr[-1]),
+        )
+        self.terminal = np.fromiter((rec.v for rec in pairs), np.int64, num)
+        self.child = np.fromiter((rec.child for rec in pairs), np.int64, num)
+        self.tin = np.ascontiguousarray(index.tree.tin, dtype=np.int64)
+        self.tout = np.ascontiguousarray(index.tree.tout, dtype=np.int64)
+        n = len(self.tin)
+        for ids in (self.int_verts, self.terminal, self.child):
+            if len(ids) and not (0 <= ids.min() and ids.max() < n):
+                raise GraphError("interference index names a vertex outside the tree")
 
 
 class CompiledFailureSweep(FailureSweep):
@@ -199,8 +244,63 @@ class CompiledEngine(CSREngine):
             return "inherited numpy " + CSREngine.detour_backend
         return "compiled C stacked levels (random scheme) + reference fallback"
 
+    @property
+    def interference_backend(self) -> str:
+        if self._kernels() is None:
+            return CSREngine.interference_backend
+        return "compiled C early-exit existence kernel (Euler-interval pi test)"
+
     def _kernels(self) -> Optional[cbuild.KernelLib]:
         return cbuild.kernel_library()
+
+    def exists_live_partners(
+        self,
+        index,
+        pair_ids: Sequence[int],
+        allowed: Set[int],
+        *,
+        require_pi_intersect: bool,
+    ) -> List[bool]:
+        """Phase S1's existence queries in one C call (the spec when
+        the kernels are unavailable)."""
+        kernels = self._kernels()
+        if kernels is None:
+            return super().exists_live_partners(
+                index, pair_ids, allowed,
+                require_pi_intersect=require_pi_intersect,
+            )
+        arrays = index._kernel_cache
+        if arrays is None:
+            arrays = index._kernel_cache = _InterferenceArrays(index)
+        position = arrays.position
+        queries = np.fromiter(
+            (position[pid] for pid in pair_ids), dtype=np.int64
+        )
+        num_pairs = len(arrays.terminal)
+        allowed_ok = np.zeros(num_pairs, dtype=np.uint8)
+        allowed_ok[[position[pid] for pid in allowed if pid in position]] = 1
+        out = np.zeros(len(queries), dtype=np.uint8)
+        rc = kernels.exists_live_partner(
+            len(arrays.tin),
+            num_pairs,
+            _ptr(arrays.int_ptr),
+            _ptr(arrays.int_verts),
+            _ptr(arrays.terminal),
+            _ptr(arrays.child),
+            _ptr(arrays.tin),
+            _ptr(arrays.tout),
+            len(queries),
+            _ptr(queries),
+            _ptr(allowed_ok),
+            1 if require_pi_intersect else 0,
+            _ptr(out),
+        )
+        if rc != 0:  # allocation failure inside the kernel
+            return super().exists_live_partners(
+                index, pair_ids, allowed,
+                require_pi_intersect=require_pi_intersect,
+            )
+        return out.astype(bool).tolist()
 
     def _weighted_levels(
         self,

@@ -286,6 +286,11 @@ class ShardedEngine(TraversalEngine):
             graph, weights, batches, **kwargs
         )
 
+    def exists_live_partners(self, index, pair_ids, allowed, **kwargs):
+        return self.base_engine().exists_live_partners(
+            index, pair_ids, allowed, **kwargs
+        )
+
     @property
     def weighted_backend(self) -> str:
         return f"delegates to {self.base_engine().name!r}"
@@ -297,6 +302,14 @@ class ShardedEngine(TraversalEngine):
     @property
     def detour_backend(self) -> str:
         return f"delegates to {self.base_engine().name!r}"
+
+    @property
+    def interference_backend(self) -> str:
+        return f"delegates to {self.base_engine().name!r}"
+
+    @property
+    def compiler(self) -> str:
+        return self.base_engine().compiler
 
     @property
     def transport(self) -> str:

@@ -146,6 +146,11 @@ class ThreadedEngine(TraversalEngine):
             graph, weights, batches, **kwargs
         )
 
+    def exists_live_partners(self, index, pair_ids, allowed, **kwargs):
+        return self.base_engine().exists_live_partners(
+            index, pair_ids, allowed, **kwargs
+        )
+
     @property
     def weighted_backend(self) -> str:
         return f"delegates to {self.base_engine().name!r}"
@@ -156,6 +161,10 @@ class ThreadedEngine(TraversalEngine):
 
     @property
     def detour_backend(self) -> str:
+        return f"delegates to {self.base_engine().name!r}"
+
+    @property
+    def interference_backend(self) -> str:
         return f"delegates to {self.base_engine().name!r}"
 
     @property

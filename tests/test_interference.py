@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.interference import InterferenceIndex, census
 from repro.core.pcons import run_pcons
-from repro.graphs import gnp_random_graph
+from repro.graphs import gnp_random_graph, grid_graph
 from repro.lower_bounds import build_theorem51
 
 
@@ -123,6 +123,45 @@ class TestQueries:
                 )
                 assert got == expected
                 assert index.pi_intersects(rec, q.v) == got  # cache idempotent
+
+
+class TestIntervalForm:
+    """The LCA-free pi test the csr kernel runs: some *internal* detour
+    vertex ``z`` is an ancestor of ``t`` (``tin[z] <= tin[t] < tout[z]``).
+    Exact because Pcons's detours avoid ``pi(s, v)`` internally."""
+
+    @staticmethod
+    def interval_form(index, rec, t):
+        tin, tout = index.tree.tin, index.tree.tout
+        return any(tin[z] <= tin[t] < tout[z] for z in index.internal[rec.pair_id])
+
+    @pytest.mark.parametrize(
+        "graph_source",
+        [
+            "gadget",
+            lambda: (gnp_random_graph(60, 0.08, seed=11), 0),
+            lambda: (grid_graph(5, 7), 0),
+            lambda: (build_theorem51(300, 0.2, d=10, k=3, x_size=8).graph, 0),
+        ],
+    )
+    def test_equals_pi_intersects_on_every_nonsim_partner(
+        self, gadget_index, graph_source
+    ):
+        if graph_source == "gadget":
+            index = gadget_index[2]
+        else:
+            index = build_index(*graph_source())[1]
+        checks = 0
+        for rec in index.pairs:
+            assert not any(
+                index.tree.is_ancestor(z, rec.v) for z in index.internal[rec.pair_id]
+            ), "an internal detour vertex lies on pi(s, v)"
+            for q in index.nonsim_partners(rec):
+                assert self.interval_form(index, rec, q.v) == index.pi_intersects(
+                    rec, q.v
+                ), (rec.key(), q.key())
+                checks += 1
+        assert checks > 0
 
 
 class TestCensus:

@@ -13,15 +13,16 @@ Profiles (``python -m tools.check --engines PROFILE``):
 ``full``
     A numpy + C-toolchain install: all four engines registered, the
     sharded transport on the shared-memory plane with per-sweep
-    base-state segments, csr on compiled weighted kernels with a loaded
-    kernel library.
+    base-state segments, csr on compiled weighted kernels and the
+    compiled interference kernel with a loaded kernel library, and
+    sharded reporting csr's toolchain (it runs every traversal there).
 ``no-numpy``
     A bare install: numpy genuinely absent, only python + sharded
     registered, sharded degraded to the pickle transport.
 ``no-compiler``
     numpy without a C toolchain (``REPRO_CC=0``): csr and csr-mt still
-    registered, csr on its inherited numpy kernels, nothing claims a
-    compiler.
+    registered, csr on its inherited numpy kernels and the interpreted
+    interference spec, nothing claims a compiler.
 
 No profile may register ``csr-c``: the compiled kernels are csr's own
 backend, not an engine of their own.
@@ -96,6 +97,20 @@ def _check_full() -> List[str]:
             f"csr compiler is {csr.compiler!r}, expected a loaded "
             "toolchain with a kernel-cache path"
         )
+    if not csr.interference_backend.startswith("compiled C"):
+        failures.append(
+            f"csr interference_backend is {csr.interference_backend!r}, "
+            "expected the compiled C kernel"
+        )
+    from repro.engine import engine_context
+
+    with engine_context("csr"):  # sharded's base is the default engine
+        sharded_compiler = sharded.compiler
+    if sharded_compiler != csr.compiler:
+        failures.append(
+            f"sharded compiler is {sharded_compiler!r}, expected csr's "
+            f"{csr.compiler!r}"
+        )
     for name, engine in engines.items():
         if not engine.threads:
             failures.append(f"engine {name!r} reports no thread budget")
@@ -139,6 +154,12 @@ def _check_no_compiler() -> List[str]:
         if "cache:" in csr.compiler:
             failures.append(
                 f"csr compiler is {csr.compiler!r}, expected no toolchain claim"
+            )
+        spec = engines["python"].interference_backend
+        if csr.interference_backend != spec:
+            failures.append(
+                f"csr interference_backend is {csr.interference_backend!r}, "
+                f"expected the spec {spec!r}"
             )
     return failures
 
