@@ -1,9 +1,8 @@
-"""Scenario-pipeline benchmark: parallel speedup + sharded sweep timing.
+"""Scenario-pipeline benchmark: parallel speedup.
 
 Measures what the PR 2 refactor is for: the same experiment executed by
 the shared ``PipelineRunner`` with ``jobs=1`` vs ``jobs=N`` (identical
-rows, lower wall-clock), plus the process-sharded ``failure_sweep``
-against its single-process base.  Saves ``BENCH_pipeline.json`` with the
+rows, lower wall-clock).  Saves ``BENCH_pipeline.json`` with the
 measured timings so speedups are traceable artifacts, not claims.
 
 Quick mode (``REPRO_BENCH_QUICK=1``) keeps CI honest but short: grids
@@ -16,8 +15,6 @@ cannot beat serial wall-clock there, so the assertion is skipped).
 import os
 import time
 
-from repro.engine import ShardedEngine, get_engine
-from repro.graphs import connected_gnp_graph
 from repro.harness import ExperimentRecord, default_worker_count, save_record
 from repro.harness.pipeline import PipelineRunner, get_spec, mask_timing
 
@@ -71,31 +68,3 @@ def test_pipeline_parallel_speedup(benchmark, quick_mode, bench_seed):
         # Full-mode points are seconds each; with real cores to fan out
         # over, parallel execution must win.
         assert speedup > 1.2, f"parallel pipeline too slow: {speedup:.2f}x"
-
-
-def test_sharded_sweep_speedup(benchmark, quick_mode, bench_seed):
-    """Process-sharded failure_sweep vs its base engine on one big sweep."""
-    n = 400 if quick_mode else 1200
-    graph = connected_gnp_graph(n, 8.0 / (n - 1), seed=bench_seed)
-    eids = list(range(graph.num_edges))
-    base = get_engine("sharded").base_engine()
-    sharded = ShardedEngine(max_workers=_jobs(), min_batch=1)
-
-    t0 = time.perf_counter()
-    expected = list(base.failure_sweep(graph, 0, eids))
-    t_base = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    got = benchmark.pedantic(
-        lambda: list(sharded.failure_sweep(graph, 0, eids)), rounds=1, iterations=1
-    )
-    t_sharded = time.perf_counter() - t0
-
-    from repro.engine import distances_equal
-
-    assert len(expected) == len(got)
-    assert all(distances_equal(a, b) for a, b in zip(expected, got))
-    print(
-        f"\nsharded failure_sweep: base {t_base:.3f}s, "
-        f"sharded({_jobs()}) {t_sharded:.3f}s on m={graph.num_edges}"
-    )

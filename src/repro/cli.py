@@ -23,14 +23,13 @@ Subcommands
     nonzero on any mismatch (the CI smoke gate).
 ``serve SNAPSHOT``
     Long-lived serving loop: JSONL requests on stdin, JSONL responses
-    on stdout; ``--workers N`` fans queries out to zero-copy readers
-    attached over shared memory.
+    on stdout, answered inline; to serve in parallel, run one process
+    per core over the same snapshot.
 ``quickstart``
     A tiny end-to-end demo.
 ``engines``
     List the registered traversal engines (see :mod:`repro.engine`),
-    including each engine's thread budget and which shared-memory plane
-    segments its transport publishes.
+    including the backend each runs per layer and its thread budget.
 ``check``
     Run the repo-invariant analyzer (``tools.check``: engine-boundary,
     optional-dependency, env-registry, shm-lifecycle, pickle-hygiene,
@@ -78,17 +77,8 @@ __all__ = ["main", "build_parser"]
 _ENV_VAR_HELP = """\
 environment variables:
   REPRO_ENGINE           default traversal engine (same values as --engine)
-  REPRO_SHM              0 disables the shared-memory shard transport
-                         (sharded sweeps fall back to pickled payloads;
-                         repro serve answers inline instead of fanning
-                         out to workers)
-  REPRO_SHARD_THRESHOLD  edge count above which verification auto-upgrades
-                         to a parallel engine (default 100000 when shared
-                         memory or csr-mt is available, else 200000)
-  REPRO_SHARD_MIN_BATCH  minimum failures per shard/window (defaults:
-                         16 sharded+shm, 64 sharded+pickle, 8 csr-mt)
-  REPRO_MAX_WORKERS      worker-process budget for sharded sweeps and
-                         --jobs 0 (default: cores - 1)
+  REPRO_MAX_WORKERS      worker-process budget for --jobs 0
+                         (default: cores - 1)
   REPRO_THREADS          thread budget for the csr-mt engine
                          (default: the REPRO_MAX_WORKERS worker default)
   REPRO_CC               0 runs csr on its numpy kernels; any other
@@ -100,7 +90,7 @@ environment variables:
                          CFLAGS (e.g. "-fsanitize=address,undefined -g");
                          folded into the compile-cache key
   REPRO_IN_WORKER        set to 1 by the harness in sweep worker
-                         processes so nested code skips re-sharding;
+                         processes so nested code skips parallel fan-out;
                          not meant to be set by hand
 """
 
@@ -210,18 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve snapshot queries over stdin/stdout JSONL"
     )
     serve_p.add_argument("snapshot", help="snapshot file from 'build --save'")
-    serve_p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="zero-copy reader workers (0 = answer inline in this process)",
-    )
-    serve_p.add_argument(
-        "--start-method",
-        default=None,
-        choices=["fork", "spawn", "forkserver"],
-        help="multiprocessing start method for the worker pool",
-    )
     add_engine_flag(serve_p)
 
     quickstart_p = sub.add_parser("quickstart", help="tiny end-to-end demo")
@@ -262,9 +240,7 @@ def _cmd_engines() -> int:
         print(f"  {'':<8}   replacement: {engine.replacement_backend}")
         print(f"  {'':<8}   detours: {engine.detour_backend}")
         print(f"  {'':<8}   interference: {engine.interference_backend}")
-        print(f"  {'':<8}   transport: {engine.transport}")
         print(f"  {'':<8}   threads: {engine.threads}")
-        print(f"  {'':<8}   segments: {engine.plane_segments}")
         print(f"  {'':<8}   compiler: {engine.compiler}")
     print(f"select with --engine, ${ENGINE_ENV_VAR}, or repro.engine.set_default_engine")
     return 0
@@ -414,12 +390,7 @@ def _cmd_query(
         return 1
 
 
-def _cmd_serve(
-    snapshot: str,
-    workers: int,
-    start_method: Optional[str],
-    engine: Optional[str],
-) -> int:
+def _cmd_serve(snapshot: str, engine: Optional[str]) -> int:
     from repro.errors import ReproError
     from repro.oracle import load_structure, serve_structure
 
@@ -430,18 +401,13 @@ def _cmd_serve(
         return 1
     try:
         summary = serve_structure(
-            structure,
-            sys.stdin,
-            sys.stdout,
-            workers=workers,
-            engine=engine,
-            start_method=start_method,
+            structure, sys.stdin, sys.stdout, engine=engine
         )
     finally:
         structure.close()
     print(
         f"served {summary['requests']} requests "
-        f"({summary['errors']} errors, {summary['workers']} workers)",
+        f"({summary['errors']} errors)",
         file=sys.stderr,
     )
     return 0
@@ -543,9 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.seed, args.show_path, args.check, args.engine,
             )
         if args.command == "serve":
-            return _cmd_serve(
-                args.snapshot, args.workers, args.start_method, args.engine
-            )
+            return _cmd_serve(args.snapshot, args.engine)
         if args.command == "quickstart":
             return _cmd_quickstart()
         if args.command == "check":

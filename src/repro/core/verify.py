@@ -23,15 +23,10 @@ the csr engine each sweep reuses a single base BFS tree and recomputes
 only the subtree hanging under a failed tree edge (in C when the kernels
 compile, else on numpy), which is what makes ``verify_structure`` fast
 at scale; the python engine runs the historical two-BFS-per-failure
-loop.  Graphs above ``REPRO_SHARD_THRESHOLD`` edges
-(default 100000 when a zero-copy parallel runner exists - the
-shared-memory shard transport or the thread-parallel ``csr-mt`` engine -
-200000 when only the pickle transport does) are automatically verified
-under a parallel engine: process-sharded sweeps
-(:mod:`repro.engine.sharded`) when the shm transport is available, else
-thread-windowed sweeps (:mod:`repro.engine.threaded`).  Verdicts,
-counts, and violations are bit-identical across engines — parallel
-wrappers included (enforced by the parity tests).
+loop.  Verification runs on the engine it is given (the usual
+selection chain when none is named); ``csr-mt`` windows both sweep
+sides over threads when named.  Verdicts, counts, and violations are
+bit-identical across engines (enforced by the parity tests).
 
 It also exposes :func:`unprotected_edges`, the measured set the paper
 calls ``E_miss(H)`` - handy for evaluating *any* candidate subgraph, not
@@ -49,7 +44,6 @@ from repro.engine.registry import get_engine
 from repro.errors import VerificationError
 from repro.graphs.graph import Graph
 from repro.core.structure import FTBFSStructure
-from repro.util.validation import env_int
 
 __all__ = [
     "Violation",
@@ -95,60 +89,13 @@ class VerificationReport:
             )
 
 
-#: Edge count above which verification auto-upgrades to a parallel engine.
-SHARD_THRESHOLD_ENV_VAR = "REPRO_SHARD_THRESHOLD"
-
-#: Pickle transport: each shard re-pickles and rebuilds the whole graph,
-#: so sharding only pays on very large sweeps (the historical default).
-_DEFAULT_SHARD_THRESHOLD = 200_000
-
-#: Zero-fixed-cost sweeps (PR 6): under the shared-memory transport the
-#: shard payload is O(1) and all per-sweep state (the base traversal,
-#: the weighted setup) arrives through the plane or is memoized per
-#: (plane, request), and the threaded engine has no transport at all -
-#: either way parallel sweeps break even at roughly half the pickle
-#: transport's edge count (see ``benchmarks/bench_sharded.py``).
-_DEFAULT_SHARD_THRESHOLD_SHM = 100_000
-
-
-def _default_shard_threshold() -> int:
-    """The auto-upgrade default for whichever runner sweeps would use."""
-    from repro.engine import shm
-    from repro.engine.registry import available_engines
-
-    if shm.transport_enabled() or "csr-mt" in available_engines():
-        return _DEFAULT_SHARD_THRESHOLD_SHM
-    return _DEFAULT_SHARD_THRESHOLD
-
-
 def _resolve_engine(graph: Graph, engine: Optional[str]):
-    """The engine to verify under: explicit > parallel-if-large > default.
+    """The engine a verify of ``graph`` runs on: ``get_engine(engine)``.
 
-    Large graphs upgrade to the process-sharded engine when the
-    shared-memory transport is available (isolated per-core memory
-    bandwidth, zero-copy attach), else to the thread-parallel ``csr-mt``
-    engine when registered (zero-copy without any transport - exactly
-    the regime where the sharded engine would be stuck re-pickling the
-    graph per shard), else to sharded-over-pickle.  The upgrade only
-    changes *where* sweeps run, never their values (the wrappers are
-    bit-identical to their base by construction), so the report is the
-    same either way.
+    Kept for callers that record the resolved engine
+    (``perfbench/workloads.py``); ``graph`` plays no part.
     """
-    eng = get_engine(engine)
-    if engine is not None or getattr(eng, "parallel_sweeps", False):
-        return eng
-    threshold = env_int(SHARD_THRESHOLD_ENV_VAR, _default_shard_threshold())
-    if graph.num_edges >= threshold:
-        from repro.engine import shm
-        from repro.engine.registry import available_engines
-
-        try:
-            if not shm.transport_enabled() and "csr-mt" in available_engines():
-                return get_engine("csr-mt")
-            return get_engine("sharded")
-        except Exception:  # pragma: no cover - both are always registered
-            return eng
-    return eng
+    return get_engine(engine)
 
 
 def _two_sided_sweep(
@@ -164,14 +111,14 @@ def _two_sided_sweep(
     ``pairs(candidates)`` yields ``(eid, dist_g, dist_h)`` per failure.
     Plain in-process engines go through one shared sweep handle per
     side, so the base traversal is computed exactly once and reused by
-    every failure.  Parallel engines (``parallel_sweeps`` - the sharded
-    process fanout and the thread-windowed csr-mt) stream both sides
-    through their own ``failure_sweep`` instead — each side gets a
-    half-budget copy so the two concurrently consumed sweeps share the
-    machine's worker/thread budget rather than doubling it; callers
-    that never look at the structure-side base (``unprotected_edges``)
-    pass ``need_base_h=False`` to skip that traversal.  Values are
-    identical either way (parallelism never affects results).
+    every failure.  Parallel engines (``parallel_sweeps`` - the
+    thread-windowed csr-mt) stream both sides through their own
+    ``failure_sweep`` instead — each side gets a half-budget copy so
+    the two concurrently consumed sweeps share the machine's thread
+    budget rather than doubling it; callers that never look at the
+    structure-side base (``unprotected_edges``) pass
+    ``need_base_h=False`` to skip that traversal.  Values are identical
+    either way (parallelism never affects results).
     """
     if getattr(eng, "parallel_sweeps", False):
         base_g = eng.distances(graph, source)
@@ -233,6 +180,10 @@ def _fault_candidates(
     necessity filter: e = (u, v) can only matter if it is tight in G
     (lies on some shortest path: dist(u) + 1 == dist(v) or vice versa).
     """
+    if type(base_g) is not list:
+        # Python ints: scalar indexing into a numpy array costs ~3x more
+        # per edge, and this loop reads two entries per edge of G.
+        base_g = base_g.tolist()
     candidates: List[EdgeId] = []
     for eid, u, v in graph.edges():
         if eid in skip:
@@ -258,8 +209,14 @@ def verify_subgraph(
     max_violations: int = 10,
     engine: Optional[str] = None,
 ) -> VerificationReport:
-    """Verify an arbitrary edge set ``H`` with reinforced subset ``E'``."""
-    eng = _resolve_engine(graph, engine)
+    """Verify an arbitrary edge set ``H`` with reinforced subset ``E'``.
+
+    Stops after ``max_violations`` violations, which must be at least 1
+    (:class:`ValueError` otherwise).
+    """
+    if max_violations < 1:
+        raise ValueError(f"max_violations must be >= 1, got {max_violations}")
+    eng = get_engine(engine)
     h_edges: Set[EdgeId] = set(structure_edges)
     e_prime: Set[EdgeId] = set(reinforced)
     violations: List[Violation] = []
@@ -315,7 +272,7 @@ def unprotected_edges(
     minimal valid reinforcement set for ``H`` - useful to evaluate
     candidate structures produced by any method.
     """
-    eng = _resolve_engine(graph, engine)
+    eng = get_engine(engine)
     h_edges: Set[EdgeId] = set(structure_edges)
     base_g, _base_h, pairs = _two_sided_sweep(
         eng, graph, source, h_edges, need_base_h=False

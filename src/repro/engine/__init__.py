@@ -29,8 +29,8 @@ Engine contract (details in :mod:`repro.engine.base`)
   replacement distances for *all* tree-edge failures, and many
   independent (seeded) weighted traversals, in one amortized pass.  The
   reference implementations are the per-call loops; the csr engine
-  stacks the runs into shared per-level kernels, and the sharded engine
-  fans the weighted sweep over worker processes.  Reported via
+  stacks the runs into shared per-level kernels, and csr-mt windows
+  the weighted sweep over threads.  Reported via
   ``replacement_backend`` / ``detour_backend``.
 
 Built-in engines
@@ -49,24 +49,13 @@ Built-in engines
     numpy kernels (:mod:`repro.engine.csr_engine`) - same bits, same
     exceptions.  ``compiler`` (shown by ``repro engines``) reports the
     toolchain.
-``"sharded"``
-    Process-sharded ``failure_sweep`` over a single-process base engine
-    (:mod:`repro.engine.sharded`); bit-identical to the base, used for
-    large graphs and never the implicit default.  Shard inputs travel
-    through the shared-memory graph plane (:mod:`repro.engine.shm`):
-    the CSR view / weights / tree arrays are published once per graph or
-    tree, each sweep adds tiny request and base-state segments, and
-    workers attach zero-copy, with a pickle fallback when shared
-    memory or numpy is unavailable.  Engines report their transport
-    via ``transport`` (shown by ``repro engines``, along with their
-    ``threads`` budget and published ``plane_segments``).
 ``"csr-mt"``
     Thread-parallel ``failure_sweep`` windows over the csr kernels
     inside one process (:mod:`repro.engine.threaded`); zero-copy by
-    construction - no pickling or shared-memory segments at all - and
-    bit-identical to csr.  Registered only when numpy imports (the
-    kernels' GIL-releasing calls are what make threads pay); never the
-    implicit default.
+    construction and bit-identical to csr.  Registered only when numpy
+    imports (the kernels' GIL-releasing calls are what make threads
+    pay); never the implicit default.  Engines report their sweep
+    budget via ``threads`` (shown by ``repro engines``).
 
 Selection
 ---------
@@ -95,11 +84,9 @@ from repro.engine.registry import (
     register_engine,
     set_default_engine,
 )
-from repro.engine.sharded import ShardedEngine
 from repro.engine.threaded import ThreadedEngine
 
 __all__ = [
-    "ShardedEngine",
     "ThreadedEngine",
     "UNREACHABLE",
     "ReplacementSweepItem",

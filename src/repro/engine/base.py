@@ -2,7 +2,7 @@
 
 A :class:`TraversalEngine` is the single dispatch point for every
 unweighted (hop) traversal in the library, plus the weighted tie-broken
-Dijkstra used by the construction.  Two implementations ship by default
+Dijkstra used by the construction.  Three implementations ship by default
 (see :mod:`repro.engine.registry`):
 
 ``"python"``
@@ -12,11 +12,11 @@ Dijkstra used by the construction.  Two implementations ship by default
     Frontier-based numpy kernels over a cached CSR view of the graph
     (:mod:`repro.engine.csr` / :mod:`repro.engine.kernels`).  Registered
     only when numpy is importable.
-``"sharded"``
-    A wrapper (:mod:`repro.engine.sharded`) that delegates everything to
-    a single-process base engine but fans ``failure_sweep`` batches out
-    over worker processes — the sweep is embarrassingly parallel over
-    edge ids, and contiguous sharding keeps it bit-identical to the base.
+``"csr-mt"``
+    A wrapper (:mod:`repro.engine.threaded`), registered with csr, that
+    delegates everything to csr but fans ``failure_sweep`` batches out
+    over threads — the sweep is embarrassingly parallel over edge ids,
+    and contiguous windows keep it bit-identical to the base.
 
 Contract
 --------
@@ -168,22 +168,11 @@ class TraversalEngine:
         "interpreted spec (InterferenceIndex.exists_live_partner)"
     )
 
-    #: How the engine moves inputs to its compute (``repro engines``
-    #: reports it).  In-process engines share the caller's memory; the
-    #: sharded engine overrides this with its cross-process transport
-    #: (shared-memory plane vs pickle, see :mod:`repro.engine.shm`).
-    transport: str = "in-process"
-
     #: How many concurrent executors the engine's sweeps run on
     #: (``repro engines`` reports it).  Single-process engines run the
-    #: caller's one thread; the sharded/threaded engines override this
-    #: with their resolved worker/thread budget.
+    #: caller's one thread; the threaded engine overrides this with its
+    #: resolved thread budget.
     threads: str = "1 (the calling thread)"
-
-    #: Which shared-memory plane segments the engine publishes for its
-    #: sweeps (``repro engines`` reports it; see :mod:`repro.engine.shm`
-    #: for the graph / tree / base-state / request segment kinds).
-    plane_segments: str = "none (in-process memory)"
 
     #: Which compiled toolchain backs the engine's kernels (``repro
     #: engines`` reports it).  Interpreted engines have none; the csr

@@ -29,10 +29,8 @@ which replays ties exactly and raises the reference's
 
 Because ctypes releases the GIL around every call, the ``csr-mt``
 engine windows these kernels - unweighted and weighted alike - across
-genuinely concurrent threads, and the sharded/shm plane is untouched:
-the arrays are the same, :class:`CompiledFailureSweep` publishes and
-rebuilds the exact base state the numpy sweep does, and the shm tree
-plane's mapped arrays feed the weighted sweep's C kernel zero-copy.
+genuinely concurrent threads, and a loaded snapshot's mapped tree
+planes feed the weighted sweep's C kernel zero-copy.
 
 Phase S1's ``exists_live_partners`` runs in C too, one call per batch
 of pairs, over arrays built once per
@@ -113,12 +111,11 @@ class CompiledFailureSweep(FailureSweep):
 
     Construction performs the ordered base BFS *and* the Euler walk in
     one foreign call; ``_recompute_subtree`` fills the post-failure
-    distance vector in another.  All derived state (``base_state()``,
-    ``tree_child``, the no-op-failure short-circuits) is inherited -
-    the arrays have the same dtypes, shapes, and values as the numpy
-    sweep's, so shm publication and rebuilds interoperate freely.
-    ``kernels=None`` (a handle rebuilt where the library failed to
-    load) runs entirely on the inherited numpy paths.
+    distance vector in another.  All derived state (``tree_child``,
+    the no-op-failure short-circuits) is inherited - the arrays have
+    the same dtypes, shapes, and values as the numpy sweep's.
+    ``kernels=None`` (the library failed to load) runs entirely on the
+    inherited numpy paths.
     """
 
     def __init__(
@@ -171,22 +168,6 @@ class CompiledFailureSweep(FailureSweep):
         self._tin = tin
         self._tout = tout
         self._preorder = preorder[:visited]
-
-    @classmethod
-    def from_base_state(
-        cls,
-        csr: CSRAdjacency,
-        source: int,
-        arrays,
-        *,
-        edge_ok: Optional[np.ndarray] = None,
-        kernels: Optional[cbuild.KernelLib] = None,
-    ) -> "CompiledFailureSweep":
-        """Rebuild from published base-state arrays (O(1), no traversal),
-        attaching the kernels so recomputes still run in C."""
-        self = super().from_base_state(csr, source, arrays, edge_ok=edge_ok)
-        self._kernels = kernels
-        return self
 
     def _recompute_subtree(self, eid: int, child: int) -> np.ndarray:
         kernels = self._kernels
@@ -496,19 +477,4 @@ class CompiledEngine(CSREngine):
         edge_ok = _edge_ok_mask(csr.num_edges, allowed_edges=allowed_edges)
         return CompiledFailureSweep(
             csr, source, edge_ok=edge_ok, kernels=self._kernels()
-        )
-
-    def sweep_from_base_state(
-        self,
-        graph: Graph,
-        source: Vertex,
-        arrays,
-        *,
-        allowed_edges: Optional[Set[EdgeId]] = None,
-    ) -> CompiledFailureSweep:
-        _check_source(graph, source)
-        csr = csr_view(graph)
-        edge_ok = _edge_ok_mask(csr.num_edges, allowed_edges=allowed_edges)
-        return CompiledFailureSweep.from_base_state(
-            csr, source, arrays, edge_ok=edge_ok, kernels=self._kernels()
         )

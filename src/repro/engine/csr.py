@@ -43,11 +43,10 @@ class CSRAdjacency:
     edge_ids: np.ndarray
     edge_u: np.ndarray
     edge_v: np.ndarray
-    #: Optional object the arrays' memory belongs to (a shared-memory
-    #: segment, see :mod:`repro.engine.shm`).  numpy's base chain does
-    #: NOT keep a ``SharedMemory`` alive - its ``__del__`` unmaps the
-    #: buffer under any surviving views - so every holder of this view
-    #: must (transitively) hold the owner too.
+    #: Optional object the arrays' memory belongs to (a loaded
+    #: snapshot's mmap, see :mod:`repro.oracle.snapshot`).  Every holder
+    #: of this view must (transitively) hold the owner too, so the
+    #: mapping lives as long as the view does.
     owner: object = field(default=None, compare=False, repr=False)
 
     def degree_array(self) -> np.ndarray:
@@ -64,11 +63,10 @@ class CSRAdjacency:
     ) -> "CSRAdjacency":
         """Rebuild a view from a mapping of its five named arrays.
 
-        Used by the shared-memory plane (:mod:`repro.engine.shm`) to
-        wrap arrays attached zero-copy from another process; the caller
-        is responsible for the arrays being int64 and read-only, and
-        passes the backing segment as ``owner`` so the mapping lives as
-        long as the view does.
+        Used by the snapshot loader (:mod:`repro.oracle.snapshot`) to
+        wrap mapped planes zero-copy; the caller is responsible for the
+        arrays being int64 and read-only, and passes the backing
+        mapping as ``owner`` so it lives as long as the view does.
         """
         return cls(
             num_vertices=num_vertices,

@@ -224,27 +224,6 @@ class CSREngine(PythonEngine):
         edge_ok = _edge_ok_mask(csr.num_edges, allowed_edges=allowed_edges)
         return FailureSweep(csr, source, edge_ok=edge_ok)
 
-    def sweep_from_base_state(
-        self,
-        graph: Graph,
-        source: Vertex,
-        arrays,
-        *,
-        allowed_edges: Optional[Set[EdgeId]] = None,
-    ) -> FailureSweep:
-        """A :meth:`sweep` handle rebuilt from published base-state arrays.
-
-        The shm worker bodies call this instead of :meth:`sweep` when the
-        parent shipped the base traversal through the base-state segment:
-        construction skips the BFS + Euler walk, so a shard's fixed cost
-        is O(1) in graph size.  ``arrays`` must come from a handle over
-        the same ``(graph, source, allowed_edges)`` sweep.
-        """
-        _check_source(graph, source)
-        csr = csr_view(graph)
-        edge_ok = _edge_ok_mask(csr.num_edges, allowed_edges=allowed_edges)
-        return FailureSweep.from_base_state(csr, source, arrays, edge_ok=edge_ok)
-
     # -- weighted traversals (array fast path + reference fallback) ----
     def _weighted_levels(
         self,
@@ -629,12 +608,11 @@ class CSREngine(PythonEngine):
         and Euler arrays, the edge -> deeper-endpoint map, and the
         per-subtree expansion sizes - computed once and captured in a
         :class:`PreparedWeightedSweep` whose ``items(lo, hi)`` runs any
-        contiguous slice of the request.  Shard runners build this once
-        per ``(plane, request)`` (the shm workers memoize it, the
-        threaded engine shares it across its windows - ``items`` is
-        thread-safe, every mutable buffer is allocated per call) instead
-        of paying the O(n) setup per shard.  None when the plan gating
-        fails; callers fall back to the reference loops.
+        contiguous slice of the request.  The threaded engine builds it
+        once and shares it across its windows (``items`` is thread-safe,
+        every mutable buffer is allocated per call) instead of paying
+        the O(n) setup per window.  None when the plan gating fails;
+        callers fall back to the reference loops.
         """
         edge_list = list(eids)
         export = weights.pert_array()
@@ -643,7 +621,7 @@ class CSREngine(PythonEngine):
         csr = csr_view(graph)
         base = getattr(tree, "_base_state", None)
         if base is not None:
-            # Attached shm façade: the decomposition arrays are already
+            # Snapshot tree façade: the decomposition arrays are already
             # mapped - zero-copy, no big-int pass, no list conversions.
             hop0, pert0 = base["hop"], base["pert"]
             tin, tout, preorder = base["tin"], base["tout"], base["preorder"]

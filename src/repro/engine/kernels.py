@@ -148,53 +148,6 @@ class FailureSweep(SweepHandle):
         self.base.setflags(write=False)
         self._tin, self._tout, self._preorder = self._euler(level_order)
 
-    @classmethod
-    def from_base_state(
-        cls,
-        csr: CSRAdjacency,
-        source: int,
-        arrays,
-        *,
-        edge_ok: Optional[np.ndarray] = None,
-    ) -> "FailureSweep":
-        """Rebuild a sweep handle from :meth:`base_state` arrays.
-
-        Skips the base BFS and the Euler walk entirely: ``arrays`` maps
-        the six :meth:`base_state` keys to int64 arrays (typically views
-        into a shared-memory segment), so construction is O(1) in graph
-        size.  The arrays must describe the base tree of exactly this
-        ``(csr, source, edge_ok)`` triple - callers (the shm worker
-        bodies) guarantee that by keying on the published sweep request.
-        """
-        self = cls.__new__(cls)
-        self.csr = csr
-        self.source = source
-        self.edge_ok = edge_ok
-        self.base = np.asarray(arrays["base"], dtype=np.int64)
-        if self.base.flags.writeable:  # shared views arrive read-only
-            self.base.setflags(write=False)
-        self._parent = np.asarray(arrays["parent"], dtype=np.int64)
-        self._parent_eid = np.asarray(arrays["parent_eid"], dtype=np.int64)
-        self._tin = np.asarray(arrays["tin"], dtype=np.int64)
-        self._tout = np.asarray(arrays["tout"], dtype=np.int64)
-        self._preorder = np.asarray(arrays["preorder"], dtype=np.int64)
-        return self
-
-    def base_state(self):
-        """The precomputed arrays :meth:`from_base_state` rebuilds from.
-
-        ``(key, array)`` pairs in a fixed order - exactly what
-        ``shm.publish_base_state`` packs into a base segment.
-        """
-        return (
-            ("base", self.base),
-            ("parent", self._parent),
-            ("parent_eid", self._parent_eid),
-            ("tin", self._tin),
-            ("tout", self._tout),
-            ("preorder", self._preorder),
-        )
-
     def _euler(
         self, level_order: List[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,10 +12,9 @@ absent then).  ``"csr"`` is :class:`~repro.engine.compiled.CompiledEngine`:
 it runs the C kernels whenever they compile and load, and its inherited
 numpy kernels otherwise (no compiler, ``REPRO_CC=0``, a failed compile),
 so a C toolchain changes its speed, never its registration.
-``"sharded"`` (the process-sharded ``failure_sweep`` wrapper,
-:mod:`repro.engine.sharded`) is always registered but never the implicit
-default — it is selected explicitly or by the verification oracle's
-large-graph threshold.
+``"csr-mt"`` (the thread-windowed sweep wrapper,
+:mod:`repro.engine.threaded`) registers with csr but is never the
+implicit default — it runs only when selected explicitly.
 """
 
 from __future__ import annotations
@@ -50,10 +49,8 @@ def _ensure_builtins() -> None:
         return
     _builtins_loaded = True
     from repro.engine.python_engine import PythonEngine
-    from repro.engine.sharded import ShardedEngine
 
     register_engine(PythonEngine())
-    register_engine(ShardedEngine())
     try:
         from repro.engine.compiled import CompiledEngine
     except ImportError:  # numpy unavailable: the fast backend is gated out

@@ -1,37 +1,33 @@
-"""Thread-parallel sweeps: the zero-copy sibling of the sharded engine.
+"""Thread-parallel sweeps over the csr kernels.
 
 :class:`ThreadedEngine` (registry name ``csr-mt``) fans the two failure
 sweeps - ``failure_sweep`` and ``weighted_failure_sweep`` - out over a
 thread pool inside the calling process.  The csr engine's C kernels
 hold the GIL released for *whole* kernel calls (its numpy fallback
-kernels for each array pass), so shard windows genuinely overlap on
-multi-core hosts, and because every thread shares the parent's address
-space there is *nothing to transport at all*: no pickling, no
-shared-memory segments, no worker-side attach or façade build.  The
-fixed cost of a window is one submit.
+kernels for each array pass), so windows genuinely overlap on
+multi-core hosts, and because every thread shares the caller's address
+space nothing is copied or pickled.  The fixed cost of a window is one
+submit.
 
 The engine wraps the csr engine (its kernels are what make threads pay;
-any base can be forced for testing) and stays **bit-identical** to it
-the same way the sharded engine does: windows are contiguous slices of
-the request, each window is computed by the base engine's own
-primitives - the one shared :class:`~repro.engine.kernels.FailureSweep`
-handle for the unweighted sweep, the one shared
+any base can be forced for testing) and stays **bit-identical** to it:
+windows are contiguous slices of the request, each window is computed
+by the base engine's own primitives - the one shared
+:class:`~repro.engine.kernels.FailureSweep` handle for the unweighted
+sweep, the one shared
 :class:`~repro.engine.csr_engine.PreparedWeightedSweep` setup for the
 weighted one (both are safe to drive concurrently: all shared arrays
 are read-only, every scratch buffer is per-call) - and results stream
 back in request order.
 
-Compared to the sharded engine: no process pool to warm, no per-worker
-attach, and per-sweep setup is computed exactly once in-process, so the
-break-even request size is smaller (``min_batch`` defaults to 8); but
-all windows share one Python interpreter, so pure-Python portions
-(result assembly, the reference fallbacks) serialize on the GIL where
-the sharded engine's processes would not.  Selection follows the usual
-chain (``engine=csr-mt``, ``$REPRO_ENGINE``, the verification oracle's
-large-graph auto-upgrade when shared memory is unavailable).  Thread
-count comes from ``$REPRO_THREADS``, falling back to the worker default
+Per-sweep setup is computed exactly once, and a window holds at least
+``min_batch`` (8) failures; all windows share one Python interpreter,
+so pure-Python portions (result assembly, the reference fallbacks)
+serialize on the GIL.  The engine is never the implicit default: select
+it with ``engine="csr-mt"`` or ``$REPRO_ENGINE``.  Thread count comes
+from ``$REPRO_THREADS``, falling back to the worker default
 (``$REPRO_MAX_WORKERS`` / cores - 1); sweeps inside a harness pool
-worker degrade to the base engine in-process, like the sharded engine.
+worker degrade to the base engine in-process.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro._types import EdgeId, Vertex
 from repro.engine.base import ReplacementSweepItem, SweepHandle, TraversalEngine
-from repro.engine.sharded import SHARD_MIN_BATCH_ENV_VAR, _shard_bounds
 from repro.graphs.graph import Graph
 
 __all__ = ["ThreadedEngine", "THREADS_ENV_VAR", "shutdown_thread_pool"]
@@ -49,15 +44,14 @@ __all__ = ["ThreadedEngine", "THREADS_ENV_VAR", "shutdown_thread_pool"]
 #: Overrides the thread count (positive int); unset = the worker default.
 THREADS_ENV_VAR = "REPRO_THREADS"
 
-#: A window's fixed cost is one executor submit - far below even the
-#: shm transport's attach-and-memoize - so the finest batch default of
-#: the three sweep runners.
+#: Minimum failures per window: a window's fixed cost is one executor
+#: submit, so small windows already pay.
 _DEFAULT_MIN_BATCH_MT = 8
 
-#: The persistent thread pool: (pool, size), grown by recreation like
-#: the sharded engine's process pools.  Threads are cheap, but verify
-#: streams two sweeps in lockstep through this pool - a shared
-#: persistent pool keeps their combined footprint at one budget.
+#: The persistent thread pool: (pool, size), grown by recreation.
+#: Threads are cheap, but verify streams two sweeps in lockstep through
+#: this pool - a shared persistent pool keeps their combined footprint
+#: at one budget.
 _POOL: Optional[Tuple[object, int]] = None
 
 
@@ -89,13 +83,35 @@ def shutdown_thread_pool() -> None:
 atexit.register(shutdown_thread_pool)
 
 
+def _shard_bounds(
+    num_items: int, workers: int, min_batch: int
+) -> List[Tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` window bounds over ``num_items`` items.
+
+    Every window holds at least ``min_batch`` items - the documented
+    contract: a window's fixed cost must amortize over a worthwhile
+    slice.  Beyond that, up to 4 windows per worker keep the pool busy
+    through the tail.  A request smaller than ``min_batch`` yields a
+    single (short) window - ``_plan`` keeps those inline, so that only
+    arises when a caller drives this helper directly.
+    """
+    if num_items <= 0:
+        return []
+    num_shards = min(workers * 4, num_items // max(1, min_batch))
+    num_shards = max(1, min(num_shards, num_items))
+    bounds = [num_items * i // num_shards for i in range(num_shards + 1)]
+    return [
+        (bounds[i], bounds[i + 1])
+        for i in range(num_shards)
+        if bounds[i] < bounds[i + 1]
+    ]
+
+
 class ThreadedEngine(TraversalEngine):
     """Wrap the csr engine, windowing ``failure_sweep`` across threads."""
 
     name = "csr-mt"
     parallel_sweeps = True
-    transport = "none needed (threads share the caller's memory)"
-    plane_segments = "none (zero-copy by construction)"
 
     def __init__(
         self,
@@ -188,9 +204,7 @@ class ThreadedEngine(TraversalEngine):
     def _effective_min_batch(self) -> int:
         if self._min_batch is not None:
             return self._min_batch
-        from repro.util.validation import env_int
-
-        return env_int(SHARD_MIN_BATCH_ENV_VAR, _DEFAULT_MIN_BATCH_MT)
+        return _DEFAULT_MIN_BATCH_MT
 
     def _plan(self, num_eids: int, min_batch: Optional[int] = None) -> int:
         """Number of threads to use (1 = run on the base engine inline)."""

@@ -49,9 +49,9 @@ class Graph:
     [0, 2]
     """
 
-    # ``__weakref__`` lets the shared-memory plane (repro.engine.shm)
-    # key its per-graph segment cache with a finalizer instead of a
-    # strong reference; ``_csr_cache`` is excluded from pickles below.
+    # ``__weakref__`` keeps graphs weak-referenceable, so a per-graph
+    # cache need not keep its graph alive; ``_csr_cache`` is excluded
+    # from pickles below.
     __slots__ = (
         "_n", "_edge_u", "_edge_v", "_adj", "_edge_index", "name",
         "_csr_cache", "__weakref__",
@@ -60,8 +60,7 @@ class Graph:
     #: Slots that participate in pickling.  ``_csr_cache`` is a memoized,
     #: rebuildable numpy export: shipping it would triple every payload
     #: once the CSR view exists (measured 26KB -> 74KB on G(200, 0.05)),
-    #: so workers rebuild it lazily (or attach it via the shared-memory
-    #: plane) instead.
+    #: so workers rebuild it lazily instead.
     _PICKLE_SLOTS = ("_n", "_edge_u", "_edge_v", "_adj", "_edge_index", "name")
 
     def __init__(

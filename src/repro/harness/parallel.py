@@ -21,9 +21,9 @@ Usage:
     outcomes = run_sweep(tasks, max_workers=4)
 
 Worker processes are marked with the ``REPRO_IN_WORKER`` environment
-variable so nested process-spawning primitives (the sharded traversal
-engine) degrade to their single-process form instead of oversubscribing
-the machine.
+variable so nested parallel primitives (the thread-windowed ``csr-mt``
+engine) degrade to their serial form instead of oversubscribing the
+machine.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ def mark_worker() -> None:
     """Pool initializer: tag the process so nested fanouts stay serial.
 
     Every process pool in the library must install this (the harness
-    stage pool here, the sharded engine's persistent sweep pool) -
-    an unmarked worker that reaches a parallel primitive would fan out
-    again and oversubscribe the machine.
+    stage pool here is the only one) - an unmarked worker that reaches
+    a parallel primitive would fan out again and oversubscribe the
+    machine.
     """
     os.environ[WORKER_ENV_VAR] = "1"
 

@@ -11,8 +11,10 @@ it durable and servable:
   ``dist(s, v | failed_edges)`` / ``path`` / batched variants in
   O(path) array lookups, bit-identical to a fresh engine traversal.
 * :mod:`repro.oracle.serve` - :class:`OracleServer`, a JSONL request
-  loop that republishes the mapped planes over shared memory so a pool
-  of reader workers answers concurrently (``repro serve``).
+  loop answering inline (``repro serve``); parallel serving is one
+  process per core over the same mapped snapshot.
+* :mod:`repro.oracle.facades` - the graph/weights/tree façades a loaded
+  snapshot's planes are wrapped in.
 
 The live, hop-level convenience wrapper
 :class:`repro.spt.sensitivity.DistanceSensitivityOracle` builds the same

@@ -2,9 +2,9 @@
 
 :class:`QueryOracle` answers ``dist(s, v | failed_edges)`` and
 ``path(...)`` from the precomputed planes of an
-:class:`~repro.oracle.snapshot.OracleStructure` - live, snapshot-mapped,
-or attached over shared memory, the oracle never cares which.  The
-classification is pure array arithmetic:
+:class:`~repro.oracle.snapshot.OracleStructure` - live or
+snapshot-mapped, the oracle never cares which.  The classification is
+pure array arithmetic:
 
 * no failed edge lies on the base tree -> the base answer stands
   unchanged.  Composite weights make shortest paths unique in *every*
@@ -238,13 +238,41 @@ class QueryOracle:
     ) -> List[Vertex]:
         """Vertices of the unique shortest path source -> ``v`` avoiding
         the failed edges; :class:`~repro.errors.GraphError` when none."""
-        return self._walk(v, failed)[0]
+        return self.route(v, failed)[0]
 
     def path_edges(
         self, v: Vertex, failed: Optional[Iterable[EdgeId]] = None
     ) -> List[EdgeId]:
         """Edge ids of the unique shortest path source -> ``v``."""
-        return self._walk(v, failed)[1]
+        return self.route(v, failed)[1]
+
+    def route(
+        self, v: Vertex, failed: Optional[Iterable[EdgeId]] = None
+    ) -> Tuple[List[Vertex], List[EdgeId]]:
+        """``(vertices, edge ids)`` of the unique shortest path source ->
+        ``v`` avoiding the failed edges, from one walk counted as one
+        query; :class:`~repro.errors.GraphError` when none."""
+        self._check_vertex(v)
+        kind, payload = self._classify(failed)
+        self._count(kind)
+        if self._dist_via(kind, payload, v) is None:
+            raise GraphError(
+                f"vertex {v} unreachable from {self._source} under the "
+                "failure set"
+            )
+        vertices = [v]
+        edges: List[EdgeId] = []
+        cur = v
+        while cur != self._source:
+            parent, parent_eid = self._parent_via(kind, payload, cur)
+            if parent < 0:  # pragma: no cover - guarded by the dist check
+                raise GraphError(f"broken parent chain at vertex {cur}")
+            edges.append(parent_eid)
+            vertices.append(parent)
+            cur = parent
+        vertices.reverse()
+        edges.reverse()
+        return vertices, edges
 
     # ------------------------------------------------------------------
     # classification
@@ -271,9 +299,11 @@ class QueryOracle:
         """Map a failure set to its answer source.
 
         Returns ``("base", None)``, ``("row", row_index)``, or
-        ``("fallback", frozenset)``.  A cached row is only valid when
-        the tree edge is the *sole* failure: with extra non-tree
-        failures the replacement path might itself use one of them.
+        ``("fallback", result)`` with the engine traversal already
+        resolved, so a query touches the fallback LRU once however many
+        targets or hops it reads.  A cached row is only valid when the
+        tree edge is the *sole* failure: with extra non-tree failures
+        the replacement path might itself use one of them.
         """
         fset = self._failed_set(failed)
         if not fset or not (fset & self._tree_eids):
@@ -282,7 +312,7 @@ class QueryOracle:
             row = self._row_by_eid.get(next(iter(fset)))
             if row is not None:
                 return ("row", row)
-        return ("fallback", fset)
+        return ("fallback", self._fallback_result(fset))
 
     def _count(self, kind: str, k: int = 1) -> None:
         self.stats.queries += k
@@ -322,8 +352,7 @@ class QueryOracle:
             if h < 0:
                 return None
             return (int(h) << self._shift) + int(self._repl_pert[pos])
-        sp = self._fallback_result(payload)
-        return sp.dist[v]
+        return payload.dist[v]
 
     def _parent_via(
         self, kind: str, payload, v: Vertex
@@ -335,33 +364,7 @@ class QueryOracle:
             return (int(self._repl_parent[pos]), int(self._repl_parent_eid[pos]))
         if kind in ("base", "row"):
             return (int(self._parent[v]), int(self._parent_eid[v]))
-        sp = self._fallback_result(payload)
-        return (sp.parent[v], sp.parent_eid[v])
-
-    def _walk(
-        self, v: Vertex, failed: Optional[Iterable[EdgeId]]
-    ) -> Tuple[List[Vertex], List[EdgeId]]:
-        self._check_vertex(v)
-        kind, payload = self._classify(failed)
-        self._count(kind)
-        if self._dist_via(kind, payload, v) is None:
-            raise GraphError(
-                f"vertex {v} unreachable from {self._source} under the "
-                "failure set"
-            )
-        vertices = [v]
-        edges: List[EdgeId] = []
-        cur = v
-        while cur != self._source:
-            parent, parent_eid = self._parent_via(kind, payload, cur)
-            if parent < 0:  # pragma: no cover - guarded by the dist check
-                raise GraphError(f"broken parent chain at vertex {cur}")
-            edges.append(parent_eid)
-            vertices.append(parent)
-            cur = parent
-        vertices.reverse()
-        edges.reverse()
-        return vertices, edges
+        return (payload.parent[v], payload.parent_eid[v])
 
     # ------------------------------------------------------------------
     # fallback traversal (uncached multi-failure sets)

@@ -2,23 +2,15 @@
 
 :class:`OracleServer` wraps an :class:`~repro.oracle.snapshot.OracleStructure`
 behind a line-oriented JSON protocol (one request object per line, one
-response object per line) and optionally fans queries out to a pool of
-**zero-copy reader workers**: the parent republishes the snapshot's
-planes through the PR-5 shared-memory transport
-(:func:`~repro.engine.shm.publish_plane_arrays` for graph + weights +
-tree, :func:`~repro.engine.shm.publish_aux_arrays` for the replacement
-rows), each worker attaches the segments once at pool init and builds
-its own :class:`~repro.oracle.query.QueryOracle` over the mapped
-arrays - no per-query serialization of the structure ever happens.
+response object per line) and answers every query inline in its own
+process.  To serve in parallel, run one ``repro serve`` process per core
+over the same snapshot file: each maps it read-only, so they share the
+page cache and load in O(1).
 
 Consistency model: the standing failure set (``mark_down``/``mark_up``)
-lives in the parent only; every query ships its *effective* failure set
-(standing ∪ per-request) to whichever process answers, so workers are
-stateless and any interleaving of marks and queries reads as if applied
-serially at the parent.  Batched ``dist`` requests split across the
-pool; single-target requests round-robin through it.  Without workers
-(or without numpy / shared memory) the server answers inline in the
-parent process - same protocol, same answers.
+belongs to the server process; every query is answered under its
+*effective* failure set (standing ∪ per-request), so any interleaving
+of marks and queries reads as if applied serially.
 
 Protocol ops (all responses carry ``ok`` and the answering ``pid``):
 
@@ -44,48 +36,9 @@ from typing import Any, Dict, IO, Iterable, List, Optional
 
 from repro.errors import ReproError
 from repro.oracle.query import QueryOracle
-from repro.oracle.snapshot import (
-    OracleStructure,
-    PLANE_NAMES,
-    REPL_PLANE_NAMES,
-    TREE_PLANE_NAMES,
-)
+from repro.oracle.snapshot import OracleStructure
 
 __all__ = ["OracleServer", "serve_structure"]
-
-
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-_WORKER_ORACLE: Optional[QueryOracle] = None
-
-
-def _worker_init(plane_handle, aux_handle, engine_name) -> None:
-    """Pool initializer: attach the published planes, build the oracle."""
-    global _WORKER_ORACLE
-    from repro.engine.shm import attach_aux_arrays, attach_plane_arrays
-    from repro.harness.parallel import mark_worker
-    from repro.spt.replacement import ReplacementEngine
-
-    mark_worker()
-    graph, weights, tree, arrays = attach_plane_arrays(plane_handle)
-    repl = attach_aux_arrays(aux_handle)
-    merged: Dict[str, Any] = dict(arrays)
-    merged.update(repl)
-    structure = OracleStructure(
-        graph=graph,
-        weights=weights,
-        tree=tree,
-        source=tree.source,
-        arrays=merged,
-        meta={"shared": True},
-        replacement=ReplacementEngine.from_arrays(tree, merged),
-    )
-    _WORKER_ORACLE = QueryOracle(structure, engine=engine_name)
-
-
-def _worker_answer(request: Dict[str, Any]) -> Dict[str, Any]:
-    return _answer(_WORKER_ORACLE, request)
 
 
 def _json_id(value: Any, field: str) -> int:
@@ -114,8 +67,10 @@ def _answer(oracle: QueryOracle, request: Dict[str, Any]) -> Dict[str, Any]:
     ``ok: false`` responses so a bad query cannot kill the server)."""
     pid = os.getpid()
     op = request.get("op")
-    failed = request.get("failed") or []
+    failed = request.get("failed")
     try:
+        # The oracle merges its standing marks into every failure set.
+        failed = _json_ids([] if failed is None else failed, "failed")
         if op == "dist":
             targets = request.get("targets")
             single = targets is None
@@ -138,8 +93,7 @@ def _answer(oracle: QueryOracle, request: Dict[str, Any]) -> Dict[str, Any]:
             return resp
         if op == "path":
             v = _json_id(request["v"], "v")
-            vertices = oracle.path(v, failed)
-            edges = oracle.path_edges(v, failed)
+            vertices, edges = oracle.route(v, failed)
             return {
                 "ok": True,
                 "op": "path",
@@ -156,119 +110,28 @@ def _answer(oracle: QueryOracle, request: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": False, "op": op, "error": str(exc), "pid": pid}
 
 
-# ----------------------------------------------------------------------
-# parent side
-# ----------------------------------------------------------------------
 class OracleServer:
-    """Serve queries over a structure, inline or through a worker pool.
-
-    ``workers > 0`` requests the zero-copy pool; the server silently
-    degrades to inline answering when the shared-memory transport is
-    unavailable (no numpy, ``REPRO_SHM=0``) or the structure has no
-    serialized CSR planes (a live :meth:`OracleStructure.from_live`
-    wrapper) - check :attr:`workers` for what actually started.
-    """
+    """Serve queries over a structure, answering each inline."""
 
     def __init__(
         self,
         structure: OracleStructure,
         *,
-        workers: int = 0,
         engine: Optional[str] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         self.structure = structure
         self.oracle = QueryOracle(structure, engine=engine)
-        self._engine = engine
-        self._pool = None
-        self._plane = None
-        self._aux = None
-        self.workers = 0
-        if workers > 0:
-            self._start_pool(workers, start_method)
-
-    # -- pool lifecycle -------------------------------------------------
-    def _start_pool(self, workers: int, start_method: Optional[str]) -> None:
-        from repro.engine.shm import (
-            publish_aux_arrays,
-            publish_plane_arrays,
-            transport_enabled,
-        )
-
-        if not transport_enabled():
-            return
-        arrays = self.structure.arrays
-        if any(name not in arrays for name in PLANE_NAMES):
-            return
-        weights = self.structure.weights
-        wmeta = self.structure.meta.get("weights") or {}
-        pert = arrays["pert"]
-        max_pert = int(
-            wmeta.get("max_pert", max(pert) if len(pert) else 0)
-        )
-        plane = publish_plane_arrays(
-            [(name, arrays[name]) for name in TREE_PLANE_NAMES],
-            num_vertices=self.structure.num_vertices,
-            num_edges=self.structure.num_edges,
-            graph_name=self.structure.graph.name,
-            weights_meta=(weights.shift, weights.scheme, weights.seed, max_pert),
-            tree_source=self.structure.source,
-        )
-        if plane is None:
-            return
-        aux = publish_aux_arrays(
-            [(name, arrays[name]) for name in REPL_PLANE_NAMES]
-        )
-        if aux is None:
-            plane.unlink()
-            return
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = (
-            multiprocessing.get_context(start_method) if start_method else None
-        )
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(plane.handle, aux.handle, self._engine),
-                mp_context=ctx,
-            )
-        except (OSError, ValueError):
-            plane.unlink()
-            aux.unlink()
-            return
-        self._plane = plane
-        self._aux = aux
-        self._pool = pool
-        self.workers = workers
 
     def close(self) -> None:
-        """Stop the pool and unlink the published segments (idempotent).
-
-        The structure itself stays open - the caller owns it."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        for seg_attr in ("_plane", "_aux"):
-            seg = getattr(self, seg_attr)
-            setattr(self, seg_attr, None)
-            if seg is not None:
-                seg.unlink()
-        self.workers = 0
-
-    def __enter__(self) -> "OracleServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Nothing to release: the server holds no process or segment,
+        and the structure stays open (the caller owns it).  Kept for
+        callers that close every server they start."""
 
     # -- the serving loop ----------------------------------------------
     def serve(self, lines: Iterable[str], out: IO[str]) -> Dict[str, int]:
         """Answer JSONL requests from ``lines`` until shutdown or EOF.
 
-        Returns ``{"requests": ..., "errors": ..., "workers": ...}``.
+        Returns ``{"requests": ..., "errors": ...}``.
         """
         requests = errors = 0
         for line in lines:
@@ -297,11 +160,7 @@ class OracleServer:
             if not response.get("ok"):
                 errors += 1
             self._emit(out, response)
-        return {
-            "requests": requests,
-            "errors": errors,
-            "workers": self.workers,
-        }
+        return {"requests": requests, "errors": errors}
 
     @staticmethod
     def _emit(out: IO[str], obj: Dict[str, Any]) -> None:
@@ -318,7 +177,6 @@ class OracleServer:
                 "ok": True,
                 "op": "stats",
                 "stats": self.oracle.stats.as_dict(),
-                "workers": self.workers,
                 "marked": sorted(self.oracle.marked),
                 "pid": pid,
             }
@@ -339,59 +197,8 @@ class OracleServer:
                 "pid": pid,
             }
         if op in ("dist", "path"):
-            failed = request.get("failed")
-            try:
-                explicit = set(_json_ids([] if failed is None else failed, "failed"))
-            except ValueError as exc:
-                return {"ok": False, "op": op, "error": str(exc), "pid": pid}
-            payload = dict(request)
-            # Effective failure set resolved here so workers stay
-            # stateless (see the module docstring's consistency model).
-            payload["failed"] = sorted(explicit | self.oracle.marked)
-            if self._pool is not None:
-                return self._pool_answer(payload)
-            return _answer(self.oracle, payload)
+            return _answer(self.oracle, request)
         return {"ok": False, "error": f"unknown op {op!r}", "pid": pid}
-
-    def _pool_answer(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        targets = payload.get("targets")
-        try:
-            if (
-                payload["op"] == "dist"
-                and targets
-                and len(targets) > 1
-                and self.workers > 1
-            ):
-                return self._scatter_dist(payload, list(targets))
-            return self._pool.submit(_worker_answer, payload).result()
-        except Exception:
-            # Broken pool (a killed worker, a spawn failure): degrade to
-            # inline answering rather than dropping the request.
-            return _answer(self.oracle, payload)
-
-    def _scatter_dist(
-        self, payload: Dict[str, Any], targets: List[Any]
-    ) -> Dict[str, Any]:
-        """Split a batched dist across the pool and merge in order."""
-        step = (len(targets) + self.workers - 1) // self.workers
-        chunks = [targets[i : i + step] for i in range(0, len(targets), step)]
-        futures = [
-            self._pool.submit(_worker_answer, {**payload, "targets": chunk})
-            for chunk in chunks
-        ]
-        parts = [f.result() for f in futures]
-        for part in parts:
-            if not part.get("ok"):
-                return part
-        return {
-            "ok": True,
-            "op": "dist",
-            "targets": [t for part in parts for t in part["targets"]],
-            "dist": [d for part in parts for d in part["dist"]],
-            "hops": [h for part in parts for h in part["hops"]],
-            "pid": parts[0]["pid"],
-            "pids": sorted({part["pid"] for part in parts}),
-        }
 
 
 def serve_structure(
@@ -399,15 +206,7 @@ def serve_structure(
     lines: Iterable[str],
     out: IO[str],
     *,
-    workers: int = 0,
     engine: Optional[str] = None,
-    start_method: Optional[str] = None,
 ) -> Dict[str, int]:
-    """One-shot convenience: start a server, drain ``lines``, clean up."""
-    server = OracleServer(
-        structure, workers=workers, engine=engine, start_method=start_method
-    )
-    try:
-        return server.serve(lines, out)
-    finally:
-        server.close()
+    """One-shot convenience: start a server, drain ``lines``."""
+    return OracleServer(structure, engine=engine).serve(lines, out)

@@ -14,10 +14,8 @@ structure a **file**:
 
 ``load_structure``
     Maps the file (``mmap`` + zero-copy numpy views over the planes -
-    O(1) in graph size, nothing is parsed) and rebuilds the same
-    façades the shared-memory plane workers use
-    (:func:`repro.engine.shm.weights_facade` /
-    :func:`~repro.engine.shm.tree_facade`), so a loaded structure is
+    O(1) in graph size, nothing is parsed) and wraps the planes in the
+    façades of :mod:`repro.oracle.facades`, so a loaded structure is
     query-ready immediately and bit-identical to the saved one.
     Without numpy the planes decode into ``array('q')`` sequences
     instead (an O(n + m) read, documented fallback - correctness is
@@ -90,10 +88,9 @@ _ENDIAN_FLIPPED = int.from_bytes(
 _ALIGN = 64
 _PRELUDE = struct.Struct("=8sqqq")  # magic, version, sentinel, json length
 
-#: Planes every snapshot must carry, in canonical order.  The graph/
-#: weights/tree names match the shared-memory plane fields exactly, so
-#: a loaded snapshot can republish through ``publish_plane_arrays``
-#: unchanged; the ``repl_*`` names match ``ReplacementEngine`` exports.
+#: Planes every snapshot must carry, in canonical order.  The ``tree_*``
+#: names are the keys :func:`~repro.oracle.facades.tree_facade` reads;
+#: the ``repl_*`` names match ``ReplacementEngine`` exports.
 PLANE_NAMES = (
     "indptr",
     "indices",
@@ -117,10 +114,7 @@ PLANE_NAMES = (
     "repl_parent_eid",
 )
 
-#: The subset republished as the shared-memory tree plane by the server.
-TREE_PLANE_NAMES = PLANE_NAMES[:13]
-
-#: The replacement planes (the server's aux segment).
+#: The replacement planes.
 REPL_PLANE_NAMES = PLANE_NAMES[13:]
 
 
@@ -132,11 +126,10 @@ class OracleStructure:
     """Everything a :class:`~repro.oracle.query.QueryOracle` reads.
 
     ``arrays`` maps plane names to int-indexable sequences - live
-    Python lists, mmap-backed numpy views, attached shared-memory
-    arrays; the oracle never cares which.  ``owner`` (if any) pins the
-    backing mapping: the mmap'd file for a loaded snapshot, following
-    the same discipline as the shm façades (numpy views do not keep
-    their buffer alive on their own).
+    Python lists or mmap-backed numpy views; the oracle never cares
+    which.  ``owner`` (if any) pins the backing mapping: the mmap'd
+    file for a loaded snapshot (numpy views do not keep their buffer
+    alive on their own).
     """
 
     graph: Graph
@@ -171,7 +164,7 @@ class OracleStructure:
 
         Best-effort: with plane views still referenced somewhere the
         mapping stays open until they are collected (the mmap refuses
-        to close under exported buffers), exactly like a shm segment.
+        to close under exported buffers).
         """
         owner = self.owner
         self.owner = None
@@ -520,7 +513,7 @@ def _assemble(
     owner: Any,
 ) -> OracleStructure:
     """Rebuild the graph/weights/tree façades over loaded planes."""
-    from repro.engine.shm import tree_facade, weights_facade
+    from repro.oracle.facades import tree_facade, weights_facade
 
     n = int(meta["num_vertices"])
     m = int(meta["num_edges"])
@@ -532,7 +525,7 @@ def _assemble(
         arrays["indptr"], array
     ):
         from repro.engine.csr import CSRAdjacency
-        from repro.engine.shm import SharedGraph
+        from repro.oracle.facades import SharedGraph
 
         csr = CSRAdjacency.from_arrays(n, m, dict(arrays), owner=owner)
         graph = SharedGraph(csr, name=graph_name)

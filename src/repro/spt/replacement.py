@@ -19,8 +19,8 @@ Two execution paths feed the same memoized cache (PR 4):
   whose lazy probes cross a constant fraction of the tree edges - fills
   every missing failure through the engine's ``weighted_failure_sweep``,
   which amortizes one pass over all failures (the csr engine stacks the
-  subtree recomputes into shared per-level kernels; the sharded engine
-  fans them over worker processes).
+  subtree recomputes into shared per-level kernels; csr-mt windows them
+  over threads).
 
 Both paths are bit-identical by contract - the sweep's reference
 implementation *is* the per-call loop - which

@@ -136,7 +136,7 @@ class ShortestPathTree:
         The composite weight splits as ``dist = (hops << shift) + pert``;
         ``depth`` already holds the hop components, this returns the
         other half.  Shared by the csr engine's stacked sweep and the
-        shared-memory plane so the decomposition never diverges.
+        snapshot writer so the decomposition never diverges.
         """
         w = self.weights if weights is None else weights
         mask = w.big - 1

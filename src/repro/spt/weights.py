@@ -140,7 +140,7 @@ class WeightAssignment:
         """Pickle everything except the memoized numpy export.
 
         Like ``Graph._csr_cache``, the export is a rebuildable memo:
-        shipping it would bloat every shard payload with a second copy
+        shipping it would bloat every worker payload with a second copy
         of the per-edge perturbations once any engine has exported them.
         """
         state = dict(self.__dict__)

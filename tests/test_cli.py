@@ -48,8 +48,9 @@ class TestEngines:
         assert "weighted_backend:" in out  # per-engine weighted capability line
         assert "replacement:" in out  # weighted-failure-sweep backend
         assert "detours:" in out  # batched multi-source backend
-        assert "transport:" in out  # shard-input transport (shm vs pickle)
-        assert "csr-c" not in out
+        assert "threads:" in out  # sweep thread budget
+        assert "transport:" not in out and "segments:" not in out
+        assert "csr-c" not in out and "sharded" not in out
         if "csr" in available_engines():
             assert "csr" in out
             # compiled vs inherited-numpy is resolved live, not hardcoded

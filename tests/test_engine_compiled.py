@@ -10,9 +10,7 @@ plus clean degradation on every axis the kernels can be missing:
   inherited numpy kernels, building the same structures (checked in
   subprocesses);
 * compile or load failure: the engine's methods fall back to the
-  inherited numpy kernels (same values);
-* rebuilt handles (the shm base-state path) interoperate bit-for-bit
-  with numpy-built ones in either direction.
+  inherited numpy kernels (same values).
 
 ``CSREngine()`` - the numpy superclass, instantiated directly - is the
 numpy side of every comparison.
@@ -141,7 +139,7 @@ class TestRegistration:
         proc = _run_py(
             "from repro.engine import available_engines, cbuild, get_engine\n"
             "names = available_engines()\n"
-            "assert names == ['python', 'csr', 'csr-mt', 'sharded'], names\n"
+            "assert names == ['python', 'csr', 'csr-mt'], names\n"
             "eng = get_engine()\n"
             "assert eng.name == 'csr' and cbuild.kernel_library() is None\n"
             "assert eng.weighted_backend.startswith('inherited numpy')\n"
@@ -331,33 +329,16 @@ class TestParity:
             assert distances_equal(r, x)
 
     def test_base_state_arrays_bit_identical_to_numpy(self):
-        """shm interop: the C-built handle publishes exactly the arrays
-        the numpy sweep would (same keys, dtypes, values)."""
+        """The C-built handle holds exactly the base BFS and Euler
+        arrays the numpy sweep builds (same dtypes, values)."""
         graph = connected_gnp_graph(120, 0.06, seed=9)
         mine = get_engine("csr").sweep(graph, 0)
         ref = CSREngine().sweep(graph, 0)
-        for (k_mine, a_mine), (k_ref, a_ref) in zip(
-            mine.base_state(), ref.base_state()
-        ):
-            assert k_mine == k_ref
-            assert np.array_equal(np.asarray(a_mine), np.asarray(a_ref)), k_mine
-
-    def test_rebuilt_handles_interoperate_both_directions(self):
-        """A handle rebuilt from the *other* engine's base state answers
-        every failure identically - the sharded/shm worker path."""
-        graph = connected_gnp_graph(100, 0.07, seed=4)
-        compiled, numpy_eng = get_engine("csr"), CSREngine()
-        from_c = numpy_eng.sweep_from_base_state(
-            graph, 0, dict(compiled.sweep(graph, 0).base_state())
-        )
-        from_np = compiled.sweep_from_base_state(
-            graph, 0, dict(numpy_eng.sweep(graph, 0).base_state())
-        )
-        reference = numpy_eng.sweep(graph, 0)
-        for eid in range(graph.num_edges):
-            want = list(reference.failed(eid))
-            assert list(from_c.failed(eid)) == want
-            assert list(from_np.failed(eid)) == want
+        attrs = ("base", "_parent", "_parent_eid", "_tin", "_tout", "_preorder")
+        for attr in attrs:
+            a_mine, a_ref = getattr(mine, attr), getattr(ref, attr)
+            assert a_mine.dtype == a_ref.dtype, attr
+            assert np.array_equal(a_mine, a_ref), attr
 
     def test_verify_report_identical(self, monkeypatch):
         """The same report on C and, under ``REPRO_CC=0``, on numpy."""

@@ -290,6 +290,50 @@ def test_unprotected_edges_parity(seed):
         )
 
 
+class TestVerificationParity:
+    """Reports and E_miss on every registered engine, csr-mt included
+    (its windowed two-sided sweep), against the python spec."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        graph = connected_gnp_graph(90, 0.08, seed=7)
+        return graph, build_epsilon_ftbfs(graph, 0, 0.3)
+
+    def test_verify_report_parity(self, instance):
+        graph, structure = instance
+        reference = verify_subgraph(
+            graph, 0, structure.edges, structure.reinforced, engine="python"
+        )
+        assert reference.ok
+        for name in available_engines():
+            report = verify_subgraph(
+                graph, 0, structure.edges, structure.reinforced, engine=name
+            )
+            assert report.ok == reference.ok, name
+            assert report.checked_failures == reference.checked_failures, name
+            assert report.violations == reference.violations, name
+
+    def test_unprotected_edges_parity(self, instance):
+        graph, structure = instance
+        tree_only = set(structure.tree_edges)
+        reference = unprotected_edges(graph, 0, tree_only, engine="python")
+        for name in available_engines():
+            assert unprotected_edges(graph, 0, tree_only, engine=name) == reference
+
+    def test_violations_detected_identically(self, instance):
+        graph, structure = instance
+        # strip backup edges: the bare tree must fail verification the
+        # same way under every engine
+        tree_only = set(structure.tree_edges)
+        reference = verify_subgraph(graph, 0, tree_only, (), engine="python")
+        assert not reference.ok
+        for name in available_engines():
+            report = verify_subgraph(graph, 0, tree_only, (), engine=name)
+            assert report.ok == reference.ok, name
+            assert report.checked_failures == reference.checked_failures, name
+            assert report.violations == reference.violations, name
+
+
 @settings(max_examples=15, **COMMON)
 @given(graph_with_source(max_vertices=14), st.integers(0, 3))
 def test_verify_parity_random_subgraphs(pair, salt):

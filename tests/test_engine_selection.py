@@ -24,19 +24,28 @@ from repro.engine import (
     default_engine_name,
     engine_context,
     get_engine,
+    registry,
     set_default_engine,
 )
+from repro.engine.python_engine import PythonEngine
 from repro.errors import EngineError
 from repro.graphs import path_graph
 
-#: A registered non-reference engine to test overrides with ("sharded"
-#: is always registered, so this works without numpy too).
-ALT = next(n for n in available_engines() if n != "python")
+#: A throwaway non-reference engine to test overrides with, registered
+#: per test so the no-numpy job (python alone) still tests overrides.
+ALT = "alt-python"
+
+
+class _AltEngine(PythonEngine):
+    name = ALT
 
 
 @pytest.fixture(autouse=True)
 def _clean_selection_state(monkeypatch):
-    """Each test starts with no env/process-wide override and leaves none."""
+    """Each test starts with no env/process-wide override and leaves none,
+    with the throwaway engine registered only for its duration."""
+    available_engines()  # load the builtins before adding to the registry
+    monkeypatch.setitem(registry._ENGINES, ALT, _AltEngine())
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     yield
     set_default_engine(None)

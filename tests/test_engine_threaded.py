@@ -1,8 +1,7 @@
 """The thread-parallel engine (``csr-mt``): registration, parity, planning.
 
-The engine's contract mirrors the sharded engine's: windows are an
-execution detail, never a semantic one - every primitive must be
-bit-identical to the wrapped base engine.  Covers:
+Windows are an execution detail, never a semantic one - every
+primitive must be bit-identical to the wrapped base engine.  Covers:
 
 * registration - present exactly when numpy is (gated with the csr
   engine), never the implicit default;
@@ -11,7 +10,8 @@ bit-identical to the wrapped base engine.  Covers:
 * fallbacks - exact-scheme weighted sweeps run inline on the base
   engine (the reference loops are GIL-bound), tiny requests degrade to
   the base engine, harness pool workers never nest thread pools;
-* planning - ``$REPRO_THREADS`` budget, ``halved()``, min-batch floors;
+* planning - ``$REPRO_THREADS`` budget, ``halved()``, min-batch floors,
+  window bounds;
 * lifecycle - abandoned generators leave the persistent pool reusable.
 """
 
@@ -25,7 +25,7 @@ from repro.engine import (
     distances_equal,
     get_engine,
 )
-from repro.engine.threaded import THREADS_ENV_VAR
+from repro.engine.threaded import THREADS_ENV_VAR, _shard_bounds
 from repro.graphs import connected_gnp_graph
 from repro.harness.parallel import WORKER_ENV_VAR
 from repro.spt.spt_tree import build_spt
@@ -60,10 +60,9 @@ class TestRegistration:
         assert get_engine("csr-mt").base_engine() is get_engine("csr")
         assert ThreadedEngine(base="python").base_engine().name == "python"
 
-    def test_advertises_threads_and_segments(self):
+    def test_advertises_threads(self):
         engine = get_engine("csr-mt")
         assert THREADS_ENV_VAR in engine.threads
-        assert "zero-copy" in engine.plane_segments
         assert engine.parallel_sweeps is True
 
 
@@ -189,20 +188,35 @@ class TestPlanning:
         assert half._effective_min_batch() == engine._effective_min_batch()
         assert ThreadedEngine(max_threads=1).halved()._thread_budget() == 1
 
-    def test_verify_upgrade_prefers_csr_mt_without_shm(
-        self, instance, monkeypatch
-    ):
-        """Large-graph verification falls back to thread windows when the
-        shared-memory shard transport is unavailable - the regime where
-        process sharding would re-pickle the graph per shard."""
-        from repro.core.verify import _resolve_engine
 
-        graph, _, _ = instance
-        monkeypatch.setenv("REPRO_SHARD_THRESHOLD", "1")
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert _resolve_engine(graph, None).name == "csr-mt"
-        # an explicit engine always wins over the upgrade
-        assert _resolve_engine(graph, "csr").name == "csr"
+class TestShardBounds:
+    def test_no_shard_below_min_batch(self):
+        """The documented contract: windows never drop below min_batch
+        items.  The old max(workers, items // min_batch) formula broke
+        it whenever workers dominated (e.g. 100 items, 4 workers,
+        min_batch 64 -> four windows of 25)."""
+        for num_items, workers, min_batch in [
+            (100, 4, 64),   # the old formula's counterexample
+            (1000, 4, 64),
+            (257, 3, 32),
+            (64, 8, 64),
+            (4096, 16, 16),
+            (65, 2, 64),
+        ]:
+            bounds = _shard_bounds(num_items, workers, min_batch)
+            sizes = [hi - lo for lo, hi in bounds]
+            assert sum(sizes) == num_items
+            assert bounds[0][0] == 0 and bounds[-1][1] == num_items
+            assert all(
+                bounds[i][1] == bounds[i + 1][0] for i in range(len(bounds) - 1)
+            )
+            if num_items >= min_batch:
+                assert min(sizes) >= min_batch, (num_items, workers, min_batch)
+            assert len(bounds) <= workers * 4
+
+    def test_tiny_requests_collapse_to_one_shard(self):
+        assert _shard_bounds(3, 4, 64) == [(0, 3)]
+        assert _shard_bounds(0, 4, 64) == []
 
 
 class TestLifecycle:

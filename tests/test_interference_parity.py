@@ -163,11 +163,10 @@ class TestFlags:
         ids = [rec.pair_id for rec in uncovered]
         allowed = set(ids[::2])
         want = spec_flags(index, ids, allowed, True)
-        for name in ("csr-mt", "sharded"):
-            got = get_engine(name).exists_live_partners(
-                index, ids, allowed, require_pi_intersect=True
-            )
-            assert got == want, name
+        got = get_engine("csr-mt").exists_live_partners(
+            index, ids, allowed, require_pi_intersect=True
+        )
+        assert got == want
 
     @requires_kernels
     def test_csr_answers_without_the_spec(self, gadget, monkeypatch):
@@ -365,12 +364,10 @@ class TestBackendReport:
 
     def test_wrappers_report_their_base(self):
         with engine_context("csr"):
-            for name in ("csr-mt", "sharded"):
-                assert get_engine(name).interference_backend == "delegates to 'csr'"
+            assert get_engine("csr-mt").interference_backend == "delegates to 'csr'"
 
-    def test_sharded_compiler_is_its_base(self):
-        """sharded runs every traversal on csr, so it reports csr's
-        toolchain, as csr-mt does."""
+    def test_csr_mt_compiler_is_its_base(self):
+        """csr-mt runs every traversal on csr, so it reports csr's
+        toolchain."""
         with engine_context("csr"):
-            assert get_engine("sharded").compiler == get_engine("csr").compiler
             assert get_engine("csr-mt").compiler == get_engine("csr").compiler

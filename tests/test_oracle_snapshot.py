@@ -1,11 +1,12 @@
-"""Snapshot format robustness and the serving loop.
+"""Snapshot format robustness, the plane façades and the serving loop.
 
-Mirrors ``test_shm.py``'s lifecycle discipline for the mmap-backed
-planes: corrupt prelude fields fail loudly (magic, version, endianness
-sentinel), truncation at any point is detected before any array is
-trusted, closing is safe under live views, a mapped snapshot survives
-file unlink, and nothing (fds, shm segments) leaks after the serving
-pool - fork and spawn alike - shuts down.
+The mmap-backed planes: corrupt prelude fields fail loudly (magic,
+version, endianness sentinel), truncation at any point is detected
+before any array is trusted, closing is safe under live views, a mapped
+snapshot survives file unlink, and no fd leaks after close.  The
+graph/weights/tree façades over the planes are observably identical to
+the live objects, and the serving loop answers (and counts) each query
+once.
 """
 
 import gc
@@ -16,7 +17,6 @@ import struct
 
 import pytest
 
-from repro.engine import shm
 from repro.errors import GraphError, SnapshotError
 from repro.graphs import connected_gnp_graph
 from repro.oracle import (
@@ -40,9 +40,6 @@ except ImportError:
     HAVE_NUMPY = False
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-needs_shm = pytest.mark.skipif(
-    not shm.transport_enabled(), reason="shared-memory transport unavailable"
-)
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +205,82 @@ class TestFormatGuards:
 
 
 # ----------------------------------------------------------------------
-# mapping lifecycle (mirrors test_shm's owner-pinning suite)
+# façades over the planes
+# ----------------------------------------------------------------------
+@needs_numpy
+class TestFacades:
+    def test_shared_graph_matches_original(self, instance):
+        from repro.engine.csr import CSRAdjacency, csr_view
+        from repro.oracle.facades import SharedGraph
+
+        graph, _, _ = instance
+        view = csr_view(graph)
+        arrays = {
+            key: getattr(view, key)
+            for key in ("indptr", "indices", "edge_ids", "edge_u", "edge_v")
+        }
+        shared = SharedGraph(
+            CSRAdjacency.from_arrays(graph.num_vertices, graph.num_edges, arrays)
+        )
+        assert shared.num_vertices == graph.num_vertices
+        assert shared.num_edges == graph.num_edges
+        assert shared == graph
+        assert [shared.adjacency(v) for v in shared.vertices()] == [
+            graph.adjacency(v) for v in graph.vertices()
+        ]
+        u, v = graph.endpoints(5)
+        assert shared.endpoints(5) == (u, v)
+        assert shared.edge_id(u, v) == 5
+        assert shared.degrees() == graph.degrees()
+        # the loaded CSR view is the zero-copy cache
+        assert csr_view(shared) is shared._csr_cache
+        assert numpy.array_equal(csr_view(shared).indptr, view.indptr)
+
+    def test_weights_and_tree_facades(self, instance):
+        from repro.oracle.facades import tree_facade, weights_facade
+
+        graph, weights, tree = instance
+        pert, max_pert = weights.pert_array()
+        w2 = weights_facade(
+            pert, weights.shift, weights.scheme, weights.seed, max_pert
+        )
+        assert list(w2.weights) == list(weights.weights)
+        assert (w2.shift, w2.scheme, w2.seed) == (
+            weights.shift, weights.scheme, weights.seed,
+        )
+        assert w2.pert_array()[0] is pert  # the memo is the plane itself
+        arrays = {
+            "tree_hop": tree.depth,
+            "tree_pert": tree.dist_perturbations(),
+            "tree_parent": tree.parent,
+            "tree_parent_eid": tree.parent_eid,
+            "tree_tin": tree.tin,
+            "tree_tout": tree.tout,
+            "tree_preorder": tree.preorder,
+        }
+        arrays = {
+            key: numpy.asarray(values, dtype=numpy.int64)
+            for key, values in arrays.items()
+        }
+        t2 = tree_facade(graph, w2, tree.source, arrays)
+        assert t2.source == tree.source
+        assert t2.dist == tree.dist
+        assert t2.parent == tree.parent
+        assert t2.parent_eid == tree.parent_eid
+        assert t2.depth == tree.depth
+        assert (t2.tin, t2.tout, t2.preorder) == (
+            tree.tin, tree.tout, tree.preorder,
+        )
+        assert t2.tree_edges() == tree.tree_edges()
+        eid = tree.tree_edges()[0]
+        assert t2.edge_child(eid) == tree.edge_child(eid)
+        assert list(t2.subtree_vertices(t2.edge_child(eid))) == list(
+            tree.subtree_vertices(tree.edge_child(eid))
+        )
+
+
+# ----------------------------------------------------------------------
+# mapping lifecycle
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestMappingLifecycle:
@@ -285,7 +357,7 @@ class TestServeInline:
             {"op": "stats"},
             {"op": "shutdown"},
         ])
-        assert summary == {"requests": 9, "errors": 0, "workers": 0}
+        assert summary == {"requests": 9, "errors": 0}
         assert all(r["ok"] for r in responses)
         assert responses[1]["dist"] == [live.dist(5)]
         assert responses[2]["dist"] == [live.dist(v, [eid]) for v in (1, 2, 3)]
@@ -328,91 +400,62 @@ class TestServeInline:
         ]
         structure.close()
 
-    def test_live_structure_serves_inline_even_with_workers(self, instance):
-        """from_live structures carry no CSR planes; the server degrades
-        to inline answering instead of failing."""
+    def test_live_structure_serves_inline(self, instance):
+        """from_live structures carry no CSR planes and serve the same
+        protocol."""
         _, _, tree = instance
         structure = OracleStructure.from_live(tree)
-        summary, responses = _roundtrip(
-            structure, [{"op": "dist", "v": 3}], workers=2
-        )
-        assert summary["workers"] == 0
+        summary, responses = _roundtrip(structure, [{"op": "dist", "v": 3}])
+        assert summary == {"requests": 1, "errors": 0}
         assert responses[0]["ok"]
         assert responses[0]["pid"] == os.getpid()
+        assert responses[0]["dist"] == [QueryOracle.from_tree(tree).dist(3)]
 
-    def test_shm_disabled_degrades_inline(self, snap, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+
+class TestQueryCounts:
+    """``OracleStats`` counts each query once, as it documents."""
+
+    def test_path_request_counts_one_query(self, instance, snap):
+        _, _, tree = instance
         structure = load_structure(snap, mapped=False)
-        summary, responses = _roundtrip(
-            structure, [{"op": "dist", "v": 3}], workers=2
-        )
-        assert summary["workers"] == 0
-        assert responses[0]["ok"]
-        structure.close()
-
-
-@needs_shm
-class TestServeWorkers:
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_worker_pool_answers_from_other_processes(
-        self, instance, snap, start_method
-    ):
-        _, _, tree = instance
-        structure = load_structure(snap, mapped=True)
-        live = QueryOracle.from_tree(tree)
         eid = _tree_eids(tree)[0]
+        live = QueryOracle.from_tree(tree)
         n = tree.graph.num_vertices
-        server = OracleServer(
-            structure, workers=2, start_method=start_method
-        )
-        assert server.workers == 2
-        try:
-            out = io.StringIO()
-            requests = [
-                {"op": "dist", "v": 5, "failed": [eid]},
-                {"op": "dist", "targets": list(range(n)), "failed": [eid]},
-                {"op": "path", "v": n - 1},
-                {"op": "shutdown"},
-            ]
-            server.serve((json.dumps(r) for r in requests), out)
-            responses = [
-                json.loads(line) for line in out.getvalue().splitlines()
-            ]
-        finally:
-            server.close()
-        assert all(r["ok"] for r in responses)
-        parent = os.getpid()
-        for r in responses[:3]:
-            assert r["pid"] != parent, "query answered in the parent"
-        assert responses[0]["dist"] == [live.dist(5, [eid])]
-        assert responses[1]["dist"] == [
-            live.dist(v, [eid]) for v in range(n)
-        ]
-        assert responses[2]["path"] == live.path(n - 1)
-
-    def test_marked_state_reaches_stateless_workers(self, instance, snap):
-        _, _, tree = instance
-        structure = load_structure(snap, mapped=True)
-        live = QueryOracle.from_tree(tree)
-        eid = _tree_eids(tree)[0]
-        summary, responses = _roundtrip(structure, [
-            {"op": "mark_down", "eid": eid},
-            {"op": "dist", "v": 5},
-            {"op": "shutdown"},
-        ], workers=1)
-        assert summary["workers"] == 1
-        assert responses[1]["pid"] != os.getpid()
-        assert responses[1]["dist"] == [live.dist(5, [eid])]
+        server = OracleServer(structure)
+        out = io.StringIO()
+        request = {"op": "path", "v": n - 1, "failed": [eid]}
+        server.serve([json.dumps(request)], out)
+        response = json.loads(out.getvalue())
+        assert server.oracle.stats.queries == 1
+        assert response["path"] == live.path(n - 1, [eid])
+        assert response["edges"] == live.path_edges(n - 1, [eid])
+        assert response["hops"] == len(response["edges"])
         structure.close()
 
-    def test_no_segment_leak_after_close(self, snap):
-        structure = load_structure(snap, mapped=True)
-        server = OracleServer(structure, workers=1)
-        names = [server._plane.name, server._aux.name]
-        assert all(n in shm.active_segment_names() for n in names)
-        server.close()
-        assert not any(n in shm.active_segment_names() for n in names)
-        server.close()  # idempotent
+    def test_fallback_resolved_once_per_query(self, instance, snap):
+        """One uncached 2-failure set: a 32-target dist is one traversal
+        and no hit; a following path is one hit, however many hops."""
+        graph, _, tree = instance
+        structure = load_structure(snap, mapped=False)
+        oracle = QueryOracle(structure)
+        live = QueryOracle.from_tree(tree)
+        failed = _tree_eids(tree)[:2]
+        targets = list(range(32))
+        assert oracle.dist_many(targets, failed) == live.dist_many(targets, failed)
+        stats = oracle.stats
+        assert (stats.fallback_traversals, stats.fallback_hits) == (1, 0)
+        assert stats.queries == 32
+        reachable = [
+            u for u in range(graph.num_vertices)
+            if live.dist(u, failed) is not None
+        ]
+        v = max(reachable, key=lambda u: len(live.path(u, failed)))
+        vertices, edges = oracle.route(v, failed)
+        assert len(edges) > 1
+        assert vertices == live.path(v, failed)
+        assert edges == live.path_edges(v, failed)
+        assert (stats.fallback_traversals, stats.fallback_hits) == (1, 1)
+        assert stats.queries == 33
         structure.close()
 
 
@@ -436,14 +479,10 @@ def _id_requests(field, bad):
 
 class TestStrictIds:
     """Every id field takes JSON integers only: a bool, float or string
-    answers ``ok: false`` naming the field, inline and through workers."""
+    answers ``ok: false`` naming the field."""
 
-    @pytest.mark.parametrize(
-        "workers",
-        [0, pytest.param(2, marks=needs_shm)],
-    )
-    def test_non_integer_ids_are_rejected(self, snap, workers):
-        structure = load_structure(snap, mapped=workers > 0)
+    def test_non_integer_ids_are_rejected(self, snap):
+        structure = load_structure(snap, mapped=False)
         table = [
             (field, bad, request)
             for field in ("v", "targets", "failed", "eid")
@@ -453,10 +492,8 @@ class TestStrictIds:
         summary, responses = _roundtrip(
             structure,
             [request for _, _, request in table] + [{"op": "stats"}],
-            workers=workers,
         )
         structure.close()
-        assert summary["workers"] == workers
         assert summary["errors"] == len(table)
         for (field, bad, request), resp in zip(table, responses):
             assert resp["ok"] is False, (request, resp)
@@ -470,6 +507,7 @@ class TestStrictIds:
 def test_public_constants():
     assert snapshot_mod.SNAPSHOT_MAGIC == b"RPROSNAP"
     assert snapshot_mod.SNAPSHOT_VERSION == 1
-    assert set(snapshot_mod.TREE_PLANE_NAMES) | set(
-        snapshot_mod.REPL_PLANE_NAMES
-    ) == set(snapshot_mod.PLANE_NAMES)
+    names = snapshot_mod.PLANE_NAMES
+    repl = snapshot_mod.REPL_PLANE_NAMES
+    assert names[len(names) - len(repl):] == repl
+    assert all(name.startswith("repl_") for name in repl)

@@ -90,6 +90,19 @@ class TestNegative:
         report = verify_subgraph(g, 0, pc.tree.tree_edges(), max_violations=3)
         assert len(report.violations) == 3
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_max_violations_below_one_rejected(self, bad):
+        """A cap below 1 would stop on the no-failure case and report a
+        valid H as not ok with no violation."""
+        g = complete_graph(3)
+        all_edges = [eid for eid, _, _ in g.edges()]
+        with pytest.raises(ValueError, match="max_violations"):
+            verify_subgraph(g, 0, all_edges, max_violations=bad)
+        structure = build_epsilon_ftbfs(g, 0, 0.5)
+        with pytest.raises(ValueError, match="max_violations"):
+            verify_structure(structure, max_violations=bad)
+        assert verify_subgraph(g, 0, all_edges, max_violations=1).ok
+
     def test_missing_no_failure_coverage(self):
         """H that does not even span G's distances fails immediately."""
         g = path_graph(4)
@@ -163,3 +176,15 @@ class TestUnprotectedEdges:
         report = verify_structure(s)
         assert report.ok
         assert report.checked_failures >= 6
+
+
+class TestEngineResolution:
+    def test_runs_on_the_engine_it_is_given(self):
+        """No size-based upgrade: the default engine unless one is named."""
+        from repro.core.verify import _resolve_engine
+        from repro.engine import available_engines, get_engine
+
+        g = connected_gnp_graph(30, 0.2, seed=3)
+        assert _resolve_engine(g, None) is get_engine()
+        for name in available_engines():
+            assert _resolve_engine(g, name) is get_engine(name)

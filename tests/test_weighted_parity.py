@@ -18,8 +18,8 @@ The fast engine under test follows ``REPRO_ENGINE``: the weighted CI
 matrix reruns this module under ``csr`` and ``csr-mt``, and csr runs
 its C kernels unless ``REPRO_CC=0`` (the no-compiler job) puts it on
 numpy, so both backends face the same tie-replay and chunking cases.
-The reference row stays the python engine (an ambient
-``python``/``sharded`` selection degenerates to ``csr``).
+The reference row stays the python engine (an ambient ``python``
+selection degenerates to ``csr``).
 """
 
 import os
@@ -50,7 +50,7 @@ from tests.conftest import graph_with_source
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 FAST_NAME = os.environ.get("REPRO_ENGINE") or "csr"
-if FAST_NAME not in available_engines() or FAST_NAME in ("python", "sharded"):
+if FAST_NAME not in available_engines() or FAST_NAME == "python":
     FAST_NAME = "csr"
 
 PY = get_engine("python")

@@ -1,11 +1,20 @@
 """Tests for the tie-breaking weight assignments."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import available_engines, get_engine
 from repro.errors import ParameterError
-from repro.graphs import complete_graph, path_graph, random_connected_graph
+from repro.graphs import (
+    complete_graph,
+    connected_gnp_graph,
+    path_graph,
+    random_connected_graph,
+)
+from repro.spt.spt_tree import build_spt
 from repro.spt.weights import AUTO, EXACT, RANDOM, make_weights
 
 
@@ -97,3 +106,39 @@ def test_random_scheme_weights_positive_and_bounded(seed, n):
     for e in range(g.num_edges):
         assert big < w[e] < 2 * big
         assert w.hops(w[e]) == 1
+
+
+class TestPickleHygiene:
+    """Memoized numpy exports stay out of pickled state."""
+
+    def test_weights_pickle_excludes_pert_cache(self):
+        np = pytest.importorskip("numpy")
+        graph = connected_gnp_graph(90, 0.08, seed=7)
+        weights = make_weights(graph, "random", seed=11)
+        before = len(pickle.dumps(weights))
+        assert weights.pert_array() is not None
+        assert len(pickle.dumps(weights)) == before
+        clone = pickle.loads(pickle.dumps(weights))
+        assert clone._pert_cache is None
+        assert list(clone.weights) == list(weights.weights)
+        assert np.array_equal(clone.pert_array()[0], weights.pert_array()[0])
+        assert clone.pert_array()[1] == weights.pert_array()[1]
+
+    def test_exact_weights_pickle_stable_too(self):
+        graph = connected_gnp_graph(30, 0.2, seed=2)
+        weights = make_weights(graph, "exact")
+        before = len(pickle.dumps(weights))
+        weights.pert_array()  # memoizes the "unsupported" marker
+        assert len(pickle.dumps(weights)) == before
+
+    def test_tree_pickle_carries_no_memoized_arrays(self):
+        """Audit: the SPT memoizes no engine exports; running the csr
+        weighted sweep over it (which exports graph CSR + perturbation
+        arrays) must not grow its pickle."""
+        graph = connected_gnp_graph(90, 0.08, seed=7)
+        weights = make_weights(graph, "random", seed=3)
+        tree = build_spt(graph, weights, 0)
+        before = len(pickle.dumps(tree))
+        if "csr" in available_engines():
+            list(get_engine("csr").weighted_failure_sweep(graph, weights, tree))
+        assert len(pickle.dumps(tree)) == before

@@ -14,9 +14,7 @@ directory of fixture trees):
 * ``repro.spt.dijkstra`` - the reference weighted traversal;
 * every engine-internal module: the array/compiled kernels and the
   concrete engine classes.  The public surface (``repro.engine``,
-  ``engine.base``, ``engine.registry``) and the transport modules
-  (``engine.shm``, ``engine.sharded``) stay importable - transports are
-  orchestration, not traversals.
+  ``engine.base``, ``engine.registry``) stays importable.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ cross-checks all three surfaces:
 
 * *code vars*: every string literal in the scan tree that is exactly a
   ``REPRO_[A-Z0-9_]+`` token (the repo's convention: each env var is
-  introduced as a named constant, e.g. ``SHM_ENV_VAR = "REPRO_SHM"``);
+  introduced as a named constant, e.g. ``ENGINE_ENV_VAR = "REPRO_ENGINE"``);
 * *help table*: the ``REPRO_*`` tokens inside the ``_ENV_VAR_HELP``
   string (any module of the tree may define it);
 * *README*: the ``REPRO_*`` tokens anywhere in the repo's README.md.

@@ -2,7 +2,7 @@
 
 The static passes freeze source-level invariants; these check the
 *registry-level* ones that depend on the installed environment - which
-engines exist, which transports and toolchains they report - plus two
+engines exist, which backends and toolchains they report - plus two
 smoke-log formats.  They replace the hand-rolled ``grep``s over
 ``repro engines`` / serve / resume output that ``ci.yml`` accumulated:
 a grep over human-oriented text breaks silently when the wording
@@ -11,21 +11,19 @@ shifts, and asserts far less than the registry can.
 Profiles (``python -m tools.check --engines PROFILE``):
 
 ``full``
-    A numpy + C-toolchain install: all four engines registered, the
-    sharded transport on the shared-memory plane with per-sweep
-    base-state segments, csr on compiled weighted kernels and the
-    compiled interference kernel with a loaded kernel library, and
-    sharded reporting csr's toolchain (it runs every traversal there).
+    A numpy + C-toolchain install: python, csr and csr-mt registered,
+    csr on compiled weighted kernels and the compiled interference
+    kernel with a loaded kernel library, and csr-mt reporting csr's
+    toolchain (it runs every traversal there).
 ``no-numpy``
-    A bare install: numpy genuinely absent, only python + sharded
-    registered, sharded degraded to the pickle transport.
+    A bare install: numpy genuinely absent, only python registered.
 ``no-compiler``
     numpy without a C toolchain (``REPRO_CC=0``): csr and csr-mt still
     registered, csr on its inherited numpy kernels and the interpreted
     interference spec, nothing claims a compiler.
 
-No profile may register ``csr-c``: the compiled kernels are csr's own
-backend, not an engine of their own.
+No profile may register ``csr-c`` (the compiled kernels are csr's own
+backend, not an engine of their own) or ``sharded`` (retired).
 
 ``--serve-log`` parses a ``repro serve`` JSONL transcript (every
 response must be ``"ok": true``); ``--resume-log`` parses ``repro run``
@@ -59,7 +57,7 @@ def _numpy_available() -> bool:
 
 
 def _check_names(names: List[str], required: Tuple[str, ...]) -> List[str]:
-    """Missing required engines, plus any ``csr-c`` registration."""
+    """Missing required engines, plus any retired registration."""
     failures = [
         f"engine {name!r} not registered (have {names})"
         for name in required
@@ -67,25 +65,16 @@ def _check_names(names: List[str], required: Tuple[str, ...]) -> List[str]:
     ]
     if "csr-c" in names:
         failures.append("csr-c registered: the C kernels belong to csr")
+    if "sharded" in names:
+        failures.append("sharded registered: the engine is retired")
     return failures
 
 
 def _check_full() -> List[str]:
     names, engines = _registry()
-    failures = _check_names(names, ("python", "csr", "csr-mt", "sharded"))
+    failures = _check_names(names, ("python", "csr", "csr-mt"))
     if failures:
         return failures
-    sharded = engines["sharded"]
-    if "shared-memory plane" not in sharded.transport:
-        failures.append(
-            f"sharded transport is {sharded.transport!r}, expected the "
-            "shared-memory plane"
-        )
-    if "base-state (per sweep)" not in sharded.plane_segments:
-        failures.append(
-            f"sharded segments are {sharded.plane_segments!r}, expected "
-            "per-sweep base-state segments"
-        )
     csr = engines["csr"]
     if not csr.weighted_backend.startswith("compiled C"):
         failures.append(
@@ -102,13 +91,10 @@ def _check_full() -> List[str]:
             f"csr interference_backend is {csr.interference_backend!r}, "
             "expected the compiled C kernel"
         )
-    from repro.engine import engine_context
-
-    with engine_context("csr"):  # sharded's base is the default engine
-        sharded_compiler = sharded.compiler
-    if sharded_compiler != csr.compiler:
+    mt_compiler = engines["csr-mt"].compiler
+    if mt_compiler != csr.compiler:
         failures.append(
-            f"sharded compiler is {sharded_compiler!r}, expected csr's "
+            f"csr-mt compiler is {mt_compiler!r}, expected csr's "
             f"{csr.compiler!r}"
         )
     for name, engine in engines.items():
@@ -121,20 +107,9 @@ def _check_no_numpy() -> List[str]:
     failures: List[str] = []
     if _numpy_available():
         failures.append("numpy unexpectedly importable in the no-numpy profile")
-    names, engines = _registry()
-    if "python" not in names:
-        failures.append(f"pure-python engine missing (have {names})")
-    for gated in ("csr", "csr-mt"):
-        if gated in names:
-            failures.append(f"engine {gated!r} registered without numpy")
-    sharded = engines.get("sharded")
-    if sharded is None:
-        failures.append(f"sharded engine missing (have {names})")
-    elif "pickle (shared memory unavailable)" not in sharded.transport:
-        failures.append(
-            f"sharded transport is {sharded.transport!r}, expected the "
-            "pickle fallback"
-        )
+    names, _ = _registry()
+    if names != ["python"]:
+        failures.append(f"expected the python engine alone, have {names}")
     return failures
 
 
@@ -143,7 +118,7 @@ def _check_no_compiler() -> List[str]:
     if not _numpy_available():
         failures.append("numpy missing - the no-compiler profile gates only cc")
     names, engines = _registry()
-    failures += _check_names(names, ("python", "csr", "csr-mt", "sharded"))
+    failures += _check_names(names, ("python", "csr", "csr-mt"))
     csr = engines.get("csr")
     if csr is not None:
         if not csr.weighted_backend.startswith("inherited numpy"):
