@@ -1,4 +1,4 @@
-"""Compiled kernel benchmark: csr's C vs numpy kernels (and windowed) (PR 7).
+"""Compiled kernel benchmark: csr's C vs numpy kernels.
 
 Times the sweep hot pair on growing G(n, p) instances on csr's numpy
 kernels (``CSREngine()``, or ``REPRO_CC=0`` where a call goes through
@@ -9,17 +9,11 @@ the registry) and on the default csr's C kernels, at three levels:
 * ``sweep``: a full all-edges failure sweep - dominated by the
   per-failure subtree recomputes;
 * ``verify``: end-to-end ``verify_subgraph`` with H = G (two sweep
-  sides plus the engine-independent oracle bookkeeping);
+  sides plus the engine-independent oracle bookkeeping).
 
-plus ``csr-mt`` windowing each backend as its base engine (2 threads,
-forced windowing), since the compiled kernels hold the GIL released for
-whole calls rather than per numpy array pass.
-
-Floors asserted on the full-size run: the compiled sweep must beat the
+Floor asserted on the full-size run: the compiled sweep must beat the
 numpy kernels by ``_SWEEP_FLOOR`` on the G(4000, ~48k edges) row
-(measured ~3.5-4x), and compiled-backed csr-mt must at least match
-numpy-backed csr-mt within noise (``_WALLCLOCK_FLOOR``).  Parity is
-asserted row by row, so every timing doubles as a bit-identity
+(measured ~3.5-4x).  Parity is asserted row by row, so every timing doubles as a bit-identity
 certificate.  The compile toolchain (cc version, flags, kernel cache
 path) is stamped into the record's params so the trajectory stays
 comparable across hosts.  The floor keys keep their names: ``csr`` is
@@ -35,7 +29,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.engine import ThreadedEngine, distances_equal, get_engine
+from repro.engine import distances_equal, get_engine
 from repro.engine import cbuild
 from repro.engine.csr_engine import CSREngine
 from repro.core.verify import verify_subgraph
@@ -45,10 +39,6 @@ from repro.harness import ExperimentRecord, save_record
 #: The compiled sweep hot pair must beat the numpy kernels by this much
 #: end to end on the largest instance (measured ~3.5-4x).
 _SWEEP_FLOOR = 1.3
-
-#: Windowing the compiled kernels must not regress vs windowing numpy
-#: (it should win; allow generous scheduling noise either way).
-_WALLCLOCK_FLOOR = 0.8
 
 
 def _instances(quick: bool):
@@ -92,12 +82,10 @@ def test_compiled_kernels_vs_csr(benchmark, quick_mode, bench_seed, monkeypatch)
             "base_csr_s", "base_c_s",
             "sweep_csr_s", "sweep_c_s",
             "verify_csr_s", "verify_c_s",
-            "mt_csr_s", "mt_c_s",
         ],
     )
     csr = CSREngine()
     compiled = get_engine("csr")
-    mt = ThreadedEngine(max_threads=2, min_batch=1)
     reps = 2 if quick_mode else 3
 
     for index, (n, deg) in enumerate(_instances(quick_mode)):
@@ -136,50 +124,33 @@ def test_compiled_kernels_vs_csr(benchmark, quick_mode, bench_seed, monkeypatch)
         assert rep_ref.ok and rep_c.ok
         assert rep_c.checked_failures == rep_ref.checked_failures
 
-        mt_csr_s, mt_ref = _best_of(
-            reps, on_numpy(lambda: list(mt.failure_sweep(graph, 0, eids)))
-        )
-        mt_c_s, mt_got = _best_of(
-            reps, lambda: list(mt.failure_sweep(graph, 0, eids))
-        )
-        for r, g in zip(mt_ref, mt_got):
-            assert distances_equal(r, g)
-
         record.add_row(
             n, graph.num_edges,
             round(base_csr, 4), round(base_c, 4),
             round(sweep_csr, 4), round(sweep_c, 4),
             round(verify_csr, 4), round(verify_c, 4),
-            round(mt_csr_s, 4), round(mt_c_s, 4),
         )
         if index == len(_instances(quick_mode)) - 1:
-            # Floors + measured ratios for tools/perf_guard.py (quick
-            # runs stamp sanity floors; the asserts below stay
+            # Floor + measured ratio for tools/perf_guard.py (quick runs
+            # stamp a sanity floor; the assert below stays
             # full-size-only).
             record.params["floors"] = {
                 "sweep_csrc_vs_csr": 0.7 if quick_mode else _SWEEP_FLOOR,
-                "mt_csrc_vs_mt_csr": 0.5 if quick_mode else _WALLCLOCK_FLOOR,
             }
             record.derived["speedups"] = {
                 "sweep_csrc_vs_csr": round(sweep_csr / max(sweep_c, 1e-9), 3),
-                "mt_csrc_vs_mt_csr": round(mt_csr_s / max(mt_c_s, 1e-9), 3),
             }
         if not quick_mode and index == len(_instances(quick_mode)) - 1:
             assert sweep_c <= sweep_csr / _SWEEP_FLOOR, (
                 f"compiled sweep speedup below the {_SWEEP_FLOOR}x floor on "
                 f"n={n}: numpy {sweep_csr:.3f}s vs C {sweep_c:.3f}s"
             )
-            assert mt_c_s <= mt_csr_s / _WALLCLOCK_FLOOR, (
-                f"csr-mt over the C kernels regressed vs the numpy ones on "
-                f"n={n}: {mt_c_s:.3f}s vs {mt_csr_s:.3f}s"
-            )
 
     record.note(
         "best-of timing per cell.  base = sweep-handle build (ordered BFS "
         "+ Euler walk); sweep = all-edges failure sweep; verify = "
-        "verify_subgraph with H = G; mt_* = csr-mt (2 threads, forced "
-        "windowing) over csr on each backend.  sweep + windowing floors "
-        "asserted only on full-size runs; the verify floor lives in "
+        "verify_subgraph with H = G.  The sweep floor is asserted only "
+        "on full-size runs; the verify floor lives in "
         "tests/test_engine_perf.py."
     )
     print()

@@ -126,8 +126,8 @@ def test_weighted_construction_speedup(
         assert ref.pairs.pairs == fast.pairs.pairs, name
 
     # The standalone weighted failure sweep, numpy vs C: the hot
-    # primitive behind the replacement recomputes (and the csr-mt
-    # windows), timed over one shared tree.
+    # primitive behind the replacement recomputes, timed over one
+    # shared tree.
     sweep_engines = {NUMPY_ROW: CSREngine()}
     if "csr" in engines:
         sweep_engines["csr"] = get_engine("csr")

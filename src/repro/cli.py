@@ -29,12 +29,12 @@ Subcommands
     A tiny end-to-end demo.
 ``engines``
     List the registered traversal engines (see :mod:`repro.engine`),
-    including the backend each runs per layer and its thread budget.
+    including the backend each runs per layer.
 ``check``
     Run the repo-invariant analyzer (``tools.check``: engine-boundary,
-    optional-dependency, env-registry, shm-lifecycle, pickle-hygiene,
-    and ctypes-ABI passes) over the source tree.  Only available from a
-    source checkout - the ``tools`` package is not installed.
+    optional-dependency, env-registry, pickle-hygiene, and ctypes-ABI
+    passes) over the source tree.  Only available from a source
+    checkout - the ``tools`` package is not installed.
 
 ``run``, ``build``, ``query``, ``serve`` and ``quickstart`` accept
 ``--engine {python,csr}`` to pin the traversal engine for the whole
@@ -79,8 +79,6 @@ environment variables:
   REPRO_ENGINE           default traversal engine (same values as --engine)
   REPRO_MAX_WORKERS      worker-process budget for --jobs 0
                          (default: cores - 1)
-  REPRO_THREADS          thread budget for the csr-mt engine
-                         (default: the REPRO_MAX_WORKERS worker default)
   REPRO_CC               0 runs csr on its numpy kernels; any other
                          value names the C compiler to use (default:
                          $CC, then cc/gcc/clang on PATH)
@@ -89,9 +87,6 @@ environment variables:
   REPRO_CC_FLAGS         extra compiler flags appended to the kernel
                          CFLAGS (e.g. "-fsanitize=address,undefined -g");
                          folded into the compile-cache key
-  REPRO_IN_WORKER        set to 1 by the harness in sweep worker
-                         processes so nested code skips parallel fan-out;
-                         not meant to be set by hand
 """
 
 
@@ -170,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_p.add_argument(
         "--failed",
-        default="",
+        type=_eid_list,
+        default=[],
         help="comma-separated failed edge ids (default: none)",
     )
     query_p.add_argument(
@@ -240,7 +236,6 @@ def _cmd_engines() -> int:
         print(f"  {'':<8}   replacement: {engine.replacement_backend}")
         print(f"  {'':<8}   detours: {engine.detour_backend}")
         print(f"  {'':<8}   interference: {engine.interference_backend}")
-        print(f"  {'':<8}   threads: {engine.threads}")
         print(f"  {'':<8}   compiler: {engine.compiler}")
     print(f"select with --engine, ${ENGINE_ENV_VAR}, or repro.engine.set_default_engine")
     return 0
@@ -304,8 +299,15 @@ def _build_query_tree(graph, source: int, seed: int):
     raise last  # pragma: no cover - 8 consecutive ties never happens
 
 
-def _parse_eids(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _eid_list(text: str) -> List[int]:
+    """``--failed``'s argparse type: comma-separated edge ids (empty
+    parts skipped); range checks are left to the oracle."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer edge ids, got {text!r}"
+        ) from None
 
 
 def _cmd_build_save(
@@ -331,7 +333,7 @@ def _cmd_build_save(
 def _cmd_query(
     snapshot: str,
     targets: Optional[List[int]],
-    failed: str,
+    failed_eids: List[int],
     sample: int,
     seed: int,
     show_path: bool,
@@ -345,7 +347,6 @@ def _cmd_query(
 
     try:
         oracle = QueryOracle.load(snapshot, engine=engine)
-        failed_eids = _parse_eids(failed)
         structure = oracle.structure
         n = structure.num_vertices
         print(

@@ -24,9 +24,8 @@ only the subtree hanging under a failed tree edge (in C when the kernels
 compile, else on numpy), which is what makes ``verify_structure`` fast
 at scale; the python engine runs the historical two-BFS-per-failure
 loop.  Verification runs on the engine it is given (the usual
-selection chain when none is named); ``csr-mt`` windows both sweep
-sides over threads when named.  Verdicts, counts, and violations are
-bit-identical across engines (enforced by the parity tests).
+selection chain when none is named).  Verdicts, counts, and violations
+are bit-identical across engines (enforced by the parity tests).
 
 It also exposes :func:`unprotected_edges`, the measured set the paper
 calls ``E_miss(H)`` - handy for evaluating *any* candidate subgraph, not
@@ -103,40 +102,13 @@ def _two_sided_sweep(
     graph: Graph,
     source: Vertex,
     h_edges: Set[EdgeId],
-    *,
-    need_base_h: bool = True,
 ):
     """``(base_g, base_h, pairs)`` for the oracle's two sweep sides.
 
     ``pairs(candidates)`` yields ``(eid, dist_g, dist_h)`` per failure.
-    Plain in-process engines go through one shared sweep handle per
-    side, so the base traversal is computed exactly once and reused by
-    every failure.  Parallel engines (``parallel_sweeps`` - the
-    thread-windowed csr-mt) stream both sides through their own
-    ``failure_sweep`` instead — each side gets a half-budget copy so
-    the two concurrently consumed sweeps share the machine's thread
-    budget rather than doubling it; callers that never look at the
-    structure-side base (``unprotected_edges``) pass
-    ``need_base_h=False`` to skip that traversal.  Values are identical
-    either way (parallelism never affects results).
+    Each side goes through one sweep handle, so its base traversal is
+    computed exactly once and reused by every failure.
     """
-    if getattr(eng, "parallel_sweeps", False):
-        base_g = eng.distances(graph, source)
-        base_h = (
-            eng.distances(graph, source, allowed_edges=h_edges)
-            if need_base_h
-            else None
-        )
-
-        def pairs(candidates: List[EdgeId]):
-            sweep_g = eng.halved().failure_sweep(graph, source, candidates)
-            sweep_h = eng.halved().failure_sweep(
-                graph, source, candidates, allowed_edges=h_edges
-            )
-            return zip(candidates, sweep_g, sweep_h)
-
-        return base_g, base_h, pairs
-
     handle_g = eng.sweep(graph, source)
     handle_h = eng.sweep(graph, source, allowed_edges=h_edges)
 
@@ -274,9 +246,7 @@ def unprotected_edges(
     """
     eng = get_engine(engine)
     h_edges: Set[EdgeId] = set(structure_edges)
-    base_g, _base_h, pairs = _two_sided_sweep(
-        eng, graph, source, h_edges, need_base_h=False
-    )
+    base_g, _base_h, pairs = _two_sided_sweep(eng, graph, source, h_edges)
     result: Set[EdgeId] = set()
     for eid, dist_g, dist_h in pairs(
         _fault_candidates(graph, base_g, h_edges, set())

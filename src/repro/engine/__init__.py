@@ -29,8 +29,7 @@ Engine contract (details in :mod:`repro.engine.base`)
   replacement distances for *all* tree-edge failures, and many
   independent (seeded) weighted traversals, in one amortized pass.  The
   reference implementations are the per-call loops; the csr engine
-  stacks the runs into shared per-level kernels, and csr-mt windows
-  the weighted sweep over threads.  Reported via
+  stacks the runs into shared per-level kernels.  Reported via
   ``replacement_backend`` / ``detour_backend``.
 
 Built-in engines
@@ -49,20 +48,13 @@ Built-in engines
     numpy kernels (:mod:`repro.engine.csr_engine`) - same bits, same
     exceptions.  ``compiler`` (shown by ``repro engines``) reports the
     toolchain.
-``"csr-mt"``
-    Thread-parallel ``failure_sweep`` windows over the csr kernels
-    inside one process (:mod:`repro.engine.threaded`); zero-copy by
-    construction and bit-identical to csr.  Registered only when numpy
-    imports (the kernels' GIL-releasing calls are what make threads
-    pay); never the implicit default.  Engines report their sweep
-    budget via ``threads`` (shown by ``repro engines``).
 
 Selection
 ---------
 Explicit ``engine=`` keyword > :func:`engine_context` /
 :func:`set_default_engine` > the ``REPRO_ENGINE`` environment variable >
 ``"csr"`` if available else ``"python"``.  The CLI exposes the same
-choice as ``repro engines`` and ``--engine {python,csr,...}``; parallel
+choice as ``repro engines`` and ``--engine {python,csr}``; parallel
 sweep workers honor :class:`repro.harness.parallel.SweepTask.engine`.
 """
 
@@ -84,10 +76,8 @@ from repro.engine.registry import (
     register_engine,
     set_default_engine,
 )
-from repro.engine.threaded import ThreadedEngine
 
 __all__ = [
-    "ThreadedEngine",
     "UNREACHABLE",
     "ReplacementSweepItem",
     "SweepHandle",

@@ -9,9 +9,8 @@
  * (int64 offsets/ids, uint8 masks, passed as raw pointers) and writes
  * into caller-allocated int64 outputs, so the Python side stays
  * allocation-compatible with the numpy kernels it replaces.  Nothing
- * here touches the Python API: ctypes releases the GIL around every
- * call, which is what lets the csr-mt engine window these kernels
- * across genuinely concurrent threads.
+ * here touches the Python API, so ctypes releases the GIL around every
+ * call.
  *
  * Bit-identity with repro/engine/kernels.py (the acceptance bar):
  *

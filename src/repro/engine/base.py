@@ -2,21 +2,17 @@
 
 A :class:`TraversalEngine` is the single dispatch point for every
 unweighted (hop) traversal in the library, plus the weighted tie-broken
-Dijkstra used by the construction.  Three implementations ship by default
+Dijkstra used by the construction.  Two implementations ship by default
 (see :mod:`repro.engine.registry`):
 
 ``"python"``
     The executable specification: pure-Python adjacency-list loops,
     byte-for-byte the library's historical behavior.
 ``"csr"``
-    Frontier-based numpy kernels over a cached CSR view of the graph
+    C kernels (:mod:`repro.engine.compiled`) with frontier-based numpy
+    kernels as their fallback, over a cached CSR view of the graph
     (:mod:`repro.engine.csr` / :mod:`repro.engine.kernels`).  Registered
     only when numpy is importable.
-``"csr-mt"``
-    A wrapper (:mod:`repro.engine.threaded`), registered with csr, that
-    delegates everything to csr but fans ``failure_sweep`` batches out
-    over threads — the sweep is embarrassingly parallel over edge ids,
-    and contiguous windows keep it bit-identical to the base.
 
 Contract
 --------
@@ -168,23 +164,11 @@ class TraversalEngine:
         "interpreted spec (InterferenceIndex.exists_live_partner)"
     )
 
-    #: How many concurrent executors the engine's sweeps run on
-    #: (``repro engines`` reports it).  Single-process engines run the
-    #: caller's one thread; the threaded engine overrides this with its
-    #: resolved thread budget.
-    threads: str = "1 (the calling thread)"
-
     #: Which compiled toolchain backs the engine's kernels (``repro
     #: engines`` reports it).  Interpreted engines have none; the csr
     #: engine overrides this with its resolved cc, flags, and kernel
     #: cache path (see :mod:`repro.engine.cbuild`).
     compiler: str = "none (interpreted/numpy kernels)"
-
-    #: Whether ``failure_sweep``/``weighted_failure_sweep`` fan out over
-    #: parallel executors.  The verification oracle streams its two
-    #: sweep sides through ``failure_sweep`` (with a ``halved()`` budget
-    #: each) on such engines instead of sharing per-side sweep handles.
-    parallel_sweeps: bool = False
 
     # -- unweighted (hop) traversals -----------------------------------
     def distances(

@@ -16,7 +16,7 @@ order and tie events, enforced by the parity suites with and without
 
 The weighted routing goes through ``CSREngine._weighted_levels``, so
 every weighted surface - single-source, seeded, the stacked batched
-variants, the chunked ``PreparedWeightedSweep`` - lands on the one C
+variants, the chunked weighted failure sweep - lands on the one C
 kernel, seed intake (running-min semantics) included.  The Python-side
 gating is unchanged: the exact
 scheme's ``2**eid`` perturbations are not int64-representable, so
@@ -27,10 +27,8 @@ tie event it bails out and the traversal reruns on the numpy path,
 which replays ties exactly and raises the reference's
 :class:`~repro.errors.TieBreakError`, message and all.
 
-Because ctypes releases the GIL around every call, the ``csr-mt``
-engine windows these kernels - unweighted and weighted alike - across
-genuinely concurrent threads, and a loaded snapshot's mapped tree
-planes feed the weighted sweep's C kernel zero-copy.
+A loaded snapshot's mapped tree planes feed the weighted sweep's C
+kernel zero-copy.
 
 Phase S1's ``exists_live_partners`` runs in C too, one call per batch
 of pairs, over arrays built once per

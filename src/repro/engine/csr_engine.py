@@ -65,7 +65,7 @@ from repro.engine.weighted_kernels import (
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
-__all__ = ["CSREngine", "PreparedWeightedSweep"]
+__all__ = ["CSREngine"]
 
 #: Cap on stacked state entries (``B * n``) per chunk; bounds the five
 #: int64 state arrays of a stacked run at ~16 MB regardless of how many
@@ -586,35 +586,44 @@ class CSREngine(PythonEngine):
         edge_list = list(eids) if eids is not None else tree.tree_edges()
         if not edge_list:
             return
-        prepared = self.prepared_weighted_sweep(graph, weights, tree, edge_list)
-        if prepared is None:
+        setup = self._sweep_setup(graph, weights, tree, edge_list)
+        if setup is None:
             yield from super().weighted_failure_sweep(
                 graph, weights, tree, eids=edge_list
             )
             return
-        yield from prepared.items(0, len(edge_list))
+        csr, perts, children, sizes, tree_arrays = setup
+        n = csr.num_vertices
+        max_batch = max(1, _STACK_STATE // max(1, n))
+        chunks = list(_stream_chunks(sizes, _STACK_STREAM, max_batch))
+        # One state buffer for the whole sweep: subtree layers only ever
+        # touch their own vertices, so each chunk resets exactly the
+        # positions it wrote instead of paying an O(B * n) allocation.
+        size = max(hi - lo for lo, hi in chunks) * n
+        state = (
+            np.zeros(size, dtype=bool),
+            np.full(size, -1, dtype=np.int64),
+            np.empty(size, dtype=np.int64),
+            np.empty(size, dtype=np.int64),
+            np.empty(size, dtype=np.int64),
+            np.zeros(size, dtype=bool),  # the allowed mask, same regime
+        )
+        for lo, hi in chunks:
+            yield from self._sweep_chunk(
+                csr, weights, perts, edge_list[lo:hi], children[lo:hi],
+                *tree_arrays, state,
+            )
 
-    def prepared_weighted_sweep(
-        self,
-        graph: Graph,
-        weights,
-        tree,
-        eids: Sequence[EdgeId],
-    ) -> Optional["PreparedWeightedSweep"]:
-        """The sweep's setup as a reusable, slice-runnable state object.
+    def _sweep_setup(self, graph: Graph, weights, tree, edge_list):
+        """The weighted sweep's per-call setup, or None on a gate failure.
 
-        Everything ``weighted_failure_sweep`` derives per call - the
-        gated perturbation plan, the tree's int64 hop/pert decomposition
-        and Euler arrays, the edge -> deeper-endpoint map, and the
-        per-subtree expansion sizes - computed once and captured in a
-        :class:`PreparedWeightedSweep` whose ``items(lo, hi)`` runs any
-        contiguous slice of the request.  The threaded engine builds it
-        once and shares it across its windows (``items`` is thread-safe,
-        every mutable buffer is allocated per call) instead of paying
-        the O(n) setup per window.  None when the plan gating fails;
-        callers fall back to the reference loops.
+        Returns ``(csr, perts, children, sizes, tree_arrays)``: the
+        gated perturbation plan, each failed edge's deeper endpoint, the
+        per-subtree expansion sizes that chunking packs by, and the
+        tree's int64 ``(hop, pert, tin, tout, preorder)`` arrays.  None
+        when the plan cannot represent the assignment (or its largest
+        crossing-edge seed); the caller then runs the reference loops.
         """
-        edge_list = list(eids)
         export = weights.pert_array()
         if export is None or weighted_plan(graph, weights) is None:
             return None
@@ -662,10 +671,7 @@ class CSREngine(PythonEngine):
         deg_pre = (csr.indptr[1:] - csr.indptr[:-1])[preorder]
         cum = np.concatenate([[0], np.cumsum(deg_pre)])
         sizes = [int(cum[tout[c]] - cum[tin[c]]) for c in children]
-        return PreparedWeightedSweep(
-            self, csr, weights, perts, edge_list, children, sizes,
-            hop0, pert0, tin, tout, preorder,
-        )
+        return csr, perts, children, sizes, (hop0, pert0, tin, tout, preorder)
 
     def _sweep_chunk(
         self,
@@ -772,70 +778,3 @@ class CSREngine(PythonEngine):
         settled[touched] = False
         hop[touched] = -1
         allowed_ok[touched] = False
-
-
-class PreparedWeightedSweep:
-    """One weighted failure sweep's setup, runnable slice by slice.
-
-    Built by :meth:`CSREngine.prepared_weighted_sweep`; immutable after
-    construction.  ``items(lo, hi)`` yields the replacement items of the
-    request slice ``edge_list[lo:hi]``, bit-identical to running the
-    whole sweep and slicing its output (chunk boundaries never affect
-    values).  Concurrent ``items`` calls are safe: the shared arrays are
-    read-only, and the chunk state buffers are allocated per call.
-    """
-
-    __slots__ = (
-        "_engine", "csr", "weights", "perts", "edge_list", "children",
-        "sizes", "hop0", "pert0", "tin", "tout", "preorder",
-    )
-
-    def __init__(
-        self, engine, csr, weights, perts, edge_list, children, sizes,
-        hop0, pert0, tin, tout, preorder,
-    ) -> None:
-        self._engine = engine
-        self.csr = csr
-        self.weights = weights
-        self.perts = perts
-        self.edge_list = edge_list
-        self.children = children
-        self.sizes = sizes
-        self.hop0 = hop0
-        self.pert0 = pert0
-        self.tin = tin
-        self.tout = tout
-        self.preorder = preorder
-
-    def __len__(self) -> int:
-        return len(self.edge_list)
-
-    def items(self, lo: int, hi: int) -> Iterator[ReplacementSweepItem]:
-        """Replacement items for the request slice ``[lo, hi)``."""
-        eids = self.edge_list[lo:hi]
-        if not eids:
-            return
-        children = self.children[lo:hi]
-        sizes = self.sizes[lo:hi]
-        n = self.csr.num_vertices
-        max_batch = max(1, _STACK_STATE // max(1, n))
-        chunks = list(_stream_chunks(sizes, _STACK_STREAM, max_batch))
-        # One state buffer for the whole slice: subtree layers only ever
-        # touch their own vertices, so each chunk resets exactly the
-        # positions it wrote instead of paying an O(B * n) allocation.
-        size = max(c_hi - c_lo for c_lo, c_hi in chunks) * n
-        state = (
-            np.zeros(size, dtype=bool),
-            np.full(size, -1, dtype=np.int64),
-            np.empty(size, dtype=np.int64),
-            np.empty(size, dtype=np.int64),
-            np.empty(size, dtype=np.int64),
-            np.zeros(size, dtype=bool),  # the allowed mask, same regime
-        )
-        for c_lo, c_hi in chunks:
-            yield from self._engine._sweep_chunk(
-                self.csr, self.weights, self.perts,
-                eids[c_lo:c_hi], children[c_lo:c_hi],
-                self.hop0, self.pert0, self.tin, self.tout, self.preorder,
-                state,
-            )

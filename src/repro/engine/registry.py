@@ -12,9 +12,6 @@ absent then).  ``"csr"`` is :class:`~repro.engine.compiled.CompiledEngine`:
 it runs the C kernels whenever they compile and load, and its inherited
 numpy kernels otherwise (no compiler, ``REPRO_CC=0``, a failed compile),
 so a C toolchain changes its speed, never its registration.
-``"csr-mt"`` (the thread-windowed sweep wrapper,
-:mod:`repro.engine.threaded`) registers with csr but is never the
-implicit default — it runs only when selected explicitly.
 """
 
 from __future__ import annotations
@@ -57,11 +54,6 @@ def _ensure_builtins() -> None:
         return
     # Compilation is deferred to the first kernel call.
     register_engine(CompiledEngine())
-    # The thread-parallel wrapper only pays on the GIL-releasing kernels,
-    # so it is gated out with them.
-    from repro.engine.threaded import ThreadedEngine
-
-    register_engine(ThreadedEngine())
 
 
 def register_engine(engine: TraversalEngine) -> None:

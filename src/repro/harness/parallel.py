@@ -19,11 +19,6 @@ Usage:
     tasks = [SweepTask.make("gnp", {"n": 200, "seed": s}, epsilon=e)
              for s in range(4) for e in (0.2, 0.5, 1.0)]
     outcomes = run_sweep(tasks, max_workers=4)
-
-Worker processes are marked with the ``REPRO_IN_WORKER`` environment
-variable so nested parallel primitives (the thread-windowed ``csr-mt``
-engine) degrade to their serial form instead of oversubscribing the
-machine.
 """
 
 from __future__ import annotations
@@ -55,14 +50,8 @@ __all__ = [
     "run_sweep",
     "default_worker_count",
     "resolve_stage",
-    "in_worker_process",
-    "mark_worker",
-    "WORKER_ENV_VAR",
     "MAX_WORKERS_ENV_VAR",
 ]
-
-#: Set to "1" in every pool worker; nested parallel primitives check it.
-WORKER_ENV_VAR = "REPRO_IN_WORKER"
 
 #: Caps/overrides :func:`default_worker_count` when set to a positive int.
 MAX_WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
@@ -102,26 +91,6 @@ def resolve_stage(func_ref: str) -> Callable[[Mapping[str, Any]], Any]:
     if not callable(fn):
         raise ExperimentError(f"stage {func_ref!r} is not callable")
     return fn
-
-
-def mark_worker() -> None:
-    """Pool initializer: tag the process so nested fanouts stay serial.
-
-    Every process pool in the library must install this (the harness
-    stage pool here is the only one) - an unmarked worker that reaches
-    a parallel primitive would fan out again and oversubscribe the
-    machine.
-    """
-    os.environ[WORKER_ENV_VAR] = "1"
-
-
-#: Backwards-compatible alias (the initializer predates its export).
-_mark_worker = mark_worker
-
-
-def in_worker_process() -> bool:
-    """Whether this process is a harness pool worker."""
-    return os.environ.get(WORKER_ENV_VAR, "") not in ("", "0")
 
 
 def _run_stage(task: StageTask) -> Tuple[Any, float]:
@@ -165,9 +134,7 @@ def run_stage_tasks(
             result, elapsed = _run_stage(task)
             yield index, result, elapsed
         return
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(tasks)), initializer=_mark_worker
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = {
             pool.submit(_run_stage, task): index
             for index, task in enumerate(tasks)
@@ -303,14 +270,11 @@ def run_sweep(
     tasks: Sequence[SweepTask],
     *,
     max_workers: Optional[int] = None,
-    chunksize: int = 1,
 ) -> List[SweepOutcome]:
     """Run sweep points, in-process when ``max_workers`` resolves to 1,
     else over a process pool (None/0 = auto).  Results come back in task
     order regardless of completion order, making parallel runs
-    bit-identical to serial ones (asserted in the tests).  ``chunksize``
-    is accepted for backward compatibility and ignored (stage dispatch
-    is per-task).
+    bit-identical to serial ones (asserted in the tests).
     """
     stage_tasks = [
         StageTask(func="repro.harness.parallel:_sweep_stage", payload={"task": t})

@@ -23,7 +23,7 @@ E12    economics              Discussion: greedy optimization ablation vs univer
 E13    runtime                runtime scaling of the pipeline stages
 E14    extensions             vertex-fault FT-BFS + sensitivity oracle + trace replay
 E15    extensions             ablations: drop S1 / drop S2 / weights / regime dispatch
-E16    runtime                traversal engines: python/csr/csr-mt (parity+speed)
+E16    runtime                traversal engines: python vs csr (parity+speed)
 =====  =====================  =========================================
 
 ``quick=True`` shrinks every grid for CI-speed runs; the benchmarks run

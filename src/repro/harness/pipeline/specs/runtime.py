@@ -145,7 +145,7 @@ def e16_measure(payload: Dict[str, Any]) -> Dict[str, Any]:
 E16 = ScenarioSpec(
     experiment_id="E16",
     title="Traversal engines: python reference vs csr kernels",
-    description="traversal engines: python vs csr vs csr-mt (parity+speed)",
+    description="traversal engines: python vs csr (parity+speed)",
     columns=(
         "workload", "n", "m", "engine", "weighted", "replacement",
         "detour_batch", "weight_scheme",
@@ -161,7 +161,5 @@ E16 = ScenarioSpec(
         "replacement/detour_batch record how each engine runs the weighted "
         "failure sweep and the batched detour traversals (PR 4)",
         "parity asserts identical VerificationReport + unprotected_edges output",
-        "under --jobs > 1 the csr-mt row times its inline fallback "
-        "(pool workers never nest thread pools)",
     ),
 )

@@ -208,7 +208,7 @@ def tree_facade(graph: Graph, weights, source: int, arrays):
     # children / binary-lifting tables are deliberately not rebuilt: no
     # failure-sweep path touches them (lca() would need a full rebuild).
     # The mapped int64 decomposition, for engines that can consume it
-    # directly (``CSREngine.prepared_weighted_sweep``): the mapped
+    # directly (``CSREngine.weighted_failure_sweep``): the mapped
     # views instead of the Python lists above, so a weighted sweep's
     # setup never pays the O(n) list/big-int round trips again.
     tree._base_state = {

@@ -107,7 +107,6 @@ class QueryOracle:
         structure: OracleStructure,
         *,
         engine: Optional[str] = None,
-        fallback_cache: int = _FALLBACK_CACHE_SIZE,
     ) -> None:
         self.structure = structure
         self._engine_name = engine
@@ -137,7 +136,6 @@ class QueryOracle:
             int(eid): row for row, eid in enumerate(arrays["repl_eids"])
         }
         self._marked: Set[EdgeId] = set()
-        self._fallback_cap = max(1, fallback_cache)
         self._fallback: "OrderedDict[FrozenSet[EdgeId], object]" = OrderedDict()
         self.stats = OracleStats()
 
@@ -385,7 +383,7 @@ class QueryOracle:
             banned_edges=set(fset),
         )
         self._fallback[fset] = sp
-        while len(self._fallback) > self._fallback_cap:
+        while len(self._fallback) > _FALLBACK_CACHE_SIZE:
             self._fallback.popitem(last=False)
         self.stats.fallback_traversals += 1
         return sp

@@ -19,8 +19,7 @@ Two execution paths feed the same memoized cache (PR 4):
   whose lazy probes cross a constant fraction of the tree edges - fills
   every missing failure through the engine's ``weighted_failure_sweep``,
   which amortizes one pass over all failures (the csr engine stacks the
-  subtree recomputes into shared per-level kernels; csr-mt windows them
-  over threads).
+  subtree recomputes into shared per-level kernels).
 
 Both paths are bit-identical by contract - the sweep's reference
 implementation *is* the per-call loop - which

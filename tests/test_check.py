@@ -17,7 +17,11 @@ if str(REPO_ROOT) not in sys.path:  # `tools` lives next to src/, not inside it
     sys.path.insert(0, str(REPO_ROOT))
 
 from tools.check import Violation, load_allowlist, main, run_passes  # noqa: E402
-from tools.check.runtime import check_resume_log, check_serve_log  # noqa: E402
+from tools.check.runtime import (  # noqa: E402
+    _check_names,
+    check_resume_log,
+    check_serve_log,
+)
 
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "check"
 
@@ -30,7 +34,7 @@ class TestFixtures:
     def test_clean_tree_is_clean(self):
         violations, notes = run_passes(FIXTURES / "clean")
         assert violations == []
-        assert len(notes) == 6  # every pass actually ran
+        assert len(notes) == 5  # every pass actually ran
 
     def test_boundary_pass_flags_exactly_its_fixture(self):
         violations, _ = run_passes(FIXTURES / "boundary_bad")
@@ -51,11 +55,6 @@ class TestFixtures:
             "CHK003 worker.py::REPRO_WIDGET",   # read, not in the help table
             "CHK003 worker.py::REPRO_WIDGET@README",  # read, not in README
         ]
-
-    def test_shm_pass_flags_exactly_its_fixture(self):
-        violations, _ = run_passes(FIXTURES / "shm_bad")
-        assert _keys(violations) == ["CHK004 plane.py::publish"]
-        assert "leaks" in violations[0].message
 
     def test_pickle_pass_flags_both_bug_shapes(self):
         violations, _ = run_passes(FIXTURES / "pickle_bad")
@@ -135,10 +134,10 @@ class TestCliContract:
     def test_exit_one_on_violations(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
-        code = main([str(FIXTURES / "shm_bad"), "--allowlist", str(empty)])
+        code = main([str(FIXTURES / "boundary_bad"), "--allowlist", str(empty)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "CHK004" in out
+        assert "CHK001" in out
 
     def test_exit_two_on_bad_root(self, capsys):
         assert main([str(FIXTURES / "no_such_tree")]) == 2
@@ -152,8 +151,8 @@ class TestCliContract:
     def test_list_passes(self, capsys):
         assert main(["--list-passes"]) == 0
         out = capsys.readouterr().out
-        for rule in ("CHK001", "CHK002", "CHK003", "CHK004", "CHK005", "CHK006"):
-            assert rule in out
+        rules = [line.split()[0] for line in out.splitlines()]
+        assert rules == ["CHK001", "CHK002", "CHK003", "CHK005", "CHK006"]
 
     def test_syntax_error_reported_not_crash(self, tmp_path, capsys):
         (tmp_path / "README.md").write_text("# broken tree\n")
@@ -162,6 +161,22 @@ class TestCliContract:
         out = capsys.readouterr().out
         assert code == 1
         assert "CHK000" in out and "unparsable" in out
+
+
+class TestRuntimeEngineNames:
+    def test_expected_engines_pass(self):
+        assert _check_names(["python", "csr"], ("python", "csr")) == []
+
+    def test_missing_engine_flagged(self):
+        (failure,) = _check_names(["python"], ("python", "csr"))
+        assert "'csr' not registered" in failure
+
+    def test_retired_engines_flagged(self):
+        retired = ["csr-c", "sharded", "csr-mt"]
+        failures = _check_names(["python", "csr", *retired], ("python", "csr"))
+        assert len(failures) == len(retired)
+        for name, failure in zip(retired, failures):
+            assert f"engine {name!r} registered" in failure
 
 
 class TestRuntimeLogChecks:

@@ -48,9 +48,17 @@ class TestEngines:
         assert "weighted_backend:" in out  # per-engine weighted capability line
         assert "replacement:" in out  # weighted-failure-sweep backend
         assert "detours:" in out  # batched multi-source backend
-        assert "threads:" in out  # sweep thread budget
+        assert "threads:" not in out  # no engine runs its own threads
         assert "transport:" not in out and "segments:" not in out
-        assert "csr-c" not in out and "sharded" not in out
+        # One header line per engine (detail lines are indented deeper):
+        # python and, with numpy, csr - nothing retired comes back.
+        listed = [
+            line.split()[0]
+            for line in out.splitlines()
+            if line.startswith("  ") and not line.startswith("   ")
+        ]
+        assert listed == available_engines()
+        assert set(listed) <= {"python", "csr"}
         if "csr" in available_engines():
             assert "csr" in out
             # compiled vs inherited-numpy is resolved live, not hardcoded
@@ -140,6 +148,27 @@ class TestOracleCLI:
         rc = main(["query", str(tmp_path / "missing.snap")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_query_failed_rejects_non_integer_before_loading(
+        self, capsys, tmp_path
+    ):
+        # The snapshot does not exist: argparse must reject first.
+        with pytest.raises(SystemExit) as exc:
+            main(["query", str(tmp_path / "missing.snap"), "--failed", "3,x"])
+        assert exc.value.code == 2
+        assert "argument --failed" in capsys.readouterr().err
+
+    def test_query_failed_out_of_range_is_a_clean_error(
+        self, capsys, snapshot_file
+    ):
+        rc = main(["query", str(snapshot_file), "--failed=-1"])
+        assert rc == 1
+        assert "error: edge id -1 out of range [0, " in capsys.readouterr().err
+
+    def test_query_failed_skips_blank_parts(self):
+        parse = build_parser().parse_args
+        assert parse(["query", "s.snap", "--failed", "3, 4,"]).failed == [3, 4]
+        assert parse(["query", "s.snap"]).failed == []
 
     def test_query_engine_flag_resets_default(self, snapshot_file):
         from repro.engine import get_engine

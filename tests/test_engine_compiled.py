@@ -139,11 +139,10 @@ class TestRegistration:
         proc = _run_py(
             "from repro.engine import available_engines, cbuild, get_engine\n"
             "names = available_engines()\n"
-            "assert names == ['python', 'csr', 'csr-mt'], names\n"
+            "assert names == ['python', 'csr'], names\n"
             "eng = get_engine()\n"
             "assert eng.name == 'csr' and cbuild.kernel_library() is None\n"
             "assert eng.weighted_backend.startswith('inherited numpy')\n"
-            "assert get_engine('csr-mt').base_engine() is eng\n"
             "from repro.graphs import connected_gnp_graph\n"
             "from repro.core.verify import verify_subgraph, _resolve_engine\n"
             "g = connected_gnp_graph(40, 0.1, seed=1)\n"
@@ -352,16 +351,3 @@ class TestParity:
         assert got.ok == ref.ok
         assert got.checked_failures == ref.checked_failures
         assert got.violations == ref.violations
-
-    def test_threaded_windows_over_compiled_base(self):
-        """csr-mt windows the compiled csr and stays bit-identical to
-        the numpy kernels."""
-        from repro.engine import ThreadedEngine
-
-        assert get_engine("csr-mt").base_engine() is get_engine("csr")
-        graph = connected_gnp_graph(90, 0.08, seed=7)
-        eids = list(range(graph.num_edges))
-        ref = list(CSREngine().failure_sweep(graph, 0, eids))
-        engine = ThreadedEngine(max_threads=4, min_batch=1)
-        for r, x in zip(ref, engine.failure_sweep(graph, 0, eids)):
-            assert distances_equal(r, x)

@@ -291,8 +291,8 @@ def test_unprotected_edges_parity(seed):
 
 
 class TestVerificationParity:
-    """Reports and E_miss on every registered engine, csr-mt included
-    (its windowed two-sided sweep), against the python spec."""
+    """Reports and E_miss on every registered engine against the
+    python spec."""
 
     @pytest.fixture(scope="class")
     def instance(self):

@@ -11,11 +11,6 @@ exceptional exit.  Everything here runs on whatever engines are
 registered, so the module works on the no-numpy matrix too.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.core.verify import verify_subgraph
@@ -145,61 +140,3 @@ class TestContextRestoration:
         with engine_context("python"):
             assert get_engine().name == "python"
         assert get_engine().name == ALT
-
-
-class TestThreadedWeightedBase:
-    """csr-mt windows its *weighted* sweeps over the compiled csr too.
-
-    The unweighted side is pinned in test_engine_compiled; this class
-    closes the weighted gap: the base the threaded engine windows its
-    weighted sweeps over is csr on its C kernels, and the same csr on
-    numpy - same values - when ``REPRO_CC=0`` gates the toolchain out.
-    """
-
-    def test_prefers_compiled_base_for_weighted_windows(self):
-        from repro.engine import cbuild
-
-        if cbuild.find_compiler() is None:
-            pytest.skip("no C compiler: csr runs on numpy only")
-        mt = get_engine("csr-mt")
-        assert mt.base_engine() is get_engine("csr")
-        # The capability lines agree: the weighted sweep is windowed
-        # over csr, whose weighted kernels are the compiled ones.
-        assert "'csr'" in mt.replacement_backend
-        assert mt.base_engine().weighted_backend.startswith("compiled C")
-
-    def test_falls_back_to_csr_base_under_repro_cc_0(self):
-        """With the toolchain disabled, the weighted base is csr on its
-        numpy kernels and a threaded weighted sweep still produces the
-        reference values (checked in a subprocess)."""
-        if "csr" not in available_engines():
-            pytest.skip("csr-mt needs numpy")
-        env = dict(os.environ)
-        env.pop("REPRO_ENGINE", None)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_CC"] = "0"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.engine import get_engine\n"
-                "mt = get_engine('csr-mt')\n"
-                "assert mt.base_engine().name == 'csr', mt.base_engine().name\n"
-                "assert \"'csr'\" in mt.weighted_backend\n"
-                "assert mt.base_engine().weighted_backend.startswith("
-                "'inherited numpy')\n"
-                "from repro.graphs import connected_gnp_graph\n"
-                "from repro.spt import build_spt, make_weights\n"
-                "g = connected_gnp_graph(60, 0.08, seed=11)\n"
-                "w = make_weights(g, 'random', seed=11)\n"
-                "tree = build_spt(g, w, 0)\n"
-                "ref = list(get_engine('csr').weighted_failure_sweep(g, w, tree))\n"
-                "got = list(mt.weighted_failure_sweep(g, w, tree))\n"
-                "assert got == ref\n",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr

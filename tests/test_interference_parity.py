@@ -158,16 +158,6 @@ class TestFlags:
         b = csr.exists_live_partners(index, ids, non_a, require_pi_intersect=False)
         assert b == spec_flags(index, ids, non_a, False)
 
-    def test_wrappers_delegate(self, gadget):
-        _, _, uncovered, index = gadget
-        ids = [rec.pair_id for rec in uncovered]
-        allowed = set(ids[::2])
-        want = spec_flags(index, ids, allowed, True)
-        got = get_engine("csr-mt").exists_live_partners(
-            index, ids, allowed, require_pi_intersect=True
-        )
-        assert got == want
-
     @requires_kernels
     def test_csr_answers_without_the_spec(self, gadget, monkeypatch):
         """With its kernels loaded, csr never calls the interpreted query
@@ -361,13 +351,3 @@ class TestBackendReport:
             assert csr.interference_backend.startswith("compiled C")
         monkeypatch.setenv(cbuild.CC_ENV_VAR, "0")
         assert csr.interference_backend == get_engine("python").interference_backend
-
-    def test_wrappers_report_their_base(self):
-        with engine_context("csr"):
-            assert get_engine("csr-mt").interference_backend == "delegates to 'csr'"
-
-    def test_csr_mt_compiler_is_its_base(self):
-        """csr-mt runs every traversal on csr, so it reports csr's
-        toolchain."""
-        with engine_context("csr"):
-            assert get_engine("csr-mt").compiler == get_engine("csr").compiler

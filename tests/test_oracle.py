@@ -229,10 +229,10 @@ class TestStats:
         oracle.dist(4, [eids[0], eids[1]])  # memoized failure set
         assert (s.fallback_traversals, s.fallback_hits) == (1, 1)
 
-    def test_fallback_lru_evicts(self, instance):
+    def test_fallback_lru_evicts(self, instance, monkeypatch):
         _, tree = instance
+        monkeypatch.setattr("repro.oracle.query._FALLBACK_CACHE_SIZE", 1)
         oracle = QueryOracle.from_tree(tree)
-        oracle._fallback_cap = 1
         eids = _tree_eids(tree)
         a, b = [eids[0], eids[1]], [eids[1], eids[2]]
         oracle.dist(3, a)

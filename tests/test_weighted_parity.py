@@ -15,9 +15,9 @@ per-call loops they amortize, across engines, both weight schemes,
 disconnected subtrees included.
 
 The fast engine under test follows ``REPRO_ENGINE``: the weighted CI
-matrix reruns this module under ``csr`` and ``csr-mt``, and csr runs
-its C kernels unless ``REPRO_CC=0`` (the no-compiler job) puts it on
-numpy, so both backends face the same tie-replay and chunking cases.
+matrix reruns this module under ``csr``, which runs its C kernels
+unless ``REPRO_CC=0`` (the no-compiler job) puts it on numpy, so both
+backends face the same tie-replay and chunking cases.
 The reference row stays the python engine (an ambient ``python``
 selection degenerates to ``csr``).
 """

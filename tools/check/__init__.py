@@ -1,6 +1,6 @@
 """Repo-invariant analyzer: ``python -m tools.check`` / ``repro check``.
 
-Six stdlib-only AST passes freeze the reproduction's cross-layer
+Five stdlib-only AST passes freeze the reproduction's cross-layer
 contracts at lint time instead of leaving them to runtime sweeps (or to
 the fragile CI greps they replace):
 
@@ -12,13 +12,14 @@ CHK002    optional-dependency: ``import numpy`` guarded by
           try/except ImportError outside the gated kernel modules
 CHK003    env-var registry: every ``REPRO_*`` read is in the
           ``repro --help`` table and README, and vice versa
-CHK004    shm lifecycle: every ``SharedMemory(create=True)`` site
-          registers a finalizer/unlink/owner in the same scope
 CHK005    pickle hygiene: memoized ``_*_cache`` attributes excluded
           from pickled state (the PR-5 bug class)
 CHK006    ctypes ABI drift: ``_ckernels.c`` exports match
           ``cbuild.py`` arity/kind bindings
 ========  ==============================================================
+
+Pass IDs are never renumbered - allowlist keys and ``--pass`` name
+them - so a retired pass leaves a gap in the sequence.
 
 Each violation prints as ``path:line: CHK### message`` and carries a
 stable key ``CHK### path::symbol`` (no line numbers, so edits don't
@@ -68,14 +69,12 @@ def _passes():
         env_registry,
         optional_deps,
         pickle_hygiene,
-        shm_lifecycle,
     )
 
     return (
         engine_boundary,
         optional_deps,
         env_registry,
-        shm_lifecycle,
         pickle_hygiene,
         abi_drift,
     )

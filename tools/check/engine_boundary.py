@@ -38,7 +38,6 @@ PROHIBITED = (
     "engine.python_engine",
     "engine.compiled",
     "engine.cbuild",
-    "engine.threaded",
 )
 
 

@@ -11,19 +11,18 @@ shifts, and asserts far less than the registry can.
 Profiles (``python -m tools.check --engines PROFILE``):
 
 ``full``
-    A numpy + C-toolchain install: python, csr and csr-mt registered,
-    csr on compiled weighted kernels and the compiled interference
-    kernel with a loaded kernel library, and csr-mt reporting csr's
-    toolchain (it runs every traversal there).
+    A numpy + C-toolchain install: python and csr registered, csr on
+    compiled weighted kernels and the compiled interference kernel with
+    a loaded kernel library.
 ``no-numpy``
     A bare install: numpy genuinely absent, only python registered.
 ``no-compiler``
-    numpy without a C toolchain (``REPRO_CC=0``): csr and csr-mt still
-    registered, csr on its inherited numpy kernels and the interpreted
-    interference spec, nothing claims a compiler.
+    numpy without a C toolchain (``REPRO_CC=0``): csr still registered,
+    on its inherited numpy kernels and the interpreted interference
+    spec, nothing claims a compiler.
 
-No profile may register ``csr-c`` (the compiled kernels are csr's own
-backend, not an engine of their own) or ``sharded`` (retired).
+No profile may register any other engine, so a retired engine that
+comes back fails every profile.
 
 ``--serve-log`` parses a ``repro serve`` JSONL transcript (every
 response must be ``"ok": true``); ``--resume-log`` parses ``repro run``
@@ -56,23 +55,28 @@ def _numpy_available() -> bool:
         return False
 
 
-def _check_names(names: List[str], required: Tuple[str, ...]) -> List[str]:
-    """Missing required engines, plus any retired registration."""
+def _check_names(names: List[str], expected: Tuple[str, ...]) -> List[str]:
+    """Missing expected engines, plus any registration beyond them.
+
+    Every profile names its engines exactly, so a retired engine that
+    registers again fails the check like any other stray name.
+    """
     failures = [
         f"engine {name!r} not registered (have {names})"
-        for name in required
+        for name in expected
         if name not in names
     ]
-    if "csr-c" in names:
-        failures.append("csr-c registered: the C kernels belong to csr")
-    if "sharded" in names:
-        failures.append("sharded registered: the engine is retired")
+    failures += [
+        f"engine {name!r} registered: the engines are {list(expected)}"
+        for name in names
+        if name not in expected
+    ]
     return failures
 
 
 def _check_full() -> List[str]:
     names, engines = _registry()
-    failures = _check_names(names, ("python", "csr", "csr-mt"))
+    failures = _check_names(names, ("python", "csr"))
     if failures:
         return failures
     csr = engines["csr"]
@@ -91,15 +95,6 @@ def _check_full() -> List[str]:
             f"csr interference_backend is {csr.interference_backend!r}, "
             "expected the compiled C kernel"
         )
-    mt_compiler = engines["csr-mt"].compiler
-    if mt_compiler != csr.compiler:
-        failures.append(
-            f"csr-mt compiler is {mt_compiler!r}, expected csr's "
-            f"{csr.compiler!r}"
-        )
-    for name, engine in engines.items():
-        if not engine.threads:
-            failures.append(f"engine {name!r} reports no thread budget")
     return failures
 
 
@@ -118,7 +113,7 @@ def _check_no_compiler() -> List[str]:
     if not _numpy_available():
         failures.append("numpy missing - the no-compiler profile gates only cc")
     names, engines = _registry()
-    failures += _check_names(names, ("python", "csr", "csr-mt"))
+    failures += _check_names(names, ("python", "csr"))
     csr = engines.get("csr")
     if csr is not None:
         if not csr.weighted_backend.startswith("inherited numpy"):
