@@ -48,8 +48,6 @@ class ConstructOptions:
     seed: int = 0
     #: Run phases S1/S2 even for eps >= 1/2 (ablation studies).
     force_main: bool = False
-    #: Defensive Phase S1 iteration cap (None = max(4K + 16, 32)).
-    s1_iteration_cap: Optional[int] = None
     #: Traversal engine for the run (None = the registry default); see
     #: :mod:`repro.engine`.
     engine: Optional[str] = None
@@ -226,7 +224,6 @@ def _build_main(
         n_eps=n_eps,
         k_bound=k_bound,
         structure_edges=structure_edges,
-        iteration_cap=opts.s1_iteration_cap,
     )
     timings["phase_s1"] = time.perf_counter() - t0
 

@@ -58,6 +58,9 @@ __all__ = ["PconsResult", "PconsStats", "run_pcons"]
 
 _INF = None  # readability alias for "unreachable"
 
+#: Reseeds of a tying random assignment before ``run_pcons`` gives up.
+_MAX_RESEEDS = 5
+
 
 @dataclass
 class PconsStats:
@@ -105,17 +108,16 @@ def run_pcons(
     weights: Optional[WeightAssignment] = None,
     weight_scheme: str = "auto",
     seed: int = 0,
-    max_reseeds: int = 5,
 ) -> PconsResult:
     """Run Phase S0 on ``graph`` from ``source``.
 
     Under the random weight scheme a detected shortest-path tie triggers a
-    reseed-and-retry (up to ``max_reseeds`` times); the exact scheme never
+    reseed-and-retry (up to ``_MAX_RESEEDS`` times); the exact scheme never
     ties.
     """
     attempt_weights = weights or make_weights(graph, weight_scheme, seed)
     last_error: Optional[TieBreakError] = None
-    for attempt in range(max_reseeds + 1):
+    for attempt in range(_MAX_RESEEDS + 1):
         try:
             return _run_once(graph, source, attempt_weights)
         except TieBreakError as err:
@@ -126,7 +128,7 @@ def run_pcons(
                 attempt_weights.seed + 0x9E37 + attempt
             )
     raise TieBreakError(
-        f"persistent shortest-path ties after {max_reseeds} reseeds: {last_error}"
+        f"persistent shortest-path ties after {_MAX_RESEEDS} reseeds: {last_error}"
     )
 
 

@@ -20,7 +20,8 @@ Engine contract (details in :mod:`repro.engine.base`)
   tie-broken Dijkstra.  The csr engine runs the random weight scheme on
   the array kernels of :mod:`repro.engine.weighted_kernels` (the
   composite weight splits into an ``int64`` ``(hops, pert_sum)`` pair);
-  the exact scheme's big-int perturbations transparently fall back to
+  the exact scheme's big-int perturbations, and any call whose kernel
+  meets a possible tie or an invalid seed, transparently fall back to
   the shared reference implementation.  Each engine reports its
   weighted capability via ``weighted_backend`` (shown by
   ``repro engines``).
@@ -43,11 +44,11 @@ Built-in engines
     and the weighted ``(hops, pert_sum)`` stacked relaxation behind
     ``run_pcons`` and the batched primitives - run as C loops that
     :mod:`repro.engine.cbuild` compiles once on demand and loads via
-    ctypes.  With no compiler, under ``REPRO_CC=0``, after a failed
-    compile, and on the C kernel's tie bails the same engine runs its
-    numpy kernels (:mod:`repro.engine.csr_engine`) - same bits, same
-    exceptions.  ``compiler`` (shown by ``repro engines``) reports the
-    toolchain.
+    ctypes.  With no compiler, under ``REPRO_CC=0`` and after a failed
+    compile the same engine runs its numpy kernels
+    (:mod:`repro.engine.csr_engine`) - same bits, same exceptions.  A C
+    or numpy tie bail reruns the call on the reference.  ``compiler``
+    (shown by ``repro engines``) reports the toolchain.
 
 Selection
 ---------

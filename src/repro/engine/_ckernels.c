@@ -35,14 +35,15 @@
  *   vertex's out-edges in CSR order, so candidates arrive per target
  *   in exactly the reference's arrival order.  A direct running-min
  *   per target therefore reproduces the reference's order-dependent
- *   state verbatim; the numpy path's lexsort-group machinery and its
- *   duplicate replay are vectorization workarounds for the same
- *   sequential semantics, not extra behavior.
+ *   state verbatim; the numpy path's lexsort-group machinery is a
+ *   vectorization workaround for the same sequential semantics, not
+ *   extra behavior.
  * - The order-dependent tie event - a candidate equal to the target's
  *   current running minimum through a different edge - is detected
- *   exactly (not over-approximated): the kernel bails out and the
- *   caller reruns the traversal on the numpy path, which raises the
- *   reference's TieBreakError with the reference's message.
+ *   exactly (not over-approximated), and so are seed ties and invalid
+ *   seeds: the kernel bails out and the caller hands the call back to
+ *   the reference Dijkstra, which raises its own error with its own
+ *   message.  Tie and seed-error semantics live only there.
  */
 
 #include <stdint.h>
@@ -345,30 +346,28 @@ static int cmp_wl_entry(const void *a, const void *b)
  * run).  Seeds arrive as raw columns in the reference's arrival order
  * and go through the reference's sequential running-min intake: a
  * strictly smaller (hop, pert) label overwrites, equality through a
- * different entry edge is the reference's seed tie (bail, see below),
- * and a seed outside the allowed set - or out of array range entirely -
- * bails before touching anything.  The surviving per-vertex labels,
- * sorted by (hop, id), form the drain schedule: each level merges due
- * schedule entries with the carried relaxation frontier, drops entries
- * whose label moved on (settled, or hop_t no longer equal to the
- * level - the bucket drain's filter), settles the survivors in
- * (pert, id) order, and streams their out-edges through the ban/allow
- * filters.  banned_eid (optional, length B) drops layer b's one banned
- * edge id, exactly like the stacked expander.
+ * different entry edge is the reference's seed tie, and a seed outside
+ * the allowed set - or out of array range entirely - is refused before
+ * it touches anything; both bail (see below).  The surviving
+ * per-vertex labels, sorted by (hop, id), form the drain schedule:
+ * each level merges due schedule entries with the carried relaxation
+ * frontier, drops entries whose label moved on (settled, or hop_t no
+ * longer equal to the level - the bucket drain's filter), settles the
+ * survivors in (pert, id) order, and streams their out-edges through
+ * the ban/allow filters.  banned_eid (optional, length B) drops layer
+ * b's one banned edge id, exactly like the stacked expander.
  *
  * Targets holding a tentative next-level label (seed incumbents) keep
  * the reference's running-min semantics: strict improvement overwrites
  * (first arrival among equals wins and is never displaced), equality
  * through a different edge is the reference's tie event.
  *
- * Returns 0 on completion; on any bail-out the caller resets and
- * reruns the traversal on the numpy path, which reproduces the
- * reference's outcome - the tie/validation error with its message, or
- * (bail_on_dup unset) the tie-ignoring result: 1 = relaxation tie
- * (only raised with bail_on_dup), 2 = seed tie or invalid seed, -1 =
- * allocation failure.  State may be left mid-run on 1/-1; 2 happens
- * before any relaxation but after some intake writes (all within the
- * allowed positions). */
+ * Returns 0 on completion; on any bail-out the caller hands the call
+ * back to the reference Dijkstra, which decides the outcome: 1 =
+ * relaxation tie, 2 = seed tie or invalid seed, -1 = allocation
+ * failure.  A bail may leave the state mid-run, but every write lies
+ * within the allowed positions, so a caller that owns the state
+ * resets exactly those. */
 int64_t repro_weighted_levels(
     int64_t n_total,
     int64_t n_base,
@@ -386,7 +385,6 @@ int64_t repro_weighted_levels(
     const int64_t *seed_vertex,
     const int64_t *seed_parent,
     const int64_t *seed_parent_eid,
-    int64_t bail_on_dup,
     uint8_t *settled,
     int64_t *hop_t,
     int64_t *pert_t,
@@ -425,7 +423,7 @@ int64_t repro_weighted_levels(
             parent_eid[v] = seed_parent_eid[j];
         } else if (h0 == ch && p0 == pert_t[v] &&
                    seed_parent_eid[j] != parent_eid[v]) {
-            rc = 2;  /* the reference's seed tie (raise or not: rerun) */
+            rc = 2;  /* the reference's seed tie */
             break;
         }
     }
@@ -495,8 +493,7 @@ int64_t repro_weighted_levels(
                         pert_t[w] = c;
                         parent[w] = v;
                         parent_eid[w] = e;
-                    } else if (c == pert_t[w] && parent_eid[w] != e &&
-                               bail_on_dup) {
+                    } else if (c == pert_t[w] && parent_eid[w] != e) {
                         rc = 1;
                         break;
                     }

@@ -31,16 +31,21 @@ Contract
   tie-broken Dijkstra and must be *bit-identical* to the reference in
   :mod:`repro.spt.dijkstra`: same big-int distances, same
   parent/parent-edge trees, and the same
-  :class:`~repro.errors.TieBreakError` behavior (ties are detected at
-  relaxation time, an order-dependent event).  A composite weight is
-  the lexicographic pair ``(hops, pert_sum)``; the full composite
-  ``hops << shift`` overflows ``int64``, but the two components fit
-  fixed width *separately* for the random scheme, which is how the csr
-  engine's array kernels (:mod:`repro.engine.weighted_kernels`)
-  implement the contract.  Backends advertise how they run weighted
-  traversals via :attr:`TraversalEngine.weighted_backend`; assignments
-  a backend cannot represent (the exact scheme's ``2**eid``
-  perturbations) must transparently fall back to the reference.
+  :class:`~repro.errors.TieBreakError` and
+  :class:`~repro.errors.GraphError` behavior (ties are detected at
+  relaxation time, an order-dependent event, and always raise).  A
+  composite weight is the lexicographic pair ``(hops, pert_sum)``; the
+  full composite ``hops << shift`` overflows ``int64``, but the two
+  components fit fixed width *separately* for the random scheme, which
+  is how the csr engine's array kernels
+  (:mod:`repro.engine.weighted_kernels`) implement the contract.
+  Backends advertise how they run weighted traversals via
+  :attr:`TraversalEngine.weighted_backend`.  Any weighted call may be
+  handed back to the reference: assignments a backend cannot represent
+  (the exact scheme's ``2**eid`` perturbations), and calls whose
+  kernel meets a possible tie or an invalid seed, transparently rerun
+  on it, which is the only implementation of tie and seed-error
+  semantics.
 * **Batched replacement primitives** (PR 4).  ``weighted_failure_sweep``
   yields, per failed tree edge of a
   :class:`~repro.spt.spt_tree.ShortestPathTree`, the replacement
@@ -255,7 +260,6 @@ class TraversalEngine:
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
-        raise_on_tie: bool = True,
     ):
         """Weighted Dijkstra under composite tie-breaking weights."""
         raise NotImplementedError
@@ -268,7 +272,6 @@ class TraversalEngine:
         *,
         allowed_vertices: Set[Vertex],
         banned_edge: Optional[EdgeId] = None,
-        raise_on_tie: bool = True,
     ):
         """Boundary-seeded Dijkstra restricted to ``allowed_vertices``."""
         raise NotImplementedError
@@ -304,8 +307,6 @@ class TraversalEngine:
         weights,
         sources: Sequence[Vertex],
         banned_vertices_per_source: Optional[Iterable[Optional[Set[Vertex]]]] = None,
-        *,
-        raise_on_tie: bool = True,
     ):
         """Independent weighted Dijkstras from many sources, amortized.
 
@@ -327,7 +328,6 @@ class TraversalEngine:
                 weights,
                 source,
                 banned_vertices=banned,
-                raise_on_tie=raise_on_tie,
             )
 
     def batched_seeded_shortest_paths(
@@ -335,8 +335,6 @@ class TraversalEngine:
         graph: Graph,
         weights,
         batches: Iterable[SeedBatch],
-        *,
-        raise_on_tie: bool = True,
     ):
         """Independent boundary-seeded Dijkstras, amortized.
 
@@ -352,7 +350,6 @@ class TraversalEngine:
                 list(seeds),
                 allowed_vertices=allowed_vertices,
                 banned_edge=banned_edge,
-                raise_on_tie=raise_on_tie,
             )
 
     # -- Phase S1 interference -----------------------------------------

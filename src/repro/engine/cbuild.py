@@ -215,7 +215,7 @@ class KernelLib:
         self.weighted_levels.restype = i64
         self.weighted_levels.argtypes = [
             i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-            i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+            i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
         self.exists_live_partner = dll.repro_exists_live_partner
         self.exists_live_partner.restype = i64

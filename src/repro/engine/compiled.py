@@ -11,21 +11,21 @@ by :mod:`repro.engine.cbuild`.  The C functions read the same cached
 CSR int64 arrays and boolean masks through raw pointers and fill
 caller-allocated numpy outputs, so results are **bit-identical** to the
 numpy kernels (same adjacency-order tie-breaking, same weighted settle
-order and tie events, enforced by the parity suites with and without
-``REPRO_CC=0``) while skipping numpy's per-level array orchestration.
+order, enforced by the parity suites with and without ``REPRO_CC=0``)
+while skipping numpy's per-level array orchestration.
 
 The weighted routing goes through ``CSREngine._weighted_levels``, so
 every weighted surface - single-source, seeded, the stacked batched
 variants, the chunked weighted failure sweep - lands on the one C
-kernel, seed intake (running-min semantics) included.  The Python-side
-gating is unchanged: the exact
-scheme's ``2**eid`` perturbations are not int64-representable, so
+kernel, seed intake included.  The Python-side gating is unchanged: the
+exact scheme's ``2**eid`` perturbations are not int64-representable, so
 :func:`~repro.engine.weighted_kernels.weighted_plan` routes them to the
 big-int reference Dijkstra before any kernel - numpy or C - is
 considered.  When the C kernel detects the reference's order-dependent
-tie event it bails out and the traversal reruns on the numpy path,
-which replays ties exactly and raises the reference's
-:class:`~repro.errors.TieBreakError`, message and all.
+tie event, a seed tie or an invalid seed, it bails out and the call
+reruns on that reference, which raises its
+:class:`~repro.errors.TieBreakError` or
+:class:`~repro.errors.GraphError`, message and all.
 
 A loaded snapshot's mapped tree planes feed the weighted sweep's C
 kernel zero-copy.
@@ -285,40 +285,32 @@ class CompiledEngine(CSREngine):
         self,
         csr,
         perts: np.ndarray,
-        seeds,
+        seeds: SeedArrays,
         *,
         edge_ok: Optional[np.ndarray] = None,
         vertex_ok: Optional[np.ndarray] = None,
         allowed_ok: Optional[np.ndarray] = None,
-        raise_on_tie: bool = True,
-        scheme: str,
         num_vertices: Optional[int] = None,
         stacked: bool = False,
         banned_eid_per_batch: Optional[np.ndarray] = None,
         state=None,
-        touched: Optional[np.ndarray] = None,
-        layer_width: Optional[int] = None,
     ):
         """The weighted relaxation routed through the C kernel.
 
-        The whole traversal - seed intake (running-min semantics) and
-        the level loop - is one GIL-free foreign call over the raw seed
-        columns.  A non-zero return (the reference's order-dependent
-        tie event, a seed tie or invalid seed, or scratch allocation
-        failure) restores any caller-owned state via ``touched`` and
-        reruns the whole traversal on the numpy path, reproducing the
-        reference's outcome - including which exception, with which
-        message - exactly.
+        The whole traversal - seed intake and the level loop - is one
+        GIL-free foreign call over the raw seed columns.  Any non-zero
+        return (the reference's order-dependent tie event, a seed tie or
+        invalid seed, or scratch allocation failure) returns ``None``:
+        the caller hands the call back to the reference, which decides
+        the outcome - which exception, with which message - itself.
         """
         kernels = self._kernels()
         if kernels is None:
             return super()._weighted_levels(
                 csr, perts, seeds,
                 edge_ok=edge_ok, vertex_ok=vertex_ok, allowed_ok=allowed_ok,
-                raise_on_tie=raise_on_tie, scheme=scheme,
                 num_vertices=num_vertices, stacked=stacked,
-                banned_eid_per_batch=banned_eid_per_batch,
-                state=state, touched=touched, layer_width=layer_width,
+                banned_eid_per_batch=banned_eid_per_batch, state=state,
             )
         n = csr.num_vertices if num_vertices is None else num_vertices
         if state is not None:
@@ -329,56 +321,32 @@ class CompiledEngine(CSREngine):
             parent = np.full(n, -1, dtype=np.int64)
             parent_eid = np.full(n, -1, dtype=np.int64)
             settled = np.zeros(n, dtype=bool)
-        if isinstance(seeds, SeedArrays):
-            cols = (seeds.hop, seeds.pert, seeds.vertex,
-                    seeds.parent, seeds.parent_eid)
-        elif seeds:
-            cols = tuple(zip(*seeds))
-        else:
-            cols = ()
-        if cols and len(cols[0]):
-            cols = tuple(np.ascontiguousarray(c, dtype=np.int64) for c in cols)
-            rc = kernels.weighted_levels(
-                n,
-                csr.num_vertices,
-                _ptr(csr.indptr),
-                _ptr(csr.indices),
-                _ptr(csr.edge_ids),
-                _ptr(perts),
-                _ptr(edge_ok),
-                _ptr(vertex_ok),
-                _ptr(allowed_ok),
-                _ptr(banned_eid_per_batch),
-                len(cols[0]),
-                _ptr(cols[0]),
-                _ptr(cols[1]),
-                _ptr(cols[2]),
-                _ptr(cols[3]),
-                _ptr(cols[4]),
-                1 if raise_on_tie else 0,
-                _ptr(settled),
-                _ptr(hop_t),
-                _ptr(pert_t),
-                _ptr(parent),
-                _ptr(parent_eid),
-            )
-            if rc != 0:
-                if state is not None:
-                    # Every write (intake and kernel alike) lands on
-                    # allowed positions, so resetting the caller's
-                    # touched set restores the buffers' entry contract.
-                    reset = touched if touched is not None else slice(None)
-                    settled[reset] = False
-                    hop_t[reset] = -1
-                return super()._weighted_levels(
-                    csr, perts, seeds,
-                    edge_ok=edge_ok, vertex_ok=vertex_ok,
-                    allowed_ok=allowed_ok, raise_on_tie=raise_on_tie,
-                    scheme=scheme, num_vertices=num_vertices,
-                    stacked=stacked,
-                    banned_eid_per_batch=banned_eid_per_batch,
-                    state=state, touched=touched, layer_width=layer_width,
-                )
+        cols = tuple(
+            np.ascontiguousarray(c, dtype=np.int64)
+            for c in (seeds.hop, seeds.pert, seeds.vertex,
+                      seeds.parent, seeds.parent_eid)
+        )
+        rc = kernels.weighted_levels(
+            n,
+            csr.num_vertices,
+            _ptr(csr.indptr),
+            _ptr(csr.indices),
+            _ptr(csr.edge_ids),
+            _ptr(perts),
+            _ptr(edge_ok),
+            _ptr(vertex_ok),
+            _ptr(allowed_ok),
+            _ptr(banned_eid_per_batch),
+            len(cols[0]),
+            *(_ptr(c) for c in cols),
+            _ptr(settled),
+            _ptr(hop_t),
+            _ptr(pert_t),
+            _ptr(parent),
+            _ptr(parent_eid),
+        )
+        if rc != 0:
+            return None
         return settled, hop_t, pert_t, parent, parent_eid
 
     def distances(

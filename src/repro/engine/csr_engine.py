@@ -2,11 +2,11 @@
 
 :class:`CSREngine` is the numpy base of
 :class:`~repro.engine.compiled.CompiledEngine`, which the registry
-serves as ``csr``; its paths run whenever the C kernels are unavailable
-and on their tie bails.  Hop traversals run on the cached CSR view through the kernels in
-:mod:`repro.engine.kernels`; results are converted back to the plain
-Python containers the contract promises (except ``failure_sweep``, which
-yields numpy vectors - values-only contract).
+serves as ``csr``; its paths run whenever the C kernels are
+unavailable.  Hop traversals run on the cached CSR view through the
+kernels in :mod:`repro.engine.kernels`; results are converted back to
+the plain Python containers the contract promises (except
+``failure_sweep``, which yields numpy vectors - values-only contract).
 
 Weighted traversals take the fast path of
 :mod:`repro.engine.weighted_kernels` whenever
@@ -14,8 +14,10 @@ Weighted traversals take the fast path of
 assignment array-representable (the random scheme on any graph this
 library can build); the exact scheme's ``2**eid`` perturbations are
 arbitrary-precision and transparently fall back to the shared big-int
-reference Dijkstra.  Either way the results - distances, parents,
-parent edges, tie errors - are bit-identical to the reference.
+reference Dijkstra.  A relaxation (numpy or C) that meets a possible
+tie or an invalid seed returns ``None``, and the call reruns on the
+reference the same way - so distances, parents, parent edges and tie
+errors are the reference's, bit for bit.
 
 The batched primitives (``weighted_failure_sweep``,
 ``batched_shortest_paths``, ``batched_seeded_shortest_paths``) run many
@@ -26,13 +28,14 @@ invocations for the whole batch instead of one per traversal.  The
 sweep additionally enumerates its crossing-edge seeds vectorized from
 the tree's Euler intervals instead of via Python ``adjacency()`` loops.
 Chunking bounds the stacked state (``_STACK_STATE`` entries per chunk);
-plans that cannot be represented fall back to the reference loops of
-:class:`~repro.engine.base.TraversalEngine`, exactly like the per-call
-weighted paths.
+plans that cannot be represented, and chunks whose relaxation hands the
+call back, rerun on the reference, exactly like the per-call weighted
+paths.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
@@ -42,7 +45,6 @@ from repro.engine.base import (
     UNREACHABLE,
     ReplacementSweepItem,
     SeedBatch,
-    TraversalEngine,
     _zip_sources_and_bans,
 )
 from repro.engine.csr import csr_view
@@ -140,6 +142,21 @@ def _vertex_ok_mask(
     return ok
 
 
+def _plan_seeds(graph: Graph, weights, seeds, n: int):
+    """``(perts, SeedArrays)`` for a seeded run, or None to run it on
+    the reference.  The plan reads the seeds' big-int perturbations
+    before any int64 conversion: exact-scheme ones overflow it."""
+    mask = (1 << weights.shift) - 1
+    perts = weighted_plan(
+        graph,
+        weights,
+        max_seed_pert=max((d & mask for d, _, _, _ in seeds), default=0),
+    )
+    if perts is None:
+        return None
+    return perts, decompose_seeds(seeds, weights.shift, n)
+
+
 class CSREngine(PythonEngine):
     """Array-kernel engine for hop *and* (random-scheme) weighted traversals."""
 
@@ -229,32 +246,25 @@ class CSREngine(PythonEngine):
         self,
         csr,
         perts: np.ndarray,
-        seeds,
+        seeds: SeedArrays,
         *,
         edge_ok: Optional[np.ndarray] = None,
         vertex_ok: Optional[np.ndarray] = None,
         allowed_ok: Optional[np.ndarray] = None,
-        raise_on_tie: bool = True,
-        scheme: str,
         num_vertices: Optional[int] = None,
         stacked: bool = False,
         banned_eid_per_batch: Optional[np.ndarray] = None,
         state=None,
-        touched: Optional[np.ndarray] = None,
-        layer_width: Optional[int] = None,
     ):
         """Engine hook behind every weighted relaxation.
 
-        Same contract as :func:`weighted_levels`, but the expansion is
+        Same contract as :func:`weighted_levels` - including ``None``
+        to hand the call back to the reference - but the expansion is
         described structurally (``stacked`` + ``banned_eid_per_batch``)
         instead of as an opaque closure, so subclasses can route the
         relaxation elsewhere - the compiled engine overrides this with
-        its C kernel.  ``touched`` names the state positions a caller-
-        owned ``state`` run may write (the restricted sweep's subtree
-        ids); implementations that bail mid-run use it to restore the
-        buffers before retrying.
+        its C kernel.
         """
-        del touched  # the numpy path never dirties state without finishing
         expand = (
             stacked_expander(csr, banned_eid_per_batch=banned_eid_per_batch)
             if stacked
@@ -267,12 +277,9 @@ class CSREngine(PythonEngine):
             edge_ok=edge_ok,
             vertex_ok=vertex_ok,
             allowed_ok=allowed_ok,
-            raise_on_tie=raise_on_tie,
-            scheme=scheme,
             num_vertices=num_vertices,
             expand=expand,
             state=state,
-            layer_width=layer_width,
         )
 
     def shortest_paths(
@@ -285,40 +292,35 @@ class CSREngine(PythonEngine):
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
-        raise_on_tie: bool = True,
     ):
         perts = weighted_plan(graph, weights)
-        if perts is None:
-            return super().shortest_paths(
-                graph,
-                weights,
-                source,
-                banned_vertices=banned_vertices,
-                banned_edge=banned_edge,
-                banned_edges=banned_edges,
-                allowed_edges=allowed_edges,
-                raise_on_tie=raise_on_tie,
+        if perts is not None:
+            _check_source(graph, source)
+            if banned_vertices and source in banned_vertices:
+                raise GraphError(f"source {source} is banned")
+            csr = csr_view(graph)
+            levels = self._weighted_levels(
+                csr,
+                perts,
+                SeedArrays.sources(np.asarray([source], dtype=np.int64)),
+                edge_ok=_edge_ok_mask(
+                    csr.num_edges,
+                    banned_edge=banned_edge,
+                    banned_edges=banned_edges,
+                    allowed_edges=allowed_edges,
+                ),
+                vertex_ok=_vertex_ok_mask(csr.num_vertices, banned_vertices),
             )
-        _check_source(graph, source)
-        if banned_vertices and source in banned_vertices:
-            raise GraphError(f"source {source} is banned")
-        csr = csr_view(graph)
-        settled, hop, pert, parent, parent_eid = self._weighted_levels(
-            csr,
-            perts,
-            [(0, 0, source, -1, -1)],
-            edge_ok=_edge_ok_mask(
-                csr.num_edges,
-                banned_edge=banned_edge,
-                banned_edges=banned_edges,
-                allowed_edges=allowed_edges,
-            ),
-            vertex_ok=_vertex_ok_mask(csr.num_vertices, banned_vertices),
-            raise_on_tie=raise_on_tie,
-            scheme=weights.scheme,
-        )
-        return assemble_result(
-            source, weights.shift, settled, hop, pert, parent, parent_eid
+            if levels is not None:
+                return assemble_result(source, weights.shift, *levels)
+        return super().shortest_paths(
+            graph,
+            weights,
+            source,
+            banned_vertices=banned_vertices,
+            banned_edge=banned_edge,
+            banned_edges=banned_edges,
+            allowed_edges=allowed_edges,
         )
 
     def seeded_shortest_paths(
@@ -329,41 +331,35 @@ class CSREngine(PythonEngine):
         *,
         allowed_vertices: Set[Vertex],
         banned_edge: Optional[EdgeId] = None,
-        raise_on_tie: bool = True,
     ):
         seed_list = list(seeds)
-        decomposed = decompose_seeds(seed_list, weights.shift)
-        max_seed_pert = max((p0 for _, p0, _, _, _ in decomposed), default=0)
+        n = graph.num_vertices
         # Tiny restricted recomputes (leaf-ish subtrees in the
         # replacement engine) are faster on the reference heap than on
         # per-level array passes; results are bit-identical either way.
-        if len(allowed_vertices) <= _SMALL_WEIGHTED:
-            perts = None
-        else:
-            perts = weighted_plan(graph, weights, max_seed_pert=max_seed_pert)
-        if perts is None:
-            return super().seeded_shortest_paths(
-                graph,
-                weights,
-                seed_list,
-                allowed_vertices=allowed_vertices,
-                banned_edge=banned_edge,
-                raise_on_tie=raise_on_tie,
+        planned = None
+        if len(allowed_vertices) > _SMALL_WEIGHTED:
+            planned = _plan_seeds(graph, weights, seed_list, n)
+        if planned is not None:
+            perts, sa = planned
+            csr = csr_view(graph)
+            allowed_ok = np.zeros(n, dtype=bool)
+            allowed_ok[_valid_ids(allowed_vertices, n)] = True
+            levels = self._weighted_levels(
+                csr,
+                perts,
+                sa,
+                edge_ok=_edge_ok_mask(csr.num_edges, banned_edge=banned_edge),
+                allowed_ok=allowed_ok,
             )
-        csr = csr_view(graph)
-        allowed_ok = np.zeros(csr.num_vertices, dtype=bool)
-        allowed_ok[_valid_ids(allowed_vertices, csr.num_vertices)] = True
-        settled, hop, pert, parent, parent_eid = self._weighted_levels(
-            csr,
-            perts,
-            decomposed,
-            edge_ok=_edge_ok_mask(csr.num_edges, banned_edge=banned_edge),
-            allowed_ok=allowed_ok,
-            raise_on_tie=raise_on_tie,
-            scheme=weights.scheme,
-        )
-        return assemble_result(
-            -1, weights.shift, settled, hop, pert, parent, parent_eid
+            if levels is not None:
+                return assemble_result(-1, weights.shift, *levels)
+        return super().seeded_shortest_paths(
+            graph,
+            weights,
+            seed_list,
+            allowed_vertices=allowed_vertices,
+            banned_edge=banned_edge,
         )
 
     # -- batched primitives (stacked layers over one CSR view) ---------
@@ -373,14 +369,11 @@ class CSREngine(PythonEngine):
         weights,
         sources: Sequence[Vertex],
         banned_vertices_per_source: Optional[Iterable[Optional[Set[Vertex]]]] = None,
-        *,
-        raise_on_tie: bool = True,
     ):
         perts = weighted_plan(graph, weights)
         if perts is None:
             yield from super().batched_shortest_paths(
-                graph, weights, sources, banned_vertices_per_source,
-                raise_on_tie=raise_on_tie,
+                graph, weights, sources, banned_vertices_per_source
             )
             return
         csr = csr_view(graph)
@@ -403,14 +396,12 @@ class CSREngine(PythonEngine):
             chunk_bans.append(banned)
             if len(chunk_sources) >= per_chunk:
                 yield from self._source_chunk(
-                    graph, csr, weights, perts, chunk_sources, chunk_bans,
-                    raise_on_tie,
+                    graph, csr, weights, perts, chunk_sources, chunk_bans
                 )
                 chunk_sources, chunk_bans = [], []
         if chunk_sources:
             yield from self._source_chunk(
-                graph, csr, weights, perts, chunk_sources, chunk_bans,
-                raise_on_tie,
+                graph, csr, weights, perts, chunk_sources, chunk_bans
             )
 
     def _source_chunk(
@@ -421,7 +412,6 @@ class CSREngine(PythonEngine):
         perts: np.ndarray,
         chunk_sources: List[Vertex],
         chunk_bans: List[Optional[Set[Vertex]]],
-        raise_on_tie: bool,
     ):
         """One stacked chunk of full-graph single-source traversals."""
         n = csr.num_vertices
@@ -436,27 +426,26 @@ class CSREngine(PythonEngine):
             for b, banned in enumerate(chunk_bans):
                 if banned:
                     vertex_ok[b * n + _valid_ids(banned, n)] = False
-        zeros = np.zeros(B, dtype=np.int64)
-        minus = np.full(B, -1, dtype=np.int64)
         seed_v = np.arange(B, dtype=np.int64) * n + np.asarray(
             chunk_sources, dtype=np.int64
         )
-        settled, hop, pert, parent, parent_eid = self._weighted_levels(
+        levels = self._weighted_levels(
             csr,
             perts,
-            SeedArrays(zeros, zeros, seed_v, minus, minus),
+            SeedArrays.sources(seed_v),
             vertex_ok=vertex_ok,
-            raise_on_tie=raise_on_tie,
-            scheme=weights.scheme,
             num_vertices=B * n,
             stacked=True,
-            layer_width=n,
         )
+        if levels is None:
+            for v, banned in zip(chunk_sources, chunk_bans):
+                yield super().shortest_paths(
+                    graph, weights, v, banned_vertices=banned
+                )
+            return
         for b, v in enumerate(chunk_sources):
             yield assemble_result(
-                v,
-                weights.shift,
-                *unstack_layer(n, b, settled, hop, pert, parent, parent_eid),
+                v, weights.shift, *unstack_layer(n, b, *levels)
             )
 
     def batched_seeded_shortest_paths(
@@ -464,15 +453,13 @@ class CSREngine(PythonEngine):
         graph: Graph,
         weights,
         batches: Iterable[SeedBatch],
-        *,
-        raise_on_tie: bool = True,
     ):
         # Assignments no chunk could ever run on the kernels (exact
         # scheme, unexportable perturbations) delegate wholesale before
         # any big-int seed decomposition happens.
         if weighted_plan(graph, weights) is None:
             yield from super().batched_seeded_shortest_paths(
-                graph, weights, batches, raise_on_tie=raise_on_tie
+                graph, weights, batches
             )
             return
         # Incremental consumption: batches may be a generator (the
@@ -485,23 +472,15 @@ class CSREngine(PythonEngine):
         max_batch = max(1, _STACK_STATE // max(1, n))
         deg = csr.indptr[1:] - csr.indptr[:-1]
         chunk_batches: List[SeedBatch] = []
-        chunk_seeds: List[list] = []
         expansion = 0
         for seeds, allowed, banned_edge in batches:
-            seeds = list(seeds)
-            chunk_batches.append((seeds, allowed, banned_edge))
-            chunk_seeds.append(decompose_seeds(seeds, weights.shift))
+            chunk_batches.append((list(seeds), allowed, banned_edge))
             expansion += int(deg[_valid_ids(allowed, n)].sum())
             if expansion >= _STACK_STREAM or len(chunk_batches) >= max_batch:
-                yield from self._seeded_chunk(
-                    graph, csr, weights, chunk_batches, chunk_seeds,
-                    raise_on_tie,
-                )
-                chunk_batches, chunk_seeds, expansion = [], [], 0
+                yield from self._seeded_chunk(graph, csr, weights, chunk_batches)
+                chunk_batches, expansion = [], 0
         if chunk_batches:
-            yield from self._seeded_chunk(
-                graph, csr, weights, chunk_batches, chunk_seeds, raise_on_tie
-            )
+            yield from self._seeded_chunk(graph, csr, weights, chunk_batches)
 
     def _seeded_chunk(
         self,
@@ -509,72 +488,47 @@ class CSREngine(PythonEngine):
         csr,
         weights,
         chunk_batches: List[SeedBatch],
-        chunk_seeds: List[list],
-        raise_on_tie: bool,
     ):
-        """Run one chunk of seeded batches stacked (reference fallback
-        per chunk, gated exactly like the per-call seeded path)."""
-        max_seed_pert = max(
-            (p0 for batch in chunk_seeds for _, p0, _, _, _ in batch), default=0
-        )
-        perts = weighted_plan(graph, weights, max_seed_pert=max_seed_pert)
-        if perts is None:
-            yield from TraversalEngine.batched_seeded_shortest_paths(
-                self, graph, weights, chunk_batches, raise_on_tie=raise_on_tie
-            )
-            return
+        """Run one chunk of seeded batches stacked; each batch reruns on
+        the reference when the chunk's plan or relaxation hands back."""
         n = csr.num_vertices
         B = len(chunk_batches)
-        allowed_ok = np.zeros(B * n, dtype=bool)
-        banned = np.full(B, -1, dtype=np.int64)
-        any_ban = False
-        cols = {k: [] for k in ("hop", "pert", "vertex", "parent", "parent_eid")}
-        for b, ((_, allowed, banned_edge), seeds) in enumerate(
-            zip(chunk_batches, chunk_seeds)
-        ):
-            allowed_ok[b * n + _valid_ids(allowed, n)] = True
-            if banned_edge is not None:
-                banned[b] = banned_edge
-                any_ban = True
-            off = b * n
-            for h0, p0, v0, par0, pe0 in seeds:
-                # Out-of-range seed vertices fail the allowed check
-                # with the reference's GraphError, not numpy's
-                # wraparound: park them past every layer, encoded so
-                # the error message can recover the original id
-                # (negatives already fail the >= 0 check as-is).
-                if 0 <= v0 < n:
-                    stacked = off + v0
-                elif v0 < 0:
-                    stacked = v0
-                else:
-                    stacked = B * n + 1 + min(v0, 1 << 40)
-                cols["vertex"].append(stacked)
-                cols["hop"].append(h0)
-                cols["pert"].append(p0)
-                cols["parent"].append(par0)
-                cols["parent_eid"].append(pe0)
-        sa = SeedArrays(
-            **{k: np.asarray(v, dtype=np.int64) for k, v in cols.items()}
-        )
-        settled, hop, pert, parent, parent_eid = self._weighted_levels(
-            csr,
-            perts,
-            sa,
-            allowed_ok=allowed_ok,
-            raise_on_tie=raise_on_tie,
-            scheme=weights.scheme,
-            num_vertices=B * n,
-            stacked=True,
-            banned_eid_per_batch=banned if any_ban else None,
-            layer_width=n,
-        )
-        for b in range(B):
-            yield assemble_result(
-                -1,
-                weights.shift,
-                *unstack_layer(n, b, settled, hop, pert, parent, parent_eid),
+        flat = [s for seeds, _, _ in chunk_batches for s in seeds]
+        planned = _plan_seeds(graph, weights, flat, n)
+        levels = None
+        if planned is not None:
+            perts, sa = planned
+            layer = np.repeat(
+                np.arange(B, dtype=np.int64),
+                [len(seeds) for seeds, _, _ in chunk_batches],
             )
+            sa = replace(
+                sa, vertex=np.where(sa.vertex >= 0, sa.vertex + layer * n, -1)
+            )
+            allowed_ok = np.zeros(B * n, dtype=bool)
+            banned = np.full(B, -1, dtype=np.int64)
+            for b, (_, allowed, banned_edge) in enumerate(chunk_batches):
+                allowed_ok[b * n + _valid_ids(allowed, n)] = True
+                if banned_edge is not None:
+                    banned[b] = banned_edge
+            levels = self._weighted_levels(
+                csr,
+                perts,
+                sa,
+                allowed_ok=allowed_ok,
+                num_vertices=B * n,
+                stacked=True,
+                banned_eid_per_batch=banned if (banned >= 0).any() else None,
+            )
+        if levels is None:
+            for seeds, allowed, banned_edge in chunk_batches:
+                yield super().seeded_shortest_paths(
+                    graph, weights, seeds,
+                    allowed_vertices=allowed, banned_edge=banned_edge,
+                )
+            return
+        for b in range(B):
+            yield assemble_result(-1, weights.shift, *unstack_layer(n, b, *levels))
 
     def weighted_failure_sweep(
         self,
@@ -610,8 +564,8 @@ class CSREngine(PythonEngine):
         )
         for lo, hi in chunks:
             yield from self._sweep_chunk(
-                csr, weights, perts, edge_list[lo:hi], children[lo:hi],
-                *tree_arrays, state,
+                graph, csr, weights, tree, perts, edge_list[lo:hi],
+                children[lo:hi], *tree_arrays, state,
             )
 
     def _sweep_setup(self, graph: Graph, weights, tree, edge_list):
@@ -675,8 +629,10 @@ class CSREngine(PythonEngine):
 
     def _sweep_chunk(
         self,
+        graph: Graph,
         csr,
         weights,
+        tree,
         perts: np.ndarray,
         eids: List[EdgeId],
         children: List[Vertex],
@@ -726,19 +682,32 @@ class CSREngine(PythonEngine):
         # The failed edge needs no per-layer ban: its outer endpoint is
         # outside the allowed subtree, so allowed_ok already blocks it.
         views = tuple(buf[: B * n] for buf in state[:5])
-        settled, hop, pert, parent, parent_eid = self._weighted_levels(
+        levels = self._weighted_levels(
             csr,
             perts,
             sa,
             allowed_ok=allowed_ok,
-            raise_on_tie=True,
-            scheme=weights.scheme,
             num_vertices=B * n,
             stacked=True,
             state=views,
-            touched=touched,
-            layer_width=n,
         )
+
+        def reset():
+            # Every write this chunk made (seeds, settles, relaxation
+            # labels, the allowed mask) lives at the subtree positions,
+            # so resetting exactly those leaves the shared buffers
+            # pristine for the next chunk.
+            views[0][touched] = False
+            views[1][touched] = -1
+            allowed_ok[touched] = False
+
+        if levels is None:
+            reset()
+            yield from super().weighted_failure_sweep(
+                graph, weights, tree, eids=eids
+            )
+            return
+        settled, hop, pert, parent, parent_eid = levels
         shift = weights.shift
         for b in range(B):
             off = b * n
@@ -771,10 +740,4 @@ class CSREngine(PythonEngine):
                 full.update(dist)
                 dist = full
             yield (int(eids[b]), int(children[b]), dist, parent_d, parent_eid_d)
-        # Restore the shared buffers: every write this chunk made (seeds,
-        # settles, relaxation labels, the allowed mask) lives at the
-        # subtree positions, so resetting exactly those leaves the state
-        # pristine for the next chunk.
-        settled[touched] = False
-        hop[touched] = -1
-        allowed_ok[touched] = False
+        reset()

@@ -170,7 +170,6 @@ class PythonEngine(TraversalEngine):
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
-        raise_on_tie: bool = True,
     ):
         from repro.spt.dijkstra import dijkstra
 
@@ -182,7 +181,6 @@ class PythonEngine(TraversalEngine):
             banned_edge=banned_edge,
             banned_edges=banned_edges,
             allowed_edges=allowed_edges,
-            raise_on_tie=raise_on_tie,
         )
 
     def seeded_shortest_paths(
@@ -193,7 +191,6 @@ class PythonEngine(TraversalEngine):
         *,
         allowed_vertices: Set[Vertex],
         banned_edge: Optional[EdgeId] = None,
-        raise_on_tie: bool = True,
     ):
         from repro.spt.dijkstra import seeded_dijkstra
 
@@ -203,5 +200,4 @@ class PythonEngine(TraversalEngine):
             seeds,
             allowed_vertices=allowed_vertices,
             banned_edge=banned_edge,
-            raise_on_tie=raise_on_tie,
         )

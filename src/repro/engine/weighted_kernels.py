@@ -16,15 +16,17 @@ settle a whole hop level at once (ordered by ``(pert, vertex)``, the
 reference heap's pop order), stream its out-edges in that order, and
 reduce the candidate perturbations per target.
 
-Tie detection must be *bit-identical in behavior* to the reference,
-which raises :class:`~repro.errors.TieBreakError` the moment a
-relaxation candidate equals the target's current running minimum - an
-order-dependent event (candidates ``10, 10, 5`` tie on the second
-``10`` even though the final minimum ``5`` is unique).  The kernel
-reproduces this exactly: targets whose candidate multiset contains any
-duplicate perturbation (the only way an equality event can occur) are
-replayed through the reference's relaxation loop in arrival order; all
-other targets take the fully vectorized argmin path.
+The reference Dijkstra (:mod:`repro.spt.dijkstra`) is the only
+implementation of tie and seed-error semantics: it raises
+:class:`~repro.errors.TieBreakError` at the first order-dependent tie
+(a candidate equal to the target's running minimum through a different
+edge) and validates seeds in arrival order.  The kernel only *detects*
+that such an event may occur - a duplicated ``(target, value)``
+candidate, a duplicated ``(vertex, hop, pert)`` seed label, or a seed
+outside ``[0, n)`` or the allowed set - and then returns ``None``; the
+engine hands the call back to the reference, which raises (or not)
+exactly as it always does.  Every other level takes the fully
+vectorized argmin path.
 
 Entry conditions are checked by :func:`weighted_plan`: the kernel runs
 only when the per-edge perturbations export to ``int64``
@@ -45,23 +47,20 @@ batch ``b`` runs in its own *layer* of a virtual ``B * n`` vertex space
 shared CSR view.  Layers are vertex-disjoint, relaxations never cross
 them, and within a layer the global settle order ``(pert, b * n + v)``
 coincides with the single-run order ``(pert, v)`` - so each layer's
-result is bit-identical to running that batch alone.  Seeds for stacked
-runs arrive as :class:`SeedArrays` and go through a vectorized intake
-(same running-min/tie semantics as the sequential seed loop; groups with
-duplicated ``(hop, pert)`` labels are replayed through the reference
-loop in arrival order, exactly like relaxation candidates).
+result is bit-identical to running that batch alone.  Seeds arrive as
+:class:`SeedArrays` and go through one vectorized intake that validates
+every seed before it writes anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.csr import CSRAdjacency
 from repro.engine.kernels import expand_frontier
-from repro.errors import GraphError, TieBreakError
 from repro.spt.result import ShortestPathResult
 from repro.spt.weights import RANDOM, WeightAssignment
 
@@ -75,10 +74,6 @@ __all__ = [
     "unstack_layer",
 ]
 
-#: Seed tuple consumed by :func:`weighted_levels`:
-#: ``(hop, pert, vertex, parent, parent_eid)``.
-Seed = Tuple[int, int, int, int, int]
-
 _INT64_LIMIT = 2**63
 
 
@@ -87,10 +82,10 @@ class SeedArrays:
     """Column-wise seeds for :func:`weighted_levels` (int64 arrays).
 
     ``vertex`` holds *global* ids (already layer-offset for stacked
-    runs); ``parent`` may hold local ids - callers map results back with
+    runs; ``-1`` marks a vertex the intake must refuse); ``parent`` may
+    hold local ids - callers map results back with
     :func:`unstack_layer`, which reduces any non-negative parent modulo
-    the layer width.  Arrival order (the reference's running-min order)
-    is the array order.
+    the layer width.
     """
 
     hop: np.ndarray
@@ -99,9 +94,12 @@ class SeedArrays:
     parent: np.ndarray
     parent_eid: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return int(self.vertex.size)
+    @classmethod
+    def sources(cls, vertices: np.ndarray) -> "SeedArrays":
+        """Distance-zero root seeds, one per (global) vertex id."""
+        zeros = np.zeros(vertices.size, dtype=np.int64)
+        minus = np.full(vertices.size, -1, dtype=np.int64)
+        return cls(zeros, zeros, vertices, minus, minus)
 
 
 def stacked_expander(
@@ -190,45 +188,57 @@ def weighted_plan(
 
 
 def decompose_seeds(
-    seeds: Iterable[Tuple[int, int, int, int]], shift: int
-) -> List[Seed]:
+    seeds: Sequence[Tuple[int, int, int, int]], shift: int, n: int
+) -> SeedArrays:
     """Split reference seeds ``(dist, v, parent, parent_eid)`` into
-    ``(hop, pert, v, parent, parent_eid)`` pairs."""
+    :class:`SeedArrays` columns.
+
+    A vertex outside ``[0, n)`` becomes ``-1``, which the intake
+    refuses, so the reference raises with the original id.  Gate the
+    seeds with :func:`weighted_plan` first: their big-int perturbations
+    (the exact scheme's in particular) may not fit ``int64``.
+    """
     mask = (1 << shift) - 1
-    return [(d0 >> shift, d0 & mask, v0, p0, pe0) for d0, v0, p0, pe0 in seeds]
+    return SeedArrays(
+        hop=np.asarray([d >> shift for d, _, _, _ in seeds], dtype=np.int64),
+        pert=np.asarray([d & mask for d, _, _, _ in seeds], dtype=np.int64),
+        vertex=np.asarray(
+            [v if 0 <= v < n else -1 for _, v, _, _ in seeds], dtype=np.int64
+        ),
+        parent=np.asarray([p for _, _, p, _ in seeds], dtype=np.int64),
+        parent_eid=np.asarray([e for _, _, _, e in seeds], dtype=np.int64),
+    )
 
 
 def weighted_levels(
     csr: CSRAdjacency,
     pert_edge: np.ndarray,
-    seeds: Union[List[Seed], SeedArrays],
+    seeds: SeedArrays,
     *,
     edge_ok: Optional[np.ndarray] = None,
     vertex_ok: Optional[np.ndarray] = None,
     allowed_ok: Optional[np.ndarray] = None,
-    raise_on_tie: bool = True,
-    scheme: str = RANDOM,
     num_vertices: Optional[int] = None,
     expand: Optional[Callable] = None,
     state: Optional[Tuple[np.ndarray, ...]] = None,
-    layer_width: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Level-synchronous weighted traversal over the CSR view.
 
     Returns ``(settled, hop, pert, parent, parent_eid)``; ``settled``
     marks reached vertices, whose composite distance is the pair
     ``(hop, pert)``.  ``allowed_ok`` (when given) restricts settling to
-    a vertex subset and makes the seed loop validate membership, exactly
-    like the reference's ``allowed_vertices``.
+    a vertex subset, like the reference's ``allowed_vertices``.
+    Returns ``None`` to hand the call back to the reference (see the
+    module docstring); the state may already be written by then.
 
     Stacked runs pass ``num_vertices = B * n`` with a
-    :func:`stacked_expander` and :class:`SeedArrays` seeds; all masks
-    are then sized ``B * n``.  ``state`` (optional) supplies the five
-    state arrays preallocated by the caller - ``settled`` all-False and
-    ``hop`` all ``-1``, the other three arbitrary (every read of them is
-    gated on a write made during this run).  Restricted sweeps reuse one
-    buffer across chunks this way, resetting only touched positions,
-    instead of paying an O(B * n) allocation per chunk.
+    :func:`stacked_expander`; all masks are then sized ``B * n``.
+    ``state`` (optional) supplies the five state arrays preallocated by
+    the caller - ``settled`` all-False and ``hop`` all ``-1``, the other
+    three arbitrary (every read of them is gated on a write made during
+    this run).  Restricted sweeps reuse one buffer across chunks this
+    way, resetting only touched positions, instead of paying an
+    O(B * n) allocation per chunk.
     """
     n = csr.num_vertices if num_vertices is None else num_vertices
     if expand is None:
@@ -247,26 +257,20 @@ def weighted_levels(
     # improved to a lower level, or already settled) are filtered out
     # when their bucket is drained, so duplicates are harmless.
     buckets: dict = {}
-
-    if isinstance(seeds, SeedArrays):
-        seed_vertices = _intake_seed_arrays(
-            seeds, n, allowed_ok, hop_t, pert_t, parent, parent_eid,
-            buckets, raise_on_tie, scheme, layer_width,
-        )
-    else:
-        seed_vertices = _intake_seed_list(
-            seeds, n, allowed_ok, hop_t, pert_t, parent, parent_eid,
-            buckets, raise_on_tie, scheme,
-        )
+    seed_vertices = _intake_seeds(
+        seeds, n, allowed_ok, hop_t, pert_t, parent, parent_eid, buckets
+    )
+    if seed_vertices is None:
+        return None
 
     while buckets:
         h = min(buckets)
         entries = buckets.pop(h)
         if len(entries) == 1:
             # Every pusher appends unique, ascending ids (level winners
-            # are group targets of a sorted stream; seed buckets come
-            # from np.unique) - the common single-entry bucket skips the
-            # hash-based dedup entirely.
+            # are group targets of a sorted stream, seed buckets the
+            # first entries of the sorted seed groups) - the common
+            # single-entry bucket skips the hash-based dedup entirely.
             frontier = entries[0]
         else:
             frontier = np.unique(np.concatenate(entries))
@@ -314,98 +318,35 @@ def weighted_levels(
         else:
             t_all, c_all, s_all, e_all = nbrs, cand, srcs, eids
 
-        # One stable sort by (target, candidate) decides everything:
-        # groups are contiguous, each group's first element is its
-        # winner (minimum value, earliest arrival among equals - inits
-        # precede stream candidates pre-sort, so they win exact ties
-        # like the reference's running label does), and a duplicated
-        # (target, value) pair - the only way the reference's
-        # order-dependent equality event can occur - is an adjacent
-        # equality.  The rare duplicated groups are replayed through the
-        # reference loop in arrival order.
+        # One sort by (target, candidate) decides everything: groups
+        # are contiguous and each group's first element is its winner.
+        # A duplicated (target, value) pair - the only way the
+        # reference's order-dependent equality event can occur - is an
+        # adjacent equality, and hands the call back.
         order = np.lexsort((c_all, t_all))
         t_s, c_s = t_all[order], c_all[order]
         change = np.empty(t_s.size, dtype=bool)
         change[0] = True
         np.not_equal(t_s[1:], t_s[:-1], out=change[1:])
+        if (~change[1:] & (c_s[1:] == c_s[:-1])).any():
+            return None
         starts = np.flatnonzero(change)
         grp_target = t_s[starts]
         win = order[starts]
-        dup_adj = ~change[1:] & (c_s[1:] == c_s[:-1])
-
-        if dup_adj.any():
-            dup_flag = np.zeros(n, dtype=bool)
-            dup_flag[t_s[1:][dup_adj]] = True
-            grp_dup = dup_flag[grp_target]
-            winner_is_init = win < init_count
-            upd = ~grp_dup & ~winner_is_init
-            tg, wi = grp_target[upd], win[upd]
-            hop_t[tg] = h + 1
-            pert_t[tg] = c_all[wi]
-            parent[tg] = s_all[wi]
-            parent_eid[tg] = e_all[wi]
-            counts = np.diff(starts, append=t_s.size)
-            _replay_duplicates(
-                np.flatnonzero(grp_dup), starts, counts, order, init_count,
-                c_all, s_all, e_all, grp_target, h,
-                hop_t, pert_t, parent, parent_eid, raise_on_tie, scheme,
-                layer_width,
-            )
-            pushed = grp_target
-        elif init_count:
+        if init_count:
             upd = win >= init_count  # the pre-existing label lost
-            tg, wi = grp_target[upd], win[upd]
-            hop_t[tg] = h + 1
-            pert_t[tg] = c_all[wi]
-            parent[tg] = s_all[wi]
-            parent_eid[tg] = e_all[wi]
-            pushed = tg
-        else:
-            hop_t[grp_target] = h + 1
-            pert_t[grp_target] = c_all[win]
-            parent[grp_target] = s_all[win]
-            parent_eid[grp_target] = e_all[win]
-            pushed = grp_target
-        if pushed.size:
-            buckets.setdefault(h + 1, []).append(pushed)
+            grp_target, win = grp_target[upd], win[upd]
+        hop_t[grp_target] = h + 1
+        pert_t[grp_target] = c_all[win]
+        parent[grp_target] = s_all[win]
+        parent_eid[grp_target] = e_all[win]
+        if grp_target.size:
+            buckets.setdefault(h + 1, []).append(grp_target)
 
     return settled, hop_t, pert_t, parent, parent_eid
 
 
-def _intake_seed_list(
-    seeds: List[Seed],
-    n: int,
-    allowed_ok: Optional[np.ndarray],
-    hop_t: np.ndarray,
-    pert_t: np.ndarray,
-    parent: np.ndarray,
-    parent_eid: np.ndarray,
-    buckets: dict,
-    raise_on_tie: bool,
-    scheme: str,
-) -> np.ndarray:
-    """Sequential seed intake, replicating the reference's running-min
-    and tie semantics entry by entry (the list-seed counterpart of
-    :func:`_intake_seed_arrays`)."""
-    for h0, p0, v0, par0, pe0 in seeds:
-        if allowed_ok is not None and not (0 <= v0 < n and allowed_ok[v0]):
-            raise GraphError(f"seed vertex {v0} outside the allowed set")
-        cur_h = int(hop_t[v0])
-        if cur_h == -1 or (h0, p0) < (cur_h, int(pert_t[v0])):
-            hop_t[v0] = h0
-            pert_t[v0] = p0
-            parent[v0] = par0
-            parent_eid[v0] = pe0
-            buckets.setdefault(h0, []).append(np.asarray([v0], dtype=np.int64))
-        elif (h0, p0) == (cur_h, int(pert_t[v0])) and pe0 != parent_eid[v0]:
-            if raise_on_tie:
-                raise TieBreakError(
-                    f"equal-weight seeds for vertex {v0} (scheme={scheme})"
-                )
-    return np.asarray(sorted({s[2] for s in seeds}), dtype=np.int64)
-
-
-def _intake_seed_arrays(
+def _intake_seeds(
     sa: SeedArrays,
     n: int,
     allowed_ok: Optional[np.ndarray],
@@ -414,186 +355,40 @@ def _intake_seed_arrays(
     parent: np.ndarray,
     parent_eid: np.ndarray,
     buckets: dict,
-    raise_on_tie: bool,
-    scheme: str,
-    layer_width: Optional[int] = None,
-) -> np.ndarray:
-    """Vectorized seed intake, equivalent to the sequential seed loop.
+) -> Optional[np.ndarray]:
+    """Vectorized seed intake; returns the seed vertices, or ``None``
+    (before writing anything) on a seed outside ``[0, n)`` or the
+    allowed set, or a duplicated ``(vertex, hop, pert)`` label.
 
-    Per seed vertex the final label is the lexicographic ``(hop, pert)``
-    minimum with the *first arrival* among equal minima as parent - an
-    equality against the running minimum with a different entry edge is
-    the reference's seed tie.  Ties require a duplicated ``(hop, pert)``
-    label on the same vertex, so only those (rare) vertices replay the
-    sequential loop; everything else is one lexsort + first-per-group.
+    Without duplicates, each vertex's final label is its unique
+    lexicographic ``(hop, pert)`` minimum, whatever the arrival order.
     """
     vs = sa.vertex
-    if allowed_ok is not None and vs.size:
-        ok = (vs >= 0) & (vs < n)
-        ok &= allowed_ok[np.where(ok, vs, 0)]
-        if not ok.all():
-            # An invalid seed exists, so this intake ends in an
-            # exception either way - but *which* one must match the
-            # reference, whose sequential loop can hit a seed tie
-            # before ever reaching the invalid entry.  Replay all
-            # seeds in arrival order with the reference semantics.
-            _replay_invalid_seeds(
-                sa, n, allowed_ok, raise_on_tie, scheme, layer_width
-            )
     if vs.size == 0:
-        return np.empty(0, dtype=np.int64)
-
-    order = np.lexsort((np.arange(vs.size), sa.pert, sa.hop, vs))
+        return vs
+    if int(vs.min()) < 0 or int(vs.max()) >= n:
+        return None
+    if allowed_ok is not None and not allowed_ok[vs].all():
+        return None
+    order = np.lexsort((sa.pert, sa.hop, vs))
     v_s, h_s, p_s = vs[order], sa.hop[order], sa.pert[order]
     first = np.empty(v_s.size, dtype=bool)
     first[0] = True
     np.not_equal(v_s[1:], v_s[:-1], out=first[1:])
-    dup_adj = (~first[1:]) & (h_s[1:] == h_s[:-1]) & (p_s[1:] == p_s[:-1])
-    if dup_adj.any():
-        dup_flag = np.zeros(n, dtype=bool)
-        dup_flag[v_s[1:][dup_adj]] = True
-        # Replay duplicated vertices' seeds in arrival order.
-        for j in np.flatnonzero(dup_flag[vs]).tolist():
-            v0 = int(vs[j])
-            h0, p0 = int(sa.hop[j]), int(sa.pert[j])
-            cur_h = int(hop_t[v0])
-            if cur_h == -1 or (h0, p0) < (cur_h, int(pert_t[v0])):
-                hop_t[v0] = h0
-                pert_t[v0] = p0
-                parent[v0] = sa.parent[j]
-                parent_eid[v0] = sa.parent_eid[j]
-            elif (h0, p0) == (cur_h, int(pert_t[v0])) and int(
-                sa.parent_eid[j]
-            ) != int(parent_eid[v0]):
-                if raise_on_tie:
-                    raise TieBreakError(
-                        f"equal-weight seeds for vertex "
-                        f"{_display_id(v0, n, layer_width)} (scheme={scheme})"
-                    )
-        keep = first & ~dup_flag[v_s]
-    else:
-        keep = first
-    wi = order[keep]
+    if (~first[1:] & (h_s[1:] == h_s[:-1]) & (p_s[1:] == p_s[:-1])).any():
+        return None
+    wi = order[first]
     tg = vs[wi]
     hop_t[tg] = sa.hop[wi]
     pert_t[tg] = sa.pert[wi]
     parent[tg] = sa.parent[wi]
     parent_eid[tg] = sa.parent_eid[wi]
 
-    seed_vertices = np.unique(vs)
+    seed_vertices = v_s[first]
     final_h = hop_t[seed_vertices]
     for h in np.unique(final_h).tolist():
         buckets.setdefault(h, []).append(seed_vertices[final_h == h])
     return seed_vertices
-
-
-def _display_id(v0: int, n: int, layer_width: Optional[int]) -> int:
-    """The caller-facing vertex id behind a stacked seed id.
-
-    In-range ids localize modulo the layer width; ids past the sentinel
-    boundary carry the caller's original out-of-range id (see the
-    stacked seeded path in :mod:`repro.engine.csr_engine`); everything
-    else (negative ids, unstacked runs) is already caller-facing.
-    """
-    if layer_width is None:
-        return v0
-    if v0 > n:
-        return v0 - n - 1  # out-of-range sentinel: n + 1 + original
-    if v0 < 0:
-        return v0
-    return v0 % layer_width
-
-
-def _replay_invalid_seeds(
-    sa: SeedArrays,
-    n: int,
-    allowed_ok: np.ndarray,
-    raise_on_tie: bool,
-    scheme: str,
-    layer_width: Optional[int] = None,
-) -> None:
-    """Reference seed loop for streams containing an invalid seed.
-
-    Always raises: either the reference's GraphError at the first seed
-    outside the allowed set, or a TieBreakError that the sequential
-    loop would have hit first.
-    """
-    best: dict = {}
-    for h0, p0, v0, pe0 in zip(
-        sa.hop.tolist(), sa.pert.tolist(), sa.vertex.tolist(),
-        sa.parent_eid.tolist(),
-    ):
-        if not (0 <= v0 < n and allowed_ok[v0]):
-            raise GraphError(
-                f"seed vertex {_display_id(v0, n, layer_width)} "
-                "outside the allowed set"
-            )
-        cur = best.get(v0)
-        if cur is None or (h0, p0) < cur[:2]:
-            best[v0] = (h0, p0, pe0)
-        elif (h0, p0) == cur[:2] and pe0 != cur[2]:
-            if raise_on_tie:
-                raise TieBreakError(
-                    f"equal-weight seeds for vertex "
-                    f"{_display_id(v0, n, layer_width)} (scheme={scheme})"
-                )
-    raise AssertionError(
-        "unreachable: _replay_invalid_seeds requires an invalid seed"
-    )  # pragma: no cover
-
-
-def _replay_duplicates(
-    groups: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    order: np.ndarray,
-    init_count: int,
-    c_all: np.ndarray,
-    s_all: np.ndarray,
-    e_all: np.ndarray,
-    grp_target: np.ndarray,
-    h: int,
-    hop_t: np.ndarray,
-    pert_t: np.ndarray,
-    parent: np.ndarray,
-    parent_eid: np.ndarray,
-    raise_on_tie: bool,
-    scheme: str,
-    layer_width: Optional[int] = None,
-) -> None:
-    """Reference relaxation loop for targets with duplicated candidates.
-
-    Replays candidates in arrival order (recovered by sorting the
-    group's slice of the sort permutation - pre-sort position *is*
-    arrival order, inits first): strict improvement moves the running
-    minimum, equality against it with a different edge is the
-    reference's tie (raised in level order, matching the settle order
-    the reference would have raised in).
-    """
-    for g in groups.tolist():
-        lo = int(starts[g])
-        target = int(grp_target[g])
-        arrivals = np.sort(order[lo : lo + int(counts[g])])
-        run_c = run_s = run_e = None
-        win_j = -1
-        for j in arrivals.tolist():
-            c = int(c_all[j])
-            if run_c is None or c < run_c:
-                run_c, run_s, run_e = c, int(s_all[j]), int(e_all[j])
-                win_j = j
-            elif c == run_c and int(e_all[j]) != run_e:
-                if raise_on_tie:
-                    raise TieBreakError(
-                        f"equal-weight paths to vertex "
-                        f"{target if layer_width is None else target % layer_width}"
-                        f" (scheme={scheme})"
-                    )
-        if win_j == int(arrivals[0]) and win_j < init_count:
-            continue  # the pre-existing label survives unchanged
-        hop_t[target] = h + 1
-        pert_t[target] = run_c
-        parent[target] = run_s
-        parent_eid[target] = run_e
 
 
 def assemble_result(

@@ -39,9 +39,10 @@ aligned   int64 planes, each 64-byte aligned; the plane region starts
 A reader on a machine with the opposite byte order sees a flipped
 sentinel and gets a :class:`~repro.errors.SnapshotError` instead of
 garbage distances; truncated files fail the field-table bounds check
-the same way.  The replacement planes are Euler-keyed: row ``i`` covers
-``subtree_vertices(repl_child[i])`` in preorder, so per-row vertex keys
-are implied, never stored (see
+the same way, and so does a field table whose planes overlap or whose
+lengths disagree with the header.  The replacement planes are
+Euler-keyed: row ``i`` covers ``subtree_vertices(repl_child[i])`` in
+preorder, so per-row vertex keys are implied, never stored (see
 :meth:`~repro.spt.replacement.ReplacementEngine.export_arrays`).
 
 Snapshots require the weights to be int64-representable - any random
@@ -429,6 +430,64 @@ def _parse_meta(buf, header_len: int, path: Path) -> Dict[str, Any]:
     return meta
 
 
+def _check_length(path: Path, name: str, length: int, expected: int) -> None:
+    if length != expected:
+        raise SnapshotError(
+            f"{path}: plane {name!r} has {length} entries, expected {expected}"
+        )
+
+
+def _plane_spans(
+    meta: Dict[str, Any], data_start: int, size: int, path: Path
+) -> Dict[str, Tuple[int, int]]:
+    """The field table as ``name -> (byte offset, entries)``, validated
+    in O(number of planes) before any plane is mapped.
+
+    Offsets and lengths are nonnegative, every plane lies inside the
+    data region and overlaps no other, and each plane's length is the
+    one the header implies (the four ``repl_*`` value planes are checked
+    against ``repl_offsets[-1]`` once that plane is readable).
+    """
+    spans: Dict[str, Tuple[int, int]] = {}
+    for name, rel_offset, length in meta["fields"]:
+        rel_offset, length = int(rel_offset), int(length)
+        if rel_offset < 0 or length < 0:
+            raise SnapshotError(
+                f"{path}: plane {name!r} has a negative offset or length"
+            )
+        start = data_start + rel_offset
+        if start + 8 * length > size:
+            raise SnapshotError(
+                f"{path}: truncated snapshot - plane {name!r} extends "
+                "past end of file"
+            )
+        spans[name] = (start, length)
+    end, previous = data_start, None
+    for name, (start, length) in sorted(spans.items(), key=lambda it: it[1]):
+        if start < end:
+            raise SnapshotError(
+                f"{path}: plane {name!r} overlaps plane {previous!r}"
+            )
+        end, previous = start + 8 * length, name
+    n, m = int(meta["num_vertices"]), int(meta["num_edges"])
+    rows = spans["repl_eids"][1]
+    expected = {
+        "indptr": n + 1, "indices": 2 * m, "edge_ids": 2 * m,
+        "edge_u": m, "edge_v": m, "pert": m,
+        "tree_hop": n, "tree_pert": n, "tree_parent": n,
+        "tree_parent_eid": n, "tree_tin": n, "tree_tout": n,
+        "repl_child": rows, "repl_offsets": rows + 1,
+    }
+    for name, want in expected.items():
+        _check_length(path, name, spans[name][1], want)
+    if spans["tree_preorder"][1] > n:
+        raise SnapshotError(
+            f"{path}: plane 'tree_preorder' has {spans['tree_preorder'][1]} "
+            f"entries, more than the {n} vertices"
+        )
+    return spans
+
+
 def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
     """Load a snapshot into a query-ready :class:`OracleStructure`.
 
@@ -440,7 +499,8 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
     useful for short-lived scripts on network filesystems).
 
     Raises :class:`~repro.errors.SnapshotError` on bad magic, version or
-    endianness mismatch, truncated planes, or a missing file.
+    endianness mismatch, truncated planes, a field table whose planes
+    overlap or disagree with the header's sizes, or a missing file.
     """
     path = Path(path)
     if mapped is None or mapped:
@@ -479,22 +539,21 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
         data_start = _align(_PRELUDE.size + header_len)
 
         arrays: Dict[str, Sequence[int]] = {}
-        for name, rel_offset, length in meta["fields"]:
-            start = data_start + int(rel_offset)
-            if start + 8 * int(length) > size:
-                raise SnapshotError(
-                    f"{path}: truncated snapshot - plane {name!r} extends "
-                    "past end of file"
-                )
+        for name, (start, length) in _plane_spans(
+            meta, data_start, size, path
+        ).items():
             if mapped:
                 arr = np.frombuffer(
-                    buf, dtype=np.int64, count=int(length), offset=start
+                    buf, dtype=np.int64, count=length, offset=start
                 )
                 arrays[name] = arr
             else:
                 seq = array("q")
-                seq.frombytes(buf[start : start + 8 * int(length)])
+                seq.frombytes(buf[start : start + 8 * length])
                 arrays[name] = seq
+        flat = int(arrays["repl_offsets"][-1])
+        for name in REPL_PLANE_NAMES[3:]:
+            _check_length(path, name, len(arrays[name]), flat)
     except Exception:
         if owner is not None:
             owner.close()

@@ -10,9 +10,9 @@ This is the workhorse of the whole library.  Key features:
   distances at the subset boundary.
 * **Tie detection**: two distinct equal-weight paths to the same vertex
   violate the unique-shortest-path contract of
-  :mod:`repro.spt.weights`; under the random scheme this raises
-  :class:`repro.errors.TieBreakError` so callers can reseed (the exact
-  scheme provably never trips it).
+  :mod:`repro.spt.weights`; under the random scheme this always raises
+  :class:`repro.errors.TieBreakError` at the first order-dependent tie,
+  so callers can reseed (the exact scheme provably never trips it).
 
 Weights are Python integers (``BIG * hops + perturbation``), so all
 comparisons are exact - no floating point anywhere near the tie-breaking.
@@ -21,7 +21,10 @@ Only the engine layer (:mod:`repro.engine`) imports this module; every
 other call site goes through ``engine.shortest_paths`` /
 ``engine.seeded_shortest_paths``, which lets array backends substitute
 the fast kernels of :mod:`repro.engine.weighted_kernels` when the
-weight scheme permits.
+weight scheme permits.  This module is the only implementation of tie
+and seed-error semantics (which tie raises first, which seed is
+refused, and the messages): an array kernel that meets a possible tie
+or an invalid seed hands the whole call back here.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ def dijkstra(
     banned_edge: Optional[EdgeId] = None,
     banned_edges: Optional[Set[EdgeId]] = None,
     allowed_edges: Optional[Set[EdgeId]] = None,
-    raise_on_tie: bool = True,
 ) -> ShortestPathResult:
     """Single-source shortest paths under the composite weights.
 
@@ -69,7 +71,6 @@ def dijkstra(
         banned_edges=banned_edges,
         allowed_edges=allowed_edges,
         allowed_vertices=None,
-        raise_on_tie=raise_on_tie,
     )
 
 
@@ -80,7 +81,6 @@ def seeded_dijkstra(
     *,
     allowed_vertices: Set[Vertex],
     banned_edge: Optional[EdgeId] = None,
-    raise_on_tie: bool = True,
 ) -> ShortestPathResult:
     """Dijkstra seeded at a boundary, settling only ``allowed_vertices``.
 
@@ -100,7 +100,6 @@ def seeded_dijkstra(
         banned_edges=None,
         allowed_edges=None,
         allowed_vertices=allowed_vertices,
-        raise_on_tie=raise_on_tie,
     )
 
 
@@ -115,7 +114,6 @@ def _run(
     banned_edges: Optional[Set[EdgeId]],
     allowed_edges: Optional[Set[EdgeId]],
     allowed_vertices: Optional[Set[Vertex]],
-    raise_on_tie: bool,
 ) -> ShortestPathResult:
     n = graph.num_vertices
     dist: List[Optional[int]] = [None] * n
@@ -136,10 +134,9 @@ def _run(
             heappush(heap, (d0, v0))
         elif d0 == current and pe0 != parent_eid[v0]:
             # Two equally cheap boundary entries: a genuine tie.
-            if raise_on_tie:
-                raise TieBreakError(
-                    f"equal-weight seeds for vertex {v0} (scheme={weights.scheme})"
-                )
+            raise TieBreakError(
+                f"equal-weight seeds for vertex {v0} (scheme={weights.scheme})"
+            )
 
     adjacency = graph.adjacency
     while heap:
@@ -171,10 +168,9 @@ def _run(
                 heappush(heap, (cand, w))
             elif cand == dw and eid != parent_eid[w]:
                 # Distinct path of identical weight: uniqueness violated.
-                if raise_on_tie:
-                    raise TieBreakError(
-                        f"equal-weight paths to vertex {w} (scheme={weights.scheme})"
-                    )
+                raise TieBreakError(
+                    f"equal-weight paths to vertex {w} (scheme={weights.scheme})"
+                )
     return ShortestPathResult(
         source=source, dist=dist, parent=parent, parent_eid=parent_eid
     )

@@ -1,8 +1,9 @@
 """Snapshot format robustness, the plane façades and the serving loop.
 
 The mmap-backed planes: corrupt prelude fields fail loudly (magic,
-version, endianness sentinel), truncation at any point is detected
-before any array is trusted, closing is safe under live views, a mapped
+version, endianness sentinel), truncation at any point and a field
+table with negative, overlapping or missized planes are detected before
+any array is trusted, closing is safe under live views, a mapped
 snapshot survives file unlink, and no fd leaks after close.  The
 graph/weights/tree façades over the planes are observably identical to
 the live objects, and the serving loop answers (and counts) each query
@@ -202,6 +203,107 @@ class TestFormatGuards:
     def test_mapped_load_requires_numpy(self, snap):
         with pytest.raises(SnapshotError, match="numpy"):
             load_structure(snap, mapped=True)
+
+
+def _with_fields(snap, tmp_path, edit):
+    """A copy of ``snap`` whose field table went through ``edit`` (a
+    mutator of ``name -> [offset, length]``); the header keeps its byte
+    length, so the plane region does not move."""
+    data = bytearray(snap.read_bytes())
+    (header_len,) = struct.unpack_from("=q", data, 24)
+    meta = json.loads(bytes(data[32 : 32 + header_len]))
+    fields = {name: [off, length] for name, off, length in meta["fields"]}
+    edit(fields)
+    meta["fields"] = [[name, *fields[name]] for name, _, _ in meta["fields"]]
+    raw = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    assert len(raw) <= header_len
+    data[32 : 32 + header_len] = raw.ljust(header_len)
+    bad = tmp_path / "fields.snap"
+    bad.write_bytes(bytes(data))
+    return bad
+
+
+def _set(name, index, value):
+    def edit(fields):
+        fields[name][index] = value(fields) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("mapped", [pytest.param(True, marks=needs_numpy), False])
+class TestFieldTable:
+    """The field table is validated before any plane is trusted: one
+    test per rule, on both the mapped and the decoded load."""
+
+    def _refused(self, snap, tmp_path, mapped, edit, match):
+        bad = _with_fields(snap, tmp_path, edit)
+        with pytest.raises(SnapshotError, match=match):
+            load_structure(bad, mapped=mapped)
+
+    def test_negative_length(self, snap, tmp_path, mapped):
+        self._refused(snap, tmp_path, mapped, _set("tree_hop", 1, -1),
+                      "'tree_hop' has a negative offset or length")
+
+    def test_negative_offset(self, snap, tmp_path, mapped):
+        self._refused(snap, tmp_path, mapped, _set("tree_hop", 0, -64),
+                      "'tree_hop' has a negative offset or length")
+
+    def test_plane_past_the_data_region(self, snap, tmp_path, mapped):
+        size = snap.stat().st_size
+        self._refused(snap, tmp_path, mapped, _set("tree_tin", 0, size),
+                      "plane 'tree_tin' extends past end of file")
+
+    def test_overlapping_planes(self, snap, tmp_path, mapped):
+        self._refused(
+            snap, tmp_path, mapped,
+            _set("tree_hop", 0, lambda f: f["tree_hop"][0] - 64),
+            "plane 'tree_hop' overlaps plane 'pert'",
+        )
+
+    @pytest.mark.parametrize(
+        "name, delta",
+        [("indptr", -1), ("indices", -1), ("edge_ids", -1), ("edge_u", -1),
+         ("edge_v", -1), ("pert", -1), ("tree_pert", -1), ("tree_tout", -1)],
+    )
+    def test_graph_and_tree_plane_lengths(self, snap, tmp_path, mapped,
+                                          name, delta):
+        self._refused(
+            snap, tmp_path, mapped,
+            _set(name, 1, lambda f: f[name][1] + delta),
+            f"plane '{name}' has .* entries, expected",
+        )
+
+    def test_short_tree_plane(self, snap, tmp_path, mapped):
+        self._refused(snap, tmp_path, mapped, _set("tree_hop", 1, 3),
+                      "plane 'tree_hop' has 3 entries, expected 50")
+
+    def test_tree_preorder_longer_than_n(self, snap, tmp_path, mapped):
+        self._refused(snap, tmp_path, mapped, _set("tree_preorder", 1, 51),
+                      "'tree_preorder' has 51 entries, more than the 50")
+
+    @pytest.mark.parametrize("name", ["repl_child", "repl_offsets"])
+    def test_row_planes_follow_repl_eids(self, snap, tmp_path, mapped, name):
+        self._refused(
+            snap, tmp_path, mapped,
+            _set(name, 1, lambda f: f[name][1] - 1),
+            f"plane '{name}' has .* entries, expected",
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["repl_hop", "repl_pert", "repl_parent", "repl_parent_eid"]
+    )
+    def test_value_planes_follow_repl_offsets(self, snap, tmp_path, mapped,
+                                              name):
+        self._refused(
+            snap, tmp_path, mapped,
+            _set(name, 1, lambda f: f[name][1] - 1),
+            f"plane '{name}' has .* entries, expected",
+        )
+
+    def test_untouched_table_loads(self, snap, tmp_path, mapped):
+        good = _with_fields(snap, tmp_path, lambda fields: None)
+        structure = load_structure(good, mapped=mapped)
+        assert len(structure.arrays["tree_hop"]) == 50
+        structure.close()
 
 
 # ----------------------------------------------------------------------

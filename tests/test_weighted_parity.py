@@ -6,7 +6,9 @@ reference for the exact scheme); either way ``shortest_paths`` /
 ``seeded_shortest_paths`` must be *bit-identical* to the python engine:
 same big-int ``dist``, same ``parent``/``parent_eid`` trees, and the
 same order-dependent :class:`~repro.errors.TieBreakError` behavior,
-including the reseed-on-tie path of ``run_pcons``.
+including the reseed-on-tie path of ``run_pcons``.  The kernels only
+detect a possible tie or an invalid seed and hand the call back to the
+reference, which alone decides the error and its message.
 
 The batched replacement subsystem (PR 4) extends the contract: the
 stacked ``weighted_failure_sweep`` / ``batched_shortest_paths`` /
@@ -17,7 +19,7 @@ disconnected subtrees included.
 The fast engine under test follows ``REPRO_ENGINE``: the weighted CI
 matrix reruns this module under ``csr``, which runs its C kernels
 unless ``REPRO_CC=0`` (the no-compiler job) puts it on numpy, so both
-backends face the same tie-replay and chunking cases.
+backends face the same tie hand-back and chunking cases.
 The reference row stays the python engine (an ambient ``python``
 selection degenerates to ``csr``).
 """
@@ -26,7 +28,7 @@ import os
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 pytest.importorskip("numpy")
@@ -208,17 +210,10 @@ def test_even_cycle_ties_on_both_engines():
     assert kind == "tie"
 
 
-def test_raise_on_tie_false_matches_reference():
-    g = cycle_graph(6)
-    w = uniform_assignment(6)
-    kind, _ = run_both("shortest_paths", g, w, 0, raise_on_tie=False)
-    assert kind == "ok"
-
-
 def test_intermediate_running_min_tie_detected():
     """Candidates arriving (10, 10, 5): the reference raises on the
-    second 10 even though the final minimum 5 is unique - the kernel
-    must replay, not just count minima."""
+    second 10 even though the final minimum 5 is unique - the kernels
+    must hand the call back, not just count minima."""
     big = 1 << 50
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     w = WeightAssignment(
@@ -227,9 +222,6 @@ def test_intermediate_running_min_tie_detected():
     )
     kind, _ = run_both("shortest_paths", g, w, 0)
     assert kind == "tie"
-    kind, sp = run_both("shortest_paths", g, w, 0, raise_on_tie=False)
-    assert kind == "ok"
-    assert sp.dist[4] & (big - 1) == 5  # the unique final minimum wins
 
 
 def test_duplicates_above_running_min_do_not_tie():
@@ -267,7 +259,6 @@ def test_degenerate_weights_tie_parity(pair, salt):
     weights = [big + rng.randrange(1, 4) for _ in range(g.num_edges)]
     w = WeightAssignment(weights=weights, shift=16, scheme=RANDOM, seed=0)
     run_both("shortest_paths", g, w, source)
-    run_both("shortest_paths", g, w, source, raise_on_tie=False)
 
 
 @pytest.mark.skipif(
@@ -277,26 +268,51 @@ def test_degenerate_weights_tie_parity(pair, salt):
 @settings(max_examples=25, **COMMON)
 @given(graph_with_source(max_vertices=14, connected=False), st.integers(0, 2**10))
 def test_degenerate_weights_compiled_tie_set_identical(pair, salt):
-    """The C kernel's exact running-min tie detection must reproduce the
-    numpy path's tie *set*: for every degenerate instance, raise vs
-    no-raise, the exception message, and the raise_on_tie=False result
-    all agree between the numpy and C kernels - the compiled
-    bail-and-rerun may never tie where numpy does not, nor miss a tie
-    numpy reports."""
+    """The C kernel's exact running-min tie detection and the numpy
+    path's duplicate detection must yield the same tie *set*: for every
+    degenerate instance, raise vs no-raise, the exception message and
+    the result all agree between the numpy and C kernels - neither
+    hand-back may tie where the other does not, nor miss a tie."""
     g, source = pair
     rng = random.Random(salt)
     big = 1 << 16
     weights = [big + rng.randrange(1, 4) for _ in range(g.num_edges)]
     w = WeightAssignment(weights=weights, shift=16, scheme=RANDOM, seed=0)
-    for kwargs in ({}, {"raise_on_tie": False}):
-        outcomes = []
-        for engine in (CSREngine(), get_engine("csr")):
-            try:
-                r = engine.shortest_paths(g, w, source, **kwargs)
-                outcomes.append(("ok", r.dist, r.parent, r.parent_eid))
-            except TieBreakError as exc:
-                outcomes.append(("tie", str(exc)))
-        assert outcomes[0] == outcomes[1]
+    outcomes = []
+    for engine in (CSREngine(), get_engine("csr")):
+        try:
+            r = engine.shortest_paths(g, w, source)
+            outcomes.append(("ok", r.dist, r.parent, r.parent_eid))
+        except TieBreakError as exc:
+            outcomes.append(("tie", str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.skipif(
+    cbuild.find_compiler() is None,
+    reason="no C compiler: csr runs on numpy only",
+)
+def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
+    """With the C kernels loaded, a bail hands the call straight back to
+    the reference: the numpy relaxation never reruns it."""
+    import repro.engine.csr_engine as ce
+
+    def numpy_relaxation(*args, **kwargs):
+        raise AssertionError("the numpy relaxation ran")
+
+    monkeypatch.setattr(ce, "weighted_levels", numpy_relaxation)
+    engine = get_engine("csr")
+    g = cycle_graph(6)
+    w = uniform_assignment(6)
+    with pytest.raises(TieBreakError, match="equal-weight paths"):
+        engine.shortest_paths(g, w, 0)
+    with pytest.raises(TieBreakError, match="equal-weight paths"):
+        list(engine.batched_shortest_paths(g, w, [0, 1]))
+    w = make_weights(g, RANDOM, seed=0)
+    d = 3 * w.big
+    seeds = [(d, 2, 1, 1), (d, 2, 3, 2)]
+    with pytest.raises(TieBreakError, match="equal-weight seeds for vertex 2"):
+        list(engine.batched_seeded_shortest_paths(g, w, [(seeds, {2, 3}, None)]))
 
 
 # ----------------------------------------------------------------------
@@ -440,10 +456,29 @@ def test_batched_seeded_seed_outside_allowed_raises_on_both():
     assert kind == "graph-error"
 
 
+@pytest.mark.parametrize("vertex", [-2**70, 2**41, 2**70])
+def test_batched_seeded_far_out_of_range_seed_is_named(vertex):
+    """A seed vertex far outside [0, n) fails exactly like the reference:
+    same exception type, same message naming the caller's id (no int64
+    overflow, no clamped id)."""
+    g = cycle_graph(6)
+    w = make_weights(g, RANDOM, seed=0)
+    batches = [([(w.big, vertex, 4, 4)], set(range(1, 5)), None)]
+    outcomes = []
+    for engine in (PY, CSR, CSREngine()):
+        try:
+            list(engine.batched_seeded_shortest_paths(g, w, batches))
+            outcomes.append(("ok", None))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    expected = (GraphError, f"seed vertex {vertex} outside the allowed set")
+    assert outcomes == [expected] * 3
+
+
 def test_batched_seeded_error_kind_follows_seed_order():
     """A seed tie arriving before an invalid seed raises TieBreakError,
     after it GraphError - the reference's sequential order, which the
-    vectorized intake must reproduce rather than validating upfront."""
+    kernels leave to the reference by handing the call back."""
     g = cycle_graph(6)
     w = make_weights(g, RANDOM, seed=0)
     d = 3 * w.big
@@ -486,6 +521,47 @@ def test_sweep_chunking_boundaries_are_invisible():
     finally:
         ce._STACK_STREAM = old
     assert whole == tiny
+
+
+def _sweep_outcome(engine, g, w, tree):
+    """The items a sweep yields, and the tie message it ends on (if any)."""
+    items = []
+    try:
+        for item in engine.weighted_failure_sweep(g, w, tree):
+            items.append(item)
+    except TieBreakError as exc:
+        return items, str(exc)
+    return items, None
+
+
+@settings(max_examples=150, **COMMON)
+@given(st.integers(0, 2**16), st.integers(0, 2**16))
+@example(275, 275)  # clean sweep, five numpy hand-backs mid-stream
+@example(206, 206)
+def test_degenerate_weights_sweep_parity(graph_seed, salt):
+    """Perturbations in {1, 2, 3} put ties - and duplicates that are not
+    ties - inside the sweep's one-subtree chunks.  A chunk that hands
+    back must reset the shared state buffer before the reference reruns
+    it, so later chunks still match: the python engine, the numpy csr
+    and the default csr agree item for item, or end on the same tie."""
+    import repro.engine.csr_engine as ce
+
+    g = gnp_random_graph(12, 0.35, seed=graph_seed)
+    rng = random.Random(salt)
+    big = 1 << 16
+    weights = [big + rng.randrange(1, 4) for _ in range(g.num_edges)]
+    w = WeightAssignment(weights=weights, shift=16, scheme=RANDOM, seed=0)
+    try:
+        tree = build_spt(g, w, 0)
+    except TieBreakError:
+        return  # no unique tree to sweep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ce, "_STACK_STREAM", 1)  # one subtree per chunk
+        outcomes = [
+            _sweep_outcome(engine, g, w, tree)
+            for engine in (PY, CSREngine(), get_engine("csr"))
+        ]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # ----------------------------------------------------------------------
