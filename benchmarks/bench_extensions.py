@@ -34,18 +34,12 @@ def test_micro_vertex_fault_build(benchmark, instance):
 
 
 def test_micro_dso_preprocess(benchmark, instance):
-    def run():
-        dso = DistanceSensitivityOracle(instance, 0)
-        dso.precompute()
-        return dso
-
-    dso = benchmark(run)
+    dso = benchmark(DistanceSensitivityOracle, instance, 0)
     assert dso.tree.num_reachable == instance.num_vertices
 
 
 def test_micro_dso_query(benchmark, instance):
     dso = DistanceSensitivityOracle(instance, 0)
-    dso.precompute()
     eid = dso.tree.tree_edges()[5]
 
     def run():

@@ -8,9 +8,9 @@ Two ratios, both floor-asserted on the full-size run:
 
 * ``load_vs_build`` - ``load_structure`` on a saved snapshot vs
   rebuilding the same structure live (``build_spt`` + the full
-  ``ReplacementEngine`` precompute sweep).  Floor 20x; measured in the
-  thousands (the load is a header parse plus page mapping, so the ratio
-  grows with instance size).
+  replacement sweep a ``ReplacementEngine`` runs at construction).
+  Floor 20x; measured in the thousands (the load is a header parse
+  plus page mapping, so the ratio grows with instance size).
 * ``query_cached_vs_recompute`` - p50 of a cached single-tree-failure
   ``QueryOracle.dist`` vs p50 of answering the same query with a fresh
   banned-edge traversal on the default engine.  Floor 50x; measured in
@@ -87,18 +87,17 @@ def test_oracle_load_and_query_speedup(benchmark, quick_mode, bench_seed,
 
     def build():
         tree = build_spt(graph, weights, 0)
-        replacement = ReplacementEngine(tree)
-        replacement.precompute_all()
-        return tree, replacement
+        ReplacementEngine(tree)
+        return tree
 
     # The rebuild baseline: tree Dijkstra + the full replacement sweep,
     # i.e. everything the snapshot lets a consumer skip.
-    tree, replacement = benchmark.pedantic(build, rounds=1, iterations=1)
-    t_build, (tree, replacement) = _best_of(1, build)
+    benchmark.pedantic(build, rounds=1, iterations=1)
+    t_build, tree = _best_of(1, build)
 
+    # The save sweeps the replacement rows again before it writes.
     path = tmp_path / "oracle.snap"
-    t_save, _ = _best_of(1, lambda: save_structure(
-        path, tree, replacement, precompute=False))
+    t_save, _ = _best_of(1, lambda: save_structure(path, tree))
     snapshot_bytes = os.path.getsize(path)
     reps = 3 if quick_mode else 5
     t_load, _ = _best_of(reps, lambda: load_structure(path).close())
@@ -186,8 +185,9 @@ def test_oracle_load_and_query_speedup(benchmark, quick_mode, bench_seed,
         speedups["query_cached_vs_recompute"],
     )
     record.note(
-        "build = build_spt + ReplacementEngine.precompute_all (what the "
-        f"snapshot lets a consumer skip); load = best of {reps} "
+        "build = build_spt + the ReplacementEngine sweep (what the "
+        "snapshot lets a consumer skip); save includes its own sweep; "
+        f"load = best of {reps} "
         "load_structure + close; queries are single-tree-failure dist() "
         f"over {num_cases} (vertex, tree edge) cases, recompute baseline "
         f"over the first {len(recompute_cases)} on the default engine "
@@ -215,9 +215,7 @@ def test_micro_oracle_cached_query(benchmark, quick_mode, bench_seed):
     """One cached single-failure query, multi-round (the serve hot path)."""
     graph, weights = _instance(True, bench_seed)
     tree = build_spt(graph, weights, 0)
-    replacement = ReplacementEngine(tree)
-    replacement.precompute_all()
-    oracle = QueryOracle.from_tree(tree, replacement, precompute=False)
+    oracle = QueryOracle.from_tree(tree)
     eid = next(pe for pe in tree.parent_eid if pe >= 0)
     v = max(range(graph.num_vertices), key=lambda u: tree.depth[u])
     result = benchmark(oracle.dist, v, [eid])

@@ -3,9 +3,10 @@
 Times the two primitives the PR 4 refactor introduced, per engine, on
 the same G(n, p) instance as ``bench_weighted.py``:
 
-* ``precompute_all`` - the replacement engine's eager fill, which rides
-  ``weighted_failure_sweep`` (stacked subtree recomputes on the csr
-  engine vs the per-edge reference loop on python);
+* the ``ReplacementEngine`` constructor - its fill of every tree-edge
+  failure, which rides ``weighted_failure_sweep`` (stacked subtree
+  recomputes on the csr engine vs the per-edge reference loop on
+  python);
 * the Pcons detour batch - ``batched_shortest_paths`` over a deep-vertex
   sample with path-interior bans, the exact shape ``run_pcons`` submits.
 
@@ -75,32 +76,27 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
     # materializes millions of big-int distances whose memory pressure
     # would otherwise pollute these sub-second timings); best-of-3 with
     # a fresh engine per round keeps the row noise-robust.
-    caches = {}
+    rows = {}
     for name in ("python", "csr"):
         gc.collect()
         with engine_context(name):
             sweep_times = []
             for round_ in range(3):
-                engine = ReplacementEngine(tree)
                 t0 = time.perf_counter()
                 if name == "csr" and round_ == 0:
-                    benchmark.pedantic(
-                        engine.precompute_all, rounds=1, iterations=1
+                    engine = benchmark.pedantic(
+                        ReplacementEngine, (tree,), rounds=1, iterations=1
                     )
                 else:
-                    engine.precompute_all()
+                    engine = ReplacementEngine(tree)
                 sweep_times.append(time.perf_counter() - t0)
         timings[name]["sweep"] = min(sweep_times)
-        caches[name] = engine._cache
+        rows[name] = engine.export_arrays()
+        del engine
 
     # Bit-identical output is a precondition of the timing comparison.
-    assert set(caches["python"]) == set(caches["csr"])
-    for eid, a in caches["python"].items():
-        b = caches["csr"][eid]
-        assert (a.child, a.dist, a.parent, a.parent_eid) == (
-            b.child, b.dist, b.parent, b.parent_eid
-        )
-    caches.clear()
+    assert rows["python"] == rows["csr"]
+    rows.clear()
 
     # Detours: parity via per-source digests so neither engine's full
     # result set stays resident while the other is timed.
@@ -162,7 +158,7 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
                 round(t, 3), round(speedup, 2),
             )
     record.note(
-        "sweep = ReplacementEngine.precompute_all via weighted_failure_sweep; "
+        "sweep = the ReplacementEngine constructor via weighted_failure_sweep; "
         "detours = batched_shortest_paths over deep vertices with path bans"
     )
     record.note(

@@ -50,13 +50,8 @@ def test_micro_replacement_engine(benchmark, instance):
     graph, weights = instance
     tree = build_spt(graph, weights, 0)
 
-    def run():
-        engine = ReplacementEngine(tree)
-        engine.precompute_all()
-        return engine
-
-    engine = benchmark(run)
-    assert engine._cache
+    engine = benchmark(ReplacementEngine, tree)
+    assert engine.export_arrays()["repl_eids"] == tree.tree_edges()
 
 
 def test_micro_pcons(benchmark, instance):

@@ -22,7 +22,6 @@ from repro.graphs import watts_strogatz_graph
 def main() -> None:
     network = watts_strogatz_graph(100, 4, 0.15, seed=3)
     dso = DistanceSensitivityOracle(network, source=0)
-    dso.precompute()
     print(f"network: {network}; oracle ready "
           f"({len(dso.tree.tree_edges())} failure scenarios preprocessed)")
 

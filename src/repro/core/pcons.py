@@ -25,15 +25,14 @@ replacement path ``P_{v,e} in SP(s, v, G \\ {e})``:
    the path); then ``L(j) = dist_W(s, u_j) + delta(j)`` and a single scan
    computes ``j*`` for every failing edge of ``v`` at once.
 
-Batched execution (PR 4): Pcons touches *every* tree edge, so the
-replacement engine is filled eagerly through the engine layer's
-``weighted_failure_sweep`` (one amortized pass over all failures)
-before the pair loop runs, and the per-vertex detour Dijkstras are
+Batched execution: Pcons touches *every* tree edge, and the
+replacement engine fills all of them at construction through the engine
+layer's ``weighted_failure_sweep`` (one amortized pass over all
+failures) before the pair loop runs; the per-vertex detour Dijkstras are
 collected into ``pending_by_vertex`` and dispatched as one
 ``batched_shortest_paths`` call (stacked level-synchronous relaxations
 on the csr engine).  Both batched paths are bit-identical to the
-per-call loops by engine contract; the replacement sweep/hit counters
-are surfaced on :class:`PconsStats`.
+per-call loops by engine contract.
 
 Replacement *distances* ``dist(s, v, G \\ {e})`` come from the
 subtree-restricted engine in :mod:`repro.spt.replacement`.
@@ -72,12 +71,6 @@ class PconsStats:
     num_disconnected: int = 0
     num_detour_dijkstras: int = 0
     total_detour_length: int = 0
-    #: Replacement-engine economics (see ReplacementEngine.stats()):
-    #: failures filled by the weighted sweep vs computed lazily, and
-    #: cache hits served without recomputing.
-    replacement_sweep_fills: int = 0
-    replacement_lazy_computes: int = 0
-    replacement_cache_hits: int = 0
 
     @property
     def max_pairs_possible(self) -> int:
@@ -137,10 +130,6 @@ def _run_once(
 ) -> PconsResult:
     tree = build_spt(graph, weights, source)
     engine = ReplacementEngine(tree)
-    # Every tree edge fails below, so fill the replacement cache through
-    # the engine layer's amortized sweep up front (bit-identical to the
-    # lazy per-edge recomputes it replaces).
-    engine.precompute_all()
     stats = PconsStats()
     w_arr = weights.weights
 
@@ -231,11 +220,6 @@ def _run_once(
                 tree, weights, v, paths_in_flight.popleft(),
                 pending_by_vertex[v], stats, sp,
             )
-
-    rstats = engine.stats()
-    stats.replacement_sweep_fills = rstats.sweep_fills
-    stats.replacement_lazy_computes = rstats.lazy_computes
-    stats.replacement_cache_hits = rstats.hits
 
     pair_set = PairSet(records)
     return PconsResult(

@@ -415,8 +415,8 @@ def replacement_failure(
     path cannot enter the subtree); entering through the edge costs
     ``W(ab)``.  The recompute is a seeded traversal restricted to the
     subtree, dispatched through ``engine.seeded_shortest_paths``.  This
-    is the executable spec of ``weighted_failure_sweep`` and the lazy
-    single-failure path of :class:`repro.spt.replacement.ReplacementEngine`.
+    is the executable spec of ``weighted_failure_sweep``, the one pass
+    that fills :class:`repro.spt.replacement.ReplacementEngine`.
     """
     child = tree.edge_child(eid)
     sub = tree.subtree_vertices(child)

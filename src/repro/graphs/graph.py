@@ -133,10 +133,14 @@ class Graph:
 
     def endpoints(self, eid: EdgeId) -> Endpoints:
         """Return the canonical ``(u, v)`` endpoints of edge ``eid``."""
-        try:
-            return self._edge_u[eid], self._edge_v[eid]
-        except IndexError:
-            raise GraphError(f"edge id {eid} out of range for m={self.num_edges}") from None
+        # A negative id would index from the end (and -1 is also the
+        # ``parent_eid`` sentinel), so it is out of range like ``eid >= m``.
+        if eid >= 0:
+            try:
+                return self._edge_u[eid], self._edge_v[eid]
+            except IndexError:
+                pass
+        raise GraphError(f"edge id {eid} out of range for m={self.num_edges}")
 
     def other_endpoint(self, eid: EdgeId, vertex: Vertex) -> Vertex:
         """Return the endpoint of ``eid`` that is not ``vertex``."""

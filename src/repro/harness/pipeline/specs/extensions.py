@@ -48,7 +48,6 @@ def e14_measure(payload: Dict[str, Any]) -> Dict[str, Any]:
     vf = build_vertex_fault_ftbfs(graph, source)
     ok = verify_vertex_fault(graph, source, vf.edges).ok
     dso = DistanceSensitivityOracle(graph, source)
-    dso.precompute()
     tree_edges = dso.tree.tree_edges()
     t0 = time.perf_counter()
     count = 0

@@ -47,7 +47,6 @@ from typing import (
 from repro._types import EdgeId, Vertex
 from repro.errors import GraphError
 from repro.oracle.snapshot import OracleStructure
-from repro.spt.replacement import ReplacementEngine
 from repro.spt.spt_tree import ShortestPathTree
 
 __all__ = ["OracleStats", "QueryOracle"]
@@ -144,18 +143,11 @@ class QueryOracle:
     # ------------------------------------------------------------------
     @classmethod
     def from_tree(
-        cls,
-        tree: ShortestPathTree,
-        replacement: Optional[ReplacementEngine] = None,
-        *,
-        engine: Optional[str] = None,
-        precompute: bool = True,
+        cls, tree: ShortestPathTree, *, engine: Optional[str] = None
     ) -> "QueryOracle":
-        """Oracle over live objects (no snapshot file involved)."""
-        structure = OracleStructure.from_live(
-            tree, replacement, precompute=precompute
-        )
-        return cls(structure, engine=engine)
+        """Oracle over live objects (no snapshot file involved): the
+        replacement rows of every tree edge are swept here, once."""
+        return cls(OracleStructure.from_live(tree), engine=engine)
 
     @classmethod
     def load(

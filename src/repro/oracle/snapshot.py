@@ -7,10 +7,11 @@ cache from scratch in every process.  This module makes the built
 structure a **file**:
 
 ``save_structure``
-    Serializes graph CSR + weight perturbations + the SPT arrays + the
-    full :class:`~repro.spt.replacement.ReplacementEngine` sweep output
-    into one snapshot of 64-byte-aligned int64 planes behind a tiny
-    binary prelude and a JSON field table.
+    Serializes graph CSR + weight perturbations + the SPT arrays + one
+    replacement row per tree edge (the sweep a
+    :class:`~repro.spt.replacement.ReplacementEngine` runs at
+    construction) into one snapshot of 64-byte-aligned int64 planes
+    behind a tiny binary prelude and a JSON field table.
 
 ``load_structure``
     Maps the file (``mmap`` + zero-copy numpy views over the planes -
@@ -139,7 +140,6 @@ class OracleStructure:
     source: Vertex
     arrays: Mapping[str, Sequence[int]]
     meta: Dict[str, Any] = field(default_factory=dict)
-    replacement: Optional[ReplacementEngine] = None
     owner: Any = None
 
     @property
@@ -173,24 +173,14 @@ class OracleStructure:
             owner.close()
 
     @classmethod
-    def from_live(
-        cls,
-        tree: ShortestPathTree,
-        replacement: Optional[ReplacementEngine] = None,
-        *,
-        precompute: bool = True,
-    ) -> "OracleStructure":
+    def from_live(cls, tree: ShortestPathTree) -> "OracleStructure":
         """Wrap live objects (no file, no copies of the tree arrays).
 
-        With ``precompute`` (the default) the replacement cache is
-        filled through the engine sweep first, so every single-tree-edge
-        failure is an O(path) row; big-int exact-scheme weights are fine
-        here - only *serialization* needs fixed width.
+        The replacement rows come from one :class:`ReplacementEngine`
+        sweep, so every single-tree-edge failure is an O(path) row;
+        big-int exact-scheme weights are fine here - only
+        *serialization* needs fixed width.
         """
-        if replacement is None:
-            replacement = ReplacementEngine(tree)
-        if precompute:
-            replacement.precompute_all()
         arrays: Dict[str, Sequence[int]] = {
             "tree_hop": tree.depth,
             "tree_pert": tree.dist_perturbations(),
@@ -200,7 +190,7 @@ class OracleStructure:
             "tree_tout": tree.tout,
             "tree_preorder": tree.preorder,
         }
-        arrays.update(replacement.export_arrays())
+        arrays.update(ReplacementEngine(tree).export_arrays())
         meta = {
             "num_vertices": tree.graph.num_vertices,
             "num_edges": tree.graph.num_edges,
@@ -215,7 +205,6 @@ class OracleStructure:
             source=tree.source,
             arrays=arrays,
             meta=meta,
-            replacement=replacement,
         )
 
 
@@ -278,21 +267,14 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def save_structure(
-    path,
-    tree: ShortestPathTree,
-    replacement: Optional[ReplacementEngine] = None,
-    *,
-    precompute: bool = True,
-) -> Path:
-    """Write a query-ready snapshot of ``tree`` (+ replacement cache).
+def save_structure(path, tree: ShortestPathTree) -> Path:
+    """Write a query-ready snapshot of ``tree`` and its replacement rows.
 
-    With ``precompute`` (the default) every tree-edge failure is swept
-    into the cache first, so the saved file answers all single-failure
-    queries in O(path); pass ``precompute=False`` to snapshot whatever
-    subset is already cached.  The write is atomic (temp file + rename).
-    Raises :class:`~repro.errors.SnapshotError` when the weights have no
-    int64 representation (see the module docstring).
+    A :class:`ReplacementEngine` sweeps every tree-edge failure first,
+    so the saved file answers all single-failure queries in O(path).
+    The write is atomic (temp file + rename).  Raises
+    :class:`~repro.errors.SnapshotError` when the weights have no int64
+    representation (see the module docstring).
     """
     path = Path(path)
     weights = tree.weights
@@ -300,10 +282,6 @@ def save_structure(
     perts = [w - big for w in weights.weights]
     if perts and min(perts) < 0:
         raise SnapshotError("weights below BIG cannot be decomposed")
-    if replacement is None:
-        replacement = ReplacementEngine(tree)
-    if precompute:
-        replacement.precompute_all()
 
     planes: List[Tuple[str, Sequence[int]]] = _csr_planes(tree.graph)
     planes += [
@@ -316,7 +294,7 @@ def save_structure(
         ("tree_tout", tree.tout),
         ("tree_preorder", tree.preorder),
     ]
-    repl = replacement.export_arrays()
+    repl = ReplacementEngine(tree).export_arrays()
     planes += [(name, repl[name]) for name in REPL_PLANE_NAMES]
 
     blobs: List[Tuple[int, bytes]] = []
@@ -600,15 +578,12 @@ def _assemble(
         int(wmeta["max_pert"]),
         owner,
     )
-    tree = tree_facade(graph, weights, int(meta["source"]), arrays)
-    replacement = ReplacementEngine.from_arrays(tree, arrays)
     return OracleStructure(
         graph=graph,
         weights=weights,
-        tree=tree,
+        tree=tree_facade(graph, weights, int(meta["source"]), arrays),
         source=int(meta["source"]),
         arrays=arrays,
         meta=meta,
-        replacement=replacement,
         owner=owner,
     )

@@ -2,7 +2,7 @@
 and replacement distances under single edge failures."""
 
 from repro.spt.bfs import UNREACHABLE, bfs_distances, bfs_distances_subset, bfs_tree
-from repro.spt.replacement import EdgeFailure, ReplacementEngine, ReplacementStats
+from repro.spt.replacement import EdgeFailure, ReplacementEngine
 from repro.spt.result import ShortestPathResult
 from repro.spt.sensitivity import DistanceSensitivityOracle
 from repro.spt.spt_tree import ShortestPathTree, build_spt
@@ -16,7 +16,6 @@ __all__ = [
     "ShortestPathResult",
     "EdgeFailure",
     "ReplacementEngine",
-    "ReplacementStats",
     "DistanceSensitivityOracle",
     "ShortestPathTree",
     "build_spt",

@@ -3,17 +3,18 @@
 The paper builds on the *single-source replacement paths* problem
 ([9, 17, 20, 21] in its bibliography): preprocess ``(G, s)`` so that
 queries ``dist(s, v, G \\ {e})`` - and the corresponding replacement
-path - are answered fast.  This oracle wraps the subtree-restricted
-replacement engine behind exactly that query interface:
+path - are answered fast.  This oracle is a hop-unit view over a live
+:class:`~repro.oracle.query.QueryOracle`, whose construction sweeps
+every tree-edge failure once (classic preprocess-then-query):
 
-* ``distance(v, failed_edge)`` - hop distance avoiding the failure,
-  O(1) after the failure's first query (lazy per-edge preprocessing);
+* ``distance(v, failed_edge)`` - hop distance avoiding the failure, an
+  O(1) read of the failed edge's Euler-keyed replacement row;
 * ``replacement_path(v, failed_edge)`` - an actual shortest path in
-  ``G \\ {e}``, extracted from the engine's parent pointers;
+  ``G \\ {e}``, walked along the row's parent pointers;
 * failures off ``pi(s, v)`` short-circuit to the original distance.
 
-``precompute()`` turns the lazy oracle into a classic
-preprocess-then-query one.
+Vertex and edge ids outside the graph raise
+:class:`~repro.errors.GraphError`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import List, Optional
 from repro._types import EdgeId, Vertex
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
-from repro.spt.replacement import ReplacementEngine
 from repro.spt.spt_tree import ShortestPathTree, build_spt
 from repro.spt.weights import make_weights
 
@@ -45,18 +45,17 @@ class DistanceSensitivityOracle:
         self.source = source
         self.weights = make_weights(graph, weight_scheme, seed)
         self.tree: ShortestPathTree = build_spt(graph, self.weights, source)
-        self._engine = ReplacementEngine(self.tree)
+        # Imported here: ``import repro`` loads this module, and builds
+        # and verifies should not pay for the oracle package's import.
+        from repro.oracle.query import QueryOracle
+
+        self._oracle = QueryOracle.from_tree(self.tree)
         self.queries_served = 0
 
     # ------------------------------------------------------------------
-    def precompute(self) -> None:
-        """Eagerly prepare every possible failure (classic DSO mode)."""
-        self._engine.precompute_all()
-
     def base_distance(self, v: Vertex) -> Optional[int]:
         """``dist(s, v, G)`` in hops (``None`` when unreachable)."""
-        d = self.tree.dist[v]
-        return None if d is None else self.weights.hops(d)
+        return self._oracle.hops(v)
 
     def distance(
         self, v: Vertex, failed_edge: Optional[EdgeId] = None
@@ -65,19 +64,12 @@ class DistanceSensitivityOracle:
 
         ``failed_edge=None`` queries the no-failure distance.  Failures of
         non-tree edges, or of tree edges off ``pi(s, v)``, return the
-        original distance without touching the engine.
+        original distance.
         """
         self.queries_served += 1
-        if failed_edge is None:
-            return self.base_distance(v)
-        self._check_edge(failed_edge)
-        if not self.tree.is_reachable(v):
-            return None
-        if not self.tree.is_tree_edge(failed_edge):
-            return self.base_distance(v)
-        if not self.tree.edge_on_path(failed_edge, v):
-            return self.base_distance(v)
-        return self._engine.hops_after_failure(failed_edge, v)
+        return self._oracle.hops(
+            v, None if failed_edge is None else [failed_edge]
+        )
 
     def replacement_path(
         self, v: Vertex, failed_edge: EdgeId
@@ -85,38 +77,19 @@ class DistanceSensitivityOracle:
         """A shortest ``s -> v`` path in ``G \\ {failed_edge}``.
 
         Returns ``None`` when the failure disconnects ``v``.  For
-        unaffected targets the original tree path is returned.
+        unaffected targets the original tree path is returned.  Raises
+        :class:`~repro.errors.GraphError` when ``v`` is out of range or
+        unreachable even without the failure.
         """
         self.queries_served += 1
-        self._check_edge(failed_edge)
-        if not self.tree.is_reachable(v):
-            raise GraphError(f"vertex {v} unreachable from source {self.source}")
-        tree = self.tree
-        if not tree.is_tree_edge(failed_edge) or not tree.edge_on_path(
-            failed_edge, v
-        ):
-            return tree.path_vertices(v)
-        data = self._engine.failure(failed_edge)
-        if data.dist.get(v) is None:
+        oracle = self._oracle
+        if oracle.dist(v, [failed_edge]) is None:
+            if oracle.dist(v) is None:
+                raise GraphError(
+                    f"vertex {v} unreachable from source {self.source}"
+                )
             return None
-        # Walk parent pointers: inside the failed subtree use the
-        # recomputed parents, outside fall back to T0.
-        path = [v]
-        cur = v
-        guard = self.graph.num_vertices + 1
-        while cur != self.source:
-            cur = data.parent[cur] if cur in data.parent else tree.parent[cur]
-            path.append(cur)
-            guard -= 1
-            if guard == 0:  # pragma: no cover - defensive
-                raise GraphError("replacement path extraction cycled")
-        path.reverse()
-        return path
-
-    # ------------------------------------------------------------------
-    def _check_edge(self, eid: EdgeId) -> None:
-        if not 0 <= eid < self.graph.num_edges:
-            raise GraphError(f"edge id {eid} out of range")
+        return oracle.path(v, [failed_edge])
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -106,21 +106,20 @@ def test_oracle_floors():
 
     def build():
         tree = build_spt(graph, weights, 0)
-        engine = ReplacementEngine(tree)
-        engine.precompute_all()
-        return tree, engine
+        ReplacementEngine(tree)
+        return tree
 
     t_build = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
-        tree, replacement = build()
+        tree = build()
         t_build = min(t_build, time.perf_counter() - t0)
 
     import tempfile, os
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "perf.snap")
-        save_structure(path, tree, replacement, precompute=False)
+        save_structure(path, tree)
         t_load = _best_of(3, lambda: load_structure(path).close())
         load_speedup = t_build / t_load
         assert load_speedup >= 5.0, (

@@ -61,6 +61,14 @@ class TestQueries:
         assert small_graph.edge_id(1, 4) == eid
         assert set(small_graph.endpoints(eid)) == {1, 4}
 
+    @pytest.mark.parametrize("eid", [-1, -4, -5, 4])
+    def test_endpoints_out_of_range_raises(self, eid):
+        """A negative id would index from the end; -1 is also the
+        ``parent_eid`` sentinel.  Both sides of ``[0, m)`` raise alike."""
+        g = Graph(4, [(1, 2), (2, 3), (3, 0), (0, 1)])
+        with pytest.raises(GraphError, match=f"edge id {eid} out of range"):
+            g.endpoints(eid)
+
     def test_edge_id_missing_raises(self, small_graph):
         with pytest.raises(GraphError):
             small_graph.edge_id(0, 5)

@@ -17,7 +17,6 @@ from repro.engine import get_engine
 from repro.errors import GraphError, TieBreakError
 from repro.graphs import Graph, connected_gnp_graph, path_graph
 from repro.oracle import OracleStructure, QueryOracle
-from repro.spt.replacement import ReplacementEngine
 from repro.spt.spt_tree import build_spt
 from repro.spt.weights import make_weights
 
@@ -240,77 +239,6 @@ class TestStats:
         oracle.dist(3, a)  # recomputes
         assert oracle.stats.fallback_traversals == 3
         assert oracle.stats.fallback_hits == 0
-
-
-# ----------------------------------------------------------------------
-# ReplacementEngine export/import round trip
-# ----------------------------------------------------------------------
-class TestReplacementRoundTrip:
-    def test_arrays_round_trip_bit_identical(self, instance):
-        _, tree = instance
-        original = ReplacementEngine(tree)
-        original.precompute_all()
-        arrays = original.export_arrays()
-        rebuilt = ReplacementEngine.from_arrays(tree, arrays)
-        for eid in _tree_eids(tree):
-            a, b = original.failure(eid), rebuilt.failure(eid)
-            assert (a.eid, a.child) == (b.eid, b.child)
-            assert a.dist == b.dist
-            assert a.parent == b.parent
-            assert a.parent_eid == b.parent_eid
-
-    def test_snapshot_hits_distinct_from_sweep_and_lazy(self, instance):
-        _, tree = instance
-        original = ReplacementEngine(tree)
-        original.precompute_all()
-        rebuilt = ReplacementEngine.from_arrays(tree, original.export_arrays())
-        eids = _tree_eids(tree)
-        for eid in eids:
-            rebuilt.failure(eid)
-        s = rebuilt.stats()
-        assert s.snapshot_hits == len(eids)
-        assert s.lazy_computes == 0
-        assert s.sweep_fills == 0
-        # second pass hits the dict cache, not the snapshot
-        rebuilt.failure(eids[0])
-        s2 = rebuilt.stats()
-        assert (s2.snapshot_hits, s2.hits) == (len(eids), 1)
-
-    def test_precompute_on_imported_engine_uses_snapshot(self, instance):
-        _, tree = instance
-        original = ReplacementEngine(tree)
-        original.precompute_all()
-        rebuilt = ReplacementEngine.from_arrays(tree, original.export_arrays())
-        rebuilt.precompute_all()
-        s = rebuilt.stats()
-        assert s.snapshot_hits == len(_tree_eids(tree))
-        assert s.sweep_fills == 0
-
-    def test_partial_export_round_trip(self, instance):
-        """Exporting a partially-filled cache only ships cached rows;
-        the importing engine computes the rest itself."""
-        _, tree = instance
-        eids = _tree_eids(tree)
-        partial = ReplacementEngine(tree)
-        partial.failure(eids[0])
-        arrays = partial.export_arrays()
-        assert len(arrays["repl_eids"]) == 1
-        rebuilt = ReplacementEngine.from_arrays(tree, arrays)
-        full = ReplacementEngine(tree)
-        for eid in eids[:3]:
-            a, b = rebuilt.failure(eid), full.failure(eid)
-            assert a.dist == b.dist
-
-    def test_clear_keeps_snapshot_backing(self, instance):
-        _, tree = instance
-        original = ReplacementEngine(tree)
-        original.precompute_all()
-        rebuilt = ReplacementEngine.from_arrays(tree, original.export_arrays())
-        eid = _tree_eids(tree)[0]
-        rebuilt.failure(eid)
-        rebuilt.clear()
-        rebuilt.failure(eid)
-        assert rebuilt.stats().snapshot_hits == 2
 
 
 # ----------------------------------------------------------------------

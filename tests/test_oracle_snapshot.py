@@ -100,9 +100,7 @@ class TestRoundTrip:
         assert list(arrays["tree_parent_eid"]) == tree.parent_eid
         assert list(arrays["tree_tin"]) == tree.tin
         assert list(arrays["tree_preorder"]) == tree.preorder
-        engine = ReplacementEngine(tree)
-        engine.precompute_all()
-        export = engine.export_arrays()
+        export = ReplacementEngine(tree).export_arrays()
         for key, values in export.items():
             assert list(arrays[key]) == list(values), key
 

@@ -47,19 +47,10 @@ class TestPairEnumeration:
         assert s.num_pairs == len(pc.pairs)
 
     def test_replacement_counters_wired(self):
-        """Pcons fills the replacement cache eagerly through the sweep;
-        the engine's economics surface on PconsStats."""
+        """One detour Dijkstra per vertex with uncovered pairs."""
         g = gnp_random_graph(30, 0.15, seed=2)
         pc = run_pcons(g, 0)
         s = pc.stats
-        tree_edges = len(pc.tree.tree_edges())
-        assert s.replacement_sweep_fills == tree_edges
-        assert s.replacement_lazy_computes == 0
-        assert s.replacement_cache_hits > 0  # every pair probes the cache
-        rs = pc.engine.stats()
-        assert rs.sweep_fills == s.replacement_sweep_fills
-        assert rs.cached_edges == tree_edges
-        # one detour Dijkstra per vertex with uncovered pairs
         uncovered_vertices = {r.v for r in pc.pairs.uncovered()}
         assert s.num_detour_dijkstras == len(uncovered_vertices)
 

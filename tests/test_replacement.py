@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from repro.errors import GraphError
 from repro.graphs import (
     Graph,
     cycle_graph,
@@ -31,7 +32,7 @@ class TestBasics:
         eid = tree.parent_eid[1] if tree.depth[1] == 1 else None
         # the tree edge to vertex 1 is (0,1); failure forces the long way
         eid = g.edge_id(0, 1)
-        assert engine.hops_after_failure(eid, 1) == 5
+        assert tree.weights.hops(engine.dist_after_failure(eid, 1)) == 5
 
     def test_path_disconnects(self):
         g = path_graph(5)
@@ -55,94 +56,35 @@ class TestBasics:
         eid = tree.tree_edges()[0]
         assert engine.failure(eid) is engine.failure(eid)
 
-    def test_precompute_all(self):
+    def test_rows_complete_at_construction(self, monkeypatch):
+        """The constructor sweeps every tree edge: with the traversal
+        engine gone afterwards, every row still answers and exports."""
         g = grid_graph(3, 3)
         tree, engine = make_engine(g)
-        engine.precompute_all()
-        assert len(engine._cache) == len(tree.tree_edges())
 
+        def no_engine(*args, **kwargs):
+            raise AssertionError("traversal after construction")
 
-class TestSweepAndStats:
-    """The sweep-backed eager mode and the cache economics (PR 4)."""
-
-    def test_sweep_matches_lazy_per_edge(self):
-        """Sweep fills and lazy computes must be bit-identical (here on
-        whatever engine is default; the engine-parity suite covers the
-        rest).  Includes disconnected subtrees via the bridge edges."""
-        g = gnp_random_graph(26, 0.1, seed=4)
-        tree, lazy = make_engine(g)
-        _, swept = make_engine(g)
-        swept.precompute_all()
+        monkeypatch.setattr("repro.spt.replacement.get_engine", no_engine)
         for eid in tree.tree_edges():
-            a = lazy.failure(eid)
-            b = swept.failure(eid)
-            assert (a.eid, a.child, a.dist, a.parent, a.parent_eid) == (
-                b.eid, b.child, b.dist, b.parent, b.parent_eid
-            )
+            assert engine.failure(eid).eid == eid
+        assert engine.export_arrays()["repl_eids"] == tree.tree_edges()
 
-    def test_stats_counters(self):
-        g = grid_graph(3, 3)
+    def test_non_tree_edge_ids_raise(self):
+        """-1 (the source's ``parent_eid`` sentinel) raises like any other
+        non-tree id; read as the last edge it would report every vertex,
+        the source included, as disconnected."""
+        g = Graph(4, [(1, 2), (2, 3), (3, 0), (0, 1)])
         tree, engine = make_engine(g)
-        eid = tree.tree_edges()[0]
-        engine.failure(eid)
-        engine.failure(eid)
-        s = engine.stats()
-        assert (s.lazy_computes, s.hits, s.sweep_fills) == (1, 1, 0)
-        assert s.cached_edges == 1
-        assert s.tree_edges == len(tree.tree_edges())
-        engine.precompute_all()
-        s = engine.stats()
-        assert s.sweep_fills == s.tree_edges - 1  # the probed edge skipped
-        assert s.cached_edges == s.tree_edges
-
-    def test_clear_bounds_memory_counters_survive(self):
-        g = grid_graph(3, 3)
-        tree, engine = make_engine(g)
-        engine.precompute_all()
-        fills = engine.stats().sweep_fills
-        engine.clear()
-        s = engine.stats()
-        assert s.cached_edges == 0
-        assert s.sweep_fills == fills  # cumulative economics survive
-        # probing after clear() recomputes (lazily) and still matches
-        eid = tree.tree_edges()[0]
-        assert engine.failure(eid).eid == eid
-        assert engine.stats().lazy_computes == 1
-
-    def test_clear_resets_auto_upgrade_trigger(self):
-        """A clear() must not be undone by the very next probe: the
-        eager-upgrade counter restarts, so post-clear probes stay lazy
-        until a fresh constant fraction of the tree is touched."""
-        g = gnp_random_graph(40, 0.15, seed=6)
-        tree, engine = make_engine(g)
-        edges = tree.tree_edges()
-        for eid in edges[: engine._eager_threshold]:
-            engine.failure(eid)
-        engine.clear()
-        engine.failure(edges[0])
-        s = engine.stats()
-        assert s.sweep_fills == 0  # no full re-sweep after the clear
-        assert s.cached_edges == 1
-
-    def test_lazy_probes_auto_upgrade_to_sweep(self):
-        """Past a constant fraction of the tree edges, the next miss
-        sweeps everything still missing."""
-        from repro.spt import replacement as rmod
-
-        g = gnp_random_graph(40, 0.15, seed=6)
-        tree, engine = make_engine(g)
-        edges = tree.tree_edges()
-        threshold = engine._eager_threshold
-        assert threshold < len(edges)
-        for eid in edges[:threshold]:
-            engine.failure(eid)
-        s = engine.stats()
-        assert (s.lazy_computes, s.sweep_fills) == (threshold, 0)
-        engine.failure(edges[threshold])  # the upgrade trigger
-        s = engine.stats()
-        assert s.lazy_computes == threshold
-        assert s.sweep_fills == len(edges) - threshold
-        assert s.cached_edges == len(edges)
+        non_tree = next(
+            eid for eid in range(g.num_edges) if not tree.is_tree_edge(eid)
+        )
+        for eid in (-1, non_tree, g.num_edges):
+            with pytest.raises(GraphError):
+                engine.failure(eid)
+            for v in g.vertices():
+                with pytest.raises(GraphError):
+                    engine.dist_after_failure(eid, v)
 
 
 class TestAgainstNetworkx:
@@ -158,7 +100,8 @@ class TestAgainstNetworkx:
             nx_sub.remove_edge(u, v)
             theirs = nx.single_source_shortest_path_length(nx_sub, 0)
             for vertex in g.vertices():
-                ours = engine.hops_after_failure(eid, vertex)
+                d = engine.dist_after_failure(eid, vertex)
+                ours = None if d is None else w.hops(d)
                 assert ours == theirs.get(vertex), (eid, vertex)
 
 

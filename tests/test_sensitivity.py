@@ -3,14 +3,18 @@
 import networkx as nx
 import pytest
 
+from repro.engine import get_engine
 from repro.errors import GraphError
 from repro.graphs import (
     Graph,
+    barbell_graph,
     connected_gnp_graph,
     cycle_graph,
+    gnp_random_graph,
     grid_graph,
     path_graph,
     to_networkx,
+    watts_strogatz_graph,
 )
 from repro.spt import DistanceSensitivityOracle
 
@@ -102,9 +106,78 @@ class TestReplacementPaths:
 
 class TestPrecompute:
     def test_precompute_then_query(self):
+        """Construction is the preprocessing: every tree-edge failure
+        has its replacement row, so each query reads it and none falls
+        back to a traversal."""
         g = grid_graph(4, 4)
         dso = DistanceSensitivityOracle(g, 0)
-        dso.precompute()
-        # every tree edge failure is already cached
-        assert len(dso._engine._cache) == len(dso.tree.tree_edges())
-        assert dso.distance(15, dso.tree.tree_edges()[0]) is not None
+        tree_edges = dso.tree.tree_edges()
+        for eid in tree_edges:
+            assert dso.distance(15, eid) is not None
+        stats = dso._oracle.stats
+        assert stats.row_answers == len(tree_edges)
+        assert stats.fallback_traversals == 0
+
+
+_QUERIES = {
+    "distance": lambda dso, v: dso.distance(v),
+    "distance_failed": lambda dso, v: dso.distance(v, 0),
+    "base_distance": lambda dso, v: dso.base_distance(v),
+    "replacement_path": lambda dso, v: dso.replacement_path(v, 0),
+}
+
+
+@pytest.mark.parametrize("query", sorted(_QUERIES))
+@pytest.mark.parametrize("v", [-1, -35, 35, 10**6])
+def test_out_of_range_vertex_raises(oracle_and_graph, query, v):
+    """Negative ids must not index from the end (-1 would answer as
+    vertex 34), and ids past n raise the typed error, not IndexError."""
+    dso, g = oracle_and_graph
+    assert g.num_vertices == 35
+    with pytest.raises(GraphError, match="out of range"):
+        _QUERIES[query](dso, v)
+
+
+def _isolated_and_pendant():
+    # Triangle 0-1-2, bridge 2-3 into triangle 3-4-5, pendant bridge 5-6;
+    # vertex 7 is isolated.
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)]
+    return Graph(8, edges)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        gnp_random_graph(40, 0.12, seed=1),
+        grid_graph(5, 6),
+        watts_strogatz_graph(40, 4, 0.2, seed=2),
+        barbell_graph(6, 3),
+        _isolated_and_pendant(),
+    ],
+    ids=["gnp", "grid", "watts_strogatz", "barbell", "isolated_pendant"],
+)
+def test_random_scheme_matches_banned_edge_traversal(graph):
+    """Under random weights the rows come from the engine's array
+    sweep (the exact scheme only ever runs the reference): every
+    (edge, vertex) answer equals the python engine's banned-edge run."""
+    dso = DistanceSensitivityOracle(graph, 0, weight_scheme="random")
+    weights, source = dso.weights, dso.source
+    python = get_engine("python")
+    for eid in range(graph.num_edges):
+        sp = python.shortest_paths(graph, weights, source, banned_edge=eid)
+        for v in graph.vertices():
+            d = sp.dist[v]
+            assert dso.distance(v, eid) == (
+                None if d is None else weights.hops(d)
+            ), (eid, v)
+            if not dso.tree.is_reachable(v):
+                with pytest.raises(GraphError):
+                    dso.replacement_path(v, eid)
+                continue
+            if d is None:
+                assert dso.replacement_path(v, eid) is None, (eid, v)
+                continue
+            chain = [v]
+            while chain[-1] != source:
+                chain.append(sp.parent[chain[-1]])
+            assert dso.replacement_path(v, eid) == chain[::-1], (eid, v)

@@ -162,6 +162,23 @@ class TestTreeEdges:
         with pytest.raises(GraphError):
             tree.edge_child(non_tree[0])
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda tree: tree.edge_child(-1),
+            lambda tree: tree.is_tree_edge(-1),
+            lambda tree: tree.edge_on_path(-1, 2),
+        ],
+        ids=["edge_child", "is_tree_edge", "edge_on_path"],
+    )
+    def test_negative_edge_id_raises(self, query):
+        """-1 is the source's ``parent_eid`` sentinel, never a tree edge;
+        indexing from the end would read it as the last edge, (0, 1)."""
+        tree = make_tree(Graph(4, [(1, 2), (2, 3), (3, 0), (0, 1)]))
+        assert tree.parent_eid[tree.source] == -1
+        with pytest.raises(GraphError):
+            query(tree)
+
     def test_edge_on_path(self):
         tree = make_tree(path_graph(5))
         g = tree.graph

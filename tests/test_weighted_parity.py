@@ -316,7 +316,7 @@ def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the batched replacement subsystem: sweep-vs-lazy and batch-vs-per-call
+# the batched replacement subsystem: sweep-vs-per-edge and batch-vs-per-call
 # ----------------------------------------------------------------------
 def run_both_batched(method, *args, **kwargs):
     """Consume a batched generator on both engines; kinds must agree."""
@@ -340,7 +340,7 @@ def run_both_batched(method, *args, **kwargs):
        st.sampled_from([EXACT, RANDOM]))
 def test_weighted_failure_sweep_parity(pair, wseed, scheme):
     """The stacked sweep equals both the python sweep and the per-edge
-    lazy recomputes, bit for bit, disconnected subtrees included."""
+    recomputes, bit for bit, disconnected subtrees included."""
     g, source = pair
     w = make_weights(g, scheme, seed=wseed)
     tree = build_spt(g, w, source)
@@ -349,7 +349,7 @@ def test_weighted_failure_sweep_parity(pair, wseed, scheme):
         return
     assert a == b
     assert [item[0] for item in a] == tree.tree_edges()
-    # ... and every item matches the per-edge lazy path on each engine.
+    # ... and every item matches the per-edge recompute on each engine.
     for engine, items in ((PY, a), (CSR, b)):
         for item in items:
             assert item == replacement_failure(engine, g, w, tree, item[0])
@@ -579,11 +579,8 @@ def test_run_pcons_random_scheme_engine_parity(seed):
     assert ref.tree.parent == fast.tree.parent
     assert ref.tree.parent_eid == fast.tree.parent_eid
     assert ref.pairs.pairs == fast.pairs.pairs  # full PairRecord equality
-    # Counters too: the replacement sweep/lazy/hit economics are part of
-    # the deterministic construction record.
+    # Counters too: they are part of the deterministic construction record.
     assert ref.stats == fast.stats
-    assert ref.stats.replacement_sweep_fills == len(ref.tree.tree_edges())
-    assert ref.stats.replacement_lazy_computes == 0
 
 
 def test_run_pcons_reseeds_identically_on_tie():
