@@ -27,11 +27,12 @@ Engine contract (details in :mod:`repro.engine.base`)
   ``repro engines``).
 * ``weighted_failure_sweep`` / ``batched_shortest_paths`` /
   ``batched_seeded_shortest_paths``: the batched replacement subsystem -
-  replacement distances for *all* tree-edge failures, and many
-  independent (seeded) weighted traversals, in one amortized pass.  The
-  reference implementations are the per-call loops; the csr engine
-  stacks the runs into shared per-level kernels.  Reported via
-  ``replacement_backend`` / ``detour_backend``.
+  replacement rows for *all* tree-edge failures (``ReplacementRows``,
+  the oracle snapshot's layout), and many independent (seeded) weighted
+  traversals, in one amortized pass.  The reference implementations are
+  the per-call loops; the csr engine stacks the runs into shared
+  per-level kernels.  Reported via ``replacement_backend`` /
+  ``detour_backend``.
 
 Built-in engines
 ----------------
@@ -61,7 +62,7 @@ sweep workers honor :class:`repro.harness.parallel.SweepTask.engine`.
 
 from repro.engine.base import (
     UNREACHABLE,
-    ReplacementSweepItem,
+    ReplacementRows,
     SweepHandle,
     TraversalEngine,
     distances_equal,
@@ -80,7 +81,7 @@ from repro.engine.registry import (
 
 __all__ = [
     "UNREACHABLE",
-    "ReplacementSweepItem",
+    "ReplacementRows",
     "SweepHandle",
     "TraversalEngine",
     "distances_equal",

@@ -47,19 +47,20 @@ Contract
   on it, which is the only implementation of tie and seed-error
   semantics.
 * **Batched replacement primitives** (PR 4).  ``weighted_failure_sweep``
-  yields, per failed tree edge of a
-  :class:`~repro.spt.spt_tree.ShortestPathTree`, the replacement
-  ``dist``/``parent``/``parent_eid`` maps restricted to the failed
-  subtree - the weighted analogue of ``failure_sweep``.
+  yields, for the failed tree edges of a
+  :class:`~repro.spt.spt_tree.ShortestPathTree`, the replacement rows
+  over each failed subtree - the weighted analogue of ``failure_sweep``
+  - in :class:`ReplacementRows` blocks; only the concatenated rows, not
+  the blocking, are part of the contract.
   ``batched_shortest_paths`` and ``batched_seeded_shortest_paths`` run
   many independent weighted traversals (the Pcons detour Dijkstras, the
   vertex-fault subtree recomputes) through one amortized path.  The
   reference implementations *are* the per-call loops below, so parity
   between the per-call and batched paths holds by construction on the
   python engine; array backends must reproduce them bit-identically
-  (maps, big-int distances, tie/error *kinds* - which of several
-  simultaneous ties raises first is not part of the contract, only that
-  one does).  Backends advertise these paths via
+  (rows, parent maps, big-int distances, tie/error *kinds* - which of
+  several simultaneous ties raises first is not part of the contract,
+  only that one does).  Backends advertise these paths via
   :attr:`TraversalEngine.replacement_backend` and
   :attr:`TraversalEngine.detour_backend`.
 * **Phase S1 interference** (not a traversal, but Phase S1's hot loop).
@@ -86,6 +87,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -102,21 +104,42 @@ __all__ = [
     "distances_equal",
     "num_unreachable",
     "replacement_failure",
-    "ReplacementSweepItem",
+    "ReplacementRows",
     "SeedBatch",
 ]
 
-#: One item of ``weighted_failure_sweep``: ``(eid, child, dist, parent,
-#: parent_eid)`` with the maps keyed by the failed subtree's vertices
-#: (``dist[v] is None`` where the failure disconnects ``v``; parents of
-#: boundary vertices point outside the subtree).
-ReplacementSweepItem = Tuple[
-    EdgeId,
-    Vertex,
-    Dict[Vertex, Optional[int]],
-    Dict[Vertex, Vertex],
-    Dict[Vertex, EdgeId],
-]
+
+class ReplacementRows(NamedTuple):
+    """A block of ``weighted_failure_sweep`` rows, as plain int lists in
+    the oracle snapshot's ``repl_*`` layout (:mod:`repro.oracle.snapshot`).
+
+    One ``repl_eids``/``repl_child`` entry per failed tree edge;
+    ``repl_offsets`` (from 0) delimits row ``i`` in the value planes,
+    where it covers ``subtree_vertices(repl_child[i])`` in preorder.
+    ``repl_hop`` is -1 where the failure disconnects the vertex (pert 0,
+    parents -1); else the distance is ``(hop << shift) + pert`` (big
+    ints under the exact scheme), and boundary parents lie outside.
+    """
+
+    repl_eids: List[EdgeId]
+    repl_child: List[Vertex]
+    repl_offsets: List[int]
+    repl_hop: List[int]
+    repl_pert: List[int]
+    repl_parent: List[Vertex]
+    repl_parent_eid: List[EdgeId]
+
+    @classmethod
+    def concat(cls, blocks: Iterable["ReplacementRows"]) -> "ReplacementRows":
+        """The rows of ``blocks``, in order, as one block."""
+        out = cls([], [], [0], [], [], [], [])
+        for block in blocks:
+            base = out.repl_offsets[-1]
+            offsets = [base + o for o in block.repl_offsets[1:]]
+            for plane, part in zip(out, block._replace(repl_offsets=offsets)):
+                plane.extend(part)
+        return out
+
 
 #: One batch of ``batched_seeded_shortest_paths``: ``(seeds,
 #: allowed_vertices, banned_edge)`` with the same semantics as a single
@@ -283,18 +306,18 @@ class TraversalEngine:
         weights,
         tree,
         eids: Optional[Sequence[EdgeId]] = None,
-    ) -> Iterator[ReplacementSweepItem]:
-        """Replacement data for every failed tree edge, amortized.
+    ) -> Iterator[ReplacementRows]:
+        """Replacement rows for every failed tree edge, amortized.
 
-        For each tree edge of ``tree`` (or the explicit ``eids`` subset,
-        in order; ids that are not tree edges raise
-        :class:`~repro.errors.GraphError`) yields the weighted
-        replacement ``dist``/``parent``/``parent_eid`` maps of the
-        failed subtree - exactly what a per-edge
-        ``seeded_shortest_paths`` recompute produces.  This reference
-        implementation *is* that per-edge loop; array backends stack the
-        subtree recomputes into shared level passes.  Lazy: nothing is
-        computed until the first item is consumed.
+        Covers each tree edge of ``tree`` (or the explicit ``eids``
+        subset, in order; ids that are not tree edges raise
+        :class:`~repro.errors.GraphError`) with the row a per-edge
+        ``seeded_shortest_paths`` recompute of the failed subtree
+        produces, yielded in :class:`ReplacementRows` blocks.  This
+        reference implementation *is* that per-edge loop, one block per
+        edge; array backends stack the subtree recomputes into shared
+        level passes and yield a block per stacked chunk.  Lazy:
+        nothing is computed until the first block is consumed.
         """
         if eids is None:
             eids = tree.tree_edges()
@@ -407,8 +430,8 @@ def _zip_sources_and_bans(
 
 def replacement_failure(
     engine: TraversalEngine, graph: Graph, weights, tree, eid: EdgeId
-) -> ReplacementSweepItem:
-    """One failed tree edge's replacement data, the reference way.
+) -> ReplacementRows:
+    """One failed tree edge's replacement row, the reference way.
 
     Seeds: for every edge ``(a, b)`` crossing into the failed subtree,
     the outer endpoint ``a`` keeps its original distance (its shortest
@@ -439,18 +462,22 @@ def replacement_failure(
                 continue  # outer endpoint itself unreachable
             seeds.append((da + w_arr[cross_eid], b, a, cross_eid))
 
+    size = len(sub)
+    hop, pert = [-1] * size, [0] * size
+    parent, parent_eid = [-1] * size, [-1] * size
     if seeds:
         sp = engine.seeded_shortest_paths(
             graph, weights, seeds, allowed_vertices=sub_set, banned_edge=eid
         )
-        dist = {v: sp.dist[v] for v in sub}
-        parent = {v: sp.parent[v] for v in sub if sp.dist[v] is not None}
-        parent_eid = {v: sp.parent_eid[v] for v in sub if sp.dist[v] is not None}
-    else:
-        dist = {v: None for v in sub}
-        parent = {}
-        parent_eid = {}
-    return eid, child, dist, parent, parent_eid
+        shift, mask = weights.shift, weights.big - 1
+        for i, v in enumerate(sub):
+            d = sp.dist[v]
+            if d is not None:
+                hop[i], pert[i] = d >> shift, d & mask
+                parent[i], parent_eid[i] = sp.parent[v], sp.parent_eid[v]
+    return ReplacementRows(
+        [eid], [child], [0, size], hop, pert, parent, parent_eid
+    )
 
 
 def distances_equal(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -27,9 +27,6 @@ reruns on that reference, which raises its
 :class:`~repro.errors.TieBreakError` or
 :class:`~repro.errors.GraphError`, message and all.
 
-A loaded snapshot's mapped tree planes feed the weighted sweep's C
-kernel zero-copy.
-
 Phase S1's ``exists_live_partners`` runs in C too, one call per batch
 of pairs, over arrays built once per
 :class:`~repro.core.interference.InterferenceIndex` (pair -> internal

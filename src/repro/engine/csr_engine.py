@@ -26,8 +26,9 @@ batch occupies its own layer of a virtual ``B * n`` vertex space over
 the one shared CSR view, so every hop level costs one set of numpy
 invocations for the whole batch instead of one per traversal.  The
 sweep additionally enumerates its crossing-edge seeds vectorized from
-the tree's Euler intervals instead of via Python ``adjacency()`` loops.
-Chunking bounds the stacked state (``_STACK_STATE`` entries per chunk);
+the tree's Euler intervals instead of via Python ``adjacency()`` loops,
+and fancy-indexes each chunk's ``ReplacementRows`` out of the stacked
+state.  Chunking bounds the stacked state (``_STACK_STATE`` entries per chunk);
 plans that cannot be represented, and chunks whose relaxation hands the
 call back, rerun on the reference, exactly like the per-call weighted
 paths.
@@ -43,7 +44,7 @@ import numpy as np
 from repro._types import EdgeId, Vertex
 from repro.engine.base import (
     UNREACHABLE,
-    ReplacementSweepItem,
+    ReplacementRows,
     SeedBatch,
     _zip_sources_and_bans,
 )
@@ -536,7 +537,7 @@ class CSREngine(PythonEngine):
         weights,
         tree,
         eids: Optional[Sequence[EdgeId]] = None,
-    ) -> Iterator[ReplacementSweepItem]:
+    ) -> Iterator[ReplacementRows]:
         edge_list = list(eids) if eids is not None else tree.tree_edges()
         if not edge_list:
             return
@@ -574,32 +575,23 @@ class CSREngine(PythonEngine):
         Returns ``(csr, perts, children, sizes, tree_arrays)``: the
         gated perturbation plan, each failed edge's deeper endpoint, the
         per-subtree expansion sizes that chunking packs by, and the
-        tree's int64 ``(hop, pert, tin, tout, preorder)`` arrays.  None
-        when the plan cannot represent the assignment (or its largest
-        crossing-edge seed); the caller then runs the reference loops.
+        tree's int64 ``(hop, pert, tin, tout, preorder)`` arrays,
+        converted from its lists once per call.  None when the plan
+        cannot represent the assignment (or its largest crossing-edge
+        seed); the caller then runs the reference loops.
         """
         export = weights.pert_array()
         if export is None or weighted_plan(graph, weights) is None:
             return None
         csr = csr_view(graph)
-        base = getattr(tree, "_base_state", None)
-        if base is not None:
-            # Snapshot tree façade: the decomposition arrays are already
-            # mapped - zero-copy, no big-int pass, no list conversions.
-            hop0, pert0 = base["hop"], base["pert"]
-            tin, tout, preorder = base["tin"], base["tout"], base["preorder"]
-            parent_eid = base["parent_eid"]
-            max_pert0 = int(pert0.max()) if pert0.size else 0
-        else:
-            # Per-vertex tree metadata, decomposed once for the sweep.
-            pert0_list = tree.dist_perturbations(weights)
-            max_pert0 = max(pert0_list, default=0)
-            hop0 = np.asarray(tree.depth, dtype=np.int64)
-            pert0 = np.asarray(pert0_list, dtype=np.int64)
-            tin = np.asarray(tree.tin, dtype=np.int64)
-            tout = np.asarray(tree.tout, dtype=np.int64)
-            preorder = np.asarray(tree.preorder, dtype=np.int64)
-            parent_eid = np.asarray(tree.parent_eid, dtype=np.int64)
+        # Per-vertex tree metadata, decomposed once for the sweep.
+        pert0_list = tree.dist_perturbations(weights)
+        max_pert0 = max(pert0_list, default=0)
+        hop0 = np.asarray(tree.depth, dtype=np.int64)
+        pert0 = np.asarray(pert0_list, dtype=np.int64)
+        tin = np.asarray(tree.tin, dtype=np.int64)
+        tout = np.asarray(tree.tout, dtype=np.int64)
+        preorder = np.asarray(tree.preorder, dtype=np.int64)
         # Re-gate with the largest possible crossing-edge seed: the plan
         # must prove seed + path perturbations never carry into the hop
         # bits, exactly as the per-call seeded path does.
@@ -608,18 +600,8 @@ class CSREngine(PythonEngine):
         )
         if perts is None:
             return None
-        # edge -> deeper endpoint, vectorized over parent_eid (every
-        # reachable non-source vertex names its parent edge exactly once).
-        m = csr.num_edges
-        child_of_eid = np.full(m, -1, dtype=np.int64)
-        verts = np.flatnonzero(parent_eid >= 0)
-        child_of_eid[parent_eid[verts]] = verts
-        children: List[Vertex] = []
-        for eid in edge_list:
-            child = int(child_of_eid[eid]) if 0 <= eid < m else -1
-            if child < 0:
-                child = tree.edge_child(eid)  # raises: not a tree edge
-            children.append(child)
+        # Raises for every id that is not a tree edge.
+        children = [tree.edge_child(eid) for eid in edge_list]
         # Chunk by subtree expansion: prefix sums of the preorder-ordered
         # degrees give each failed subtree's half-edge count in O(1).
         deg_pre = (csr.indptr[1:] - csr.indptr[:-1])[preorder]
@@ -642,8 +624,9 @@ class CSREngine(PythonEngine):
         tout: np.ndarray,
         preorder: np.ndarray,
         state,
-    ) -> Iterator[ReplacementSweepItem]:
-        """One stacked chunk of subtree recomputes (layer = failed edge)."""
+    ) -> Iterator[ReplacementRows]:
+        """One stacked chunk of subtree recomputes (layer = failed edge),
+        yielded as one :class:`ReplacementRows` block."""
         n = csr.num_vertices
         B = len(eids)
         children_np = np.asarray(children, dtype=np.int64)
@@ -707,37 +690,23 @@ class CSREngine(PythonEngine):
                 graph, weights, tree, eids=eids
             )
             return
+        # The chunk's rows are the stacked state read at ``touched``,
+        # which lists every layer's subtree in preorder - the row
+        # layout itself.  Internal parents are stacked ids (map back by
+        # the layer offset); seeded ones are already local.
         settled, hop, pert, parent, parent_eid = levels
-        shift = weights.shift
-        for b in range(B):
-            off = b * n
-            sub = preorder[tin_c[b] : tout_c[b]]
-            idx = sub + off
-            ok = settled[idx]
-            if not ok.all():
-                idx = idx[ok]
-                sub = sub[ok]
-            sub_l = sub.tolist()
-            # The composite (hop << shift) + pert overflows int64 (shift
-            # is 63), so distances become Python ints here; everything
-            # around them is dict(zip(...)) over bulk tolist() exports.
-            dist: Dict[Vertex, Optional[int]] = dict(
-                zip(sub_l, (
-                    (hh << shift) + pp
-                    for hh, pp in zip(hop[idx].tolist(), pert[idx].tolist())
-                ))
-            )
-            par = parent[idx]
-            par = np.where(par >= off, par - off, par)
-            parent_d: Dict[Vertex, Vertex] = dict(zip(sub_l, par.tolist()))
-            parent_eid_d: Dict[Vertex, EdgeId] = dict(
-                zip(sub_l, parent_eid[idx].tolist())
-            )
-            if len(sub_l) != ok.size:
-                # Unreached subtree vertices report None, in the same
-                # preorder position the per-vertex loop put them.
-                full = dict.fromkeys(preorder[tin_c[b] : tout_c[b]].tolist())
-                full.update(dist)
-                dist = full
-            yield (int(eids[b]), int(children[b]), dist, parent_d, parent_eid_d)
+        ok = settled[touched]
+        off = touched - subs
+        par = parent[touched]
+        par = np.where(par >= off, par - off, par)
+        rows = ReplacementRows(
+            list(eids),
+            list(children),
+            np.concatenate(([0], np.cumsum(sizes))).tolist(),
+            np.where(ok, hop[touched], -1).tolist(),
+            np.where(ok, pert[touched], 0).tolist(),
+            np.where(ok, par, -1).tolist(),
+            np.where(ok, parent_eid[touched], -1).tolist(),
+        )
         reset()
+        yield rows

@@ -6,14 +6,15 @@ it durable and servable:
 
 * :mod:`repro.oracle.snapshot` - a versioned, mmap-able file format
   (:func:`save_structure` / :func:`load_structure`): one snapshot of
-  aligned int64 planes, loaded O(1) by mapping instead of parsing.
+  aligned int64 planes, loaded by mapping instead of parsing (the
+  replacement rows are checked against the tree planes on load).
 * :mod:`repro.oracle.query` - :class:`QueryOracle`, answering
   ``dist(s, v | failed_edges)`` / ``path`` / batched variants in
   O(path) array lookups, bit-identical to a fresh engine traversal.
 * :mod:`repro.oracle.serve` - :class:`OracleServer`, a JSONL request
   loop answering inline (``repro serve``); parallel serving is one
   process per core over the same mapped snapshot.
-* :mod:`repro.oracle.facades` - the graph/weights/tree façades a loaded
+* :mod:`repro.oracle.facades` - the graph and weights façades a loaded
   snapshot's planes are wrapped in.
 
 The live, hop-level convenience wrapper

@@ -1,15 +1,14 @@
-"""Graph, weight and tree façades over loaded int64 planes.
+"""Graph and weight façades over loaded int64 planes.
 
-A snapshot stores the graph's CSR arrays, the per-edge weight
-perturbations and the SPT's per-vertex arrays as flat int64 planes
-(:mod:`repro.oracle.snapshot`).  The façades here give those planes the
-interfaces the rest of the library reads - a
-:class:`~repro.graphs.graph.Graph`, a
-:class:`~repro.spt.weights.WeightAssignment`, a
-:class:`~repro.spt.spt_tree.ShortestPathTree` - without converting
+A snapshot stores the graph's CSR arrays and the per-edge weight
+perturbations as flat int64 planes (:mod:`repro.oracle.snapshot`).  The
+façades here give those planes the interfaces a query fallback's
+traversal reads - a :class:`~repro.graphs.graph.Graph` and a
+:class:`~repro.spt.weights.WeightAssignment` - without converting
 anything up front: array engines read the mapped views zero-copy, and
 the Python containers a reference path needs materialize lazily on
-first touch.
+first touch.  The tree and replacement planes need no façade:
+:class:`~repro.oracle.query.QueryOracle` reads them as they are.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import List, Optional
 
 from repro.graphs.graph import Graph
 
-__all__ = ["SharedGraph", "weights_facade", "tree_facade"]
+__all__ = ["SharedGraph", "weights_facade"]
 
 
 class SharedGraph(Graph):
@@ -178,45 +177,3 @@ def weights_facade(pert, shift: int, scheme: str, seed: int, max_pert: int,
     if hasattr(pert, "setflags"):
         object.__setattr__(weights, "_pert_cache", (pert, max_pert))
     return weights
-
-
-def tree_facade(graph: Graph, weights, source: int, arrays):
-    """A :class:`~repro.spt.spt_tree.ShortestPathTree` façade over
-    mapped (or listed) ``tree_*`` planes.
-
-    Carries exactly the fields the failure sweeps and the query oracle
-    consume.
-    """
-    from repro.spt.spt_tree import ShortestPathTree
-
-    tree = ShortestPathTree.__new__(ShortestPathTree)
-    tree.graph = graph
-    tree.weights = weights
-    tree.source = source
-    hop = _plain(arrays["tree_hop"])
-    pert = _plain(arrays["tree_pert"])
-    shift = weights.shift
-    tree.dist = [
-        None if h < 0 else (h << shift) + p for h, p in zip(hop, pert)
-    ]
-    tree.depth = hop
-    tree.parent = _plain(arrays["tree_parent"])
-    tree.parent_eid = _plain(arrays["tree_parent_eid"])
-    tree.tin = _plain(arrays["tree_tin"])
-    tree.tout = _plain(arrays["tree_tout"])
-    tree.preorder = _plain(arrays["tree_preorder"])
-    # children / binary-lifting tables are deliberately not rebuilt: no
-    # failure-sweep path touches them (lca() would need a full rebuild).
-    # The mapped int64 decomposition, for engines that can consume it
-    # directly (``CSREngine.weighted_failure_sweep``): the mapped
-    # views instead of the Python lists above, so a weighted sweep's
-    # setup never pays the O(n) list/big-int round trips again.
-    tree._base_state = {
-        "hop": arrays["tree_hop"],
-        "pert": arrays["tree_pert"],
-        "parent_eid": arrays["tree_parent_eid"],
-        "tin": arrays["tree_tin"],
-        "tout": arrays["tree_tout"],
-        "preorder": arrays["tree_preorder"],
-    }
-    return tree

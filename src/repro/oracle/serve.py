@@ -5,7 +5,7 @@ behind a line-oriented JSON protocol (one request object per line, one
 response object per line) and answers every query inline in its own
 process.  To serve in parallel, run one ``repro serve`` process per core
 over the same snapshot file: each maps it read-only, so they share the
-page cache and load in O(1).
+page cache and load without parsing the planes.
 
 Consistency model: the standing failure set (``mark_down``/``mark_up``)
 belongs to the server process; every query is answered under its

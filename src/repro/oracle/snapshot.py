@@ -15,12 +15,12 @@ structure a **file**:
 
 ``load_structure``
     Maps the file (``mmap`` + zero-copy numpy views over the planes -
-    O(1) in graph size, nothing is parsed) and wraps the planes in the
-    façades of :mod:`repro.oracle.facades`, so a loaded structure is
-    query-ready immediately and bit-identical to the saved one.
-    Without numpy the planes decode into ``array('q')`` sequences
-    instead (an O(n + m) read, documented fallback - correctness is
-    identical, only the O(1) load guarantee is numpy-backed).
+    nothing is parsed; O(planes) plus one vectorized row check) and
+    wraps the graph and weight planes in the façades of
+    :mod:`repro.oracle.facades`, so a loaded structure is query-ready
+    immediately and bit-identical to the saved one.  Without numpy the
+    planes decode into ``array('q')`` sequences instead (an O(n + m)
+    read and a looped row check, documented fallback - same answers).
 
 File format (version 1)
 -----------------------
@@ -44,7 +44,8 @@ the same way, and so does a field table whose planes overlap or whose
 lengths disagree with the header.  The replacement planes are
 Euler-keyed: row ``i`` covers ``subtree_vertices(repl_child[i])`` in
 preorder, so per-row vertex keys are implied, never stored (see
-:meth:`~repro.spt.replacement.ReplacementEngine.export_arrays`).
+:class:`~repro.engine.base.ReplacementRows`); a row that disagrees
+with the tree planes is refused at load, by row number.
 
 Snapshots require the weights to be int64-representable - any random
 scheme assignment, or the exact scheme up to 62 edges (the same gate as
@@ -63,6 +64,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._types import EdgeId, Vertex
+from repro.engine.base import ReplacementRows
 from repro.errors import SnapshotError
 from repro.graphs.graph import Graph
 from repro.spt.replacement import ReplacementEngine
@@ -91,8 +93,8 @@ _ALIGN = 64
 _PRELUDE = struct.Struct("=8sqqq")  # magic, version, sentinel, json length
 
 #: Planes every snapshot must carry, in canonical order.  The ``tree_*``
-#: names are the keys :func:`~repro.oracle.facades.tree_facade` reads;
-#: the ``repl_*`` names match ``ReplacementEngine`` exports.
+#: and ``repl_*`` names are the keys of :meth:`OracleStructure.from_live`;
+#: the ``repl_*`` ones are :class:`ReplacementRows`' fields.
 PLANE_NAMES = (
     "indptr",
     "indices",
@@ -107,17 +109,10 @@ PLANE_NAMES = (
     "tree_tin",
     "tree_tout",
     "tree_preorder",
-    "repl_eids",
-    "repl_child",
-    "repl_offsets",
-    "repl_hop",
-    "repl_pert",
-    "repl_parent",
-    "repl_parent_eid",
-)
+) + ReplacementRows._fields
 
 #: The replacement planes.
-REPL_PLANE_NAMES = PLANE_NAMES[13:]
+REPL_PLANE_NAMES = ReplacementRows._fields
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +131,6 @@ class OracleStructure:
 
     graph: Graph
     weights: WeightAssignment
-    tree: ShortestPathTree
     source: Vertex
     arrays: Mapping[str, Sequence[int]]
     meta: Dict[str, Any] = field(default_factory=dict)
@@ -201,7 +195,6 @@ class OracleStructure:
         return cls(
             graph=tree.graph,
             weights=tree.weights,
-            tree=tree,
             source=tree.source,
             arrays=arrays,
             meta=meta,
@@ -270,11 +263,11 @@ def _align(offset: int) -> int:
 def save_structure(path, tree: ShortestPathTree) -> Path:
     """Write a query-ready snapshot of ``tree`` and its replacement rows.
 
-    A :class:`ReplacementEngine` sweeps every tree-edge failure first,
-    so the saved file answers all single-failure queries in O(path).
-    The write is atomic (temp file + rename).  Raises
-    :class:`~repro.errors.SnapshotError` when the weights have no int64
-    representation (see the module docstring).
+    A :class:`ReplacementEngine` sweeps every tree-edge failure first
+    (:meth:`OracleStructure.from_live`), so the saved file answers all
+    single-failure queries in O(path).  The write is atomic (temp file
+    + rename).  Raises :class:`~repro.errors.SnapshotError` when the
+    weights have no int64 representation (see the module docstring).
     """
     path = Path(path)
     weights = tree.weights
@@ -283,19 +276,10 @@ def save_structure(path, tree: ShortestPathTree) -> Path:
     if perts and min(perts) < 0:
         raise SnapshotError("weights below BIG cannot be decomposed")
 
+    arrays = OracleStructure.from_live(tree).arrays
     planes: List[Tuple[str, Sequence[int]]] = _csr_planes(tree.graph)
-    planes += [
-        ("pert", perts),
-        ("tree_hop", tree.depth),
-        ("tree_pert", tree.dist_perturbations()),
-        ("tree_parent", tree.parent),
-        ("tree_parent_eid", tree.parent_eid),
-        ("tree_tin", tree.tin),
-        ("tree_tout", tree.tout),
-        ("tree_preorder", tree.preorder),
-    ]
-    repl = ReplacementEngine(tree).export_arrays()
-    planes += [(name, repl[name]) for name in REPL_PLANE_NAMES]
+    planes.append(("pert", perts))
+    planes += [(name, arrays[name]) for name in PLANE_NAMES[6:]]
 
     blobs: List[Tuple[int, bytes]] = []
     fields: List[List[Any]] = []
@@ -320,7 +304,7 @@ def save_structure(path, tree: ShortestPathTree) -> Path:
             "seed": weights.seed,
             "max_pert": max(perts) if perts else 0,
         },
-        "replacement_rows": len(repl["repl_eids"]),
+        "replacement_rows": len(arrays["repl_eids"]),
         "fields": fields,
     }
     header = json.dumps(meta, separators=(",", ":")).encode("utf-8")
@@ -466,6 +450,51 @@ def _plane_spans(
     return spans
 
 
+def _check_rows(
+    arrays: Mapping[str, Sequence[int]], n: int, mapped: bool, path: Path
+) -> None:
+    """Refuse replacement rows that disagree with the tree planes.
+
+    Row ``i`` needs a child ``c = repl_child[i]`` in ``[0, n)`` with
+    ``0 <= tin[c] < tout[c] <= n``, parent edge ``repl_eids[i]`` and
+    ``tout[c] - tin[c]`` value entries (offsets from 0), and no child
+    may repeat: such a row passes every length check yet answers for
+    the wrong subtree.  Vectorized over mapped planes, a loop otherwise.
+    """
+    eids, child = arrays["repl_eids"], arrays["repl_child"]
+    offsets, parent_eid = arrays["repl_offsets"], arrays["tree_parent_eid"]
+    tin, tout = arrays["tree_tin"], arrays["tree_tout"]
+    if offsets[0] != 0:
+        raise SnapshotError(f"{path}: plane 'repl_offsets' does not start at 0")
+    if mapped:
+        ok = (child >= 0) & (child < n)
+        if n:
+            c = child.clip(0, n - 1)  # rows out of range are already bad
+            lo, hi = tin[c], tout[c]
+            ok &= (lo >= 0) & (lo < hi) & (hi <= n) & (parent_eid[c] == eids)
+            ok &= offsets[1:] - offsets[:-1] == hi - lo
+            order = child.argsort(kind="stable")
+            ok[order[1:][child[order][1:] == child[order][:-1]]] = False
+        rows = (~ok).nonzero()[0]
+        bad = int(rows[0]) if rows.size else None
+    else:
+        seen, bad = set(), None
+        for i, c in enumerate(child):
+            if not (
+                0 <= c < n and 0 <= tin[c] < tout[c] <= n
+                and parent_eid[c] == eids[i] and c not in seen
+                and offsets[i + 1] - offsets[i] == tout[c] - tin[c]
+            ):
+                bad = i
+                break
+            seen.add(c)
+    if bad is not None:
+        raise SnapshotError(
+            f"{path}: replacement row {bad} (edge {int(eids[bad])}, child "
+            f"{int(child[bad])}) disagrees with the tree planes"
+        )
+
+
 def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
     """Load a snapshot into a query-ready :class:`OracleStructure`.
 
@@ -478,7 +507,8 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
 
     Raises :class:`~repro.errors.SnapshotError` on bad magic, version or
     endianness mismatch, truncated planes, a field table whose planes
-    overlap or disagree with the header's sizes, or a missing file.
+    overlap or disagree with the header's sizes, replacement rows that
+    disagree with the tree planes, or a missing file.
     """
     path = Path(path)
     if mapped is None or mapped:
@@ -532,6 +562,7 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
         flat = int(arrays["repl_offsets"][-1])
         for name in REPL_PLANE_NAMES[3:]:
             _check_length(path, name, len(arrays[name]), flat)
+        _check_rows(arrays, int(meta["num_vertices"]), mapped, path)
     except Exception:
         if owner is not None:
             owner.close()
@@ -549,8 +580,8 @@ def _assemble(
     meta: Dict[str, Any],
     owner: Any,
 ) -> OracleStructure:
-    """Rebuild the graph/weights/tree façades over loaded planes."""
-    from repro.oracle.facades import tree_facade, weights_facade
+    """Rebuild the graph and weights façades over loaded planes."""
+    from repro.oracle.facades import weights_facade
 
     n = int(meta["num_vertices"])
     m = int(meta["num_edges"])
@@ -581,7 +612,6 @@ def _assemble(
     return OracleStructure(
         graph=graph,
         weights=weights,
-        tree=tree_facade(graph, weights, int(meta["source"]), arrays),
         source=int(meta["source"]),
         arrays=arrays,
         meta=meta,

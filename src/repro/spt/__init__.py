@@ -2,7 +2,7 @@
 and replacement distances under single edge failures."""
 
 from repro.spt.bfs import UNREACHABLE, bfs_distances, bfs_distances_subset, bfs_tree
-from repro.spt.replacement import EdgeFailure, ReplacementEngine
+from repro.spt.replacement import ReplacementEngine
 from repro.spt.result import ShortestPathResult
 from repro.spt.sensitivity import DistanceSensitivityOracle
 from repro.spt.spt_tree import ShortestPathTree, build_spt
@@ -14,7 +14,6 @@ __all__ = [
     "bfs_distances_subset",
     "bfs_tree",
     "ShortestPathResult",
-    "EdgeFailure",
     "ReplacementEngine",
     "DistanceSensitivityOracle",
     "ShortestPathTree",

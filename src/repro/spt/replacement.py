@@ -18,40 +18,24 @@ reference implementation *is* the per-edge recompute
 (:func:`repro.engine.base.replacement_failure`), and
 ``tests/test_weighted_parity.py`` enforces the two bit-identical.
 
-:meth:`ReplacementEngine.export_arrays` flattens the table into
-Euler-keyed integer planes - each failed edge's row covers exactly
-``subtree_vertices(child)`` in preorder, so the vertex keys never need
-storing.  The oracle snapshot (:mod:`repro.oracle.snapshot`) stores them
-and :class:`~repro.oracle.query.QueryOracle` answers from them.
+The table has one format from the sweep to the snapshot file
+(:mod:`repro.oracle.snapshot`): the Euler-keyed ``repl_*`` planes of
+:class:`~repro.engine.base.ReplacementRows`, one row per failed edge
+over ``subtree_vertices(child)`` in preorder.  The engine concatenates
+the sweep's blocks and answers from them; ``export_arrays`` hands them
+on unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro._types import EdgeId, Vertex
+from repro.engine.base import ReplacementRows
 from repro.engine.registry import get_engine
 from repro.spt.spt_tree import ShortestPathTree
 
-__all__ = ["EdgeFailure", "ReplacementEngine"]
-
-
-@dataclass
-class EdgeFailure:
-    """Recomputed shortest-path data for a single failed tree edge.
-
-    ``dist`` maps each subtree vertex to its new composite distance
-    (``None`` if the failure disconnects it).  ``parent``/``parent_eid``
-    describe the recomputed shortest paths inside the subtree; parents of
-    boundary vertices point *outside* the subtree.
-    """
-
-    eid: EdgeId
-    child: Vertex
-    dist: Dict[Vertex, Optional[int]]
-    parent: Dict[Vertex, Vertex]
-    parent_eid: Dict[Vertex, EdgeId]
+__all__ = ["ReplacementEngine"]
 
 
 class ReplacementEngine:
@@ -62,91 +46,49 @@ class ReplacementEngine:
         self.tree = tree
         self.graph = tree.graph
         self.weights = tree.weights
-        sweep = get_engine().weighted_failure_sweep(
-            self.graph, self.weights, tree
+        rows = self._rows = ReplacementRows.concat(
+            get_engine().weighted_failure_sweep(self.graph, self.weights, tree)
         )
-        self._rows: Dict[EdgeId, EdgeFailure] = {
-            eid: EdgeFailure(
-                eid=eid, child=child, dist=dist,
-                parent=parent, parent_eid=parent_eid,
+        # Per failed edge: v's entry sits at ``base + tin[v]``, for v in
+        # the subtree's Euler interval ``[lo, hi)``.
+        tin, tout = tree.tin, tree.tout
+        self._row_of: Dict[EdgeId, Tuple[int, int, int]] = {
+            eid: (offset - tin[child], tin[child], tout[child])
+            for eid, child, offset in zip(
+                rows.repl_eids, rows.repl_child, rows.repl_offsets
             )
-            for eid, child, dist, parent, parent_eid in sweep
         }
-
-    def failure(self, eid: EdgeId) -> EdgeFailure:
-        """Failure data for tree edge ``eid``; a non-tree id raises
-        :class:`~repro.errors.GraphError`."""
-        row = self._rows.get(eid)
-        if row is None:
-            self.tree.edge_child(eid)  # raises for every non-tree id
-        return row
 
     def dist_after_failure(self, eid: EdgeId, v: Vertex) -> Optional[int]:
         """``dist_W(s, v, G \\ {e})``; ``None`` when disconnected.
 
         For vertices outside the failed subtree the original distance is
-        returned directly (their shortest path avoids ``e``).
+        returned directly (their shortest path avoids ``e``); a non-tree
+        id raises :class:`~repro.errors.GraphError`.
         """
+        row = self._row_of.get(eid)
+        if row is None:
+            self.tree.edge_child(eid)  # raises for every non-tree id
         tree = self.tree
-        child = tree.edge_child(eid)
-        if not tree.is_reachable(v):
+        dist = tree.dist[v]
+        if dist is None:
             return None
-        if tree.in_subtree(child, v):
-            return self._rows[eid].dist.get(v)
-        return tree.dist[v]
+        base, lo, hi = row
+        pos = tree.tin[v]
+        if not lo <= pos < hi:
+            return dist
+        pos += base
+        hop = self._rows.repl_hop[pos]
+        if hop < 0:
+            return None
+        return (hop << self.weights.shift) + self._rows.repl_pert[pos]
 
     def export_arrays(self) -> Dict[str, List[int]]:
-        """Flatten every tree-edge failure into Euler-keyed integer planes.
+        """Every tree-edge failure as the snapshot's ``repl_*`` planes.
 
-        Returns plain Python lists (callers choose the storage width):
-
-        ``repl_eids``/``repl_child``
-            One entry per failed tree edge, in tree-edge preorder.
-        ``repl_offsets``
-            ``len(repl_eids) + 1`` prefix offsets into the flat planes.
-        ``repl_hop``/``repl_pert``/``repl_parent``/``repl_parent_eid``
-            Row ``i`` covers ``subtree_vertices(repl_child[i])`` *in
-            preorder* - the vertex keys are implied by the Euler
-            interval, never stored.  ``hop = -1`` marks a disconnected
-            vertex (``pert`` 0, ``parent``/``parent_eid`` -1); otherwise
-            ``dist = (hop << shift) + pert``.
-
-        Big-int perturbations stay big ints here - only a fixed-width
+        Plain Python lists, rows in tree-edge preorder; the layout is
+        :class:`~repro.engine.base.ReplacementRows`'.  Big-int
+        perturbations stay big ints here - only a fixed-width
         *serialization* restricts them.
         """
-        tree = self.tree
-        shift = self.weights.shift
-        mask = self.weights.big - 1
-        eids: List[int] = []
-        child: List[int] = []
-        offsets: List[int] = [0]
-        hop: List[int] = []
-        pert: List[int] = []
-        parent: List[int] = []
-        parent_eid: List[int] = []
-        for eid in tree.tree_edges():
-            data = self._rows[eid]
-            eids.append(eid)
-            child.append(data.child)
-            for v in tree.subtree_vertices(data.child):
-                d = data.dist.get(v)
-                if d is None:
-                    hop.append(-1)
-                    pert.append(0)
-                    parent.append(-1)
-                    parent_eid.append(-1)
-                else:
-                    hop.append(d >> shift)
-                    pert.append(d & mask)
-                    parent.append(data.parent[v])
-                    parent_eid.append(data.parent_eid[v])
-            offsets.append(len(hop))
-        return {
-            "repl_eids": eids,
-            "repl_child": child,
-            "repl_offsets": offsets,
-            "repl_hop": hop,
-            "repl_pert": pert,
-            "repl_parent": parent,
-            "repl_parent_eid": parent_eid,
-        }
+        return self._rows._asdict()

@@ -1,25 +1,29 @@
 """Snapshot format robustness, the plane façades and the serving loop.
 
 The mmap-backed planes: corrupt prelude fields fail loudly (magic,
-version, endianness sentinel), truncation at any point and a field
-table with negative, overlapping or missized planes are detected before
-any array is trusted, closing is safe under live views, a mapped
-snapshot survives file unlink, and no fd leaks after close.  The
-graph/weights/tree façades over the planes are observably identical to
-the live objects, and the serving loop answers (and counts) each query
-once.
+version, endianness sentinel), truncation at any point, a field table
+with negative, overlapping or missized planes, and replacement rows
+that disagree with the tree planes are detected before any array is
+trusted, closing is safe under live views, a mapped snapshot survives
+file unlink, and no fd leaks after close.  The saved bytes of three
+hand-built trees are pinned.  The graph and weights façades over the
+planes are observably identical to the live objects, and the serving
+loop answers (and counts) each query once.
 """
 
 import gc
+import hashlib
 import io
 import json
 import os
 import struct
+import sys
+from array import array
 
 import pytest
 
 from repro.errors import GraphError, SnapshotError
-from repro.graphs import connected_gnp_graph
+from repro.graphs import Graph, connected_gnp_graph
 from repro.oracle import (
     OracleServer,
     OracleStructure,
@@ -31,7 +35,7 @@ from repro.oracle import (
 from repro.oracle import snapshot as snapshot_mod
 from repro.spt.replacement import ReplacementEngine
 from repro.spt.spt_tree import build_spt
-from repro.spt.weights import make_weights
+from repro.spt.weights import WeightAssignment, make_weights
 
 try:
     import numpy  # noqa: F401
@@ -113,7 +117,6 @@ class TestRoundTrip:
         assert g2.edge_list() == graph.edge_list()
         assert list(structure.weights) == list(weights.weights)
         assert structure.weights.shift == weights.shift
-        assert structure.tree.dist == tree.dist
         assert structure.meta["replacement_rows"] == len(_tree_eids(tree))
 
     def test_save_is_atomic_no_tmp_left(self, instance, tmp_path):
@@ -305,6 +308,155 @@ class TestFieldTable:
 
 
 # ----------------------------------------------------------------------
+# replacement rows against the tree planes
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def row_snap(tmp_path_factory):
+    """A snapshot whose replacement rows 1 and 9 both cover 3-vertex
+    subtrees, so swapping their edges passes every length check."""
+    graph = connected_gnp_graph(40, 0.12, seed=4)
+    tree = build_spt(graph, make_weights(graph, "random", seed=1), 0)
+    path = tmp_path_factory.mktemp("rows") / "rows.snap"
+    save_structure(path, tree)
+    return tree, path
+
+
+def _with_planes(snap, tmp_path, edits):
+    """A copy of ``snap`` whose planes went through ``edits`` (plane name
+    -> mutator of the plane's values as a list)."""
+    data = bytearray(snap.read_bytes())
+    (header_len,) = struct.unpack_from("=q", data, 24)
+    meta = json.loads(bytes(data[32 : 32 + header_len]))
+    data_start = (32 + header_len + 63) // 64 * 64
+    for name, offset, length in meta["fields"]:
+        if name in edits:
+            lo, hi = data_start + offset, data_start + offset + 8 * length
+            values = array("q", bytes(data[lo:hi])).tolist()
+            edits[name](values)
+            data[lo:hi] = array("q", values).tobytes()
+    bad = tmp_path / "rows.snap"
+    bad.write_bytes(bytes(data))
+    return bad
+
+
+def _swap(i, j):
+    def edit(values):
+        values[i], values[j] = values[j], values[i]
+    return edit
+
+
+def _put(i, value):
+    def edit(values):
+        values[i] = value
+    return edit
+
+
+def _copy(src, dst):
+    def edit(values):
+        values[dst] = values[src]
+    return edit
+
+
+def _bump(i):
+    def edit(values):
+        values[i] += 1
+    return edit
+
+
+@pytest.mark.parametrize("mapped", [pytest.param(True, marks=needs_numpy), False])
+class TestRowCheck:
+    """A row whose edge, child or length disagrees with the tree planes
+    would answer for the wrong subtree: the load refuses it and names
+    the first such row, on the mapped and the decoded path alike."""
+
+    @pytest.mark.parametrize(
+        "edits, row",
+        [
+            ({"repl_eids": _swap(1, 9)}, 1),
+            ({"repl_child": _put(1, -1)}, 1),
+            ({"repl_child": _put(1, 40)}, 1),
+            ({"repl_offsets": _bump(5)}, 4),
+            ({"repl_eids": _copy(1, 9), "repl_child": _copy(1, 9)}, 9),
+        ],
+        ids=["swapped-eids", "child-minus-one", "child-n",
+             "offset-shifted", "duplicated-row"],
+    )
+    def test_disagreeing_row_refused(self, row_snap, tmp_path, mapped,
+                                     edits, row):
+        _, snap = row_snap
+        bad = _with_planes(snap, tmp_path, edits)
+        with pytest.raises(SnapshotError, match=f"replacement row {row} "):
+            load_structure(bad, mapped=mapped)
+
+    def test_untouched_rows_load_and_answer(self, row_snap, tmp_path, mapped):
+        tree, snap = row_snap
+        structure = load_structure(
+            _with_planes(snap, tmp_path, {}), mapped=mapped
+        )
+        oracle = QueryOracle(structure)
+        live = QueryOracle.from_tree(tree)
+        for eid in _tree_eids(tree):
+            for v in range(tree.graph.num_vertices):
+                assert oracle.dist(v, [eid]) == live.dist(v, [eid])
+        structure.close()
+
+
+# ----------------------------------------------------------------------
+# pinned bytes
+# ----------------------------------------------------------------------
+def _pinned_input(name):
+    """A hand-built ``(graph, source, weights)`` triple, no RNG anywhere."""
+    if name == "bridge":
+        # pert(e) = 2**e as in the exact scheme; (3, 5) is a bridge, so
+        # its row cuts off {5, 6}, and vertex 7 is isolated.
+        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5),
+                 (5, 6)]
+        shift = len(edges) + 2
+        return Graph(8, edges, name=name), 0, WeightAssignment(
+            weights=[(1 << shift) + (1 << e) for e in range(len(edges))],
+            shift=shift, scheme="exact", seed=0,
+        )
+    if name == "lone":
+        # An isolated source: an empty tree and no replacement rows.
+        return Graph(3, [(1, 2)], name=name), 0, WeightAssignment(
+            weights=[(1 << 63) + 0x2C4F1E5A93B], shift=63, scheme="random",
+            seed=0,
+        )
+    # 44-bit perturbations written out, as the random scheme draws them.
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5),
+             (3, 6), (4, 7), (5, 8), (6, 7), (7, 8), (8, 9)]
+    perts = [0x3A1F07C2D95, 0x0B44E1A9F3C, 0x7E02C5D1B88, 0x1C9D3F0A647,
+             0x5F61B2E0C19, 0x2D07A8F4E31, 0x6AB3C9015D2, 0x44E8D17B2A6,
+             0x09C5F3E68B4, 0x73B10D4C9EF, 0x128F6A3D5C0, 0x5B2E94C7F13,
+             0x3F70A1B6D28]
+    return Graph(10, edges, name=name), 4, WeightAssignment(
+        weights=[(1 << 63) + p for p in perts], shift=63, scheme="random",
+        seed=7,
+    )
+
+
+#: sha256 of ``save_structure``'s output per hand-built tree.  A change
+#: here is a change of the snapshot bytes, on every engine.
+PINNED_SNAPSHOTS = {
+    "bridge": "bc5d9e0920ae9bddac28a411687ad485603c6931a360e6c7d3358fb78c8811f2",
+    "grid": "5e29104b7d11a04ee509b0d236fa9081fbc13107b817237b5b4ffce16c152bd9",
+    "lone": "91c3313037cb813fbb7c5be03b35a260d7f99c08114f36af3fe057cb910fdb69",
+}
+
+
+@pytest.mark.skipif(
+    sys.byteorder != "little", reason="planes are written in native byte order"
+)
+@pytest.mark.parametrize("name", sorted(PINNED_SNAPSHOTS))
+def test_pinned_snapshot_bytes(name, tmp_path):
+    graph, source, weights = _pinned_input(name)
+    path = tmp_path / f"{name}.snap"
+    save_structure(path, build_spt(graph, weights, source))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_SNAPSHOTS[name]
+
+
+# ----------------------------------------------------------------------
 # façades over the planes
 # ----------------------------------------------------------------------
 @needs_numpy
@@ -336,8 +488,8 @@ class TestFacades:
         assert csr_view(shared) is shared._csr_cache
         assert numpy.array_equal(csr_view(shared).indptr, view.indptr)
 
-    def test_weights_and_tree_facades(self, instance):
-        from repro.oracle.facades import tree_facade, weights_facade
+    def test_weights_facade(self, instance):
+        from repro.oracle.facades import weights_facade
 
         graph, weights, tree = instance
         pert, max_pert = weights.pert_array()
@@ -349,34 +501,6 @@ class TestFacades:
             weights.shift, weights.scheme, weights.seed,
         )
         assert w2.pert_array()[0] is pert  # the memo is the plane itself
-        arrays = {
-            "tree_hop": tree.depth,
-            "tree_pert": tree.dist_perturbations(),
-            "tree_parent": tree.parent,
-            "tree_parent_eid": tree.parent_eid,
-            "tree_tin": tree.tin,
-            "tree_tout": tree.tout,
-            "tree_preorder": tree.preorder,
-        }
-        arrays = {
-            key: numpy.asarray(values, dtype=numpy.int64)
-            for key, values in arrays.items()
-        }
-        t2 = tree_facade(graph, w2, tree.source, arrays)
-        assert t2.source == tree.source
-        assert t2.dist == tree.dist
-        assert t2.parent == tree.parent
-        assert t2.parent_eid == tree.parent_eid
-        assert t2.depth == tree.depth
-        assert (t2.tin, t2.tout, t2.preorder) == (
-            tree.tin, tree.tout, tree.preorder,
-        )
-        assert t2.tree_edges() == tree.tree_edges()
-        eid = tree.tree_edges()[0]
-        assert t2.edge_child(eid) == tree.edge_child(eid)
-        assert list(t2.subtree_vertices(t2.edge_child(eid))) == list(
-            tree.subtree_vertices(tree.edge_child(eid))
-        )
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ pytest.importorskip("numpy")
 
 from repro.core.pcons import run_pcons
 from repro.engine import (
+    ReplacementRows,
     available_engines,
     cbuild,
     engine_context,
@@ -347,12 +348,15 @@ def test_weighted_failure_sweep_parity(pair, wseed, scheme):
     kind, a, b = run_both_batched("weighted_failure_sweep", g, w, tree)
     if kind != "ok":
         return
-    assert a == b
-    assert [item[0] for item in a] == tree.tree_edges()
-    # ... and every item matches the per-edge recompute on each engine.
-    for engine, items in ((PY, a), (CSR, b)):
-        for item in items:
-            assert item == replacement_failure(engine, g, w, tree, item[0])
+    rows = ReplacementRows.concat(a)
+    assert rows == ReplacementRows.concat(b)
+    assert rows.repl_eids == tree.tree_edges()
+    # ... and the rows match the per-edge recomputes on each engine.
+    for engine, blocks in ((PY, a), (CSR, b)):
+        assert ReplacementRows.concat(blocks) == ReplacementRows.concat(
+            replacement_failure(engine, g, w, tree, eid)
+            for eid in tree.tree_edges()
+        )
 
 
 @settings(max_examples=30, **COMMON)
@@ -520,18 +524,18 @@ def test_sweep_chunking_boundaries_are_invisible():
         tiny = list(CSR.weighted_failure_sweep(g, w, tree))
     finally:
         ce._STACK_STREAM = old
-    assert whole == tiny
+    assert ReplacementRows.concat(whole) == ReplacementRows.concat(tiny)
 
 
 def _sweep_outcome(engine, g, w, tree):
-    """The items a sweep yields, and the tie message it ends on (if any)."""
-    items = []
+    """The rows a sweep yields, and the tie message it ends on (if any)."""
+    blocks = []
     try:
-        for item in engine.weighted_failure_sweep(g, w, tree):
-            items.append(item)
+        for block in engine.weighted_failure_sweep(g, w, tree):
+            blocks.append(block)
     except TieBreakError as exc:
-        return items, str(exc)
-    return items, None
+        return ReplacementRows.concat(blocks), str(exc)
+    return ReplacementRows.concat(blocks), None
 
 
 @settings(max_examples=150, **COMMON)
@@ -543,7 +547,7 @@ def test_degenerate_weights_sweep_parity(graph_seed, salt):
     ties - inside the sweep's one-subtree chunks.  A chunk that hands
     back must reset the shared state buffer before the reference reruns
     it, so later chunks still match: the python engine, the numpy csr
-    and the default csr agree item for item, or end on the same tie."""
+    and the default csr agree row for row, or end on the same tie."""
     import repro.engine.csr_engine as ce
 
     g = gnp_random_graph(12, 0.35, seed=graph_seed)
