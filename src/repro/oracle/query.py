@@ -3,31 +3,38 @@
 :class:`QueryOracle` answers ``dist(s, v | failed_edges)`` and
 ``path(...)`` from the precomputed planes of an
 :class:`~repro.oracle.snapshot.OracleStructure` - live or
-snapshot-mapped, the oracle never cares which.  The classification is
-pure array arithmetic:
+snapshot-mapped, the oracle never cares which.  Composite weights make
+the shortest path to every vertex unique in *every* subgraph, so under
+a failure set ``F`` only a vertex below a failed tree edge can change
+its answer: any other vertex keeps its tree path, which survives in
+``G \\ F`` and so stays its unique shortest path there.  Each failure
+set falls in one of three classes:
 
-* no failed edge lies on the base tree -> the base answer stands
-  unchanged.  Composite weights make shortest paths unique in *every*
-  subgraph, so removing non-tree edges perturbs neither distances nor
-  parent chains (the unique shortest path never used them).
+* no failed edge lies on the base tree -> the base planes answer every
+  target.
 * exactly one edge failed and it is a tree edge with a cached
   replacement row -> the Euler-keyed row answers.  Vertices outside the
-  failed subtree keep their base values (their unique shortest path
-  avoids the subtree); vertices inside read the row at position
-  ``tin[v] - tin[child]``, which the sweep proved bit-identical to a
-  fresh banned-edge traversal.
-* anything else (multiple failures including a tree edge) falls back to
-  one engine traversal with the full banned set, memoized in a small
-  LRU keyed by the frozen failure set.
+  failed subtree keep their base values; vertices inside read the row
+  at position ``tin[v] - tin[child]``, which the sweep proved
+  bit-identical to a fresh banned-edge traversal.
+* any other set with a failed tree edge -> each target on its own.  The
+  children ``c`` of the failed tree edges give Euler intervals
+  ``[tin[c], tout[c])``.  A target outside all of them reads the base
+  planes.  A target inside one reads the *fallback*: one engine
+  traversal of the whole graph with every edge of ``F`` banned, run
+  only for a query with a target inside, at most once per query, and
+  memoized in a small LRU keyed by the frozen failure set.
 
 Every answer is therefore bit-identical to recomputing from scratch
-under the same failure set - the parity tests pin this per engine.
-``mark_down``/``mark_up`` maintain an incremental failure state merged
-into every query's failed set, so a serving process can model a slowly
-changing fault pattern without per-query plumbing.
+under the same failure set - the parity tests pin this per engine; a
+tie met by the fallback traversal raises
+:class:`~repro.errors.TieBreakError`.  ``mark_down``/``mark_up``
+maintain an incremental failure state merged into every query's failed
+set, so a serving process can model a slowly changing fault pattern
+without per-query plumbing.
 
-All query kernels are O(path-length) array lookups plus an O(|failed|)
-classification; no per-query allocation beyond the returned values.
+Outside the fallback, the query kernels are O(path-length) array
+lookups plus an O(|failed|) classification and Euler test.
 """
 
 from __future__ import annotations
@@ -51,19 +58,38 @@ from repro.spt.spt_tree import ShortestPathTree
 
 __all__ = ["OracleStats", "QueryOracle"]
 
-#: Engine-traversal results memoized for uncached multi-failure sets.
+#: Fallback traversals kept, least recently used evicted first; keyed
+#: by the frozen failure set, each holds the engine's n-long result.
 _FALLBACK_CACHE_SIZE = 16
 
 
 class OracleStats:
-    """Where the oracle's answers came from, counted per query by its
-    classification (a "row" query still reads base planes for vertices
-    outside the failed subtree; it counts as a row answer once)."""
+    """Where the oracle's answers came from, counted per target.
+
+    A query counts once for each target it answers (``dist_many`` each
+    of its targets, ``route`` its one ``v``), under the class of that
+    target's answer, so ``queries == base_answers + row_answers +
+    fallback_answers`` always holds:
+
+    * ``base_answers``: the base planes - no failed tree edge, or, under
+      any other failure set with one, a target outside every failed
+      subtree;
+    * ``row_answers``: a sole failed tree edge's cached row (a target
+      outside its subtree reads base planes, but counts here);
+    * ``fallback_answers``: under any other failure set with a failed
+      tree edge, a target inside a failed subtree, read from the
+      fallback traversal.
+
+    ``fallback_traversals`` counts fallback traversals run, and
+    ``fallback_hits`` those taken from the LRU instead; a query adds to
+    at most one of them, and only when a target lies inside.
+    """
 
     __slots__ = (
         "queries",
         "base_answers",
         "row_answers",
+        "fallback_answers",
         "fallback_traversals",
         "fallback_hits",
     )
@@ -73,12 +99,14 @@ class OracleStats:
         queries: int = 0,
         base_answers: int = 0,
         row_answers: int = 0,
+        fallback_answers: int = 0,
         fallback_traversals: int = 0,
         fallback_hits: int = 0,
     ) -> None:
         self.queries = queries
         self.base_answers = base_answers
         self.row_answers = row_answers
+        self.fallback_answers = fallback_answers
         self.fallback_traversals = fallback_traversals
         self.fallback_hits = fallback_hits
 
@@ -90,15 +118,30 @@ class OracleStats:
         return f"OracleStats({inner})"
 
 
+class _FailedSubtrees:
+    """One query's failed subtrees: the failure set, the Euler interval
+    ``(tin[c], tout[c])`` of each failed tree edge's child ``c``, and the
+    fallback traversal once a target inside needs it."""
+
+    __slots__ = ("fset", "intervals", "result")
+
+    def __init__(
+        self, fset: FrozenSet[EdgeId], intervals: List[Tuple[int, int]]
+    ) -> None:
+        self.fset = fset
+        self.intervals = intervals
+        self.result = None
+
+
 class QueryOracle:
     """Answer failure-distance queries in O(path) from precomputed planes.
 
     Construct over an :class:`~repro.oracle.snapshot.OracleStructure`
     (``QueryOracle(structure)``), from live objects
     (:meth:`from_tree`), or straight from a snapshot file
-    (:meth:`load`).  ``engine`` names the traversal engine used for
-    uncached multi-failure fallbacks; it follows the standard selection
-    chain when omitted.
+    (:meth:`load`).  ``engine`` names the traversal engine that runs
+    the fallback traversals; it follows the standard selection chain
+    when omitted.
     """
 
     def __init__(
@@ -127,10 +170,10 @@ class QueryOracle:
         self._n = structure.num_vertices
         self._m = structure.num_edges
         # Tree edges are exactly the parent edges of reachable non-root
-        # vertices; O(n) to collect, no adjacency walk needed.
-        self._tree_eids: FrozenSet[EdgeId] = frozenset(
-            int(pe) for pe in self._parent_eid if pe >= 0
-        )
+        # vertices; O(n) to map each to its child, no adjacency walk.
+        self._child_of: Dict[EdgeId, Vertex] = {
+            int(pe): v for v, pe in enumerate(self._parent_eid) if pe >= 0
+        }
         self._row_by_eid: Dict[EdgeId, int] = {
             int(eid): row for row, eid in enumerate(arrays["repl_eids"])
         }
@@ -191,8 +234,9 @@ class QueryOracle:
         failed edges (``None`` when disconnected)."""
         self._check_vertex(v)
         kind, payload = self._classify(failed)
-        self._count(kind)
-        return self._dist_via(kind, payload, v)
+        d = self._dist_via(kind, payload, v)
+        self._count(kind, payload, (v,))
+        return d
 
     def hops(
         self, v: Vertex, failed: Optional[Iterable[EdgeId]] = None
@@ -210,8 +254,9 @@ class QueryOracle:
         for v in targets:
             self._check_vertex(v)
         kind, payload = self._classify(failed)
-        self._count(kind, len(targets))
-        return [self._dist_via(kind, payload, v) for v in targets]
+        dists = [self._dist_via(kind, payload, v) for v in targets]
+        self._count(kind, payload, targets)
+        return dists
 
     def parent_of(
         self, v: Vertex, failed: Optional[Iterable[EdgeId]] = None
@@ -220,8 +265,9 @@ class QueryOracle:
         shortest path (``(-1, -1)`` for the source or unreachable)."""
         self._check_vertex(v)
         kind, payload = self._classify(failed)
-        self._count(kind)
-        return self._parent_via(kind, payload, v)
+        parent = self._parent_via(kind, payload, v)
+        self._count(kind, payload, (v,))
+        return parent
 
     def path(
         self, v: Vertex, failed: Optional[Iterable[EdgeId]] = None
@@ -244,8 +290,9 @@ class QueryOracle:
         query; :class:`~repro.errors.GraphError` when none."""
         self._check_vertex(v)
         kind, payload = self._classify(failed)
-        self._count(kind)
-        if self._dist_via(kind, payload, v) is None:
+        d = self._dist_via(kind, payload, v)
+        self._count(kind, payload, (v,))
+        if d is None:
             raise GraphError(
                 f"vertex {v} unreachable from {self._source} under the "
                 "failure set"
@@ -286,30 +333,44 @@ class QueryOracle:
         return frozenset(merged)
 
     def _classify(self, failed: Optional[Iterable[EdgeId]]):
-        """Map a failure set to its answer source.
+        """Map a failure set to its answer class.
 
         Returns ``("base", None)``, ``("row", row_index)``, or
-        ``("fallback", result)`` with the engine traversal already
-        resolved, so a query touches the fallback LRU once however many
-        targets or hops it reads.  A cached row is only valid when the
-        tree edge is the *sole* failure: with extra non-tree failures
-        the replacement path might itself use one of them.
+        ``("fallback", _FailedSubtrees)``.  A cached row is only valid
+        when its tree edge is the *sole* failure: with extra failures the
+        replacement path might itself use one of them.  The fallback
+        traversal is left unresolved here: the first target inside a
+        failed subtree resolves it, so a query touches the LRU at most
+        once however many targets or hops it reads, and not at all when
+        every target lies outside.
         """
         fset = self._failed_set(failed)
-        if not fset or not (fset & self._tree_eids):
-            return ("base", None)
         if len(fset) == 1:
             row = self._row_by_eid.get(next(iter(fset)))
             if row is not None:
                 return ("row", row)
-        return ("fallback", self._fallback_result(fset))
+        children = [self._child_of[e] for e in fset if e in self._child_of]
+        if not children:
+            return ("base", None)
+        intervals = [(int(self._tin[c]), int(self._tout[c])) for c in children]
+        return ("fallback", _FailedSubtrees(fset, intervals))
 
-    def _count(self, kind: str, k: int = 1) -> None:
-        self.stats.queries += k
+    def _count(self, kind: str, payload, targets: Sequence[Vertex]) -> None:
+        stats = self.stats
+        k = len(targets)
+        stats.queries += k
         if kind == "base":
-            self.stats.base_answers += k
+            stats.base_answers += k
         elif kind == "row":
-            self.stats.row_answers += k
+            stats.row_answers += k
+        else:
+            inside = sum(1 for v in targets if self._inside(payload, v))
+            stats.fallback_answers += inside
+            stats.base_answers += k - inside
+
+    def _inside(self, subtrees: _FailedSubtrees, v: Vertex) -> bool:
+        t = self._tin[v]  # -1 for a vertex the base tree never reached
+        return any(lo <= t < hi for lo, hi in subtrees.intervals)
 
     def _in_row(self, row: int, v: Vertex) -> bool:
         child = self._repl_child[row]
@@ -342,7 +403,9 @@ class QueryOracle:
             if h < 0:
                 return None
             return (int(h) << self._shift) + int(self._repl_pert[pos])
-        return payload.dist[v]
+        if not self._inside(payload, v):
+            return self._base_dist(v)
+        return self._fallback_for(payload).dist[v]
 
     def _parent_via(
         self, kind: str, payload, v: Vertex
@@ -352,13 +415,19 @@ class QueryOracle:
             if self._repl_hop[pos] < 0:
                 return (-1, -1)
             return (int(self._repl_parent[pos]), int(self._repl_parent_eid[pos]))
-        if kind in ("base", "row"):
+        if kind in ("base", "row") or not self._inside(payload, v):
             return (int(self._parent[v]), int(self._parent_eid[v]))
-        return (payload.parent[v], payload.parent_eid[v])
+        sp = self._fallback_for(payload)
+        return (sp.parent[v], sp.parent_eid[v])
 
     # ------------------------------------------------------------------
-    # fallback traversal (uncached multi-failure sets)
+    # fallback traversal (targets inside a failed subtree)
     # ------------------------------------------------------------------
+    def _fallback_for(self, subtrees: _FailedSubtrees):
+        if subtrees.result is None:
+            subtrees.result = self._fallback_result(subtrees.fset)
+        return subtrees.result
+
     def _fallback_result(self, fset: FrozenSet[EdgeId]):
         cached = self._fallback.get(fset)
         if cached is not None:

@@ -144,6 +144,29 @@ class TestOracleCLI:
         out = capsys.readouterr().out
         assert "v=7" in out and "path:" in out and "check: ok" in out
 
+    def test_query_check_passes_under_nested_tree_failures(
+        self, capsys, snapshot_file
+    ):
+        """Two failed tree edges, one under the other: the targets inside
+        their subtrees read the fallback traversal, and ``--check``
+        compares every vertex's answer with a fresh traversal."""
+        from repro.oracle import load_structure
+
+        structure = load_structure(snapshot_file, mapped=False)
+        n = structure.num_vertices
+        parent = structure.arrays["tree_parent"]
+        parent_eid = structure.arrays["tree_parent_eid"]
+        v = next(
+            u for u in range(n)
+            if parent_eid[u] >= 0 and parent_eid[parent[u]] >= 0
+        )
+        failed = f"{parent_eid[parent[v]]},{parent_eid[v]}"
+        structure.close()
+        rc = main(["query", str(snapshot_file), "--failed", failed,
+                   "--sample", str(n), "--check"])
+        assert rc == 0
+        assert f"check: ok ({n} answers" in capsys.readouterr().out
+
     def test_query_missing_snapshot_fails_cleanly(self, capsys, tmp_path):
         rc = main(["query", str(tmp_path / "missing.snap")])
         assert rc == 1

@@ -8,7 +8,7 @@ trusted, closing is safe under live views, a mapped snapshot survives
 file unlink, and no fd leaks after close.  The saved bytes of three
 hand-built trees are pinned.  The graph and weights façades over the
 planes are observably identical to the live objects, and the serving
-loop answers (and counts) each query once.
+loop answers (and counts) each query once per target.
 """
 
 import gc
@@ -637,7 +637,7 @@ class TestServeInline:
 
 
 class TestQueryCounts:
-    """``OracleStats`` counts each query once, as it documents."""
+    """``OracleStats`` counts each query once per target, as it documents."""
 
     def test_path_request_counts_one_query(self, instance, snap):
         _, _, tree = instance
@@ -657,25 +657,30 @@ class TestQueryCounts:
         structure.close()
 
     def test_fallback_resolved_once_per_query(self, instance, snap):
-        """One uncached 2-failure set: a 32-target dist is one traversal
-        and no hit; a following path is one hit, however many hops."""
+        """One uncached set of two nested failed tree edges: a 32-target
+        dist with several targets inside the failed subtree is one
+        fallback traversal and no hit; a following path to a target
+        inside is one hit, however many of its hops lie inside."""
         graph, _, tree = instance
         structure = load_structure(snap, mapped=False)
         oracle = QueryOracle(structure)
         live = QueryOracle.from_tree(tree)
-        failed = _tree_eids(tree)[:2]
+        outer = max(
+            _tree_eids(tree), key=lambda e: tree.subtree_size(tree.edge_child(e))
+        )
+        union = tree.subtree_vertices(tree.edge_child(outer))
+        failed = [outer, tree.parent_eid[union[1]]]
+        inside = set(union)
         targets = list(range(32))
+        assert len(inside.intersection(targets)) > 1
         assert oracle.dist_many(targets, failed) == live.dist_many(targets, failed)
         stats = oracle.stats
         assert (stats.fallback_traversals, stats.fallback_hits) == (1, 0)
         assert stats.queries == 32
-        reachable = [
-            u for u in range(graph.num_vertices)
-            if live.dist(u, failed) is not None
-        ]
-        v = max(reachable, key=lambda u: len(live.path(u, failed)))
+        reachable = [u for u in union if live.dist(u, failed) is not None]
+        v = max(reachable, key=lambda u: len(inside.intersection(live.path(u, failed))))
         vertices, edges = oracle.route(v, failed)
-        assert len(edges) > 1
+        assert len(inside.intersection(vertices)) > 1
         assert vertices == live.path(v, failed)
         assert edges == live.path_edges(v, failed)
         assert (stats.fallback_traversals, stats.fallback_hits) == (1, 1)
