@@ -8,7 +8,8 @@ the same G(n, p) instance as ``bench_weighted.py``:
   recomputes on the csr engine vs the per-edge reference loop on
   python);
 * the Pcons detour batch - ``batched_shortest_paths`` over a deep-vertex
-  sample with path-interior bans, the exact shape ``run_pcons`` submits.
+  sample with path-interior bans and the off-path neighbours of each
+  path as targets, the exact shape ``run_pcons`` submits.
 
 Outputs are asserted bit-identical between engines first, so each
 timing row doubles as a parity certificate.  The acceptance floor is a
@@ -33,6 +34,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
+from repro.core.pcons import _detour_targets
 from repro.engine import engine_context, get_engine
 from repro.graphs import connected_gnp_graph
 from repro.harness import ExperimentRecord, save_record
@@ -63,12 +65,14 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
     tree = build_spt(graph, weights, 0)
 
     # The Pcons detour shape: deep vertices banned from their own path
-    # interiors (sampled deterministically; the floor is about relative
+    # interiors, each stopping at the radius of its path's off-path
+    # neighbours (sampled deterministically; the floor is about relative
     # engine speed, not workload size).
     deep = [v for v in tree.preorder if tree.depth[v] >= 2]
     step = max(1, len(deep) // _MAX_DETOUR_SOURCES)
     sources = deep[::step][:_MAX_DETOUR_SOURCES]
     bans = [set(tree.path_vertices(v)) - {v} for v in sources]
+    targets = [_detour_targets(graph, tree.path_vertices(v)) for v in sources]
 
     timings = {"python": {}, "csr": {}}
 
@@ -106,7 +110,9 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
         with engine_context(name):
             t0 = time.perf_counter()
             detours = list(
-                get_engine().batched_shortest_paths(graph, weights, sources, bans)
+                get_engine().batched_shortest_paths(
+                    graph, weights, sources, bans, targets
+                )
             )
             t1 = time.perf_counter()
         timings[name]["detours"] = t1 - t0
@@ -159,7 +165,8 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
             )
     record.note(
         "sweep = the ReplacementEngine constructor via weighted_failure_sweep; "
-        "detours = batched_shortest_paths over deep vertices with path bans"
+        "detours = batched_shortest_paths over deep vertices with path bans "
+        "and Pcons's target sets"
     )
     record.note(
         f"acceptance floors (full-size instance, >= 50k edges, random "

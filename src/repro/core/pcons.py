@@ -25,14 +25,25 @@ replacement path ``P_{v,e} in SP(s, v, G \\ {e})``:
    the path); then ``L(j) = dist_W(s, u_j) + delta(j)`` and a single scan
    computes ``j*`` for every failing edge of ``v`` at once.
 
+   The search reads only the off-path neighbours ``w`` of
+   ``u_0 .. u_{k-1}`` (for ``delta(j)``) and the chosen detour, which
+   walks from such a ``w*`` back to ``v`` through vertices no farther
+   from ``v`` than ``w*``.  So those neighbours are the search's
+   targets: it stops at their hop radius ``R`` (see the engine
+   contract), and nothing it reads lies beyond ``R``.  A tie beyond
+   ``R`` does not raise, and so does not force a reseed.
+
 Batched execution: Pcons touches *every* tree edge, and the
 replacement engine fills all of them at construction through the engine
 layer's ``weighted_failure_sweep`` (one amortized pass over all
 failures) before the pair loop runs; the per-vertex detour Dijkstras are
 collected into ``pending_by_vertex`` and dispatched as one
 ``batched_shortest_paths`` call (stacked level-synchronous relaxations
-on the csr engine).  Both batched paths are bit-identical to the
-per-call loops by engine contract.
+on the csr engine), each with its ban set and target set.  Both batched
+paths are bit-identical to the per-call loops by engine contract, and
+the detour results stay hop/pert lists: ``_fill_detours`` reads each
+distance it needs through ``dist_at``, so no search builds its ``n``
+big-int distances.
 
 Replacement *distances* ``dist(s, v, G \\ {e})`` come from the
 subtree-restricted engine in :mod:`repro.spt.replacement`.
@@ -42,7 +53,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro._types import EdgeId, Vertex
 from repro.engine.registry import get_engine
@@ -197,10 +208,11 @@ def _run_once(
 
     # All detour Dijkstras in one batched call: each source v is banned
     # from re-entering pi(s, v) internally, exactly like the per-call
-    # loop this replaces; results stream back in source order.  Ban sets
-    # stream in lockstep with the engine's consumption (it reads at most
-    # one chunk ahead), so only O(chunk) paths are alive at once - the
-    # per-call loop's memory profile.
+    # loop this replaces, and stops at the radius of the vertices
+    # _fill_detours reads; results stream back in source order.  Ban
+    # and target sets stream in lockstep with the engine's consumption
+    # (it reads at most one chunk ahead), so only O(chunk) paths are
+    # alive at once - the per-call loop's memory profile.
     if pending_by_vertex:
         detour_sources = list(pending_by_vertex)
         paths_in_flight: Deque[List[Vertex]] = deque()
@@ -211,8 +223,16 @@ def _run_once(
                 paths_in_flight.append(path)
                 yield set(path) - {v}
 
+        neighbor_sets: Dict[Vertex, Set[Vertex]] = {}
+
+        def target_sets():
+            for v in detour_sources:
+                yield _detour_targets(
+                    graph, tree.path_vertices(v), neighbor_sets
+                )
+
         detour_sps = get_engine().batched_shortest_paths(
-            graph, weights, detour_sources, ban_sets()
+            graph, weights, detour_sources, ban_sets(), target_sets()
         )
         for v, sp in zip(detour_sources, detour_sps):
             stats.num_detour_dijkstras += 1
@@ -233,6 +253,27 @@ def _run_once(
     )
 
 
+def _detour_targets(
+    graph: Graph,
+    path_vertices: List[Vertex],
+    neighbor_sets: Optional[Dict[Vertex, Set[Vertex]]] = None,
+) -> Set[Vertex]:
+    """The vertices ``_fill_detours`` reads from the detour search out of
+    ``v = path_vertices[-1]``: the neighbours of ``u_0 .. u_{k-1}`` that
+    lie off ``pi(s, v)``.  ``neighbor_sets`` memoizes each path vertex's
+    neighbour set across calls (every path starts at the source)."""
+    if neighbor_sets is None:
+        neighbor_sets = {}
+    targets: Set[Vertex] = set()
+    for u in path_vertices[:-1]:
+        nbrs = neighbor_sets.get(u)
+        if nbrs is None:
+            nbrs = neighbor_sets[u] = set(graph.neighbors(u))
+        targets |= nbrs
+    targets.difference_update(path_vertices)
+    return targets
+
+
 def _fill_detours(
     tree: ShortestPathTree,
     weights: WeightAssignment,
@@ -246,10 +287,12 @@ def _fill_detours(
 
     ``path_vertices`` is ``pi(s, v)`` as ``[u_0, ..., u_k = v]``; ``sp``
     is ``v``'s detour Dijkstra - a traversal from ``v`` avoiding the
-    path internally, supplied by the caller's batched dispatch.
+    path internally, supplied by the caller's batched dispatch, exact
+    at least as far as the hop radius of :func:`_detour_targets`.
     """
     graph = tree.graph
     w_arr = weights.weights
+    dist_at = sp.dist_at
     k = len(path_vertices) - 1
     path_set = set(path_vertices)
 
@@ -268,7 +311,7 @@ def _fill_detours(
             elif w in path_set:
                 continue
             else:
-                dw = sp.dist[w]
+                dw = dist_at(w)
                 if dw is None:
                     continue
                 cand = w_arr[eid] + dw

@@ -22,9 +22,9 @@ Engine contract (details in :mod:`repro.engine.base`)
   composite weight splits into an ``int64`` ``(hops, pert_sum)`` pair);
   the exact scheme's big-int perturbations, and any call whose kernel
   meets a possible tie or an invalid seed, transparently fall back to
-  the shared reference implementation.  Each engine reports its
-  weighted capability via ``weighted_backend`` (shown by
-  ``repro engines``).
+  the shared reference implementation.  Given ``targets``, an unseeded
+  run stops at their hop radius.  Each engine reports its weighted
+  capability via ``weighted_backend`` (shown by ``repro engines``).
 * ``weighted_failure_sweep`` / ``batched_shortest_paths`` /
   ``batched_seeded_shortest_paths``: the batched replacement subsystem -
   replacement rows for *all* tree-edge failures (``ReplacementRows``,

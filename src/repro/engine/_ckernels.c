@@ -44,6 +44,9 @@
  *   seeds: the kernel bails out and the caller hands the call back to
  *   the reference Dijkstra, which raises its own error with its own
  *   message.  Tie and seed-error semantics live only there.
+ * - The target stop rule expands exactly the vertices the reference
+ *   expands before its first pop at hop R (see repro_weighted_levels),
+ *   in the same order, so both meet the same ties.
  */
 
 #include <stdint.h>
@@ -362,6 +365,18 @@ static int cmp_wl_entry(const void *a, const void *b)
  * (first arrival among equals wins and is never displaced), equality
  * through a different edge is the reference's tie event.
  *
+ * The stop rule (tgt_ptr and tgt, both NULL for none; source-seeded
+ * hop-0 runs only): layer b's targets are the global ids
+ * tgt[tgt_ptr[b] .. tgt_ptr[b+1]).  In an unseeded run a label's hop is
+ * fixed when it is first set, so when a level starts with every target
+ * of a layer labeled, that level is the layer's radius R - the largest
+ * target hop - and the layer stops: its level-R entries are marked
+ * settled (their labels are final once level R - 1 has expanded) but
+ * neither sorted nor expanded, and nothing beyond R is ever labeled.
+ * That is the reference's stop at its first pop at hop R.  A negative
+ * target id never labels, so its layer runs to completion, as does a
+ * layer with an unreachable target.
+ *
  * Returns 0 on completion; on any bail-out the caller hands the call
  * back to the reference Dijkstra, which decides the outcome: 1 =
  * relaxation tie, 2 = seed tie or invalid seed, -1 = allocation
@@ -379,6 +394,8 @@ int64_t repro_weighted_levels(
     const uint8_t *vertex_ok,
     const uint8_t *allowed_ok,
     const int64_t *banned_eid,
+    const int64_t *tgt_ptr,
+    const int64_t *tgt,
     int64_t nseeds,
     const int64_t *seed_hop,
     const int64_t *seed_pert,
@@ -393,14 +410,26 @@ int64_t repro_weighted_levels(
 {
     if (nseeds <= 0)
         return 0;
+    /* Targets come only with sources, so n_base >= 1 whenever they do. */
+    int64_t n_layers = tgt_ptr ? n_total / n_base : 0;
     wl_entry *sched = malloc((size_t)nseeds * sizeof(wl_entry));
     wl_entry *act = malloc((size_t)n_total * sizeof(wl_entry));
     int64_t *fr = malloc((size_t)n_total * sizeof(int64_t));
     int64_t *nx = malloc((size_t)n_total * sizeof(int64_t));
-    if (!sched || !act || !fr || !nx) {
-        free(sched); free(act); free(fr); free(nx);
+    /* Stop rule state: per layer, the first target not yet seen
+     * labeled, and whether the layer has stopped. */
+    int64_t *tcur = NULL;
+    uint8_t *stopped = NULL;
+    if (tgt_ptr) {
+        tcur = malloc((size_t)n_layers * sizeof(int64_t));
+        stopped = calloc((size_t)n_layers, sizeof(uint8_t));
+    }
+    if (!sched || !act || !fr || !nx || (tgt_ptr && (!tcur || !stopped))) {
+        free(sched); free(act); free(fr); free(nx); free(tcur); free(stopped);
         return -1;
     }
+    if (tgt_ptr)
+        memcpy(tcur, tgt_ptr, (size_t)n_layers * sizeof(int64_t));
     int64_t rc = 0;
 
     /* Intake.  First-touch detection rides on the entry contract that
@@ -428,7 +457,7 @@ int64_t repro_weighted_levels(
         }
     }
     if (rc != 0) {
-        free(sched); free(act); free(fr); free(nx);
+        free(sched); free(act); free(fr); free(nx); free(tcur); free(stopped);
         return rc;
     }
     for (int64_t j = 0; j < nsched; j++)
@@ -446,11 +475,23 @@ int64_t repro_weighted_levels(
             lvl = sched[sp].pert;
         if (sp < nsched && sched[sp].pert < lvl)
             lvl = sched[sp].pert;
+        if (tgt_ptr) {
+            for (int64_t b = 0; b < n_layers; b++) {
+                int64_t c = tcur[b];
+                while (c < tgt_ptr[b + 1] && tgt[c] >= 0 && hop_t[tgt[c]] != -1)
+                    c++;
+                tcur[b] = c;
+                if (c == tgt_ptr[b + 1])
+                    stopped[b] = 1;
+            }
+        }
         int64_t alen = 0;
         while (sp < nsched && sched[sp].pert == lvl) {
             int64_t v = sched[sp++].id;
             if (!settled[v] && hop_t[v] == lvl) {
                 settled[v] = 1;
+                if (stopped && stopped[v / n_base])
+                    continue;  /* at the layer's radius: not expanded */
                 act[alen].pert = pert_t[v];
                 act[alen].id = v;
                 alen++;
@@ -461,6 +502,8 @@ int64_t repro_weighted_levels(
                 int64_t v = fr[j];
                 if (!settled[v] && hop_t[v] == lvl) {
                     settled[v] = 1;
+                    if (stopped && stopped[v / n_base])
+                        continue;
                     act[alen].pert = pert_t[v];
                     act[alen].id = v;
                     alen++;
@@ -515,7 +558,7 @@ int64_t repro_weighted_levels(
         flen = nlen;
         flevel = lvl + 1;
     }
-    free(sched); free(act); free(fr); free(nx);
+    free(sched); free(act); free(fr); free(nx); free(tcur); free(stopped);
     return rc;
 }
 

@@ -46,6 +46,20 @@ Contract
   kernel meets a possible tie or an invalid seed, transparently rerun
   on it, which is the only implementation of tie and seed-error
   semantics.
+* **Target radius.**  ``shortest_paths(..., targets=T)`` may stop
+  early: with ``R`` the largest hop count among ``T``, every vertex
+  within ``R`` hops reads exactly what the full run reads, and every
+  vertex beyond reads unreachable (``dist`` ``None``, parents ``-1``).
+  A target that the run never labels (unreachable or banned) gives the
+  full run; an empty ``T`` leaves only the source; ``targets=None`` is
+  the full run.  A tie met beyond ``R`` does not raise.  A target id
+  outside ``[0, n)`` raises :class:`~repro.errors.GraphError`.  Seeded
+  runs take no targets: a seed can lower a label's hop count, so ``R``
+  is not fixed while they run.
+* **Results.**  Array backends hand back
+  :meth:`~repro.spt.result.ShortestPathResult.from_levels` results,
+  whose big-int ``dist`` list is built on first read;
+  ``dist_at(v)`` reads one distance without building it.
 * **Batched replacement primitives** (PR 4).  ``weighted_failure_sweep``
   yields, for the failed tree edges of a
   :class:`~repro.spt.spt_tree.ShortestPathTree`, the replacement rows
@@ -53,8 +67,9 @@ Contract
   - in :class:`ReplacementRows` blocks; only the concatenated rows, not
   the blocking, are part of the contract.
   ``batched_shortest_paths`` and ``batched_seeded_shortest_paths`` run
-  many independent weighted traversals (the Pcons detour Dijkstras, the
-  vertex-fault subtree recomputes) through one amortized path.  The
+  many independent weighted traversals (the Pcons detour Dijkstras, each
+  with its own target set, and the vertex-fault subtree recomputes)
+  through one amortized path.  The
   reference implementations *are* the per-call loops below, so parity
   between the per-call and batched paths holds by construction on the
   python engine; array backends must reproduce them bit-identically
@@ -283,8 +298,10 @@ class TraversalEngine:
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
+        targets: Optional[Iterable[Vertex]] = None,
     ):
-        """Weighted Dijkstra under composite tie-breaking weights."""
+        """Weighted Dijkstra under composite tie-breaking weights,
+        stopped at the hop radius of ``targets`` when given."""
         raise NotImplementedError
 
     def seeded_shortest_paths(
@@ -329,28 +346,30 @@ class TraversalEngine:
         graph: Graph,
         weights,
         sources: Sequence[Vertex],
-        banned_vertices_per_source: Optional[Iterable[Optional[Set[Vertex]]]] = None,
+        banned_vertices_per_source: Optional[Iterable[Optional[Set[Vertex]]]],
+        targets_per_source: Iterable[Optional[Iterable[Vertex]]],
     ):
         """Independent weighted Dijkstras from many sources, amortized.
 
         Yields one :class:`~repro.spt.result.ShortestPathResult` per
         source, in order, each bit-identical to the corresponding
-        ``shortest_paths(source, banned_vertices=...)`` call.
-        ``banned_vertices_per_source`` may be any iterable consumed in
-        lockstep with ``sources`` (callers with large ban sets stream
-        them one at a time); a length mismatch raises GraphError.
-        Invalid inputs raise at or before the offending source's
-        position in the stream.  Lazy - consume with
-        ``zip(sources, ...)``.
+        ``shortest_paths(source, banned_vertices=..., targets=...)``
+        call.  ``banned_vertices_per_source`` (``None``: no bans) and
+        ``targets_per_source`` may be any iterables consumed in
+        lockstep with ``sources`` (callers with large sets stream them
+        one at a time); a length mismatch raises GraphError.  Invalid
+        inputs raise at or before the offending source's position in
+        the stream.  Lazy - consume with ``zip(sources, ...)``.
         """
-        for source, banned in _zip_sources_and_bans(
-            sources, banned_vertices_per_source
+        for source, banned, targets in _zip_searches(
+            sources, banned_vertices_per_source, targets_per_source
         ):
             yield self.shortest_paths(
                 graph,
                 weights,
                 source,
                 banned_vertices=banned,
+                targets=targets,
             )
 
     def batched_seeded_shortest_paths(
@@ -405,27 +424,29 @@ class TraversalEngine:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _zip_sources_and_bans(
+def _zip_searches(
     sources: Sequence[Vertex],
     bans: Optional[Iterable[Optional[Set[Vertex]]]],
+    targets: Iterable[Optional[Iterable[Vertex]]],
 ):
-    """Pair each source with its ban set, failing fast on a length
-    mismatch instead of silently truncating like plain ``zip``."""
-    if bans is None:
-        for source in sources:
-            yield source, None
-        return
-    from itertools import zip_longest
+    """``(source, banned, targets)`` per search of a batch, failing fast
+    on a length mismatch instead of silently truncating like plain
+    ``zip``; ``bans=None`` bans nothing anywhere."""
+    from itertools import repeat, zip_longest
 
     from repro.errors import GraphError
 
     sentinel = object()
-    for source, banned in zip_longest(sources, bans, fillvalue=sentinel):
-        if source is sentinel or banned is sentinel:
+    for search in zip_longest(
+        sources, repeat(None, len(sources)) if bans is None else bans, targets,
+        fillvalue=sentinel,
+    ):
+        if any(part is sentinel for part in search):
             raise GraphError(
-                "sources and banned_vertices_per_source have different lengths"
+                "sources, banned_vertices_per_source and targets_per_source "
+                "have different lengths"
             )
-        yield source, banned
+        yield search
 
 
 def replacement_failure(
@@ -470,8 +491,9 @@ def replacement_failure(
             graph, weights, seeds, allowed_vertices=sub_set, banned_edge=eid
         )
         shift, mask = weights.shift, weights.big - 1
+        dist = sp.dist
         for i, v in enumerate(sub):
-            d = sp.dist[v]
+            d = dist[v]
             if d is not None:
                 hop[i], pert[i] = d >> shift, d & mask
                 parent[i], parent_eid[i] = sp.parent[v], sp.parent_eid[v]

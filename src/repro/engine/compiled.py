@@ -291,11 +291,13 @@ class CompiledEngine(CSREngine):
         stacked: bool = False,
         banned_eid_per_batch: Optional[np.ndarray] = None,
         state=None,
+        targets=None,
     ):
         """The weighted relaxation routed through the C kernel.
 
-        The whole traversal - seed intake and the level loop - is one
-        GIL-free foreign call over the raw seed columns.  Any non-zero
+        The whole traversal - seed intake, the level loop and the
+        targets' stop rule - is one GIL-free foreign call over the raw
+        seed columns.  Any non-zero
         return (the reference's order-dependent tie event, a seed tie or
         invalid seed, or scratch allocation failure) returns ``None``:
         the caller hands the call back to the reference, which decides
@@ -308,8 +310,10 @@ class CompiledEngine(CSREngine):
                 edge_ok=edge_ok, vertex_ok=vertex_ok, allowed_ok=allowed_ok,
                 num_vertices=num_vertices, stacked=stacked,
                 banned_eid_per_batch=banned_eid_per_batch, state=state,
+                targets=targets,
             )
         n = csr.num_vertices if num_vertices is None else num_vertices
+        tgt_ptr, tgt = (None, None) if targets is None else targets
         if state is not None:
             settled, hop_t, pert_t, parent, parent_eid = state
         else:
@@ -334,6 +338,8 @@ class CompiledEngine(CSREngine):
             _ptr(vertex_ok),
             _ptr(allowed_ok),
             _ptr(banned_eid_per_batch),
+            _ptr(tgt_ptr),
+            _ptr(tgt),
             len(cols[0]),
             *(_ptr(c) for c in cols),
             _ptr(settled),

@@ -37,6 +37,7 @@ paths.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
@@ -46,7 +47,7 @@ from repro.engine.base import (
     UNREACHABLE,
     ReplacementRows,
     SeedBatch,
-    _zip_sources_and_bans,
+    _zip_searches,
 )
 from repro.engine.csr import csr_view
 from repro.engine.kernels import (
@@ -141,6 +142,60 @@ def _vertex_ok_mask(
     ok = np.ones(n, dtype=bool)
     ok[_valid_ids(banned_vertices, n)] = False
     return ok
+
+
+def _check_targets(targets, n: int):
+    """``targets`` as a collection whose ids all lie in ``[0, n)`` -
+    checked here, before any id reaches a kernel - or None (no stop
+    rule)."""
+    if targets is None:
+        return None
+    if not isinstance(targets, (set, frozenset, list, tuple)):
+        targets = list(targets)
+    if targets and (min(targets) < 0 or max(targets) >= n):
+        raise GraphError(f"a target lies outside [0, {n})")
+    return targets
+
+
+def _stacked_targets(target_sets, n: int):
+    """The stop rule's ``(tgt_ptr, tgt)`` arrays over stacked layers
+    (layer ``b``'s targets as global ids ``b * n + t``), or None when no
+    layer has a target set.  A layer without one (``None``: a full run)
+    holds the id -1, which never gets a label."""
+    if all(t is None for t in target_sets):
+        return None
+    sizes = [1 if t is None else len(t) for t in target_sets]
+    tgt = np.fromiter(
+        chain.from_iterable((-1,) if t is None else t for t in target_sets),
+        dtype=np.int64,
+        count=sum(sizes),
+    )
+    offset = np.repeat(np.arange(len(sizes), dtype=np.int64) * n, sizes)
+    tgt = np.where(tgt >= 0, tgt + offset, -1)
+    tgt_ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=tgt_ptr[1:])
+    return tgt_ptr, tgt
+
+
+def _blank_beyond_radius(levels, tgt_ptr: np.ndarray, tgt: np.ndarray, n: int):
+    """The stop rule's outcome, applied after a full relaxation: in each
+    layer whose targets were all reached, every vertex beyond the
+    largest target hop reads unreached."""
+    settled, hop, pert, parent, parent_eid = levels
+    layers = len(tgt_ptr) - 1
+    layer_of = np.repeat(np.arange(layers, dtype=np.int64), np.diff(tgt_ptr))
+    safe = np.maximum(tgt, 0)
+    reached = (tgt >= 0) & settled[safe]
+    radius = np.zeros(layers, dtype=np.int64)
+    np.maximum.at(radius, layer_of, np.where(reached, hop[safe], 0))
+    complete = np.bincount(layer_of[~reached], minlength=layers) == 0
+    limit = np.where(complete, radius, np.iinfo(np.int64).max)
+    beyond = hop > np.repeat(limit, n)
+    settled[beyond] = False
+    hop[beyond] = -1
+    pert[beyond] = 0
+    parent[beyond] = -1
+    parent_eid[beyond] = -1
 
 
 def _plan_seeds(graph: Graph, weights, seeds, n: int):
@@ -256,6 +311,7 @@ class CSREngine(PythonEngine):
         stacked: bool = False,
         banned_eid_per_batch: Optional[np.ndarray] = None,
         state=None,
+        targets=None,
     ):
         """Engine hook behind every weighted relaxation.
 
@@ -264,14 +320,18 @@ class CSREngine(PythonEngine):
         described structurally (``stacked`` + ``banned_eid_per_batch``)
         instead of as an opaque closure, so subclasses can route the
         relaxation elsewhere - the compiled engine overrides this with
-        its C kernel.
+        its C kernel.  ``targets`` (the ``(tgt_ptr, tgt)`` arrays of
+        :func:`_stacked_targets`, source-seeded runs only) asks for the
+        stop rule's outcome; this numpy tier runs the full relaxation
+        and blanks what lies beyond each layer's radius, and a tie it
+        meets beyond a radius hands the call back all the same.
         """
         expand = (
             stacked_expander(csr, banned_eid_per_batch=banned_eid_per_batch)
             if stacked
             else None
         )
-        return weighted_levels(
+        levels = weighted_levels(
             csr,
             perts,
             seeds,
@@ -282,6 +342,9 @@ class CSREngine(PythonEngine):
             expand=expand,
             state=state,
         )
+        if levels is not None and targets is not None:
+            _blank_beyond_radius(levels, *targets, csr.num_vertices)
+        return levels
 
     def shortest_paths(
         self,
@@ -293,7 +356,9 @@ class CSREngine(PythonEngine):
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
+        targets: Optional[Iterable[Vertex]] = None,
     ):
+        targets = _check_targets(targets, graph.num_vertices)
         perts = weighted_plan(graph, weights)
         if perts is not None:
             _check_source(graph, source)
@@ -311,6 +376,7 @@ class CSREngine(PythonEngine):
                     allowed_edges=allowed_edges,
                 ),
                 vertex_ok=_vertex_ok_mask(csr.num_vertices, banned_vertices),
+                targets=_stacked_targets([targets], csr.num_vertices),
             )
             if levels is not None:
                 return assemble_result(source, weights.shift, *levels)
@@ -322,6 +388,7 @@ class CSREngine(PythonEngine):
             banned_edge=banned_edge,
             banned_edges=banned_edges,
             allowed_edges=allowed_edges,
+            targets=targets,
         )
 
     def seeded_shortest_paths(
@@ -369,12 +436,14 @@ class CSREngine(PythonEngine):
         graph: Graph,
         weights,
         sources: Sequence[Vertex],
-        banned_vertices_per_source: Optional[Iterable[Optional[Set[Vertex]]]] = None,
+        banned_vertices_per_source: Optional[Iterable[Optional[Set[Vertex]]]],
+        targets_per_source: Iterable[Optional[Iterable[Vertex]]],
     ):
         perts = weighted_plan(graph, weights)
         if perts is None:
             yield from super().batched_shortest_paths(
-                graph, weights, sources, banned_vertices_per_source
+                graph, weights, sources, banned_vertices_per_source,
+                targets_per_source,
             )
             return
         csr = csr_view(graph)
@@ -388,22 +457,16 @@ class CSREngine(PythonEngine):
                 _STACK_STREAM // max(1, 2 * csr.num_edges) + 1,
             ),
         )
-        chunk_sources: List[Vertex] = []
-        chunk_bans: List[Optional[Set[Vertex]]] = []
-        for source, banned in _zip_sources_and_bans(
-            sources, banned_vertices_per_source
+        chunk = []
+        for search in _zip_searches(
+            sources, banned_vertices_per_source, targets_per_source
         ):
-            chunk_sources.append(source)
-            chunk_bans.append(banned)
-            if len(chunk_sources) >= per_chunk:
-                yield from self._source_chunk(
-                    graph, csr, weights, perts, chunk_sources, chunk_bans
-                )
-                chunk_sources, chunk_bans = [], []
-        if chunk_sources:
-            yield from self._source_chunk(
-                graph, csr, weights, perts, chunk_sources, chunk_bans
-            )
+            chunk.append(search)
+            if len(chunk) >= per_chunk:
+                yield from self._source_chunk(graph, csr, weights, perts, chunk)
+                chunk = []
+        if chunk:
+            yield from self._source_chunk(graph, csr, weights, perts, chunk)
 
     def _source_chunk(
         self,
@@ -411,24 +474,28 @@ class CSREngine(PythonEngine):
         csr,
         weights,
         perts: np.ndarray,
-        chunk_sources: List[Vertex],
-        chunk_bans: List[Optional[Set[Vertex]]],
+        chunk: list,
     ):
-        """One stacked chunk of full-graph single-source traversals."""
+        """One stacked chunk of full-graph single-source traversals, each
+        a ``(source, banned, targets)`` search."""
         n = csr.num_vertices
-        B = len(chunk_sources)
-        for v, banned in zip(chunk_sources, chunk_bans):
+        B = len(chunk)
+        chunk = [
+            (v, banned, _check_targets(targets, n))
+            for v, banned, targets in chunk
+        ]
+        for v, banned, _ in chunk:
             _check_source(graph, v)
             if banned and v in banned:
                 raise GraphError(f"source {v} is banned")
         vertex_ok = None
-        if any(chunk_bans):
+        if any(banned for _, banned, _ in chunk):
             vertex_ok = np.ones(B * n, dtype=bool)
-            for b, banned in enumerate(chunk_bans):
+            for b, (_, banned, _) in enumerate(chunk):
                 if banned:
                     vertex_ok[b * n + _valid_ids(banned, n)] = False
         seed_v = np.arange(B, dtype=np.int64) * n + np.asarray(
-            chunk_sources, dtype=np.int64
+            [v for v, _, _ in chunk], dtype=np.int64
         )
         levels = self._weighted_levels(
             csr,
@@ -437,14 +504,15 @@ class CSREngine(PythonEngine):
             vertex_ok=vertex_ok,
             num_vertices=B * n,
             stacked=True,
+            targets=_stacked_targets([t for _, _, t in chunk], n),
         )
         if levels is None:
-            for v, banned in zip(chunk_sources, chunk_bans):
+            for v, banned, targets in chunk:
                 yield super().shortest_paths(
-                    graph, weights, v, banned_vertices=banned
+                    graph, weights, v, banned_vertices=banned, targets=targets
                 )
             return
-        for b, v in enumerate(chunk_sources):
+        for b, (v, _, _) in enumerate(chunk):
             yield assemble_result(
                 v, weights.shift, *unstack_layer(n, b, *levels)
             )

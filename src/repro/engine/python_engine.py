@@ -170,6 +170,7 @@ class PythonEngine(TraversalEngine):
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
+        targets: Optional[Iterable[Vertex]] = None,
     ):
         from repro.spt.dijkstra import dijkstra
 
@@ -181,6 +182,7 @@ class PythonEngine(TraversalEngine):
             banned_edge=banned_edge,
             banned_edges=banned_edges,
             allowed_edges=allowed_edges,
+            targets=targets,
         )
 
     def seeded_shortest_paths(

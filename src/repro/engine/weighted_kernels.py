@@ -55,7 +55,7 @@ every seed before it writes anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -400,25 +400,20 @@ def assemble_result(
     parent: np.ndarray,
     parent_eid: np.ndarray,
 ) -> ShortestPathResult:
-    """Recompose ``(hop, pert)`` pairs into the reference's big-int form.
+    """A result over the kernel's ``(hop, pert)`` lists.
 
     The composite ``hop << shift`` overflows ``int64`` (shift is 63 for
-    the random scheme), so the final distances are built as Python ints;
-    they are bit-identical to the reference's weight sums because the
-    plan guaranteed perturbation sums never carry into the hop bits.
+    the random scheme), so the big-int distances are Python ints, built
+    by the result on first read (see
+    :meth:`~repro.spt.result.ShortestPathResult.from_levels`); they are
+    bit-identical to the reference's weight sums because the plan
+    guaranteed perturbation sums never carry into the hop bits.
     """
-    if settled.all():
-        dist: List[Optional[int]] = [
-            (h << shift) + p for h, p in zip(hop.tolist(), pert.tolist())
-        ]
-    else:
-        dist = [
-            (h << shift) + p if ok else None
-            for ok, h, p in zip(settled.tolist(), hop.tolist(), pert.tolist())
-        ]
-    return ShortestPathResult(
-        source=source,
-        dist=dist,
-        parent=parent.tolist(),
-        parent_eid=parent_eid.tolist(),
+    return ShortestPathResult.from_levels(
+        source,
+        shift,
+        np.where(settled, hop, -1).tolist(),
+        pert.tolist(),
+        parent.tolist(),
+        parent_eid.tolist(),
     )

@@ -118,6 +118,12 @@ class OracleStats:
         return f"OracleStats({inner})"
 
 
+def _as_list(plane: Sequence[int]) -> List[int]:
+    """A plane's values as a list of ints: live planes already are one;
+    mapped (numpy) and decoded (``array('q')``) planes are copied."""
+    return plane if type(plane) is list else plane.tolist()
+
+
 class _FailedSubtrees:
     """One query's failed subtrees: the failure set, the Euler interval
     ``(tin[c], tout[c])`` of each failed tree edge's child ``c``, and the
@@ -171,11 +177,12 @@ class QueryOracle:
         self._m = structure.num_edges
         # Tree edges are exactly the parent edges of reachable non-root
         # vertices; O(n) to map each to its child, no adjacency walk.
+        # Both maps read one list copy of their plane, not its elements.
         self._child_of: Dict[EdgeId, Vertex] = {
-            int(pe): v for v, pe in enumerate(self._parent_eid) if pe >= 0
+            pe: v for v, pe in enumerate(_as_list(self._parent_eid)) if pe >= 0
         }
         self._row_by_eid: Dict[EdgeId, int] = {
-            int(eid): row for row, eid in enumerate(arrays["repl_eids"])
+            eid: row for row, eid in enumerate(_as_list(arrays["repl_eids"]))
         }
         self._marked: Set[EdgeId] = set()
         self._fallback: "OrderedDict[FrozenSet[EdgeId], object]" = OrderedDict()

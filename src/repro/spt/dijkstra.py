@@ -8,6 +8,13 @@ This is the workhorse of the whole library.  Key features:
   a failed tree edge.
 * **Seeded frontiers** (``seeds``) start the heap from precomputed
   distances at the subset boundary.
+* **Target radius** (``targets``, unseeded runs only): the run stops
+  before settling any vertex ``R`` or more hops away, where ``R`` is the
+  largest hop count among the targets.  A label's hop count is fixed
+  when the label is first set, so ``R`` is known once the last target
+  has one; every vertex within ``R`` hops keeps its exact result and
+  every vertex beyond reads unreachable.  A target that never gets a
+  label (unreachable, or banned) means a full run.
 * **Tie detection**: two distinct equal-weight paths to the same vertex
   violate the unique-shortest-path contract of
   :mod:`repro.spt.weights`; under the random scheme this always raises
@@ -50,16 +57,22 @@ def dijkstra(
     banned_edge: Optional[EdgeId] = None,
     banned_edges: Optional[Set[EdgeId]] = None,
     allowed_edges: Optional[Set[EdgeId]] = None,
+    targets: Optional[Iterable[Vertex]] = None,
 ) -> ShortestPathResult:
     """Single-source shortest paths under the composite weights.
 
-    See the module docstring for the semantics of the keyword filters.
+    See the module docstring for the semantics of the keyword filters
+    and of ``targets`` (``None``: a full run).
     """
     n = graph.num_vertices
     if not 0 <= source < n:
         raise GraphError(f"source {source} out of range for n={n}")
     if banned_vertices and source in banned_vertices:
         raise GraphError(f"source {source} is banned")
+    if targets is not None:
+        targets = list(targets)
+        if targets and (min(targets) < 0 or max(targets) >= n):
+            raise GraphError(f"a target lies outside [0, {n})")
     seeds = [(0, source, -1, -1)]
     return _run(
         graph,
@@ -71,6 +84,7 @@ def dijkstra(
         banned_edges=banned_edges,
         allowed_edges=allowed_edges,
         allowed_vertices=None,
+        targets=targets,
     )
 
 
@@ -114,6 +128,7 @@ def _run(
     banned_edges: Optional[Set[EdgeId]],
     allowed_edges: Optional[Set[EdgeId]],
     allowed_vertices: Optional[Set[Vertex]],
+    targets: Optional[List[Vertex]] = None,
 ) -> ShortestPathResult:
     n = graph.num_vertices
     dist: List[Optional[int]] = [None] * n
@@ -138,9 +153,22 @@ def _run(
                 f"equal-weight seeds for vertex {v0} (scheme={weights.scheme})"
             )
 
+    # The stop rule: the first pop of each hop level (``d >= limit``)
+    # comes after every label of that level is set, so if every target
+    # has a label by then, the level is the radius R and the run ends.
+    # ``labeled`` counts the targets seen labeled so far, in list order.
+    shift = weights.shift
+    limit = None if targets is None else 0
+    labeled = 0
     adjacency = graph.adjacency
     while heap:
         d, v = heappop(heap)
+        if limit is not None and d >= limit:
+            while labeled < len(targets) and dist[targets[labeled]] is not None:
+                labeled += 1
+            if labeled == len(targets):
+                break
+            limit = ((d >> shift) + 1) << shift
         if settled[v]:
             continue
         if dist[v] is not None and d > dist[v]:

@@ -188,10 +188,19 @@ def _make_exact(m: int) -> WeightAssignment:
 
 
 def _make_random(m: int, seed: int) -> WeightAssignment:
-    rng = random.Random(seed ^ 0xD1F7_55AA_C0FF_EE00)
-    big = 1 << _RANDOM_SHIFT
-    top = 1 << _RANDOM_PERT_BITS
-    weights = [big + rng.randrange(1, top) for _ in range(m)]
+    # CPython's ``randrange(1, 2**44)`` step by step, at a quarter of its
+    # cost: 1 + a 44-bit draw, redrawn while it is the one value past
+    # the range.  The same seed keeps giving the same weights.
+    draw = random.Random(seed ^ 0xD1F7_55AA_C0FF_EE00).getrandbits
+    bits = _RANDOM_PERT_BITS
+    past_range = (1 << bits) - 1
+    base = (1 << _RANDOM_SHIFT) + 1
+    weights = []
+    for _ in range(m):
+        r = draw(bits)
+        while r == past_range:
+            r = draw(bits)
+        weights.append(base + r)
     return WeightAssignment(
         weights=weights, shift=_RANDOM_SHIFT, scheme=RANDOM, seed=seed
     )

@@ -1,19 +1,35 @@
 """Tests for Algorithm Pcons: the paper's Claims 4.3-4.6 made executable."""
 
+import dataclasses
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from repro.engine import available_engines, engine_context, get_engine
 from repro.graphs import (
     Graph,
+    barbell_graph,
+    binary_tree_graph,
+    broom_graph,
+    caterpillar_graph,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
+    empty_graph,
     gnp_random_graph,
     grid_graph,
+    hypercube_graph,
+    join_with_edges,
+    lollipop_graph,
     path_graph,
+    star_graph,
     to_networkx,
+    torus_graph,
 )
 from repro.core.pcons import run_pcons
+from repro.spt.weights import EXACT, RANDOM
 
 from tests.conftest import graph_with_source, random_connected_instance
 
@@ -275,3 +291,109 @@ def test_pcons_invariants_random(pair):
             assert rec.detour is not None and len(rec.detour) >= 2
             assert rec.divergence == rec.detour[0]
             assert 0 <= rec.div_index < rec.edge_depth or rec.div_index < pc.tree.depth[rec.v]
+
+
+# ----------------------------------------------------------------------
+# the detour fill against full detour searches
+# ----------------------------------------------------------------------
+def reference_fill(tree, weights, v, path, pending, sp):
+    """Pcons's detour fill as it ran before its searches stopped at
+    their targets' radius: big-int ``dist`` reads over a full search
+    from ``v``.  Sets the detour fields of ``v``'s uncovered pairs."""
+    graph, w_arr, shift = tree.graph, weights.weights, weights.shift
+    k = len(path) - 1
+    on_path = set(path)
+    delta = [None] * k
+    for j in range(k):
+        best = None
+        for w, eid in graph.adjacency(path[j]):
+            if w == v:
+                if eid == tree.parent_eid[v]:
+                    continue
+                cand = w_arr[eid]
+            elif w in on_path or sp.dist[w] is None:
+                continue
+            else:
+                cand = w_arr[eid] + sp.dist[w]
+            if best is None or cand < best[0]:
+                best = (cand, w, eid)
+        delta[j] = best
+    by_index = {rec.edge_depth - 1: rec for rec in pending}
+    best_hops, best_j = None, -1
+    for i in range(k):
+        if delta[i] is not None:
+            hops = (tree.dist[path[i]] + delta[i][0]) >> shift
+            if best_hops is None or hops < best_hops:
+                best_hops, best_j = hops, i
+        rec = by_index.get(i)
+        if rec is None:
+            continue
+        assert best_hops == rec.new_dist >> shift
+        _, w_star, eid = delta[best_j]
+        chain = [w_star]
+        while chain[-1] != v:
+            chain.append(sp.parent[chain[-1]])
+        rec.div_index, rec.divergence = best_j, path[best_j]
+        rec.detour = (path[best_j], *chain)
+        rec.last_eid = eid if len(chain) == 1 else sp.parent_eid[chain[-2]]
+
+
+def reference_pairs(pc):
+    """``pc``'s pair records with every uncovered pair's detour redone
+    by :func:`reference_fill` over full searches on the python spec."""
+    records = [dataclasses.replace(rec) for rec in pc.pairs]
+    pending = {}
+    for rec in records:
+        if rec.uncovered:
+            rec.last_eid = rec.divergence = rec.div_index = rec.detour = None
+            pending.setdefault(rec.v, []).append(rec)
+    spec = get_engine("python")
+    for v, recs in pending.items():
+        path = pc.tree.path_vertices(v)
+        sp = spec.shortest_paths(
+            pc.graph, pc.weights, v, banned_vertices=set(path) - {v}
+        )
+        reference_fill(pc.tree, pc.weights, v, path, recs, sp)
+    return records
+
+
+FAMILIES = {
+    "empty": empty_graph(4),
+    "path": path_graph(7),
+    "cycle": cycle_graph(9),
+    "star": star_graph(7),
+    "complete": complete_graph(7),
+    "complete-bipartite": complete_bipartite_graph(3, 5),
+    "grid": grid_graph(5, 6),
+    "torus": torus_graph(4, 5),
+    "hypercube": hypercube_graph(4),
+    "binary-tree": binary_tree_graph(4),
+    "broom": broom_graph(4, 4),
+    "lollipop": lollipop_graph(5, 4),
+    "barbell": barbell_graph(4, 3),
+    "caterpillar": caterpillar_graph(5, 2),
+    "disjoint-union": disjoint_union([cycle_graph(6), grid_graph(3, 4)])[0],
+    "joined": join_with_edges(
+        [grid_graph(3, 4), cycle_graph(8)], [((0, 11), (1, 0)), ((0, 5), (1, 4))]
+    )[0],
+    "gnp": gnp_random_graph(40, 0.12, seed=7),
+}
+
+
+@pytest.mark.parametrize("engine", [
+    "python",
+    pytest.param("csr", marks=pytest.mark.skipif(
+        "csr" not in available_engines(), reason="csr needs numpy")),
+])
+@pytest.mark.parametrize("scheme", [EXACT, RANDOM])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_detours_equal_full_search_reference(family, scheme, engine):
+    """Radius-cut detour searches change no pair record: every family,
+    both weight schemes, on the spec and on the array engine."""
+    graph = FAMILIES[family]
+    with engine_context(engine):
+        pc = run_pcons(graph, 0, weight_scheme=scheme, seed=3)
+    assert pc.pairs.pairs == reference_pairs(pc)
+    assert pc.stats.total_detour_length == sum(
+        len(rec.detour) - 1 for rec in pc.pairs if rec.uncovered
+    )

@@ -16,6 +16,10 @@ stacked ``weighted_failure_sweep`` / ``batched_shortest_paths`` /
 per-call loops they amortize, across engines, both weight schemes,
 disconnected subtrees included.
 
+Searches given a target set stop at the targets' hop radius ``R``:
+within ``R`` they read what the full run reads, beyond it unreachable,
+on every engine, and a tie beyond ``R`` raises on none of them.
+
 The fast engine under test follows ``REPRO_ENGINE``: the weighted CI
 matrix reruns this module under ``csr``, which runs its C kernels
 unless ``REPRO_CC=0`` (the no-compiler job) puts it on numpy, so both
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 
 pytest.importorskip("numpy")
 
-from repro.core.pcons import run_pcons
+from repro.core.pcons import _detour_targets, run_pcons
 from repro.engine import (
     ReplacementRows,
     available_engines,
@@ -45,6 +49,7 @@ from repro.engine import (
 from repro.engine.csr_engine import CSREngine
 from repro.errors import GraphError, TieBreakError
 from repro.graphs import Graph, cycle_graph, gnp_random_graph
+from repro.spt.result import ShortestPathResult
 from repro.spt.spt_tree import build_spt
 from repro.spt.weights import EXACT, RANDOM, WeightAssignment, make_weights
 
@@ -308,12 +313,170 @@ def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
     with pytest.raises(TieBreakError, match="equal-weight paths"):
         engine.shortest_paths(g, w, 0)
     with pytest.raises(TieBreakError, match="equal-weight paths"):
-        list(engine.batched_shortest_paths(g, w, [0, 1]))
+        list(engine.batched_shortest_paths(g, w, [0, 1], None, [None, {3}]))
     w = make_weights(g, RANDOM, seed=0)
     d = 3 * w.big
     seeds = [(d, 2, 1, 1), (d, 2, 3, 2)]
     with pytest.raises(TieBreakError, match="equal-weight seeds for vertex 2"):
         list(engine.batched_seeded_shortest_paths(g, w, [(seeds, {2, 3}, None)]))
+
+
+# ----------------------------------------------------------------------
+# target radius: searches stop at the hop radius of their targets
+# ----------------------------------------------------------------------
+def expected_truncation(g, w, source, targets, banned=None):
+    """The full run cut at the targets' radius: what a search with
+    ``targets`` must return (the full run when a target goes unlabeled)."""
+    full = PY.shortest_paths(g, w, source, banned_vertices=banned)
+    if any(full.dist[t] is None for t in targets):
+        return full
+    radius = max((full.dist[t] >> w.shift for t in targets), default=0)
+    beyond = [
+        d is not None and d >> w.shift > radius for d in full.dist
+    ]
+    return ShortestPathResult(
+        source,
+        [None if out else d for out, d in zip(beyond, full.dist)],
+        [-1 if out else p for out, p in zip(beyond, full.parent)],
+        [-1 if out else e for out, e in zip(beyond, full.parent_eid)],
+    )
+
+
+@st.composite
+def targeted_instance(draw):
+    """(graph, source, scheme, banned, targets): random targets, random
+    vertex bans that may hit a target."""
+    g, source = draw(graph_with_source(max_vertices=24, connected=False))
+    scheme = draw(st.sampled_from([EXACT, RANDOM]))
+    others = [v for v in range(g.num_vertices) if v != source]
+    banned = set(draw(st.lists(st.sampled_from(others), max_size=2))) if (
+        others and draw(st.booleans())
+    ) else None
+    targets = set(
+        draw(st.lists(st.integers(0, g.num_vertices - 1), max_size=4))
+    )
+    return g, source, scheme, banned, targets
+
+
+@settings(max_examples=80, **COMMON)
+@given(targeted_instance(), st.integers(0, 3))
+def test_targets_cut_the_full_run_at_their_radius(instance, wseed):
+    """Within the radius the result is the full run's; beyond it every
+    vertex reads unreachable - and an unreachable or banned target
+    gives the full run."""
+    g, source, scheme, banned, targets = instance
+    w = make_weights(g, scheme, seed=wseed)
+    kind, sp = run_both(
+        "shortest_paths", g, w, source, banned_vertices=banned, targets=targets
+    )
+    assert kind == "ok"
+    assert_same_result(expected_truncation(g, w, source, targets, banned), sp)
+
+
+@settings(max_examples=30, **COMMON)
+@given(graph_with_source(max_vertices=24, connected=False),
+       st.sampled_from([EXACT, RANDOM]))
+def test_unreachable_or_banned_target_gives_the_full_run(pair, scheme):
+    g, source = pair
+    w = make_weights(g, scheme, seed=1)
+    full = PY.shortest_paths(g, w, source)
+    unreached = [v for v in range(g.num_vertices) if full.dist[v] is None]
+    if unreached:
+        _, sp = run_both("shortest_paths", g, w, source, targets={unreached[0]})
+        assert_same_result(full, sp)
+    others = [v for v in range(g.num_vertices) if v != source]
+    if others:
+        banned = {others[-1]}
+        _, sp = run_both(
+            "shortest_paths", g, w, source, banned_vertices=banned,
+            targets={others[-1]},
+        )
+        assert_same_result(
+            PY.shortest_paths(g, w, source, banned_vertices=banned), sp
+        )
+
+
+@settings(max_examples=30, **COMMON)
+@given(graph_with_source(max_vertices=24, connected=False),
+       st.sampled_from([EXACT, RANDOM]))
+def test_empty_targets_leave_only_the_source(pair, scheme):
+    g, source = pair
+    w = make_weights(g, scheme, seed=2)
+    n = g.num_vertices
+    for targets in (set(), {source}):
+        _, sp = run_both("shortest_paths", g, w, source, targets=targets)
+        assert sp.dist == [0 if v == source else None for v in range(n)]
+        assert sp.parent == [-1] * n and sp.parent_eid == [-1] * n
+
+
+@pytest.mark.parametrize(
+    "targets, kind",
+    [({1, 5}, "ok"), ({2}, "ok"), ({3}, "tie"), ({2, 4}, "ok")],
+    ids=["next-to-source", "radius-2", "tie-within", "radius-2-both-sides"],
+)
+def test_even_cycle_tie_raises_only_within_the_radius(targets, kind):
+    """Uniform weights tie at vertex 3, three hops round C6 either way:
+    a radius below 3 never reaches it on either engine, radius 3 does
+    on both."""
+    g = cycle_graph(6)
+    w = uniform_assignment(6)
+    got, sp = run_both("shortest_paths", g, w, 0, targets=targets)
+    assert got == kind
+    if kind == "ok":
+        assert sp.dist[3] is None
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 2**70, -2**70])
+def test_out_of_range_target_raises_on_both(bad):
+    g = cycle_graph(6)
+    for scheme in (EXACT, RANDOM):
+        w = make_weights(g, scheme, seed=0)
+        kind, _ = run_both("shortest_paths", g, w, 0, targets={1, bad})
+        assert kind == "graph-error"
+        kind, _, _ = run_both_batched(
+            "batched_shortest_paths", g, w, [0, 1], None, [None, {bad}]
+        )
+        assert kind == "graph-error"
+
+
+@settings(max_examples=30, **COMMON)
+@given(graph_with_source(max_vertices=24, connected=False),
+       st.sampled_from([EXACT, RANDOM]), st.randoms(use_true_random=False))
+def test_batched_layers_of_different_radius_match_per_call(pair, scheme, rng):
+    """One stacked chunk holding searches of every radius - none, empty,
+    the source only, random sets, an unreachable target - equals the
+    per-call searches, on both engines."""
+    g, source = pair
+    w = make_weights(g, scheme, seed=3)
+    n = g.num_vertices
+    sources, target_sets = [], []
+    for v in range(n):
+        sources += [v] * 4
+        target_sets += [
+            None, set(), {v},
+            set(rng.sample(range(n), min(n, rng.randint(1, 3)))),
+        ]
+    kind, a, b = run_both_batched(
+        "batched_shortest_paths", g, w, sources, None, target_sets
+    )
+    assert kind == "ok"
+    for v, t, x, y in zip(sources, target_sets, a, b):
+        assert_same_result(x, y)
+        assert_same_result(PY.shortest_paths(g, w, v, targets=t), y)
+        if t is not None:
+            assert_same_result(expected_truncation(g, w, v, t), y)
+
+
+def test_dist_at_reads_without_building_dist():
+    """An array result answers ``dist_at`` from its hop/pert lists and
+    builds the big-int list once, on its first read."""
+    g = gnp_random_graph(40, 0.1, seed=4)
+    w = make_weights(g, RANDOM, seed=4)
+    ref = PY.shortest_paths(g, w, 0)
+    sp = CSR.shortest_paths(g, w, 0)
+    assert [sp.dist_at(v) for v in range(40)] == ref.dist
+    assert sp.dist is sp.dist and sp.dist == ref.dist
+    assert [ref.dist_at(v) for v in range(40)] == ref.dist
 
 
 # ----------------------------------------------------------------------
@@ -363,18 +526,22 @@ def test_weighted_failure_sweep_parity(pair, wseed, scheme):
 @given(graph_with_source(max_vertices=24, connected=False), st.integers(0, 3),
        st.sampled_from([EXACT, RANDOM]))
 def test_batched_shortest_paths_parity(pair, wseed, scheme):
-    """The stacked detour batch equals per-source calls on both engines."""
+    """The stacked detour batch (Pcons's bans and targets) equals
+    per-source calls on both engines."""
     g, source = pair
     w = make_weights(g, scheme, seed=wseed)
     tree = build_spt(g, w, source)
     sources = [v for v in range(g.num_vertices) if tree.is_reachable(v)]
     bans = [set(tree.path_vertices(v)) - {v} for v in sources]
-    kind, a, b = run_both_batched("batched_shortest_paths", g, w, sources, bans)
+    targets = [_detour_targets(g, tree.path_vertices(v)) for v in sources]
+    kind, a, b = run_both_batched(
+        "batched_shortest_paths", g, w, sources, bans, targets
+    )
     if kind != "ok":
         return
-    for v, banned, x, y in zip(sources, bans, a, b):
+    for v, banned, t, x, y in zip(sources, bans, targets, a, b):
         assert_same_result(x, y)
-        single = PY.shortest_paths(g, w, v, banned_vertices=banned)
+        single = PY.shortest_paths(g, w, v, banned_vertices=banned, targets=t)
         assert_same_result(single, y)
 
 
@@ -411,7 +578,7 @@ def test_batched_banned_source_raises_on_both():
     g = cycle_graph(6)
     w = make_weights(g, RANDOM, seed=0)
     kind, _, _ = run_both_batched(
-        "batched_shortest_paths", g, w, [0, 1], [None, {1}]
+        "batched_shortest_paths", g, w, [0, 1], [None, {1}], [None, {3}]
     )
     assert kind == "graph-error"
 
@@ -421,7 +588,18 @@ def test_batched_ban_length_mismatch_raises_on_both():
     g = cycle_graph(6)
     w = make_weights(g, RANDOM, seed=0)
     kind, _, _ = run_both_batched(
-        "batched_shortest_paths", g, w, [0, 1, 2], [None, {1}]
+        "batched_shortest_paths", g, w, [0, 1, 2], [None, {1}],
+        [None, None, None],
+    )
+    assert kind == "graph-error"
+
+
+def test_batched_target_length_mismatch_raises_on_both():
+    """So must a short target stream."""
+    g = cycle_graph(6)
+    w = make_weights(g, RANDOM, seed=0)
+    kind, _, _ = run_both_batched(
+        "batched_shortest_paths", g, w, [0, 1, 2], None, [None, {3}]
     )
     assert kind == "graph-error"
 

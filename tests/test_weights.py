@@ -1,6 +1,7 @@
 """Tests for the tie-breaking weight assignments."""
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from repro.graphs import (
     random_connected_graph,
 )
 from repro.spt.spt_tree import build_spt
-from repro.spt.weights import AUTO, EXACT, RANDOM, make_weights
+from repro.spt.weights import AUTO, EXACT, RANDOM, _make_random, make_weights
 
 
 class TestExactScheme:
@@ -85,6 +86,38 @@ class TestRandomScheme:
         w = make_weights(g, RANDOM, seed=1)
         total = w.path_weight(list(range(9)))
         assert w.hops(total) == 9
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 0x9E37, 2**40 + 3])
+    @pytest.mark.parametrize("m", [0, 1, 57, 2_000])
+    def test_weights_are_a_randrange_draw(self, seed, m):
+        """The perturbations are ``randrange(1, 2**44)`` draws from the
+        seeded stream, one per edge in id order - the weights every
+        seed has always given."""
+        rng = random.Random(seed ^ 0xD1F7_55AA_C0FF_EE00)
+        expected = [(1 << 63) + rng.randrange(1, 1 << 44) for _ in range(m)]
+        w = _make_random(m, seed)
+        assert list(w.weights) == expected
+        assert (w.shift, w.scheme, w.seed) == (63, RANDOM, seed)
+
+    def test_redraws_like_randrange(self, monkeypatch):
+        """A draw of ``2**44 - 1`` is redrawn, as ``randrange`` does."""
+        top = (1 << 44) - 1
+
+        class Scripted(random.Random):
+            def seed(self, a=None, version=2):
+                super().seed(a, version)
+                self.script = [top, 5, top, top, 0, 9, top]
+
+            def getrandbits(self, k):
+                if self.script:
+                    return self.script.pop(0)
+                return super().getrandbits(k)
+
+        rng = Scripted(3 ^ 0xD1F7_55AA_C0FF_EE00)
+        expected = [(1 << 63) + rng.randrange(1, 1 << 44) for _ in range(6)]
+        assert expected[:3] == [(1 << 63) + 6, (1 << 63) + 1, (1 << 63) + 10]
+        monkeypatch.setattr(random, "Random", Scripted)
+        assert list(_make_random(6, 3).weights) == expected
 
 
 class TestAuto:
