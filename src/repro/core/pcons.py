@@ -22,8 +22,9 @@ replacement path ``P_{v,e} in SP(s, v, G \\ {e})``:
    Implementation: one "detour Dijkstra" from ``v`` in
    ``G \\ (V(pi(s,v)) \\ {v})`` yields, for every ``u_j`` on the path, the
    best detour value ``delta(j)`` (minimum over edges ``(u_j, w)`` leaving
-   the path); then ``L(j) = dist_W(s, u_j) + delta(j)`` and a single scan
-   computes ``j*`` for every failing edge of ``v`` at once.
+   the path) - the search's *escape table*; then ``L(j) = dist_W(s, u_j)
+   + delta(j)``, whose hop part is ``j + hops(delta(j))``, and a single
+   scan computes ``j*`` for every failing edge of ``v`` at once.
 
    The search reads only the off-path neighbours ``w`` of
    ``u_0 .. u_{k-1}`` (for ``delta(j)``) and the chosen detour, which
@@ -38,12 +39,11 @@ replacement engine fills all of them at construction through the engine
 layer's ``weighted_failure_sweep`` (one amortized pass over all
 failures) before the pair loop runs; the per-vertex detour Dijkstras are
 collected into ``pending_by_vertex`` and dispatched as one
-``batched_shortest_paths`` call (stacked level-synchronous relaxations
-on the csr engine), each with its ban set and target set.  Both batched
-paths are bit-identical to the per-call loops by engine contract, and
-the detour results stay hop/pert lists: ``_fill_detours`` reads each
-distance it needs through ``dist_at``, so no search builds its ``n``
-big-int distances.
+``batched_shortest_paths`` call over their T0 paths, which derives each
+search's bans and targets from its path and hands back its escape table
+(on the csr engine's C tier, one C pass per stacked chunk computes the
+tables, and no search builds an ``n``-entry list).  ``_fill_detours``
+only picks ``j*`` and walks the chosen detour's parent entries.
 
 Replacement *distances* ``dist(s, v, G \\ {e})`` come from the
 subtree-restricted engine in :mod:`repro.spt.replacement`.
@@ -51,11 +51,11 @@ subtree-restricted engine in :mod:`repro.spt.replacement`.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._types import EdgeId, Vertex
+from repro.engine.base import DetourEscapes
 from repro.engine.registry import get_engine
 from repro.errors import ReproError, TieBreakError
 from repro.graphs.graph import Graph
@@ -65,8 +65,6 @@ from repro.spt.spt_tree import ShortestPathTree, build_spt
 from repro.spt.weights import RANDOM, WeightAssignment, make_weights
 
 __all__ = ["PconsResult", "PconsStats", "run_pcons"]
-
-_INF = None  # readability alias for "unreachable"
 
 #: Reseeds of a tying random assignment before ``run_pcons`` gives up.
 _MAX_RESEEDS = 5
@@ -206,39 +204,21 @@ def _run_once(
                 stats.num_uncovered += 1
                 pending_by_vertex.setdefault(v, []).append(rec)
 
-    # All detour Dijkstras in one batched call: each source v is banned
-    # from re-entering pi(s, v) internally, exactly like the per-call
-    # loop this replaces, and stops at the radius of the vertices
-    # _fill_detours reads; results stream back in source order.  Ban
-    # and target sets stream in lockstep with the engine's consumption
-    # (it reads at most one chunk ahead), so only O(chunk) paths are
-    # alive at once - the per-call loop's memory profile.
+    # All detour Dijkstras in one batched call: the search from v bans
+    # pi(s, v) but v, stops at the radius of the vertices the escape
+    # table reads, and comes back as that table; results stream back in
+    # source order, and paths stream in with the engine's consumption
+    # (it reads at most one chunk ahead).
     if pending_by_vertex:
         detour_sources = list(pending_by_vertex)
-        paths_in_flight: Deque[List[Vertex]] = deque()
-
-        def ban_sets():
-            for v in detour_sources:
-                path = tree.path_vertices(v)
-                paths_in_flight.append(path)
-                yield set(path) - {v}
-
-        neighbor_sets: Dict[Vertex, Set[Vertex]] = {}
-
-        def target_sets():
-            for v in detour_sources:
-                yield _detour_targets(
-                    graph, tree.path_vertices(v), neighbor_sets
-                )
-
-        detour_sps = get_engine().batched_shortest_paths(
-            graph, weights, detour_sources, ban_sets(), target_sets()
+        searches = get_engine().batched_shortest_paths(
+            graph, weights, (tree.path_vertices(v) for v in detour_sources)
         )
-        for v, sp in zip(detour_sources, detour_sps):
+        for v, escapes in zip(detour_sources, searches):
             stats.num_detour_dijkstras += 1
             _fill_detours(
-                tree, weights, v, paths_in_flight.popleft(),
-                pending_by_vertex[v], stats, sp,
+                tree, weights, v, tree.path_vertices(v),
+                pending_by_vertex[v], stats, escapes,
             )
 
     pair_set = PairSet(records)
@@ -253,27 +233,6 @@ def _run_once(
     )
 
 
-def _detour_targets(
-    graph: Graph,
-    path_vertices: List[Vertex],
-    neighbor_sets: Optional[Dict[Vertex, Set[Vertex]]] = None,
-) -> Set[Vertex]:
-    """The vertices ``_fill_detours`` reads from the detour search out of
-    ``v = path_vertices[-1]``: the neighbours of ``u_0 .. u_{k-1}`` that
-    lie off ``pi(s, v)``.  ``neighbor_sets`` memoizes each path vertex's
-    neighbour set across calls (every path starts at the source)."""
-    if neighbor_sets is None:
-        neighbor_sets = {}
-    targets: Set[Vertex] = set()
-    for u in path_vertices[:-1]:
-        nbrs = neighbor_sets.get(u)
-        if nbrs is None:
-            nbrs = neighbor_sets[u] = set(graph.neighbors(u))
-        targets |= nbrs
-    targets.difference_update(path_vertices)
-    return targets
-
-
 def _fill_detours(
     tree: ShortestPathTree,
     weights: WeightAssignment,
@@ -281,58 +240,30 @@ def _fill_detours(
     path_vertices: List[Vertex],
     pending: Sequence[PairRecord],
     stats: PconsStats,
-    sp,
+    escapes: DetourEscapes,
 ) -> None:
     """Compute divergence points and detours for ``v``'s uncovered pairs.
 
-    ``path_vertices`` is ``pi(s, v)`` as ``[u_0, ..., u_k = v]``; ``sp``
-    is ``v``'s detour Dijkstra - a traversal from ``v`` avoiding the
-    path internally, supplied by the caller's batched dispatch, exact
-    at least as far as the hop radius of :func:`_detour_targets`.
+    ``path_vertices`` is ``pi(s, v)`` as ``[u_0, ..., u_k = v]``;
+    ``escapes`` is ``v``'s detour search out of the caller's batched
+    dispatch: per ``j < k`` the best escape ``(hops, w, e)`` from
+    ``u_j`` (``delta(j)``), and the parents that walk a detour back.
     """
-    graph = tree.graph
-    w_arr = weights.weights
-    dist_at = sp.dist_at
+    table = escapes.escapes
     k = len(path_vertices) - 1
-    path_set = set(path_vertices)
-
-    # delta(j): cheapest escape from u_j into the detour region, plus the
-    # detour's first edge (u_j, w).  Records (value, w, eid) per j.
-    parent_eid_v = tree.parent_eid[v]
-    delta: List[Optional[Tuple[int, Vertex, EdgeId]]] = [None] * k
-    for j in range(k):
-        u_j = path_vertices[j]
-        best: Optional[Tuple[int, Vertex, EdgeId]] = None
-        for w, eid in graph.adjacency(u_j):
-            if w == v:
-                if eid == parent_eid_v:
-                    continue  # the tree edge (u_{k-1}, v) is not a detour
-                cand = w_arr[eid]
-            elif w in path_set:
-                continue
-            else:
-                dw = dist_at(w)
-                if dw is None:
-                    continue
-                cand = w_arr[eid] + dw
-            if best is None or cand < best[0]:
-                best = (cand, w, eid)
-        delta[j] = best
-
-    # L(j) composite weight of the best single-divergence path via u_j.
     shift = weights.shift
-    L_hops: List[Optional[int]] = [None] * k
-    for j in range(k):
-        if delta[j] is not None:
-            L_hops[j] = (tree.dist[path_vertices[j]] + delta[j][0]) >> shift
-
     pending_by_index = {rec.edge_depth - 1: rec for rec in pending}
 
+    # L(j) = j + hops(delta(j)): the hop length of the best
+    # single-divergence path via u_j.  pi(s, u_j) and the detour share
+    # no edge, so the composite sum dist_W(s, u_j) + delta(j) carries
+    # nothing into the hop bits and its hop part is exactly this.
     best_hops: Optional[int] = None
     best_j = -1
     for i in range(k):
-        if L_hops[i] is not None and (best_hops is None or L_hops[i] < best_hops):
-            best_hops = L_hops[i]
+        entry = table[i]
+        if entry is not None and (best_hops is None or i + entry[0] < best_hops):
+            best_hops = i + entry[0]
             best_j = i
         rec = pending_by_index.get(i)
         if rec is None:
@@ -346,27 +277,26 @@ def _fill_detours(
                 f"best={best_hops})"
             )
         j_star = best_j
-        entry = delta[j_star] if 0 <= j_star < k else None
+        entry = table[j_star] if 0 <= j_star < k else None
         if entry is None:
-            # best_j only ever points at a computed delta; anything else
-            # is internal corruption - fail loudly with the pair's
-            # coordinates instead of the bare TypeError the unguarded
-            # delta[j_star] subscript used to raise.
+            # best_j only ever points at a computed escape; anything
+            # else is internal corruption - fail loudly with the pair's
+            # coordinates instead of a bare TypeError.
             raise ReproError(
                 "internal inconsistency: divergence index without a detour "
                 f"entry (v={v}, eid={rec.eid}, j_star={j_star})"
             )
         rec.div_index = j_star
         rec.divergence = path_vertices[j_star]
-        detour = _extract_detour(sp, path_vertices[j_star], entry, v)
+        detour = _extract_detour(escapes, path_vertices[j_star], entry, v)
         rec.detour = detour
         stats.total_detour_length += len(detour) - 1
         # Last edge of P_{v,e} = the detour edge entering v.
         if len(detour) == 2:
             rec.last_eid = entry[2]  # direct edge (u_j, v)
         else:
-            last_eid = sp.parent_eid[detour[-2]]
-            if last_eid is None or last_eid < 0:
+            last_eid = int(escapes.parent_eid[detour[-2]])
+            if last_eid < 0:
                 raise ReproError(
                     "internal inconsistency: detour tail has no parent edge "
                     f"(v={v}, eid={rec.eid}, j_star={j_star}, "
@@ -376,7 +306,7 @@ def _fill_detours(
 
 
 def _extract_detour(
-    sp,
+    escapes: DetourEscapes,
     u_j: Vertex,
     delta_entry: Tuple[int, Vertex, EdgeId],
     v: Vertex,
@@ -389,11 +319,12 @@ def _extract_detour(
     _, w_star, _ = delta_entry
     if w_star == v:
         return (u_j, v)
+    parent = escapes.parent
     chain = [w_star]
     cur = w_star
     while cur != v:
-        nxt = sp.parent[cur]
-        if nxt is None or nxt < 0:
+        nxt = int(parent[cur])
+        if nxt < 0:
             raise ReproError(
                 "internal inconsistency: broken detour parent chain "
                 f"(vertex {cur} has no parent on the way back to {v})"

@@ -25,14 +25,20 @@ Engine contract (details in :mod:`repro.engine.base`)
   the shared reference implementation.  Given ``targets``, an unseeded
   run stops at their hop radius.  Each engine reports its weighted
   capability via ``weighted_backend`` (shown by ``repro engines``).
-* ``weighted_failure_sweep`` / ``batched_shortest_paths`` /
-  ``batched_seeded_shortest_paths``: the batched replacement subsystem -
-  replacement rows for *all* tree-edge failures (``ReplacementRows``,
-  the oracle snapshot's layout), and many independent (seeded) weighted
-  traversals, in one amortized pass.  The reference implementations are
-  the per-call loops; the csr engine stacks the runs into shared
-  per-level kernels.  Reported via ``replacement_backend`` /
-  ``detour_backend``.
+* ``weighted_failure_sweep`` / ``batched_seeded_shortest_paths``: the
+  batched replacement subsystem - replacement rows for *all* tree-edge
+  failures (``ReplacementRows``, the oracle snapshot's layout), and many
+  independent seeded weighted traversals, in one amortized pass.  The
+  reference implementations are the per-call loops; the csr engine
+  stacks the runs into shared per-level kernels.  Reported via
+  ``replacement_backend``.
+* ``batched_shortest_paths``: the Pcons detour batch.  It takes T0
+  paths and yields each detour search's escape table
+  (``DetourEscapes``: per path vertex, the cheapest way off the path)
+  with the parents that walk a chosen detour; the reference is
+  ``reference_escapes`` per path.  The csr engine stacks the searches
+  and, on its C tier, computes every table of a chunk in one C pass
+  over the stacked state.  Reported via ``detour_backend``.
 
 Built-in engines
 ----------------
@@ -62,11 +68,13 @@ sweep workers honor :class:`repro.harness.parallel.SweepTask.engine`.
 
 from repro.engine.base import (
     UNREACHABLE,
+    DetourEscapes,
     ReplacementRows,
     SweepHandle,
     TraversalEngine,
     distances_equal,
     num_unreachable,
+    reference_escapes,
     replacement_failure,
 )
 from repro.engine.registry import (
@@ -81,11 +89,13 @@ from repro.engine.registry import (
 
 __all__ = [
     "UNREACHABLE",
+    "DetourEscapes",
     "ReplacementRows",
     "SweepHandle",
     "TraversalEngine",
     "distances_equal",
     "num_unreachable",
+    "reference_escapes",
     "replacement_failure",
     "ENGINE_ENV_VAR",
     "available_engines",

@@ -1,7 +1,8 @@
 /* Flat-loop C implementations of the traversal hot paths: the sweep
  * hot pair (ordered BFS + Euler-interval subtree recompute), the
- * weighted (hops, pert_sum) level relaxation, and Phase S1's batched
- * interference existence query.
+ * weighted (hops, pert_sum) level relaxation, the Pcons detour batch's
+ * escape pass over the relaxation's stacked state, and Phase S1's
+ * batched interference existence query.
  *
  * Compiled on demand by repro.engine.cbuild with the system C compiler
  * and loaded through ctypes; repro/engine/compiled.py is the only
@@ -47,6 +48,14 @@
  * - The target stop rule expands exactly the vertices the reference
  *   expands before its first pop at hop R (see repro_weighted_levels),
  *   in the same order, so both meet the same ties.
+ *
+ * Bit-identity with repro/engine/base.py:
+ *
+ * - The detour escape pass (repro_detour_escapes) replays
+ *   escape_table over the stacked (settled, hop, pert) state: the same
+ *   candidates in the same adjacency order under the same strict
+ *   comparison, on the (hops, pert) pair instead of the big-int
+ *   composite.
  */
 
 #include <stdint.h>
@@ -373,9 +382,8 @@ static int cmp_wl_entry(const void *a, const void *b)
  * target hop - and the layer stops: its level-R entries are marked
  * settled (their labels are final once level R - 1 has expanded) but
  * neither sorted nor expanded, and nothing beyond R is ever labeled.
- * That is the reference's stop at its first pop at hop R.  A negative
- * target id never labels, so its layer runs to completion, as does a
- * layer with an unreachable target.
+ * That is the reference's stop at its first pop at hop R.  A layer
+ * with an unreachable target runs to completion.
  *
  * Returns 0 on completion; on any bail-out the caller hands the call
  * back to the reference Dijkstra, which decides the outcome: 1 =
@@ -478,7 +486,7 @@ int64_t repro_weighted_levels(
         if (tgt_ptr) {
             for (int64_t b = 0; b < n_layers; b++) {
                 int64_t c = tcur[b];
-                while (c < tgt_ptr[b + 1] && tgt[c] >= 0 && hop_t[tgt[c]] != -1)
+                while (c < tgt_ptr[b + 1] && hop_t[tgt[c]] != -1)
                     c++;
                 tcur[b] = c;
                 if (c == tgt_ptr[b + 1])
@@ -560,6 +568,68 @@ int64_t repro_weighted_levels(
     }
     free(sched); free(act); free(fr); free(nx); free(tcur); free(stopped);
     return rc;
+}
+
+/* The Pcons detour batch's escape tables, read off the stacked state
+ * repro_weighted_levels left behind (engine/base.py: escape_table is
+ * the spec).  Path b occupies path[path_ptr[b] .. path_ptr[b+1]) as
+ * [u_0, ..., u_k = v] and was searched in layer b (global ids
+ * b * n_base + x) from v with u_0 .. u_{k-1} banned.  For each j < k,
+ * u_j's edges (u_j, w, e) are scanned in CSR order - the adjacency
+ * order - skipping the tree edge (u_{k-1}, v) and every w the search
+ * left unsettled (the banned path vertices among them); the smallest
+ * (hop(w) + 1, pert(w) + pert_edge[e]) wins, the first among equals
+ * (strict <).  Comparing the pair is comparing the reference's
+ * composite W(e) + dist(w): u_j, w, ..., v is a simple path, so the
+ * plan's bound keeps its perturbation sum below the hop bits.  The
+ * winner lands at u_j's position in esc_hop/esc_w/esc_eid; a u_j with
+ * no candidate, and each path's last position, get esc_hop = -1. */
+int64_t repro_detour_escapes(
+    int64_t n_base,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *edge_ids,
+    const int64_t *pert_edge,
+    int64_t n_paths,
+    const int64_t *path_ptr,
+    const int64_t *path,
+    const uint8_t *settled,
+    const int64_t *hop,
+    const int64_t *pert,
+    int64_t *esc_hop,
+    int64_t *esc_w,
+    int64_t *esc_eid)
+{
+    for (int64_t b = 0; b < n_paths; b++) {
+        int64_t first = path_ptr[b], last = path_ptr[b + 1] - 1;
+        int64_t off = b * n_base;
+        int64_t v = path[last];
+        esc_hop[last] = esc_w[last] = esc_eid[last] = -1;
+        for (int64_t i = first; i < last; i++) {
+            int64_t bh = -1, bp = 0, bw = -1, be = -1;
+            int64_t u = path[i];
+            for (int64_t k = indptr[u]; k < indptr[u + 1]; k++) {
+                int64_t w = indices[k];
+                if (w == v && i == last - 1)
+                    continue;  /* the tree edge (u_{k-1}, v) */
+                int64_t gw = off + w;
+                if (!settled[gw])
+                    continue;
+                int64_t h = hop[gw] + 1;
+                int64_t p = pert[gw] + pert_edge[edge_ids[k]];
+                if (bh < 0 || h < bh || (h == bh && p < bp)) {
+                    bh = h;
+                    bp = p;
+                    bw = w;
+                    be = edge_ids[k];
+                }
+            }
+            esc_hop[i] = bh;
+            esc_w[i] = bw;
+            esc_eid[i] = be;
+        }
+    }
+    return 0;
 }
 
 /* Phase S1's existence query (InterferenceIndex.exists_live_partner),

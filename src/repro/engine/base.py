@@ -66,10 +66,9 @@ Contract
   over each failed subtree - the weighted analogue of ``failure_sweep``
   - in :class:`ReplacementRows` blocks; only the concatenated rows, not
   the blocking, are part of the contract.
-  ``batched_shortest_paths`` and ``batched_seeded_shortest_paths`` run
-  many independent weighted traversals (the Pcons detour Dijkstras, each
-  with its own target set, and the vertex-fault subtree recomputes)
-  through one amortized path.  The
+  ``batched_seeded_shortest_paths`` runs many independent seeded
+  traversals (the vertex-fault subtree recomputes) through one
+  amortized path.  The
   reference implementations *are* the per-call loops below, so parity
   between the per-call and batched paths holds by construction on the
   python engine; array backends must reproduce them bit-identically
@@ -78,6 +77,19 @@ Contract
   only that one does).  Backends advertise these paths via
   :attr:`TraversalEngine.replacement_backend` and
   :attr:`TraversalEngine.detour_backend`.
+* **The Pcons detour batch.**  ``batched_shortest_paths`` takes T0
+  paths ``[u_0, ..., u_k = v]`` and yields one :class:`DetourEscapes`
+  per path, in order: the search from ``v`` that bans ``u_0 ..
+  u_{k-1}`` and stops at the hop radius of :func:`detour_targets`, read
+  as an *escape table* - per ``j < k``, the cheapest way to leave the
+  path at ``u_j`` (:func:`escape_table`) - plus the parent entries
+  that walk a chosen detour back to ``v``.  The reference is
+  :func:`reference_escapes` per path; array backends compute the
+  tables straight from their stacked state and must match it bit for
+  bit, tie and error kinds included.  The method keeps its historical
+  name, though it no longer yields search results, because the
+  benchmark's layer trace (``perfbench/layers.py``) times it under that
+  name; the rename waits for the next change to the benchmark.
 * **Phase S1 interference** (not a traversal, but Phase S1's hot loop).
   ``exists_live_partners`` answers, for each pair id of an
   :class:`~repro.core.interference.InterferenceIndex`, whether some
@@ -110,6 +122,7 @@ from typing import (
 )
 
 from repro._types import EdgeId, Vertex
+from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
 __all__ = [
@@ -121,6 +134,11 @@ __all__ = [
     "replacement_failure",
     "ReplacementRows",
     "SeedBatch",
+    "DetourEscapes",
+    "check_detour_path",
+    "detour_targets",
+    "escape_table",
+    "reference_escapes",
 ]
 
 
@@ -154,6 +172,23 @@ class ReplacementRows(NamedTuple):
             for plane, part in zip(out, block._replace(repl_offsets=offsets)):
                 plane.extend(part)
         return out
+
+
+class DetourEscapes(NamedTuple):
+    """One search of the Pcons detour batch: the escape table of the
+    T0 path ``[u_0, ..., u_k = v]`` it was given, and the search's
+    parents, to walk a chosen detour back to ``v``.
+
+    ``escapes[j]`` (``j < k``) is None or ``(hops, w, e)``: see
+    :func:`escape_table`.  ``parent``/``parent_eid`` are indexed by
+    vertex, with vertex ids (``-1`` at ``v`` and wherever the search
+    left a vertex unlabeled); array backends hand back numpy views, so
+    read single entries.
+    """
+
+    escapes: List[Optional[Tuple[int, Vertex, EdgeId]]]
+    parent: Sequence[int]
+    parent_eid: Sequence[int]
 
 
 #: One batch of ``batched_seeded_shortest_paths``: ``(seeds,
@@ -345,31 +380,22 @@ class TraversalEngine:
         self,
         graph: Graph,
         weights,
-        sources: Sequence[Vertex],
-        banned_vertices_per_source: Optional[Iterable[Optional[Set[Vertex]]]],
-        targets_per_source: Iterable[Optional[Iterable[Vertex]]],
-    ):
-        """Independent weighted Dijkstras from many sources, amortized.
+        paths: Iterable[Sequence[Vertex]],
+    ) -> Iterator[DetourEscapes]:
+        """The Pcons detour batch: one :class:`DetourEscapes` per T0
+        path ``[u_0, ..., u_k = v]`` of ``paths``, in order.
 
-        Yields one :class:`~repro.spt.result.ShortestPathResult` per
-        source, in order, each bit-identical to the corresponding
-        ``shortest_paths(source, banned_vertices=..., targets=...)``
-        call.  ``banned_vertices_per_source`` (``None``: no bans) and
-        ``targets_per_source`` may be any iterables consumed in
-        lockstep with ``sources`` (callers with large sets stream them
-        one at a time); a length mismatch raises GraphError.  Invalid
-        inputs raise at or before the offending source's position in
-        the stream.  Lazy - consume with ``zip(sources, ...)``.
+        This reference implementation *is* the per-path loop of
+        :func:`reference_escapes` over ``shortest_paths``.  ``paths``
+        may be any iterable (callers stream them); a path with a vertex
+        outside ``[0, n)``, an empty path, or a ``v`` that also appears
+        earlier on its path raises GraphError at or before its position
+        in the stream.  Lazy.
         """
-        for source, banned, targets in _zip_searches(
-            sources, banned_vertices_per_source, targets_per_source
-        ):
-            yield self.shortest_paths(
-                graph,
-                weights,
-                source,
-                banned_vertices=banned,
-                targets=targets,
+        neighbor_sets: Dict[Vertex, Set[Vertex]] = {}
+        for path in paths:
+            yield reference_escapes(
+                self.shortest_paths, graph, weights, path, neighbor_sets
             )
 
     def batched_seeded_shortest_paths(
@@ -424,29 +450,98 @@ class TraversalEngine:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _zip_searches(
-    sources: Sequence[Vertex],
-    bans: Optional[Iterable[Optional[Set[Vertex]]]],
-    targets: Iterable[Optional[Iterable[Vertex]]],
-):
-    """``(source, banned, targets)`` per search of a batch, failing fast
-    on a length mismatch instead of silently truncating like plain
-    ``zip``; ``bans=None`` bans nothing anywhere."""
-    from itertools import repeat, zip_longest
+def check_detour_path(graph: Graph, path: Sequence[Vertex]) -> None:
+    """Raise GraphError unless ``path`` names at least one vertex and
+    only vertices in ``[0, n)``."""
+    n = graph.num_vertices
+    if not path or min(path) < 0 or max(path) >= n:
+        raise GraphError(
+            f"detour path {list(path)!r} is empty or leaves [0, {n})"
+        )
 
-    from repro.errors import GraphError
 
-    sentinel = object()
-    for search in zip_longest(
-        sources, repeat(None, len(sources)) if bans is None else bans, targets,
-        fillvalue=sentinel,
-    ):
-        if any(part is sentinel for part in search):
-            raise GraphError(
-                "sources, banned_vertices_per_source and targets_per_source "
-                "have different lengths"
-            )
-        yield search
+def detour_targets(
+    graph: Graph,
+    path: Sequence[Vertex],
+    neighbor_sets: Optional[Dict[Vertex, Set[Vertex]]] = None,
+) -> Set[Vertex]:
+    """The targets of the detour search for ``path = [u_0, ..., u_k =
+    v]``: the neighbours of ``u_0 .. u_{k-1}`` that lie off the path.
+    An escape table reads only these, and a chosen detour walks back
+    from one of them through vertices no farther from ``v``, so the
+    search may stop at their hop radius.  ``neighbor_sets`` memoizes
+    each path vertex's neighbour set across calls (Pcons's paths all
+    start at the source)."""
+    if neighbor_sets is None:
+        neighbor_sets = {}
+    targets: Set[Vertex] = set()
+    for u in path[:-1]:
+        nbrs = neighbor_sets.get(u)
+        if nbrs is None:
+            nbrs = neighbor_sets[u] = set(graph.neighbors(u))
+        targets |= nbrs
+    targets.difference_update(path)
+    return targets
+
+
+def escape_table(
+    graph: Graph, weights, path: Sequence[Vertex], sp
+) -> List[Optional[Tuple[int, Vertex, EdgeId]]]:
+    """The escape table of ``sp``, the detour search from ``v =
+    path[-1]``.
+
+    Per ``j < k``: scan ``u_j = path[j]``'s edges ``(u_j, w, e)`` in
+    adjacency order, skipping the tree edge ``(u_{k-1}, v)`` and every
+    ``w`` the search left unlabeled (the banned path vertices among
+    them); the smallest composite ``W(e) + dist(w)`` wins, the first
+    among equals.  The entry is ``(hops, w, e)`` with ``hops = hop(w) +
+    1``, or None when ``u_j`` has no candidate.  ``W(e) + dist(w)`` is
+    the weight of the simple path ``u_j, w, ..., v``, so its
+    perturbation sum never carries into the hop bits.
+    """
+    w_arr, shift = weights.weights, weights.shift
+    dist_at = sp.dist_at
+    k = len(path) - 1
+    v = path[-1]
+    table: List[Optional[Tuple[int, Vertex, EdgeId]]] = [None] * k
+    for j in range(k):
+        best: Optional[Tuple[int, Vertex, EdgeId]] = None
+        for w, eid in graph.adjacency(path[j]):
+            if w == v and j == k - 1:
+                continue  # the tree edge (u_{k-1}, v) is not an escape
+            dw = dist_at(w)
+            if dw is None:
+                continue
+            cand = w_arr[eid] + dw
+            if best is None or cand < best[0]:
+                best = (cand, w, eid)
+        if best is not None:
+            table[j] = (best[0] >> shift, best[1], best[2])
+    return table
+
+
+def reference_escapes(
+    search,
+    graph: Graph,
+    weights,
+    path: Sequence[Vertex],
+    neighbor_sets: Optional[Dict[Vertex, Set[Vertex]]] = None,
+) -> DetourEscapes:
+    """One search of the detour batch, the reference way: ``search`` (a
+    ``shortest_paths``) from ``v = path[-1]`` with ``path[:-1]`` banned
+    and :func:`detour_targets` as its targets, read by
+    :func:`escape_table`."""
+    check_detour_path(graph, path)
+    sp = search(
+        graph,
+        weights,
+        path[-1],
+        banned_vertices=set(path[:-1]),
+        targets=detour_targets(graph, path, neighbor_sets),
+    )
+    return DetourEscapes(
+        escape_table(graph, weights, path, sp), sp.parent, sp.parent_eid
+    )
 
 
 def replacement_failure(

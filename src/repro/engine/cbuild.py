@@ -1,9 +1,9 @@
 """Compile-on-demand loader for the ``csr`` engine's C kernels.
 
 ``_ckernels.c`` (the sweep hot pair - ordered BFS + Euler walk, subtree
-recompute - the weighted stacked-level relaxation, and Phase S1's
-interference existence query) ships as source;
-no wheel, no build step at install time.
+recompute - the weighted stacked-level relaxation, the detour batch's
+escape pass, and Phase S1's interference existence query) ships as
+source; no wheel, no build step at install time.
 The first time the csr engine needs its kernels this module
 
 1. finds a system C compiler (``$REPRO_CC`` override > ``$CC`` >
@@ -216,6 +216,11 @@ class KernelLib:
         self.weighted_levels.argtypes = [
             i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
             i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+        ]
+        self.detour_escapes = dll.repro_detour_escapes
+        self.detour_escapes.restype = i64
+        self.detour_escapes.argtypes = [
+            i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
         self.exists_live_partner = dll.repro_exists_live_partner
         self.exists_live_partner.restype = i64

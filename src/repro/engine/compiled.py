@@ -36,9 +36,14 @@ allowed-pairs buckets itself, then runs one early-exit scan per pair,
 with pi-intersection as an Euler-interval test instead of an LCA (why
 that is exact: ``_ckernels.c`` and :mod:`repro.core.interference`).
 
+The Pcons detour batch reads its escape tables straight off the stacked
+relaxation state in one more C call per chunk
+(``repro_detour_escapes``), so no search builds an ``n``-entry list.
+
 Kernels, all in ``_ckernels.c``: ``repro_bfs_order``,
 ``repro_bfs_euler``, ``repro_recompute_subtree``,
-``repro_weighted_levels`` and ``repro_exists_live_partner``.
+``repro_weighted_levels``, ``repro_detour_escapes`` and
+``repro_exists_live_partner``.
 
 Every method asks :func:`~repro.engine.cbuild.kernel_library` per call
 and runs the inherited path when it returns None: with no working
@@ -163,25 +168,30 @@ class CompiledFailureSweep(FailureSweep):
         self._tin = tin
         self._tout = tout
         self._preorder = preorder[:visited]
+        # The fixed arrays' pointers, taken once (the handle keeps the
+        # arrays alive): each recompute passes only its failed edge, its
+        # subtree interval and its output.
+        self._graph_ptrs = (
+            n, _ptr(csr.indptr), _ptr(csr.indices), _ptr(csr.edge_ids),
+            _ptr(edge_ok),
+        )
+        self._tin_ptr = _ptr(tin)
+        self._preorder_ptr = _ptr(preorder)
+        self._base_ptr = _ptr(dist)
 
     def _recompute_subtree(self, eid: int, child: int) -> np.ndarray:
         kernels = self._kernels
         if kernels is None:
             return super()._recompute_subtree(eid, child)
-        csr = self.csr
-        out = np.empty(csr.num_vertices, dtype=np.int64)
+        out = np.empty(self.csr.num_vertices, dtype=np.int64)
         rc = kernels.recompute_subtree(
-            csr.num_vertices,
-            _ptr(csr.indptr),
-            _ptr(csr.indices),
-            _ptr(csr.edge_ids),
-            _ptr(self.edge_ok),
+            *self._graph_ptrs,
             eid,
-            _ptr(self._tin),
+            self._tin_ptr,
             int(self._tin[child]),
             int(self._tout[child]),
-            _ptr(np.ascontiguousarray(self._preorder, dtype=np.int64)),
-            _ptr(self.base),
+            self._preorder_ptr,
+            self._base_ptr,
             _ptr(out),
         )
         if rc != 0:  # allocation failure inside the kernel
@@ -351,6 +361,38 @@ class CompiledEngine(CSREngine):
         if rc != 0:
             return None
         return settled, hop_t, pert_t, parent, parent_eid
+
+    def _escape_pass(
+        self,
+        csr,
+        perts: np.ndarray,
+        path_ptr: np.ndarray,
+        flat: np.ndarray,
+        levels,
+    ) -> Optional[np.ndarray]:
+        """The chunk's escape tables in one C call over the stacked
+        state (None without the kernels: the numpy tier's per-layer
+        scan)."""
+        kernels = self._kernels()
+        if kernels is None:
+            return None
+        settled, hop, pert = levels[:3]
+        out = np.empty((3, flat.size), dtype=np.int64)
+        kernels.detour_escapes(
+            csr.num_vertices,
+            _ptr(csr.indptr),
+            _ptr(csr.indices),
+            _ptr(csr.edge_ids),
+            _ptr(perts),
+            len(path_ptr) - 1,
+            _ptr(path_ptr),
+            _ptr(flat),
+            _ptr(settled),
+            _ptr(hop),
+            _ptr(pert),
+            *(_ptr(row) for row in out),
+        )
+        return out
 
     def distances(
         self,

@@ -28,10 +28,13 @@ invocations for the whole batch instead of one per traversal.  The
 sweep additionally enumerates its crossing-edge seeds vectorized from
 the tree's Euler intervals instead of via Python ``adjacency()`` loops,
 and fancy-indexes each chunk's ``ReplacementRows`` out of the stacked
-state.  Chunking bounds the stacked state (``_STACK_STATE`` entries per chunk);
-plans that cannot be represented, and chunks whose relaxation hands the
-call back, rerun on the reference, exactly like the per-call weighted
-paths.
+state.  The detour batch derives each chunk's bans and targets from
+its concatenated T0 paths in numpy; its escape tables come from one C
+pass over the stacked state on the compiled engine, and from
+``assemble_result`` plus the reference scan here.  Chunking bounds the
+stacked state (``_STACK_STATE`` entries per chunk); plans that cannot
+be represented, and chunks whose relaxation hands the call back, rerun
+on the reference, exactly like the per-call weighted paths.
 """
 
 from __future__ import annotations
@@ -45,9 +48,12 @@ import numpy as np
 from repro._types import EdgeId, Vertex
 from repro.engine.base import (
     UNREACHABLE,
+    DetourEscapes,
     ReplacementRows,
     SeedBatch,
-    _zip_searches,
+    check_detour_path,
+    escape_table,
+    reference_escapes,
 )
 from repro.engine.csr import csr_view
 from repro.engine.kernels import (
@@ -157,24 +163,52 @@ def _check_targets(targets, n: int):
     return targets
 
 
-def _stacked_targets(target_sets, n: int):
-    """The stop rule's ``(tgt_ptr, tgt)`` arrays over stacked layers
-    (layer ``b``'s targets as global ids ``b * n + t``), or None when no
-    layer has a target set.  A layer without one (``None``: a full run)
-    holds the id -1, which never gets a label."""
-    if all(t is None for t in target_sets):
+def _target_arrays(targets):
+    """The stop rule's ``(tgt_ptr, tgt)`` arrays for one search's
+    checked targets, or None (no stop rule)."""
+    if targets is None:
         return None
-    sizes = [1 if t is None else len(t) for t in target_sets]
-    tgt = np.fromiter(
-        chain.from_iterable((-1,) if t is None else t for t in target_sets),
-        dtype=np.int64,
-        count=sum(sizes),
+    tgt = np.fromiter(targets, dtype=np.int64, count=len(targets))
+    return np.asarray([0, tgt.size], dtype=np.int64), tgt
+
+
+def _detour_layers(graph: Graph, csr, paths: list):
+    """One chunk of detour paths as stacked layers.
+
+    Returns ``(path_ptr, flat, sources, vertex_ok, targets)``: the paths
+    concatenated (``path_ptr`` delimits path ``b``), each layer's source
+    ``v`` as the global id ``b * n + v``, the ban mask (every path
+    vertex but ``v``), and the stop rule's ``(tgt_ptr, tgt)`` - the
+    banned vertices' neighbours off the path, the set
+    :func:`~repro.engine.base.detour_targets` names.  Every path is
+    checked against ``[0, n)`` before it becomes an array.
+    """
+    for path in paths:
+        check_detour_path(graph, path)
+    n = csr.num_vertices
+    B = len(paths)
+    lens = np.fromiter(map(len, paths), dtype=np.int64, count=B)
+    path_ptr = np.zeros(B + 1, dtype=np.int64)
+    np.cumsum(lens, out=path_ptr[1:])
+    flat = np.fromiter(
+        chain.from_iterable(paths), dtype=np.int64, count=int(path_ptr[-1])
     )
-    offset = np.repeat(np.arange(len(sizes), dtype=np.int64) * n, sizes)
-    tgt = np.where(tgt >= 0, tgt + offset, -1)
-    tgt_ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=tgt_ptr[1:])
-    return tgt_ptr, tgt
+    gid = flat + np.repeat(np.arange(B, dtype=np.int64) * n, lens)
+    last = path_ptr[1:] - 1
+    inner = np.ones(gid.size, dtype=bool)
+    inner[last] = False
+    banned = gid[inner]
+    sources = gid[last]
+    vertex_ok = np.ones(B * n, dtype=bool)
+    vertex_ok[banned] = False
+    if not vertex_ok[sources].all():
+        b = int(np.argmin(vertex_ok[sources]))
+        raise GraphError(f"source {paths[b][-1]} is banned")
+    _, nbrs, _ = stacked_expander(csr)(banned)
+    tgt = nbrs[vertex_ok[nbrs] & (nbrs != sources[nbrs // n])]
+    tgt_ptr = np.zeros(B + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tgt // n, minlength=B), out=tgt_ptr[1:])
+    return path_ptr, flat, sources, vertex_ok, (tgt_ptr, tgt)
 
 
 def _blank_beyond_radius(levels, tgt_ptr: np.ndarray, tgt: np.ndarray, n: int):
@@ -184,10 +218,9 @@ def _blank_beyond_radius(levels, tgt_ptr: np.ndarray, tgt: np.ndarray, n: int):
     settled, hop, pert, parent, parent_eid = levels
     layers = len(tgt_ptr) - 1
     layer_of = np.repeat(np.arange(layers, dtype=np.int64), np.diff(tgt_ptr))
-    safe = np.maximum(tgt, 0)
-    reached = (tgt >= 0) & settled[safe]
+    reached = settled[tgt]
     radius = np.zeros(layers, dtype=np.int64)
-    np.maximum.at(radius, layer_of, np.where(reached, hop[safe], 0))
+    np.maximum.at(radius, layer_of, np.where(reached, hop[tgt], 0))
     complete = np.bincount(layer_of[~reached], minlength=layers) == 0
     limit = np.where(complete, radius, np.iinfo(np.int64).max)
     beyond = hop > np.repeat(limit, n)
@@ -321,7 +354,8 @@ class CSREngine(PythonEngine):
         instead of as an opaque closure, so subclasses can route the
         relaxation elsewhere - the compiled engine overrides this with
         its C kernel.  ``targets`` (the ``(tgt_ptr, tgt)`` arrays of
-        :func:`_stacked_targets`, source-seeded runs only) asks for the
+        :func:`_target_arrays` or :func:`_detour_layers`, layer ``b``'s
+        targets as global ids, source-seeded runs only) asks for the
         stop rule's outcome; this numpy tier runs the full relaxation
         and blanks what lies beyond each layer's radius, and a tie it
         meets beyond a radius hands the call back all the same.
@@ -376,7 +410,7 @@ class CSREngine(PythonEngine):
                     allowed_edges=allowed_edges,
                 ),
                 vertex_ok=_vertex_ok_mask(csr.num_vertices, banned_vertices),
-                targets=_stacked_targets([targets], csr.num_vertices),
+                targets=_target_arrays(targets),
             )
             if levels is not None:
                 return assemble_result(source, weights.shift, *levels)
@@ -435,21 +469,16 @@ class CSREngine(PythonEngine):
         self,
         graph: Graph,
         weights,
-        sources: Sequence[Vertex],
-        banned_vertices_per_source: Optional[Iterable[Optional[Set[Vertex]]]],
-        targets_per_source: Iterable[Optional[Iterable[Vertex]]],
-    ):
+        paths: Iterable[Sequence[Vertex]],
+    ) -> Iterator[DetourEscapes]:
         perts = weighted_plan(graph, weights)
         if perts is None:
-            yield from super().batched_shortest_paths(
-                graph, weights, sources, banned_vertices_per_source,
-                targets_per_source,
-            )
+            yield from super().batched_shortest_paths(graph, weights, paths)
             return
         csr = csr_view(graph)
         n = csr.num_vertices
-        # Every full-graph layer expands ~2m half-edges; ban sets stream
-        # in lockstep with sources, so only one chunk's worth is alive.
+        # Every full-graph layer expands ~2m half-edges; paths stream in,
+        # so only one chunk's worth is alive.
         per_chunk = max(
             1,
             min(
@@ -457,65 +486,89 @@ class CSREngine(PythonEngine):
                 _STACK_STREAM // max(1, 2 * csr.num_edges) + 1,
             ),
         )
-        chunk = []
-        for search in _zip_searches(
-            sources, banned_vertices_per_source, targets_per_source
-        ):
-            chunk.append(search)
+        chunk: list = []
+        for path in paths:
+            chunk.append(path)
             if len(chunk) >= per_chunk:
-                yield from self._source_chunk(graph, csr, weights, perts, chunk)
+                yield from self._detour_chunk(graph, csr, weights, perts, chunk)
                 chunk = []
         if chunk:
-            yield from self._source_chunk(graph, csr, weights, perts, chunk)
+            yield from self._detour_chunk(graph, csr, weights, perts, chunk)
 
-    def _source_chunk(
+    def _detour_chunk(
         self,
         graph: Graph,
         csr,
         weights,
         perts: np.ndarray,
         chunk: list,
-    ):
-        """One stacked chunk of full-graph single-source traversals, each
-        a ``(source, banned, targets)`` search."""
+    ) -> Iterator[DetourEscapes]:
+        """One stacked chunk of detour searches, one layer per path.  A
+        relaxation that hands back reruns every path on the reference;
+        without the C escape pass each layer is read through
+        :func:`assemble_result` and the reference scan."""
         n = csr.num_vertices
-        B = len(chunk)
-        chunk = [
-            (v, banned, _check_targets(targets, n))
-            for v, banned, targets in chunk
-        ]
-        for v, banned, _ in chunk:
-            _check_source(graph, v)
-            if banned and v in banned:
-                raise GraphError(f"source {v} is banned")
-        vertex_ok = None
-        if any(banned for _, banned, _ in chunk):
-            vertex_ok = np.ones(B * n, dtype=bool)
-            for b, (_, banned, _) in enumerate(chunk):
-                if banned:
-                    vertex_ok[b * n + _valid_ids(banned, n)] = False
-        seed_v = np.arange(B, dtype=np.int64) * n + np.asarray(
-            [v for v, _, _ in chunk], dtype=np.int64
+        path_ptr, flat, sources, vertex_ok, targets = _detour_layers(
+            graph, csr, chunk
         )
         levels = self._weighted_levels(
             csr,
             perts,
-            SeedArrays.sources(seed_v),
+            SeedArrays.sources(sources),
             vertex_ok=vertex_ok,
-            num_vertices=B * n,
+            num_vertices=len(chunk) * n,
             stacked=True,
-            targets=_stacked_targets([t for _, _, t in chunk], n),
+            targets=targets,
         )
         if levels is None:
-            for v, banned, targets in chunk:
-                yield super().shortest_paths(
-                    graph, weights, v, banned_vertices=banned, targets=targets
+            for path in chunk:
+                yield reference_escapes(
+                    super().shortest_paths, graph, weights, path
                 )
             return
-        for b, (v, _, _) in enumerate(chunk):
-            yield assemble_result(
-                v, weights.shift, *unstack_layer(n, b, *levels)
+        escapes = self._escape_pass(csr, perts, path_ptr, flat, levels)
+        if escapes is None:
+            for b, path in enumerate(chunk):
+                sp = assemble_result(
+                    path[-1], weights.shift, *unstack_layer(n, b, *levels)
+                )
+                yield DetourEscapes(
+                    escape_table(graph, weights, path, sp),
+                    sp.parent,
+                    sp.parent_eid,
+                )
+            return
+        parent, parent_eid = levels[3], levels[4]
+        parent = np.where(parent >= 0, parent % n, -1)
+        hops, ws, eids = escapes.tolist()
+        bounds = path_ptr.tolist()
+        for b in range(len(chunk)):
+            lo, hi = bounds[b], bounds[b + 1] - 1
+            layer = slice(b * n, (b + 1) * n)
+            yield DetourEscapes(
+                [
+                    None if h < 0 else (h, w, e)
+                    for h, w, e in zip(hops[lo:hi], ws[lo:hi], eids[lo:hi])
+                ],
+                parent[layer],
+                parent_eid[layer],
             )
+
+    def _escape_pass(
+        self,
+        csr,
+        perts: np.ndarray,
+        path_ptr: np.ndarray,
+        flat: np.ndarray,
+        levels,
+    ) -> Optional[np.ndarray]:
+        """Engine hook: the chunk's escape tables as a ``(3, len(flat))``
+        array of ``hops``, ``w`` and ``e`` per entry of the concatenated
+        paths (``hops`` -1 where there is none, and at each path's last
+        entry), read straight from the stacked state.  The numpy tier
+        has no such pass and returns None; the compiled engine runs it
+        in C."""
+        return None
 
     def batched_seeded_shortest_paths(
         self,

@@ -11,10 +11,13 @@ detect a possible tie or an invalid seed and hand the call back to the
 reference, which alone decides the error and its message.
 
 The batched replacement subsystem (PR 4) extends the contract: the
-stacked ``weighted_failure_sweep`` / ``batched_shortest_paths`` /
-``batched_seeded_shortest_paths`` paths must be bit-identical to the
-per-call loops they amortize, across engines, both weight schemes,
-disconnected subtrees included.
+stacked ``weighted_failure_sweep`` / ``batched_seeded_shortest_paths``
+paths must be bit-identical to the per-call loops they amortize, across
+engines, both weight schemes, disconnected subtrees included.  The
+Pcons detour batch (``batched_shortest_paths``) takes T0 paths and
+hands back each search's escape table; the tables, and the detours
+their parents walk, must equal the per-path reference on the python
+engine, the csr engine and csr on its numpy kernels.
 
 Searches given a target set stop at the targets' hop radius ``R``:
 within ``R`` they read what the full run reads, beyond it unreachable,
@@ -37,7 +40,7 @@ from hypothesis import strategies as st
 
 pytest.importorskip("numpy")
 
-from repro.core.pcons import _detour_targets, run_pcons
+from repro.core.pcons import run_pcons
 from repro.engine import (
     ReplacementRows,
     available_engines,
@@ -46,9 +49,27 @@ from repro.engine import (
     get_engine,
     replacement_failure,
 )
+from repro.engine.base import DetourEscapes, detour_targets, reference_escapes
 from repro.engine.csr_engine import CSREngine
 from repro.errors import GraphError, TieBreakError
-from repro.graphs import Graph, cycle_graph, gnp_random_graph
+from repro.graphs import (
+    Graph,
+    barbell_graph,
+    binary_tree_graph,
+    broom_graph,
+    caterpillar_graph,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    gnp_random_graph,
+    grid_graph,
+    hypercube_graph,
+    lollipop_graph,
+    path_graph,
+    star_graph,
+    torus_graph,
+)
 from repro.spt.result import ShortestPathResult
 from repro.spt.spt_tree import build_spt
 from repro.spt.weights import EXACT, RANDOM, WeightAssignment, make_weights
@@ -313,7 +334,7 @@ def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
     with pytest.raises(TieBreakError, match="equal-weight paths"):
         engine.shortest_paths(g, w, 0)
     with pytest.raises(TieBreakError, match="equal-weight paths"):
-        list(engine.batched_shortest_paths(g, w, [0, 1], None, [None, {3}]))
+        list(engine.batched_shortest_paths(*pendant_c6(3), [[6, 1], [6, 0]]))
     w = make_weights(g, RANDOM, seed=0)
     d = 3 * w.big
     seeds = [(d, 2, 1, 1), (d, 2, 3, 2)]
@@ -433,38 +454,32 @@ def test_out_of_range_target_raises_on_both(bad):
         w = make_weights(g, scheme, seed=0)
         kind, _ = run_both("shortest_paths", g, w, 0, targets={1, bad})
         assert kind == "graph-error"
-        kind, _, _ = run_both_batched(
-            "batched_shortest_paths", g, w, [0, 1], None, [None, {bad}]
-        )
-        assert kind == "graph-error"
+        for paths in ([[0, 1], [bad, 1]], [[0, 1], [1, bad]]):
+            kind, _ = run_detours(g, w, paths)
+            assert kind == "graph-error"
 
 
 @settings(max_examples=30, **COMMON)
 @given(graph_with_source(max_vertices=24, connected=False),
        st.sampled_from([EXACT, RANDOM]), st.randoms(use_true_random=False))
 def test_batched_layers_of_different_radius_match_per_call(pair, scheme, rng):
-    """One stacked chunk holding searches of every radius - none, empty,
-    the source only, random sets, an unreachable target - equals the
-    per-call searches, on both engines."""
+    """One stacked chunk holding paths of every radius - the source
+    alone (no targets), T0 paths of every depth, and random vertex
+    sequences whose targets may be unreachable - equals the per-path
+    reference and the table of a full search, on every engine."""
     g, source = pair
     w = make_weights(g, scheme, seed=3)
+    tree = build_spt(g, w, source)
     n = g.num_vertices
-    sources, target_sets = [], []
+    paths = [[source]]
     for v in range(n):
-        sources += [v] * 4
-        target_sets += [
-            None, set(), {v},
-            set(rng.sample(range(n), min(n, rng.randint(1, 3)))),
-        ]
-    kind, a, b = run_both_batched(
-        "batched_shortest_paths", g, w, sources, None, target_sets
-    )
+        if tree.is_reachable(v):
+            paths.append(tree.path_vertices(v))
+        paths.append(rng.sample(range(n), min(n, rng.randint(1, 4))))
+    kind, out = run_detours(g, w, paths)
     assert kind == "ok"
-    for v, t, x, y in zip(sources, target_sets, a, b):
-        assert_same_result(x, y)
-        assert_same_result(PY.shortest_paths(g, w, v, targets=t), y)
-        if t is not None:
-            assert_same_result(expected_truncation(g, w, v, t), y)
+    for path, (escapes, _) in zip(paths, out):
+        assert escapes == full_search_escapes(g, w, path)
 
 
 def test_dist_at_reads_without_building_dist():
@@ -526,23 +541,22 @@ def test_weighted_failure_sweep_parity(pair, wseed, scheme):
 @given(graph_with_source(max_vertices=24, connected=False), st.integers(0, 3),
        st.sampled_from([EXACT, RANDOM]))
 def test_batched_shortest_paths_parity(pair, wseed, scheme):
-    """The stacked detour batch (Pcons's bans and targets) equals
-    per-source calls on both engines."""
+    """The detour batch over every T0 path (Pcons's shape) hands back
+    the per-path reference's escape tables and parents on every
+    engine."""
     g, source = pair
     w = make_weights(g, scheme, seed=wseed)
     tree = build_spt(g, w, source)
-    sources = [v for v in range(g.num_vertices) if tree.is_reachable(v)]
-    bans = [set(tree.path_vertices(v)) - {v} for v in sources]
-    targets = [_detour_targets(g, tree.path_vertices(v)) for v in sources]
-    kind, a, b = run_both_batched(
-        "batched_shortest_paths", g, w, sources, bans, targets
-    )
+    paths = [tree.path_vertices(v) for v in tree.preorder]
+    kind, _ = run_detours(g, w, paths)
     if kind != "ok":
         return
-    for v, banned, t, x, y in zip(sources, bans, targets, a, b):
-        assert_same_result(x, y)
-        single = PY.shortest_paths(g, w, v, banned_vertices=banned, targets=t)
-        assert_same_result(single, y)
+    for engine in (CSR, NUMPY_CSR):
+        for path, esc in zip(paths, engine.batched_shortest_paths(g, w, paths)):
+            ref = reference_escapes(PY.shortest_paths, g, w, path)
+            assert esc.escapes == ref.escapes
+            assert [int(p) for p in esc.parent] == ref.parent
+            assert [int(e) for e in esc.parent_eid] == ref.parent_eid
 
 
 def test_batched_seeded_parity_vertex_fault_shape():
@@ -575,32 +589,11 @@ def test_batched_seeded_parity_vertex_fault_shape():
 
 
 def test_batched_banned_source_raises_on_both():
+    """A path whose last vertex ``v`` also appears earlier bans its own
+    source."""
     g = cycle_graph(6)
     w = make_weights(g, RANDOM, seed=0)
-    kind, _, _ = run_both_batched(
-        "batched_shortest_paths", g, w, [0, 1], [None, {1}], [None, {3}]
-    )
-    assert kind == "graph-error"
-
-
-def test_batched_ban_length_mismatch_raises_on_both():
-    """A short ban list must fail fast, never silently truncate."""
-    g = cycle_graph(6)
-    w = make_weights(g, RANDOM, seed=0)
-    kind, _, _ = run_both_batched(
-        "batched_shortest_paths", g, w, [0, 1, 2], [None, {1}],
-        [None, None, None],
-    )
-    assert kind == "graph-error"
-
-
-def test_batched_target_length_mismatch_raises_on_both():
-    """So must a short target stream."""
-    g = cycle_graph(6)
-    w = make_weights(g, RANDOM, seed=0)
-    kind, _, _ = run_both_batched(
-        "batched_shortest_paths", g, w, [0, 1, 2], None, [None, {3}]
-    )
+    kind, _ = run_detours(g, w, [[0, 1], [1, 2, 1]])
     assert kind == "graph-error"
 
 
@@ -744,6 +737,253 @@ def test_degenerate_weights_sweep_parity(graph_seed, salt):
             for engine in (PY, CSREngine(), get_engine("csr"))
         ]
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+# ----------------------------------------------------------------------
+# the Pcons detour batch: T0 paths in, escape tables out
+# ----------------------------------------------------------------------
+#: The csr engine on its numpy kernels, whatever ``REPRO_CC`` says: its
+#: batch reads each layer through ``assemble_result`` and the
+#: reference scan, where the C tier runs one escape pass per chunk.
+NUMPY_CSR = CSREngine()
+
+
+def walk_detours(path, escapes):
+    """Per entry of ``escapes``, the detour it names - ``(u_j, w, ...,
+    v)`` walked through the search's parents - and its last edge."""
+    v = path[-1]
+    walked = []
+    for j, entry in enumerate(escapes.escapes):
+        if entry is None:
+            walked.append(None)
+            continue
+        hops, x, e = entry
+        chain = [path[j], x]
+        while chain[-1] != v:
+            assert chain[-1] >= 0 and len(chain) <= len(escapes.parent) + 1
+            chain.append(int(escapes.parent[chain[-1]]))
+        assert len(chain) - 1 == hops
+        last = e if len(chain) == 2 else int(escapes.parent_eid[chain[-2]])
+        walked.append((tuple(chain), last))
+    return walked
+
+
+def detour_outcome(engine, g, w, paths):
+    """``(kind, [(escapes, walked detours)])`` of one batch."""
+    try:
+        return "ok", [
+            (esc.escapes, walk_detours(path, esc))
+            for path, esc in zip(paths, engine.batched_shortest_paths(g, w, paths))
+        ]
+    except TieBreakError:
+        return "tie", None
+    except GraphError:
+        return "graph-error", None
+
+
+def run_detours(g, w, paths):
+    """One batch on the python engine, the csr engine and csr on numpy:
+    the outcomes (tables and detours, or the error kind) must agree."""
+    outcomes = [detour_outcome(e, g, w, paths) for e in (PY, CSR, NUMPY_CSR)]
+    assert outcomes[0] == outcomes[1] == outcomes[2], (
+        f"engines disagree: python={outcomes[0][0]} {FAST_NAME}="
+        f"{outcomes[1][0]} numpy={outcomes[2][0]}"
+    )
+    return outcomes[0]
+
+
+def full_search_escapes(g, w, path):
+    """The escape table of ``path``, written out over a full search (no
+    targets, no stop rule): composite candidates, the first minimum."""
+    v, k = path[-1], len(path) - 1
+    sp = PY.shortest_paths(g, w, v, banned_vertices=set(path[:-1]))
+    table = []
+    for j in range(k):
+        best = min(
+            (
+                (w[e] + sp.dist[x], x, e)
+                for x, e in g.adjacency(path[j])
+                if not (j == k - 1 and x == v) and sp.dist[x] is not None
+            ),
+            key=lambda cand: cand[0],
+            default=None,
+        )
+        table.append(None if best is None else (best[0] >> w.shift, *best[1:]))
+    return table
+
+
+def pendant_c6(far):
+    """C6 plus a vertex 6 joined to 0 and to ``far``, uniform weights:
+    the search for path ``[6, 0]`` targets ``far`` and meets the tie at
+    vertex 3, three hops round C6 either way, only when ``far`` is 3."""
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(0, 6), (far, 6)]
+    return Graph(7, edges), uniform_assignment(8)
+
+
+DETOUR_FAMILIES = {
+    "empty": empty_graph(4),
+    "path": path_graph(7),
+    "cycle": cycle_graph(9),
+    "star": star_graph(7),
+    "complete": complete_graph(7),
+    "complete-bipartite": complete_bipartite_graph(3, 5),
+    "grid": grid_graph(5, 6),
+    "torus": torus_graph(4, 5),
+    "hypercube": hypercube_graph(4),
+    "binary-tree": binary_tree_graph(4),
+    "broom": broom_graph(4, 4),
+    "lollipop": lollipop_graph(5, 4),
+    "barbell": barbell_graph(4, 3),
+    "caterpillar": caterpillar_graph(5, 2),
+    "gnp": gnp_random_graph(40, 0.12, seed=7),
+}
+
+
+@pytest.mark.parametrize("scheme", [EXACT, RANDOM])
+@pytest.mark.parametrize("family", sorted(DETOUR_FAMILIES))
+@settings(max_examples=8, **COMMON)
+@given(data=st.data())
+def test_escape_tables_and_detours_match_on_every_engine(family, scheme, data):
+    """Random T0 paths of every family: the tables and the detours their
+    parents walk agree on every engine, and equal the tables and
+    detours of full searches."""
+    g = DETOUR_FAMILIES[family]
+    w = make_weights(g, scheme, seed=data.draw(st.integers(0, 3)))
+    tree = build_spt(g, w, data.draw(st.integers(0, g.num_vertices - 1)))
+    targets = data.draw(st.lists(st.sampled_from(tree.preorder), max_size=10))
+    paths = [tree.path_vertices(v) for v in targets]
+    kind, out = run_detours(g, w, paths)
+    assert kind == "ok"
+    for path, (escapes, detours) in zip(paths, out):
+        assert escapes == full_search_escapes(g, w, path)
+        full = PY.shortest_paths(g, w, path[-1], banned_vertices=set(path[:-1]))
+        assert detours == walk_detours(
+            path, DetourEscapes(escapes, full.parent, full.parent_eid)
+        )
+
+
+@pytest.mark.parametrize("scheme", [EXACT, RANDOM])
+def test_the_tree_edge_into_v_is_never_an_escape(scheme):
+    """On a path graph every edge out of the path is the tree edge
+    into ``v``: no escape anywhere, on any engine."""
+    g = path_graph(5)
+    kind, out = run_detours(g, make_weights(g, scheme, seed=0), [[0, 1, 2, 3]])
+    assert kind == "ok"
+    assert out[0][0] == [None, None, None]
+
+
+@pytest.mark.parametrize("scheme", [EXACT, RANDOM])
+def test_a_direct_edge_to_v_is_a_one_hop_escape(scheme):
+    """Round C5 as the path ``[0, 1, 2, 3, 4]``: the edge (0, 4) leaves
+    at ``u_0`` straight into ``v`` (one hop), while (3, 4) is the tree
+    edge and escapes nothing."""
+    g = cycle_graph(5)
+    w = make_weights(g, scheme, seed=0)
+    kind, out = run_detours(g, w, [[0, 1, 2, 3, 4]])
+    assert kind == "ok"
+    escapes, detours = out[0]
+    assert escapes == [(1, 4, g.edge_id(0, 4)), None, None, None]
+    assert detours[0] == ((0, 4), g.edge_id(0, 4))
+
+
+@pytest.mark.parametrize("scheme", [EXACT, RANDOM])
+def test_a_vertex_with_only_path_neighbours_has_no_escape(scheme):
+    """Path 0-1-2-3 with a bypass 0-4-3: ``u_0`` escapes through 4 in
+    two hops, ``u_1`` and ``u_2`` see only path vertices (and the tree
+    edge into ``v``)."""
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)])
+    w = make_weights(g, scheme, seed=0)
+    kind, out = run_detours(g, w, [[0, 1, 2, 3]])
+    assert kind == "ok"
+    escapes, detours = out[0]
+    assert escapes == [(2, 4, g.edge_id(0, 4)), None, None]
+    assert detours[0] == ((0, 4, 3), g.edge_id(4, 3))
+
+
+@pytest.mark.parametrize(
+    "far, kind", [(1, "ok"), (2, "ok"), (3, "tie")],
+    ids=["radius-1", "radius-2", "tie-within"],
+)
+def test_a_tie_in_a_chunk_reruns_it_on_the_reference(far, kind):
+    """The C6 tie inside a chunk, behind a path whose own search is
+    clean: the chunk hands back, and the reference raises on every
+    engine exactly when the tie lies within the radius."""
+    g, w = pendant_c6(far)
+    got, _ = run_detours(g, w, [[6, 1], [6, 0]])
+    assert got == kind
+
+
+@settings(max_examples=60, **COMMON)
+@given(graph_with_source(max_vertices=14, connected=False), st.integers(0, 2**10))
+def test_degenerate_weights_detour_parity(pair, salt):
+    """Perturbations in {1, 2, 3} make equal escape candidates common
+    (the first one wins) and relaxation ties frequent (the chunk hands
+    back): on hop-BFS paths, every engine hands back the same tables
+    and detours, or raises the same tie - path by path, and for the
+    whole batch, which ties exactly when one of its paths does."""
+    g, source = pair
+    rng = random.Random(salt)
+    big = 1 << 16
+    weights = [big + rng.randrange(1, 4) for _ in range(g.num_edges)]
+    w = WeightAssignment(weights=weights, shift=16, scheme=RANDOM, seed=0)
+    parent = PY.parents(g, source)
+    paths = []
+    for v in sorted(parent):
+        path = [v]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        paths.append(path[::-1])
+    kinds = [run_detours(g, w, [path])[0] for path in paths]
+    assert run_detours(g, w, paths)[0] == ("tie" if "tie" in kinds else "ok")
+
+
+@pytest.mark.parametrize("bad", [-1, 7, 2**70, -2**70])
+def test_a_path_outside_the_graph_raises_before_any_kernel(bad, monkeypatch):
+    """An id outside ``[0, n)`` - or an empty path - raises GraphError
+    on every engine, before the csr engine runs a relaxation or an
+    escape pass on the chunk."""
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran on an invalid chunk")
+
+    for cls in {type(CSR), CSREngine}:
+        monkeypatch.setattr(cls, "_weighted_levels", kernel)
+        monkeypatch.setattr(cls, "_escape_pass", kernel)
+    g, _ = pendant_c6(3)
+    w = make_weights(g, RANDOM, seed=0)
+    for paths in ([[6, 0], [6, bad, 1]], [[6, 0], [6, bad]], [[6, 0], []]):
+        for engine in (PY, CSR, NUMPY_CSR):
+            with pytest.raises(GraphError):
+                list(engine.batched_shortest_paths(g, w, paths))
+
+
+@pytest.mark.skipif(
+    cbuild.kernel_library() is None, reason="no C kernels: csr runs on numpy"
+)
+def test_compiled_batch_builds_no_result_lists(monkeypatch):
+    """On the C tier the batch reads its tables off the stacked state:
+    no search goes through ``assemble_result``."""
+    import repro.engine.csr_engine as ce
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("a search built its result lists")
+
+    g = gnp_random_graph(60, 0.1, seed=2)
+    w = make_weights(g, RANDOM, seed=2)
+    tree = build_spt(g, w, 0)
+    paths = [tree.path_vertices(v) for v in tree.preorder]
+    monkeypatch.setattr(ce, "assemble_result", assemble)
+    tables = [esc.escapes for esc in CSR.batched_shortest_paths(g, w, paths)]
+    assert tables == [full_search_escapes(g, w, path) for path in paths]
+
+
+def test_detour_targets_are_the_off_path_neighbours():
+    """``detour_targets`` names the neighbours of ``u_0 .. u_{k-1}`` off
+    the path, and memoizes the neighbour sets it builds."""
+    g = grid_graph(3, 3)
+    memo = {}
+    assert detour_targets(g, [0, 1, 4], memo) == {2, 3}
+    assert set(memo) == {0, 1}
+    assert detour_targets(g, [4]) == set()
 
 
 # ----------------------------------------------------------------------
