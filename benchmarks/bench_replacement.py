@@ -12,17 +12,28 @@ the same G(n, p) instance as ``bench_weighted.py``:
   each search bans its path's interior, stops at the radius of the
   path's off-path neighbours and hands back its escape table.
 
+Those two run on a sparse G(n, p) (degree 12-20), where a detour
+search's levels stay narrow.  A third component times the detour batch
+on the dense shape of perfbench's ``build-gnp700`` - G(700, 62/699),
+the T0 path of every vertex but the root, as Pcons submits there -
+on the C tier against the numpy tier (``CSREngine()``).  There most
+searches reach nearly every vertex at hop 2, and the C relaxation's
+bottom-up steps are what the ratio measures; without the C kernels the
+component is not run.
+
 Outputs are asserted bit-identical between engines first (the
 replacement rows, and every search's escape table), so each timing row
 doubles as a parity certificate.  The acceptance floor is a 2x
 csr-over-python speedup on the combined (sweep + detours) time of the
 full-size instance - the detours dominate it - plus a looser
 per-component sanity floor (the sweep's absolute time is sub-second on
-G(n, p), so its ratio is noise-prone).  The floors and the measured
-ratios land in ``params["floors"]`` / ``derived["speedups"]``, where
+G(n, p), so its ratio is noise-prone), plus a C-over-numpy floor on the
+dense detours.  The floors and the measured ratios land in
+``params["floors"]`` / ``derived["speedups"]``, where
 ``tools/perf_guard.py`` reads them.  Quick mode
-(``REPRO_BENCH_QUICK=1``) shrinks the instance and holds the ratios to
-relaxed sanity floors only.  Saves ``BENCH_replacement.json``.
+(``REPRO_BENCH_QUICK=1``) shrinks the sparse instance, times the dense
+batch once per tier, and holds the ratios to relaxed sanity floors
+only.  Saves ``BENCH_replacement.json``.
 
 The csr-only stacked paths are exercised implicitly: without numpy this
 module skips entirely (the no-numpy CI job proves the library itself
@@ -37,8 +48,9 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.engine import engine_context, get_engine
-from repro.graphs import connected_gnp_graph
+from repro.engine import cbuild, engine_context, get_engine
+from repro.engine.csr_engine import CSREngine
+from repro.graphs import connected_gnp_graph, gnp_random_graph
 from repro.harness import ExperimentRecord, save_record
 from repro.spt.replacement import ReplacementEngine
 from repro.spt.spt_tree import build_spt
@@ -49,6 +61,11 @@ SPEEDUP_FLOOR = 2.0
 
 #: Per-component regression sanity floor (full-size run).
 COMPONENT_FLOOR = 1.2
+
+#: C-over-numpy floor on the dense detour batch (full-size run): above
+#: the 9.8x the C tier measured there before its bottom-up steps
+#: (79.5 vs 783 ms over 699 paths), below what it measures with them.
+DENSE_FLOOR = 12.0
 
 #: Quick-mode sanity floor for every ratio: the small instance only
 #: proves csr is not pathologically slower, not the real margins.
@@ -62,6 +79,31 @@ _MAX_DETOUR_SOURCES = 1200
 def _instance(quick: bool):
     n, deg = (1500, 12.0) if quick else (5000, 20.0)
     return connected_gnp_graph(n, deg / (n - 1), seed=0)
+
+
+def _dense_detours(seed: int, rounds: int):
+    """The detour batch on the ``build-gnp700`` shape, best of
+    ``rounds`` on the C tier (``csr``) and on the numpy tier: ``(graph,
+    paths, timings)``.  The escape tables must agree."""
+    graph = gnp_random_graph(700, 62 / 699, seed=0)
+    weights = make_weights(graph, "random", seed=seed)
+    tree = build_spt(graph, weights, 0)
+    paths = [tree.path_vertices(v) for v in tree.preorder if v != 0]
+    timings, tables = {}, {}
+    for name, engine in (("csr", get_engine("csr")), ("numpy", CSREngine())):
+        best = None
+        for _ in range(rounds):
+            gc.collect()
+            t0 = time.perf_counter()
+            tables[name] = [
+                found.escapes
+                for found in engine.batched_shortest_paths(graph, weights, paths)
+            ]
+            elapsed = time.perf_counter() - t0
+            best = elapsed if best is None else min(best, elapsed)
+        timings[name] = best
+    assert tables["csr"] == tables["numpy"]
+    return graph, paths, timings
 
 
 def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed):
@@ -122,13 +164,20 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
             timings[name]["detours"] = time.perf_counter() - t0
     assert digests["python"] == digests["csr"]
 
+    dense = None
+    if cbuild.kernel_library() is not None:
+        dense = _dense_detours(bench_seed, 1 if quick_mode else 3)
+
     if quick_mode:
-        floors = dict.fromkeys(("combined", "sweep", "detours"), _QUICK_SANITY)
+        floors = dict.fromkeys(
+            ("combined", "sweep", "detours", "dense_detours"), _QUICK_SANITY
+        )
     else:
         floors = {
             "combined": SPEEDUP_FLOOR,
             "sweep": COMPONENT_FLOOR,
             "detours": COMPONENT_FLOOR,
+            "dense_detours": DENSE_FLOOR,
         }
 
     record = ExperimentRecord(
@@ -136,7 +185,7 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
         title="Batched replacement subsystem: sweep + detour batch per engine",
         columns=[
             "component", "engine", "backend", "n", "m",
-            "batches", "t_s", "speedup_vs_python",
+            "batches", "t_s", "speedup",
         ],
         params={
             "quick": quick_mode,
@@ -169,16 +218,39 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
                 graph.num_vertices, graph.num_edges, batches,
                 round(t, 3), round(speedup, 2),
             )
+    if dense is not None:
+        dense_graph, dense_paths, dense_t = dense
+        for name, backend in (
+            ("csr", get_engine("csr").detour_backend),
+            ("numpy", CSREngine().detour_backend),
+        ):
+            speedup = dense_t["numpy"] / max(dense_t[name], 1e-9)
+            record.add_row(
+                "dense detours", name, backend,
+                dense_graph.num_vertices, dense_graph.num_edges,
+                len(dense_paths), round(dense_t[name], 4), round(speedup, 2),
+            )
+        speedups["dense_detours"] = round(
+            dense_t["numpy"] / max(dense_t["csr"], 1e-9), 3
+        )
     record.derived["speedups"] = speedups
     record.note(
         "sweep = the ReplacementEngine constructor via weighted_failure_sweep; "
         "detours = batched_shortest_paths over the T0 paths of deep "
-        "vertices, each search handing back its escape table"
+        "vertices, each search handing back its escape table; speedup is "
+        "over python"
+    )
+    record.note(
+        "dense detours = batched_shortest_paths over every T0 path of "
+        "G(700, 62/699) (the build-gnp700 shape), "
+        f"{'one run' if quick_mode else 'best of 3'}; speedup is "
+        "over the numpy tier (CSREngine()); run only with the C kernels"
     )
     record.note(
         f"acceptance floors (full-size instance, >= 50k edges, random "
         f"scheme): {SPEEDUP_FLOOR}x combined, {COMPONENT_FLOOR}x per "
-        f"component; quick mode: {_QUICK_SANITY}x sanity floors"
+        f"component, {DENSE_FLOOR}x C over numpy on the dense detours; "
+        f"quick mode: {_QUICK_SANITY}x sanity floors"
     )
     print()
     print(record.render())
@@ -187,6 +259,6 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
     failures = [
         f"{key}: {speedups[key]:.2f}x below the {floors[key]}x floor"
         for key in floors
-        if speedups[key] < floors[key]
+        if key in speedups and speedups[key] < floors[key]
     ]
     assert not failures, "; ".join(failures)

@@ -39,6 +39,18 @@
  *   state verbatim; the numpy path's lexsort-group machinery is a
  *   vectorization workaround for the same sequential semantics, not
  *   extra behavior.
+ * - Source runs (every seed at hop 0: the Pcons detour searches,
+ *   build_spt, csr shortest_paths) choose per layer and per level
+ *   between that top-down step and a bottom-up one, in which each
+ *   unlabeled vertex gathers its candidates from its own edges and
+ *   replays them in the settle order top-down would deliver them in,
+ *   through the same running minimum - so it meets the same labels and
+ *   the same ties.  The choice compares the half-edges each direction
+ *   would scan, with a constant measured on dense and sparse detour
+ *   batches.  Seeded runs (the weighted sweep) stay top-down: their
+ *   seed incumbents and stale labels at higher hops break the premise
+ *   that an unlabeled vertex is one this level first touches (see
+ *   repro_weighted_levels).
  * - The order-dependent tie event - a candidate equal to the target's
  *   current running minimum through a different edge - is detected
  *   exactly (not over-approximated), and so are seed ties and invalid
@@ -352,6 +364,270 @@ static int cmp_wl_entry(const void *a, const void *b)
     return (x->id > y->id) - (x->id < y->id);
 }
 
+/* One bottom-up candidate of an unlabeled vertex: its neighbour
+ * key.id, settled at this level with pert_t = key.pert, through edge
+ * eid.  The key leads, so cmp_wl_entry orders candidates by their
+ * neighbours' settle order. */
+typedef struct {
+    wl_entry key;
+    int64_t eid;
+} bu_cand;
+
+/* Sorts n records of size bytes, each led by a wl_entry key, by that
+ * key: by insertion up to SMALL_SORT records, by qsort beyond.  A
+ * layer's level, or one vertex's bottom-up candidates, is often a few
+ * dozen records, where qsort's calls and scratch cost more than the
+ * moves they save: per-call qsort made the weighted sweep on G(700,
+ * 62/699) ~8% slower (13.1-13.2 -> 14.2 ms, best of 20) and took half
+ * the bottom-up time of its detour searches. */
+#define SMALL_SORT 64
+
+static void sort_keyed(void *base, int64_t n, size_t size)
+{
+    if (n > SMALL_SORT) {
+        qsort(base, (size_t)n, size, cmp_wl_entry);
+        return;
+    }
+    char *a = base;
+    bu_cand x;  /* room for the larger record */
+    for (int64_t i = 1; i < n; i++) {
+        memcpy(&x, a + (size_t)i * size, size);
+        int64_t j = i - 1;
+        while (j >= 0 && cmp_wl_entry(a + (size_t)j * size, &x) > 0) {
+            memcpy(a + (size_t)(j + 1) * size, a + (size_t)j * size, size);
+            j--;
+        }
+        memcpy(a + (size_t)(j + 1) * size, &x, size);
+    }
+}
+
+/* The direction rule of source runs: a layer takes the bottom-up step
+ * at a level when BU_COST times the degree sum of its unlabeled allowed
+ * vertices is below the degree sum of the level's vertices, which
+ * top-down would expand (see repro_weighted_levels for the measurement
+ * behind the constant). */
+#define BU_COST 1
+
+/* What one relaxation reads and writes. */
+typedef struct {
+    int64_t n_base;
+    const int64_t *indptr;
+    const int64_t *indices;
+    const int64_t *edge_ids;
+    const int64_t *pert_edge;
+    const uint8_t *edge_ok;
+    const uint8_t *vertex_ok;
+    const uint8_t *allowed_ok;
+    const int64_t *banned_eid;
+    uint8_t *settled;
+    int64_t *hop_t;
+    int64_t *pert_t;
+    int64_t *parent;
+    int64_t *parent_eid;
+} wl_graph;
+
+/* Per-layer scratch, n_base entries each: a level's entries, the
+ * frontier pair, and - bottom-up only - the unvisited list and one
+ * vertex's candidates. */
+typedef struct {
+    wl_entry *act;
+    int64_t *fr;
+    int64_t *nx;
+    int64_t *unv;
+    bu_cand *cand;
+} wl_scratch;
+
+/* The top-down step of one layer: the level's vertices act[0 .. alen),
+ * in (pert, id) order, stream their out-edges in CSR order through the
+ * filters.  A target holding a next-level label (an earlier arrival, or
+ * a seed incumbent) keeps the running minimum: strict improvement
+ * overwrites, so the first arrival among equals wins, and equality
+ * through a different edge is the reference's tie event.  Any other
+ * target - unlabeled, or holding a stale label from a higher hop, never
+ * settled and never comparable - is plainly overwritten and joins
+ * nx[*nlen ..); an unlabeled one leaves *udeg.  Returns 1 on the tie
+ * event, else 0. */
+static int64_t top_down_step(
+    const wl_graph *g, int64_t off, int64_t ban, int64_t lvl,
+    const wl_entry *act, int64_t alen, int64_t *nx, int64_t *nlen,
+    int64_t *udeg)
+{
+    const int64_t *indptr = g->indptr;
+    for (int64_t j = 0; j < alen; j++) {
+        int64_t v = act[j].id;
+        int64_t local = v - off;
+        int64_t pv = g->pert_t[v];
+        for (int64_t k = indptr[local]; k < indptr[local + 1]; k++) {
+            int64_t e = g->edge_ids[k];
+            if (e == ban) continue;
+            if (g->edge_ok && !g->edge_ok[e]) continue;
+            int64_t x = g->indices[k];
+            int64_t w = x + off;
+            if (g->settled[w]) continue;
+            if (g->vertex_ok && !g->vertex_ok[w]) continue;
+            if (g->allowed_ok && !g->allowed_ok[w]) continue;
+            int64_t c = pv + g->pert_edge[e];
+            if (g->hop_t[w] == lvl + 1) {
+                if (c < g->pert_t[w]) {
+                    g->pert_t[w] = c;
+                    g->parent[w] = v;
+                    g->parent_eid[w] = e;
+                } else if (c == g->pert_t[w] && g->parent_eid[w] != e) {
+                    return 1;
+                }
+            } else {
+                if (g->hop_t[w] == -1)
+                    *udeg -= indptr[x + 1] - indptr[x];
+                g->hop_t[w] = lvl + 1;
+                g->pert_t[w] = c;
+                g->parent[w] = v;
+                g->parent_eid[w] = e;
+                nx[(*nlen)++] = w;
+            }
+        }
+    }
+    return 0;
+}
+
+/* The bottom-up step of one layer (source runs only): each vertex of
+ * the unvisited list that is still unlabeled gathers, through the
+ * top-down filters, its neighbours settled at this level, sorts them
+ * into settle order and replays them through the same running minimum
+ * and tie rule.  Labeled vertices join nx[*nlen ..), leave *udeg and
+ * drop off the list.  Returns 1 on the tie event, else 0. */
+static int64_t bottom_up_step(
+    const wl_graph *g, int64_t off, int64_t ban, int64_t lvl,
+    int64_t *unv, int64_t *ucnt, bu_cand *cand, int64_t *nx,
+    int64_t *nlen, int64_t *udeg)
+{
+    const int64_t *indptr = g->indptr;
+    int64_t keep = 0;
+    for (int64_t i = 0; i < *ucnt; i++) {
+        int64_t w = unv[i];
+        if (g->hop_t[w] != -1)
+            continue;  /* labeled top-down at an earlier level */
+        int64_t local = w - off;
+        int64_t nc = 0;
+        for (int64_t k = indptr[local]; k < indptr[local + 1]; k++) {
+            int64_t u = g->indices[k] + off;
+            if (!g->settled[u] || g->hop_t[u] != lvl) continue;
+            int64_t e = g->edge_ids[k];
+            if (e == ban) continue;
+            if (g->edge_ok && !g->edge_ok[e]) continue;
+            cand[nc].key.pert = g->pert_t[u];
+            cand[nc].key.id = u;
+            cand[nc].eid = e;
+            nc++;
+        }
+        if (nc == 0) {
+            unv[keep++] = w;
+            continue;
+        }
+        sort_keyed(cand, nc, sizeof(bu_cand));
+        int64_t best = cand[0].key.pert + g->pert_edge[cand[0].eid];
+        int64_t par = cand[0].key.id, pe = cand[0].eid;
+        for (int64_t c = 1; c < nc; c++) {
+            int64_t val = cand[c].key.pert + g->pert_edge[cand[c].eid];
+            if (val < best) {
+                best = val;
+                par = cand[c].key.id;
+                pe = cand[c].eid;
+            } else if (val == best && cand[c].eid != pe) {
+                return 1;
+            }
+        }
+        g->hop_t[w] = lvl + 1;
+        g->pert_t[w] = best;
+        g->parent[w] = par;
+        g->parent_eid[w] = pe;
+        nx[(*nlen)++] = w;
+        *udeg -= indptr[local + 1] - indptr[local];
+    }
+    *ucnt = keep;
+    return 0;
+}
+
+/* Settles v at level lvl into act[*alen] unless its label moved on
+ * (settled, or hop_t no longer the level: the bucket drain's filter);
+ * *fdeg sums the degrees a top-down step would scan. */
+static void settle(const wl_graph *g, int64_t v, int64_t lvl, int64_t off,
+                   wl_entry *act, int64_t *alen, int64_t *fdeg)
+{
+    if (g->settled[v] || g->hop_t[v] != lvl)
+        return;
+    g->settled[v] = 1;
+    act[*alen].pert = g->pert_t[v];
+    act[*alen].id = v;
+    (*alen)++;
+    *fdeg += g->indptr[v - off + 1] - g->indptr[v - off];
+}
+
+/* One layer b of a relaxation, from its schedule sched[0 .. nsched) -
+ * the layer's surviving seed labels in (hop, id) order - to the end of
+ * its search.  bottom_up lets each level take the cheaper direction,
+ * and tgt_ptr/tgt carry the stop rule (source runs only, both; see
+ * repro_weighted_levels). */
+static int64_t run_layer(
+    const wl_graph *g, const wl_scratch *s, int64_t b,
+    const wl_entry *sched, int64_t nsched, int64_t bottom_up,
+    const int64_t *tgt_ptr, const int64_t *tgt)
+{
+    const int64_t n_base = g->n_base, off = b * n_base;
+    const int64_t *indptr = g->indptr;
+    const int64_t ban = g->banned_eid ? g->banned_eid[b] : -1;
+    int64_t *fr = s->fr, *nx = s->nx;
+
+    /* The unvisited list: the layer's unlabeled allowed vertices, and
+     * udeg, the degree sum a bottom-up step would scan. */
+    int64_t ucnt = 0, udeg = 0;
+    for (int64_t x = 0; bottom_up && x < n_base; x++) {
+        int64_t w = off + x;
+        if (g->hop_t[w] != -1) continue;
+        if (g->vertex_ok && !g->vertex_ok[w]) continue;
+        if (g->allowed_ok && !g->allowed_ok[w]) continue;
+        s->unv[ucnt++] = w;
+        udeg += indptr[x + 1] - indptr[x];
+    }
+
+    /* tgt[t .. t_end): the layer's targets not yet seen labeled. */
+    int64_t t = tgt_ptr ? tgt_ptr[b] : 0, t_end = tgt_ptr ? tgt_ptr[b + 1] : 0;
+    int64_t sp = 0, flen = 0, lvl = 0;
+    while (sp < nsched || flen > 0) {
+        /* A carried frontier is the next level: every schedule entry
+         * below it was drained at its own level. */
+        if (flen == 0)
+            lvl = sched[sp].pert;
+        int64_t stop = 0;
+        if (tgt_ptr) {
+            while (t < t_end && g->hop_t[tgt[t]] != -1)
+                t++;
+            stop = t == t_end;
+        }
+        int64_t alen = 0, fdeg = 0;
+        while (sp < nsched && sched[sp].pert == lvl)
+            settle(g, sched[sp++].id, lvl, off, s->act, &alen, &fdeg);
+        for (int64_t j = 0; j < flen; j++)
+            settle(g, fr[j], lvl, off, s->act, &alen, &fdeg);
+        if (stop)
+            return 0;  /* lvl is the radius: settled, not expanded */
+        int64_t nlen = 0, rc;
+        if (bottom_up && BU_COST * udeg < fdeg) {
+            rc = bottom_up_step(g, off, ban, lvl, s->unv, &ucnt, s->cand,
+                                nx, &nlen, &udeg);
+        } else {
+            sort_keyed(s->act, alen, sizeof(wl_entry));
+            rc = top_down_step(g, off, ban, lvl, s->act, alen, nx, &nlen,
+                               &udeg);
+        }
+        if (rc != 0)
+            return rc;
+        int64_t *tmp = fr; fr = nx; nx = tmp;
+        flen = nlen;
+        lvl++;
+    }
+    return 0;
+}
+
 /* weighted_levels equivalent: seed intake plus the level-synchronous
  * two-array (hops, pert_sum) relaxation over n_total = B * n_base
  * stacked layers (pass n_total == n_base for a plain single-layer
@@ -361,29 +637,66 @@ static int cmp_wl_entry(const void *a, const void *b)
  * different entry edge is the reference's seed tie, and a seed outside
  * the allowed set - or out of array range entirely - is refused before
  * it touches anything; both bail (see below).  The surviving
- * per-vertex labels, sorted by (hop, id), form the drain schedule:
- * each level merges due schedule entries with the carried relaxation
- * frontier, drops entries whose label moved on (settled, or hop_t no
- * longer equal to the level - the bucket drain's filter), settles the
- * survivors in (pert, id) order, and streams their out-edges through
- * the ban/allow filters.  banned_eid (optional, length B) drops layer
- * b's one banned edge id, exactly like the stacked expander.
+ * per-vertex labels, sorted by (hop, id), form the drain schedule.
+ * banned_eid (optional, length B) drops layer b's one banned edge id,
+ * exactly like the stacked expander.
  *
- * Targets holding a tentative next-level label (seed incumbents) keep
- * the reference's running-min semantics: strict improvement overwrites
- * (first arrival among equals wins and is never displaced), equality
- * through a different edge is the reference's tie event.
+ * Layers share no vertex and a tie in any of them hands the whole call
+ * back, so the layers run one after another (run_layer), each on its
+ * own run of the schedule.  Each level merges the layer's due schedule
+ * entries with its carried frontier, settles them, and expands them in
+ * one of two directions:
  *
- * The stop rule (tgt_ptr and tgt, both NULL for none; source-seeded
- * hop-0 runs only): layer b's targets are the global ids
- * tgt[tgt_ptr[b] .. tgt_ptr[b+1]).  In an unseeded run a label's hop is
- * fixed when it is first set, so when a level starts with every target
- * of a layer labeled, that level is the layer's radius R - the largest
- * target hop - and the layer stops: its level-R entries are marked
- * settled (their labels are final once level R - 1 has expanded) but
- * neither sorted nor expanded, and nothing beyond R is ever labeled.
- * That is the reference's stop at its first pop at hop R.  A layer
- * with an unreachable target runs to completion.
+ * - top-down: the level's vertices, sorted by (pert, id) - the
+ *   reference heap's pop order - relax their out-edges in CSR order,
+ *   so candidates arrive per target in exactly the reference's arrival
+ *   order, and a running minimum per target reproduces the reference's
+ *   order-dependent state;
+ * - bottom-up, in source runs only (every seed at hop 0: the Pcons
+ *   detour searches, build_spt, csr shortest_paths): each unlabeled
+ *   allowed vertex scans its own edges for neighbours settled at this
+ *   level, through the same filters (the layer's banned edge, edge_ok,
+ *   and - on the vertex itself - vertex_ok and allowed_ok), sorts them
+ *   by the neighbours' (pert, id) and replays them through the same
+ *   running minimum and tie rule.  The graph is simple, so each
+ *   neighbour offers one candidate, and top-down would deliver the
+ *   vertex exactly these candidates in exactly this order.  The replay
+ *   keeps that order, not the adjacency order, because the tie event
+ *   depends on it: arrivals (5, 3, 5) never tie, (5, 5, 3) do.
+ *
+ * A source run's layer takes bottom-up at a level when BU_COST times
+ * the degree sum of its unlabeled allowed vertices (its unvisited list,
+ * which shrinks as they are labeled) is below the degree sum of the
+ * level's vertices - the direction-optimizing BFS of Beamer, Asanovic
+ * and Patterson (SC'12), without its early exit, since the running
+ * minimum needs every candidate.  On G(700, 62/699), Pcons's radius-3
+ * searches reach ~633 level-2 vertices (~39k half-edges) to label ~1.4
+ * at level 3, and bottom-up scans the few unvisited ones instead.  The
+ * constant was measured on the Pcons detour batch of that input (its
+ * 699 T0 paths) and on bench_replacement's sparse ones (1,200 deep T0
+ * paths of G(1500, 12/1499) and G(5000, 20/4999)): on the dense input
+ * factors 1/4 to 4 read the same (its level-2 steps favour bottom-up
+ * ~150 to 1); on G(5000, 20/4999) factors 1/4 to 2 read the same and 4
+ * and 8 took 1.4x and 1.9x longer, and on G(1500, 12/1499) 2 took 1.2x
+ * longer than 1.  Labels, parents, radii and hand-backs are the same
+ * whichever direction a level takes.
+ *
+ * Seeded runs (the weighted sweep's subtree recomputes) stay top-down.
+ * Their seeds put incumbents at the next level's hop and stale labels
+ * at higher hops, which top-down improves or overwrites; bottom-up
+ * reads "unlabeled" as "not reached yet" and would miss both.
+ *
+ * The stop rule (tgt_ptr and tgt, both NULL for none; source runs
+ * only): layer b's targets are the global ids tgt[tgt_ptr[b] ..
+ * tgt_ptr[b+1]).  In a source run a label's hop is fixed when it is
+ * first set, so when a level starts with every target of a layer
+ * labeled, that level is the layer's radius R - the largest target hop
+ * - and the layer stops: its level-R entries are marked settled (their
+ * labels are final once level R - 1 has expanded) but neither sorted
+ * nor expanded, and nothing beyond R is ever labeled.  That is the
+ * reference's stop at its first pop at hop R, and it expands exactly
+ * the vertices the reference expands before that pop, so both meet the
+ * same ties.  A layer with an unreachable target runs to completion.
  *
  * Returns 0 on completion; on any bail-out the caller hands the call
  * back to the reference Dijkstra, which decides the outcome: 1 =
@@ -418,31 +731,15 @@ int64_t repro_weighted_levels(
 {
     if (nseeds <= 0)
         return 0;
-    /* Targets come only with sources, so n_base >= 1 whenever they do. */
-    int64_t n_layers = tgt_ptr ? n_total / n_base : 0;
     wl_entry *sched = malloc((size_t)nseeds * sizeof(wl_entry));
-    wl_entry *act = malloc((size_t)n_total * sizeof(wl_entry));
-    int64_t *fr = malloc((size_t)n_total * sizeof(int64_t));
-    int64_t *nx = malloc((size_t)n_total * sizeof(int64_t));
-    /* Stop rule state: per layer, the first target not yet seen
-     * labeled, and whether the layer has stopped. */
-    int64_t *tcur = NULL;
-    uint8_t *stopped = NULL;
-    if (tgt_ptr) {
-        tcur = malloc((size_t)n_layers * sizeof(int64_t));
-        stopped = calloc((size_t)n_layers, sizeof(uint8_t));
-    }
-    if (!sched || !act || !fr || !nx || (tgt_ptr && (!tcur || !stopped))) {
-        free(sched); free(act); free(fr); free(nx); free(tcur); free(stopped);
+    if (!sched)
         return -1;
-    }
-    if (tgt_ptr)
-        memcpy(tcur, tgt_ptr, (size_t)n_layers * sizeof(int64_t));
     int64_t rc = 0;
 
     /* Intake.  First-touch detection rides on the entry contract that
      * hop_t is -1 at every position this run may label. */
     int64_t nsched = 0;
+    int64_t source_run = 1;
     for (int64_t j = 0; j < nseeds; j++) {
         int64_t v = seed_vertex[j];
         if (v < 0 || v >= n_total || (allowed_ok && !allowed_ok[v])) {
@@ -450,6 +747,8 @@ int64_t repro_weighted_levels(
             break;
         }
         int64_t h0 = seed_hop[j], p0 = seed_pert[j];
+        if (h0 != 0)
+            source_run = 0;
         int64_t ch = hop_t[v];
         if (ch == -1 || h0 < ch || (h0 == ch && p0 < pert_t[v])) {
             if (ch == -1)
@@ -465,108 +764,52 @@ int64_t repro_weighted_levels(
         }
     }
     if (rc != 0) {
-        free(sched); free(act); free(fr); free(nx); free(tcur); free(stopped);
+        free(sched);
         return rc;
     }
     for (int64_t j = 0; j < nsched; j++)
         sched[j].pert = hop_t[sched[j].id];  /* final label's hop */
     qsort(sched, (size_t)nsched, sizeof(wl_entry), cmp_wl_entry);
 
-    int64_t sp = 0;          /* next unconsumed schedule entry */
-    int64_t flen = 0;        /* carried relaxation frontier size ... */
-    int64_t flevel = 0;      /* ... and its level */
-    while (sp < nsched || flen > 0) {
-        int64_t lvl;
-        if (flen > 0)
-            lvl = flevel;
-        else
-            lvl = sched[sp].pert;
-        if (sp < nsched && sched[sp].pert < lvl)
-            lvl = sched[sp].pert;
-        if (tgt_ptr) {
-            for (int64_t b = 0; b < n_layers; b++) {
-                int64_t c = tcur[b];
-                while (c < tgt_ptr[b + 1] && hop_t[tgt[c]] != -1)
-                    c++;
-                tcur[b] = c;
-                if (c == tgt_ptr[b + 1])
-                    stopped[b] = 1;
-            }
+    /* A valid seed makes n_total, hence n_base, positive.  Each layer's
+     * schedule becomes one run of by_layer, still in (hop, id) order (a
+     * stable counting sort by layer). */
+    int64_t n_layers = n_total / n_base;
+    size_t width = (size_t)n_base;
+    int64_t *end = calloc((size_t)n_layers, sizeof(int64_t));
+    wl_entry *by_layer = malloc((size_t)nsched * sizeof(wl_entry));
+    wl_scratch s = {
+        malloc(width * sizeof(wl_entry)),
+        malloc(width * sizeof(int64_t)),
+        malloc(width * sizeof(int64_t)),
+        source_run ? malloc(width * sizeof(int64_t)) : NULL,
+        source_run ? malloc(width * sizeof(bu_cand)) : NULL,
+    };
+    if (!end || !by_layer || !s.act || !s.fr || !s.nx ||
+        (source_run && (!s.unv || !s.cand))) {
+        rc = -1;
+    } else {
+        for (int64_t j = 0; j < nsched; j++)
+            end[sched[j].id / n_base]++;
+        for (int64_t b = 1; b < n_layers; b++)
+            end[b] += end[b - 1];
+        for (int64_t j = nsched - 1; j >= 0; j--)
+            by_layer[--end[sched[j].id / n_base]] = sched[j];
+        /* end[b] is now where layer b's run starts. */
+        const wl_graph g = {
+            n_base, indptr, indices, edge_ids, pert_edge, edge_ok,
+            vertex_ok, allowed_ok, banned_eid, settled, hop_t, pert_t,
+            parent, parent_eid,
+        };
+        for (int64_t b = 0; b < n_layers && rc == 0; b++) {
+            int64_t lo = end[b], hi = b + 1 < n_layers ? end[b + 1] : nsched;
+            if (hi > lo)
+                rc = run_layer(&g, &s, b, by_layer + lo, hi - lo, source_run,
+                               tgt_ptr, tgt);
         }
-        int64_t alen = 0;
-        while (sp < nsched && sched[sp].pert == lvl) {
-            int64_t v = sched[sp++].id;
-            if (!settled[v] && hop_t[v] == lvl) {
-                settled[v] = 1;
-                if (stopped && stopped[v / n_base])
-                    continue;  /* at the layer's radius: not expanded */
-                act[alen].pert = pert_t[v];
-                act[alen].id = v;
-                alen++;
-            }
-        }
-        if (flen > 0 && flevel == lvl) {
-            for (int64_t j = 0; j < flen; j++) {
-                int64_t v = fr[j];
-                if (!settled[v] && hop_t[v] == lvl) {
-                    settled[v] = 1;
-                    if (stopped && stopped[v / n_base])
-                        continue;
-                    act[alen].pert = pert_t[v];
-                    act[alen].id = v;
-                    alen++;
-                }
-            }
-            flen = 0;
-        }
-        qsort(act, (size_t)alen, sizeof(wl_entry), cmp_wl_entry);
-        int64_t nlen = 0;
-        for (int64_t j = 0; j < alen && rc == 0; j++) {
-            int64_t v = act[j].id;
-            int64_t local = v % n_base;
-            int64_t off = v - local;
-            int64_t ban = banned_eid ? banned_eid[v / n_base] : -1;
-            int64_t pv = pert_t[v];
-            for (int64_t k = indptr[local]; k < indptr[local + 1]; k++) {
-                int64_t e = edge_ids[k];
-                if (e == ban) continue;
-                if (edge_ok && !edge_ok[e]) continue;
-                int64_t w = indices[k] + off;
-                if (settled[w]) continue;
-                if (vertex_ok && !vertex_ok[w]) continue;
-                if (allowed_ok && !allowed_ok[w]) continue;
-                int64_t c = pv + pert_edge[e];
-                if (hop_t[w] == lvl + 1) {
-                    /* Running next-level label (a seed incumbent or an
-                     * earlier arrival this level - both won every
-                     * comparison so far). */
-                    if (c < pert_t[w]) {
-                        pert_t[w] = c;
-                        parent[w] = v;
-                        parent_eid[w] = e;
-                    } else if (c == pert_t[w] && parent_eid[w] != e) {
-                        rc = 1;
-                        break;
-                    }
-                } else {
-                    /* First touch this level; a stale label from a
-                     * higher hop (never settled, never comparable) is
-                     * plainly overwritten, like any unlabeled target. */
-                    hop_t[w] = lvl + 1;
-                    pert_t[w] = c;
-                    parent[w] = v;
-                    parent_eid[w] = e;
-                    nx[nlen++] = w;
-                }
-            }
-        }
-        if (rc != 0)
-            break;
-        int64_t *tmp = fr; fr = nx; nx = tmp;
-        flen = nlen;
-        flevel = lvl + 1;
     }
-    free(sched); free(act); free(fr); free(nx); free(tcur); free(stopped);
+    free(sched); free(end); free(by_layer);
+    free(s.act); free(s.fr); free(s.nx); free(s.unv); free(s.cand);
     return rc;
 }
 

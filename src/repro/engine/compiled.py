@@ -39,6 +39,11 @@ that is exact: ``_ckernels.c`` and :mod:`repro.core.interference`).
 The Pcons detour batch reads its escape tables straight off the stacked
 relaxation state in one more C call per chunk
 (``repro_detour_escapes``), so no search builds an ``n``-entry list.
+The C relaxation runs a chunk's layers one after another, each level
+top-down or bottom-up (the direction-optimizing step ``_ckernels.c``
+documents), so the detour chunks are sized by a stacked-state budget
+(``_DETOUR_STATE``) rather than by ``_STACK_STREAM``, which now sizes
+the detour chunks only on the numpy tier.
 
 Kernels, all in ``_ckernels.c``: ``repro_bfs_order``,
 ``repro_bfs_euler``, ``repro_recompute_subtree``,
@@ -70,6 +75,12 @@ from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
 __all__ = ["CompiledEngine", "CompiledFailureSweep"]
+
+
+#: Stacked-state budget of one C detour chunk, in ``B * n`` entries: 32
+#: paths at n = 700.  The C relaxation runs its layers one after
+#: another, so a chunk's size only amortizes the per-chunk Python work.
+_DETOUR_STATE = 22_400
 
 
 def _ptr(array: Optional[np.ndarray]):
@@ -393,6 +404,13 @@ class CompiledEngine(CSREngine):
             *(_ptr(row) for row in out),
         )
         return out
+
+    def _detour_per_chunk(self, csr) -> int:
+        """Detour chunks by the ``_DETOUR_STATE`` budget (the numpy
+        tier's ``_STACK_STREAM`` chunks without the kernels)."""
+        if self._kernels() is None:
+            return super()._detour_per_chunk(csr)
+        return max(1, _DETOUR_STATE // max(1, csr.num_vertices))
 
     def distances(
         self,

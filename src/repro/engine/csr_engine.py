@@ -35,6 +35,13 @@ pass over the stacked state on the compiled engine, and from
 stacked state (``_STACK_STATE`` entries per chunk); plans that cannot
 be represented, and chunks whose relaxation hands the call back, rerun
 on the reference, exactly like the per-call weighted paths.
+
+The sweep and the seeded batches chunk by the ``_STACK_STREAM``
+expansion budget on both tiers.  The detour batch does so only here,
+on the numpy tier, whose level passes stream every layer's frontier at
+once: the compiled engine's C relaxation runs its layers one after
+another, so it sizes its detour chunks by a stacked-state budget of its
+own (``_detour_per_chunk``).
 """
 
 from __future__ import annotations
@@ -87,7 +94,8 @@ _STACK_STATE = 1 << 21
 #: sized to keep them cache-resident: full-graph batches on a large
 #: graph degrade to one layer per chunk (their single-layer streams
 #: already saturate the cache), while subtree-restricted batches pack
-#: hundreds of layers per chunk.
+#: hundreds of layers per chunk.  The compiled engine's detour chunks
+#: do not use it (see the module doc).
 _STACK_STREAM = 1 << 17
 
 
@@ -476,16 +484,7 @@ class CSREngine(PythonEngine):
             yield from super().batched_shortest_paths(graph, weights, paths)
             return
         csr = csr_view(graph)
-        n = csr.num_vertices
-        # Every full-graph layer expands ~2m half-edges; paths stream in,
-        # so only one chunk's worth is alive.
-        per_chunk = max(
-            1,
-            min(
-                _STACK_STATE // max(1, n),
-                _STACK_STREAM // max(1, 2 * csr.num_edges) + 1,
-            ),
-        )
+        per_chunk = self._detour_per_chunk(csr)
         chunk: list = []
         for path in paths:
             chunk.append(path)
@@ -494,6 +493,20 @@ class CSREngine(PythonEngine):
                 chunk = []
         if chunk:
             yield from self._detour_chunk(graph, csr, weights, perts, chunk)
+
+    def _detour_per_chunk(self, csr) -> int:
+        """Engine hook: paths per detour chunk.  Every full-graph layer
+        expands ~2m half-edges, and this tier's level passes stream all
+        of a chunk's layers at once, so the chunks follow the
+        ``_STACK_STREAM`` budget; paths stream in, so only one chunk's
+        worth is alive."""
+        return max(
+            1,
+            min(
+                _STACK_STATE // max(1, csr.num_vertices),
+                _STACK_STREAM // max(1, 2 * csr.num_edges) + 1,
+            ),
+        )
 
     def _detour_chunk(
         self,

@@ -976,6 +976,141 @@ def test_compiled_batch_builds_no_result_lists(monkeypatch):
     assert tables == [full_search_escapes(g, w, path) for path in paths]
 
 
+# ----------------------------------------------------------------------
+# dense source runs: the C kernel's bottom-up steps
+# ----------------------------------------------------------------------
+def dense_degenerate(n, p, top, seed, options):
+    """A dense G(n, p) whose perturbations are drawn from {1 .. top}, so
+    equal candidates and ties are common, a source, and the
+    ``shortest_paths`` options that the bits of ``options`` ask for: 1
+    targets, 2 banned vertices, 4 banned edges (up to a quarter of
+    them) plus a ``banned_edge``."""
+    rng = random.Random(seed)
+    g = gnp_random_graph(n, p, seed=seed)
+    m = g.num_edges
+    big = 1 << 24
+    weights = [big + rng.randint(1, top) for _ in range(m)]
+    w = WeightAssignment(weights=weights, shift=24, scheme=RANDOM, seed=0)
+    source = rng.randrange(n)
+    others = [v for v in range(n) if v != source]
+    kwargs = {}
+    if options & 1:
+        kwargs["targets"] = set(rng.sample(range(n), rng.randint(0, min(n, 4))))
+    if options & 2 and others:
+        kwargs["banned_vertices"] = set(
+            rng.sample(others, rng.randint(1, min(3, len(others))))
+        )
+    if options & 4 and m:
+        kwargs["banned_edges"] = set(rng.sample(range(m), rng.randint(1, max(1, m // 4))))
+        kwargs["banned_edge"] = rng.randrange(m)
+    return g, w, source, kwargs
+
+
+@settings(max_examples=150, **COMMON)
+@given(
+    st.integers(2, 48),
+    st.sampled_from([0.5, 0.7, 0.9]),
+    st.sampled_from([3, 49, 999]),
+    st.integers(0, 2**16),
+    st.integers(0, 7),
+)
+@example(18, 0.7, 49, 20615, 0)  # a level-3 tie only the settle order meets
+@example(30, 0.7, 49, 30655, 7)  # the same, with every option
+@example(5, 0.9, 999, 40580, 7)  # a bottom-up level behind banned edges
+@example(4, 0.5, 49, 54810, 1)  # a radius at a level bottom-up would take
+def test_dense_degenerate_shortest_paths_parity(n, p, top, seed, options):
+    """On dense graphs a source run's C levels go bottom-up whenever the
+    unvisited vertices have fewer edges than the level's, and each
+    replays its candidates in the settle order top-down delivers them
+    in.  Equal candidates make that order visible: arrivals (5, 3, 5)
+    never tie, (5, 5, 3) do.  So csr must answer outcome for outcome
+    what python answers - the same result, or a TieBreakError - with
+    and without targets, vertex bans and edge bans."""
+    g, w, source, kwargs = dense_degenerate(n, p, top, seed, options)
+    run_both("shortest_paths", g, w, source, **kwargs)
+
+
+def hop_tree_paths(g, source):
+    """The paths of a hop-BFS tree from ``source`` (defined whatever
+    ties the weights hold)."""
+    parent = PY.parents(g, source)
+    paths = []
+    for v in sorted(parent):
+        path = [v]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        paths.append(path[::-1])
+    return paths
+
+
+def streamed_detours(engine, g, w, paths):
+    """What a batch yields before it ends, and how it ends."""
+    found = []
+    try:
+        for path, esc in zip(paths, engine.batched_shortest_paths(g, w, paths)):
+            found.append((esc.escapes, walk_detours(path, esc)))
+    except TieBreakError:
+        return found, "tie"
+    return found, "ok"
+
+
+@settings(max_examples=40, **COMMON)
+@given(
+    st.integers(2, 40),
+    st.sampled_from([0.5, 0.7, 0.9]),
+    st.sampled_from([3, 49, 999]),
+    st.integers(0, 2**16),
+)
+def test_dense_detour_batch_in_one_path_chunks(n, p, top, seed):
+    """The detour batch over a dense graph's tree paths yields the same
+    searches, and ends the same way, in default chunks and in chunks of
+    one path each - where a tie hands back only its own search - on
+    every engine."""
+    import repro.engine.compiled as compiled
+    import repro.engine.csr_engine as ce
+
+    g, w, source, _ = dense_degenerate(n, p, top, seed, 0)
+    paths = hop_tree_paths(g, source)
+    outcomes = [streamed_detours(e, g, w, paths) for e in (PY, CSR, NUMPY_CSR)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiled, "_DETOUR_STATE", 1)
+        mp.setattr(ce, "_STACK_STREAM", 1)
+        outcomes += [streamed_detours(e, g, w, paths) for e in (CSR, NUMPY_CSR)]
+    assert all(out == outcomes[0] for out in outcomes[1:])
+
+
+def test_clean_dense_instance_never_hands_back(monkeypatch):
+    """Random-scheme perturbations do not tie, so no source run on them
+    may hand back: with the reference patched to raise, csr answers
+    ``shortest_paths`` (targets and bans included) and the whole detour
+    batch itself, equal to the python answers taken first."""
+    from repro.engine.python_engine import PythonEngine
+
+    g = gnp_random_graph(90, 0.6, seed=5)
+    w = make_weights(g, RANDOM, seed=5)
+    tree = build_spt(g, w, 0)
+    paths = [tree.path_vertices(v) for v in tree.preorder]
+    rng = random.Random(5)
+    calls = [(s, {}) for s in (0, 17, 89)] + [
+        (s, {
+            "targets": set(rng.sample(range(90), 3)),
+            "banned_vertices": set(rng.sample(range(1, 90), 2)) - {s},
+            "banned_edges": set(rng.sample(range(g.num_edges), 200)),
+        })
+        for s in (0, 41)
+    ]
+    expected = [PY.shortest_paths(g, w, s, **kw) for s, kw in calls]
+    tables = [esc.escapes for esc in PY.batched_shortest_paths(g, w, paths)]
+
+    def reference(*args, **kwargs):
+        raise AssertionError("a clean source run handed back to the reference")
+
+    monkeypatch.setattr(PythonEngine, "shortest_paths", reference)
+    for (s, kw), ref in zip(calls, expected):
+        assert_same_result(ref, CSR.shortest_paths(g, w, s, **kw))
+    assert [esc.escapes for esc in CSR.batched_shortest_paths(g, w, paths)] == tables
+
+
 def test_detour_targets_are_the_off_path_neighbours():
     """``detour_targets`` names the neighbours of ``u_0 .. u_{k-1}`` off
     the path, and memoizes the neighbour sets it builds."""
