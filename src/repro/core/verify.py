@@ -10,22 +10,33 @@ Only failures of *tree* edges of some BFS tree can change distances, but
 the oracle does not assume the structure contains ``T0``: it checks
 
 * the no-failure case (``H`` spans the same distances as ``G``);
-* every non-reinforced edge of ``H`` whose removal could matter;
-* every edge of ``G`` outside ``H`` (cheaply, via a monotonicity
-  argument: if ``H`` preserves no-failure distances, failures of edges
-  absent from ``H`` are automatically fine *unless* the failure changes
-  distances in ``G`` - those edges are re-checked explicitly).
+* every non-reinforced edge of ``H``;
+* every non-reinforced edge of ``G`` outside ``H`` that is tight in
+  ``G`` (on some shortest path).  If ``H`` preserves the no-failure
+  distances, the failure of an edge absent from ``H`` can only matter
+  when it changes distances in ``G``, which a non-tight edge never does
+  (:func:`~repro.engine.base.fault_candidates`).
 
-All per-failure distances come from the traversal engine's **batched
-failure sweep** (:meth:`~repro.engine.base.TraversalEngine.failure_sweep`):
-one lazy sweep over the graph side and one over the structure side.  On
-the csr engine each sweep reuses a single base BFS tree and recomputes
-only the subtree hanging under a failed tree edge (in C when the kernels
-compile, else on numpy), which is what makes ``verify_structure`` fast
-at scale; the python engine runs the historical two-BFS-per-failure
-loop.  Verification runs on the engine it is given (the usual
-selection chain when none is named).  Verdicts, counts, and violations
-are bit-identical across engines (enforced by the parity tests).
+``checked_failures`` counts the no-failure case plus each candidate
+failure the run reached: every candidate, unless ``max_violations``
+stopped it early.  A candidate counts whether it was compared or
+decided by the no-failure verdict (below).
+
+All per-failure distances come from the traversal engine's **failure
+sweep** handles (:meth:`~repro.engine.base.TraversalEngine.sweep`): one
+over the graph side and one over the structure side.  On the csr engine
+each handle reuses a single base BFS tree and recomputes only the
+subtree hanging under a failed tree edge (in C when the kernels
+compile, else on numpy); a failure off its base tree changes nothing,
+and the handle gives back its base vector itself.  A failure that
+leaves *both* sides' base vectors in place is decided by the no-failure
+verdict, with no comparison; it is compared in full (and reported
+violation by violation) only when the no-failure case itself had
+violations.  The python engine runs the historical two-BFS-per-failure
+loop and compares every failure.  Verification runs on the engine it
+is given (the usual selection chain when none is named).  Verdicts,
+counts, and violations are bit-identical across engines (enforced by
+the parity tests).
 
 It also exposes :func:`unprotected_edges`, the measured set the paper
 calls ``E_miss(H)`` - handy for evaluating *any* candidate subgraph, not
@@ -38,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro._types import EdgeId, Vertex
-from repro.engine.base import UNREACHABLE, distances_equal
+from repro.engine.base import distances_equal, fault_candidates
 from repro.engine.registry import get_engine
 from repro.errors import VerificationError
 from repro.graphs.graph import Graph
@@ -138,40 +149,6 @@ def verify_structure(
     )
 
 
-def _fault_candidates(
-    graph: Graph,
-    base_g: Sequence[int],
-    h_edges: Set[EdgeId],
-    skip: Set[EdgeId],
-) -> List[EdgeId]:
-    """Edges whose failure could matter, in edge-id order.
-
-    An edge failure in G changes some distance only if the edge is
-    "BFS-critical"; rather than guess, check every fault-prone edge of G.
-    Edges outside H with unchanged G-distances are skipped via a quick
-    necessity filter: e = (u, v) can only matter if it is tight in G
-    (lies on some shortest path: dist(u) + 1 == dist(v) or vice versa).
-    """
-    if type(base_g) is not list:
-        # Python ints: scalar indexing into a numpy array costs ~3x more
-        # per edge, and this loop reads two entries per edge of G.
-        base_g = base_g.tolist()
-    candidates: List[EdgeId] = []
-    for eid, u, v in graph.edges():
-        if eid in skip:
-            continue  # reinforced edges never fail
-        du, dv = base_g[u], base_g[v]
-        tight = (
-            (du != UNREACHABLE and dv == du + 1)
-            or (dv != UNREACHABLE and du == dv + 1)
-        )
-        if not tight and eid not in h_edges:
-            # Removing a non-tight, non-structure edge changes neither side.
-            continue
-        candidates.append(eid)
-    return candidates
-
-
 def verify_subgraph(
     graph: Graph,
     source: Vertex,
@@ -200,14 +177,18 @@ def verify_subgraph(
     _compare(None, base_h, base_g, violations, max_violations)
     if len(violations) >= max_violations:
         return VerificationReport(False, checked, violations)
+    base_ok = not violations
 
     # --- failures (two batched sweeps, consumed in lockstep) -------------
     # Early exit on max_violations just stops consuming the pair stream.
     for eid, dist_g, dist_h in pairs(
-        _fault_candidates(graph, base_g, h_edges, e_prime)
+        fault_candidates(graph, base_g, h_edges, e_prime)
     ):
         checked += 1
-        if distances_equal(dist_h, dist_g):
+        if dist_g is base_g and dist_h is base_h:
+            if base_ok:
+                continue  # changes neither side: the no-failure verdict
+        elif distances_equal(dist_h, dist_g):
             continue
         _compare(eid, dist_h, dist_g, violations, max_violations)
         if len(violations) >= max_violations:
@@ -246,11 +227,16 @@ def unprotected_edges(
     """
     eng = get_engine(engine)
     h_edges: Set[EdgeId] = set(structure_edges)
-    base_g, _base_h, pairs = _two_sided_sweep(eng, graph, source, h_edges)
+    base_g, base_h, pairs = _two_sided_sweep(eng, graph, source, h_edges)
+    base_ok = distances_equal(base_h, base_g)
     result: Set[EdgeId] = set()
     for eid, dist_g, dist_h in pairs(
-        _fault_candidates(graph, base_g, h_edges, set())
+        fault_candidates(graph, base_g, h_edges, set())
     ):
-        if not distances_equal(dist_h, dist_g):
-            result.add(eid)
+        if dist_g is base_g and dist_h is base_h:
+            if base_ok:
+                continue  # changes neither side: the no-failure verdict
+        elif distances_equal(dist_h, dist_g):
+            continue
+        result.add(eid)
     return result

@@ -130,6 +130,7 @@ __all__ = [
     "SweepHandle",
     "UNREACHABLE",
     "distances_equal",
+    "fault_candidates",
     "num_unreachable",
     "replacement_failure",
     "ReplacementRows",
@@ -204,11 +205,19 @@ class SweepHandle:
     """A prepared failure sweep: one base traversal, many failures.
 
     Obtained from :meth:`TraversalEngine.sweep`.  ``base_distances`` is
-    the no-failure distance vector (computed once and shared with every
-    no-op failure); ``failed(eid)`` is the distance vector after failing
-    ``eid``.  Ids that do not name an edge of the (masked) graph ban
-    nothing, exactly like the reference BFS's ``banned_edge`` filter.
-    Returned vectors may be shared - treat them as read-only.
+    the no-failure distance vector (computed once); ``failed(eid)`` is
+    the distance vector after failing ``eid``.  Ids that do not name an
+    edge of the (masked) graph ban nothing, exactly like the reference
+    BFS's ``banned_edge`` filter.  Returned vectors may be shared - treat
+    them as read-only.
+
+    For a failure that changes nothing (an edge off the base tree, an
+    edge the mask leaves out, an id that names no edge) the array
+    handles return the ``base_distances`` object itself, while the
+    reference handle returns an equal fresh list.  So ``failed(eid) is
+    base_distances()`` proves the failure a no-op, but its absence
+    proves nothing: callers may use identity only as a shortcut, never
+    as a correctness test.
     """
 
     def base_distances(self) -> Sequence[int]:
@@ -595,6 +604,52 @@ def replacement_failure(
     return ReplacementRows(
         [eid], [child], [0, size], hop, pert, parent, parent_eid
     )
+
+
+def fault_candidates(
+    graph: Graph,
+    dist: Sequence[int],
+    listed: Set[EdgeId],
+    skip: Set[EdgeId],
+) -> List[EdgeId]:
+    """The edges a verification fails one at a time, in edge-id order:
+    every edge of ``listed`` (the structure ``H``) or tight in ``dist``
+    (``G``'s no-failure hop distances), minus ``skip`` (the reinforced
+    edges, which never fail).  Ids in ``listed`` or ``skip`` that name
+    no edge are ignored.
+
+    An edge ``(u, v)`` is tight when ``dist(u) + 1 == dist(v)`` or vice
+    versa, so it lies on some shortest path: an edge of ``G`` outside
+    ``H`` that is not tight changes neither side when it fails.  A list
+    ``dist`` (the python engine's) runs the per-edge loop; an array
+    runs one array pass over the graph's cached CSR endpoint arrays,
+    taking ``listed`` and ``skip`` through the csr engine's id filter so
+    that an id naming no edge neither raises nor wraps onto an edge.
+    """
+    if type(dist) is not list:
+        from repro.engine.csr import csr_view
+        from repro.engine.csr_engine import _valid_ids
+
+        csr = csr_view(graph)
+        du, dv = dist[csr.edge_u], dist[csr.edge_v]
+        keep = ((du != UNREACHABLE) & (dv == du + 1)) | (
+            (dv != UNREACHABLE) & (du == dv + 1)
+        )
+        keep[_valid_ids(listed, csr.num_edges)] = True
+        keep[_valid_ids(skip, csr.num_edges)] = False
+        return keep.nonzero()[0].tolist()
+    candidates: List[EdgeId] = []
+    for eid, u, v in graph.edges():
+        if eid in skip:
+            continue
+        du, dv = dist[u], dist[v]
+        tight = (
+            (du != UNREACHABLE and dv == du + 1)
+            or (dv != UNREACHABLE and du == dv + 1)
+        )
+        if tight or eid in listed:
+            candidates.append(eid)
+    return candidates
 
 
 def distances_equal(a: Sequence[int], b: Sequence[int]) -> bool:

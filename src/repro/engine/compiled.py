@@ -68,7 +68,7 @@ from repro._types import EdgeId, Vertex
 from repro.engine import cbuild
 from repro.engine.csr import CSRAdjacency, csr_view
 from repro.engine.csr_engine import CSREngine, _edge_ok_mask, _vertex_ok_mask
-from repro.engine.kernels import FailureSweep
+from repro.engine.kernels import FailureSweep, _tree_edge_children
 from repro.engine.python_engine import _check_source
 from repro.engine.weighted_kernels import SeedArrays
 from repro.errors import GraphError
@@ -122,9 +122,10 @@ class CompiledFailureSweep(FailureSweep):
 
     Construction performs the ordered base BFS *and* the Euler walk in
     one foreign call; ``_recompute_subtree`` fills the post-failure
-    distance vector in another.  All derived state (``tree_child``,
-    the no-op-failure short-circuits) is inherited - the arrays have
-    the same dtypes, shapes, and values as the numpy sweep's.
+    distance vector in another.  ``tree_child`` and ``failed`` (with
+    its no-op short-circuit) are inherited and read the same tree-edge
+    map - the arrays have the same dtypes, shapes, and values as the
+    numpy sweep's.
     ``kernels=None`` (the library failed to load) runs entirely on the
     inherited numpy paths.
     """
@@ -176,6 +177,7 @@ class CompiledFailureSweep(FailureSweep):
         self.base.setflags(write=False)
         self._parent = parent
         self._parent_eid = parent_eid
+        self._child_of = _tree_edge_children(parent_eid)
         self._tin = tin
         self._tout = tout
         self._preorder = preorder[:visited]

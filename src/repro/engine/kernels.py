@@ -17,7 +17,7 @@ restricted to the subtree, seeded from its surviving crossing edges.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,12 +124,21 @@ def bfs_levels_ordered(
     return dist, parent, parent_eid, level_order
 
 
+def _tree_edge_children(parent_eid: np.ndarray) -> Dict[int, int]:
+    """``{edge id: child}`` over the tree edges of a BFS parent-edge array
+    (``-1`` at the source and at unreached vertices)."""
+    children = np.flatnonzero(parent_eid >= 0)
+    return dict(zip(parent_eid[children].tolist(), children.tolist()))
+
+
 class FailureSweep(SweepHandle):
     """Hop distances under single-edge failures, reusing one base BFS tree.
 
     ``edge_ok`` (optional) masks the graph down to a structure ``H``; the
     sweep then answers ``dist(source, ., H \\ {e})``.  Vectors returned
     for no-op failures are the *shared* base array - treat as read-only.
+    ``_child_of`` maps each base-tree edge id to its deeper endpoint; an
+    id that names no edge, or an edge the mask leaves out, is never a key.
     """
 
     def __init__(
@@ -146,6 +155,7 @@ class FailureSweep(SweepHandle):
             csr, source, edge_ok=edge_ok
         )
         self.base.setflags(write=False)
+        self._child_of = _tree_edge_children(self._parent_eid)
         self._tin, self._tout, self._preorder = self._euler(level_order)
 
     def _euler(
@@ -178,29 +188,26 @@ class FailureSweep(SweepHandle):
 
     def tree_child(self, eid: int) -> Optional[int]:
         """The deeper endpoint of ``eid`` if it is a base-tree edge, else None."""
-        u = int(self.csr.edge_u[eid])
-        v = int(self.csr.edge_v[eid])
-        if self._parent_eid[u] == eid:
-            return u
-        if self._parent_eid[v] == eid:
-            return v
-        return None
+        return self._child_of.get(eid)
 
     def base_distances(self) -> np.ndarray:
         """The no-failure distance vector (read-only, shared)."""
         return self.base
 
     def failed(self, eid: int) -> np.ndarray:
-        """Hop distances after failing edge ``eid``; shares ``base`` when
-        the failure provably changes nothing."""
-        if not 0 <= eid < self.csr.num_edges:
-            return self.base  # id names no edge: bans nothing (parity)
-        if self.edge_ok is not None and not self.edge_ok[eid]:
-            return self.base  # edge absent from the masked graph
-        child = self.tree_child(eid)
+        """Hop distances after failing edge ``eid``.
+
+        A failure off the base tree changes nothing - the tree certifies
+        every distance without it, and a removal cannot shrink one - so
+        it returns ``base`` itself; so do ids that name no edge (they ban
+        nothing, as in the reference BFS) and edges the mask leaves out.
+        A tree-edge failure returns a fresh array.  The reference handle
+        returns fresh lists throughout, so callers may read ``is base``
+        only as a shortcut, never as a correctness test
+        (:class:`~repro.engine.base.SweepHandle`).
+        """
+        child = self._child_of.get(eid)
         if child is None:
-            # Non-tree edge: the base tree certifies every distance
-            # without it, and removal cannot shrink any distance.
             return self.base
         return self._recompute_subtree(eid, child)
 

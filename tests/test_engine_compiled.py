@@ -351,3 +351,45 @@ class TestParity:
         assert got.ok == ref.ok
         assert got.checked_failures == ref.checked_failures
         assert got.violations == ref.violations
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("tier", [
+    pytest.param("c", marks=requires_cc),
+    "numpy",
+])
+def test_sweep_handle_returns_its_base_for_no_op_failures(tier, masked):
+    """The handle contract verify's no-op shortcut reads: ``failed(e) is
+    base_distances()`` for every non-tree edge, every masked-out edge
+    and every id that names no edge; a base-tree edge gives a fresh
+    array equal to the python BFS under that failure.  The tree-edge
+    map behind ``tree_child`` agrees with the endpoint test it replaced."""
+    graph = connected_gnp_graph(60, 0.1, seed=4)
+    m = graph.num_edges
+    allowed = {e for e in range(m) if e % 3} if masked else None
+    eng = CompiledEngine() if tier == "c" else CSREngine()
+    handle = eng.sweep(graph, 0, allowed_edges=allowed)
+    if tier == "c":
+        assert handle._kernels is not None
+    base = handle.base_distances()
+    csr, parent_eid = handle.csr, handle._parent_eid
+    python = get_engine("python")
+    tree_edges = 0
+    for eid in range(m):
+        u, v = int(csr.edge_u[eid]), int(csr.edge_v[eid])
+        child = u if parent_eid[u] == eid else v if parent_eid[v] == eid else None
+        assert handle.tree_child(eid) == child
+        out = handle.failed(eid)
+        if child is None:
+            assert out is base
+            continue
+        tree_edges += 1
+        assert allowed is None or eid in allowed
+        assert out is not base and out.flags.writeable
+        assert out.tolist() == python.distances(
+            graph, 0, banned_edge=eid, allowed_edges=allowed
+        )
+    assert tree_edges == sum(1 for d in base.tolist() if d > 0)
+    for eid in (-1, m, 10**9):
+        assert handle.tree_child(eid) is None
+        assert handle.failed(eid) is base

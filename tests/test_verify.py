@@ -1,5 +1,7 @@
 """Tests for the verification oracle - including negative (sabotage) tests."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -9,6 +11,9 @@ from repro.core import (
     verify_structure,
     verify_subgraph,
 )
+from repro.engine import available_engines, get_engine
+from repro.engine.base import fault_candidates
+from repro.engine.cbuild import CC_ENV_VAR
 from repro.errors import VerificationError
 from repro.graphs import (
     Graph,
@@ -18,6 +23,25 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
+
+from tests.test_pcons import FAMILIES
+
+PY = get_engine("python")
+
+_needs_csr = pytest.mark.skipif(
+    "csr" not in available_engines(), reason="csr needs numpy"
+)
+
+
+@pytest.fixture(params=[
+    pytest.param("csr", marks=_needs_csr),
+    pytest.param("numpy", marks=_needs_csr),
+])
+def array_engine(request, monkeypatch):
+    """The engine name to verify on: csr, or csr on its numpy tier."""
+    if request.param == "numpy":
+        monkeypatch.setenv(CC_ENV_VAR, "0")
+    return "csr"
 
 
 class TestPositive:
@@ -188,3 +212,127 @@ class TestEngineResolution:
         assert _resolve_engine(g, None) is get_engine()
         for name in available_engines():
             assert _resolve_engine(g, name) is get_engine(name)
+
+
+def _report_fields(report):
+    return report.ok, report.checked_failures, report.violations
+
+
+def _tree_eids(graph, allowed_edges=None):
+    parents = PY.parents(graph, 0, allowed_edges=allowed_edges)
+    return {graph.edge_id(v, p) for v, p in parents.items() if v != p}
+
+
+def _broken_structure(family):
+    """``(H, E')`` on ``FAMILIES[family]``: T0 plus a random third of
+    all edges, with up to two T0 edges dropped whose loss changes the
+    no-failure distances, and a random fifth of H reinforced."""
+    graph = FAMILIES[family]
+    rng = random.Random(family)
+    tree = _tree_eids(graph)
+    h_edges = tree | {
+        e for e in range(graph.num_edges) if rng.random() < 1 / 3
+    }
+    base = PY.distances(graph, 0)
+    drops = 0
+    for eid in rng.sample(sorted(tree), len(tree)):
+        if PY.distances(graph, 0, allowed_edges=h_edges - {eid}) != base:
+            h_edges.discard(eid)
+            drops += 1
+            if drops == 2:
+                break
+    e_prime = {e for e in sorted(h_edges) if rng.random() < 0.2}
+    return graph, h_edges, e_prime
+
+
+class TestNoOpFailures:
+    """A failure off both sides' base trees is decided by the no-failure
+    verdict on the array engines; reports stay the python spec's."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_replayed_no_failure_violations(self, family, array_engine):
+        """H misses T0 edges, so every no-op failure repeats the
+        no-failure violations: in full, and cut by ``max_violations``
+        at a no-op candidate."""
+        graph, h_edges, e_prime = _broken_structure(family)
+        full = verify_subgraph(
+            graph, 0, h_edges, e_prime, max_violations=10**6, engine="python"
+        )
+        got = verify_subgraph(
+            graph, 0, h_edges, e_prime, max_violations=10**6,
+            engine=array_engine,
+        )
+        assert _report_fields(got) == _report_fields(full)
+        assert unprotected_edges(
+            graph, 0, h_edges, engine=array_engine
+        ) == unprotected_edges(graph, 0, h_edges, engine="python")
+        if graph.num_edges == 0:
+            return
+        assert not full.ok and full.violations[0].failed_edge is None
+        base_trees = _tree_eids(graph) | _tree_eids(graph, h_edges)
+        cuts = [
+            i for i, viol in enumerate(full.violations)
+            if viol.failed_edge is not None
+            and viol.failed_edge not in base_trees
+        ]
+        if not cuts:  # every candidate fails a base-tree edge
+            return
+        # Stop at the first violation of the last no-op candidate.
+        last = full.violations[cuts[-1]].failed_edge
+        cut = next(i for i in cuts if full.violations[i].failed_edge == last)
+        ref = verify_subgraph(
+            graph, 0, h_edges, e_prime, max_violations=cut + 1,
+            engine="python",
+        )
+        assert ref.violations == full.violations[: cut + 1]
+        got = verify_subgraph(
+            graph, 0, h_edges, e_prime, max_violations=cut + 1,
+            engine=array_engine,
+        )
+        assert _report_fields(got) == _report_fields(ref)
+
+    def test_ids_that_name_no_edge(self, array_engine):
+        """Ids in H and E' that name no edge ban nothing on every path:
+        ``m + 5`` and ``-3`` in H must not raise, and ``-1`` in E' must
+        not wrap onto edge ``m - 1`` (one checked failure short)."""
+        graph = connected_gnp_graph(30, 0.15, seed=6)
+        m = graph.num_edges
+        tree = _tree_eids(graph)
+        for h_edges in (
+            set(range(m)),
+            tree | {m - 1},
+            tree - {min(tree)} | {m - 1},
+        ):
+            h_edges |= {m + 5, -3}
+            ref = verify_subgraph(
+                graph, 0, h_edges, {-1}, max_violations=10**6,
+                engine="python",
+            )
+            got = verify_subgraph(
+                graph, 0, h_edges, {-1}, max_violations=10**6,
+                engine=array_engine,
+            )
+            assert _report_fields(got) == _report_fields(ref)
+            assert unprotected_edges(
+                graph, 0, h_edges, engine=array_engine
+            ) == unprotected_edges(graph, 0, h_edges, engine="python")
+        assert ref.checked_failures > 1 and not ref.ok
+        assert verify_subgraph(
+            graph, 0, set(range(m)), {-1}, engine=array_engine
+        ).checked_failures == m + 1
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_candidate_loop_and_array_pass_agree(self, family):
+        np = pytest.importorskip("numpy")
+        graph, h_edges, e_prime = _broken_structure(family)
+        m = graph.num_edges
+        dist = PY.distances(graph, 0)
+        for listed, skip in (
+            (h_edges, e_prime),
+            (h_edges | {-3, m, m + 5, 10**30}, e_prime | {-1, m, -(10**30)}),
+            (set(), set()),
+        ):
+            expected = fault_candidates(graph, dist, listed, skip)
+            assert fault_candidates(
+                graph, np.asarray(dist, dtype=np.int64), listed, skip
+            ) == expected
