@@ -48,12 +48,10 @@ from repro.core import (
     CostModel,
     FTBFSStructure,
     MBFSStructure,
-    VertexFaultStructure,
     build_epsilon_ftbfs,
     build_epsilon_ftbfs_traced,
     build_ft_mbfs,
     build_ftbfs13,
-    build_vertex_fault_ftbfs,
     greedy_reinforcement,
     optimal_epsilon_theory,
     optimize_epsilon,
@@ -61,7 +59,6 @@ from repro.core import (
     unprotected_edges,
     verify_structure,
     verify_subgraph,
-    verify_vertex_fault,
 )
 from repro.engine import (
     available_engines,
@@ -71,7 +68,6 @@ from repro.engine import (
     set_default_engine,
 )
 from repro.io import structure_from_json, structure_to_json
-from repro.spt import DistanceSensitivityOracle
 
 __version__ = "1.0.0"
 
@@ -106,12 +102,10 @@ __all__ = [
     "CostModel",
     "FTBFSStructure",
     "MBFSStructure",
-    "VertexFaultStructure",
     "build_epsilon_ftbfs",
     "build_epsilon_ftbfs_traced",
     "build_ft_mbfs",
     "build_ftbfs13",
-    "build_vertex_fault_ftbfs",
     "greedy_reinforcement",
     "optimal_epsilon_theory",
     "optimize_epsilon",
@@ -119,8 +113,6 @@ __all__ = [
     "unprotected_edges",
     "verify_structure",
     "verify_subgraph",
-    "verify_vertex_fault",
     "structure_from_json",
     "structure_to_json",
-    "DistanceSensitivityOracle",
 ]

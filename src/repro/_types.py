@@ -9,7 +9,7 @@ The library identifies vertices and edges by dense integer ids:
 Keeping these as plain integers (rather than wrapper classes) is an
 intentional performance decision: the construction algorithms touch
 millions of vertex/edge ids and attribute access on wrapper objects would
-dominate the runtime (see the profiling notes in DESIGN.md).
+dominate the runtime.
 """
 
 from __future__ import annotations

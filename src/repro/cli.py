@@ -63,6 +63,7 @@ from repro.harness import (
     PipelineRunner,
     artifacts_dir,
     experiment_ids,
+    get_spec,
     save_record,
     workload,
     workload_names,
@@ -250,21 +251,28 @@ def _cmd_run(
     fresh: bool,
     engine: Optional[str],
 ) -> int:
+    from repro.errors import ExperimentError
+
     requested: List[str] = []
     for eid in ids:
         if eid.lower() == "all":
             requested = experiment_ids()
             break
         requested.append(eid.upper())
+    # Every id resolves before any experiment runs, so a typo fails fast.
+    try:
+        specs = [get_spec(eid) for eid in requested]
+    except ExperimentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     runner = PipelineRunner(
         jobs=jobs,
         cache_dir=artifacts_dir() if save else None,
         engine=engine,
         fresh=fresh,
     )
-    status = 0
-    for eid in requested:
-        record = runner.run(eid, quick=quick, seed=seed)
+    for spec in specs:
+        record = runner.run(spec, quick=quick, seed=seed)
         print(record.render())
         cached = record.params.get("cached", 0)
         resumed = f", {cached} cached" if cached else ""
@@ -275,7 +283,7 @@ def _cmd_run(
         if save:
             path = save_record(record)
             print(f"  saved -> {path}\n")
-    return status
+    return 0
 
 
 def _build_query_tree(graph, source: int, seed: int):

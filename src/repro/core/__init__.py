@@ -33,12 +33,6 @@ from repro.core.pcons import PconsResult, PconsStats, run_pcons
 from repro.core.phase_s1 import S1Result, classify_pairs, run_phase_s1
 from repro.core.phase_s2 import S2Result, run_phase_s2
 from repro.core.structure import ConstructStats, FTBFSStructure
-from repro.core.vertex_fault import (
-    VertexFaultReport,
-    VertexFaultStructure,
-    build_vertex_fault_ftbfs,
-    verify_vertex_fault,
-)
 from repro.core.verify import (
     VerificationReport,
     Violation,
@@ -82,10 +76,6 @@ __all__ = [
     "run_phase_s2",
     "ConstructStats",
     "FTBFSStructure",
-    "VertexFaultReport",
-    "VertexFaultStructure",
-    "build_vertex_fault_ftbfs",
-    "verify_vertex_fault",
     "VerificationReport",
     "Violation",
     "unprotected_edges",

@@ -6,12 +6,13 @@ replacement path ``P_{v,e} in SP(s, v, G \\ {e})``:
 1. *Covered test.*  If some replacement path ends with a ``T0`` edge
    (formally: ``dist(s, v, G'(v) \\ {e}) = dist(s, v, G \\ {e})`` with
    ``G'(v) = (G \\ E(v, G)) + E(v, T0)``), the pair is covered and the
-   last edge is that tree edge.  Implementation note (proved equivalent in
-   DESIGN.md section 3 and asserted by tests): the test reduces to
-   checking whether some tree edge ``(w, v) != e`` is *tight*, i.e.
+   last edge is that tree edge.  Implementation note: the test reduces
+   to checking whether some tree edge ``(w, v) != e`` is *tight*, i.e.
    ``dist(s, w, G\\e) + W(w, v) == dist(s, v, G\\e)`` - shortest-path
    prefixes cannot pass through ``v``, and uniqueness of ``W``-shortest
-   paths means at most one tree edge can be tight.
+   paths means at most one tree edge can be tight.  A brute force
+   checks the equivalence:
+   ``tests/test_pcons.py::TestCoveredPairs::test_covered_definition_via_bruteforce``.
 2. *Uncovered pairs.*  Otherwise ``P_{v,e}`` must be *new-ending*; per the
    paper it is chosen with its (unique, Claim 4.4) divergence point as
    close to ``s`` as possible: ``j* = min{j <= i : dist(s,v,G_j(v)) =

@@ -3,10 +3,11 @@
 The paper decomposes ``pi(s, v)`` into ``k' = floor(log2 |pi(s, v)|)``
 subsegments of exponentially decreasing length: segment ``j`` ends at the
 vertex ``u_{i_j}`` at distance ``ceil(sum_{l=1..j} |pi|/2^l)`` from ``s``
-(Eq. 5).  Deviation (documented in DESIGN.md): the paper's boundaries can
-leave the last couple of edges of the path outside every segment; we
-extend the final segment to reach ``v`` so the segments tile the whole
-path.  The Eq. 5 invariants
+(Eq. 5).  Deviation (asserted by
+``tests/test_segments.py::TestTiling::test_segments_tile_path``): the
+paper's boundaries can leave the last couple of edges of the path
+outside every segment; we extend the final segment to reach ``v`` so the
+segments tile the whole path.  The Eq. 5 invariants
 
 ``|pi_j| >= floor(|pi| / 2^(j-1) / 2)``  and
 ``sum_{j' > j} |pi_j'| >= |pi_j| / 2  - O(1)``

@@ -2,7 +2,7 @@
 
 This package is the substrate the scaling roadmap plugs into.  Every
 hop-BFS and failure sweep in the library - :mod:`repro.spt.bfs`, the
-verification oracle, the failure simulator, the experiment harness -
+verification oracle, the experiment harness -
 routes through a :class:`~repro.engine.base.TraversalEngine` resolved by
 the registry, instead of hand-rolled per-call-site loops.
 
@@ -25,13 +25,12 @@ Engine contract (details in :mod:`repro.engine.base`)
   the shared reference implementation.  Given ``targets``, an unseeded
   run stops at their hop radius.  Each engine reports its weighted
   capability via ``weighted_backend`` (shown by ``repro engines``).
-* ``weighted_failure_sweep`` / ``batched_seeded_shortest_paths``: the
-  batched replacement subsystem - replacement rows for *all* tree-edge
-  failures (``ReplacementRows``, the oracle snapshot's layout), and many
-  independent seeded weighted traversals, in one amortized pass.  The
-  reference implementations are the per-call loops; the csr engine
-  stacks the runs into shared per-level kernels.  Reported via
-  ``replacement_backend``.
+* ``weighted_failure_sweep``: the batched replacement sweep -
+  replacement rows for *all* tree-edge failures (``ReplacementRows``,
+  the oracle snapshot's layout) in one amortized pass.  The reference
+  implementation is the per-edge loop of ``replacement_failure``; the
+  csr engine stacks the subtree recomputes into shared per-level
+  kernels.  Reported via ``replacement_backend``.
 * ``batched_shortest_paths``: the Pcons detour batch.  It takes T0
   paths and yields each detour search's escape table
   (``DetourEscapes``: per path vertex, the cheapest way off the path)

@@ -418,7 +418,6 @@ typedef struct {
     const uint8_t *edge_ok;
     const uint8_t *vertex_ok;
     const uint8_t *allowed_ok;
-    const int64_t *banned_eid;
     uint8_t *settled;
     int64_t *hop_t;
     int64_t *pert_t;
@@ -448,7 +447,7 @@ typedef struct {
  * nx[*nlen ..); an unlabeled one leaves *udeg.  Returns 1 on the tie
  * event, else 0. */
 static int64_t top_down_step(
-    const wl_graph *g, int64_t off, int64_t ban, int64_t lvl,
+    const wl_graph *g, int64_t off, int64_t lvl,
     const wl_entry *act, int64_t alen, int64_t *nx, int64_t *nlen,
     int64_t *udeg)
 {
@@ -459,7 +458,6 @@ static int64_t top_down_step(
         int64_t pv = g->pert_t[v];
         for (int64_t k = indptr[local]; k < indptr[local + 1]; k++) {
             int64_t e = g->edge_ids[k];
-            if (e == ban) continue;
             if (g->edge_ok && !g->edge_ok[e]) continue;
             int64_t x = g->indices[k];
             int64_t w = x + off;
@@ -496,7 +494,7 @@ static int64_t top_down_step(
  * and tie rule.  Labeled vertices join nx[*nlen ..), leave *udeg and
  * drop off the list.  Returns 1 on the tie event, else 0. */
 static int64_t bottom_up_step(
-    const wl_graph *g, int64_t off, int64_t ban, int64_t lvl,
+    const wl_graph *g, int64_t off, int64_t lvl,
     int64_t *unv, int64_t *ucnt, bu_cand *cand, int64_t *nx,
     int64_t *nlen, int64_t *udeg)
 {
@@ -512,7 +510,6 @@ static int64_t bottom_up_step(
             int64_t u = g->indices[k] + off;
             if (!g->settled[u] || g->hop_t[u] != lvl) continue;
             int64_t e = g->edge_ids[k];
-            if (e == ban) continue;
             if (g->edge_ok && !g->edge_ok[e]) continue;
             cand[nc].key.pert = g->pert_t[u];
             cand[nc].key.id = u;
@@ -574,7 +571,6 @@ static int64_t run_layer(
 {
     const int64_t n_base = g->n_base, off = b * n_base;
     const int64_t *indptr = g->indptr;
-    const int64_t ban = g->banned_eid ? g->banned_eid[b] : -1;
     int64_t *fr = s->fr, *nx = s->nx;
 
     /* The unvisited list: the layer's unlabeled allowed vertices, and
@@ -612,12 +608,11 @@ static int64_t run_layer(
             return 0;  /* lvl is the radius: settled, not expanded */
         int64_t nlen = 0, rc;
         if (bottom_up && BU_COST * udeg < fdeg) {
-            rc = bottom_up_step(g, off, ban, lvl, s->unv, &ucnt, s->cand,
-                                nx, &nlen, &udeg);
+            rc = bottom_up_step(g, off, lvl, s->unv, &ucnt, s->cand, nx,
+                                &nlen, &udeg);
         } else {
             sort_keyed(s->act, alen, sizeof(wl_entry));
-            rc = top_down_step(g, off, ban, lvl, s->act, alen, nx, &nlen,
-                               &udeg);
+            rc = top_down_step(g, off, lvl, s->act, alen, nx, &nlen, &udeg);
         }
         if (rc != 0)
             return rc;
@@ -638,8 +633,6 @@ static int64_t run_layer(
  * the allowed set - or out of array range entirely - is refused before
  * it touches anything; both bail (see below).  The surviving
  * per-vertex labels, sorted by (hop, id), form the drain schedule.
- * banned_eid (optional, length B) drops layer b's one banned edge id,
- * exactly like the stacked expander.
  *
  * Layers share no vertex and a tie in any of them hands the whole call
  * back, so the layers run one after another (run_layer), each on its
@@ -655,12 +648,12 @@ static int64_t run_layer(
  * - bottom-up, in source runs only (every seed at hop 0: the Pcons
  *   detour searches, build_spt, csr shortest_paths): each unlabeled
  *   allowed vertex scans its own edges for neighbours settled at this
- *   level, through the same filters (the layer's banned edge, edge_ok,
- *   and - on the vertex itself - vertex_ok and allowed_ok), sorts them
- *   by the neighbours' (pert, id) and replays them through the same
- *   running minimum and tie rule.  The graph is simple, so each
- *   neighbour offers one candidate, and top-down would deliver the
- *   vertex exactly these candidates in exactly this order.  The replay
+ *   level, through the same filters (edge_ok, and - on the vertex
+ *   itself - vertex_ok and allowed_ok), sorts them by the neighbours'
+ *   (pert, id) and replays them through the same running minimum and
+ *   tie rule.  The graph is simple, so each neighbour offers one
+ *   candidate, and top-down would deliver the vertex exactly these
+ *   candidates in exactly this order.  The replay
  *   keeps that order, not the adjacency order, because the tie event
  *   depends on it: arrivals (5, 3, 5) never tie, (5, 5, 3) do.
  *
@@ -714,7 +707,6 @@ int64_t repro_weighted_levels(
     const uint8_t *edge_ok,
     const uint8_t *vertex_ok,
     const uint8_t *allowed_ok,
-    const int64_t *banned_eid,
     const int64_t *tgt_ptr,
     const int64_t *tgt,
     int64_t nseeds,
@@ -798,8 +790,8 @@ int64_t repro_weighted_levels(
         /* end[b] is now where layer b's run starts. */
         const wl_graph g = {
             n_base, indptr, indices, edge_ids, pert_edge, edge_ok,
-            vertex_ok, allowed_ok, banned_eid, settled, hop_t, pert_t,
-            parent, parent_eid,
+            vertex_ok, allowed_ok, settled, hop_t, pert_t, parent,
+            parent_eid,
         };
         for (int64_t b = 0; b < n_layers && rc == 0; b++) {
             int64_t lo = end[b], hi = b + 1 < n_layers ? end[b + 1] : nsched;

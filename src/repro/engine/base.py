@@ -60,23 +60,18 @@ Contract
   :meth:`~repro.spt.result.ShortestPathResult.from_levels` results,
   whose big-int ``dist`` list is built on first read;
   ``dist_at(v)`` reads one distance without building it.
-* **Batched replacement primitives** (PR 4).  ``weighted_failure_sweep``
+* **The batched replacement sweep** (PR 4).  ``weighted_failure_sweep``
   yields, for the failed tree edges of a
   :class:`~repro.spt.spt_tree.ShortestPathTree`, the replacement rows
   over each failed subtree - the weighted analogue of ``failure_sweep``
   - in :class:`ReplacementRows` blocks; only the concatenated rows, not
-  the blocking, are part of the contract.
-  ``batched_seeded_shortest_paths`` runs many independent seeded
-  traversals (the vertex-fault subtree recomputes) through one
-  amortized path.  The
-  reference implementations *are* the per-call loops below, so parity
-  between the per-call and batched paths holds by construction on the
-  python engine; array backends must reproduce them bit-identically
-  (rows, parent maps, big-int distances, tie/error *kinds* - which of
-  several simultaneous ties raises first is not part of the contract,
-  only that one does).  Backends advertise these paths via
-  :attr:`TraversalEngine.replacement_backend` and
-  :attr:`TraversalEngine.detour_backend`.
+  the blocking, are part of the contract.  The reference implementation
+  *is* the per-edge loop below, so parity between the per-edge and
+  batched paths holds by construction on the python engine; array
+  backends must reproduce it bit-identically (rows, big-int distances,
+  tie/error *kinds* - which of several simultaneous ties raises first
+  is not part of the contract, only that one does).  Backends
+  advertise the path via :attr:`TraversalEngine.replacement_backend`.
 * **The Pcons detour batch.**  ``batched_shortest_paths`` takes T0
   paths ``[u_0, ..., u_k = v]`` and yields one :class:`DetourEscapes`
   per path, in order: the search from ``v`` that bans ``u_0 ..
@@ -86,10 +81,11 @@ Contract
   that walk a chosen detour back to ``v``.  The reference is
   :func:`reference_escapes` per path; array backends compute the
   tables straight from their stacked state and must match it bit for
-  bit, tie and error kinds included.  The method keeps its historical
-  name, though it no longer yields search results, because the
-  benchmark's layer trace (``perfbench/layers.py``) times it under that
-  name; the rename waits for the next change to the benchmark.
+  bit, tie and error kinds included.  Backends advertise the path via
+  :attr:`TraversalEngine.detour_backend`.  The method keeps its
+  historical name, though it no longer yields search results, because
+  the benchmark's layer trace (``perfbench/layers.py``) times it under
+  that name; the rename waits for the next change to the benchmark.
 * **Phase S1 interference** (not a traversal, but Phase S1's hot loop).
   ``exists_live_partners`` answers, for each pair id of an
   :class:`~repro.core.interference.InterferenceIndex`, whether some
@@ -134,7 +130,6 @@ __all__ = [
     "num_unreachable",
     "replacement_failure",
     "ReplacementRows",
-    "SeedBatch",
     "DetourEscapes",
     "check_detour_path",
     "detour_targets",
@@ -191,11 +186,6 @@ class DetourEscapes(NamedTuple):
     parent: Sequence[int]
     parent_eid: Sequence[int]
 
-
-#: One batch of ``batched_seeded_shortest_paths``: ``(seeds,
-#: allowed_vertices, banned_edge)`` with the same semantics as a single
-#: ``seeded_shortest_paths`` call.
-SeedBatch = Tuple[Sequence[Tuple[int, Vertex, Vertex, EdgeId]], Set[Vertex], Optional[EdgeId]]
 
 #: Sentinel hop distance for unreachable vertices (shared by all engines).
 UNREACHABLE = -1
@@ -405,28 +395,6 @@ class TraversalEngine:
         for path in paths:
             yield reference_escapes(
                 self.shortest_paths, graph, weights, path, neighbor_sets
-            )
-
-    def batched_seeded_shortest_paths(
-        self,
-        graph: Graph,
-        weights,
-        batches: Iterable[SeedBatch],
-    ):
-        """Independent boundary-seeded Dijkstras, amortized.
-
-        ``batches`` holds ``(seeds, allowed_vertices, banned_edge)``
-        triples; yields one result per batch, in order, each
-        bit-identical to the corresponding ``seeded_shortest_paths``
-        call (a batch with no seeds settles nothing).  Lazy.
-        """
-        for seeds, allowed_vertices, banned_edge in batches:
-            yield self.seeded_shortest_paths(
-                graph,
-                weights,
-                list(seeds),
-                allowed_vertices=allowed_vertices,
-                banned_edge=banned_edge,
             )
 
     # -- Phase S1 interference -----------------------------------------

@@ -4,9 +4,9 @@
 It subclasses the numpy :class:`~repro.engine.csr_engine.CSREngine` and
 replaces the kernels the library spends its time in - the sweep hot
 pair (ordered base BFS + Euler walk, per-failure subtree recompute) and
-the weighted ``(hops, pert_sum)`` level relaxation behind ``run_pcons``,
-``weighted_failure_sweep``, and the batched shortest-path primitives -
-with the flat C loops of ``_ckernels.c``, compiled on demand and loaded
+the weighted ``(hops, pert_sum)`` level relaxation behind ``run_pcons``
+(its SPT and detour batch) and ``weighted_failure_sweep`` - with the
+flat C loops of ``_ckernels.c``, compiled on demand and loaded
 by :mod:`repro.engine.cbuild`.  The C functions read the same cached
 CSR int64 arrays and boolean masks through raw pointers and fill
 caller-allocated numpy outputs, so results are **bit-identical** to the
@@ -15,9 +15,9 @@ order, enforced by the parity suites with and without ``REPRO_CC=0``)
 while skipping numpy's per-level array orchestration.
 
 The weighted routing goes through ``CSREngine._weighted_levels``, so
-every weighted surface - single-source, seeded, the stacked batched
-variants, the chunked weighted failure sweep - lands on the one C
-kernel, seed intake included.  The Python-side gating is unchanged: the
+every weighted surface - single-source, seeded, the stacked detour
+batch, the chunked weighted failure sweep - lands on the one C kernel,
+seed intake included.  The Python-side gating is unchanged: the
 exact scheme's ``2**eid`` perturbations are not int64-representable, so
 :func:`~repro.engine.weighted_kernels.weighted_plan` routes them to the
 big-int reference Dijkstra before any kernel - numpy or C - is
@@ -312,7 +312,6 @@ class CompiledEngine(CSREngine):
         allowed_ok: Optional[np.ndarray] = None,
         num_vertices: Optional[int] = None,
         stacked: bool = False,
-        banned_eid_per_batch: Optional[np.ndarray] = None,
         state=None,
         targets=None,
     ):
@@ -331,8 +330,7 @@ class CompiledEngine(CSREngine):
             return super()._weighted_levels(
                 csr, perts, seeds,
                 edge_ok=edge_ok, vertex_ok=vertex_ok, allowed_ok=allowed_ok,
-                num_vertices=num_vertices, stacked=stacked,
-                banned_eid_per_batch=banned_eid_per_batch, state=state,
+                num_vertices=num_vertices, stacked=stacked, state=state,
                 targets=targets,
             )
         n = csr.num_vertices if num_vertices is None else num_vertices
@@ -360,7 +358,6 @@ class CompiledEngine(CSREngine):
             _ptr(edge_ok),
             _ptr(vertex_ok),
             _ptr(allowed_ok),
-            _ptr(banned_eid_per_batch),
             _ptr(tgt_ptr),
             _ptr(tgt),
             len(cols[0]),

@@ -19,12 +19,12 @@ tie or an invalid seed returns ``None``, and the call reruns on the
 reference the same way - so distances, parents, parent edges and tie
 errors are the reference's, bit for bit.
 
-The batched primitives (``weighted_failure_sweep``,
-``batched_shortest_paths``, ``batched_seeded_shortest_paths``) run many
-independent traversals as *stacked* level-synchronous relaxations: each
-batch occupies its own layer of a virtual ``B * n`` vertex space over
-the one shared CSR view, so every hop level costs one set of numpy
-invocations for the whole batch instead of one per traversal.  The
+The batched primitives (``weighted_failure_sweep`` and
+``batched_shortest_paths``) run many independent traversals as
+*stacked* level-synchronous relaxations: each batch occupies its own
+layer of a virtual ``B * n`` vertex space over the one shared CSR
+view, so every hop level costs one set of numpy invocations for the
+whole batch instead of one per traversal.  The
 sweep additionally enumerates its crossing-edge seeds vectorized from
 the tree's Euler intervals instead of via Python ``adjacency()`` loops,
 and fancy-indexes each chunk's ``ReplacementRows`` out of the stacked
@@ -36,17 +36,16 @@ stacked state (``_STACK_STATE`` entries per chunk); plans that cannot
 be represented, and chunks whose relaxation hands the call back, rerun
 on the reference, exactly like the per-call weighted paths.
 
-The sweep and the seeded batches chunk by the ``_STACK_STREAM``
-expansion budget on both tiers.  The detour batch does so only here,
-on the numpy tier, whose level passes stream every layer's frontier at
-once: the compiled engine's C relaxation runs its layers one after
-another, so it sizes its detour chunks by a stacked-state budget of its
-own (``_detour_per_chunk``).
+The sweep chunks by the ``_STACK_STREAM`` expansion budget on both
+tiers.  The detour batch does so only here, on the numpy tier, whose
+level passes stream every layer's frontier at once: the compiled
+engine's C relaxation runs its layers one after another, so it sizes
+its detour chunks by a stacked-state budget of its own
+(``_detour_per_chunk``).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
@@ -57,7 +56,6 @@ from repro.engine.base import (
     UNREACHABLE,
     DetourEscapes,
     ReplacementRows,
-    SeedBatch,
     check_detour_path,
     escape_table,
     reference_escapes,
@@ -350,7 +348,6 @@ class CSREngine(PythonEngine):
         allowed_ok: Optional[np.ndarray] = None,
         num_vertices: Optional[int] = None,
         stacked: bool = False,
-        banned_eid_per_batch: Optional[np.ndarray] = None,
         state=None,
         targets=None,
     ):
@@ -358,21 +355,16 @@ class CSREngine(PythonEngine):
 
         Same contract as :func:`weighted_levels` - including ``None``
         to hand the call back to the reference - but the expansion is
-        described structurally (``stacked`` + ``banned_eid_per_batch``)
-        instead of as an opaque closure, so subclasses can route the
-        relaxation elsewhere - the compiled engine overrides this with
-        its C kernel.  ``targets`` (the ``(tgt_ptr, tgt)`` arrays of
-        :func:`_target_arrays` or :func:`_detour_layers`, layer ``b``'s
-        targets as global ids, source-seeded runs only) asks for the
-        stop rule's outcome; this numpy tier runs the full relaxation
-        and blanks what lies beyond each layer's radius, and a tie it
-        meets beyond a radius hands the call back all the same.
+        described structurally (``stacked``) instead of as an opaque
+        closure, so subclasses can route the relaxation elsewhere - the
+        compiled engine overrides this with its C kernel.  ``targets``
+        (the ``(tgt_ptr, tgt)`` arrays of :func:`_target_arrays` or
+        :func:`_detour_layers`, layer ``b``'s targets as global ids,
+        source-seeded runs only) asks for the stop rule's outcome; this
+        numpy tier runs the full relaxation and blanks what lies beyond
+        each layer's radius, and a tie it meets beyond a radius hands
+        the call back all the same.
         """
-        expand = (
-            stacked_expander(csr, banned_eid_per_batch=banned_eid_per_batch)
-            if stacked
-            else None
-        )
         levels = weighted_levels(
             csr,
             perts,
@@ -381,7 +373,7 @@ class CSREngine(PythonEngine):
             vertex_ok=vertex_ok,
             allowed_ok=allowed_ok,
             num_vertices=num_vertices,
-            expand=expand,
+            expand=stacked_expander(csr) if stacked else None,
             state=state,
         )
         if levels is not None and targets is not None:
@@ -582,88 +574,6 @@ class CSREngine(PythonEngine):
         has no such pass and returns None; the compiled engine runs it
         in C."""
         return None
-
-    def batched_seeded_shortest_paths(
-        self,
-        graph: Graph,
-        weights,
-        batches: Iterable[SeedBatch],
-    ):
-        # Assignments no chunk could ever run on the kernels (exact
-        # scheme, unexportable perturbations) delegate wholesale before
-        # any big-int seed decomposition happens.
-        if weighted_plan(graph, weights) is None:
-            yield from super().batched_seeded_shortest_paths(
-                graph, weights, batches
-            )
-            return
-        # Incremental consumption: batches may be a generator (the
-        # vertex-fault caller streams one punctured subtree at a time),
-        # so accumulate only up to one chunk's expansion budget before
-        # running it - peak memory stays O(chunk), like the per-call
-        # loop this replaces.
-        csr = csr_view(graph)
-        n = csr.num_vertices
-        max_batch = max(1, _STACK_STATE // max(1, n))
-        deg = csr.indptr[1:] - csr.indptr[:-1]
-        chunk_batches: List[SeedBatch] = []
-        expansion = 0
-        for seeds, allowed, banned_edge in batches:
-            chunk_batches.append((list(seeds), allowed, banned_edge))
-            expansion += int(deg[_valid_ids(allowed, n)].sum())
-            if expansion >= _STACK_STREAM or len(chunk_batches) >= max_batch:
-                yield from self._seeded_chunk(graph, csr, weights, chunk_batches)
-                chunk_batches, expansion = [], 0
-        if chunk_batches:
-            yield from self._seeded_chunk(graph, csr, weights, chunk_batches)
-
-    def _seeded_chunk(
-        self,
-        graph: Graph,
-        csr,
-        weights,
-        chunk_batches: List[SeedBatch],
-    ):
-        """Run one chunk of seeded batches stacked; each batch reruns on
-        the reference when the chunk's plan or relaxation hands back."""
-        n = csr.num_vertices
-        B = len(chunk_batches)
-        flat = [s for seeds, _, _ in chunk_batches for s in seeds]
-        planned = _plan_seeds(graph, weights, flat, n)
-        levels = None
-        if planned is not None:
-            perts, sa = planned
-            layer = np.repeat(
-                np.arange(B, dtype=np.int64),
-                [len(seeds) for seeds, _, _ in chunk_batches],
-            )
-            sa = replace(
-                sa, vertex=np.where(sa.vertex >= 0, sa.vertex + layer * n, -1)
-            )
-            allowed_ok = np.zeros(B * n, dtype=bool)
-            banned = np.full(B, -1, dtype=np.int64)
-            for b, (_, allowed, banned_edge) in enumerate(chunk_batches):
-                allowed_ok[b * n + _valid_ids(allowed, n)] = True
-                if banned_edge is not None:
-                    banned[b] = banned_edge
-            levels = self._weighted_levels(
-                csr,
-                perts,
-                sa,
-                allowed_ok=allowed_ok,
-                num_vertices=B * n,
-                stacked=True,
-                banned_eid_per_batch=banned if (banned >= 0).any() else None,
-            )
-        if levels is None:
-            for seeds, allowed, banned_edge in chunk_batches:
-                yield super().seeded_shortest_paths(
-                    graph, weights, seeds,
-                    allowed_vertices=allowed, banned_edge=banned_edge,
-                )
-            return
-        for b in range(B):
-            yield assemble_result(-1, weights.shift, *unstack_layer(n, b, *levels))
 
     def weighted_failure_sweep(
         self,

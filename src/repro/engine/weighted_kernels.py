@@ -104,16 +104,12 @@ class SeedArrays:
 
 def stacked_expander(
     csr: CSRAdjacency,
-    *,
-    banned_eid_per_batch: Optional[np.ndarray] = None,
 ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Frontier expansion over ``B`` stacked layers of one CSR view.
 
     Global id ``b * n + v`` expands to ``v``'s neighbors shifted into
     layer ``b``; edge ids stay the base graph's (perturbation lookups
-    are shared).  ``banned_eid_per_batch[b]`` (optional) drops that one
-    edge from layer ``b``'s expansions - the stacked equivalent of the
-    reference's ``banned_edge`` filter.
+    are shared).
     """
     n = csr.num_vertices
     indptr, indices, edge_ids = csr.indptr, csr.indices, csr.edge_ids
@@ -132,12 +128,7 @@ def stacked_expander(
         )
         srcs = np.repeat(frontier, counts)
         nbrs = indices[flat] + np.repeat(frontier - local, counts)
-        eids = edge_ids[flat]
-        if banned_eid_per_batch is not None:
-            keep = eids != banned_eid_per_batch[srcs // n]
-            if not keep.all():
-                srcs, nbrs, eids = srcs[keep], nbrs[keep], eids[keep]
-        return srcs, nbrs, eids
+        return srcs, nbrs, edge_ids[flat]
 
     return expand
 

@@ -1,9 +1,10 @@
 """Experiment harness: the scenario pipeline, records, workloads, fanout.
 
 The experiment registry lives in :mod:`repro.harness.pipeline` — each of
-E1–E16 is a declarative :class:`~repro.harness.pipeline.spec.ScenarioSpec`
-executed by the shared :class:`~repro.harness.pipeline.runner.PipelineRunner`
-over the process-pool stage layer in :mod:`repro.harness.parallel`.
+E1–E13, E15 and E16 (E14 is retired) is a declarative
+:class:`~repro.harness.pipeline.spec.ScenarioSpec` executed by the
+shared :class:`~repro.harness.pipeline.runner.PipelineRunner` over the
+process-pool stage layer in :mod:`repro.harness.parallel`.
 ``EXPERIMENTS`` maps experiment id to its spec.
 """
 

@@ -7,15 +7,14 @@ layered pipeline:
 * :mod:`~repro.harness.pipeline.spec` — the :class:`ScenarioSpec`
   contract: a grid of JSON-able points, a picklable measure stage, an
   optional in-process aggregate, declared timing columns;
-* :mod:`~repro.harness.pipeline.specs` — the E1–E16 registry, each
-  experiment now a spec in a themed module;
+* :mod:`~repro.harness.pipeline.specs` — the E1–E16 registry (E14
+  retired), each experiment now a spec in a themed module;
 * :mod:`~repro.harness.pipeline.runner` — the shared
   :class:`PipelineRunner` that fans measure stages out over the
   process-pool task layer (``repro.harness.parallel``), streams each
   finished point to JSONL, and resumes from the content-keyed cache;
 * :mod:`~repro.harness.pipeline.stages` — reusable measure-stage
-  building blocks (workload/pcons plumbing, the probe stage, trace
-  replay).
+  building blocks (workload/pcons plumbing, the probe stage).
 
 Adding an experiment is now "register a spec" — write grid/measure
 (+aggregate), instantiate a :class:`ScenarioSpec`, add it to

@@ -1,6 +1,6 @@
 """The scenario registry: one :class:`ScenarioSpec` per paper table/figure.
 
-Each experiment (see DESIGN.md section 4 for the index) is a declarative
+Each experiment (the table below is the index) is a declarative
 spec — a grid of JSON-able points, a picklable measure stage, an
 optional in-process aggregate — executed by the shared
 :class:`~repro.harness.pipeline.runner.PipelineRunner`.
@@ -21,7 +21,7 @@ E10    structure_internals    Fig. 5/6 + Lemma 4.10: Phase S1 iteration counts
 E11    economics              Section 1 intro example: bridge-to-clique economics
 E12    economics              Discussion: greedy optimization ablation vs universal bound
 E13    runtime                runtime scaling of the pipeline stages
-E14    extensions             vertex-fault FT-BFS + sensitivity oracle + trace replay
+E14    (retired)              extensions beyond the paper; the id stays a gap
 E15    extensions             ablations: drop S1 / drop S2 / weights / regime dispatch
 E16    runtime                traversal engines: python vs csr (parity+speed)
 =====  =====================  =========================================
@@ -37,7 +37,7 @@ from typing import Dict, List
 from repro.errors import ExperimentError
 from repro.harness.pipeline.spec import ScenarioSpec
 from repro.harness.pipeline.specs.economics import E11, E12
-from repro.harness.pipeline.specs.extensions import E14, E15
+from repro.harness.pipeline.specs.extensions import E15
 from repro.harness.pipeline.specs.lower_bounds import E3, E4
 from repro.harness.pipeline.specs.runtime import E13, E16
 from repro.harness.pipeline.specs.structure_internals import E7, E8, E9, E10
@@ -49,7 +49,7 @@ SPECS: Dict[str, ScenarioSpec] = {
     spec.experiment_id: spec
     for spec in (
         E1, E2, E3, E4, E5, E6, E7, E8, E9, E10,
-        E11, E12, E13, E14, E15, E16,
+        E11, E12, E13, E15, E16,
     )
 }
 

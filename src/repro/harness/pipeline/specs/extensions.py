@@ -1,97 +1,20 @@
-"""Specs E14/E15: extensions beyond the paper and design-choice ablations."""
+"""Spec E15: ablations of the construction's design choices.
+
+E14 (vertex-fault FT-BFS, a sensitivity oracle and trace replay: extensions
+beyond the paper) is retired; its id stays a gap.
+"""
 
 from __future__ import annotations
 
 import math
-import time
 from typing import Any, Dict, List
 
-from repro.core import build_epsilon_ftbfs, build_ftbfs13, verify_structure
+from repro.core import build_epsilon_ftbfs, verify_structure
 from repro.core.construct import ConstructOptions
 from repro.harness.pipeline.spec import ScenarioSpec
 from repro.harness.pipeline.stages import workload_pcons
-from repro.harness.workloads import workload
-from repro.simulate.stage import replay_summary
 
-__all__ = ["E14", "E15"]
-
-
-# ----------------------------------------------------------------------
-# E14: extensions - vertex faults, the sensitivity oracle, trace replay
-# ----------------------------------------------------------------------
-def e14_grid(quick: bool, seed: int) -> List[Dict[str, Any]]:
-    workloads = [
-        ("gnp", {"n": 100 if quick else 220, "avg_degree": 7.0, "seed": seed}),
-        ("watts_strogatz", {"n": 100 if quick else 220, "k": 4, "beta": 0.2, "seed": seed}),
-        ("grid", {"side": 9 if quick else 14}),
-    ]
-    return [
-        {"workload": name, "params": params, "seed": seed, "quick": quick}
-        for name, params in workloads
-    ]
-
-
-def e14_measure(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Vertex-fault sizes, oracle query rate, and a replayed failure trace.
-
-    The trace replay column exercises the simulate layer as a pipeline
-    sub-stage (:func:`repro.simulate.stage.replay_summary`): an
-    adversarial seeded trace over the edge-fault structure's tree edges
-    must keep guarantee availability at exactly 1.0.
-    """
-    from repro.core import build_vertex_fault_ftbfs, verify_vertex_fault
-    from repro.spt import DistanceSensitivityOracle
-
-    name = payload["workload"]
-    graph, source = workload(name, **payload["params"])
-    edge_structure = build_ftbfs13(graph, source)
-    vf = build_vertex_fault_ftbfs(graph, source)
-    ok = verify_vertex_fault(graph, source, vf.edges).ok
-    dso = DistanceSensitivityOracle(graph, source)
-    tree_edges = dso.tree.tree_edges()
-    t0 = time.perf_counter()
-    count = 0
-    for eid in tree_edges:
-        for v in range(0, graph.num_vertices, 7):
-            dso.distance(v, eid)
-            count += 1
-    rate = count / max(time.perf_counter() - t0, 1e-9)
-    replay = replay_summary(
-        edge_structure,
-        kind="adversarial",
-        num_events=25 if payload.get("quick") else 80,
-        seed=payload["seed"],
-    )
-    return {
-        "rows": [
-            [
-                name, graph.num_vertices, graph.num_edges,
-                edge_structure.num_edges, vf.num_edges, ok, round(rate),
-                replay["availability"],
-            ]
-        ],
-        "facts": replay,
-    }
-
-
-E14 = ScenarioSpec(
-    experiment_id="E14",
-    title="Extensions: vertex-fault FT-BFS, sensitivity oracle, trace replay",
-    description="extensions: vertex-fault FT-BFS + sensitivity oracle + replay",
-    columns=(
-        "workload", "n", "m", "edge_|H|", "vertex_|H|",
-        "vf_verified", "dso_queries/s", "replay_avail",
-    ),
-    grid=e14_grid,
-    measure="repro.harness.pipeline.specs.extensions:e14_measure",
-    timing_columns=("dso_queries/s",),
-    notes=(
-        "vertex-fault structures ([14] extension) verified per failed vertex",
-        "dso rate = post-preprocessing distance queries per second",
-        "replay_avail = guarantee availability under a seeded adversarial trace "
-        "(simulate stage); FT-BFS predicts exactly 1.0",
-    ),
-)
+__all__ = ["E15"]
 
 
 # ----------------------------------------------------------------------

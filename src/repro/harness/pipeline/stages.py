@@ -12,9 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any, Dict, Mapping
 
-from repro.simulate.stage import trace_replay  # noqa: F401  (re-export: replay is a stage)
-
-__all__ = ["build_point", "workload_pcons", "probe", "trace_replay"]
+__all__ = ["build_point", "workload_pcons", "probe"]
 
 
 def build_point(payload: Mapping[str, Any]):

@@ -17,10 +17,9 @@ it durable and servable:
 * :mod:`repro.oracle.facades` - the graph and weights façades a loaded
   snapshot's planes are wrapped in.
 
-The live, hop-level convenience wrapper
-:class:`repro.spt.sensitivity.DistanceSensitivityOracle` builds the same
-structure in-process; this package is the persistence and serving layer
-beneath it.
+In-process, :meth:`QueryOracle.from_tree` builds the same structure
+over a live tree, and :meth:`QueryOracle.hops` reads its answers in
+hop units.
 """
 
 from repro.oracle.query import OracleStats, QueryOracle

@@ -4,7 +4,6 @@ and replacement distances under single edge failures."""
 from repro.spt.bfs import UNREACHABLE, bfs_distances, bfs_distances_subset, bfs_tree
 from repro.spt.replacement import ReplacementEngine
 from repro.spt.result import ShortestPathResult
-from repro.spt.sensitivity import DistanceSensitivityOracle
 from repro.spt.spt_tree import ShortestPathTree, build_spt
 from repro.spt.weights import AUTO, EXACT, RANDOM, WeightAssignment, make_weights
 
@@ -15,7 +14,6 @@ __all__ = [
     "bfs_tree",
     "ShortestPathResult",
     "ReplacementEngine",
-    "DistanceSensitivityOracle",
     "ShortestPathTree",
     "build_spt",
     "WeightAssignment",

@@ -265,3 +265,12 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", "E2", "--quick", "--save", "--fresh"]) == 0
         assert "cached" not in capsys.readouterr().out
+
+    def test_run_unknown_id_fails_before_running_anything(self, capsys):
+        """An unknown id (E14 is retired) is a clean error, reported
+        before E2 runs: nothing on stdout, the available ids on stderr."""
+        assert main(["run", "E2", "E14", "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unknown experiment 'E14'" in captured.err
+        assert "E13, E15, E16" in captured.err

@@ -12,7 +12,6 @@ from repro.core import (
     build_epsilon_ftbfs,
     build_ft_mbfs,
     build_ftbfs13,
-    build_vertex_fault_ftbfs,
     greedy_reinforcement,
     run_pcons,
 )
@@ -42,12 +41,6 @@ class TestConstructionDeterminism:
 
     def test_ftbfs13(self, graph):
         assert build_ftbfs13(graph, 0).edges == build_ftbfs13(graph, 0).edges
-
-    def test_vertex_fault(self, graph):
-        assert (
-            build_vertex_fault_ftbfs(graph, 0).edges
-            == build_vertex_fault_ftbfs(graph, 0).edges
-        )
 
     def test_mbfs(self, graph):
         a = build_ft_mbfs(graph, [0, 7], 0.3)

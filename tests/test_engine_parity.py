@@ -3,8 +3,7 @@
 The python engine is the executable specification; every kernel of the
 csr engine (masked BFS, parent maps, subset distances, the batched
 failure sweep) and everything built on top (verification oracle,
-unprotected-edge accounting, failure simulator) must produce *exactly*
-the same values.  Property-based tests drive random G(n, p) graphs,
+unprotected-edge accounting) must produce *exactly* the same values.  Property-based tests drive random G(n, p) graphs,
 random single/dual failures, and random ``allowed_edges`` masks through
 both engines.
 """
@@ -28,7 +27,6 @@ from repro.engine import (
 from repro.engine.csr import csr_view
 from repro.errors import EngineError, GraphError
 from repro.graphs import connected_gnp_graph, gnp_random_graph, path_graph
-from repro.simulate import simulate_trace, uniform_trace
 
 from tests.conftest import graph_with_source
 
@@ -240,7 +238,7 @@ def test_source_range_checked_on_both_engines():
 
 
 # ----------------------------------------------------------------------
-# oracle + simulator parity
+# verification-oracle parity
 # ----------------------------------------------------------------------
 def _corrupted(structure):
     """Drop a few structure edges to force violations deterministically."""
@@ -346,29 +344,6 @@ def test_verify_parity_random_subgraphs(pair, salt):
     assert rep_py.ok == rep_csr.ok
     assert rep_py.checked_failures == rep_csr.checked_failures
     assert rep_py.violations == rep_csr.violations
-
-
-def test_simulator_parity():
-    g = connected_gnp_graph(60, 0.1, seed=4)
-    s = build_epsilon_ftbfs(g, 0, 0.3)
-    trace = uniform_trace(g, 40, seed=9)
-    reports = {
-        name: simulate_trace(g, 0, s.edges, trace, engine=name)
-        for name in ("python", "csr")
-    }
-    ref = reports["python"]
-    for rep in reports.values():
-        assert rep.num_events == ref.num_events
-        assert rep.violations == ref.violations
-        assert rep.total_downtime == ref.total_downtime
-        assert rep.violated_downtime == ref.violated_downtime
-        assert [
-            (o.edge, o.stretched_vertices, o.total_extra_hops, o.lost_vertices)
-            for o in rep.outcomes
-        ] == [
-            (o.edge, o.stretched_vertices, o.total_extra_hops, o.lost_vertices)
-            for o in ref.outcomes
-        ]
 
 
 def test_sweep_tasks_honor_engine_choice():

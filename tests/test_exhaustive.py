@@ -3,20 +3,14 @@
 Enumerates every labeled connected graph on up to 5 vertices (as edge
 subsets of K5) and checks the end-to-end guarantee on each - the
 strongest possible correctness statement at this scale: there is no
-small counterexample to the construction, for either fault model.
+small counterexample to the construction.
 """
 
 from itertools import combinations
 
 import pytest
 
-from repro.core import (
-    build_epsilon_ftbfs,
-    build_ftbfs13,
-    build_vertex_fault_ftbfs,
-    verify_structure,
-    verify_vertex_fault,
-)
+from repro.core import build_epsilon_ftbfs, build_ftbfs13, verify_structure
 from repro.graphs import Graph
 from repro.graphs.properties import connected_components
 
@@ -49,13 +43,6 @@ def test_every_connected_graph_on_4_vertices(eps):
         for source in range(4):
             s = build_epsilon_ftbfs(g, source, eps)
             verify_structure(s).raise_if_failed()
-
-
-def test_every_connected_graph_on_4_vertices_vertex_faults():
-    for g in ALL_GRAPHS_4:
-        for source in range(4):
-            s = build_vertex_fault_ftbfs(g, source)
-            assert verify_vertex_fault(g, source, s.edges).ok
 
 
 @pytest.mark.slow

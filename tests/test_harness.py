@@ -81,7 +81,7 @@ class TestRegistry:
     def test_ids_ordered(self):
         ids = experiment_ids()
         assert ids[0] == "E1"
-        assert len(ids) == len(EXPERIMENTS) == 16
+        assert len(ids) == len(EXPERIMENTS) == 15
 
     def test_unknown_experiment(self):
         with pytest.raises(ExperimentError):

@@ -25,8 +25,10 @@ from repro.graphs import (
     Graph,
     barbell_graph,
     connected_gnp_graph,
+    gnp_random_graph,
     grid_graph,
     path_graph,
+    watts_strogatz_graph,
 )
 from repro.graphs.properties import bridges
 from repro.oracle import OracleServer, OracleStructure, QueryOracle, save_structure
@@ -106,6 +108,13 @@ def _outside(tree, failed):
     ]
 
 
+def _isolated_and_pendant():
+    # Triangle 0-1-2, bridge 2-3 into triangle 3-4-5, pendant bridge 5-6;
+    # vertex 7 is isolated.
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)]
+    return Graph(8, edges)
+
+
 def _nested_pair(tree):
     """Tree edges ``(a, b)`` with ``b`` under ``a`` and at least one
     vertex below ``b``: two targets inside, the union being ``a``'s."""
@@ -133,6 +142,39 @@ class TestParity:
         _, tree = instance
         for eid in _tree_eids(tree):
             _assert_parity(oracle, tree, [eid])
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            gnp_random_graph(40, 0.12, seed=1),
+            grid_graph(5, 6),
+            watts_strogatz_graph(40, 4, 0.2, seed=2),
+            barbell_graph(6, 3),
+            _isolated_and_pendant(),
+        ],
+        ids=["gnp", "grid", "watts_strogatz", "barbell", "isolated_pendant"],
+    )
+    def test_every_single_edge_failure(self, graph):
+        """Every edge id, tree and non-tree, under the random scheme
+        (whose rows come from the engine's array sweep): each answer is
+        the python spec's banned-edge run, each hop count its BFS
+        distance, and no single failure runs a traversal."""
+        tree = _tree_for(graph)
+        oracle = QueryOracle.from_tree(tree)
+        python = get_engine("python")
+        shift = tree.weights.shift
+        for eid in range(graph.num_edges):
+            sp = python.shortest_paths(
+                graph, tree.weights, tree.source, banned_edge=eid
+            )
+            _assert_parity(oracle, tree, [eid], sp)
+            bfs = python.distances(graph, tree.source, banned_edge=eid)
+            for v in range(graph.num_vertices):
+                d = sp.dist[v]
+                hops = oracle.hops(v, [eid])
+                assert hops == (None if d is None else d >> shift), (eid, v)
+                assert hops == (None if bfs[v] < 0 else bfs[v]), (eid, v)
+        assert oracle.stats.fallback_traversals == 0
 
     def test_non_tree_failures_keep_base(self, instance, oracle):
         _, tree = instance
@@ -227,6 +269,22 @@ class TestSemantics:
             oracle.dist(0, [m])
         with pytest.raises(GraphError):
             oracle.mark_down(m)
+
+    @pytest.mark.parametrize("query", ["dist", "hops", "path", "route"])
+    @pytest.mark.parametrize(
+        "vertex",
+        [lambda n: -1, lambda n: -n, lambda n: n, lambda n: 10**6],
+        ids=["-1", "-n", "n", "1000000"],
+    )
+    def test_out_of_range_vertex_raises(self, oracle, instance, query, vertex):
+        """Negative ids must not index from the end (-1 would answer as
+        vertex n - 1), and ids past n raise the typed error, not
+        IndexError - with and without a failure."""
+        _, tree = instance
+        v = vertex(tree.graph.num_vertices)
+        for failed in (None, [_tree_eids(tree)[0]]):
+            with pytest.raises(GraphError, match="out of range"):
+                getattr(oracle, query)(v, failed)
 
     def test_mark_down_merges_into_queries(self, instance):
         _, tree = instance

@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.lower_bounds",
     "repro.harness",
     "repro.oracle",
-    "repro.simulate",
     "repro.util",
 ]
 

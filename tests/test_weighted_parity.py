@@ -10,14 +10,14 @@ including the reseed-on-tie path of ``run_pcons``.  The kernels only
 detect a possible tie or an invalid seed and hand the call back to the
 reference, which alone decides the error and its message.
 
-The batched replacement subsystem (PR 4) extends the contract: the
-stacked ``weighted_failure_sweep`` / ``batched_seeded_shortest_paths``
-paths must be bit-identical to the per-call loops they amortize, across
-engines, both weight schemes, disconnected subtrees included.  The
-Pcons detour batch (``batched_shortest_paths``) takes T0 paths and
-hands back each search's escape table; the tables, and the detours
-their parents walk, must equal the per-path reference on the python
-engine, the csr engine and csr on its numpy kernels.
+The batched replacement sweep (PR 4) extends the contract: the
+stacked ``weighted_failure_sweep`` must be bit-identical to the
+per-edge loop it amortizes, across engines, both weight schemes,
+disconnected subtrees included.  The Pcons detour batch
+(``batched_shortest_paths``) takes T0 paths and hands back each
+search's escape table; the tables, and the detours their parents walk,
+must equal the per-path reference on the python engine, the csr engine
+and csr on its numpy kernels.
 
 Searches given a target set stop at the targets' hop radius ``R``:
 within ``R`` they read what the full run reads, beyond it unreachable,
@@ -214,6 +214,91 @@ def test_seed_outside_allowed_raises_on_both():
     assert kind == "graph-error"
 
 
+@pytest.fixture
+def seed_intake(monkeypatch):
+    """Send small seeded calls through the kernels' seed intake: csr
+    runs a call with at most ``_SMALL_WEIGHTED`` allowed vertices on
+    the reference outright, so the cutoff drops to 0.  Returns the
+    list of ``_plan_seeds`` calls, to show the intake was reached."""
+    import repro.engine.csr_engine as ce
+
+    calls = []
+    plan = ce._plan_seeds
+
+    def spy(*args):
+        calls.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(ce, "_SMALL_WEIGHTED", 0)
+    monkeypatch.setattr(ce, "_plan_seeds", spy)
+    return calls
+
+
+@pytest.mark.parametrize("vertex", [-2**70, 2**41, 2**70])
+def test_seeded_far_out_of_range_seed_is_named(vertex, seed_intake):
+    """A seed vertex far outside [0, n) fails exactly like the reference:
+    same exception type, same message naming the caller's id (no int64
+    overflow, no clamped id)."""
+    g = cycle_graph(6)
+    w = make_weights(g, RANDOM, seed=0)
+    outcomes = []
+    for engine in (PY, CSR, CSREngine()):
+        try:
+            engine.seeded_shortest_paths(
+                g, w, [(w.big, vertex, 4, 4)], allowed_vertices=set(range(1, 5))
+            )
+            outcomes.append(("ok", None))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    expected = (GraphError, f"seed vertex {vertex} outside the allowed set")
+    assert outcomes == [expected] * 3
+    assert len(seed_intake) == 2
+
+
+def test_seeded_equal_weight_seeds_tie_on_both(seed_intake):
+    g = cycle_graph(6)
+    w = make_weights(g, RANDOM, seed=0)
+    d = 3 * w.big
+    seeds = [(d, 2, 1, 1), (d, 2, 3, 2)]  # same dist, different entry edge
+    kind, _ = run_both(
+        "seeded_shortest_paths", g, w, seeds, allowed_vertices={2, 3}
+    )
+    assert kind == "tie"
+    assert len(seed_intake) == 1
+
+
+def test_seeded_seed_outside_allowed_raises_on_both(seed_intake):
+    g = cycle_graph(6)
+    w = make_weights(g, RANDOM, seed=0)
+    kind, _ = run_both(
+        "seeded_shortest_paths", g, w, [(w.big, 0, 5, 4)],
+        allowed_vertices=set(range(1, 5)),
+    )
+    assert kind == "graph-error"
+    assert len(seed_intake) == 1
+
+
+def test_seeded_error_kind_follows_seed_order(seed_intake):
+    """Past the seed intake, a seed tie arriving before an invalid seed
+    raises TieBreakError, after it GraphError - the reference's
+    sequential order, which the kernels leave to the reference by
+    handing the call back."""
+    g = cycle_graph(6)
+    w = make_weights(g, RANDOM, seed=0)
+    d = 3 * w.big
+    tie = [(d, 2, 1, 1), (d, 2, 3, 2)]
+    invalid = [(w.big, 5, 4, 4)]  # vertex 5 lies outside {2, 3}
+    for seeds, expected in (
+        (tie + invalid, "tie"),
+        (invalid + tie, "graph-error"),
+    ):
+        kind, _ = run_both(
+            "seeded_shortest_paths", g, w, seeds, allowed_vertices={2, 3}
+        )
+        assert kind == expected, seeds
+    assert len(seed_intake) == 2
+
+
 def test_banned_source_raises_on_both():
     g = cycle_graph(5)
     w = make_weights(g, RANDOM, seed=0)
@@ -335,11 +420,12 @@ def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
         engine.shortest_paths(g, w, 0)
     with pytest.raises(TieBreakError, match="equal-weight paths"):
         list(engine.batched_shortest_paths(*pendant_c6(3), [[6, 1], [6, 0]]))
+    monkeypatch.setattr(ce, "_SMALL_WEIGHTED", 0)  # reach the seed intake
     w = make_weights(g, RANDOM, seed=0)
     d = 3 * w.big
     seeds = [(d, 2, 1, 1), (d, 2, 3, 2)]
     with pytest.raises(TieBreakError, match="equal-weight seeds for vertex 2"):
-        list(engine.batched_seeded_shortest_paths(g, w, [(seeds, {2, 3}, None)]))
+        engine.seeded_shortest_paths(g, w, seeds, allowed_vertices={2, 3})
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +581,7 @@ def test_dist_at_reads_without_building_dist():
 
 
 # ----------------------------------------------------------------------
-# the batched replacement subsystem: sweep-vs-per-edge and batch-vs-per-call
+# the batched primitives: sweep-vs-per-edge and detours-vs-per-path
 # ----------------------------------------------------------------------
 def run_both_batched(method, *args, **kwargs):
     """Consume a batched generator on both engines; kinds must agree."""
@@ -559,35 +645,6 @@ def test_batched_shortest_paths_parity(pair, wseed, scheme):
             assert [int(e) for e in esc.parent_eid] == ref.parent_eid
 
 
-def test_batched_seeded_parity_vertex_fault_shape():
-    """Batched seeded runs (the vertex-fault shape: punctured subtrees,
-    including seedless all-disconnected batches) match per-batch calls."""
-    g = gnp_random_graph(40, 0.12, seed=5)
-    w = make_weights(g, RANDOM, seed=5)
-    tree = build_spt(g, w, 0)
-    from repro.core.vertex_fault import _vertex_failure_seeds
-
-    batches = []
-    for x in tree.preorder:
-        if x == 0:
-            continue
-        sub = [u for u in tree.subtree_vertices(x) if u != x]
-        if not sub:
-            continue
-        batches.append(
-            (_vertex_failure_seeds(g, tree, w, x, sub), set(sub), None)
-        )
-    assert batches
-    kind, a, b = run_both_batched("batched_seeded_shortest_paths", g, w, batches)
-    assert kind == "ok"
-    for (seeds, allowed, _), x, y in zip(batches, a, b):
-        assert_same_result(x, y)
-        single = PY.seeded_shortest_paths(
-            g, w, list(seeds), allowed_vertices=allowed
-        )
-        assert_same_result(single, y)
-
-
 def test_batched_banned_source_raises_on_both():
     """A path whose last vertex ``v`` also appears earlier bans its own
     source."""
@@ -595,89 +652,6 @@ def test_batched_banned_source_raises_on_both():
     w = make_weights(g, RANDOM, seed=0)
     kind, _ = run_detours(g, w, [[0, 1], [1, 2, 1]])
     assert kind == "graph-error"
-
-
-def test_batched_seeded_accepts_generator_input():
-    """The batch source may be a generator (the vertex-fault caller
-    streams batches); chunked consumption must not change results."""
-    g = gnp_random_graph(30, 0.15, seed=3)
-    w = make_weights(g, RANDOM, seed=3)
-    tree = build_spt(g, w, 0)
-    from repro.core.vertex_fault import _vertex_failure_seeds
-
-    def make_batches():
-        for x in tree.preorder:
-            if x == 0 or tree.subtree_size(x) <= 1:
-                continue
-            sub = [u for u in tree.subtree_vertices(x) if u != x]
-            yield (_vertex_failure_seeds(g, tree, w, x, sub), set(sub), None)
-
-    from_list = list(
-        CSR.batched_seeded_shortest_paths(g, w, list(make_batches()))
-    )
-    from_gen = list(CSR.batched_seeded_shortest_paths(g, w, make_batches()))
-    assert len(from_list) == len(from_gen) > 0
-    for a, b in zip(from_list, from_gen):
-        assert_same_result(a, b)
-
-
-def test_batched_seeded_seed_outside_allowed_raises_on_both():
-    g = cycle_graph(6)
-    w = make_weights(g, RANDOM, seed=0)
-    kind, _, _ = run_both_batched(
-        "batched_seeded_shortest_paths", g, w,
-        [([(w.big, 0, 5, 4)], set(range(1, 5)), None)],
-    )
-    assert kind == "graph-error"
-
-
-@pytest.mark.parametrize("vertex", [-2**70, 2**41, 2**70])
-def test_batched_seeded_far_out_of_range_seed_is_named(vertex):
-    """A seed vertex far outside [0, n) fails exactly like the reference:
-    same exception type, same message naming the caller's id (no int64
-    overflow, no clamped id)."""
-    g = cycle_graph(6)
-    w = make_weights(g, RANDOM, seed=0)
-    batches = [([(w.big, vertex, 4, 4)], set(range(1, 5)), None)]
-    outcomes = []
-    for engine in (PY, CSR, CSREngine()):
-        try:
-            list(engine.batched_seeded_shortest_paths(g, w, batches))
-            outcomes.append(("ok", None))
-        except Exception as exc:
-            outcomes.append((type(exc), str(exc)))
-    expected = (GraphError, f"seed vertex {vertex} outside the allowed set")
-    assert outcomes == [expected] * 3
-
-
-def test_batched_seeded_error_kind_follows_seed_order():
-    """A seed tie arriving before an invalid seed raises TieBreakError,
-    after it GraphError - the reference's sequential order, which the
-    kernels leave to the reference by handing the call back."""
-    g = cycle_graph(6)
-    w = make_weights(g, RANDOM, seed=0)
-    d = 3 * w.big
-    tie_first = [(d, 2, 1, 1), (d, 2, 3, 2), (w.big, 5, 4, 4)]
-    invalid_first = [(w.big, 5, 4, 4), (d, 2, 1, 1), (d, 2, 3, 2)]
-    kind, _, _ = run_both_batched(
-        "batched_seeded_shortest_paths", g, w, [(tie_first, {2, 3}, None)]
-    )
-    assert kind == "tie"
-    kind, _, _ = run_both_batched(
-        "batched_seeded_shortest_paths", g, w, [(invalid_first, {2, 3}, None)]
-    )
-    assert kind == "graph-error"
-
-
-def test_batched_equal_weight_seeds_tie_on_both():
-    g = cycle_graph(6)
-    w = make_weights(g, RANDOM, seed=0)
-    d = 3 * w.big
-    seeds = [(d, 2, 1, 1), (d, 2, 3, 2)]  # same dist, different entry edge
-    kind, _, _ = run_both_batched(
-        "batched_seeded_shortest_paths", g, w, [(seeds, {2, 3}, None)]
-    )
-    assert kind == "tie"
 
 
 def test_sweep_chunking_boundaries_are_invisible():
