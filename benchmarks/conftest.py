@@ -28,7 +28,7 @@ def quick_mode() -> bool:
 
 @pytest.fixture(scope="session")
 def bench_seed() -> int:
-    return int(os.environ.get("REPRO_BENCH_SEED", "0"))
+    return 0
 
 
 def run_and_report(benchmark, experiment_id: str, quick: bool, seed: int):

@@ -286,14 +286,17 @@ def _cmd_run(
     return 0
 
 
-def _build_query_tree(graph, source: int, seed: int):
-    """SPT under the random scheme, reseeding past tie-break failures.
+def _save_query_tree(graph, source: int, seed: int, save: str):
+    """Save the SPT under the random scheme with its replacement rows,
+    reseeding past tie-break failures; returns ``(tree, path)``.
 
     Snapshots need int64-representable weights, so the exact scheme is
     not an option here; the random scheme's ties are loud and rare, and
-    a handful of reseeds always clears them.
+    a handful of reseeds always clears them.  The SPT and the
+    replacement sweep that ``save_structure`` runs can both meet one.
     """
     from repro.errors import TieBreakError
+    from repro.oracle import save_structure
     from repro.spt.spt_tree import build_spt
     from repro.spt.weights import make_weights
 
@@ -301,7 +304,8 @@ def _build_query_tree(graph, source: int, seed: int):
     for attempt in range(8):
         try:
             weights = make_weights(graph, "random", seed=seed + attempt)
-            return build_spt(graph, weights, source)
+            tree = build_spt(graph, weights, source)
+            return tree, save_structure(save, tree)
         except TieBreakError as exc:
             last = exc
     raise last  # pragma: no cover - 8 consecutive ties never happens
@@ -323,11 +327,8 @@ def _cmd_build_save(
 ) -> int:
     import os
 
-    from repro.oracle import save_structure
-
     graph, source = workload(name, n=n, seed=seed)
-    tree = _build_query_tree(graph, source, seed)
-    path = save_structure(save, tree)
+    tree, path = _save_query_tree(graph, source, seed, save)
     size = os.path.getsize(path)
     rows = tree.num_reachable - 1
     print(f"graph: {graph}")

@@ -31,7 +31,7 @@ from repro.errors import GraphError, ParameterError
 from repro.graphs.graph import Graph
 from repro.core.ftbfs13 import build_ftbfs13
 from repro.core.interference import InterferenceIndex
-from repro.core.pcons import PconsResult, run_pcons
+from repro.core.pcons import PconsResult, run_pcons, run_reseeding
 from repro.core.phase_s1 import run_phase_s1
 from repro.core.phase_s2 import run_phase_s2
 from repro.core.structure import ConstructStats, FTBFSStructure
@@ -158,7 +158,8 @@ def _build_fully_reinforced(
     """``eps = 0``: reinforce the entire BFS tree; no backup needed.
 
     Only the tree is needed, so without a supplied Pcons run this builds
-    just the shortest-path tree (replacement paths would be wasted work).
+    just the shortest-path tree (replacement paths would be wasted work),
+    reseeding past ties exactly as :func:`run_pcons` does.
     """
     if pcons is not None:
         tree_edges = frozenset(pcons.tree.tree_edges())
@@ -169,13 +170,16 @@ def _build_fully_reinforced(
         )
     else:
         from repro.spt.spt_tree import build_spt
-        from repro.spt.weights import make_weights
 
-        weights = make_weights(graph, opts.weight_scheme, opts.seed)
-        tree = build_spt(graph, weights, source)
+        tree = run_reseeding(
+            graph,
+            lambda weights: build_spt(graph, weights, source),
+            weight_scheme=opts.weight_scheme,
+            seed=opts.seed,
+        )
         tree_edges = frozenset(tree.tree_edges())
         stats = ConstructStats(
-            weight_scheme=weights.scheme, engine=get_engine().name
+            weight_scheme=tree.weights.scheme, engine=get_engine().name
         )
     return FTBFSStructure(
         graph=graph,

@@ -53,7 +53,7 @@ subtree-restricted engine in :mod:`repro.spt.replacement`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro._types import EdgeId, Vertex
 from repro.engine.base import DetourEscapes
@@ -65,10 +65,12 @@ from repro.spt.replacement import ReplacementEngine
 from repro.spt.spt_tree import ShortestPathTree, build_spt
 from repro.spt.weights import RANDOM, WeightAssignment, make_weights
 
-__all__ = ["PconsResult", "PconsStats", "run_pcons"]
+__all__ = ["PconsResult", "PconsStats", "run_pcons", "run_reseeding"]
 
-#: Reseeds of a tying random assignment before ``run_pcons`` gives up.
+#: Reseeds of a tying random assignment before ``run_reseeding`` gives up.
 _MAX_RESEEDS = 5
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -112,17 +114,35 @@ def run_pcons(
     weight_scheme: str = "auto",
     seed: int = 0,
 ) -> PconsResult:
-    """Run Phase S0 on ``graph`` from ``source``.
+    """Run Phase S0 on ``graph`` from ``source``, reseeding past ties
+    (:func:`run_reseeding`)."""
+    return run_reseeding(
+        graph,
+        lambda attempt_weights: _run_once(graph, source, attempt_weights),
+        weights=weights,
+        weight_scheme=weight_scheme,
+        seed=seed,
+    )
 
-    Under the random weight scheme a detected shortest-path tie triggers a
-    reseed-and-retry (up to ``_MAX_RESEEDS`` times); the exact scheme never
-    ties.
+
+def run_reseeding(
+    graph: Graph,
+    run: Callable[[WeightAssignment], _T],
+    *,
+    weights: Optional[WeightAssignment] = None,
+    weight_scheme: str = "auto",
+    seed: int = 0,
+) -> _T:
+    """``run(w)`` under ``weights`` (default: ``make_weights(graph,
+    weight_scheme, seed)``), retried on a fresh reseed of ``w`` each time
+    it raises :class:`~repro.errors.TieBreakError` under the random
+    scheme (up to ``_MAX_RESEEDS`` times); the exact scheme never ties.
     """
     attempt_weights = weights or make_weights(graph, weight_scheme, seed)
     last_error: Optional[TieBreakError] = None
     for attempt in range(_MAX_RESEEDS + 1):
         try:
-            return _run_once(graph, source, attempt_weights)
+            return run(attempt_weights)
         except TieBreakError as err:
             last_error = err
             if attempt_weights.scheme != RANDOM:

@@ -8,23 +8,25 @@ the registry, instead of hand-rolled per-call-site loops.
 
 Engine contract (details in :mod:`repro.engine.base`)
 -----------------------------------------------------
-* ``distances`` / ``parents`` / ``distances_subset``: masked hop BFS,
-  bit-identical across engines (tie-breaking comes from the graph's
-  adjacency-list order, which every backend must preserve).
+* ``distances`` / ``parents``: masked hop BFS, bit-identical across
+  engines (tie-breaking comes from the graph's adjacency-list order,
+  which every backend must preserve).
 * ``failure_sweep``: the batched all-single-edge-failures primitive -
   hop distances of ``G \\ {e}`` (or ``H \\ {e}`` under an
   ``allowed_edges`` mask) for a lazily-consumed stream of edge ids.
   Backends amortize: the csr engine computes one base BFS tree and
   recomputes only the subtree hanging under each failed tree edge.
 * ``shortest_paths`` / ``seeded_shortest_paths``: the weighted
-  tie-broken Dijkstra.  The csr engine runs the random weight scheme on
-  the array kernels of :mod:`repro.engine.weighted_kernels` (the
-  composite weight splits into an ``int64`` ``(hops, pert_sum)`` pair);
-  the exact scheme's big-int perturbations, and any call whose kernel
-  meets a possible tie or an invalid seed, transparently fall back to
-  the shared reference implementation.  Given ``targets``, an unseeded
-  run stops at their hop radius.  Each engine reports its weighted
-  capability via ``weighted_backend`` (shown by ``repro engines``).
+  tie-broken Dijkstra.  The csr engine runs the random weight scheme's
+  single-source calls on the array kernels of
+  :mod:`repro.engine.weighted_kernels` (the composite weight splits
+  into an ``int64`` ``(hops, pert_sum)`` pair); the exact scheme's
+  big-int perturbations, and any call whose kernel meets a possible tie
+  or an invalid seed, transparently fall back to the shared reference
+  implementation.  Seeded calls are the reference's on every engine.
+  Given ``targets``, an unseeded run stops at their hop radius.  Each
+  engine reports its weighted capability via ``weighted_backend``
+  (shown by ``repro engines``).
 * ``weighted_failure_sweep``: the batched replacement sweep -
   replacement rows for *all* tree-edge failures (``ReplacementRows``,
   the oracle snapshot's layout) in one amortized pass.  The reference
@@ -61,8 +63,8 @@ Selection
 Explicit ``engine=`` keyword > :func:`engine_context` /
 :func:`set_default_engine` > the ``REPRO_ENGINE`` environment variable >
 ``"csr"`` if available else ``"python"``.  The CLI exposes the same
-choice as ``repro engines`` and ``--engine {python,csr}``; parallel
-sweep workers honor :class:`repro.harness.parallel.SweepTask.engine`.
+choice as ``repro engines`` and ``--engine {python,csr}``; stage-task
+workers honor :attr:`repro.harness.parallel.StageTask.engine`.
 """
 
 from repro.engine.base import (

@@ -77,10 +77,10 @@
 #define UNREACHABLE (-1)
 
 /* Queue BFS; the queue array doubles as the discovery order.  Any of
- * edge_ok (uint8 per edge id), vertex_ok (uint8 per vertex), parent,
- * and parent_eid may be NULL.  dist and order must be length n; dist
- * is fully initialized (unreached = -1), order only up to the return
- * value.  Returns the number of visited vertices. */
+ * edge_ok (uint8 per edge id), parent and parent_eid may be NULL.  dist
+ * and order must be length n; dist is fully initialized (unreached =
+ * -1), order only up to the return value.  Returns the number of
+ * visited vertices. */
 static int64_t bfs_core(
     int64_t n,
     const int64_t *indptr,
@@ -88,7 +88,6 @@ static int64_t bfs_core(
     const int64_t *edge_ids,
     int64_t source,
     const uint8_t *edge_ok,
-    const uint8_t *vertex_ok,
     int64_t *dist,
     int64_t *parent,
     int64_t *parent_eid,
@@ -99,8 +98,6 @@ static int64_t bfs_core(
         if (parent) parent[v] = -1;
         if (parent_eid) parent_eid[v] = -1;
     }
-    if (vertex_ok && !vertex_ok[source])
-        return 0;
     dist[source] = 0;
     if (parent) parent[source] = source;
     order[0] = source;
@@ -112,7 +109,6 @@ static int64_t bfs_core(
             int64_t w = indices[k];
             if (dist[w] != UNREACHABLE) continue;
             if (edge_ok && !edge_ok[edge_ids[k]]) continue;
-            if (vertex_ok && !vertex_ok[w]) continue;
             dist[w] = dv + 1;
             if (parent) parent[w] = v;
             if (parent_eid) parent_eid[w] = edge_ids[k];
@@ -131,14 +127,13 @@ int64_t repro_bfs_order(
     const int64_t *edge_ids,
     int64_t source,
     const uint8_t *edge_ok,
-    const uint8_t *vertex_ok,
     int64_t *dist,
     int64_t *parent,
     int64_t *parent_eid,
     int64_t *order)
 {
     return bfs_core(n, indptr, indices, edge_ids, source,
-                    edge_ok, vertex_ok, dist, parent, parent_eid, order);
+                    edge_ok, dist, parent, parent_eid, order);
 }
 
 /* The FailureSweep base state in one call: ordered BFS plus the Euler
@@ -162,8 +157,7 @@ int64_t repro_bfs_euler(
     int64_t *preorder)
 {
     int64_t visited = bfs_core(n, indptr, indices, edge_ids, source,
-                               edge_ok, NULL, dist, parent, parent_eid,
-                               order);
+                               edge_ok, dist, parent, parent_eid, order);
     for (int64_t v = 0; v < n; v++)
         tin[v] = tout[v] = -1;
 

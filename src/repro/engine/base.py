@@ -16,10 +16,10 @@ Dijkstra used by the construction.  Two implementations ship by default
 
 Contract
 --------
-* ``distances`` / ``parents`` / ``distances_subset`` must be
-  *bit-identical* to the python engine for every input: same distance
-  lists, same parent maps (including tie-breaking, which both engines
-  derive from the graph's adjacency-list order), same dict contents.
+* ``distances`` / ``parents`` must be *bit-identical* to the python
+  engine for every input: same distance lists, same parent maps
+  (including tie-breaking, which both engines derive from the graph's
+  adjacency-list order), same dict contents.
 * ``failure_sweep`` yields, for each requested edge id, the hop-distance
   vector of ``G \\ {e}`` (or ``H \\ {e}`` when ``allowed_edges`` masks the
   graph down to a structure).  Backends may return any integer sequence
@@ -45,7 +45,9 @@ Contract
   (the exact scheme's ``2**eid`` perturbations), and calls whose
   kernel meets a possible tie or an invalid seed, transparently rerun
   on it, which is the only implementation of tie and seed-error
-  semantics.
+  semantics.  No backend overrides ``seeded_shortest_paths``: seeded
+  runs reach array kernels only stacked, inside
+  ``weighted_failure_sweep``.
 * **Target radius.**  ``shortest_paths(..., targets=T)`` may stop
   early: with ``R`` the largest hop count among ``T``, every vertex
   within ``R`` hops reads exactly what the full run reads, and every
@@ -255,7 +257,6 @@ class TraversalEngine:
         *,
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
-        banned_vertices: Optional[Set[Vertex]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
     ) -> List[int]:
         """Hop distances from ``source``; ``UNREACHABLE`` where unreached."""
@@ -269,19 +270,6 @@ class TraversalEngine:
         allowed_edges: Optional[Set[EdgeId]] = None,
     ) -> Dict[Vertex, Vertex]:
         """BFS parent map ``{vertex: parent}`` (source maps to itself)."""
-        raise NotImplementedError
-
-    def distances_subset(
-        self,
-        graph: Graph,
-        source: Vertex,
-        targets: Iterable[Vertex],
-        *,
-        banned_edge: Optional[EdgeId] = None,
-        banned_edges: Optional[Set[EdgeId]] = None,
-        banned_vertices: Optional[Set[Vertex]] = None,
-    ) -> Dict[Vertex, int]:
-        """Hop distances to a target subset (``UNREACHABLE`` where unreached)."""
         raise NotImplementedError
 
     def sweep(
@@ -331,7 +319,6 @@ class TraversalEngine:
         banned_vertices: Optional[Set[Vertex]] = None,
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
-        allowed_edges: Optional[Set[EdgeId]] = None,
         targets: Optional[Iterable[Vertex]] = None,
     ):
         """Weighted Dijkstra under composite tie-breaking weights,
@@ -345,7 +332,6 @@ class TraversalEngine:
         seeds,
         *,
         allowed_vertices: Set[Vertex],
-        banned_edge: Optional[EdgeId] = None,
     ):
         """Boundary-seeded Dijkstra restricted to ``allowed_vertices``."""
         raise NotImplementedError
@@ -530,7 +516,9 @@ def replacement_failure(
     the outer endpoint ``a`` keeps its original distance (its shortest
     path cannot enter the subtree); entering through the edge costs
     ``W(ab)``.  The recompute is a seeded traversal restricted to the
-    subtree, dispatched through ``engine.seeded_shortest_paths``.  This
+    subtree, dispatched through ``engine.seeded_shortest_paths``; the
+    failed edge needs no ban, since its outer endpoint lies outside the
+    subtree and no seed uses it.  This
     is the executable spec of ``weighted_failure_sweep``, the one pass
     that fills :class:`repro.spt.replacement.ReplacementEngine`.
     """
@@ -560,7 +548,7 @@ def replacement_failure(
     parent, parent_eid = [-1] * size, [-1] * size
     if seeds:
         sp = engine.seeded_shortest_paths(
-            graph, weights, seeds, allowed_vertices=sub_set, banned_edge=eid
+            graph, weights, seeds, allowed_vertices=sub_set
         )
         shift, mask = weights.shift, weights.big - 1
         dist = sp.dist

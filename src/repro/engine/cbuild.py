@@ -199,7 +199,7 @@ class KernelLib:
         self.bfs_order = dll.repro_bfs_order
         self.bfs_order.restype = i64
         self.bfs_order.argtypes = [
-            i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
+            i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
         ]
         self.bfs_euler = dll.repro_bfs_euler
         self.bfs_euler.restype = i64

@@ -15,7 +15,7 @@ order, enforced by the parity suites with and without ``REPRO_CC=0``)
 while skipping numpy's per-level array orchestration.
 
 The weighted routing goes through ``CSREngine._weighted_levels``, so
-every weighted surface - single-source, seeded, the stacked detour
+every weighted array surface - single-source, the stacked detour
 batch, the chunked weighted failure sweep - lands on the one C kernel,
 seed intake included.  The Python-side gating is unchanged: the
 exact scheme's ``2**eid`` perturbations are not int64-representable, so
@@ -67,7 +67,7 @@ import numpy as np
 from repro._types import EdgeId, Vertex
 from repro.engine import cbuild
 from repro.engine.csr import CSRAdjacency, csr_view
-from repro.engine.csr_engine import CSREngine, _edge_ok_mask, _vertex_ok_mask
+from repro.engine.csr_engine import CSREngine, _edge_ok_mask
 from repro.engine.kernels import FailureSweep, _tree_edge_children
 from repro.engine.python_engine import _check_source
 from repro.engine.weighted_kernels import SeedArrays
@@ -418,7 +418,6 @@ class CompiledEngine(CSREngine):
         *,
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
-        banned_vertices: Optional[Set[Vertex]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
     ) -> List[int]:
         kernels = self._kernels()
@@ -428,7 +427,6 @@ class CompiledEngine(CSREngine):
                 source,
                 banned_edge=banned_edge,
                 banned_edges=banned_edges,
-                banned_vertices=banned_vertices,
                 allowed_edges=allowed_edges,
             )
         _check_source(graph, source)
@@ -439,7 +437,6 @@ class CompiledEngine(CSREngine):
             banned_edges=banned_edges,
             allowed_edges=allowed_edges,
         )
-        vertex_ok = _vertex_ok_mask(csr.num_vertices, banned_vertices)
         n = csr.num_vertices
         dist = np.empty(n, dtype=np.int64)
         order = np.empty(n, dtype=np.int64)
@@ -450,7 +447,6 @@ class CompiledEngine(CSREngine):
             _ptr(csr.edge_ids),
             source,
             _ptr(edge_ok),
-            _ptr(vertex_ok),
             _ptr(dist),
             None,
             None,
@@ -482,7 +478,6 @@ class CompiledEngine(CSREngine):
             _ptr(csr.edge_ids),
             source,
             _ptr(edge_ok),
-            None,
             _ptr(dist),
             _ptr(parent),
             None,

@@ -8,8 +8,8 @@ kernels in :mod:`repro.engine.kernels`; results are converted back to
 the plain Python containers the contract promises (except
 ``failure_sweep``, which yields numpy vectors - values-only contract).
 
-Weighted traversals take the fast path of
-:mod:`repro.engine.weighted_kernels` whenever
+Single-source weighted traversals (``shortest_paths``) take the fast
+path of :mod:`repro.engine.weighted_kernels` whenever
 :func:`~repro.engine.weighted_kernels.weighted_plan` proves the
 assignment array-representable (the random scheme on any graph this
 library can build); the exact scheme's ``2**eid`` perturbations are
@@ -17,7 +17,9 @@ arbitrary-precision and transparently fall back to the shared big-int
 reference Dijkstra.  A relaxation (numpy or C) that meets a possible
 tie or an invalid seed returns ``None``, and the call reruns on the
 reference the same way - so distances, parents, parent edges and tie
-errors are the reference's, bit for bit.
+errors are the reference's, bit for bit.  ``seeded_shortest_paths`` is
+the reference's own: seeded runs reach the kernels only stacked, inside
+``weighted_failure_sweep``.
 
 The batched primitives (``weighted_failure_sweep`` and
 ``batched_shortest_paths``) run many independent traversals as
@@ -34,7 +36,8 @@ pass over the stacked state on the compiled engine, and from
 ``assemble_result`` plus the reference scan here.  Chunking bounds the
 stacked state (``_STACK_STATE`` entries per chunk); plans that cannot
 be represented, and chunks whose relaxation hands the call back, rerun
-on the reference, exactly like the per-call weighted paths.
+on the reference: the detour batch path by path, the sweep edge by
+edge through :func:`~repro.engine.base.replacement_failure`.
 
 The sweep chunks by the ``_STACK_STREAM`` expansion budget on both
 tiers.  The detour batch does so only here, on the numpy tier, whose
@@ -53,7 +56,6 @@ import numpy as np
 
 from repro._types import EdgeId, Vertex
 from repro.engine.base import (
-    UNREACHABLE,
     DetourEscapes,
     ReplacementRows,
     check_detour_path,
@@ -71,7 +73,6 @@ from repro.engine.python_engine import PythonEngine, _check_source
 from repro.engine.weighted_kernels import (
     SeedArrays,
     assemble_result,
-    decompose_seeds,
     stacked_expander,
     unstack_layer,
     weighted_levels,
@@ -139,11 +140,6 @@ def _edge_ok_mask(
     if banned_edge is not None and 0 <= banned_edge < m:
         ok[banned_edge] = False
     return ok
-
-
-#: Below this many allowed vertices, seeded weighted traversals stay on
-#: the reference heap (array per-level overhead dominates tiny runs).
-_SMALL_WEIGHTED = 48
 
 
 def _vertex_ok_mask(
@@ -237,21 +233,6 @@ def _blank_beyond_radius(levels, tgt_ptr: np.ndarray, tgt: np.ndarray, n: int):
     parent_eid[beyond] = -1
 
 
-def _plan_seeds(graph: Graph, weights, seeds, n: int):
-    """``(perts, SeedArrays)`` for a seeded run, or None to run it on
-    the reference.  The plan reads the seeds' big-int perturbations
-    before any int64 conversion: exact-scheme ones overflow it."""
-    mask = (1 << weights.shift) - 1
-    perts = weighted_plan(
-        graph,
-        weights,
-        max_seed_pert=max((d & mask for d, _, _, _ in seeds), default=0),
-    )
-    if perts is None:
-        return None
-    return perts, decompose_seeds(seeds, weights.shift, n)
-
-
 class CSREngine(PythonEngine):
     """Array-kernel engine for hop *and* (random-scheme) weighted traversals."""
 
@@ -267,19 +248,17 @@ class CSREngine(PythonEngine):
         *,
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
-        banned_vertices: Optional[Set[Vertex]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
     ) -> List[int]:
         _check_source(graph, source)
         csr = csr_view(graph)
-        vertex_ok = _vertex_ok_mask(csr.num_vertices, banned_vertices)
         edge_ok = _edge_ok_mask(
             csr.num_edges,
             banned_edge=banned_edge,
             banned_edges=banned_edges,
             allowed_edges=allowed_edges,
         )
-        return bfs_levels(csr, source, edge_ok=edge_ok, vertex_ok=vertex_ok).tolist()
+        return bfs_levels(csr, source, edge_ok=edge_ok).tolist()
 
     def parents(
         self,
@@ -297,32 +276,6 @@ class CSREngine(PythonEngine):
             for v in level.tolist():
                 result[v] = int(parent[v])
         return result
-
-    def distances_subset(
-        self,
-        graph: Graph,
-        source: Vertex,
-        targets: Iterable[Vertex],
-        *,
-        banned_edge: Optional[EdgeId] = None,
-        banned_edges: Optional[Set[EdgeId]] = None,
-        banned_vertices: Optional[Set[Vertex]] = None,
-    ) -> Dict[Vertex, int]:
-        _check_source(graph, source)
-        wanted = set(targets)
-        if not wanted:
-            return {}
-        # A full masked BFS: the early-stopping reference optimization is
-        # an implementation detail, not part of the observable contract.
-        dist = self.distances(
-            graph,
-            source,
-            banned_edge=banned_edge,
-            banned_edges=banned_edges,
-            banned_vertices=banned_vertices,
-        )
-        n = graph.num_vertices
-        return {t: dist[t] if 0 <= t < n else UNREACHABLE for t in wanted}
 
     def sweep(
         self,
@@ -389,7 +342,6 @@ class CSREngine(PythonEngine):
         banned_vertices: Optional[Set[Vertex]] = None,
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
-        allowed_edges: Optional[Set[EdgeId]] = None,
         targets: Optional[Iterable[Vertex]] = None,
     ):
         targets = _check_targets(targets, graph.num_vertices)
@@ -407,7 +359,6 @@ class CSREngine(PythonEngine):
                     csr.num_edges,
                     banned_edge=banned_edge,
                     banned_edges=banned_edges,
-                    allowed_edges=allowed_edges,
                 ),
                 vertex_ok=_vertex_ok_mask(csr.num_vertices, banned_vertices),
                 targets=_target_arrays(targets),
@@ -421,47 +372,7 @@ class CSREngine(PythonEngine):
             banned_vertices=banned_vertices,
             banned_edge=banned_edge,
             banned_edges=banned_edges,
-            allowed_edges=allowed_edges,
             targets=targets,
-        )
-
-    def seeded_shortest_paths(
-        self,
-        graph: Graph,
-        weights,
-        seeds,
-        *,
-        allowed_vertices: Set[Vertex],
-        banned_edge: Optional[EdgeId] = None,
-    ):
-        seed_list = list(seeds)
-        n = graph.num_vertices
-        # Tiny restricted recomputes (leaf-ish subtrees in the
-        # replacement engine) are faster on the reference heap than on
-        # per-level array passes; results are bit-identical either way.
-        planned = None
-        if len(allowed_vertices) > _SMALL_WEIGHTED:
-            planned = _plan_seeds(graph, weights, seed_list, n)
-        if planned is not None:
-            perts, sa = planned
-            csr = csr_view(graph)
-            allowed_ok = np.zeros(n, dtype=bool)
-            allowed_ok[_valid_ids(allowed_vertices, n)] = True
-            levels = self._weighted_levels(
-                csr,
-                perts,
-                sa,
-                edge_ok=_edge_ok_mask(csr.num_edges, banned_edge=banned_edge),
-                allowed_ok=allowed_ok,
-            )
-            if levels is not None:
-                return assemble_result(-1, weights.shift, *levels)
-        return super().seeded_shortest_paths(
-            graph,
-            weights,
-            seed_list,
-            allowed_vertices=allowed_vertices,
-            banned_edge=banned_edge,
         )
 
     # -- batched primitives (stacked layers over one CSR view) ---------
@@ -638,7 +549,7 @@ class CSREngine(PythonEngine):
         preorder = np.asarray(tree.preorder, dtype=np.int64)
         # Re-gate with the largest possible crossing-edge seed: the plan
         # must prove seed + path perturbations never carry into the hop
-        # bits, exactly as the per-call seeded path does.
+        # bits.
         perts = weighted_plan(
             graph, weights, max_seed_pert=max_pert0 + export[1]
         )

@@ -59,12 +59,9 @@ def bfs_levels(
     source: int,
     *,
     edge_ok: Optional[np.ndarray] = None,
-    vertex_ok: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Masked hop distances from ``source`` (``UNREACHABLE`` = -1)."""
     dist = np.full(csr.num_vertices, UNREACHABLE, dtype=np.int64)
-    if vertex_ok is not None and not vertex_ok[source]:
-        return dist
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     level = 0
@@ -74,8 +71,6 @@ def bfs_levels(
         keep = dist[nbrs] == UNREACHABLE
         if edge_ok is not None:
             keep &= edge_ok[eids]
-        if vertex_ok is not None:
-            keep &= vertex_ok[nbrs]
         frontier = np.unique(nbrs[keep])
         dist[frontier] = level
     return dist

@@ -60,17 +60,12 @@ class PythonEngine(TraversalEngine):
         *,
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
-        banned_vertices: Optional[Set[Vertex]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
     ) -> List[int]:
         _check_source(graph, source)
-        n = graph.num_vertices
-        dist = [UNREACHABLE] * n
-        if banned_vertices and source in banned_vertices:
-            return dist
+        dist = [UNREACHABLE] * graph.num_vertices
         dist[source] = 0
         queue = deque([source])
-        banned_v = banned_vertices or ()
         banned_e = banned_edges or ()
         while queue:
             v = queue.popleft()
@@ -79,8 +74,6 @@ class PythonEngine(TraversalEngine):
                 if eid == banned_edge or eid in banned_e:
                     continue
                 if allowed_edges is not None and eid not in allowed_edges:
-                    continue
-                if w in banned_v:
                     continue
                 if dist[w] == UNREACHABLE:
                     dist[w] = dv + 1
@@ -107,48 +100,6 @@ class PythonEngine(TraversalEngine):
                     queue.append(w)
         return parent
 
-    def distances_subset(
-        self,
-        graph: Graph,
-        source: Vertex,
-        targets: Iterable[Vertex],
-        *,
-        banned_edge: Optional[EdgeId] = None,
-        banned_edges: Optional[Set[EdgeId]] = None,
-        banned_vertices: Optional[Set[Vertex]] = None,
-    ) -> Dict[Vertex, int]:
-        _check_source(graph, source)
-        remaining = set(targets)
-        result: Dict[Vertex, int] = {}
-        if not remaining:
-            return result
-        banned_v = banned_vertices or ()
-        banned_e = banned_edges or ()
-        if source in banned_v:
-            return {t: UNREACHABLE for t in remaining}
-        dist = {source: 0}
-        if source in remaining:
-            result[source] = 0
-            remaining.discard(source)
-        queue = deque([source])
-        while queue and remaining:
-            v = queue.popleft()
-            dv = dist[v]
-            for w, eid in graph.adjacency(v):
-                if eid == banned_edge or eid in banned_e:
-                    continue
-                if w in banned_v:
-                    continue
-                if w not in dist:
-                    dist[w] = dv + 1
-                    if w in remaining:
-                        result[w] = dv + 1
-                        remaining.discard(w)
-                    queue.append(w)
-        for t in remaining:
-            result[t] = UNREACHABLE
-        return result
-
     def sweep(
         self,
         graph: Graph,
@@ -169,7 +120,6 @@ class PythonEngine(TraversalEngine):
         banned_vertices: Optional[Set[Vertex]] = None,
         banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
-        allowed_edges: Optional[Set[EdgeId]] = None,
         targets: Optional[Iterable[Vertex]] = None,
     ):
         from repro.spt.dijkstra import dijkstra
@@ -181,7 +131,6 @@ class PythonEngine(TraversalEngine):
             banned_vertices=banned_vertices,
             banned_edge=banned_edge,
             banned_edges=banned_edges,
-            allowed_edges=allowed_edges,
             targets=targets,
         )
 
@@ -192,14 +141,9 @@ class PythonEngine(TraversalEngine):
         seeds,
         *,
         allowed_vertices: Set[Vertex],
-        banned_edge: Optional[EdgeId] = None,
     ):
         from repro.spt.dijkstra import seeded_dijkstra
 
         return seeded_dijkstra(
-            graph,
-            weights,
-            seeds,
-            allowed_vertices=allowed_vertices,
-            banned_edge=banned_edge,
+            graph, weights, seeds, allowed_vertices=allowed_vertices
         )

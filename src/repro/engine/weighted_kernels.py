@@ -55,7 +55,7 @@ every seed before it writes anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -68,7 +68,6 @@ __all__ = [
     "weighted_plan",
     "weighted_levels",
     "assemble_result",
-    "decompose_seeds",
     "SeedArrays",
     "stacked_expander",
     "unstack_layer",
@@ -176,29 +175,6 @@ def weighted_plan(
     if bound >= min(weights.big, _INT64_LIMIT):
         return None
     return perts
-
-
-def decompose_seeds(
-    seeds: Sequence[Tuple[int, int, int, int]], shift: int, n: int
-) -> SeedArrays:
-    """Split reference seeds ``(dist, v, parent, parent_eid)`` into
-    :class:`SeedArrays` columns.
-
-    A vertex outside ``[0, n)`` becomes ``-1``, which the intake
-    refuses, so the reference raises with the original id.  Gate the
-    seeds with :func:`weighted_plan` first: their big-int perturbations
-    (the exact scheme's in particular) may not fit ``int64``.
-    """
-    mask = (1 << shift) - 1
-    return SeedArrays(
-        hop=np.asarray([d >> shift for d, _, _, _ in seeds], dtype=np.int64),
-        pert=np.asarray([d & mask for d, _, _, _ in seeds], dtype=np.int64),
-        vertex=np.asarray(
-            [v if 0 <= v < n else -1 for _, v, _, _ in seeds], dtype=np.int64
-        ),
-        parent=np.asarray([p for _, _, p, _ in seeds], dtype=np.int64),
-        parent_eid=np.asarray([e for _, _, _, e in seeds], dtype=np.int64),
-    )
 
 
 def weighted_levels(

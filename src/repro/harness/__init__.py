@@ -10,11 +10,8 @@ process-pool stage layer in :mod:`repro.harness.parallel`.
 
 from repro.harness.parallel import (
     StageTask,
-    SweepOutcome,
-    SweepTask,
     default_worker_count,
     run_stage_tasks,
-    run_sweep,
 )
 from repro.harness.pipeline import (
     SPECS,
@@ -48,11 +45,8 @@ __all__ = [
     "experiment_ids",
     "run_experiment",
     "StageTask",
-    "SweepOutcome",
-    "SweepTask",
     "default_worker_count",
     "run_stage_tasks",
-    "run_sweep",
     "ExperimentRecord",
     "artifacts_dir",
     "load_record",

@@ -1,24 +1,22 @@
 """Parallel task execution: the harness's process-fanout layer.
 
-Two levels live here.  The *generic* level runs arbitrary picklable
-**stage tasks** — a :class:`StageTask` names a module-level function by
-``"package.module:function"`` reference plus a payload dict, so tasks
-pickle cheaply and each worker re-imports its own code and rebuilds its
-own inputs deterministically.  :func:`run_stage_tasks` streams results
-back in *completion* order (each tagged with its task index), which is
-what lets the scenario pipeline write per-point JSONL rows as they
-finish while still assembling bit-identical, task-ordered records.
-
-The *sweep* level (:class:`SweepTask` / :func:`run_sweep`) is the
-historical construction-sweep API, now a thin specialization of the
-stage layer: one stage function that builds a workload, constructs, and
-optionally verifies.
+It runs picklable **stage tasks**: a :class:`StageTask` names a
+module-level function by ``"package.module:function"`` reference plus a
+payload dict, so tasks pickle cheaply and each worker re-imports its own
+code and rebuilds its own inputs deterministically.
+:func:`run_stage_tasks` streams results back in *completion* order (each
+tagged with its task index), which is what lets the scenario pipeline
+(:class:`~repro.harness.pipeline.runner.PipelineRunner`, its one
+caller) write per-point JSONL rows as they finish while still
+assembling bit-identical, task-ordered records.
 
 Usage:
 
-    tasks = [SweepTask.make("gnp", {"n": 200, "seed": s}, epsilon=e)
-             for s in range(4) for e in (0.2, 0.5, 1.0)]
-    outcomes = run_sweep(tasks, max_workers=4)
+    tasks = [StageTask("repro.harness.pipeline.stages:probe",
+                       {"workload": "gnp", "params": {"n": 30, "seed": s}})
+             for s in range(4)]
+    for index, result, elapsed in run_stage_tasks(tasks, max_workers=2):
+        ...
 """
 
 from __future__ import annotations
@@ -28,26 +26,13 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 
 __all__ = [
     "StageTask",
-    "SweepTask",
-    "SweepOutcome",
     "run_stage_tasks",
-    "run_sweep",
     "default_worker_count",
     "resolve_stage",
     "MAX_WORKERS_ENV_VAR",
@@ -57,9 +42,6 @@ __all__ = [
 MAX_WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
 
 
-# ----------------------------------------------------------------------
-# generic stage tasks
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class StageTask:
     """One unit of picklable work: a function reference plus its payload.
@@ -151,105 +133,6 @@ def run_stage_tasks(
                 future.cancel()
 
 
-# ----------------------------------------------------------------------
-# construction sweeps (the historical API, now one stage kind)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SweepTask:
-    """One sweep point: a named workload plus construction parameters."""
-
-    workload: str
-    params: tuple  # canonicalized (key, value) pairs; see __init__ helper
-    epsilon: float = 0.3
-    source: Optional[int] = None  # None = the workload's default source
-    verify: bool = False
-    seed: int = 0
-    #: Traversal engine the worker runs under (None = worker's default);
-    #: a plain string, so tasks keep pickling cheaply.
-    engine: Optional[str] = None
-
-    @staticmethod
-    def make(
-        workload: str,
-        params: Optional[Dict[str, object]] = None,
-        *,
-        epsilon: float = 0.3,
-        source: Optional[int] = None,
-        verify: bool = False,
-        seed: int = 0,
-        engine: Optional[str] = None,
-    ) -> "SweepTask":
-        """Build a task from a plain parameter dict."""
-        items = tuple(sorted((params or {}).items()))
-        return SweepTask(
-            workload=workload,
-            params=items,
-            epsilon=epsilon,
-            source=source,
-            verify=verify,
-            seed=seed,
-            engine=engine,
-        )
-
-
-@dataclass(frozen=True)
-class SweepOutcome:
-    """Result of one sweep point.
-
-    Invariant: ``num_edges == num_backup + num_reinforced`` — the backup
-    and reinforced sets partition the structure's edges, so ``num_edges``
-    is pure reporting convenience, never independent information
-    (documented here, asserted in ``tests/test_parallel.py``).
-    """
-
-    task: SweepTask
-    n: int
-    m: int
-    num_edges: int
-    num_backup: int
-    num_reinforced: int
-    verified: Optional[bool]
-    elapsed_seconds: float
-
-
-def _execute(task: SweepTask) -> SweepOutcome:
-    """Worker body: rebuild the workload, construct, optionally verify."""
-    # Imports stay inside the worker so the module pickles minimally.
-    from repro.core import build_epsilon_ftbfs, verify_structure
-    from repro.core.construct import ConstructOptions
-    from repro.engine import engine_context
-    from repro.harness.workloads import workload as make_workload
-
-    start = time.perf_counter()
-    graph, default_source = make_workload(task.workload, **dict(task.params))
-    source = task.source if task.source is not None else default_source
-    with engine_context(task.engine):
-        structure = build_epsilon_ftbfs(
-            graph,
-            source,
-            task.epsilon,
-            options=ConstructOptions(seed=task.seed),
-        )
-        verified: Optional[bool] = None
-        if task.verify:
-            verified = verify_structure(structure).ok
-    return SweepOutcome(
-        task=task,
-        n=graph.num_vertices,
-        m=graph.num_edges,
-        num_edges=structure.num_edges,
-        num_backup=structure.num_backup,
-        num_reinforced=structure.num_reinforced,
-        verified=verified,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-
-
-def _sweep_stage(payload: Mapping[str, Any]) -> SweepOutcome:
-    """Stage adapter: run one :class:`SweepTask` shipped in the payload."""
-    return _execute(payload["task"])
-
-
 def default_worker_count() -> int:
     """A conservative default: physical-ish cores, at least 1.
 
@@ -264,28 +147,3 @@ def default_worker_count() -> int:
     except Exception as exc:
         raise ExperimentError(str(exc)) from None
     return max(1, value)
-
-
-def run_sweep(
-    tasks: Sequence[SweepTask],
-    *,
-    max_workers: Optional[int] = None,
-) -> List[SweepOutcome]:
-    """Run sweep points, in-process when ``max_workers`` resolves to 1,
-    else over a process pool (None/0 = auto).  Results come back in task
-    order regardless of completion order, making parallel runs
-    bit-identical to serial ones (asserted in the tests).
-    """
-    stage_tasks = [
-        StageTask(func="repro.harness.parallel:_sweep_stage", payload={"task": t})
-        for t in tasks
-    ]
-    results: List[Optional[SweepOutcome]] = [None] * len(tasks)
-    for index, outcome, _elapsed in run_stage_tasks(
-        stage_tasks, max_workers=max_workers
-    ):
-        results[index] = outcome
-    missing = [i for i, outcome in enumerate(results) if outcome is None]
-    if missing:  # 1:1 task-to-outcome is part of the contract
-        raise ExperimentError(f"sweep tasks {missing} produced no outcome")
-    return results

@@ -161,7 +161,8 @@ E4 = ScenarioSpec(
     measure="repro.harness.pipeline.specs.lower_bounds:e4_measure",
     aggregate=e4_aggregate,
     notes=(
-        "r_budget = |Pi|/6 (internally consistent variant; see DESIGN.md "
-        "on the paper's K n^(1-eps)/6 vs |E(Pi)| discrepancy)",
+        "r_budget = |Pi|/6 (internally consistent variant; see the "
+        "'Parameter note' of repro.lower_bounds.multi_source on the "
+        "paper's K n^(1-eps)/6 vs |E(Pi)| discrepancy)",
     ),
 )

@@ -1,7 +1,7 @@
 """Shortest-path substrate: weights, BFS, Dijkstra, the tree ``T0``,
 and replacement distances under single edge failures."""
 
-from repro.spt.bfs import UNREACHABLE, bfs_distances, bfs_distances_subset, bfs_tree
+from repro.spt.bfs import UNREACHABLE, bfs_distances, bfs_tree
 from repro.spt.replacement import ReplacementEngine
 from repro.spt.result import ShortestPathResult
 from repro.spt.spt_tree import ShortestPathTree, build_spt
@@ -10,7 +10,6 @@ from repro.spt.weights import AUTO, EXACT, RANDOM, WeightAssignment, make_weight
 __all__ = [
     "UNREACHABLE",
     "bfs_distances",
-    "bfs_distances_subset",
     "bfs_tree",
     "ShortestPathResult",
     "ReplacementEngine",

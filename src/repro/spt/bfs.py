@@ -2,8 +2,8 @@
 
 The verification oracle compares hop distances in ``G \\ {e}`` and
 ``H \\ {e}``; hop BFS (no tie-breaking needed) is the fastest way to get
-them.  ``banned_edge``/``banned_edges``/``banned_vertices`` implement
-failure simulation without copying the graph.
+them.  ``banned_edge``/``banned_edges`` implement edge failures without
+copying the graph.
 
 Since the engine refactor these functions are thin wrappers over the
 active :class:`~repro.engine.base.TraversalEngine` (see
@@ -16,13 +16,13 @@ otherwise the registry default applies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro._types import EdgeId, Vertex
 from repro.engine.base import UNREACHABLE
 from repro.engine.registry import get_engine
 
-__all__ = ["bfs_distances", "bfs_tree", "bfs_distances_subset", "UNREACHABLE"]
+__all__ = ["bfs_distances", "bfs_tree", "UNREACHABLE"]
 
 
 def bfs_distances(
@@ -31,7 +31,6 @@ def bfs_distances(
     *,
     banned_edge: Optional[EdgeId] = None,
     banned_edges: Optional[Set[EdgeId]] = None,
-    banned_vertices: Optional[Set[Vertex]] = None,
     allowed_edges: Optional[Set[EdgeId]] = None,
     engine: Optional[str] = None,
 ) -> List[int]:
@@ -45,7 +44,6 @@ def bfs_distances(
         source,
         banned_edge=banned_edge,
         banned_edges=banned_edges,
-        banned_vertices=banned_vertices,
         allowed_edges=allowed_edges,
     )
 
@@ -59,29 +57,3 @@ def bfs_tree(
 ) -> Dict[Vertex, Vertex]:
     """A BFS parent map ``{vertex: parent}`` (source maps to itself)."""
     return get_engine(engine).parents(graph, source, allowed_edges=allowed_edges)
-
-
-def bfs_distances_subset(
-    graph,
-    source: Vertex,
-    targets: Iterable[Vertex],
-    *,
-    banned_edge: Optional[EdgeId] = None,
-    banned_edges: Optional[Set[EdgeId]] = None,
-    banned_vertices: Optional[Set[Vertex]] = None,
-    engine: Optional[str] = None,
-) -> Dict[Vertex, int]:
-    """Hop distances to a target subset, stopping once all are settled.
-
-    Honors the same multi-failure keywords as :func:`bfs_distances`:
-    ``banned_edges`` and ``banned_vertices`` simulate compound failures
-    (a banned *source* makes every target ``UNREACHABLE``).
-    """
-    return get_engine(engine).distances_subset(
-        graph,
-        source,
-        targets,
-        banned_edge=banned_edge,
-        banned_edges=banned_edges,
-        banned_vertices=banned_vertices,
-    )

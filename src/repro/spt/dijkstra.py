@@ -27,11 +27,13 @@ comparisons are exact - no floating point anywhere near the tie-breaking.
 Only the engine layer (:mod:`repro.engine`) imports this module; every
 other call site goes through ``engine.shortest_paths`` /
 ``engine.seeded_shortest_paths``, which lets array backends substitute
-the fast kernels of :mod:`repro.engine.weighted_kernels` when the
-weight scheme permits.  This module is the only implementation of tie
-and seed-error semantics (which tie raises first, which seed is
-refused, and the messages): an array kernel that meets a possible tie
-or an invalid seed hands the whole call back here.
+the fast kernels of :mod:`repro.engine.weighted_kernels` for
+single-source runs when the weight scheme permits (seeded runs reach
+them only stacked, through ``weighted_failure_sweep``).  This module is
+the only implementation of tie and seed-error semantics (which tie
+raises first, which seed is refused, and the messages): an array kernel
+that meets a possible tie or an invalid seed hands the whole call back
+here.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ def dijkstra(
     banned_vertices: Optional[Set[Vertex]] = None,
     banned_edge: Optional[EdgeId] = None,
     banned_edges: Optional[Set[EdgeId]] = None,
-    allowed_edges: Optional[Set[EdgeId]] = None,
     targets: Optional[Iterable[Vertex]] = None,
 ) -> ShortestPathResult:
     """Single-source shortest paths under the composite weights.
@@ -82,7 +83,6 @@ def dijkstra(
         banned_vertices=banned_vertices,
         banned_edge=banned_edge,
         banned_edges=banned_edges,
-        allowed_edges=allowed_edges,
         allowed_vertices=None,
         targets=targets,
     )
@@ -94,7 +94,6 @@ def seeded_dijkstra(
     seeds: Iterable[Tuple[int, Vertex, Vertex, EdgeId]],
     *,
     allowed_vertices: Set[Vertex],
-    banned_edge: Optional[EdgeId] = None,
 ) -> ShortestPathResult:
     """Dijkstra seeded at a boundary, settling only ``allowed_vertices``.
 
@@ -102,7 +101,8 @@ def seeded_dijkstra(
     ``vertex`` lies inside ``allowed_vertices`` and ``dist`` already
     includes the crossing-edge weight.  Used to recompute distances inside
     the subtree hanging under a failed tree edge (see
-    :mod:`repro.spt.replacement`).
+    :mod:`repro.spt.replacement`); the failed edge leads outside
+    ``allowed_vertices``, so the restriction alone keeps the run off it.
     """
     return _run(
         graph,
@@ -110,9 +110,8 @@ def seeded_dijkstra(
         -1,
         list(seeds),
         banned_vertices=None,
-        banned_edge=banned_edge,
+        banned_edge=None,
         banned_edges=None,
-        allowed_edges=None,
         allowed_vertices=allowed_vertices,
     )
 
@@ -126,7 +125,6 @@ def _run(
     banned_vertices: Optional[Set[Vertex]],
     banned_edge: Optional[EdgeId],
     banned_edges: Optional[Set[EdgeId]],
-    allowed_edges: Optional[Set[EdgeId]],
     allowed_vertices: Optional[Set[Vertex]],
     targets: Optional[List[Vertex]] = None,
 ) -> ShortestPathResult:
@@ -178,8 +176,6 @@ def _run(
             if eid == banned_edge:
                 continue
             if banned_edges is not None and eid in banned_edges:
-                continue
-            if allowed_edges is not None and eid not in allowed_edges:
                 continue
             if banned_vertices is not None and w in banned_vertices:
                 continue

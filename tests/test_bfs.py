@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs import Graph, cycle_graph, gnp_random_graph, path_graph, to_networkx
-from repro.spt.bfs import UNREACHABLE, bfs_distances, bfs_distances_subset, bfs_tree
+from repro.spt.bfs import UNREACHABLE, bfs_distances, bfs_tree
 
 
 class TestBfsDistances:
@@ -26,16 +26,6 @@ class TestBfsDistances:
             g, 0, banned_edges={g.edge_id(0, 1), g.edge_id(0, 4)}
         )
         assert d[1] == UNREACHABLE
-
-    def test_banned_vertices(self):
-        g = path_graph(4)
-        d = bfs_distances(g, 0, banned_vertices={1})
-        assert d == [0, UNREACHABLE, UNREACHABLE, UNREACHABLE]
-
-    def test_banned_source(self):
-        g = path_graph(3)
-        d = bfs_distances(g, 0, banned_vertices={0})
-        assert d == [UNREACHABLE] * 3
 
     def test_allowed_edges_restricts(self):
         g = cycle_graph(4)
@@ -66,59 +56,6 @@ class TestBfsTree:
                 assert g.has_edge(v, p)
 
 
-class TestBfsSubset:
-    def test_subset_targets(self):
-        g = path_graph(6)
-        result = bfs_distances_subset(g, 0, [2, 5])
-        assert result == {2: 2, 5: 5}
-
-    def test_subset_includes_source(self):
-        g = path_graph(3)
-        assert bfs_distances_subset(g, 0, [0]) == {0: 0}
-
-    def test_subset_unreachable(self):
-        g = Graph(3, [(0, 1)])
-        assert bfs_distances_subset(g, 0, [2]) == {2: UNREACHABLE}
-
-    def test_subset_banned_edge(self):
-        g = cycle_graph(5)
-        result = bfs_distances_subset(g, 0, [1], banned_edge=g.edge_id(0, 1))
-        assert result == {1: 4}
-
-    def test_empty_targets(self):
-        assert bfs_distances_subset(path_graph(3), 0, []) == {}
-
-    def test_subset_banned_edges(self):
-        g = cycle_graph(5)
-        result = bfs_distances_subset(
-            g, 0, [1, 3], banned_edges={g.edge_id(0, 1), g.edge_id(0, 4)}
-        )
-        assert result == {1: UNREACHABLE, 3: UNREACHABLE}
-
-    def test_subset_banned_vertices(self):
-        g = cycle_graph(6)
-        result = bfs_distances_subset(g, 0, [3], banned_vertices={1})
-        assert result == {3: 3}
-        blocked = bfs_distances_subset(g, 0, [3], banned_vertices={1, 5})
-        assert blocked == {3: UNREACHABLE}
-
-    def test_subset_banned_source(self):
-        g = path_graph(4)
-        result = bfs_distances_subset(g, 0, [0, 2], banned_vertices={0})
-        assert result == {0: UNREACHABLE, 2: UNREACHABLE}
-
-    def test_subset_combined_bans_match_full_bfs(self):
-        g = gnp_random_graph(25, 0.2, seed=5)
-        bans = dict(
-            banned_edge=0,
-            banned_edges={1, 2},
-            banned_vertices={7},
-        )
-        full = bfs_distances(g, 0, **bans)
-        subset = bfs_distances_subset(g, 0, range(25), **bans)
-        assert subset == {v: full[v] for v in range(25)}
-
-
 class TestEngineKeyword:
     @pytest.mark.parametrize("engine", ["python", "csr"])
     def test_explicit_engine_pins_backend(self, engine):
@@ -129,6 +66,3 @@ class TestEngineKeyword:
         g = gnp_random_graph(20, 0.25, seed=1)
         assert bfs_distances(g, 0, engine=engine) == bfs_distances(g, 0)
         assert bfs_tree(g, 0, engine=engine) == bfs_tree(g, 0)
-        assert bfs_distances_subset(g, 0, [3, 9], engine=engine) == (
-            bfs_distances_subset(g, 0, [3, 9])
-        )

@@ -131,6 +131,39 @@ class TestOracleCLI:
         assert "snapshot ->" in out and "replacement rows" in out
         assert path.exists()
 
+    def test_build_save_retries_a_tie_in_the_replacement_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        """A tie in the sweep that ``save_structure`` runs reseeds like
+        one in the SPT: the file equals a direct save at the next seed."""
+        from repro.errors import TieBreakError
+        from repro.harness.workloads import workload
+        from repro.oracle import save_structure
+        from repro.spt.replacement import ReplacementEngine
+        from repro.spt.spt_tree import build_spt
+        from repro.spt.weights import make_weights
+
+        graph, source = workload("gnp", n=50, seed=3)
+        expected = tmp_path / "expected.snap"
+        save_structure(
+            expected, build_spt(graph, make_weights(graph, "random", 4), source)
+        )
+        real_init = ReplacementEngine.__init__
+        armed = [True]
+
+        def tie_once(self, *args, **kwargs):
+            if armed:
+                armed.pop()
+                raise TieBreakError("injected tie")
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReplacementEngine, "__init__", tie_once)
+        path = tmp_path / "s.snap"
+        assert main(["build", "--workload", "gnp", "--n", "50",
+                     "--seed", "3", "--save", str(path)]) == 0
+        assert not armed
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_query_check_passes(self, capsys, snapshot_file):
         rc = main(["query", str(snapshot_file), "--sample", "6", "--check"])
         assert rc == 0

@@ -12,7 +12,7 @@ from repro.core import (
     run_pcons,
     verify_structure,
 )
-from repro.errors import GraphError, ParameterError
+from repro.errors import GraphError, ParameterError, TieBreakError
 from repro.graphs import (
     Graph,
     barbell_graph,
@@ -61,11 +61,45 @@ class TestStructuralInvariants:
         assert s.epsilon == 0.37
 
 
+def _arm_one_tie(monkeypatch):
+    """Make the next ``build_spt`` call raise one TieBreakError; returns
+    a list that empties once the tie has fired."""
+    import repro.core.pcons as pcons_module
+    import repro.spt.spt_tree as spt_tree
+
+    real = spt_tree.build_spt
+    armed = [True]
+
+    def build_spt(*args, **kwargs):
+        if armed:
+            armed.pop()
+            raise TieBreakError("injected tie")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spt_tree, "build_spt", build_spt)
+    monkeypatch.setattr(pcons_module, "build_spt", build_spt)
+    return armed
+
+
 class TestRegimeDispatch:
     def test_eps_zero_fully_reinforced(self, medium_random):
         s = build_epsilon_ftbfs(medium_random, 0, 0.0)
         assert s.num_backup == 0
         assert s.edges == s.reinforced == s.tree_edges
+
+    def test_eps_zero_reseeds_past_a_tie_like_pcons(
+        self, medium_random, monkeypatch
+    ):
+        """A tie in the SPT of an eps = 0 build without a Pcons run
+        reseeds through run_pcons's loop: the build succeeds with the
+        tree that run_pcons settles on after the same tie."""
+        opts = ConstructOptions(weight_scheme="random")
+        _arm_one_tie(monkeypatch)
+        s = build_epsilon_ftbfs(medium_random, 0, 0.0, options=opts)
+        armed = _arm_one_tie(monkeypatch)
+        pc = run_pcons(medium_random, 0, weight_scheme="random")
+        assert not armed
+        assert s.reinforced == frozenset(pc.tree.tree_edges())
 
     def test_eps_one_no_reinforcement(self, medium_random):
         s = build_epsilon_ftbfs(medium_random, 0, 1.0)

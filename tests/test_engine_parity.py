@@ -1,11 +1,11 @@
 """Engine-parity tests: the csr engine must be bit-identical to python.
 
 The python engine is the executable specification; every kernel of the
-csr engine (masked BFS, parent maps, subset distances, the batched
-failure sweep) and everything built on top (verification oracle,
-unprotected-edge accounting) must produce *exactly* the same values.  Property-based tests drive random G(n, p) graphs,
-random single/dual failures, and random ``allowed_edges`` masks through
-both engines.
+csr engine (masked BFS, parent maps, the batched failure sweep) and
+everything built on top (verification oracle, unprotected-edge
+accounting) must produce *exactly* the same values.  Property-based
+tests drive random G(n, p) graphs, random single/dual failures, and
+random ``allowed_edges`` masks through both engines.
 """
 
 import random
@@ -112,17 +112,13 @@ class TestCSRView:
 def masked_instance(draw):
     """(graph, source, kwargs) with random failure masks."""
     g, source = draw(graph_with_source(max_vertices=24, connected=False))
-    n, m = g.num_vertices, g.num_edges
+    m = g.num_edges
     kwargs = {}
     if m and draw(st.booleans()):
         kwargs["banned_edge"] = draw(st.integers(0, m - 1))
     if m and draw(st.booleans()):
         kwargs["banned_edges"] = set(
             draw(st.lists(st.integers(0, m - 1), max_size=3))
-        )
-    if draw(st.booleans()):
-        kwargs["banned_vertices"] = set(
-            draw(st.lists(st.integers(0, n - 1), max_size=2))
         )
     if m and draw(st.booleans()):
         kwargs["allowed_edges"] = set(
@@ -154,16 +150,6 @@ def test_parents_parity(pair, mask_edges):
     assert got == expected
     # Same discovery order, not just the same mapping.
     assert list(got) == list(expected)
-
-
-@settings(max_examples=40, **COMMON)
-@given(masked_instance(), st.lists(st.integers(0, 30), max_size=4))
-def test_distances_subset_parity(instance, targets):
-    g, source, kwargs = instance
-    kwargs.pop("allowed_edges", None)  # subset queries take failure masks only
-    expected = PY.distances_subset(g, source, targets, **kwargs)
-    got = CSR.distances_subset(g, source, targets, **kwargs)
-    assert got == expected
 
 
 @settings(max_examples=30, **COMMON)
@@ -209,7 +195,6 @@ def test_out_of_range_ids_are_noops_on_both_engines():
         dict(banned_edge=-1),
         dict(banned_edge=99),
         dict(banned_edges={-1, 99}),
-        dict(banned_vertices={-1, 7}),
         dict(allowed_edges={0, 1, 2, 99}),
     ]
     for kwargs in cases:
@@ -347,20 +332,25 @@ def test_verify_parity_random_subgraphs(pair, salt):
 
 
 def test_sweep_tasks_honor_engine_choice():
-    from repro.harness import SweepTask, run_sweep
+    """Stage-task workers run under the engine their task pins: the
+    E13 measurement records the engine its construction ran on."""
+    from repro.harness import StageTask, run_stage_tasks
 
+    payload = {"workload": "gnp", "params": {"n": 60, "seed": 0}, "seed": 0}
     tasks = [
-        SweepTask.make(
-            "gnp", {"n": 60, "seed": 0}, epsilon=0.3, verify=True, engine=name
+        StageTask(
+            func="repro.harness.pipeline.specs.runtime:e13_measure",
+            payload=payload,
+            engine=name,
         )
         for name in ("python", "csr")
     ]
-    py_out, csr_out = run_sweep(tasks, max_workers=2)
-    assert py_out.task.engine == "python" and csr_out.task.engine == "csr"
-    assert (py_out.num_backup, py_out.num_reinforced, py_out.verified) == (
-        csr_out.num_backup, csr_out.num_reinforced, csr_out.verified
-    )
-    assert py_out.verified is True
+    rows = {
+        index: result["rows"][0]
+        for index, result, _ in run_stage_tasks(tasks, max_workers=2)
+    }
+    assert rows[0][2] == "python" and rows[1][2] == "csr"
+    assert rows[0][:2] == rows[1][:2] and rows[0][3] == rows[1][3]
 
 
 def test_construct_engine_option_changes_nothing():

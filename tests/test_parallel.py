@@ -1,79 +1,10 @@
-"""Tests for the parallel stage-task layer and the sweep runner."""
+"""Tests for the parallel stage-task layer."""
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.harness import (
-    StageTask,
-    SweepOutcome,
-    SweepTask,
-    default_worker_count,
-    run_stage_tasks,
-    run_sweep,
-)
+from repro.harness import StageTask, default_worker_count, run_stage_tasks
 from repro.harness.parallel import resolve_stage
-
-
-def make_tasks():
-    return [
-        SweepTask.make("gnp", {"n": 30, "seed": s}, epsilon=e, verify=True)
-        for s in range(2)
-        for e in (0.2, 1.0)
-    ]
-
-
-class TestTasks:
-    def test_make_canonicalizes_params(self):
-        a = SweepTask.make("gnp", {"n": 10, "seed": 1})
-        b = SweepTask.make("gnp", {"seed": 1, "n": 10})
-        assert a == b
-
-    def test_tasks_hashable(self):
-        assert len({SweepTask.make("gnp", {"n": 10}), SweepTask.make("gnp", {"n": 10})}) == 1
-
-
-class TestSerialExecution:
-    def test_results_in_task_order(self):
-        tasks = make_tasks()
-        outcomes = run_sweep(tasks, max_workers=1)
-        assert [o.task for o in outcomes] == tasks
-
-    def test_verification_performed(self):
-        outcomes = run_sweep(make_tasks(), max_workers=1)
-        assert all(o.verified for o in outcomes)
-
-    def test_verification_skipped_when_off(self):
-        task = SweepTask.make("gnp", {"n": 20, "seed": 0}, verify=False)
-        (outcome,) = run_sweep([task], max_workers=1)
-        assert outcome.verified is None
-
-    def test_empty_tasks(self):
-        assert run_sweep([], max_workers=1) == []
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_sweep(make_tasks(), max_workers=-1)
-
-    def test_source_override(self):
-        task = SweepTask.make("gnp", {"n": 20, "seed": 0}, source=5)
-        (outcome,) = run_sweep([task], max_workers=1)
-        assert outcome.task.source == 5
-
-    def test_outcome_fields(self):
-        (outcome,) = run_sweep(
-            [SweepTask.make("gnp", {"n": 25, "seed": 1})], max_workers=1
-        )
-        assert outcome.n == 25
-        assert outcome.num_edges == outcome.num_backup + outcome.num_reinforced
-        assert outcome.elapsed_seconds >= 0
-
-    def test_size_partition_invariant(self):
-        """num_edges carries no independent information: the backup and
-        reinforced sets partition the structure's edges (documented on
-        SweepOutcome), so num_edges == num_backup + num_reinforced on
-        every outcome."""
-        for outcome in run_sweep(make_tasks(), max_workers=1):
-            assert outcome.num_edges == outcome.num_backup + outcome.num_reinforced
 
 
 class TestStageTasks:
@@ -118,6 +49,14 @@ class TestStageTasks:
     def test_empty(self):
         assert list(run_stage_tasks([], max_workers=2)) == []
 
+    def test_negative_workers_rejected(self):
+        task = StageTask(
+            func="repro.harness.pipeline.stages:probe",
+            payload={"workload": "grid", "params": {"side": 3}},
+        )
+        with pytest.raises(ExperimentError):
+            list(run_stage_tasks([task], max_workers=-1))
+
     def test_worker_exception_propagates(self):
         tasks = [
             StageTask(
@@ -155,17 +94,5 @@ class TestWorkerCount:
 
 
 class TestParallelExecution:
-    @pytest.mark.slow
-    def test_parallel_matches_serial(self):
-        tasks = make_tasks()
-        serial = run_sweep(tasks, max_workers=1)
-        parallel = run_sweep(tasks, max_workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.task == b.task
-            assert a.num_edges == b.num_edges
-            assert a.num_backup == b.num_backup
-            assert a.num_reinforced == b.num_reinforced
-            assert a.verified == b.verified
-
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1

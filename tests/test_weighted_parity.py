@@ -135,10 +135,6 @@ def weighted_instance(draw):
         kwargs["banned_vertices"] = set(
             draw(st.lists(st.integers(1, n - 1), max_size=2))
         )
-    if m and draw(st.booleans()):
-        kwargs["allowed_edges"] = set(
-            draw(st.lists(st.integers(0, m - 1), max_size=m))
-        )
     return g, source, scheme, kwargs
 
 
@@ -173,69 +169,12 @@ def test_seeded_parity_subtree_recompute(pair, wseed):
                     continue
                 seeds.append((tree.dist[a] + w[cross], b, a, cross))
         run_both(
-            "seeded_shortest_paths", g, w, seeds,
-            allowed_vertices=sub_set, banned_edge=eid,
+            "seeded_shortest_paths", g, w, seeds, allowed_vertices=sub_set
         )
 
 
-def test_seeded_large_subtree_uses_kernel_path():
-    """Force the array path (allowed set above the small-run cutoff)."""
-    g = gnp_random_graph(160, 0.05, seed=8)
-    w = make_weights(g, RANDOM, seed=8)
-    tree = build_spt(g, w, 0)
-    # the root's largest child subtree is comfortably > the cutoff
-    child = max(tree.children[0], key=tree.subtree_size, default=None)
-    assert child is not None
-    eid = tree.parent_eid[child]
-    sub_set = set(tree.subtree_vertices(child))
-    from repro.engine.csr_engine import _SMALL_WEIGHTED
-
-    assert len(sub_set) > _SMALL_WEIGHTED  # must take the array path
-    seeds = [
-        (tree.dist[a] + w[cross], b, a, cross)
-        for b in sub_set
-        for a, cross in g.adjacency(b)
-        if cross != eid and a not in sub_set and tree.dist[a] is not None
-    ]
-    kind, _ = run_both(
-        "seeded_shortest_paths", g, w, seeds,
-        allowed_vertices=sub_set, banned_edge=eid,
-    )
-    assert kind == "ok"
-
-
-def test_seed_outside_allowed_raises_on_both():
-    g = cycle_graph(6)
-    w = make_weights(g, RANDOM, seed=0)
-    kind, _ = run_both(
-        "seeded_shortest_paths", g, w, [(w.big, 0, 5, 4)],
-        allowed_vertices=set(range(1, 5)),
-    )
-    assert kind == "graph-error"
-
-
-@pytest.fixture
-def seed_intake(monkeypatch):
-    """Send small seeded calls through the kernels' seed intake: csr
-    runs a call with at most ``_SMALL_WEIGHTED`` allowed vertices on
-    the reference outright, so the cutoff drops to 0.  Returns the
-    list of ``_plan_seeds`` calls, to show the intake was reached."""
-    import repro.engine.csr_engine as ce
-
-    calls = []
-    plan = ce._plan_seeds
-
-    def spy(*args):
-        calls.append(args)
-        return plan(*args)
-
-    monkeypatch.setattr(ce, "_SMALL_WEIGHTED", 0)
-    monkeypatch.setattr(ce, "_plan_seeds", spy)
-    return calls
-
-
 @pytest.mark.parametrize("vertex", [-2**70, 2**41, 2**70])
-def test_seeded_far_out_of_range_seed_is_named(vertex, seed_intake):
+def test_seeded_far_out_of_range_seed_is_named(vertex):
     """A seed vertex far outside [0, n) fails exactly like the reference:
     same exception type, same message naming the caller's id (no int64
     overflow, no clamped id)."""
@@ -252,10 +191,9 @@ def test_seeded_far_out_of_range_seed_is_named(vertex, seed_intake):
             outcomes.append((type(exc), str(exc)))
     expected = (GraphError, f"seed vertex {vertex} outside the allowed set")
     assert outcomes == [expected] * 3
-    assert len(seed_intake) == 2
 
 
-def test_seeded_equal_weight_seeds_tie_on_both(seed_intake):
+def test_seeded_equal_weight_seeds_tie_on_both():
     g = cycle_graph(6)
     w = make_weights(g, RANDOM, seed=0)
     d = 3 * w.big
@@ -264,10 +202,9 @@ def test_seeded_equal_weight_seeds_tie_on_both(seed_intake):
         "seeded_shortest_paths", g, w, seeds, allowed_vertices={2, 3}
     )
     assert kind == "tie"
-    assert len(seed_intake) == 1
 
 
-def test_seeded_seed_outside_allowed_raises_on_both(seed_intake):
+def test_seeded_seed_outside_allowed_raises_on_both():
     g = cycle_graph(6)
     w = make_weights(g, RANDOM, seed=0)
     kind, _ = run_both(
@@ -275,14 +212,36 @@ def test_seeded_seed_outside_allowed_raises_on_both(seed_intake):
         allowed_vertices=set(range(1, 5)),
     )
     assert kind == "graph-error"
-    assert len(seed_intake) == 1
 
 
-def test_seeded_error_kind_follows_seed_order(seed_intake):
-    """Past the seed intake, a seed tie arriving before an invalid seed
-    raises TieBreakError, after it GraphError - the reference's
-    sequential order, which the kernels leave to the reference by
-    handing the call back."""
+def test_equal_weight_seeds_tie_on_both():
+    """A one-vertex subtree entered over both its crossing edges at the
+    same distance ties on every engine."""
+    g = cycle_graph(6)
+    w = make_weights(g, RANDOM, seed=0)
+    d = 2 * w.big
+    seeds = [(d, 2, 1, 1), (d, 2, 3, 2)]  # same dist, different entry edge
+    kind, _ = run_both(
+        "seeded_shortest_paths", g, w, seeds, allowed_vertices={2}
+    )
+    assert kind == "tie"
+
+
+def test_seed_outside_allowed_raises_on_both():
+    """An outside seed raises even after a valid seed was taken."""
+    g = cycle_graph(6)
+    w = make_weights(g, RANDOM, seed=0)
+    kind, _ = run_both(
+        "seeded_shortest_paths", g, w, [(w.big, 1, 0, 0), (w.big, 0, 5, 5)],
+        allowed_vertices=set(range(1, 5)),
+    )
+    assert kind == "graph-error"
+
+
+def test_seeded_error_kind_follows_seed_order():
+    """A seed tie arriving before an invalid seed raises TieBreakError,
+    after it GraphError - the reference's sequential order, which every
+    engine's seeded call runs."""
     g = cycle_graph(6)
     w = make_weights(g, RANDOM, seed=0)
     d = 3 * w.big
@@ -296,7 +255,6 @@ def test_seeded_error_kind_follows_seed_order(seed_intake):
             "seeded_shortest_paths", g, w, seeds, allowed_vertices={2, 3}
         )
         assert kind == expected, seeds
-    assert len(seed_intake) == 2
 
 
 def test_banned_source_raises_on_both():
@@ -349,17 +307,6 @@ def test_duplicates_above_running_min_do_not_tie():
     assert sp.dist[4] & (big - 1) == 5
 
 
-def test_equal_weight_seeds_tie_on_both():
-    g = cycle_graph(6)
-    w = make_weights(g, RANDOM, seed=0)
-    d = 3 * w.big
-    seeds = [(d, 2, 1, 1), (d, 2, 3, 2)]  # same dist, different entry edge
-    kind, _ = run_both(
-        "seeded_shortest_paths", g, w, seeds, allowed_vertices={2, 3}
-    )
-    assert kind == "tie"
-
-
 @settings(max_examples=25, **COMMON)
 @given(graph_with_source(max_vertices=14, connected=False), st.integers(0, 2**10))
 def test_degenerate_weights_tie_parity(pair, salt):
@@ -409,6 +356,18 @@ def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
     the reference: the numpy relaxation never reruns it."""
     import repro.engine.csr_engine as ce
 
+    # A tie-free SPT whose sweep meets a seed tie: 4 hangs under 1
+    # (hop 2, pert 2), and failing (1, 4) seeds 4 from 2 and from 3,
+    # both at pert 4.
+    fan = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    big = 1 << 16
+    fan_w = WeightAssignment(
+        weights=[big + p for p in (1, 2, 3, 1, 2, 1)],
+        shift=16, scheme=RANDOM, seed=0,
+    )
+    fan_tree = build_spt(fan, fan_w, 0)
+    assert fan_tree.parent[4] == 1
+
     def numpy_relaxation(*args, **kwargs):
         raise AssertionError("the numpy relaxation ran")
 
@@ -420,12 +379,8 @@ def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
         engine.shortest_paths(g, w, 0)
     with pytest.raises(TieBreakError, match="equal-weight paths"):
         list(engine.batched_shortest_paths(*pendant_c6(3), [[6, 1], [6, 0]]))
-    monkeypatch.setattr(ce, "_SMALL_WEIGHTED", 0)  # reach the seed intake
-    w = make_weights(g, RANDOM, seed=0)
-    d = 3 * w.big
-    seeds = [(d, 2, 1, 1), (d, 2, 3, 2)]
-    with pytest.raises(TieBreakError, match="equal-weight seeds for vertex 2"):
-        engine.seeded_shortest_paths(g, w, seeds, allowed_vertices={2, 3})
+    with pytest.raises(TieBreakError, match="equal-weight seeds for vertex 4"):
+        list(engine.weighted_failure_sweep(fan, fan_w, fan_tree, [3]))
 
 
 # ----------------------------------------------------------------------
