@@ -64,9 +64,10 @@ def test_micro_failure_sweep(benchmark, instance, engine_name):
     eids = sorted(h_edges)[:200]
 
     def sweep():
+        handle = engine.sweep(graph, 0, allowed_edges=h_edges)
         total = 0
-        for dist in engine.failure_sweep(graph, 0, eids, allowed_edges=h_edges):
-            total += int(dist[0])
+        for eid in eids:
+            total += int(handle.failed(eid)[0])
         return total
 
     benchmark.pedantic(sweep, rounds=3 if engine_name == "csr" else 1, iterations=1)

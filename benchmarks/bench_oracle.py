@@ -118,7 +118,7 @@ def test_oracle_load_and_query_speedup(benchmark, quick_mode, bench_seed,
     # cached answer must be bit-identical to a fresh banned-edge
     # traversal, including None for unreachable.
     for v, eid in cases[:16]:
-        sp = engine.shortest_paths(graph, weights, 0, banned_edge=eid)
+        sp = engine.shortest_paths(graph, weights, 0, banned_edges={eid})
         assert oracle.dist(v, [eid]) == sp.dist[v], (v, eid)
 
     oracle.dist(cases[0][0], [cases[0][1]])  # warm
@@ -133,7 +133,7 @@ def test_oracle_load_and_query_speedup(benchmark, quick_mode, bench_seed,
     r_samples = []
     for v, eid in recompute_cases:
         t0 = time.perf_counter()
-        engine.shortest_paths(graph, weights, 0, banned_edge=eid).dist[v]
+        engine.shortest_paths(graph, weights, 0, banned_edges={eid}).dist[v]
         r_samples.append(time.perf_counter() - t0)
     r_p50, _ = _percentiles(r_samples)
     stats = oracle.stats.as_dict()

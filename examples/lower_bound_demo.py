@@ -28,7 +28,7 @@ def main() -> None:
     x = copy.x_vertices[0]
     z_j = copy.z_vertices[j - 1]
     base = bfs_distances(g, lb.source)
-    after = bfs_distances(g, lb.source, banned_edge=e_j)
+    after = bfs_distances(g, lb.source, banned_edges={e_j})
     print(f"\nClaim 5.3 demo: fail path edge e_{j} of copy 0")
     print(f"  dist(s, x)           = {base[x]}  (= d + 2 = {lb.d + 2})")
     print(f"  dist(s, x, G - e_{j})  = {after[x]}  (= 2d - j + 7 = {lb.expected_replacement_distance(j)})")

@@ -17,8 +17,8 @@ Public API highlights
 * :func:`repro.core.build_ftbfs13` - the ESA'13 baseline (eps = 1).
 * :func:`repro.core.build_ft_mbfs` - multi-source structures.
 * :func:`repro.core.verify_structure` - the independent oracle.
-* :mod:`repro.engine` - pluggable traversal engines (python reference
-  vs numpy/CSR kernels) behind one dispatch point.
+* :mod:`repro.engine` - the traversal engines (the python reference
+  and csr's C/numpy kernels) behind one dispatch point.
 * :mod:`repro.lower_bounds` - the Theorem 5.1 / 5.4 gadget graphs.
 * :mod:`repro.harness` - the experiment registry behind the benchmarks.
 """
@@ -64,10 +64,7 @@ from repro.engine import (
     available_engines,
     engine_context,
     get_engine,
-    register_engine,
-    set_default_engine,
 )
-from repro.io import structure_from_json, structure_to_json
 
 __version__ = "1.0.0"
 
@@ -84,8 +81,6 @@ __all__ = [
     "available_engines",
     "engine_context",
     "get_engine",
-    "register_engine",
-    "set_default_engine",
     # graphs
     "Graph",
     "path_graph",
@@ -113,6 +108,4 @@ __all__ = [
     "unprotected_edges",
     "verify_structure",
     "verify_subgraph",
-    "structure_from_json",
-    "structure_to_json",
 ]

@@ -238,7 +238,7 @@ def _cmd_engines() -> int:
         print(f"  {'':<8}   detours: {engine.detour_backend}")
         print(f"  {'':<8}   interference: {engine.interference_backend}")
         print(f"  {'':<8}   compiler: {engine.compiler}")
-    print(f"select with --engine, ${ENGINE_ENV_VAR}, or repro.engine.set_default_engine")
+    print(f"select with --engine, ${ENGINE_ENV_VAR}, or repro.engine.engine_context")
     return 0
 
 
@@ -327,8 +327,14 @@ def _cmd_build_save(
 ) -> int:
     import os
 
-    graph, source = workload(name, n=n, seed=seed)
-    tree, path = _save_query_tree(graph, source, seed, save)
+    from repro.errors import ReproError
+
+    try:
+        graph, source = workload(name, n=n, seed=seed)
+        tree, path = _save_query_tree(graph, source, seed, save)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     size = os.path.getsize(path)
     rows = tree.num_reachable - 1
     print(f"graph: {graph}")
@@ -424,8 +430,14 @@ def _cmd_serve(snapshot: str, engine: Optional[str]) -> int:
 
 
 def _cmd_build(name: str, n: int, epsilon: float, seed: int, no_verify: bool) -> int:
-    graph, source = workload(name, n=n, seed=seed)
-    structure = build_epsilon_ftbfs(graph, source, epsilon)
+    from repro.errors import ReproError
+
+    try:
+        graph, source = workload(name, n=n, seed=seed)
+        structure = build_epsilon_ftbfs(graph, source, epsilon)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(structure.summary())
     for key, value in structure.stats.as_dict().items():
         print(f"  {key}: {value}")

@@ -26,7 +26,6 @@ from repro.core.multi_source import MBFSStructure, build_ft_mbfs
 from repro.core.optimize import (
     edge_costs,
     greedy_reinforcement,
-    min_reinforcement_for_backup_budget,
 )
 from repro.core.pairs import PairRecord, PairSet
 from repro.core.pcons import PconsResult, PconsStats, run_pcons
@@ -63,7 +62,6 @@ __all__ = [
     "build_ft_mbfs",
     "edge_costs",
     "greedy_reinforcement",
-    "min_reinforcement_for_backup_budget",
     "PairRecord",
     "PairSet",
     "PconsResult",

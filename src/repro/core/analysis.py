@@ -22,13 +22,13 @@ instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro._types import EdgeId, Vertex
 from repro.core.construct import ConstructTrace
 from repro.core.pairs import PairRecord
 from repro.core.structure import FTBFSStructure
-from repro.decomposition.heavy_path import HeavyPath, TreeDecomposition
+from repro.decomposition.heavy_path import TreeDecomposition
 
 __all__ = [
     "SigmaSegment",

@@ -27,7 +27,7 @@ from typing import Optional, Set
 
 from repro._types import Vertex
 from repro.engine.registry import engine_context, get_engine
-from repro.errors import GraphError, ParameterError
+from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.core.ftbfs13 import build_ftbfs13
 from repro.core.interference import InterferenceIndex

@@ -7,12 +7,13 @@ suffice).  The Discussion proposes two optimization problems:
 * minimize backup edges subject to a reinforcement budget ``r``;
 * minimize reinforcement subject to a backup budget ``b``.
 
-This module provides greedy heuristics for both, built on the Pcons
-accounting: a tree edge ``e`` left unreinforced forces the distinct last
-edges of its uncovered pairs into ``H`` (its "cost", ``Cost(e)`` in the
-paper's notation); reinforcing it saves exactly the last edges no other
-unreinforced tree edge still needs.  That is a weighted max-coverage
-problem, attacked with the classic marginal-gain greedy.
+This module provides a greedy heuristic for the first (E12 runs it),
+built on the Pcons accounting: a tree edge ``e`` left unreinforced
+forces the distinct last edges of its uncovered pairs into ``H`` (its
+"cost", ``Cost(e)`` in the paper's notation); reinforcing it saves
+exactly the last edges no other unreinforced tree edge still needs.
+That is a weighted max-coverage problem, attacked with the classic
+marginal-gain greedy.
 
 The resulting structures are *valid by construction*: every unreinforced
 tree edge ends up last-protected, so Observation 2.2 applies.
@@ -21,7 +22,6 @@ tree edge ends up last-protected, so Observation 2.2 applies.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro._types import EdgeId, Vertex
@@ -32,7 +32,6 @@ from repro.core.structure import ConstructStats, FTBFSStructure
 
 __all__ = [
     "greedy_reinforcement",
-    "min_reinforcement_for_backup_budget",
     "edge_costs",
 ]
 
@@ -121,81 +120,3 @@ def greedy_reinforcement(
         stats=stats,
     )
 
-
-def min_reinforcement_for_backup_budget(
-    graph: Graph,
-    source: Vertex,
-    max_backup: int,
-    *,
-    pcons: Optional[PconsResult] = None,
-    weight_scheme: str = "auto",
-    seed: int = 0,
-) -> FTBFSStructure:
-    """Minimize reinforcement subject to a backup-edge budget (greedy dual).
-
-    Starts fully backed-up ([14]-style) and reinforces highest-cost tree
-    edges until the backup count fits the budget.  Raises
-    :class:`ParameterError` when even reinforcing everything cannot meet
-    the budget (i.e. ``max_backup < n - 1`` tree edges... the tree itself
-    always stays as backup unless reinforced, so any budget >= 0 is
-    eventually satisfiable by reinforcing all tree edges).
-    """
-    if max_backup < 0:
-        raise ParameterError(f"backup budget must be >= 0, got {max_backup}")
-    result = pcons or run_pcons(graph, source, weight_scheme=weight_scheme, seed=seed)
-    needs = edge_costs(result)
-    tree_edges = set(result.tree.tree_edges())
-
-    multiplicity: Dict[EdgeId, int] = {}
-    for last_set in needs.values():
-        for le in last_set:
-            multiplicity[le] = multiplicity.get(le, 0) + 1
-
-    reinforced: Set[EdgeId] = set()
-
-    def current_backup() -> int:
-        extra = sum(1 for le, count in multiplicity.items() if count > 0)
-        return len(tree_edges) - len(reinforced) + extra
-
-    def marginal(eid: EdgeId) -> int:
-        # Saving = newly unneeded last edges + the tree edge moving from
-        # backup to reinforced.
-        return sum(1 for le in needs.get(eid, ()) if multiplicity[le] == 1) + 1
-
-    heap: List[Tuple[int, EdgeId]] = [
-        (-(len(needs.get(e, ())) + 1), e) for e in tree_edges
-    ]
-    heapq.heapify(heap)
-    while current_backup() > max_backup and heap:
-        neg_gain, eid = heapq.heappop(heap)
-        if eid in reinforced:
-            continue
-        gain = marginal(eid)
-        if gain != -neg_gain:
-            heapq.heappush(heap, (-gain, eid))
-            continue
-        reinforced.add(eid)
-        for le in needs.get(eid, ()):
-            multiplicity[le] -= 1
-
-    edges: Set[EdgeId] = set(tree_edges)
-    for eid, last_set in needs.items():
-        if eid in reinforced:
-            continue
-        edges.update(last_set)
-
-    stats = ConstructStats(
-        num_pairs=result.stats.num_pairs,
-        num_covered=result.stats.num_covered,
-        num_uncovered=result.stats.num_uncovered,
-        num_disconnected=result.stats.num_disconnected,
-    )
-    return FTBFSStructure(
-        graph=graph,
-        source=source,
-        epsilon=float("nan"),
-        edges=frozenset(edges),
-        reinforced=frozenset(reinforced),
-        tree_edges=frozenset(tree_edges),
-        stats=stats,
-    )

@@ -10,7 +10,7 @@ uncovered pairs - the divergence point and full detour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._types import EdgeId, Vertex
@@ -114,7 +114,3 @@ class PairSet:
     def uncovered(self) -> List[PairRecord]:
         """All uncovered pairs (the paper's ``UP``)."""
         return [p for p in self.pairs if p.uncovered]
-
-    def uncovered_of_vertex(self, v: Vertex) -> List[PairRecord]:
-        """The paper's ``UP(v)``."""
-        return [p for p in self.by_vertex.get(v, ()) if p.uncovered]

@@ -84,10 +84,6 @@ class PconsStats:
     num_detour_dijkstras: int = 0
     total_detour_length: int = 0
 
-    @property
-    def max_pairs_possible(self) -> int:
-        return self.num_pairs
-
 
 @dataclass
 class PconsResult:
@@ -100,10 +96,6 @@ class PconsResult:
     engine: ReplacementEngine
     pairs: PairSet
     stats: PconsStats
-
-    def uncovered_pairs(self) -> List[PairRecord]:
-        """The paper's ``UP``."""
-        return self.pairs.uncovered()
 
 
 def run_pcons(

@@ -10,7 +10,7 @@ edges) that Theorem 3.1 bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet
 
 from repro._types import EdgeId, Vertex
 from repro.errors import ParameterError

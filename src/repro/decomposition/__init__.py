@@ -8,7 +8,6 @@ from repro.decomposition.heavy_path import (
 from repro.decomposition.segments import (
     PathSegment,
     decompose_path_edges,
-    segment_of_edge,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "heavy_path_decomposition",
     "PathSegment",
     "decompose_path_edges",
-    "segment_of_edge",
 ]

@@ -23,7 +23,7 @@ the tree edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro._types import EdgeId, Vertex
 from repro.errors import GraphError

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.errors import ParameterError
 
@@ -81,17 +81,3 @@ def decompose_path_edges(path_length: int) -> List[PathSegment]:
         )
     return segments
 
-
-def segment_of_edge(segments: Sequence[PathSegment], edge_idx: int) -> PathSegment:
-    """Locate the segment containing a path-edge index (binary search)."""
-    lo, hi = 0, len(segments) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        seg = segments[mid]
-        if edge_idx < seg.start:
-            hi = mid - 1
-        elif edge_idx >= seg.stop:
-            lo = mid + 1
-        else:
-            return seg
-    raise ParameterError(f"edge index {edge_idx} outside all segments")

@@ -11,11 +11,12 @@ Engine contract (details in :mod:`repro.engine.base`)
 * ``distances`` / ``parents``: masked hop BFS, bit-identical across
   engines (tie-breaking comes from the graph's adjacency-list order,
   which every backend must preserve).
-* ``failure_sweep``: the batched all-single-edge-failures primitive -
-  hop distances of ``G \\ {e}`` (or ``H \\ {e}`` under an
-  ``allowed_edges`` mask) for a lazily-consumed stream of edge ids.
-  Backends amortize: the csr engine computes one base BFS tree and
-  recomputes only the subtree hanging under each failed tree edge.
+* ``sweep``: the all-single-edge-failures primitive - a handle whose
+  ``failed(e)`` gives the hop distances of ``G \\ {e}`` (or ``H \\ {e}``
+  under an ``allowed_edges`` mask) and whose ``base_distances()`` gives
+  the no-failure vector.  Backends amortize: the csr engine computes
+  one base BFS tree and recomputes only the subtree hanging under each
+  failed tree edge.
 * ``shortest_paths`` / ``seeded_shortest_paths``: the weighted
   tie-broken Dijkstra.  The csr engine runs the random weight scheme's
   single-source calls on the array kernels of
@@ -60,11 +61,11 @@ Built-in engines
 
 Selection
 ---------
-Explicit ``engine=`` keyword > :func:`engine_context` /
-:func:`set_default_engine` > the ``REPRO_ENGINE`` environment variable >
-``"csr"`` if available else ``"python"``.  The CLI exposes the same
-choice as ``repro engines`` and ``--engine {python,csr}``; stage-task
-workers honor :attr:`repro.harness.parallel.StageTask.engine`.
+Explicit ``engine=`` keyword > :func:`engine_context` > the
+``REPRO_ENGINE`` environment variable > ``"csr"`` if available else
+``"python"``.  The CLI exposes the same choice as ``repro engines`` and
+``--engine {python,csr}``; stage-task workers honor
+:attr:`repro.harness.parallel.StageTask.engine`.
 """
 
 from repro.engine.base import (
@@ -84,8 +85,6 @@ from repro.engine.registry import (
     default_engine_name,
     engine_context,
     get_engine,
-    register_engine,
-    set_default_engine,
 )
 
 __all__ = [
@@ -103,6 +102,4 @@ __all__ = [
     "default_engine_name",
     "engine_context",
     "get_engine",
-    "register_engine",
-    "set_default_engine",
 ]

@@ -20,13 +20,17 @@ Contract
   engine for every input: same distance lists, same parent maps
   (including tie-breaking, which both engines derive from the graph's
   adjacency-list order), same dict contents.
-* ``failure_sweep`` yields, for each requested edge id, the hop-distance
-  vector of ``G \\ {e}`` (or ``H \\ {e}`` when ``allowed_edges`` masks the
-  graph down to a structure).  Backends may return any integer sequence
-  type (the csr engine yields numpy arrays, possibly *shared* between
-  failures whose distances coincide with the no-failure base - callers
-  must treat yielded vectors as read-only); only the values are part of
-  the contract.
+* ``sweep`` returns a :class:`SweepHandle` whose ``failed(e)`` is, for
+  an edge id ``e``, the hop-distance vector of ``G \\ {e}`` (or
+  ``H \\ {e}`` when ``allowed_edges`` masks the graph down to a
+  structure), and whose ``base_distances()`` is the no-failure vector.
+  Backends may return any integer sequence type (the csr engine returns
+  numpy arrays, possibly *shared* between failures whose distances
+  coincide with the no-failure base - callers must treat returned
+  vectors as read-only); only the values are part of the contract.
+* **Edge bans.**  ``banned_edges`` on hop ``distances`` and weighted
+  ``shortest_paths`` is a set of edge ids the run may not cross; an id
+  that names no edge bans nothing.
 * ``shortest_paths`` / ``seeded_shortest_paths`` run the weighted
   tie-broken Dijkstra and must be *bit-identical* to the reference in
   :mod:`repro.spt.dijkstra`: same big-int distances, same
@@ -65,8 +69,8 @@ Contract
 * **The batched replacement sweep** (PR 4).  ``weighted_failure_sweep``
   yields, for the failed tree edges of a
   :class:`~repro.spt.spt_tree.ShortestPathTree`, the replacement rows
-  over each failed subtree - the weighted analogue of ``failure_sweep``
-  - in :class:`ReplacementRows` blocks; only the concatenated rows, not
+  over each failed subtree - the weighted analogue of ``sweep`` - in
+  :class:`ReplacementRows` blocks; only the concatenated rows, not
   the blocking, are part of the contract.  The reference implementation
   *is* the per-edge loop below, so parity between the per-edge and
   batched paths holds by construction on the python engine; array
@@ -200,7 +204,7 @@ class SweepHandle:
     the no-failure distance vector (computed once); ``failed(eid)`` is
     the distance vector after failing ``eid``.  Ids that do not name an
     edge of the (masked) graph ban nothing, exactly like the reference
-    BFS's ``banned_edge`` filter.  Returned vectors may be shared - treat
+    BFS's ``banned_edges`` filter.  Returned vectors may be shared - treat
     them as read-only.
 
     For a failure that changes nothing (an edge off the base tree, an
@@ -255,7 +259,6 @@ class TraversalEngine:
         graph: Graph,
         source: Vertex,
         *,
-        banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
     ) -> List[int]:
@@ -287,28 +290,6 @@ class TraversalEngine:
         """
         raise NotImplementedError
 
-    def failure_sweep(
-        self,
-        graph: Graph,
-        source: Vertex,
-        eids: Sequence[EdgeId],
-        *,
-        allowed_edges: Optional[Set[EdgeId]] = None,
-    ) -> Iterator[Sequence[int]]:
-        """Hop-distance vectors after failing each edge of ``eids`` in turn.
-
-        Equivalent to ``distances(graph, source, banned_edge=e,
-        allowed_edges=allowed_edges)`` per edge, but backends amortize
-        work across the whole sweep via :meth:`sweep`.  Lazy: nothing is
-        computed until the first vector is consumed, so early-exiting
-        callers (verification hitting ``max_violations``) stay cheap.
-        """
-        handle: Optional[SweepHandle] = None
-        for eid in eids:
-            if handle is None:
-                handle = self.sweep(graph, source, allowed_edges=allowed_edges)
-            yield handle.failed(eid)
-
     # -- weighted tie-broken traversals --------------------------------
     def shortest_paths(
         self,
@@ -317,7 +298,6 @@ class TraversalEngine:
         source: Vertex,
         *,
         banned_vertices: Optional[Set[Vertex]] = None,
-        banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         targets: Optional[Iterable[Vertex]] = None,
     ):

@@ -416,7 +416,6 @@ class CompiledEngine(CSREngine):
         graph: Graph,
         source: Vertex,
         *,
-        banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
     ) -> List[int]:
@@ -425,7 +424,6 @@ class CompiledEngine(CSREngine):
             return super().distances(
                 graph,
                 source,
-                banned_edge=banned_edge,
                 banned_edges=banned_edges,
                 allowed_edges=allowed_edges,
             )
@@ -433,7 +431,6 @@ class CompiledEngine(CSREngine):
         csr = csr_view(graph)
         edge_ok = _edge_ok_mask(
             csr.num_edges,
-            banned_edge=banned_edge,
             banned_edges=banned_edges,
             allowed_edges=allowed_edges,
         )

@@ -49,10 +49,6 @@ class CSRAdjacency:
     #: mapping lives as long as the view does.
     owner: object = field(default=None, compare=False, repr=False)
 
-    def degree_array(self) -> np.ndarray:
-        """Degrees as an int64 array (a fresh array per call)."""
-        return self.indptr[1:] - self.indptr[:-1]
-
     @classmethod
     def from_arrays(
         cls,

@@ -5,8 +5,8 @@
 serves as ``csr``; its paths run whenever the C kernels are
 unavailable.  Hop traversals run on the cached CSR view through the
 kernels in :mod:`repro.engine.kernels`; results are converted back to
-the plain Python containers the contract promises (except
-``failure_sweep``, which yields numpy vectors - values-only contract).
+the plain Python containers the contract promises (except the
+``sweep`` handle, which returns numpy vectors - values-only contract).
 
 Single-source weighted traversals (``shortest_paths``) take the fast
 path of :mod:`repro.engine.weighted_kernels` whenever
@@ -123,12 +123,11 @@ def _valid_ids(ids: Iterable[int], limit: int) -> np.ndarray:
 def _edge_ok_mask(
     m: int,
     *,
-    banned_edge: Optional[EdgeId] = None,
     banned_edges: Optional[Set[EdgeId]] = None,
     allowed_edges: Optional[Set[EdgeId]] = None,
 ) -> Optional[np.ndarray]:
     """A per-edge boolean mask, or None when every edge is usable."""
-    if banned_edge is None and not banned_edges and allowed_edges is None:
+    if not banned_edges and allowed_edges is None:
         return None
     if allowed_edges is not None:
         ok = np.zeros(m, dtype=bool)
@@ -137,8 +136,6 @@ def _edge_ok_mask(
         ok = np.ones(m, dtype=bool)
     if banned_edges:
         ok[_valid_ids(banned_edges, m)] = False
-    if banned_edge is not None and 0 <= banned_edge < m:
-        ok[banned_edge] = False
     return ok
 
 
@@ -246,7 +243,6 @@ class CSREngine(PythonEngine):
         graph: Graph,
         source: Vertex,
         *,
-        banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
     ) -> List[int]:
@@ -254,7 +250,6 @@ class CSREngine(PythonEngine):
         csr = csr_view(graph)
         edge_ok = _edge_ok_mask(
             csr.num_edges,
-            banned_edge=banned_edge,
             banned_edges=banned_edges,
             allowed_edges=allowed_edges,
         )
@@ -340,7 +335,6 @@ class CSREngine(PythonEngine):
         source: Vertex,
         *,
         banned_vertices: Optional[Set[Vertex]] = None,
-        banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         targets: Optional[Iterable[Vertex]] = None,
     ):
@@ -355,11 +349,7 @@ class CSREngine(PythonEngine):
                 csr,
                 perts,
                 SeedArrays.sources(np.asarray([source], dtype=np.int64)),
-                edge_ok=_edge_ok_mask(
-                    csr.num_edges,
-                    banned_edge=banned_edge,
-                    banned_edges=banned_edges,
-                ),
+                edge_ok=_edge_ok_mask(csr.num_edges, banned_edges=banned_edges),
                 vertex_ok=_vertex_ok_mask(csr.num_vertices, banned_vertices),
                 targets=_target_arrays(targets),
             )
@@ -370,7 +360,6 @@ class CSREngine(PythonEngine):
             weights,
             source,
             banned_vertices=banned_vertices,
-            banned_edge=banned_edge,
             banned_edges=banned_edges,
             targets=targets,
         )

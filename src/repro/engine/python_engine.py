@@ -38,7 +38,10 @@ class _ReferenceSweep(SweepHandle):
 
     def failed(self, eid):
         return self._engine.distances(
-            self._graph, self._source, banned_edge=eid, allowed_edges=self._allowed
+            self._graph,
+            self._source,
+            banned_edges={eid},
+            allowed_edges=self._allowed,
         )
 
 
@@ -58,7 +61,6 @@ class PythonEngine(TraversalEngine):
         graph: Graph,
         source: Vertex,
         *,
-        banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         allowed_edges: Optional[Set[EdgeId]] = None,
     ) -> List[int]:
@@ -71,7 +73,7 @@ class PythonEngine(TraversalEngine):
             v = queue.popleft()
             dv = dist[v]
             for w, eid in graph.adjacency(v):
-                if eid == banned_edge or eid in banned_e:
+                if eid in banned_e:
                     continue
                 if allowed_edges is not None and eid not in allowed_edges:
                     continue
@@ -118,7 +120,6 @@ class PythonEngine(TraversalEngine):
         source: Vertex,
         *,
         banned_vertices: Optional[Set[Vertex]] = None,
-        banned_edge: Optional[EdgeId] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         targets: Optional[Iterable[Vertex]] = None,
     ):
@@ -129,7 +130,6 @@ class PythonEngine(TraversalEngine):
             weights,
             source,
             banned_vertices=banned_vertices,
-            banned_edge=banned_edge,
             banned_edges=banned_edges,
             targets=targets,
         )

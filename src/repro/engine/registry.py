@@ -2,13 +2,13 @@
 
 Selection precedence for :func:`get_engine` with no explicit name:
 
-1. the innermost active :func:`engine_context` / :func:`set_default_engine`;
+1. the innermost active :func:`engine_context`;
 2. the ``REPRO_ENGINE`` environment variable;
 3. ``"csr"`` when numpy is available, else ``"python"``.
 
-Built-in engines register lazily on first lookup, so importing this
-module costs nothing and works without numpy (the csr engine is simply
-absent then).  ``"csr"`` is :class:`~repro.engine.compiled.CompiledEngine`:
+The registry adds its two engines lazily on first lookup, so importing
+this module costs nothing and works without numpy (the csr engine is
+simply absent then).  ``"csr"`` is :class:`~repro.engine.compiled.CompiledEngine`:
 it runs the C kernels whenever they compile and load, and its inherited
 numpy kernels otherwise (no compiler, ``REPRO_CC=0``, a failed compile),
 so a C toolchain changes its speed, never its registration.
@@ -27,8 +27,6 @@ __all__ = [
     "available_engines",
     "engine_context",
     "get_engine",
-    "register_engine",
-    "set_default_engine",
     "ENGINE_ENV_VAR",
 ]
 
@@ -47,20 +45,13 @@ def _ensure_builtins() -> None:
     _builtins_loaded = True
     from repro.engine.python_engine import PythonEngine
 
-    register_engine(PythonEngine())
+    _ENGINES["python"] = PythonEngine()
     try:
         from repro.engine.compiled import CompiledEngine
     except ImportError:  # numpy unavailable: the fast backend is gated out
         return
     # Compilation is deferred to the first kernel call.
-    register_engine(CompiledEngine())
-
-
-def register_engine(engine: TraversalEngine) -> None:
-    """Register (or replace) an engine under ``engine.name``."""
-    if not engine.name or engine.name == "abstract":
-        raise EngineError(f"engine {engine!r} must define a concrete name")
-    _ENGINES[engine.name] = engine
+    _ENGINES["csr"] = CompiledEngine()
 
 
 def available_engines() -> List[str]:
@@ -82,14 +73,6 @@ def get_engine(name: Optional[str] = None) -> TraversalEngine:
         raise EngineError(
             f"unknown engine {name!r}; available: {', '.join(available_engines())}"
         ) from None
-
-
-def set_default_engine(name: Optional[str]) -> None:
-    """Set (or with None, clear) the process-wide default engine."""
-    global _default_override
-    if name is not None:
-        get_engine(name)  # validate eagerly
-    _default_override = name
 
 
 def default_engine_name() -> str:

@@ -25,7 +25,6 @@ from repro.graphs.builders import (
 from repro.graphs.generators import (
     barabasi_albert_graph,
     connected_gnp_graph,
-    gnm_random_graph,
     gnp_random_graph,
     random_connected_graph,
     random_geometric_graph,
@@ -34,13 +33,8 @@ from repro.graphs.generators import (
     watts_strogatz_graph,
 )
 from repro.graphs.properties import (
-    articulation_points,
     bridges,
     connected_components,
-    component_of,
-    degeneracy,
-    diameter,
-    eccentricity,
     is_connected,
     is_tree,
 )
@@ -69,7 +63,6 @@ __all__ = [
     "join_with_edges",
     # generators
     "gnp_random_graph",
-    "gnm_random_graph",
     "connected_gnp_graph",
     "random_regular_graph",
     "barabasi_albert_graph",
@@ -79,12 +72,7 @@ __all__ = [
     "random_connected_graph",
     # properties
     "connected_components",
-    "component_of",
     "is_connected",
     "bridges",
-    "articulation_points",
-    "eccentricity",
-    "diameter",
     "is_tree",
-    "degeneracy",
 ]

@@ -7,7 +7,7 @@ instances and are fully deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph

@@ -18,7 +18,6 @@ from repro.util.validation import check_probability
 
 __all__ = [
     "gnp_random_graph",
-    "gnm_random_graph",
     "connected_gnp_graph",
     "random_regular_graph",
     "barabasi_albert_graph",
@@ -56,37 +55,6 @@ def gnp_random_graph(n: int, p: float, seed: int = 0) -> Graph:
         if v < n:
             edges.append((w, v))
     return Graph(n, edges, name=f"gnp({n},{p})")
-
-
-def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:
-    """Uniform random graph with exactly ``m`` edges."""
-    max_m = n * (n - 1) // 2
-    if m > max_m:
-        raise ParameterError(f"m={m} exceeds max {max_m} for n={n}")
-    rng = random.Random(seed)
-    chosen: Set[Tuple[int, int]] = set()
-    # Rejection sampling is fine for m <= max_m / 2; otherwise sample the
-    # complement.
-    sample_complement = m > max_m // 2
-    target = max_m - m if sample_complement else m
-    while len(chosen) < target:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        chosen.add((u, v))
-    if sample_complement:
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (i, j) not in chosen
-        ]
-    else:
-        edges = sorted(chosen)
-    return Graph(n, edges, name=f"gnm({n},{m})")
 
 
 def connected_gnp_graph(n: int, p: float, seed: int = 0, *, max_tries: int = 64) -> Graph:

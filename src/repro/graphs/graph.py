@@ -22,7 +22,7 @@ endpoint order ``u < v``; parallel edges and self loops are rejected.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro._types import EdgeId, Endpoints, Vertex
 from repro.errors import GraphError
@@ -247,10 +247,6 @@ class Graph:
     def edge_list(self) -> List[Endpoints]:
         """All edges as ``(u, v)`` pairs in edge-id order."""
         return list(zip(self._edge_u, self._edge_v))
-
-    def total_degree(self) -> int:
-        """Sum of degrees (``2m``)."""
-        return 2 * self.num_edges
 
     def __contains__(self, item: object) -> bool:
         """``(u, v) in graph`` tests edge membership; ``v in graph`` vertex range."""

@@ -1,4 +1,4 @@
-"""Structural graph properties: components, bridges, eccentricity.
+"""Structural graph properties: components and bridges.
 
 Bridges matter to the fault-tolerance story: the failure of a bridge edge
 disconnects part of the graph, and the FT-BFS specification only requires
@@ -9,22 +9,16 @@ tests use :func:`bridges` to construct exactly those cases.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Set
 
 from repro._types import EdgeId, Vertex
-from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
 __all__ = [
     "connected_components",
     "is_connected",
-    "component_of",
     "bridges",
-    "articulation_points",
-    "eccentricity",
-    "diameter",
     "is_tree",
-    "degeneracy",
 ]
 
 
@@ -54,19 +48,6 @@ def is_connected(graph: Graph) -> bool:
     if graph.num_vertices <= 1:
         return True
     return len(connected_components(graph)) == 1
-
-
-def component_of(graph: Graph, v: Vertex) -> Set[Vertex]:
-    """The vertex set of the component containing ``v``."""
-    comp = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w, _ in graph.adjacency(u):
-            if w not in comp:
-                comp.add(w)
-                queue.append(w)
-    return comp
 
 
 def bridges(graph: Graph) -> List[EdgeId]:
@@ -113,103 +94,9 @@ def bridges(graph: Graph) -> List[EdgeId]:
     return result
 
 
-def articulation_points(graph: Graph) -> Set[Vertex]:
-    """All cut vertices (iterative lowpoint algorithm)."""
-    n = graph.num_vertices
-    visited = [False] * n
-    disc = [0] * n
-    low = [0] * n
-    points: Set[Vertex] = set()
-    timer = 0
-    for root in graph.vertices():
-        if visited[root]:
-            continue
-        root_children = 0
-        stack: List[List[int]] = [[root, -1, 0]]
-        visited[root] = True
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            frame = stack[-1]
-            v, in_eid, idx = frame
-            adj = graph.adjacency(v)
-            if idx < len(adj):
-                frame[2] += 1
-                w, eid = adj[idx]
-                if eid == in_eid:
-                    continue
-                if visited[w]:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    visited[w] = True
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append([w, eid, 0])
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if parent != root and low[v] >= disc[parent]:
-                        points.add(parent)
-        if root_children >= 2:
-            points.add(root)
-    return points
-
-
-def eccentricity(graph: Graph, v: Vertex) -> int:
-    """Max hop distance from ``v`` within its component."""
-    dist = {v: 0}
-    queue = deque([v])
-    best = 0
-    while queue:
-        u = queue.popleft()
-        for w, _ in graph.adjacency(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                best = max(best, dist[w])
-                queue.append(w)
-    return best
-
-
-def diameter(graph: Graph) -> int:
-    """Diameter of a connected graph (max eccentricity)."""
-    if not is_connected(graph):
-        raise GraphError("diameter undefined for disconnected graphs")
-    return max(eccentricity(graph, v) for v in graph.vertices())
-
-
 def is_tree(graph: Graph) -> bool:
     """Whether the graph is a tree (connected, m = n - 1)."""
     return (
         graph.num_edges == graph.num_vertices - 1 and is_connected(graph)
     )
 
-
-def degeneracy(graph: Graph) -> int:
-    """Graph degeneracy via iterative minimum-degree peeling."""
-    n = graph.num_vertices
-    if n == 0:
-        return 0
-    degree = graph.degrees()
-    removed = [False] * n
-    buckets: Dict[int, Set[int]] = {}
-    for v in range(n):
-        buckets.setdefault(degree[v], set()).add(v)
-    best = 0
-    for _ in range(n):
-        d = min(k for k, bucket in buckets.items() if bucket)
-        best = max(best, d)
-        v = buckets[d].pop()
-        removed[v] = True
-        for w, _ in graph.adjacency(v):
-            if removed[w]:
-                continue
-            buckets[degree[w]].discard(w)
-            degree[w] -= 1
-            buckets.setdefault(degree[w], set()).add(w)
-    return best

@@ -26,7 +26,6 @@ from repro.harness.pipeline import (
 from repro.harness.records import (
     ExperimentRecord,
     artifacts_dir,
-    load_record,
     save_record,
 )
 from repro.harness.workloads import WORKLOADS, workload, workload_names
@@ -49,7 +48,6 @@ __all__ = [
     "run_stage_tasks",
     "ExperimentRecord",
     "artifacts_dir",
-    "load_record",
     "save_record",
     "WORKLOADS",
     "workload",

@@ -78,14 +78,6 @@ class ScenarioSpec:
     #: Wall-clock columns, excluded from bit-identity comparisons.
     timing_columns: Tuple[str, ...] = ()
 
-    @property
-    def module(self) -> str:
-        """The module implementing the measure stage (the spec's home)."""
-        return self.measure.partition(":")[0]
-
-    def deterministic_columns(self) -> List[str]:
-        return [c for c in self.columns if c not in self.timing_columns]
-
 
 def mask_timing(spec: ScenarioSpec, rows: Sequence[Sequence[Any]]) -> List[List[Any]]:
     """Rows with the spec's timing columns blanked (for identity checks)."""

@@ -23,28 +23,24 @@ def _worst_failure_loss(
     """Max #vertices disconnected from ``source`` by one fault-prone failure.
 
     Only graph-theoretic bridges of ``H`` can disconnect anything, so the
-    check enumerates those (minus the reinforced set), via one batched
-    engine failure sweep over the structure.
+    check enumerates those (minus the reinforced set), via one engine
+    failure sweep over the structure.
     """
     from repro.engine import get_engine, num_unreachable
     from repro.graphs.properties import bridges as find_bridges
 
-    eng = get_engine()
     h_set = set(h_edges)
     reinforced_set = set(reinforced)
     sub = graph.edge_subgraph(h_set)
-    base_unreachable = num_unreachable(
-        eng.distances(graph, source, allowed_edges=h_set)
-    )
-    fault_prone = []
+    sweep = get_engine().sweep(graph, source, allowed_edges=h_set)
+    base_unreachable = num_unreachable(sweep.base_distances())
+    worst = 0
     for sub_eid in find_bridges(sub):
         u, v = sub.endpoints(sub_eid)
         orig_eid = graph.edge_id(u, v)
         if orig_eid not in reinforced_set:
-            fault_prone.append(orig_eid)
-    worst = 0
-    for dist in eng.failure_sweep(graph, source, fault_prone, allowed_edges=h_set):
-        worst = max(worst, num_unreachable(dist) - base_unreachable)
+            lost = num_unreachable(sweep.failed(orig_eid)) - base_unreachable
+            worst = max(worst, lost)
     return worst
 
 

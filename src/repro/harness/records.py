@@ -12,11 +12,11 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.util.tables import Table
 
-__all__ = ["ExperimentRecord", "artifacts_dir", "save_record", "load_record"]
+__all__ = ["ExperimentRecord", "artifacts_dir", "save_record"]
 
 _DEFAULT_ARTIFACTS = "bench_artifacts"
 
@@ -81,9 +81,3 @@ def save_record(record: ExperimentRecord, base: Optional[str] = None) -> Path:
     txt_path.write_text(record.render() + "\n")
     return json_path
 
-
-def load_record(experiment_id: str, base: Optional[str] = None) -> ExperimentRecord:
-    """Load a previously saved record."""
-    directory = artifacts_dir(base)
-    data = json.loads((directory / f"{experiment_id}.json").read_text())
-    return ExperimentRecord(**data)

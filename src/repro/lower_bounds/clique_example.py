@@ -32,11 +32,6 @@ class CliqueBridgeGraph:
     def clique_size(self) -> int:
         return len(self.clique_vertices)
 
-    @property
-    def conservative_cost_edges(self) -> int:
-        """Edges kept by the conservative all-backup design (= |E|)."""
-        return self.graph.num_edges
-
 
 def build_clique_example(n: int) -> CliqueBridgeGraph:
     """Source + bridge + ``(n-1)``-clique, per the Section 1 figure."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro._types import EdgeId, Vertex
 from repro.errors import ParameterError
@@ -75,11 +75,6 @@ class LowerBoundGraph:
     def num_pi_edges(self) -> int:
         """``|E(Pi)| = k * d`` - the "costly" edges."""
         return self.d * self.k
-
-    @property
-    def num_forced_edges_total(self) -> int:
-        """``|B|``: total size of all forced bipartite sets."""
-        return sum(len(s) for c in self.copies for s in c.forced_sets)
 
     def pi_edges(self) -> List[EdgeId]:
         """All path edges across copies."""

@@ -143,7 +143,8 @@ class OracleServer:
                 request = json.loads(line)
                 if not isinstance(request, dict):
                     raise ValueError("request must be a JSON object")
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # RecursionError: the decoder gives up on deep nesting.
                 errors += 1
                 self._emit(out, {
                     "ok": False,

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro._types import EdgeId, Vertex
+from repro._types import Vertex
 from repro.engine.base import ReplacementRows
 from repro.errors import SnapshotError
 from repro.graphs.graph import Graph
@@ -376,16 +376,54 @@ def _read_prelude(buf, size: int, path: Path):
     return header_len
 
 
+def _is_int(value: Any) -> bool:
+    """Whether a decoded JSON value is an integer (``bool`` is not)."""
+    return type(value) is int
+
+
 def _parse_meta(buf, header_len: int, path: Path) -> Dict[str, Any]:
+    """The JSON header, with every field the loader reads type-checked:
+    integer sizes and source, a ``weights`` object with a nonnegative
+    integer ``shift``, integer ``seed``/``max_pert`` and a ``scheme``
+    name, and a field table of ``[name, offset, length]`` entries naming
+    every plane."""
     raw = bytes(buf[_PRELUDE.size : _PRELUDE.size + header_len])
     try:
         meta = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SnapshotError(f"{path}: corrupt snapshot header ({exc})") from None
+    if not isinstance(meta, dict):
+        raise SnapshotError(f"{path}: snapshot header is not a JSON object")
     for key in ("num_vertices", "num_edges", "source", "weights", "fields"):
         if key not in meta:
             raise SnapshotError(f"{path}: snapshot header missing {key!r}")
-    names = [f[0] for f in meta["fields"]]
+    for key in ("num_vertices", "num_edges", "source"):
+        if not _is_int(meta[key]) or (key != "source" and meta[key] < 0):
+            raise SnapshotError(
+                f"{path}: snapshot header {key!r} is not a valid integer"
+            )
+    wmeta = meta["weights"]
+    if not (
+        isinstance(wmeta, dict)
+        and all(_is_int(wmeta.get(k)) for k in ("shift", "seed", "max_pert"))
+        and wmeta["shift"] >= 0
+        and isinstance(wmeta.get("scheme"), str)
+    ):
+        raise SnapshotError(
+            f"{path}: snapshot header 'weights' needs a nonnegative integer "
+            "shift, integer seed and max_pert, and a scheme name"
+        )
+    fields = meta["fields"]
+    if not isinstance(fields, list) or not all(
+        isinstance(f, list) and len(f) == 3 and isinstance(f[0], str)
+        and _is_int(f[1]) and _is_int(f[2])
+        for f in fields
+    ):
+        raise SnapshotError(
+            f"{path}: snapshot field table entries must be "
+            "[name, offset, length]"
+        )
+    names = [f[0] for f in fields]
     missing = [name for name in PLANE_NAMES if name not in names]
     if missing:
         raise SnapshotError(f"{path}: snapshot missing planes {missing}")
@@ -412,7 +450,6 @@ def _plane_spans(
     """
     spans: Dict[str, Tuple[int, int]] = {}
     for name, rel_offset, length in meta["fields"]:
-        rel_offset, length = int(rel_offset), int(length)
         if rel_offset < 0 or length < 0:
             raise SnapshotError(
                 f"{path}: plane {name!r} has a negative offset or length"
@@ -431,7 +468,7 @@ def _plane_spans(
                 f"{path}: plane {name!r} overlaps plane {previous!r}"
             )
         end, previous = start + 8 * length, name
-    n, m = int(meta["num_vertices"]), int(meta["num_edges"])
+    n, m = meta["num_vertices"], meta["num_edges"]
     rows = spans["repl_eids"][1]
     expected = {
         "indptr": n + 1, "indices": 2 * m, "edge_ids": 2 * m,
@@ -506,9 +543,11 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
     useful for short-lived scripts on network filesystems).
 
     Raises :class:`~repro.errors.SnapshotError` on bad magic, version or
-    endianness mismatch, truncated planes, a field table whose planes
-    overlap or disagree with the header's sizes, replacement rows that
-    disagree with the tree planes, or a missing file.
+    endianness mismatch, a header that is not a JSON object of the
+    expected field types, truncated planes, a field table whose planes
+    overlap or disagree with the header's sizes, a source that is not
+    the tree's root, replacement rows that disagree with the tree
+    planes, or a missing file.
     """
     path = Path(path)
     if mapped is None or mapped:
@@ -562,7 +601,12 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
         flat = int(arrays["repl_offsets"][-1])
         for name in REPL_PLANE_NAMES[3:]:
             _check_length(path, name, len(arrays[name]), flat)
-        _check_rows(arrays, int(meta["num_vertices"]), mapped, path)
+        n, source = meta["num_vertices"], meta["source"]
+        if not (0 <= source < n and arrays["tree_hop"][source] == 0):
+            raise SnapshotError(
+                f"{path}: snapshot source {source} is not the tree's root"
+            )
+        _check_rows(arrays, n, mapped, path)
     except Exception:
         if owner is not None:
             owner.close()

@@ -2,8 +2,8 @@
 
 The verification oracle compares hop distances in ``G \\ {e}`` and
 ``H \\ {e}``; hop BFS (no tie-breaking needed) is the fastest way to get
-them.  ``banned_edge``/``banned_edges`` implement edge failures without
-copying the graph.
+them.  ``banned_edges`` implements edge failures without copying the
+graph.
 
 Since the engine refactor these functions are thin wrappers over the
 active :class:`~repro.engine.base.TraversalEngine` (see
@@ -29,7 +29,6 @@ def bfs_distances(
     graph,
     source: Vertex,
     *,
-    banned_edge: Optional[EdgeId] = None,
     banned_edges: Optional[Set[EdgeId]] = None,
     allowed_edges: Optional[Set[EdgeId]] = None,
     engine: Optional[str] = None,
@@ -42,7 +41,6 @@ def bfs_distances(
     return get_engine(engine).distances(
         graph,
         source,
-        banned_edge=banned_edge,
         banned_edges=banned_edges,
         allowed_edges=allowed_edges,
     )

@@ -2,7 +2,9 @@
 
 This is the workhorse of the whole library.  Key features:
 
-* **Banned vertices / edges** simulate failures without copying the graph.
+* **Banned vertices / edges** (``banned_vertices``, ``banned_edges``:
+  sets of ids; an id that names nothing bans nothing) simulate failures
+  without copying the graph.
 * **Restricted runs** (``allowed_vertices``) settle only a vertex subset -
   used by the replacement-path engine to recompute just the subtree under
   a failed tree edge.
@@ -56,7 +58,6 @@ def dijkstra(
     source: Vertex,
     *,
     banned_vertices: Optional[Set[Vertex]] = None,
-    banned_edge: Optional[EdgeId] = None,
     banned_edges: Optional[Set[EdgeId]] = None,
     targets: Optional[Iterable[Vertex]] = None,
 ) -> ShortestPathResult:
@@ -81,7 +82,6 @@ def dijkstra(
         source,
         seeds,
         banned_vertices=banned_vertices,
-        banned_edge=banned_edge,
         banned_edges=banned_edges,
         allowed_vertices=None,
         targets=targets,
@@ -110,7 +110,6 @@ def seeded_dijkstra(
         -1,
         list(seeds),
         banned_vertices=None,
-        banned_edge=None,
         banned_edges=None,
         allowed_vertices=allowed_vertices,
     )
@@ -123,7 +122,6 @@ def _run(
     seeds: List[Tuple[int, Vertex, Vertex, EdgeId]],
     *,
     banned_vertices: Optional[Set[Vertex]],
-    banned_edge: Optional[EdgeId],
     banned_edges: Optional[Set[EdgeId]],
     allowed_vertices: Optional[Set[Vertex]],
     targets: Optional[List[Vertex]] = None,
@@ -173,8 +171,6 @@ def _run(
             continue  # stale entry
         settled[v] = True
         for w, eid in adjacency(v):
-            if eid == banned_edge:
-                continue
             if banned_edges is not None and eid in banned_edges:
                 continue
             if banned_vertices is not None and w in banned_vertices:

@@ -16,8 +16,7 @@ everything the construction needs to reason about it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro._types import EdgeId, Vertex
 from repro.errors import GraphError

@@ -1,46 +1,26 @@
-"""Utility layer: seeded randomness, timing, tables, fitting, validation.
+"""Utility layer: text tables, log-log fitting, durations, validation.
 
-These helpers are deliberately dependency-light; only :mod:`numpy` is used
-(for the statistics helpers).  Everything here is deterministic given a
-seed, which the experiment harness relies on for reproducibility.
+These helpers are pure Python, so the whole library stays importable
+without numpy.  The experiment harness renders its tables and checks
+the paper's growth exponents with them.
 """
 
-from repro.util.plotting import ascii_bars, ascii_loglog, sparkline
-from repro.util.rng import RngFactory, spawn_seeds
-from repro.util.stats import (
-    SummaryStats,
-    fit_loglog,
-    geometric_mean,
-    summarize,
-)
+from repro.util.stats import fit_loglog
 from repro.util.tables import Table, format_float, render_table
-from repro.util.timing import Timer, format_seconds
+from repro.util.timing import format_seconds
 from repro.util.validation import (
     check_epsilon,
-    check_in_range,
-    check_nonnegative,
     check_positive,
     check_probability,
 )
 
 __all__ = [
-    "ascii_bars",
-    "ascii_loglog",
-    "sparkline",
-    "RngFactory",
-    "spawn_seeds",
-    "SummaryStats",
     "fit_loglog",
-    "geometric_mean",
-    "summarize",
     "Table",
     "format_float",
     "render_table",
-    "Timer",
     "format_seconds",
     "check_epsilon",
-    "check_in_range",
-    "check_nonnegative",
     "check_positive",
     "check_probability",
 ]

@@ -1,4 +1,4 @@
-"""Statistics helpers: summary statistics and log-log exponent fitting.
+"""Statistics helper: log-log exponent fitting.
 
 The benchmark harness checks *shape* claims of the paper (growth
 exponents such as ``n^{3/2}`` or ``n^{1+eps}``) by fitting a straight
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["LogLogFit", "fit_loglog", "SummaryStats", "summarize", "geometric_mean"]
+__all__ = ["LogLogFit", "fit_loglog"]
 
 
 @dataclass(frozen=True)
@@ -73,51 +73,3 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> LogLogFit:
         num_points=len(xs),
     )
 
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Five-number-ish summary of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.count} mean={self.mean:.3g} std={self.std:.3g} "
-            f"min={self.minimum:.3g} med={self.median:.3g} max={self.maximum:.3g}"
-        )
-
-
-def summarize(values: Sequence[float]) -> SummaryStats:
-    """Compute a :class:`SummaryStats` for a non-empty sample."""
-    if len(values) == 0:
-        raise ValueError("cannot summarize an empty sample")
-    data = [float(v) for v in values]
-    k = len(data)
-    mean = sum(data) / k
-    variance = sum((v - mean) ** 2 for v in data) / k  # population (ddof=0)
-    ordered = sorted(data)
-    mid = k // 2
-    median = ordered[mid] if k % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
-    return SummaryStats(
-        count=k,
-        mean=mean,
-        std=math.sqrt(variance),
-        minimum=ordered[0],
-        median=median,
-        maximum=ordered[-1],
-    )
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values."""
-    data = [float(v) for v in values]
-    if not data:
-        raise ValueError("cannot take the geometric mean of an empty sample")
-    if any(v <= 0 for v in data):
-        raise ValueError("geometric mean requires strictly positive values")
-    return math.exp(sum(math.log(v) for v in data) / len(data))

@@ -1,11 +1,8 @@
-"""Lightweight wall-clock timing utilities used by the harness and stats."""
+"""Duration formatting for the CLI's experiment summaries."""
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
-
-__all__ = ["Timer", "format_seconds"]
+__all__ = ["format_seconds"]
 
 
 def format_seconds(seconds: float) -> str:
@@ -19,59 +16,3 @@ def format_seconds(seconds: float) -> str:
     minutes, rem = divmod(seconds, 60.0)
     return f"{int(minutes)}m{rem:02.0f}s"
 
-
-class Timer:
-    """Accumulating named-section timer.
-
-    >>> t = Timer()
-    >>> with t.section("pcons"):
-    ...     pass
-    >>> t.total("pcons") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._totals: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-
-    def section(self, name: str) -> "_Section":
-        """Return a context manager accumulating into section ``name``."""
-        return _Section(self, name)
-
-    def add(self, name: str, seconds: float) -> None:
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + 1
-
-    def total(self, name: str) -> float:
-        """Total seconds accumulated in section ``name`` (0.0 if unused)."""
-        return self._totals.get(name, 0.0)
-
-    def count(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._totals)
-
-    def report(self) -> str:
-        """Render the accumulated sections, slowest first."""
-        if not self._totals:
-            return "(no timings recorded)"
-        lines = []
-        for name, total in sorted(self._totals.items(), key=lambda kv: -kv[1]):
-            lines.append(f"{name:<30} {format_seconds(total):>10} x{self._counts[name]}")
-        return "\n".join(lines)
-
-
-class _Section:
-    def __init__(self, timer: Timer, name: str) -> None:
-        self._timer = timer
-        self._name = name
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._start is not None
-        self._timer.add(self._name, time.perf_counter() - self._start)

@@ -10,8 +10,6 @@ __all__ = [
     "check_epsilon",
     "check_probability",
     "check_positive",
-    "check_nonnegative",
-    "check_in_range",
     "env_int",
 ]
 
@@ -55,20 +53,3 @@ def check_positive(value: float, *, name: str = "value") -> float:
         raise ParameterError(f"{name} must be positive, got {value!r}")
     return v
 
-
-def check_nonnegative(value: float, *, name: str = "value") -> float:
-    """Validate a non-negative number."""
-    v = float(value)
-    if v < 0:
-        raise ParameterError(f"{name} must be non-negative, got {value!r}")
-    return v
-
-
-def check_in_range(
-    value: int, low: int, high: int, *, name: str = "value"
-) -> int:
-    """Validate an integer in the inclusive range ``[low, high]``."""
-    v = int(value)
-    if not low <= v <= high:
-        raise ParameterError(f"{name} must lie in [{low}, {high}], got {value!r}")
-    return v

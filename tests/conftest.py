@@ -3,21 +3,16 @@
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Tuple
 
 import pytest
 from hypothesis import strategies as st
 
 from repro.graphs import (
     Graph,
-    complete_graph,
     connected_gnp_graph,
-    cycle_graph,
     gnp_random_graph,
-    grid_graph,
-    path_graph,
     random_connected_graph,
-    star_graph,
 )
 
 # ----------------------------------------------------------------------

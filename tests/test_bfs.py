@@ -17,7 +17,7 @@ class TestBfsDistances:
 
     def test_banned_edge(self):
         g = cycle_graph(5)
-        d = bfs_distances(g, 0, banned_edge=g.edge_id(0, 1))
+        d = bfs_distances(g, 0, banned_edges={g.edge_id(0, 1)})
         assert d[1] == 4
 
     def test_banned_edges(self):

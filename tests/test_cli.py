@@ -111,6 +111,25 @@ class TestBuild:
         assert rc == 0
         assert "verified" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--epsilon", "2"], "epsilon must lie in [0, 1], got 2.0"),
+            (["--n", "-5"], "num_vertices must be non-negative, got -5"),
+            (["--n", "-5", "--save", "never.snap"],
+             "num_vertices must be non-negative, got -5"),
+        ],
+        ids=["epsilon-out-of-range", "negative-n", "negative-n-save"],
+    )
+    def test_bad_arguments_are_a_clean_error(self, capsys, monkeypatch,
+                                             tmp_path, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["build", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "never.snap").exists()
+
 
 @pytest.fixture
 def snapshot_file(tmp_path):

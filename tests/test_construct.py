@@ -19,7 +19,6 @@ from repro.graphs import (
     complete_graph,
     connected_gnp_graph,
     cycle_graph,
-    gnp_random_graph,
     grid_graph,
     path_graph,
     star_graph,

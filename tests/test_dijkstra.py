@@ -87,7 +87,7 @@ class TestFailureSimulation:
     def test_banned_edge(self):
         g = cycle_graph(5)
         eid = g.edge_id(0, 1)
-        d = hop_dists(g, 0, banned_edge=eid)
+        d = hop_dists(g, 0, banned_edges={eid})
         assert d[1] == 4  # must go the long way round
 
     def test_banned_edges_set(self):

@@ -168,9 +168,10 @@ class TestRegistration:
             "    d = eng.distances(g, 0)\n"
             "assert any('C kernels' in str(w.message) for w in caught), caught\n"
             "assert d == CSREngine().distances(g, 0)\n"
-            "ref = list(CSREngine().failure_sweep(g, 0, range(g.num_edges)))\n"
-            "got = list(eng.failure_sweep(g, 0, range(g.num_edges)))\n"
-            "assert all(list(a) == list(b) for a, b in zip(ref, got))\n",
+            "ref = CSREngine().sweep(g, 0)\n"
+            "got = eng.sweep(g, 0)\n"
+            "assert all(list(ref.failed(e)) == list(got.failed(e))\n"
+            "           for e in range(g.num_edges))\n",
             REPRO_CC="false",  # /usr/bin/false: found by which, compiles nothing
             REPRO_CC_CACHE=str(tmp_path / "kernels"),
         )
@@ -312,20 +313,12 @@ class TestParity:
             allowed = set(
                 data.draw(st.lists(st.integers(0, m - 1), max_size=m))
             )
-        eids = list(range(m + 1))  # one out-of-range id: no-op on both
-        ref = list(
-            get_engine("python").failure_sweep(
-                graph, source, eids, allowed_edges=allowed
-            )
+        ref, got = (
+            get_engine(name).sweep(graph, source, allowed_edges=allowed)
+            for name in ("python", "csr")
         )
-        got = list(
-            get_engine("csr").failure_sweep(
-                graph, source, eids, allowed_edges=allowed
-            )
-        )
-        assert len(ref) == len(got)
-        for r, x in zip(ref, got):
-            assert distances_equal(r, x)
+        for eid in range(m + 1):  # one out-of-range id: no-op on both
+            assert distances_equal(ref.failed(eid), got.failed(eid))
 
     def test_base_state_arrays_bit_identical_to_numpy(self):
         """The C-built handle holds exactly the base BFS and Euler
@@ -387,7 +380,7 @@ def test_sweep_handle_returns_its_base_for_no_op_failures(tier, masked):
         assert allowed is None or eid in allowed
         assert out is not base and out.flags.writeable
         assert out.tolist() == python.distances(
-            graph, 0, banned_edge=eid, allowed_edges=allowed
+            graph, 0, banned_edges={eid}, allowed_edges=allowed
         )
     assert tree_edges == sum(1 for d in base.tolist() if d > 0)
     for eid in (-1, m, 10**9):

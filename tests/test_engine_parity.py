@@ -22,11 +22,10 @@ from repro.engine import (
     available_engines,
     engine_context,
     get_engine,
-    set_default_engine,
 )
 from repro.engine.csr import csr_view
 from repro.errors import EngineError, GraphError
-from repro.graphs import connected_gnp_graph, gnp_random_graph, path_graph
+from repro.graphs import connected_gnp_graph, path_graph
 
 from tests.conftest import graph_with_source
 
@@ -48,10 +47,6 @@ class TestRegistry:
     def test_unknown_engine_raises(self):
         with pytest.raises(EngineError):
             get_engine("fpga")
-
-    def test_set_default_validates(self):
-        with pytest.raises(EngineError):
-            set_default_engine("fpga")
 
     def test_env_var_selects_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "python")
@@ -115,8 +110,6 @@ def masked_instance(draw):
     m = g.num_edges
     kwargs = {}
     if m and draw(st.booleans()):
-        kwargs["banned_edge"] = draw(st.integers(0, m - 1))
-    if m and draw(st.booleans()):
         kwargs["banned_edges"] = set(
             draw(st.lists(st.integers(0, m - 1), max_size=3))
         )
@@ -161,29 +154,9 @@ def test_failure_sweep_parity_all_edges(pair, mask_edges):
     if mask_edges and m:
         rng = random.Random(m)
         allowed = {e for e in range(m) if rng.random() < 0.65}
-    eids = list(range(m))
-    expected = [
-        list(d) for d in PY.failure_sweep(g, source, eids, allowed_edges=allowed)
-    ]
-    got = [
-        list(d) for d in CSR.failure_sweep(g, source, eids, allowed_edges=allowed)
-    ]
+    handles = [eng.sweep(g, source, allowed_edges=allowed) for eng in (PY, CSR)]
+    expected, got = ([list(h.failed(e)) for e in range(m)] for h in handles)
     assert got == expected
-
-
-def test_failure_sweep_is_lazy():
-    g = connected_gnp_graph(40, 0.2, seed=1)
-    pulled = []
-
-    def eids():
-        for e in range(g.num_edges):
-            pulled.append(e)
-            yield e
-
-    sweep = CSR.failure_sweep(g, 0, eids())
-    assert pulled == []  # nothing computed until the first vector is consumed
-    next(sweep)
-    assert pulled == [0]
 
 
 def test_out_of_range_ids_are_noops_on_both_engines():
@@ -192,15 +165,14 @@ def test_out_of_range_ids_are_noops_on_both_engines():
 
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     cases = [
-        dict(banned_edge=-1),
-        dict(banned_edge=99),
+        dict(banned_edges={-1}),
         dict(banned_edges={-1, 99}),
         dict(allowed_edges={0, 1, 2, 99}),
     ]
     for kwargs in cases:
         assert CSR.distances(g, 0, **kwargs) == PY.distances(g, 0, **kwargs)
     sweeps = [
-        list(map(list, eng.failure_sweep(g, 0, [-1, 0, 10 ** 9])))
+        [list(eng.sweep(g, 0).failed(e)) for e in (-1, 0, 10 ** 9)]
         for eng in (PY, CSR)
     ]
     assert sweeps[0] == sweeps[1]

@@ -149,7 +149,7 @@ def test_oracle_floors():
         q_oracle = timed(lambda v, eid: oracle.dist(v, [eid]))
         q_recompute = timed(
             lambda v, eid: engine.shortest_paths(
-                graph, weights, 0, banned_edge=eid
+                graph, weights, 0, banned_edges={eid}
             ).dist[v]
         )
         query_speedup = q_recompute / q_oracle

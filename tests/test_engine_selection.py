@@ -1,14 +1,14 @@
 """Engine selection precedence and failure modes.
 
 The selection chain - explicit ``engine=`` kwarg > the innermost
-:func:`engine_context` / :func:`set_default_engine` override > the
-``$REPRO_ENGINE`` environment variable > the registry default (csr when
-numpy is available, else python) - was previously only exercised
-implicitly through the parity suites.  This file pins each link and
-their relative priority, plus the failure modes: unknown names (listed
-alternatives, eager validation), and context restoration on normal and
-exceptional exit.  Everything here runs on whatever engines are
-registered, so the module works on the no-numpy matrix too.
+:func:`engine_context` override > the ``$REPRO_ENGINE`` environment
+variable > the registry default (csr when numpy is available, else
+python) - was previously only exercised implicitly through the parity
+suites.  This file pins each link and their relative priority, plus
+the failure modes: unknown names (listed alternatives, eager
+validation), and context restoration on normal and exceptional exit.
+Everything here runs on whatever engines are registered, so the module
+works on the no-numpy matrix too.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from repro.engine import (
     engine_context,
     get_engine,
     registry,
-    set_default_engine,
 )
 from repro.engine.python_engine import PythonEngine
 from repro.errors import EngineError
@@ -37,13 +36,11 @@ class _AltEngine(PythonEngine):
 
 @pytest.fixture(autouse=True)
 def _clean_selection_state(monkeypatch):
-    """Each test starts with no env/process-wide override and leaves none,
-    with the throwaway engine registered only for its duration."""
+    """Each test starts with no env override, with the throwaway engine
+    registered only for its duration."""
     available_engines()  # load the builtins before adding to the registry
     monkeypatch.setitem(registry._ENGINES, ALT, _AltEngine())
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    yield
-    set_default_engine(None)
 
 
 class TestPrecedence:
@@ -62,16 +59,8 @@ class TestPrecedence:
             assert get_engine().name == ALT
         assert get_engine().name == "python"
 
-    def test_set_default_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", ALT)
-        set_default_engine("python")
-        assert get_engine().name == "python"
-        set_default_engine(None)  # cleared: env var applies again
-        assert get_engine().name == ALT
-
     def test_explicit_name_beats_every_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", ALT)
-        set_default_engine(ALT)
         with engine_context(ALT):
             assert get_engine("python").name == "python"
 
@@ -102,12 +91,6 @@ class TestFailureModes:
                 pytest.fail("the body must never run")  # pragma: no cover
         assert get_engine().name == before
 
-    def test_set_default_validates_eagerly(self):
-        set_default_engine("python")
-        with pytest.raises(EngineError):
-            set_default_engine("fpga")
-        assert get_engine().name == "python"  # rejected update changed nothing
-
     def test_kwarg_failure_propagates_from_call_sites(self):
         graph = path_graph(4)
         with pytest.raises(EngineError, match="available"):
@@ -134,9 +117,3 @@ class TestContextRestoration:
             with engine_context(None) as engine:
                 assert engine.name == ALT
             assert get_engine().name == ALT
-
-    def test_context_restores_prior_set_default(self):
-        set_default_engine(ALT)
-        with engine_context("python"):
-            assert get_engine().name == "python"
-        assert get_engine().name == ALT

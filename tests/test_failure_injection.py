@@ -21,7 +21,7 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
-from repro.spt.bfs import UNREACHABLE, bfs_distances
+from repro.spt.bfs import bfs_distances
 
 
 class TestBridgeHeavyGraphs:
@@ -56,8 +56,8 @@ class TestBridgeHeavyGraphs:
         g = lollipop_graph(5, 4)
         s = build_ftbfs13(g, 0)
         for eid in bridges(g):
-            dist_g = bfs_distances(g, 0, banned_edge=eid)
-            dist_h = bfs_distances(g, 0, banned_edge=eid, allowed_edges=set(s.edges))
+            dist_g = bfs_distances(g, 0, banned_edges={eid})
+            dist_h = bfs_distances(g, 0, banned_edges={eid}, allowed_edges=set(s.edges))
             assert dist_g == dist_h
 
 
@@ -69,8 +69,8 @@ class TestSourceIncidentFailures:
         s = build_ftbfs13(g, 0)
         # both source-incident edges are tree edges; their failure reroutes
         for v, eid in [(1, g.edge_id(0, 1)), (7, g.edge_id(0, 7))]:
-            dist_h = bfs_distances(g, 0, banned_edge=eid, allowed_edges=set(s.edges))
-            dist_g = bfs_distances(g, 0, banned_edge=eid)
+            dist_h = bfs_distances(g, 0, banned_edges={eid}, allowed_edges=set(s.edges))
+            dist_g = bfs_distances(g, 0, banned_edges={eid})
             assert dist_h == dist_g
 
     def test_isolated_source_after_failure(self):

@@ -1,7 +1,5 @@
 """Tests for the ESA'13 baseline FT-BFS structure (eps = 1 endpoint)."""
 
-import math
-
 import pytest
 
 from repro.core import build_ftbfs13, run_pcons, verify_structure

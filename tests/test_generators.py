@@ -6,7 +6,6 @@ from repro.errors import ParameterError
 from repro.graphs import (
     barabasi_albert_graph,
     connected_gnp_graph,
-    gnm_random_graph,
     gnp_random_graph,
     is_connected,
     is_tree,
@@ -58,24 +57,6 @@ class TestGnp:
         pairs = n * (n - 1) / 2
         sigma = math.sqrt(pairs * p * (1 - p) / trials)
         assert abs(mean - pairs * p) < 4 * sigma
-
-
-class TestGnm:
-    def test_exact_edge_count(self):
-        g = gnm_random_graph(30, 100, seed=1)
-        assert g.num_edges == 100
-
-    def test_dense_regime_uses_complement(self):
-        g = gnm_random_graph(12, 60, seed=1)
-        assert g.num_edges == 60
-
-    def test_full_graph(self):
-        g = gnm_random_graph(10, 45, seed=0)
-        assert g.num_edges == 45
-
-    def test_too_many_edges(self):
-        with pytest.raises(ParameterError):
-            gnm_random_graph(5, 11)
 
 
 class TestConnectedVariants:

@@ -10,7 +10,6 @@ from repro.harness import (
     EXPERIMENTS,
     ExperimentRecord,
     experiment_ids,
-    load_record,
     run_experiment,
     save_record,
     workload,
@@ -36,10 +35,10 @@ class TestRecords:
         rec.add_row(1)
         rec.derived["k"] = 2.5
         path = save_record(rec, base=str(tmp_path))
-        assert path.exists()
-        loaded = load_record("EX", base=str(tmp_path))
-        assert loaded.rows == [[1]]
-        assert loaded.derived["k"] == 2.5
+        assert path == tmp_path / "EX.json"
+        loaded = json.loads(path.read_text())
+        assert loaded["rows"] == [[1]]
+        assert loaded["derived"]["k"] == 2.5
         assert (tmp_path / "EX.txt").exists()
 
     def test_to_json_valid(self):

@@ -1,7 +1,5 @@
 """Integration tests: multi-module scenarios exercising the whole stack."""
 
-import math
-
 import pytest
 
 from repro.core import (
@@ -9,7 +7,6 @@ from repro.core import (
     CostModel,
     build_epsilon_ftbfs,
     build_ft_mbfs,
-    build_ftbfs13,
     greedy_reinforcement,
     optimize_epsilon,
     run_pcons,

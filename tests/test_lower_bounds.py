@@ -94,7 +94,7 @@ class TestClaim53:
         for copy in lb.copies[:2]:
             for j in range(1, lb.d + 1):
                 eid = copy.pi_edge_ids[j - 1]
-                dist = bfs_distances(lb.graph, lb.source, banned_edge=eid)
+                dist = bfs_distances(lb.graph, lb.source, banned_edges={eid})
                 want = lb.expected_replacement_distance(j)
                 for x in copy.x_vertices[:3]:
                     assert dist[x] == want
@@ -177,7 +177,7 @@ class TestGadget54:
         (i, j), copy = next(iter(lb.copies.items()))
         for ell in (1, lb.d):
             eid = copy.pi_edge_ids[ell - 1]
-            dist = bfs_distances(lb.graph, lb.sources[i], banned_edge=eid)
+            dist = bfs_distances(lb.graph, lb.sources[i], banned_edges={eid})
             want = lb.expected_replacement_distance(ell)
             for x in lb.x_blocks[j][:2]:
                 assert dist[x] == want
@@ -217,7 +217,7 @@ class TestCliqueExample:
 
     def test_bridge_disconnects(self):
         ex = build_clique_example(8)
-        dist = bfs_distances(ex.graph, ex.source, banned_edge=ex.bridge_eid)
+        dist = bfs_distances(ex.graph, ex.source, banned_edges={ex.bridge_eid})
         assert all(
             dist[v] == UNREACHABLE for v in ex.clique_vertices
         )

@@ -6,12 +6,11 @@ from repro.core import (
     build_ftbfs13,
     edge_costs,
     greedy_reinforcement,
-    min_reinforcement_for_backup_budget,
     run_pcons,
     verify_structure,
 )
 from repro.errors import ParameterError
-from repro.graphs import connected_gnp_graph, cycle_graph
+from repro.graphs import connected_gnp_graph
 from repro.lower_bounds import build_theorem51
 
 
@@ -98,46 +97,4 @@ class TestGreedyReinforcement:
     def test_on_random_graph(self):
         g = connected_gnp_graph(30, 0.15, seed=7)
         s = greedy_reinforcement(g, 0, 5)
-        verify_structure(s).raise_if_failed()
-
-
-class TestDualGreedy:
-    def test_budget_met_or_everything_reinforced(self, gadget):
-        lb, pc = gadget
-        for budget in (10, 100, 10_000):
-            s = min_reinforcement_for_backup_budget(
-                lb.graph, lb.source, budget, pcons=pc
-            )
-            assert s.num_backup <= max(budget, 0) or s.num_reinforced == len(
-                s.tree_edges
-            )
-
-    def test_valid_structure(self, gadget):
-        lb, pc = gadget
-        s = min_reinforcement_for_backup_budget(lb.graph, lb.source, 50, pcons=pc)
-        verify_structure(s).raise_if_failed()
-
-    def test_generous_budget_needs_no_reinforcement(self, gadget):
-        lb, pc = gadget
-        baseline = build_ftbfs13(lb.graph, lb.source, pcons=pc)
-        s = min_reinforcement_for_backup_budget(
-            lb.graph, lb.source, baseline.num_edges, pcons=pc
-        )
-        assert s.num_reinforced == 0
-
-    def test_negative_budget_rejected(self, gadget):
-        lb, pc = gadget
-        with pytest.raises(ParameterError):
-            min_reinforcement_for_backup_budget(lb.graph, lb.source, -5, pcons=pc)
-
-    def test_tight_budget_reinforces_more(self, gadget):
-        lb, pc = gadget
-        loose = min_reinforcement_for_backup_budget(lb.graph, lb.source, 400, pcons=pc)
-        tight = min_reinforcement_for_backup_budget(lb.graph, lb.source, 100, pcons=pc)
-        assert tight.num_reinforced >= loose.num_reinforced
-
-    def test_cycle_budget_zero(self):
-        g = cycle_graph(8)
-        s = min_reinforcement_for_backup_budget(g, 0, 0)
-        assert s.num_backup == 0
         verify_structure(s).raise_if_failed()

@@ -165,10 +165,10 @@ class TestParity:
         shift = tree.weights.shift
         for eid in range(graph.num_edges):
             sp = python.shortest_paths(
-                graph, tree.weights, tree.source, banned_edge=eid
+                graph, tree.weights, tree.source, banned_edges={eid}
             )
             _assert_parity(oracle, tree, [eid], sp)
-            bfs = python.distances(graph, tree.source, banned_edge=eid)
+            bfs = python.distances(graph, tree.source, banned_edges={eid})
             for v in range(graph.num_vertices):
                 d = sp.dist[v]
                 hops = oracle.hops(v, [eid])

@@ -22,7 +22,7 @@ from array import array
 
 import pytest
 
-from repro.errors import GraphError, SnapshotError
+from repro.errors import SnapshotError
 from repro.graphs import Graph, connected_gnp_graph
 from repro.oracle import (
     OracleServer,
@@ -206,22 +206,33 @@ class TestFormatGuards:
             load_structure(snap, mapped=True)
 
 
+def _with_header(snap, tmp_path, edit):
+    """A copy of ``snap`` whose JSON header is ``edit(header)``; the
+    planes follow at the first 64-byte boundary after it, where the
+    field table's relative offsets still find them."""
+    data = snap.read_bytes()
+    (header_len,) = struct.unpack_from("=q", data, 24)
+    meta = json.loads(data[32 : 32 + header_len])
+    planes = data[(32 + header_len + 63) // 64 * 64 :]
+    raw = json.dumps(edit(meta), separators=(",", ":")).encode("utf-8")
+    start = (32 + len(raw) + 63) // 64 * 64
+    bad = tmp_path / "header.snap"
+    bad.write_bytes(
+        data[:24] + struct.pack("=q", len(raw)) + raw.ljust(start - 32, b"\0")
+        + planes
+    )
+    return bad
+
+
 def _with_fields(snap, tmp_path, edit):
     """A copy of ``snap`` whose field table went through ``edit`` (a
-    mutator of ``name -> [offset, length]``); the header keeps its byte
-    length, so the plane region does not move."""
-    data = bytearray(snap.read_bytes())
-    (header_len,) = struct.unpack_from("=q", data, 24)
-    meta = json.loads(bytes(data[32 : 32 + header_len]))
-    fields = {name: [off, length] for name, off, length in meta["fields"]}
-    edit(fields)
-    meta["fields"] = [[name, *fields[name]] for name, _, _ in meta["fields"]]
-    raw = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    assert len(raw) <= header_len
-    data[32 : 32 + header_len] = raw.ljust(header_len)
-    bad = tmp_path / "fields.snap"
-    bad.write_bytes(bytes(data))
-    return bad
+    mutator of ``name -> [offset, length]``)."""
+    def edit_meta(meta):
+        fields = {name: [off, length] for name, off, length in meta["fields"]}
+        edit(fields)
+        meta["fields"] = [[name, *fields[name]] for name, _, _ in meta["fields"]]
+        return meta
+    return _with_header(snap, tmp_path, edit_meta)
 
 
 def _set(name, index, value):
@@ -305,6 +316,58 @@ class TestFieldTable:
         structure = load_structure(good, mapped=mapped)
         assert len(structure.arrays["tree_hop"]) == 50
         structure.close()
+
+
+def _meta_set(key, value):
+    def edit(meta):
+        meta[key] = value
+        return meta
+    return edit
+
+
+def _short_field_entry(meta):
+    meta["fields"][3] = meta["fields"][3][:2]
+    return meta
+
+
+def _weights_without_shift(meta):
+    del meta["weights"]["shift"]
+    return meta
+
+
+def _negative_shift(meta):
+    meta["weights"]["shift"] = -1
+    return meta
+
+
+@pytest.mark.parametrize("mapped", [pytest.param(True, marks=needs_numpy), False])
+class TestHeaderFields:
+    """A header whose fields have the wrong shape is refused at load
+    with a SnapshotError, on both load paths, instead of escaping as a
+    TypeError/ValueError/KeyError or loading a source that is not the
+    tree's root (whose every path then fails)."""
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (list, "not a JSON object"),
+            (_short_field_entry, r"\[name, offset, length\]"),
+            (_meta_set("num_vertices", "fifty"), "'num_vertices' is not"),
+            (_weights_without_shift, "'weights' needs a nonnegative"),
+            (_negative_shift, "'weights' needs a nonnegative"),
+            (_meta_set("source", -1), "source -1 is not the tree's root"),
+            (_meta_set("source", 999), "source 999 is not the tree's root"),
+            (_meta_set("source", 3), "source 3 is not the tree's root"),
+        ],
+        ids=["array", "short-field-entry", "string-num-vertices",
+             "weights-without-shift", "negative-shift", "source-minus-one",
+             "source-past-n", "source-not-root"],
+    )
+    def test_malformed_header_refused(self, snap, tmp_path, mapped, edit,
+                                      match):
+        bad = _with_header(snap, tmp_path, edit)
+        with pytest.raises(SnapshotError, match=match):
+            load_structure(bad, mapped=mapped)
 
 
 # ----------------------------------------------------------------------
@@ -622,6 +685,22 @@ class TestServeInline:
         assert [r["ok"] for r in responses] == [
             False, False, False, False, False, True,
         ]
+        structure.close()
+
+    def test_deeply_nested_line_is_a_bad_request(self, snap):
+        """The JSON decoder gives up on deep nesting with a
+        RecursionError; the line is answered as a bad request and the
+        next one is still served."""
+        structure = load_structure(snap, mapped=False)
+        out = io.StringIO()
+        summary = serve_structure(
+            structure, ["[" * 200_000, json.dumps({"op": "ping"})], out
+        )
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert summary == {"requests": 2, "errors": 1}
+        assert [r["ok"] for r in responses] == [False, True]
+        assert responses[0]["error"].startswith("bad request")
+        assert responses[1]["op"] == "ping"
         structure.close()
 
     def test_live_structure_serves_inline(self, instance):

@@ -3,26 +3,16 @@
 import networkx as nx
 import pytest
 
-from repro.errors import GraphError
 from repro.graphs import (
     Graph,
-    articulation_points,
     barbell_graph,
     bridges,
-    complete_graph,
-    component_of,
     connected_components,
     cycle_graph,
-    degeneracy,
-    diameter,
-    eccentricity,
     gnp_random_graph,
-    grid_graph,
     is_connected,
     is_tree,
     path_graph,
-    random_connected_graph,
-    star_graph,
     to_networkx,
 )
 
@@ -35,12 +25,6 @@ class TestComponents:
         g = Graph(4, [(0, 1)])
         comps = connected_components(g)
         assert len(comps) == 3
-
-    def test_component_of(self):
-        g = Graph(5, [(0, 1), (2, 3)])
-        assert component_of(g, 0) == {0, 1}
-        assert component_of(g, 3) == {2, 3}
-        assert component_of(g, 4) == {4}
 
     def test_is_connected_trivial(self):
         assert is_connected(Graph(1))
@@ -68,53 +52,8 @@ class TestBridges:
         assert ours == theirs
 
 
-class TestArticulationPoints:
-    def test_path_interior(self):
-        g = path_graph(5)
-        assert articulation_points(g) == {1, 2, 3}
-
-    def test_cycle_none(self):
-        assert articulation_points(cycle_graph(5)) == set()
-
-    def test_star_center(self):
-        assert articulation_points(star_graph(6)) == {0}
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_networkx(self, seed):
-        g = gnp_random_graph(25, 0.12, seed=seed)
-        assert articulation_points(g) == set(
-            nx.articulation_points(to_networkx(g))
-        )
-
-
-class TestDistances:
-    def test_eccentricity(self):
-        g = path_graph(5)
-        assert eccentricity(g, 0) == 4
-        assert eccentricity(g, 2) == 2
-
-    def test_diameter_grid(self):
-        assert diameter(grid_graph(3, 4)) == 2 + 3
-
-    def test_diameter_disconnected_raises(self):
-        with pytest.raises(GraphError):
-            diameter(Graph(3, [(0, 1)]))
-
-
 class TestMisc:
     def test_is_tree(self):
         assert is_tree(path_graph(4))
         assert not is_tree(cycle_graph(4))
         assert not is_tree(Graph(3, [(0, 1)]))  # disconnected
-
-    def test_degeneracy_values(self):
-        assert degeneracy(path_graph(5)) == 1
-        assert degeneracy(cycle_graph(5)) == 2
-        assert degeneracy(complete_graph(5)) == 4
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_degeneracy_matches_networkx_core_number(self, seed):
-        g = random_connected_graph(20, 25, seed=seed)
-        ours = degeneracy(g)
-        theirs = max(nx.core_number(to_networkx(g)).values())
-        assert ours == theirs

@@ -150,7 +150,7 @@ def test_replacement_matches_full_dijkstra(pair, scheme):
     g, source = pair
     tree, engine = make_engine(g, source, scheme)
     for eid in tree.tree_edges():
-        full = dijkstra(g, tree.weights, source, banned_edge=eid)
+        full = dijkstra(g, tree.weights, source, banned_edges={eid})
         for v in g.vertices():
             if not tree.is_reachable(v):
                 continue

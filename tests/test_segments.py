@@ -7,10 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.decomposition.segments import (
-    decompose_path_edges,
-    segment_of_edge,
-)
+from repro.decomposition.segments import decompose_path_edges
 
 
 class TestBasics:
@@ -74,19 +71,6 @@ class TestEq5Invariants:
         for i, seg in enumerate(segs[:-1]):
             suffix = sum(s.num_edges for s in segs[i + 1 :])
             assert suffix >= seg.num_edges // 2 - 1
-
-
-class TestLookup:
-    def test_segment_of_edge(self):
-        segs = decompose_path_edges(37)
-        for idx in range(37):
-            seg = segment_of_edge(segs, idx)
-            assert seg.contains_edge(idx)
-
-    def test_lookup_out_of_range(self):
-        segs = decompose_path_edges(8)
-        with pytest.raises(ParameterError):
-            segment_of_edge(segs, 8)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,52 +1,18 @@
-"""Tests for the utility layer: rng, stats, tables, timing, validation."""
-
-import math
+"""Tests for the utility layer: stats, tables, timing, validation."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.util.rng import RngFactory, derive_seed, spawn_seeds
-from repro.util.stats import fit_loglog, geometric_mean, summarize
+from repro.util.stats import fit_loglog
 from repro.util.tables import Table, format_float, render_table
-from repro.util.timing import Timer, format_seconds
+from repro.util.timing import format_seconds
 from repro.util.validation import (
     check_epsilon,
-    check_in_range,
-    check_nonnegative,
     check_positive,
     check_probability,
 )
-
-
-class TestRng:
-    def test_derive_seed_stable(self):
-        assert derive_seed(42, "a", 1) == derive_seed(42, "a", 1)
-
-    def test_derive_seed_label_sensitivity(self):
-        assert derive_seed(42, "a") != derive_seed(42, "b")
-        assert derive_seed(42, "a", 1) != derive_seed(42, "a", 2)
-
-    def test_spawn_seeds_distinct(self):
-        seeds = spawn_seeds(7, 50, "workers")
-        assert len(set(seeds)) == 50
-
-    def test_factory_reproducible(self):
-        f = RngFactory(3)
-        a = f.get("x").random()
-        b = RngFactory(3).get("x").random()
-        assert a == b
-
-    def test_factory_child_independent(self):
-        f = RngFactory(3)
-        assert f.child("a").get("x").random() != f.child("b").get("x").random()
-
-    def test_stream(self):
-        f = RngFactory(0)
-        stream = f.stream("s")
-        values = [next(stream).random() for _ in range(3)]
-        assert len(set(values)) == 3
 
 
 class TestStats:
@@ -69,24 +35,6 @@ class TestStats:
             fit_loglog([1, 2], [0, 1])
         with pytest.raises(ValueError):
             fit_loglog([1, 2], [1, 2, 3])
-
-    def test_summarize(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == 2.5
-        assert s.median == 2.5
-        assert s.minimum == 1.0 and s.maximum == 4.0
-
-    def test_summarize_empty(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_geometric_mean(self):
-        assert abs(geometric_mean([1, 100]) - 10.0) < 1e-9
-        with pytest.raises(ValueError):
-            geometric_mean([1, -1])
-        with pytest.raises(ValueError):
-            geometric_mean([])
 
     @given(st.floats(0.5, 3.0), st.floats(0.1, 10.0))
     def test_fit_recovers_parameters(self, exponent, constant):
@@ -131,23 +79,6 @@ class TestTables:
 
 
 class TestTiming:
-    def test_sections_accumulate(self):
-        t = Timer()
-        with t.section("a"):
-            pass
-        with t.section("a"):
-            pass
-        assert t.count("a") == 2
-        assert t.total("a") >= 0.0
-        assert t.total("missing") == 0.0
-
-    def test_report_contains_sections(self):
-        t = Timer()
-        with t.section("alpha"):
-            pass
-        assert "alpha" in t.report()
-        assert Timer().report() == "(no timings recorded)"
-
     def test_format_seconds(self):
         assert format_seconds(5e-7).endswith("us")
         assert format_seconds(0.005).endswith("ms")
@@ -170,13 +101,3 @@ class TestValidation:
         assert check_positive(3) == 3.0
         with pytest.raises(ParameterError):
             check_positive(0)
-
-    def test_nonnegative(self):
-        assert check_nonnegative(0) == 0.0
-        with pytest.raises(ParameterError):
-            check_nonnegative(-1)
-
-    def test_in_range(self):
-        assert check_in_range(3, 1, 5) == 3
-        with pytest.raises(ParameterError):
-            check_in_range(6, 1, 5)

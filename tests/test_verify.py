@@ -16,7 +16,6 @@ from repro.engine.base import fault_candidates
 from repro.engine.cbuild import CC_ENV_VAR
 from repro.errors import VerificationError
 from repro.graphs import (
-    Graph,
     complete_graph,
     connected_gnp_graph,
     cycle_graph,

@@ -126,8 +126,6 @@ def weighted_instance(draw):
     n, m = g.num_vertices, g.num_edges
     kwargs = {}
     if m and draw(st.booleans()):
-        kwargs["banned_edge"] = draw(st.integers(0, m - 1))
-    if m and draw(st.booleans()):
         kwargs["banned_edges"] = set(
             draw(st.lists(st.integers(0, m - 1), max_size=3))
         )
@@ -913,7 +911,7 @@ def dense_degenerate(n, p, top, seed, options):
     equal candidates and ties are common, a source, and the
     ``shortest_paths`` options that the bits of ``options`` ask for: 1
     targets, 2 banned vertices, 4 banned edges (up to a quarter of
-    them) plus a ``banned_edge``."""
+    them, plus one more draw)."""
     rng = random.Random(seed)
     g = gnp_random_graph(n, p, seed=seed)
     m = g.num_edges
@@ -931,7 +929,7 @@ def dense_degenerate(n, p, top, seed, options):
         )
     if options & 4 and m:
         kwargs["banned_edges"] = set(rng.sample(range(m), rng.randint(1, max(1, m // 4))))
-        kwargs["banned_edge"] = rng.randrange(m)
+        kwargs["banned_edges"].add(rng.randrange(m))
     return g, w, source, kwargs
 
 
