@@ -8,10 +8,9 @@ Subcommands
 ``run E1 [E2 ...]`` (or ``run all``)
     Run experiments through the scenario pipeline and print their
     tables.  ``--quick`` shrinks the sweeps; ``--jobs N`` fans sweep
-    points out over N worker processes (0 = auto); ``--save`` writes
-    ``bench_artifacts/`` and streams per-point JSONL as points finish,
-    so an interrupted run resumes from its cache (``--fresh`` discards
-    cached points first).
+    points out over N worker processes (0 = all cores but one);
+    ``--save`` writes each record to ``bench_artifacts/<id>.json`` and
+    ``.txt``.  Every run measures every point.
 ``build``
     Build a structure for a named workload and report its sizes.  With
     ``--save PATH`` it instead builds the single-failure query
@@ -61,7 +60,6 @@ from repro.engine import (
 from repro.harness import (
     SPECS,
     PipelineRunner,
-    artifacts_dir,
     experiment_ids,
     get_spec,
     save_record,
@@ -78,8 +76,6 @@ __all__ = ["main", "build_parser"]
 _ENV_VAR_HELP = """\
 environment variables:
   REPRO_ENGINE           default traversal engine (same values as --engine)
-  REPRO_MAX_WORKERS      worker-process budget for --jobs 0
-                         (default: cores - 1)
   REPRO_CC               0 runs csr on its numpy kernels; any other
                          value names the C compiler to use (default:
                          $CC, then cc/gcc/clang on PATH)
@@ -121,18 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--save",
         action="store_true",
-        help="write bench_artifacts/ + stream resumable per-point JSONL",
+        help="write bench_artifacts/<id>.json and .txt",
     )
     run_p.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for sweep points (0 = auto, honors $REPRO_MAX_WORKERS)",
-    )
-    run_p.add_argument(
-        "--fresh",
-        action="store_true",
-        help="ignore previously cached points (with --save)",
+        help="worker processes for sweep points (0 = all cores but one)",
     )
     add_engine_flag(run_p)
 
@@ -248,7 +239,6 @@ def _cmd_run(
     seed: int,
     save: bool,
     jobs: int,
-    fresh: bool,
     engine: Optional[str],
 ) -> int:
     from repro.errors import ExperimentError
@@ -265,20 +255,13 @@ def _cmd_run(
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    runner = PipelineRunner(
-        jobs=jobs,
-        cache_dir=artifacts_dir() if save else None,
-        engine=engine,
-        fresh=fresh,
-    )
+    runner = PipelineRunner(jobs=jobs, engine=engine)
     for spec in specs:
         record = runner.run(spec, quick=quick, seed=seed)
         print(record.render())
-        cached = record.params.get("cached", 0)
-        resumed = f", {cached} cached" if cached else ""
         print(
             f"  (elapsed {format_seconds(record.elapsed_seconds)}; "
-            f"{record.params.get('points', 0)} points{resumed})\n"
+            f"{record.params['points']} points)\n"
         )
         if save:
             path = save_record(record)
@@ -291,24 +274,21 @@ def _save_query_tree(graph, source: int, seed: int, save: str):
     reseeding past tie-break failures; returns ``(tree, path)``.
 
     Snapshots need int64-representable weights, so the exact scheme is
-    not an option here; the random scheme's ties are loud and rare, and
-    a handful of reseeds always clears them.  The SPT and the
-    replacement sweep that ``save_structure`` runs can both meet one.
+    not an option here.  The SPT and the replacement sweep that
+    ``save_structure`` runs can both meet a tie; ``run_reseeding``
+    retries both under the library's one reseed policy.
     """
-    from repro.errors import TieBreakError
+    from repro.core.pcons import run_reseeding
     from repro.oracle import save_structure
     from repro.spt.spt_tree import build_spt
-    from repro.spt.weights import make_weights
 
-    last: Optional[TieBreakError] = None
-    for attempt in range(8):
-        try:
-            weights = make_weights(graph, "random", seed=seed + attempt)
-            tree = build_spt(graph, weights, source)
-            return tree, save_structure(save, tree)
-        except TieBreakError as exc:
-            last = exc
-    raise last  # pragma: no cover - 8 consecutive ties never happens
+    def build_and_save(weights):
+        tree = build_spt(graph, weights, source)
+        return tree, save_structure(save, tree)
+
+    return run_reseeding(
+        graph, build_and_save, weight_scheme="random", seed=seed
+    )
 
 
 def _eid_list(text: str) -> List[int]:
@@ -517,7 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run":
             return _cmd_run(
                 args.ids, args.quick, args.seed, args.save,
-                args.jobs, args.fresh, args.engine,
+                args.jobs, args.engine,
             )
         if args.command == "build":
             if args.save:

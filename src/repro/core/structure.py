@@ -39,8 +39,7 @@ class ConstructStats:
     num_sim_sets: int = 0
     #: Weight scheme the construction actually ran under ("exact" or
     #: "random") - records the ``make_weights(scheme="auto")`` decision,
-    #: which is otherwise invisible in saved results and could silently
-    #: differ between resumed runs.
+    #: which is otherwise invisible in saved results.
     weight_scheme: str = ""
     #: Traversal engine the construction ran under.
     engine: str = ""

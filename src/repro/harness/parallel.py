@@ -1,89 +1,56 @@
 """Parallel task execution: the harness's process-fanout layer.
 
-It runs picklable **stage tasks**: a :class:`StageTask` names a
-module-level function by ``"package.module:function"`` reference plus a
-payload dict, so tasks pickle cheaply and each worker re-imports its own
-code and rebuilds its own inputs deterministically.
-:func:`run_stage_tasks` streams results back in *completion* order (each
-tagged with its task index), which is what lets the scenario pipeline
-(:class:`~repro.harness.pipeline.runner.PipelineRunner`, its one
-caller) write per-point JSONL rows as they finish while still
-assembling bit-identical, task-ordered records.
+It runs picklable **stage tasks**: a :class:`StageTask` holds a
+module-level function plus a payload dict.  A module-level function
+pickles by its qualified name, so tasks stay tiny on the wire and each
+worker imports its own code and rebuilds its own inputs
+deterministically.  :func:`run_stage_tasks` streams results back in
+*completion* order, each tagged with its task index; the scenario
+pipeline (:class:`~repro.harness.pipeline.runner.PipelineRunner`, its
+one caller) reassembles them in task order.
 
 Usage:
 
-    tasks = [StageTask("repro.harness.pipeline.stages:probe",
-                       {"workload": "gnp", "params": {"n": 30, "seed": s}})
+    from repro.harness.pipeline.stages import probe
+
+    tasks = [StageTask(probe, {"workload": "gnp", "params": {"n": 30, "seed": s}})
              for s in range(4)]
-    for index, result, elapsed in run_stage_tasks(tasks, max_workers=2):
+    for index, result in run_stage_tasks(tasks, max_workers=2):
         ...
 """
 
 from __future__ import annotations
 
-import importlib
 import os
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 
-__all__ = [
-    "StageTask",
-    "run_stage_tasks",
-    "default_worker_count",
-    "resolve_stage",
-    "MAX_WORKERS_ENV_VAR",
-]
-
-#: Caps/overrides :func:`default_worker_count` when set to a positive int.
-MAX_WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
+__all__ = ["StageTask", "run_stage_tasks", "default_worker_count"]
 
 
 @dataclass(frozen=True)
 class StageTask:
-    """One unit of picklable work: a function reference plus its payload.
+    """One unit of picklable work: a function plus its payload.
 
-    ``func`` is a ``"package.module:function"`` reference to a
-    module-level callable taking a single payload dict; referencing by
-    name (instead of shipping a callable) keeps tasks tiny on the wire
-    and lets workers resolve their own (possibly freshly imported) code.
+    ``func`` is a module-level callable taking a single payload dict,
+    so it pickles by name and workers run their own imported code.
     ``engine`` scopes the worker's default traversal engine for the call.
     """
 
-    func: str
+    func: Callable[[Mapping[str, Any]], Any]
     payload: Mapping[str, Any] = field(default_factory=dict)
     engine: Optional[str] = None
 
 
-def resolve_stage(func_ref: str) -> Callable[[Mapping[str, Any]], Any]:
-    """Resolve a ``"package.module:function"`` stage reference."""
-    module_name, sep, func_name = func_ref.partition(":")
-    if not sep or not module_name or not func_name:
-        raise ExperimentError(
-            f"stage reference {func_ref!r} must look like 'package.module:function'"
-        )
-    try:
-        module = importlib.import_module(module_name)
-        fn = getattr(module, func_name)
-    except (ImportError, AttributeError) as exc:
-        raise ExperimentError(f"cannot resolve stage {func_ref!r}: {exc}") from exc
-    if not callable(fn):
-        raise ExperimentError(f"stage {func_ref!r} is not callable")
-    return fn
-
-
-def _run_stage(task: StageTask) -> Tuple[Any, float]:
-    """Worker body: resolve the stage, run it under the task's engine."""
+def _run_stage(task: StageTask) -> Any:
+    """Worker body: run the stage under the task's engine."""
     from repro.engine import engine_context
 
-    start = time.perf_counter()
-    fn = resolve_stage(task.func)
     with engine_context(task.engine):
-        result = fn(dict(task.payload))
-    return result, time.perf_counter() - start
+        return task.func(dict(task.payload))
 
 
 def _resolve_workers(max_workers: Optional[int]) -> int:
@@ -98,8 +65,8 @@ def run_stage_tasks(
     tasks: Sequence[StageTask],
     *,
     max_workers: Optional[int] = None,
-) -> Iterator[Tuple[int, Any, float]]:
-    """Run stage tasks, yielding ``(task_index, result, elapsed_seconds)``.
+) -> Iterator[Tuple[int, Any]]:
+    """Run stage tasks, yielding ``(task_index, result)``.
 
     Results stream back in *completion* order (task order when the
     worker count resolves to 1, which runs everything in-process);
@@ -113,8 +80,7 @@ def run_stage_tasks(
     workers = _resolve_workers(max_workers)
     if workers <= 1:
         for index, task in enumerate(tasks):
-            result, elapsed = _run_stage(task)
-            yield index, result, elapsed
+            yield index, _run_stage(task)
         return
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = {
@@ -126,24 +92,13 @@ def run_stage_tasks(
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    result, elapsed = future.result()
-                    yield futures[future], result, elapsed
+                    yield futures[future], future.result()
         finally:
             for future in pending:
                 future.cancel()
 
 
 def default_worker_count() -> int:
-    """A conservative default: physical-ish cores, at least 1.
-
-    The ``REPRO_MAX_WORKERS`` environment variable overrides the
-    cpu-derived value (useful on shared CI runners and inside cgroups
-    that lie about core counts).
-    """
-    from repro.util.validation import env_int
-
-    try:
-        value = env_int(MAX_WORKERS_ENV_VAR, (os.cpu_count() or 2) - 1)
-    except Exception as exc:
-        raise ExperimentError(str(exc)) from None
-    return max(1, value)
+    """The worker count ``--jobs 0`` resolves to: all cores but one,
+    at least 1."""
+    return max(1, (os.cpu_count() or 2) - 1)

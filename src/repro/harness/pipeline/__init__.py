@@ -11,15 +11,14 @@ layered pipeline:
   retired), each experiment now a spec in a themed module;
 * :mod:`~repro.harness.pipeline.runner` — the shared
   :class:`PipelineRunner` that fans measure stages out over the
-  process-pool task layer (``repro.harness.parallel``), streams each
-  finished point to JSONL, and resumes from the content-keyed cache;
+  process-pool task layer (``repro.harness.parallel``) and reassembles
+  the results in grid order;
 * :mod:`~repro.harness.pipeline.stages` — reusable measure-stage
   building blocks (workload/pcons plumbing, the probe stage).
 
 Adding an experiment is now "register a spec" — write grid/measure
 (+aggregate), instantiate a :class:`ScenarioSpec`, add it to
-``specs.SPECS`` — and it inherits parallelism, streaming, resume, and
-the CLI for free.
+``specs.SPECS`` — and it inherits parallelism and the CLI for free.
 """
 
 from repro.harness.pipeline.runner import PipelineRunner
@@ -50,18 +49,9 @@ def run_experiment(
     quick: bool = False,
     seed: int = 0,
     jobs: int = 1,
-    cache_dir=None,
     engine=None,
-    fresh: bool = False,
 ):
-    """Run one experiment by id through the shared pipeline runner.
-
-    The historical entry point, kept signature-compatible (``quick``,
-    ``seed``) and extended with the runner's knobs: ``jobs`` worker
-    processes, a ``cache_dir`` for JSONL streaming + resume, a pinned
-    ``engine``, and ``fresh`` to discard cached points.
-    """
-    runner = PipelineRunner(
-        jobs=jobs, cache_dir=cache_dir, engine=engine, fresh=fresh
-    )
+    """Run one experiment by id through the shared pipeline runner,
+    with ``jobs`` worker processes and an optionally pinned ``engine``."""
+    runner = PipelineRunner(jobs=jobs, engine=engine)
     return runner.run(get_spec(experiment_id), quick=quick, seed=seed)

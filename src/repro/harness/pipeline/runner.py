@@ -4,37 +4,25 @@ The runner turns a :class:`~repro.harness.pipeline.spec.ScenarioSpec`
 into an :class:`~repro.harness.records.ExperimentRecord`:
 
 1. expand the spec's grid into point payloads (in-process, cheap);
-2. drop points whose content key is already in the JSONL cache;
-3. fan the remaining measure stages out through the generic stage-task
+2. fan every point's measure stage out through the generic stage-task
    layer (:func:`repro.harness.parallel.run_stage_tasks`) with ``jobs``
-   workers, streaming each finished point to the JSONL file the moment
-   it completes;
-4. reassemble results in grid order, append rows, run the aggregate
+   workers;
+3. reassemble results in grid order, append rows, run the aggregate
    stage, attach notes.
 
-Determinism contract: with timing columns masked, the record is
-bit-identical across ``jobs=1`` and ``jobs=N`` (results are re-ordered
-by point index) and across fresh and resumed runs (every result —
-cached or fresh — is canonicalized through JSON before use).
+Every run measures every point.  Determinism contract: with timing
+columns masked, the record is bit-identical across ``jobs=1`` and
+``jobs=N`` (results are re-ordered by point index, and each is
+canonicalized through JSON before use).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
-from repro.errors import ExperimentError
 from repro.harness.parallel import StageTask, run_stage_tasks
-from repro.harness.pipeline.cache import (
-    append_point,
-    compact_points,
-    open_append_stream,
-    point_key,
-    points_path,
-    stage_fingerprint,
-)
 from repro.harness.pipeline.spec import PointResult, ScenarioSpec
 from repro.harness.records import ExperimentRecord
 
@@ -42,7 +30,8 @@ __all__ = ["PipelineRunner"]
 
 
 def _canonicalize(result: Any) -> Dict[str, Any]:
-    """JSON round-trip a measure result so fresh == resumed, bit for bit."""
+    """JSON round-trip a measure result, so the record holds what its
+    saved JSON holds (tuples as lists, non-JSON values as strings)."""
     payload = PointResult.from_payload(result).as_payload()
     return json.loads(json.dumps(payload, default=str))
 
@@ -52,25 +41,18 @@ class PipelineRunner:
 
     ``jobs``: worker processes for measure stages (1 = in-process,
     0/None = :func:`~repro.harness.parallel.default_worker_count`).
-    ``cache_dir``: when set, points stream to
-    ``<cache_dir>/<EID>.points.jsonl`` as they finish and later runs
-    resume from it; ``fresh=True`` discards any existing stream first.
-    ``engine``: pins the traversal engine recorded in cache keys and
-    exported to measure workers (None = each worker's default).
+    ``engine``: pins the traversal engine exported to measure workers
+    (None = each worker's default).
     """
 
     def __init__(
         self,
         *,
         jobs: Optional[int] = 1,
-        cache_dir: Optional[Union[str, Path]] = None,
         engine: Optional[str] = None,
-        fresh: bool = False,
     ) -> None:
         self.jobs = jobs
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.engine = engine
-        self.fresh = fresh
 
     # ------------------------------------------------------------------
     def run(
@@ -87,92 +69,20 @@ class PipelineRunner:
             spec = get_spec(spec)
         start = time.perf_counter()
 
-        payloads = spec.grid(quick, seed)
-        fingerprint = stage_fingerprint(spec)
-        keys = [
-            point_key(
-                spec, payload, quick=quick, seed=seed, engine=self.engine,
-                fingerprint=fingerprint,
-            )
-            for payload in payloads
+        tasks = [
+            StageTask(func=spec.measure, payload=payload, engine=self.engine)
+            for payload in spec.grid(quick, seed)
         ]
-        results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-
-        stream_path: Optional[Path] = None
-        cached_entries: Dict[str, Dict[str, Any]] = {}
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            stream_path = points_path(self.cache_dir, spec.experiment_id)
-            if self.fresh:
-                stream_path.unlink(missing_ok=True)
-            else:
-                # Reload + garbage-collect in one pass: dead generations
-                # (superseded keys, stale-fingerprint lines) are
-                # atomically rewritten away instead of accumulating
-                # until --fresh truncates the stream.
-                cached_entries = compact_points(
-                    stream_path, fingerprint=fingerprint
-                )
-        for index, key in enumerate(keys):
-            entry = cached_entries.get(key)
-            if entry is not None:
-                results[index] = _canonicalize(entry["result"])
-
-        pending = [i for i, r in enumerate(results) if r is None]
-        if pending:
-            tasks = [
-                StageTask(
-                    func=spec.measure, payload=payloads[i], engine=self.engine
-                )
-                for i in pending
-            ]
-            stream = (
-                open_append_stream(stream_path)
-                if stream_path is not None
-                else None
-            )
-            try:
-                for task_index, raw, elapsed in run_stage_tasks(
-                    tasks, max_workers=self.jobs
-                ):
-                    index = pending[task_index]
-                    result = _canonicalize(raw)
-                    results[index] = result
-                    if stream is not None:
-                        append_point(
-                            stream,
-                            {
-                                "key": keys[index],
-                                "experiment": spec.experiment_id,
-                                "index": index,
-                                "fingerprint": fingerprint,
-                                "payload": payloads[index],
-                                "elapsed": round(elapsed, 6),
-                                "result": result,
-                            },
-                        )
-            finally:
-                if stream is not None:
-                    stream.close()
-
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:  # pragma: no cover - run_stage_tasks yields every task
-            raise ExperimentError(
-                f"{spec.experiment_id}: points {missing} produced no result"
-            )
-
-        points = [PointResult.from_payload(r) for r in results]
+        results = dict(run_stage_tasks(tasks, max_workers=self.jobs))
+        points = [
+            PointResult.from_payload(_canonicalize(results[index]))
+            for index in range(len(tasks))
+        ]
         record = ExperimentRecord(
             experiment_id=spec.experiment_id,
             title=spec.title,
             columns=list(spec.columns),
-            params={
-                "quick": quick,
-                "seed": seed,
-                "points": len(points),
-                "executed": len(pending),
-                "cached": len(points) - len(pending),
-            },
+            params={"quick": quick, "seed": seed, "points": len(points)},
         )
         for point in points:
             for row in point.rows:

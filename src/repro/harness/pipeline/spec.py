@@ -8,21 +8,20 @@ executes it:
     Enumerates the sweep points as plain JSON-able dicts.  Runs
     in-process; must be cheap and deterministic (payload order *is* row
     order in the final record).
-``measure`` (a ``"package.module:function"`` stage reference)
+``measure``
     Runs once per point, possibly in a worker process, so it must be a
-    module-level function of one payload dict.  It returns
-    ``{"rows": [...], "facts": {...}}`` — rows go straight into the
-    record in point order; facts are JSON-able intermediates for the
+    module-level function of one payload dict (it pickles by name).  It
+    returns ``{"rows": [...], "facts": {...}}`` — rows go straight into
+    the record in point order; facts are JSON-able intermediates for the
     aggregate stage.  Results are canonicalized through JSON by the
-    runner, so a point replayed from the cache is bit-identical to a
-    freshly measured one.
+    runner, so the record holds what its saved JSON holds.
 ``aggregate(record, results)``
     Optional, in-process, after all points land: cross-point fits,
     derived values, synthesized rows (e.g. E5's cost table).
 
 ``timing_columns`` names the wall-clock columns.  Everything else must
-be deterministic given (quick, seed, engine); the parallel/serial and
-resume bit-identity tests compare rows with timing columns masked.
+be deterministic given (quick, seed, engine); the parallel/serial
+bit-identity tests compare rows with timing columns masked.
 """
 
 from __future__ import annotations
@@ -69,8 +68,8 @@ class ScenarioSpec:
     columns: Tuple[str, ...]
     #: ``(quick, seed) -> [payload dict, ...]`` — JSON-able, deterministic.
     grid: Callable[[bool, int], List[Dict[str, Any]]]
-    #: ``"package.module:function"`` reference to the per-point stage.
-    measure: str
+    #: The per-point stage: a module-level function of one payload dict.
+    measure: Callable[[Dict[str, Any]], Dict[str, Any]]
     #: Optional in-process cross-point stage.
     aggregate: Optional[Callable[..., None]] = None
     #: Static notes appended after aggregation (original table footer).

@@ -108,7 +108,7 @@ E11 = ScenarioSpec(
         "verified", "cost(R/B=10)",
     ),
     grid=e11_grid,
-    measure="repro.harness.pipeline.specs.economics:e11_measure",
+    measure=e11_measure,
     notes=(
         "worst_loss = vertices cut off from s by the worst single fault-prone failure",
         "one reinforced bridge: worst_loss n-1 -> 0 at ~1/20 of the conservative cost",
@@ -157,7 +157,7 @@ E12 = ScenarioSpec(
         "universal_r", "greedy_verified",
     ),
     grid=e12_grid,
-    measure="repro.harness.pipeline.specs.economics:e12_measure",
+    measure=e12_measure,
     notes=(
         "greedy minimizes measured Cost(e) coverage; paper: universal bound can be wasteful",
     ),

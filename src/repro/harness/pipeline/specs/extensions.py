@@ -129,6 +129,6 @@ E15 = ScenarioSpec(
     description="ablations: drop S1 / drop S2 / weights / regime dispatch",
     columns=("variant", "eps", "n", "b(n)", "r(n)", "verified"),
     grid=e15_grid,
-    measure="repro.harness.pipeline.specs.extensions:e15_measure",
+    measure=e15_measure,
     notes=("every variant is valid by construction; phases trade r(n) down",),
 )

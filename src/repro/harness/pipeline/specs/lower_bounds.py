@@ -92,7 +92,7 @@ E3 = ScenarioSpec(
         "certified_b", "n^(1+eps)", "alg_b(n)",
     ),
     grid=e3_grid,
-    measure="repro.harness.pipeline.specs.lower_bounds:e3_measure",
+    measure=e3_measure,
     aggregate=e3_aggregate,
     notes=(
         "certified_b = (|Pi| - r_budget) * |X_i| per Claim 5.3 (provable minimum)",
@@ -158,7 +158,7 @@ E4 = ScenarioSpec(
         "certified_b", "K^(1-eps)*n^(1+eps)",
     ),
     grid=e4_grid,
-    measure="repro.harness.pipeline.specs.lower_bounds:e4_measure",
+    measure=e4_measure,
     aggregate=e4_aggregate,
     notes=(
         "r_budget = |Pi|/6 (internally consistent variant; see the "

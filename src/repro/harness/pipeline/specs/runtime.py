@@ -1,9 +1,9 @@
 """Specs E13/E16: runtime scaling and the traversal-engine comparison.
 
 Both experiments measure wall-clock alongside deterministic quantities;
-their timing columns are declared on the spec so the parallel/serial and
-resume identity checks mask them (timings legitimately differ between
-runs and between co-scheduled workers).
+their timing columns are declared on the spec so the parallel/serial
+identity checks mask them (timings legitimately differ between runs and
+between co-scheduled workers).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def e13_measure(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     The row records the traversal engine and the weight scheme the
     construction actually ran under (the ``auto`` scheme threshold
-    decision), so resumed or re-pinned runs can never silently mix
-    configurations without it showing in the table.
+    decision), so runs under different engines or schemes can never
+    silently mix configurations without it showing in the table.
     """
     graph, source = workload(payload["workload"], **payload["params"])
     t0 = time.perf_counter()
@@ -66,7 +66,7 @@ E13 = ScenarioSpec(
         "t_pcons_s", "t_construct_s", "t_verify_s",
     ),
     grid=e13_grid,
-    measure="repro.harness.pipeline.specs.runtime:e13_measure",
+    measure=e13_measure,
     timing_columns=("t_pcons_s", "t_construct_s", "t_verify_s"),
 )
 
@@ -152,7 +152,7 @@ E16 = ScenarioSpec(
         "t_verify_s", "t_unprotected_s", "speedup_verify", "parity",
     ),
     grid=e16_grid,
-    measure="repro.harness.pipeline.specs.runtime:e16_measure",
+    measure=e16_measure,
     timing_columns=("t_verify_s", "t_unprotected_s", "speedup_verify"),
     notes=(
         "speedup_verify is relative to the first (python reference) engine",

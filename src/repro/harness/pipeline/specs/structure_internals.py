@@ -66,7 +66,7 @@ E7 = ScenarioSpec(
         "pi_inter", "|I1|", "|I2|", "typeA", "typeB", "typeC",
     ),
     grid=e7_grid,
-    measure="repro.harness.pipeline.specs.structure_internals:e7_measure",
+    measure=e7_measure,
     notes=(
         "(~)/(!~) counts partition interfering detour pairs (Eq. 1 + e~e' relation)",
     ),
@@ -124,7 +124,7 @@ E8 = ScenarioSpec(
         "max_glue_on_rootpath", "max_paths_on_rootpath", "max_segments",
     ),
     grid=e8_grid,
-    measure="repro.harness.pipeline.specs.structure_internals:e8_measure",
+    measure=e8_measure,
     notes=(
         "Fact 4.1: glue edges and path intersections per root path are O(log n)",
         "segments per root path = floor(log2 |pi|) (Eq. 5)",
@@ -195,7 +195,7 @@ E9 = ScenarioSpec(
         "r(n)", "r_bound", "min|D|/|sigma|", "min_IS_cover", "min_vol/n_eps*miss",
     ),
     grid=e9_grid,
-    measure="repro.harness.pipeline.specs.structure_internals:e9_measure",
+    measure=e9_measure,
     notes=(
         "r(n) counts tree edges left unprotected after S2 (then reinforced)",
         "Lemma 4.14 predicts min|D|/|sigma| >= 1/4; Claim 4.18 predicts IS cover >= 1/5",
@@ -249,7 +249,7 @@ E10 = ScenarioSpec(
         "within_bound", "s1_edges", "i1", "i2",
     ),
     grid=e10_grid,
-    measure="repro.harness.pipeline.specs.structure_internals:e10_measure",
+    measure=e10_measure,
     notes=(
         "Lemma 4.10 predicts the pending (!~) set drains within K iterations",
     ),

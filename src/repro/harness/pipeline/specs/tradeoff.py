@@ -81,7 +81,7 @@ E1 = ScenarioSpec(
         "bound_b", "bound_r", "b_ok", "r_ok", "verified",
     ),
     grid=e1_grid,
-    measure="repro.harness.pipeline.specs.tradeoff:e1_measure",
+    measure=e1_measure,
     notes=(
         "bound_b = min{1/eps n^(1+eps) log n, n^1.5}; bound_r = 1/eps n^(1-eps) log n",
         "paper: both bounds hold with the stated constants up to O~ factors",
@@ -129,7 +129,7 @@ E2 = ScenarioSpec(
     description="endpoint sanity: eps = 0 and eps = 1 degenerate correctly",
     columns=("workload", "n", "eps", "b(n)", "r(n)", "comment", "verified"),
     grid=e2_grid,
-    measure="repro.harness.pipeline.specs.tradeoff:e2_measure",
+    measure=e2_measure,
     notes=(
         "paper section 1: eps=0 -> n-1 reinforced suffice; eps=1 -> Theta(n^1.5) backup",
     ),
@@ -201,7 +201,7 @@ E5 = ScenarioSpec(
         "cost_measured", "cost_all_backup", "cost_all_reinforced",
     ),
     grid=e5_grid,
-    measure="repro.harness.pipeline.specs.tradeoff:e5_measure",
+    measure=e5_measure,
     aggregate=e5_aggregate,
     notes=(
         "paper section 1: min-cost at eps = O~(log(R/B)/log n)",
@@ -255,6 +255,6 @@ E6 = ScenarioSpec(
     description="[14] endpoint: FT-BFS size scaling ~ n^(3/2) on the gadget",
     columns=("n_target", "n", "m", "|H|", "|H|/n^1.5", "verified"),
     grid=e6_grid,
-    measure="repro.harness.pipeline.specs.tradeoff:e6_measure",
+    measure=e6_measure,
     aggregate=e6_aggregate,
 )

@@ -57,19 +57,12 @@ def probe(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
     Used by the pipeline's own tests (cheap enough to fan out dozens of
     points) and as the reference example of the measure-stage shape.
-    When the payload carries a ``touch_path``, the stage appends one line
-    to that file — a cross-process execution marker the resume tests use
-    to count which points actually ran.
     """
     from repro.engine import get_engine
 
     graph, source = build_point(payload)
     dist = get_engine().distances(graph, source)
     reachable = [d for d in dist if d >= 0]
-    touch_path = payload.get("touch_path")
-    if touch_path:
-        with open(touch_path, "a", encoding="utf-8") as fh:
-            fh.write(f"{payload.get('label', '')}\n")
     return {
         "rows": [
             [

@@ -55,6 +55,7 @@ scheme assignment, or the exact scheme up to 62 edges (the same gate as
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -69,7 +70,7 @@ from repro.errors import SnapshotError
 from repro.graphs.graph import Graph
 from repro.spt.replacement import ReplacementEngine
 from repro.spt.spt_tree import ShortestPathTree
-from repro.spt.weights import WeightAssignment
+from repro.spt.weights import EXACT, RANDOM, WeightAssignment, scheme_shift
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -267,7 +268,8 @@ def save_structure(path, tree: ShortestPathTree) -> Path:
     (:meth:`OracleStructure.from_live`), so the saved file answers all
     single-failure queries in O(path).  The write is atomic (temp file
     + rename).  Raises :class:`~repro.errors.SnapshotError` when the
-    weights have no int64 representation (see the module docstring).
+    weights have no int64 representation (see the module docstring) or
+    the file cannot be written; no temp file is left behind.
     """
     path = Path(path)
     weights = tree.weights
@@ -311,20 +313,28 @@ def save_structure(path, tree: ShortestPathTree) -> Path:
     data_start = _align(_PRELUDE.size + len(header))
 
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(
-            _PRELUDE.pack(
-                SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _ENDIAN_SENTINEL, len(header)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(
+                _PRELUDE.pack(
+                    SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _ENDIAN_SENTINEL,
+                    len(header),
+                )
             )
-        )
-        fh.write(header)
-        fh.write(b"\0" * (data_start - _PRELUDE.size - len(header)))
-        pos = 0
-        for rel_offset, data in blobs:
-            fh.write(b"\0" * (rel_offset - pos))
-            fh.write(data)
-            pos = rel_offset + len(data)
-    os.replace(tmp, path)
+            fh.write(header)
+            fh.write(b"\0" * (data_start - _PRELUDE.size - len(header)))
+            pos = 0
+            for rel_offset, data in blobs:
+                fh.write(b"\0" * (rel_offset - pos))
+                fh.write(data)
+                pos = rel_offset + len(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise SnapshotError(
+            f"cannot write snapshot {path}: {exc.strerror or exc}"
+        ) from None
     return path
 
 
@@ -386,7 +396,8 @@ def _parse_meta(buf, header_len: int, path: Path) -> Dict[str, Any]:
     integer sizes and source, a ``weights`` object with a nonnegative
     integer ``shift``, integer ``seed``/``max_pert`` and a ``scheme``
     name, and a field table of ``[name, offset, length]`` entries naming
-    every plane."""
+    every plane.  The scheme must be ``exact`` or ``random``, and the
+    shift the one that scheme gives ``num_edges`` edges."""
     raw = bytes(buf[_PRELUDE.size : _PRELUDE.size + header_len])
     try:
         meta = json.loads(raw.decode("utf-8"))
@@ -412,6 +423,18 @@ def _parse_meta(buf, header_len: int, path: Path) -> Dict[str, Any]:
         raise SnapshotError(
             f"{path}: snapshot header 'weights' needs a nonnegative integer "
             "shift, integer seed and max_pert, and a scheme name"
+        )
+    scheme, shift = wmeta["scheme"], wmeta["shift"]
+    if scheme not in (EXACT, RANDOM):
+        raise SnapshotError(
+            f"{path}: snapshot weight scheme {scheme!r} is neither "
+            f"{EXACT!r} nor {RANDOM!r}"
+        )
+    want = scheme_shift(scheme, meta["num_edges"])
+    if shift != want:
+        raise SnapshotError(
+            f"{path}: snapshot weight shift {shift} is not the {scheme} "
+            f"scheme's {want} for {meta['num_edges']} edges"
         )
     fields = meta["fields"]
     if not isinstance(fields, list) or not all(
@@ -532,6 +555,26 @@ def _check_rows(
         )
 
 
+def _check_perts(
+    pert: Sequence[int], max_pert: int, mapped: bool, path: Path
+) -> None:
+    """Refuse a ``pert`` plane whose values leave ``[0, max_pert]`` or
+    never reach ``max_pert``: the array kernels' overflow gate trusts
+    the header's bound.  Vectorized over a mapped plane, a loop
+    otherwise."""
+    if not len(pert):
+        lo = hi = 0
+    elif mapped:
+        lo, hi = int(pert.min()), int(pert.max())
+    else:
+        lo, hi = min(pert), max(pert)
+    if lo < 0 or hi != max_pert:
+        raise SnapshotError(
+            f"{path}: plane 'pert' spans [{lo}, {hi}], but the header's "
+            f"max_pert is {max_pert}"
+        )
+
+
 def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
     """Load a snapshot into a query-ready :class:`OracleStructure`.
 
@@ -544,10 +587,12 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
 
     Raises :class:`~repro.errors.SnapshotError` on bad magic, version or
     endianness mismatch, a header that is not a JSON object of the
-    expected field types, truncated planes, a field table whose planes
-    overlap or disagree with the header's sizes, a source that is not
-    the tree's root, replacement rows that disagree with the tree
-    planes, or a missing file.
+    expected field types, a weight scheme other than ``exact`` or
+    ``random`` or a shift other than that scheme's, truncated planes, a
+    field table whose planes overlap or disagree with the header's
+    sizes, a ``pert`` plane outside ``[0, max_pert]`` or short of it, a
+    source that is not the tree's root, replacement rows that disagree
+    with the tree planes, or a missing file.
     """
     path = Path(path)
     if mapped is None or mapped:
@@ -607,6 +652,7 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
                 f"{path}: snapshot source {source} is not the tree's root"
             )
         _check_rows(arrays, n, mapped, path)
+        _check_perts(arrays["pert"], meta["weights"]["max_pert"], mapped, path)
     except Exception:
         if owner is not None:
             owner.close()

@@ -46,7 +46,14 @@ from typing import List, Sequence
 from repro.errors import ParameterError
 from repro.graphs.graph import Graph
 
-__all__ = ["WeightAssignment", "make_weights", "EXACT", "RANDOM", "AUTO"]
+__all__ = [
+    "WeightAssignment",
+    "make_weights",
+    "scheme_shift",
+    "EXACT",
+    "RANDOM",
+    "AUTO",
+]
 
 EXACT = "exact"
 RANDOM = "random"
@@ -178,10 +185,21 @@ def make_weights(graph: Graph, scheme: str = AUTO, seed: int = 0) -> WeightAssig
     raise ParameterError(f"unknown weight scheme {scheme!r}")
 
 
+def scheme_shift(scheme: str, num_edges: int) -> int:
+    """The ``shift`` (``BIG = 1 << shift``) that ``scheme`` gives a graph
+    of ``num_edges`` edges: ``num_edges + 2`` exact, 63 random."""
+    if scheme == EXACT:
+        # Perturbation sum over any simple path is < 2**m, so BIG =
+        # 2**(m+1) guarantees hop counts dominate.  A couple of guard
+        # bits cost nothing.
+        return num_edges + 2
+    if scheme == RANDOM:
+        return _RANDOM_SHIFT
+    raise ParameterError(f"unknown weight scheme {scheme!r}")
+
+
 def _make_exact(m: int) -> WeightAssignment:
-    # Perturbation sum over any simple path is < 2**m, so BIG = 2**(m+1)
-    # guarantees hop counts dominate.  A couple of guard bits cost nothing.
-    shift = m + 2
+    shift = scheme_shift(EXACT, m)
     big = 1 << shift
     weights: List[int] = [big + (1 << e) for e in range(m)]
     return WeightAssignment(weights=weights, shift=shift, scheme=EXACT, seed=0)

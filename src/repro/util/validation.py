@@ -2,32 +2,13 @@
 
 from __future__ import annotations
 
-import os
-
 from repro.errors import ParameterError
 
 __all__ = [
     "check_epsilon",
     "check_probability",
     "check_positive",
-    "env_int",
 ]
-
-
-def env_int(name: str, default: int) -> int:
-    """Read an integer environment override, with a clear domain error.
-
-    Empty/unset falls back to ``default``; anything non-integer raises
-    :class:`ParameterError` naming the variable instead of a bare
-    ``ValueError`` from deep inside a hot path.
-    """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"${name} must be an integer, got {raw!r}") from None
 
 
 def check_epsilon(epsilon: float, *, name: str = "epsilon") -> float:

@@ -19,7 +19,6 @@ if str(REPO_ROOT) not in sys.path:  # `tools` lives next to src/, not inside it
 from tools.check import Violation, load_allowlist, main, run_passes  # noqa: E402
 from tools.check.runtime import (  # noqa: E402
     _check_names,
-    check_resume_log,
     check_serve_log,
 )
 
@@ -195,22 +194,6 @@ class TestRuntimeLogChecks:
         log = tmp_path / "serve.log"
         log.write_text("")
         assert any("no JSONL responses" in f for f in check_serve_log(log))
-
-    def test_resume_log_fully_cached_passes(self, tmp_path):
-        log = tmp_path / "run.log"
-        log.write_text("(elapsed 1s; 6 points, 6 cached)\n(2 points, 2 cached)\n")
-        assert check_resume_log(log) == []
-
-    def test_resume_log_flags_partial_cache(self, tmp_path):
-        log = tmp_path / "run.log"
-        log.write_text("(elapsed 1s; 6 points, 2 cached)\n")
-        failures = check_resume_log(log)
-        assert len(failures) == 1 and "cache regressed" in failures[0]
-
-    def test_resume_log_flags_uncached_points(self, tmp_path):
-        log = tmp_path / "run.log"
-        log.write_text("(elapsed 1s; 6 points)\n")
-        assert len(check_resume_log(log)) == 1
 
 
 class TestRepoIsClean:

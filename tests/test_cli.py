@@ -118,8 +118,12 @@ class TestBuild:
             (["--n", "-5"], "num_vertices must be non-negative, got -5"),
             (["--n", "-5", "--save", "never.snap"],
              "num_vertices must be non-negative, got -5"),
+            (["--n", "50", "--save", "missing/never.snap"],
+             "cannot write snapshot missing/never.snap: "
+             "No such file or directory"),
         ],
-        ids=["epsilon-out-of-range", "negative-n", "negative-n-save"],
+        ids=["epsilon-out-of-range", "negative-n", "negative-n-save",
+             "save-into-missing-directory"],
     )
     def test_bad_arguments_are_a_clean_error(self, capsys, monkeypatch,
                                              tmp_path, argv, message):
@@ -154,7 +158,8 @@ class TestOracleCLI:
         self, tmp_path, monkeypatch
     ):
         """A tie in the sweep that ``save_structure`` runs reseeds like
-        one in the SPT: the file equals a direct save at the next seed."""
+        one in the SPT: the file equals a direct save under the first
+        reseed of ``run_reseeding`` (seed + 0x9E37)."""
         from repro.errors import TieBreakError
         from repro.harness.workloads import workload
         from repro.oracle import save_structure
@@ -165,7 +170,8 @@ class TestOracleCLI:
         graph, source = workload("gnp", n=50, seed=3)
         expected = tmp_path / "expected.snap"
         save_structure(
-            expected, build_spt(graph, make_weights(graph, "random", 4), source)
+            expected,
+            build_spt(graph, make_weights(graph, "random", 3 + 0x9E37), source),
         )
         real_init = ReplacementEngine.__init__
         armed = [True]
@@ -292,31 +298,45 @@ class TestRun:
         assert "[E2]" in out and "elapsed" in out
 
     def test_run_save(self, capsys, tmp_path, monkeypatch):
+        """--save writes E2's record as JSON and text and nothing else;
+        a second --save run measures every point again and saves the
+        same rows."""
+        import dataclasses
+
+        from repro.harness import SPECS, mask_timing
+
+        spec = SPECS["E2"]
+        calls = []
+
+        def counting_measure(payload):
+            calls.append(payload["workload"])
+            return spec.measure(payload)
+
+        monkeypatch.setitem(
+            SPECS, "E2", dataclasses.replace(spec, measure=counting_measure)
+        )
         monkeypatch.chdir(tmp_path)
-        rc = main(["run", "E2", "--quick", "--save"])
-        assert rc == 0
-        assert (tmp_path / "bench_artifacts" / "E2.json").exists()
-        assert (tmp_path / "bench_artifacts" / "E2.points.jsonl").exists()
+        artifacts = tmp_path / "bench_artifacts"
+        saved = []
+        for _ in range(2):
+            assert main(["run", "E2", "--quick", "--save"]) == 0
+            out = capsys.readouterr().out
+            assert "; 2 points)" in out and "cached" not in out
+            assert sorted(p.name for p in artifacts.iterdir()) == [
+                "E2.json", "E2.txt",
+            ]
+            saved.append(json.loads((artifacts / "E2.json").read_text()))
+        assert calls == ["gnp", "grid"] * 2
+        assert saved[0]["params"] == {"quick": True, "seed": 0, "points": 2}
+        assert mask_timing(spec, saved[1]["rows"]) == mask_timing(
+            spec, saved[0]["rows"]
+        )
 
     def test_run_jobs_parallel(self, capsys):
         rc = main(["run", "E2", "--quick", "--jobs", "2"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "[E2]" in out and "points" in out
-
-    def test_run_save_resumes(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", "E2", "--quick", "--save"]) == 0
-        capsys.readouterr()
-        assert main(["run", "E2", "--quick", "--save"]) == 0
-        assert "2 cached" in capsys.readouterr().out
-
-    def test_run_fresh_ignores_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", "E2", "--quick", "--save"]) == 0
-        capsys.readouterr()
-        assert main(["run", "E2", "--quick", "--save", "--fresh"]) == 0
-        assert "cached" not in capsys.readouterr().out
 
     def test_run_unknown_id_fails_before_running_anything(self, capsys):
         """An unknown id (E14 is retired) is a clean error, reported

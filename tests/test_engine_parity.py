@@ -307,11 +307,12 @@ def test_sweep_tasks_honor_engine_choice():
     """Stage-task workers run under the engine their task pins: the
     E13 measurement records the engine its construction ran on."""
     from repro.harness import StageTask, run_stage_tasks
+    from repro.harness.pipeline.specs.runtime import e13_measure
 
     payload = {"workload": "gnp", "params": {"n": 60, "seed": 0}, "seed": 0}
     tasks = [
         StageTask(
-            func="repro.harness.pipeline.specs.runtime:e13_measure",
+            func=e13_measure,
             payload=payload,
             engine=name,
         )
@@ -319,7 +320,7 @@ def test_sweep_tasks_honor_engine_choice():
     ]
     rows = {
         index: result["rows"][0]
-        for index, result, _ in run_stage_tasks(tasks, max_workers=2)
+        for index, result in run_stage_tasks(tasks, max_workers=2)
     }
     assert rows[0][2] == "python" and rows[1][2] == "csr"
     assert rows[0][:2] == rows[1][:2] and rows[0][3] == rows[1][3]

@@ -340,12 +340,22 @@ def _negative_shift(meta):
     return meta
 
 
+def _weights_set(key, value):
+    def edit(meta):
+        old = meta["weights"][key]
+        meta["weights"][key] = value(old) if callable(value) else value
+        return meta
+    return edit
+
+
 @pytest.mark.parametrize("mapped", [pytest.param(True, marks=needs_numpy), False])
 class TestHeaderFields:
     """A header whose fields have the wrong shape is refused at load
     with a SnapshotError, on both load paths, instead of escaping as a
     TypeError/ValueError/KeyError or loading a source that is not the
-    tree's root (whose every path then fails)."""
+    tree's root (whose every path then fails).  So is one whose weights
+    disagree with their scheme or with the pert plane, which would load
+    and answer wrong distances."""
 
     @pytest.mark.parametrize(
         "edit, match",
@@ -358,10 +368,17 @@ class TestHeaderFields:
             (_meta_set("source", -1), "source -1 is not the tree's root"),
             (_meta_set("source", 999), "source 999 is not the tree's root"),
             (_meta_set("source", 3), "source 3 is not the tree's root"),
+            (_weights_set("shift", 3),
+             "shift 3 is not the random scheme's 63 for"),
+            (_weights_set("scheme", "auto"),
+             "scheme 'auto' is neither 'exact' nor 'random'"),
+            (_weights_set("max_pert", lambda v: v - 1),
+             r"plane 'pert' spans \[\d+, \d+\], but the header's max_pert"),
         ],
         ids=["array", "short-field-entry", "string-num-vertices",
              "weights-without-shift", "negative-shift", "source-minus-one",
-             "source-past-n", "source-not-root"],
+             "source-past-n", "source-not-root", "wrong-shift",
+             "unknown-scheme", "max-pert-below-plane"],
     )
     def test_malformed_header_refused(self, snap, tmp_path, mapped, edit,
                                       match):

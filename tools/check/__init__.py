@@ -27,9 +27,9 @@ churn it).  Intentional violations live in the committed allowlist
 (``tools/check/allowlist.txt``) with a justification comment; the
 checker exits 1 on any violation not allowlisted, and 0 otherwise.
 
-``--engines PROFILE`` / ``--serve-log`` / ``--resume-log`` run the
-runtime registry/log checks (see :mod:`tools.check.runtime`) that
-replaced the invariant greps in ``ci.yml``.
+``--engines PROFILE`` / ``--serve-log`` run the runtime registry/log
+checks (see :mod:`tools.check.runtime`) that replaced the invariant
+greps in ``ci.yml``.
 """
 
 from __future__ import annotations
@@ -173,12 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="check a repro serve JSONL transcript instead",
     )
-    parser.add_argument(
-        "--resume-log",
-        metavar="PATH",
-        default=None,
-        help="check a repro run transcript for full cache resume instead",
-    )
     args = parser.parse_args(argv)
 
     if args.list_passes:
@@ -198,9 +192,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.serve_log:
         runtime_requested = True
         runtime_failures += runtime_checks.check_serve_log(Path(args.serve_log))
-    if args.resume_log:
-        runtime_requested = True
-        runtime_failures += runtime_checks.check_resume_log(Path(args.resume_log))
     if runtime_requested:
         for failure in runtime_failures:
             print(failure)

@@ -2,9 +2,9 @@
 
 The static passes freeze source-level invariants; these check the
 *registry-level* ones that depend on the installed environment - which
-engines exist, which backends and toolchains they report - plus two
-smoke-log formats.  They replace the hand-rolled ``grep``s over
-``repro engines`` / serve / resume output that ``ci.yml`` accumulated:
+engines exist, which backends and toolchains they report - plus the
+serve smoke-log format.  They replace the hand-rolled ``grep``s over
+``repro engines`` / serve output that ``ci.yml`` accumulated:
 a grep over human-oriented text breaks silently when the wording
 shifts, and asserts far less than the registry can.
 
@@ -25,18 +25,16 @@ No profile may register any other engine, so a retired engine that
 comes back fails every profile.
 
 ``--serve-log`` parses a ``repro serve`` JSONL transcript (every
-response must be ``"ok": true``); ``--resume-log`` parses ``repro run``
-output and requires every experiment to come fully from cache.
+response must be ``"ok": true``).
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
-__all__ = ["ENGINE_PROFILES", "check_engines", "check_serve_log", "check_resume_log"]
+__all__ = ["ENGINE_PROFILES", "check_engines", "check_serve_log"]
 
 
 def _registry():
@@ -177,24 +175,3 @@ def check_serve_log(path: Path) -> List[str]:
         failures.append(f"{path}: no JSONL responses found")
     return failures
 
-
-_POINTS = re.compile(r"(\d+) points(?:, (\d+) cached)?")
-
-
-def check_resume_log(path: Path) -> List[str]:
-    """Every experiment in a ``repro run`` transcript must be fully cached."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        return [f"cannot read resume log {path}: {exc}"]
-    failures: List[str] = []
-    matches = _POINTS.findall(text)
-    if not matches:
-        failures.append(f"{path}: no 'N points, M cached' lines found")
-    for points, cached in matches:
-        if not cached or int(points) != int(cached) or int(points) == 0:
-            failures.append(
-                f"{path}: resume executed points ({points} points, "
-                f"{cached or 0} cached) - the content-key cache regressed"
-            )
-    return failures
