@@ -4,22 +4,27 @@ Times the two primitives the PR 4 refactor introduced, per engine, on
 the same G(n, p) instance as ``bench_weighted.py``:
 
 * the ``ReplacementEngine`` constructor - its fill of every tree-edge
-  failure, which rides ``weighted_failure_sweep`` (stacked subtree
-  recomputes on the csr engine vs the per-edge reference loop on
-  python);
+  failure, which rides ``weighted_failure_sweep`` (one C pass over the
+  failed subtrees on the csr engine, stacked numpy chunks without its C
+  tier, vs the per-edge reference loop on python);
 * the Pcons detour batch - ``batched_shortest_paths`` over the T0
   paths of a deep-vertex sample, the exact shape ``run_pcons`` submits:
   each search bans its path's interior, stops at the radius of the
   path's off-path neighbours and hands back its escape table.
 
 Those two run on a sparse G(n, p) (degree 12-20), where a detour
-search's levels stay narrow.  A third component times the detour batch
-on the dense shape of perfbench's ``build-gnp700`` - G(700, 62/699),
-the T0 path of every vertex but the root, as Pcons submits there -
-on the C tier against the numpy tier (``CSREngine()``).  There most
-searches reach nearly every vertex at hop 2, and the C relaxation's
-bottom-up steps are what the ratio measures; without the C kernels the
-component is not run.
+search's levels stay narrow.  Two more components run on the dense
+shape of perfbench's ``build-gnp700`` - G(700, 62/699) - on the C tier
+against the numpy tier (``CSREngine()``), and only with the C kernels:
+
+* the detour batch over the T0 path of every vertex but the root, as
+  Pcons submits there.  Most searches reach nearly every vertex at hop
+  2, and the C relaxation's bottom-up steps are what the ratio
+  measures;
+* the weighted sweep over every tree edge, as the ``ReplacementEngine``
+  constructor runs it there.  The C tier fills every row in one pass
+  over the compact rows; the ratio catches it falling back to a
+  stacked ``B * n`` state (699 layers of 700 entries here).
 
 Outputs are asserted bit-identical between engines first (the
 replacement rows, and every search's escape table), so each timing row
@@ -27,13 +32,13 @@ doubles as a parity certificate.  The acceptance floor is a 2x
 csr-over-python speedup on the combined (sweep + detours) time of the
 full-size instance - the detours dominate it - plus a looser
 per-component sanity floor (the sweep's absolute time is sub-second on
-G(n, p), so its ratio is noise-prone), plus a C-over-numpy floor on the
-dense detours.  The floors and the measured ratios land in
-``params["floors"]`` / ``derived["speedups"]``, where
+G(n, p), so its ratio is noise-prone), plus C-over-numpy floors on the
+dense detours and the dense sweep.  The floors and the measured ratios
+land in ``params["floors"]`` / ``derived["speedups"]``, where
 ``tools/perf_guard.py`` reads them.  Quick mode
 (``REPRO_BENCH_QUICK=1``) shrinks the sparse instance, times the dense
-batch once per tier, and holds the ratios to relaxed sanity floors
-only.  Saves ``BENCH_replacement.json``.
+batch once per tier and the dense sweep best of 3, and holds the ratios
+to relaxed sanity floors only.  Saves ``BENCH_replacement.json``.
 
 The csr-only stacked paths are exercised implicitly: without numpy this
 module skips entirely (the no-numpy CI job proves the library itself
@@ -48,7 +53,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.engine import cbuild, engine_context, get_engine
+from repro.engine import ReplacementRows, cbuild, engine_context, get_engine
 from repro.engine.csr_engine import CSREngine
 from repro.graphs import connected_gnp_graph, gnp_random_graph
 from repro.harness import ExperimentRecord, save_record
@@ -67,6 +72,12 @@ COMPONENT_FLOOR = 1.2
 #: (79.5 vs 783 ms over 699 paths), below what it measures with them.
 DENSE_FLOOR = 12.0
 
+#: C-over-numpy floor on the dense sweep (full-size run): a C sweep
+#: over a stacked ``B * n`` state read 1.4-1.8x there (3.5x at best,
+#: after a numpy sweep left its pages resident); the one-pass kernel
+#: reads 10-14x.
+DENSE_SWEEP_FLOOR = 5.0
+
 #: Quick-mode sanity floor for every ratio: the small instance only
 #: proves csr is not pathologically slower, not the real margins.
 _QUICK_SANITY = 1.0
@@ -81,29 +92,48 @@ def _instance(quick: bool):
     return connected_gnp_graph(n, deg / (n - 1), seed=0)
 
 
-def _dense_detours(seed: int, rounds: int):
-    """The detour batch on the ``build-gnp700`` shape, best of
-    ``rounds`` on the C tier (``csr``) and on the numpy tier: ``(graph,
-    paths, timings)``.  The escape tables must agree."""
-    graph = gnp_random_graph(700, 62 / 699, seed=0)
-    weights = make_weights(graph, "random", seed=seed)
-    tree = build_spt(graph, weights, 0)
-    paths = [tree.path_vertices(v) for v in tree.preorder if v != 0]
-    timings, tables = {}, {}
+def _c_against_numpy(run, rounds: int):
+    """``run(engine)`` best of ``rounds`` on the C tier (``csr``) and on
+    the numpy tier: ``(timings, output)``.  The outputs must agree."""
+    timings, outputs = {}, {}
     for name, engine in (("csr", get_engine("csr")), ("numpy", CSREngine())):
         best = None
         for _ in range(rounds):
             gc.collect()
             t0 = time.perf_counter()
-            tables[name] = [
-                found.escapes
-                for found in engine.batched_shortest_paths(graph, weights, paths)
-            ]
+            outputs[name] = run(engine)
             elapsed = time.perf_counter() - t0
             best = elapsed if best is None else min(best, elapsed)
         timings[name] = best
-    assert tables["csr"] == tables["numpy"]
-    return graph, paths, timings
+    assert outputs["csr"] == outputs["numpy"]
+    return timings, outputs["csr"]
+
+
+def _dense(seed: int, quick: bool):
+    """The detour batch and the weighted sweep on the ``build-gnp700``
+    shape, C tier against numpy tier: ``(graph, {component: (batches,
+    timings)})``."""
+    graph = gnp_random_graph(700, 62 / 699, seed=0)
+    weights = make_weights(graph, "random", seed=seed)
+    tree = build_spt(graph, weights, 0)
+    paths = [tree.path_vertices(v) for v in tree.preorder if v != 0]
+    detours, _ = _c_against_numpy(
+        lambda engine: [
+            found.escapes
+            for found in engine.batched_shortest_paths(graph, weights, paths)
+        ],
+        1 if quick else 3,
+    )
+    sweep, rows = _c_against_numpy(
+        lambda engine: ReplacementRows.concat(
+            engine.weighted_failure_sweep(graph, weights, tree)
+        ),
+        3 if quick else 9,
+    )
+    return graph, {
+        "dense detours": (len(paths), detours),
+        "dense sweep": (len(rows.repl_eids), sweep),
+    }
 
 
 def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed):
@@ -166,11 +196,12 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
 
     dense = None
     if cbuild.kernel_library() is not None:
-        dense = _dense_detours(bench_seed, 1 if quick_mode else 3)
+        dense = _dense(bench_seed, quick_mode)
 
     if quick_mode:
         floors = dict.fromkeys(
-            ("combined", "sweep", "detours", "dense_detours"), _QUICK_SANITY
+            ("combined", "sweep", "detours", "dense_detours", "dense_sweep"),
+            _QUICK_SANITY,
         )
     else:
         floors = {
@@ -178,6 +209,7 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
             "sweep": COMPONENT_FLOOR,
             "detours": COMPONENT_FLOOR,
             "dense_detours": DENSE_FLOOR,
+            "dense_sweep": DENSE_SWEEP_FLOOR,
         }
 
     record = ExperimentRecord(
@@ -219,20 +251,22 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
                 round(t, 3), round(speedup, 2),
             )
     if dense is not None:
-        dense_graph, dense_paths, dense_t = dense
-        for name, backend in (
-            ("csr", get_engine("csr").detour_backend),
-            ("numpy", CSREngine().detour_backend),
+        dense_graph, components = dense
+        for component, backend_attr in (
+            ("dense detours", "detour_backend"),
+            ("dense sweep", "replacement_backend"),
         ):
-            speedup = dense_t["numpy"] / max(dense_t[name], 1e-9)
-            record.add_row(
-                "dense detours", name, backend,
-                dense_graph.num_vertices, dense_graph.num_edges,
-                len(dense_paths), round(dense_t[name], 4), round(speedup, 2),
+            batches, dense_t = components[component]
+            for name, engine in (("csr", get_engine("csr")), ("numpy", CSREngine())):
+                speedup = dense_t["numpy"] / max(dense_t[name], 1e-9)
+                record.add_row(
+                    component, name, getattr(engine, backend_attr),
+                    dense_graph.num_vertices, dense_graph.num_edges,
+                    batches, round(dense_t[name], 4), round(speedup, 2),
+                )
+            speedups[component.replace(" ", "_")] = round(
+                dense_t["numpy"] / max(dense_t["csr"], 1e-9), 3
             )
-        speedups["dense_detours"] = round(
-            dense_t["numpy"] / max(dense_t["csr"], 1e-9), 3
-        )
     record.derived["speedups"] = speedups
     record.note(
         "sweep = the ReplacementEngine constructor via weighted_failure_sweep; "
@@ -243,13 +277,16 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
     record.note(
         "dense detours = batched_shortest_paths over every T0 path of "
         "G(700, 62/699) (the build-gnp700 shape), "
-        f"{'one run' if quick_mode else 'best of 3'}; speedup is "
+        f"{'one run' if quick_mode else 'best of 3'}; dense sweep = "
+        "weighted_failure_sweep over every tree edge of that graph, "
+        f"{'best of 3' if quick_mode else 'best of 9'}; speedup is "
         "over the numpy tier (CSREngine()); run only with the C kernels"
     )
     record.note(
         f"acceptance floors (full-size instance, >= 50k edges, random "
         f"scheme): {SPEEDUP_FLOOR}x combined, {COMPONENT_FLOOR}x per "
-        f"component, {DENSE_FLOOR}x C over numpy on the dense detours; "
+        f"component, {DENSE_FLOOR}x C over numpy on the dense detours, "
+        f"{DENSE_SWEEP_FLOOR}x on the dense sweep; "
         f"quick mode: {_QUICK_SANITY}x sanity floors"
     )
     print()

@@ -249,11 +249,15 @@ def _cmd_run(
             requested = experiment_ids()
             break
         requested.append(eid.upper())
-    # Every id resolves before any experiment runs, so a typo fails fast.
+    # Every id resolves, and --jobs is checked, before any experiment
+    # runs, so a typo fails fast.
     try:
         specs = [get_spec(eid) for eid in requested]
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if jobs < 0:
+        print(f"error: --jobs must be >= 0, got {jobs}", file=sys.stderr)
         return 1
     runner = PipelineRunner(jobs=jobs, engine=engine)
     for spec in specs:

@@ -32,8 +32,9 @@ Engine contract (details in :mod:`repro.engine.base`)
   replacement rows for *all* tree-edge failures (``ReplacementRows``,
   the oracle snapshot's layout) in one amortized pass.  The reference
   implementation is the per-edge loop of ``replacement_failure``; the
-  csr engine stacks the subtree recomputes into shared per-level
-  kernels.  Reported via ``replacement_backend``.
+  csr engine fills every row in one C pass, or stacks the subtree
+  recomputes into shared per-level numpy kernels without its C tier.
+  Reported via ``replacement_backend``.
 * ``batched_shortest_paths``: the Pcons detour batch.  It takes T0
   paths and yields each detour search's escape table
   (``DetourEscapes``: per path vertex, the cheapest way off the path)

@@ -1,8 +1,9 @@
 /* Flat-loop C implementations of the traversal hot paths: the sweep
  * hot pair (ordered BFS + Euler-interval subtree recompute), the
- * weighted (hops, pert_sum) level relaxation, the Pcons detour batch's
- * escape pass over the relaxation's stacked state, and Phase S1's
- * batched interference existence query.
+ * weighted (hops, pert_sum) level relaxation of source runs, its seeded
+ * twin that fills the weighted failure sweep's rows, the Pcons detour
+ * batch's escape pass over the relaxation's stacked state, and Phase
+ * S1's batched interference existence query.
  *
  * Compiled on demand by repro.engine.cbuild with the system C compiler
  * and loaded through ctypes; repro/engine/compiled.py is the only
@@ -39,18 +40,15 @@
  *   state verbatim; the numpy path's lexsort-group machinery is a
  *   vectorization workaround for the same sequential semantics, not
  *   extra behavior.
- * - Source runs (every seed at hop 0: the Pcons detour searches,
- *   build_spt, csr shortest_paths) choose per layer and per level
- *   between that top-down step and a bottom-up one, in which each
- *   unlabeled vertex gathers its candidates from its own edges and
- *   replays them in the settle order top-down would deliver them in,
- *   through the same running minimum - so it meets the same labels and
- *   the same ties.  The choice compares the half-edges each direction
- *   would scan, with a constant measured on dense and sparse detour
- *   batches.  Seeded runs (the weighted sweep) stay top-down: their
- *   seed incumbents and stale labels at higher hops break the premise
- *   that an unlabeled vertex is one this level first touches (see
- *   repro_weighted_levels).
+ * - repro_weighted_levels serves source runs only (every seed at hop
+ *   0: the Pcons detour searches, build_spt, csr shortest_paths).  It
+ *   chooses per layer and per level between that top-down step and a
+ *   bottom-up one, in which each unlabeled vertex gathers its
+ *   candidates from its own edges and replays them in the settle order
+ *   top-down would deliver them in, through the same running minimum -
+ *   so it meets the same labels and the same ties.  The choice
+ *   compares the half-edges each direction would scan, with a constant
+ *   measured on dense and sparse detour batches.
  * - The order-dependent tie event - a candidate equal to the target's
  *   current running minimum through a different edge - is detected
  *   exactly (not over-approximated), and so are seed ties and invalid
@@ -63,6 +61,13 @@
  *
  * Bit-identity with repro/engine/base.py:
  *
+ * - The weighted sweep (repro_weighted_sweep) replays
+ *   replacement_failure per failed edge: the same crossing-edge seeds
+ *   in the same order through the same intake, then the top-down
+ *   relaxation above, restricted to the failed subtree's Euler
+ *   interval.  Seed labels at higher hops are what keep it top-down.
+ *   It detects the same seed and relaxation ties and hands the
+ *   remaining failures back, from the one that met a tie.
  * - The detour escape pass (repro_detour_escapes) replays
  *   escape_table over the stacked (settled, hop, pert) state: the same
  *   candidates in the same adjacency order under the same strict
@@ -395,11 +400,11 @@ static void sort_keyed(void *base, int64_t n, size_t size)
     }
 }
 
-/* The direction rule of source runs: a layer takes the bottom-up step
- * at a level when BU_COST times the degree sum of its unlabeled allowed
- * vertices is below the degree sum of the level's vertices, which
- * top-down would expand (see repro_weighted_levels for the measurement
- * behind the constant). */
+/* The direction rule: a layer takes the bottom-up step at a level when
+ * BU_COST times the degree sum of its unlabeled allowed vertices is
+ * below the degree sum of the level's vertices, which top-down would
+ * expand (see repro_weighted_levels for the measurement behind the
+ * constant). */
 #define BU_COST 1
 
 /* What one relaxation reads and writes. */
@@ -411,7 +416,6 @@ typedef struct {
     const int64_t *pert_edge;
     const uint8_t *edge_ok;
     const uint8_t *vertex_ok;
-    const uint8_t *allowed_ok;
     uint8_t *settled;
     int64_t *hop_t;
     int64_t *pert_t;
@@ -420,8 +424,8 @@ typedef struct {
 } wl_graph;
 
 /* Per-layer scratch, n_base entries each: a level's entries, the
- * frontier pair, and - bottom-up only - the unvisited list and one
- * vertex's candidates. */
+ * frontier pair, the unvisited list and one vertex's bottom-up
+ * candidates. */
 typedef struct {
     wl_entry *act;
     int64_t *fr;
@@ -432,14 +436,14 @@ typedef struct {
 
 /* The top-down step of one layer: the level's vertices act[0 .. alen),
  * in (pert, id) order, stream their out-edges in CSR order through the
- * filters.  A target holding a next-level label (an earlier arrival, or
- * a seed incumbent) keeps the running minimum: strict improvement
- * overwrites, so the first arrival among equals wins, and equality
- * through a different edge is the reference's tie event.  Any other
- * target - unlabeled, or holding a stale label from a higher hop, never
- * settled and never comparable - is plainly overwritten and joins
- * nx[*nlen ..); an unlabeled one leaves *udeg.  Returns 1 on the tie
- * event, else 0. */
+ * filters.  A target already labeled at the next level (an earlier
+ * arrival) keeps the running minimum: strict improvement overwrites,
+ * so the first arrival among equals wins, and equality through a
+ * different edge is the reference's tie event.  Any other unsettled
+ * target is unlabeled - a label is first set one level past its
+ * parent's and settles at its own level - so it takes the candidate,
+ * joins nx[*nlen ..) and leaves *udeg.  Returns 1 on the tie event,
+ * else 0. */
 static int64_t top_down_step(
     const wl_graph *g, int64_t off, int64_t lvl,
     const wl_entry *act, int64_t alen, int64_t *nx, int64_t *nlen,
@@ -457,7 +461,6 @@ static int64_t top_down_step(
             int64_t w = x + off;
             if (g->settled[w]) continue;
             if (g->vertex_ok && !g->vertex_ok[w]) continue;
-            if (g->allowed_ok && !g->allowed_ok[w]) continue;
             int64_t c = pv + g->pert_edge[e];
             if (g->hop_t[w] == lvl + 1) {
                 if (c < g->pert_t[w]) {
@@ -468,8 +471,7 @@ static int64_t top_down_step(
                     return 1;
                 }
             } else {
-                if (g->hop_t[w] == -1)
-                    *udeg -= indptr[x + 1] - indptr[x];
+                *udeg -= indptr[x + 1] - indptr[x];
                 g->hop_t[w] = lvl + 1;
                 g->pert_t[w] = c;
                 g->parent[w] = v;
@@ -481,12 +483,12 @@ static int64_t top_down_step(
     return 0;
 }
 
-/* The bottom-up step of one layer (source runs only): each vertex of
- * the unvisited list that is still unlabeled gathers, through the
- * top-down filters, its neighbours settled at this level, sorts them
- * into settle order and replays them through the same running minimum
- * and tie rule.  Labeled vertices join nx[*nlen ..), leave *udeg and
- * drop off the list.  Returns 1 on the tie event, else 0. */
+/* The bottom-up step of one layer: each vertex of the unvisited list
+ * that is still unlabeled gathers, through the top-down filters, its
+ * neighbours settled at this level, sorts them into settle order and
+ * replays them through the same running minimum and tie rule.  Labeled
+ * vertices join nx[*nlen ..), leave *udeg and drop off the list.
+ * Returns 1 on the tie event, else 0. */
 static int64_t bottom_up_step(
     const wl_graph *g, int64_t off, int64_t lvl,
     int64_t *unv, int64_t *ucnt, bu_cand *cand, int64_t *nx,
@@ -538,29 +540,13 @@ static int64_t bottom_up_step(
     return 0;
 }
 
-/* Settles v at level lvl into act[*alen] unless its label moved on
- * (settled, or hop_t no longer the level: the bucket drain's filter);
- * *fdeg sums the degrees a top-down step would scan. */
-static void settle(const wl_graph *g, int64_t v, int64_t lvl, int64_t off,
-                   wl_entry *act, int64_t *alen, int64_t *fdeg)
-{
-    if (g->settled[v] || g->hop_t[v] != lvl)
-        return;
-    g->settled[v] = 1;
-    act[*alen].pert = g->pert_t[v];
-    act[*alen].id = v;
-    (*alen)++;
-    *fdeg += g->indptr[v - off + 1] - g->indptr[v - off];
-}
-
-/* One layer b of a relaxation, from its schedule sched[0 .. nsched) -
- * the layer's surviving seed labels in (hop, id) order - to the end of
- * its search.  bottom_up lets each level take the cheaper direction,
- * and tgt_ptr/tgt carry the stop rule (source runs only, both; see
- * repro_weighted_levels). */
+/* One layer b of a relaxation, from its sources src[0 .. nsrc) (global
+ * ids the intake labeled at hop 0) to the end of its search, each
+ * level taking the cheaper direction; tgt_ptr/tgt carry the stop rule
+ * (both NULL for none; see repro_weighted_levels). */
 static int64_t run_layer(
     const wl_graph *g, const wl_scratch *s, int64_t b,
-    const wl_entry *sched, int64_t nsched, int64_t bottom_up,
+    const int64_t *src, int64_t nsrc,
     const int64_t *tgt_ptr, const int64_t *tgt)
 {
     const int64_t n_base = g->n_base, off = b * n_base;
@@ -570,38 +556,39 @@ static int64_t run_layer(
     /* The unvisited list: the layer's unlabeled allowed vertices, and
      * udeg, the degree sum a bottom-up step would scan. */
     int64_t ucnt = 0, udeg = 0;
-    for (int64_t x = 0; bottom_up && x < n_base; x++) {
+    for (int64_t x = 0; x < n_base; x++) {
         int64_t w = off + x;
         if (g->hop_t[w] != -1) continue;
         if (g->vertex_ok && !g->vertex_ok[w]) continue;
-        if (g->allowed_ok && !g->allowed_ok[w]) continue;
         s->unv[ucnt++] = w;
         udeg += indptr[x + 1] - indptr[x];
     }
 
     /* tgt[t .. t_end): the layer's targets not yet seen labeled. */
     int64_t t = tgt_ptr ? tgt_ptr[b] : 0, t_end = tgt_ptr ? tgt_ptr[b + 1] : 0;
-    int64_t sp = 0, flen = 0, lvl = 0;
-    while (sp < nsched || flen > 0) {
-        /* A carried frontier is the next level: every schedule entry
-         * below it was drained at its own level. */
-        if (flen == 0)
-            lvl = sched[sp].pert;
+    memcpy(fr, src, (size_t)nsrc * sizeof(int64_t));
+    int64_t flen = nsrc;
+    for (int64_t lvl = 0; flen > 0; lvl++) {
         int64_t stop = 0;
         if (tgt_ptr) {
             while (t < t_end && g->hop_t[tgt[t]] != -1)
                 t++;
             stop = t == t_end;
         }
+        /* Settle the level: its labels are final once the level before
+         * has expanded.  fdeg sums the degrees top-down would scan. */
         int64_t alen = 0, fdeg = 0;
-        while (sp < nsched && sched[sp].pert == lvl)
-            settle(g, sched[sp++].id, lvl, off, s->act, &alen, &fdeg);
-        for (int64_t j = 0; j < flen; j++)
-            settle(g, fr[j], lvl, off, s->act, &alen, &fdeg);
+        for (int64_t j = 0; j < flen; j++) {
+            int64_t v = fr[j];
+            g->settled[v] = 1;
+            s->act[alen].pert = g->pert_t[v];
+            s->act[alen++].id = v;
+            fdeg += indptr[v - off + 1] - indptr[v - off];
+        }
         if (stop)
             return 0;  /* lvl is the radius: settled, not expanded */
         int64_t nlen = 0, rc;
-        if (bottom_up && BU_COST * udeg < fdeg) {
+        if (BU_COST * udeg < fdeg) {
             rc = bottom_up_step(g, off, lvl, s->unv, &ucnt, s->cand, nx,
                                 &nlen, &udeg);
         } else {
@@ -612,26 +599,25 @@ static int64_t run_layer(
             return rc;
         int64_t *tmp = fr; fr = nx; nx = tmp;
         flen = nlen;
-        lvl++;
     }
     return 0;
 }
 
-/* weighted_levels equivalent: seed intake plus the level-synchronous
- * two-array (hops, pert_sum) relaxation over n_total = B * n_base
- * stacked layers (pass n_total == n_base for a plain single-layer
- * run).  Seeds arrive as raw columns in the reference's arrival order
- * and go through the reference's sequential running-min intake: a
- * strictly smaller (hop, pert) label overwrites, equality through a
- * different entry edge is the reference's seed tie, and a seed outside
- * the allowed set - or out of array range entirely - is refused before
- * it touches anything; both bail (see below).  The surviving
- * per-vertex labels, sorted by (hop, id), form the drain schedule.
+/* weighted_levels equivalent for source runs - every seed at hop 0:
+ * the Pcons detour searches, build_spt, csr shortest_paths - as the
+ * level-synchronous two-array (hops, pert_sum) relaxation over n_total
+ * = B * n_base stacked layers (pass n_total == n_base for a plain
+ * single-layer run).  Seeds arrive as raw columns in the reference's
+ * arrival order and go through its sequential running-min intake: a
+ * smaller pert overwrites, and equality through a different entry edge
+ * is the reference's seed tie.  A seed out of array range, or off hop
+ * 0, is refused before it touches anything; both bail (see below).
+ * The seeded runs of the weighted sweep run in repro_weighted_sweep.
+ * Entry contract: hop_t is -1 and settled 0 at every position.
  *
  * Layers share no vertex and a tie in any of them hands the whole call
- * back, so the layers run one after another (run_layer), each on its
- * own run of the schedule.  Each level merges the layer's due schedule
- * entries with its carried frontier, settles them, and expands them in
+ * back, so the layers run one after another (run_layer), each from its
+ * own sources.  Each level settles its vertices and expands them in
  * one of two directions:
  *
  * - top-down: the level's vertices, sorted by (pert, id) - the
@@ -639,58 +625,51 @@ static int64_t run_layer(
  *   so candidates arrive per target in exactly the reference's arrival
  *   order, and a running minimum per target reproduces the reference's
  *   order-dependent state;
- * - bottom-up, in source runs only (every seed at hop 0: the Pcons
- *   detour searches, build_spt, csr shortest_paths): each unlabeled
- *   allowed vertex scans its own edges for neighbours settled at this
- *   level, through the same filters (edge_ok, and - on the vertex
- *   itself - vertex_ok and allowed_ok), sorts them by the neighbours'
- *   (pert, id) and replays them through the same running minimum and
- *   tie rule.  The graph is simple, so each neighbour offers one
- *   candidate, and top-down would deliver the vertex exactly these
- *   candidates in exactly this order.  The replay
+ * - bottom-up: each unlabeled allowed vertex scans its own edges for
+ *   neighbours settled at this level, through the same filters
+ *   (edge_ok, and - on the vertex itself - vertex_ok), sorts them by
+ *   the neighbours' (pert, id) and replays them through the same
+ *   running minimum and tie rule.  The graph is simple, so each
+ *   neighbour offers one candidate, and top-down would deliver the
+ *   vertex exactly these candidates in exactly this order.  The replay
  *   keeps that order, not the adjacency order, because the tie event
- *   depends on it: arrivals (5, 3, 5) never tie, (5, 5, 3) do.
+ *   depends on it: arrivals (5, 3, 5) never tie, (5, 5, 3) do.  With
+ *   every seed at hop 0, an unlabeled vertex is one no level has
+ *   reached yet, which is what makes the gather complete.
  *
- * A source run's layer takes bottom-up at a level when BU_COST times
- * the degree sum of its unlabeled allowed vertices (its unvisited list,
- * which shrinks as they are labeled) is below the degree sum of the
- * level's vertices - the direction-optimizing BFS of Beamer, Asanovic
- * and Patterson (SC'12), without its early exit, since the running
- * minimum needs every candidate.  On G(700, 62/699), Pcons's radius-3
- * searches reach ~633 level-2 vertices (~39k half-edges) to label ~1.4
- * at level 3, and bottom-up scans the few unvisited ones instead.  The
- * constant was measured on the Pcons detour batch of that input (its
- * 699 T0 paths) and on bench_replacement's sparse ones (1,200 deep T0
- * paths of G(1500, 12/1499) and G(5000, 20/4999)): on the dense input
- * factors 1/4 to 4 read the same (its level-2 steps favour bottom-up
- * ~150 to 1); on G(5000, 20/4999) factors 1/4 to 2 read the same and 4
- * and 8 took 1.4x and 1.9x longer, and on G(1500, 12/1499) 2 took 1.2x
- * longer than 1.  Labels, parents, radii and hand-backs are the same
- * whichever direction a level takes.
+ * A layer takes bottom-up at a level when BU_COST times the degree sum
+ * of its unlabeled allowed vertices (its unvisited list, which shrinks
+ * as they are labeled) is below the degree sum of the level's vertices
+ * - the direction-optimizing BFS of Beamer, Asanovic and Patterson
+ * (SC'12), without its early exit, since the running minimum needs
+ * every candidate.  On G(700, 62/699), Pcons's radius-3 searches reach
+ * ~633 level-2 vertices (~39k half-edges) to label ~1.4 at level 3, and
+ * bottom-up scans the few unvisited ones instead.  The constant was
+ * measured on the Pcons detour batch of that input (its 699 T0 paths)
+ * and on bench_replacement's sparse ones (1,200 deep T0 paths of
+ * G(1500, 12/1499) and G(5000, 20/4999)): on the dense input factors
+ * 1/4 to 4 read the same (its level-2 steps favour bottom-up ~150 to
+ * 1); on G(5000, 20/4999) factors 1/4 to 2 read the same and 4 and 8
+ * took 1.4x and 1.9x longer, and on G(1500, 12/1499) 2 took 1.2x longer
+ * than 1.  Labels, parents, radii and hand-backs are the same whichever
+ * direction a level takes.
  *
- * Seeded runs (the weighted sweep's subtree recomputes) stay top-down.
- * Their seeds put incumbents at the next level's hop and stale labels
- * at higher hops, which top-down improves or overwrites; bottom-up
- * reads "unlabeled" as "not reached yet" and would miss both.
- *
- * The stop rule (tgt_ptr and tgt, both NULL for none; source runs
- * only): layer b's targets are the global ids tgt[tgt_ptr[b] ..
- * tgt_ptr[b+1]).  In a source run a label's hop is fixed when it is
- * first set, so when a level starts with every target of a layer
- * labeled, that level is the layer's radius R - the largest target hop
- * - and the layer stops: its level-R entries are marked settled (their
- * labels are final once level R - 1 has expanded) but neither sorted
- * nor expanded, and nothing beyond R is ever labeled.  That is the
- * reference's stop at its first pop at hop R, and it expands exactly
- * the vertices the reference expands before that pop, so both meet the
- * same ties.  A layer with an unreachable target runs to completion.
+ * The stop rule (tgt_ptr and tgt, both NULL for none): layer b's
+ * targets are the global ids tgt[tgt_ptr[b] .. tgt_ptr[b+1]).  A
+ * label's hop is fixed when it is first set, so when a level starts
+ * with every target of a layer labeled, that level is the layer's
+ * radius R - the largest target hop - and the layer stops: its level-R
+ * entries are marked settled (their labels are final once level R - 1
+ * has expanded) but neither sorted nor expanded, and nothing beyond R
+ * is ever labeled.  That is the reference's stop at its first pop at
+ * hop R, and it expands exactly the vertices the reference expands
+ * before that pop, so both meet the same ties.  A layer with an
+ * unreachable target runs to completion.
  *
  * Returns 0 on completion; on any bail-out the caller hands the call
  * back to the reference Dijkstra, which decides the outcome: 1 =
- * relaxation tie, 2 = seed tie or invalid seed, -1 = allocation
- * failure.  A bail may leave the state mid-run, but every write lies
- * within the allowed positions, so a caller that owns the state
- * resets exactly those. */
+ * relaxation tie, 2 = seed tie or refused seed, -1 = allocation
+ * failure.  A bail may leave the state mid-run. */
 int64_t repro_weighted_levels(
     int64_t n_total,
     int64_t n_base,
@@ -700,7 +679,6 @@ int64_t repro_weighted_levels(
     const int64_t *pert_edge,
     const uint8_t *edge_ok,
     const uint8_t *vertex_ok,
-    const uint8_t *allowed_ok,
     const int64_t *tgt_ptr,
     const int64_t *tgt,
     int64_t nseeds,
@@ -717,86 +695,255 @@ int64_t repro_weighted_levels(
 {
     if (nseeds <= 0)
         return 0;
-    wl_entry *sched = malloc((size_t)nseeds * sizeof(wl_entry));
-    if (!sched)
+    int64_t *src = malloc((size_t)nseeds * sizeof(int64_t));
+    if (!src)
         return -1;
-    int64_t rc = 0;
-
-    /* Intake.  First-touch detection rides on the entry contract that
-     * hop_t is -1 at every position this run may label. */
-    int64_t nsched = 0;
-    int64_t source_run = 1;
+    int64_t nsrc = 0, rc = 0;
     for (int64_t j = 0; j < nseeds; j++) {
         int64_t v = seed_vertex[j];
-        if (v < 0 || v >= n_total || (allowed_ok && !allowed_ok[v])) {
+        if (v < 0 || v >= n_total || seed_hop[j] != 0) {
             rc = 2;
             break;
         }
-        int64_t h0 = seed_hop[j], p0 = seed_pert[j];
-        if (h0 != 0)
-            source_run = 0;
-        int64_t ch = hop_t[v];
-        if (ch == -1 || h0 < ch || (h0 == ch && p0 < pert_t[v])) {
-            if (ch == -1)
-                sched[nsched++].id = v;  /* hop key assigned post-intake */
-            hop_t[v] = h0;
+        int64_t p0 = seed_pert[j];
+        if (hop_t[v] == -1 || p0 < pert_t[v]) {
+            if (hop_t[v] == -1)
+                src[nsrc++] = v;
+            hop_t[v] = 0;
             pert_t[v] = p0;
             parent[v] = seed_parent[j];
             parent_eid[v] = seed_parent_eid[j];
-        } else if (h0 == ch && p0 == pert_t[v] &&
-                   seed_parent_eid[j] != parent_eid[v]) {
+        } else if (p0 == pert_t[v] && seed_parent_eid[j] != parent_eid[v]) {
             rc = 2;  /* the reference's seed tie */
             break;
         }
     }
     if (rc != 0) {
-        free(sched);
+        free(src);
         return rc;
     }
-    for (int64_t j = 0; j < nsched; j++)
-        sched[j].pert = hop_t[sched[j].id];  /* final label's hop */
-    qsort(sched, (size_t)nsched, sizeof(wl_entry), cmp_wl_entry);
-
-    /* A valid seed makes n_total, hence n_base, positive.  Each layer's
-     * schedule becomes one run of by_layer, still in (hop, id) order (a
-     * stable counting sort by layer). */
-    int64_t n_layers = n_total / n_base;
+    /* Global-id order is layer order: each layer's sources form one run.
+     * A valid seed makes n_total, hence n_base, positive. */
+    qsort(src, (size_t)nsrc, sizeof(int64_t), cmp_int64);
     size_t width = (size_t)n_base;
-    int64_t *end = calloc((size_t)n_layers, sizeof(int64_t));
-    wl_entry *by_layer = malloc((size_t)nsched * sizeof(wl_entry));
     wl_scratch s = {
         malloc(width * sizeof(wl_entry)),
         malloc(width * sizeof(int64_t)),
         malloc(width * sizeof(int64_t)),
-        source_run ? malloc(width * sizeof(int64_t)) : NULL,
-        source_run ? malloc(width * sizeof(bu_cand)) : NULL,
+        malloc(width * sizeof(int64_t)),
+        malloc(width * sizeof(bu_cand)),
     };
-    if (!end || !by_layer || !s.act || !s.fr || !s.nx ||
-        (source_run && (!s.unv || !s.cand))) {
+    if (!s.act || !s.fr || !s.nx || !s.unv || !s.cand) {
         rc = -1;
     } else {
-        for (int64_t j = 0; j < nsched; j++)
-            end[sched[j].id / n_base]++;
-        for (int64_t b = 1; b < n_layers; b++)
-            end[b] += end[b - 1];
-        for (int64_t j = nsched - 1; j >= 0; j--)
-            by_layer[--end[sched[j].id / n_base]] = sched[j];
-        /* end[b] is now where layer b's run starts. */
         const wl_graph g = {
             n_base, indptr, indices, edge_ids, pert_edge, edge_ok,
-            vertex_ok, allowed_ok, settled, hop_t, pert_t, parent,
-            parent_eid,
+            vertex_ok, settled, hop_t, pert_t, parent, parent_eid,
         };
-        for (int64_t b = 0; b < n_layers && rc == 0; b++) {
-            int64_t lo = end[b], hi = b + 1 < n_layers ? end[b + 1] : nsched;
-            if (hi > lo)
-                rc = run_layer(&g, &s, b, by_layer + lo, hi - lo, source_run,
-                               tgt_ptr, tgt);
+        for (int64_t lo = 0, hi; lo < nsrc && rc == 0; lo = hi) {
+            int64_t b = src[lo] / n_base;
+            for (hi = lo + 1; hi < nsrc && src[hi] / n_base == b; hi++)
+                ;
+            rc = run_layer(&g, &s, b, src + lo, hi - lo, tgt_ptr, tgt);
         }
     }
-    free(sched); free(end); free(by_layer);
+    free(src);
     free(s.act); free(s.fr); free(s.nx); free(s.unv); free(s.cand);
     return rc;
+}
+
+/* Scratch of the weighted sweep, sized by its largest subtree: the
+ * seed schedule, a level's entries, the frontier pair, and the settled
+ * flags, all indexed like a row. */
+typedef struct {
+    wl_entry *sched;
+    wl_entry *act;
+    int64_t *fr;
+    int64_t *nx;
+    uint8_t *settled;
+} ws_scratch;
+
+/* One failed tree edge f of the weighted sweep, whose deeper endpoint's
+ * Euler interval is [lo, hi): its row (hop, pert, par, peid: entry i
+ * is the vertex at preorder position lo + i).  Returns 1 on a seed tie
+ * or a relaxation tie, else 0 (see repro_weighted_sweep). */
+static int64_t sweep_one(
+    const int64_t *indptr, const int64_t *indices, const int64_t *edge_ids,
+    const int64_t *pert_edge, const int64_t *hop0, const int64_t *pert0,
+    const int64_t *tin, const int64_t *preorder, int64_t f, int64_t lo,
+    int64_t hi, const ws_scratch *s, int64_t *hop, int64_t *pert,
+    int64_t *par, int64_t *peid)
+{
+    const int64_t size = hi - lo;
+    const int64_t *sub = preorder + lo;
+    for (int64_t i = 0; i < size; i++) {
+        hop[i] = par[i] = peid[i] = -1;
+        pert[i] = 0;
+        s->settled[i] = 0;
+    }
+
+    /* Intake: the crossing edges (v, a, e), e != f, a outside the
+     * interval and reachable, in preorder and then CSR order - the
+     * reference's seed order, in which each vertex's seeds are
+     * contiguous - through its running minimum. */
+    int64_t nsched = 0;
+    for (int64_t i = 0; i < size; i++) {
+        int64_t v = sub[i];
+        for (int64_t k = indptr[v]; k < indptr[v + 1]; k++) {
+            int64_t e = edge_ids[k];
+            if (e == f) continue;
+            int64_t a = indices[k];
+            if (tin[a] >= lo && tin[a] < hi) continue;  /* internal edge */
+            if (hop0[a] < 0) continue;                  /* dead outer end */
+            int64_t h = hop0[a] + 1, p = pert0[a] + pert_edge[e];
+            if (hop[i] == -1 || h < hop[i] || (h == hop[i] && p < pert[i])) {
+                hop[i] = h;
+                pert[i] = p;
+                par[i] = a;
+                peid[i] = e;
+            } else if (h == hop[i] && p == pert[i] && e != peid[i]) {
+                return 1;  /* the reference's seed tie */
+            }
+        }
+        if (hop[i] != -1) {
+            s->sched[nsched].pert = hop[i];  /* (hop, vertex) order */
+            s->sched[nsched].id = v;
+            nsched++;
+        }
+    }
+    sort_keyed(s->sched, nsched, sizeof(wl_entry));
+
+    /* Levels in increasing hop: each settles its due seed labels and the
+     * carried frontier, then relaxes them top-down in (pert, vertex)
+     * order.  A label at the next level - a seed's, or an earlier
+     * arrival's - keeps the running minimum; a seed label at a higher
+     * hop is stale and is overwritten, as the reference's heap would
+     * never pop it, and its schedule entry is skipped.  The frontier
+     * holds only vertices first labeled at its level. */
+    int64_t *fr = s->fr, *nx = s->nx;
+    int64_t sp = 0, flen = 0, lvl = 0;
+    while (sp < nsched || flen > 0) {
+        if (flen == 0)
+            lvl = s->sched[sp].pert;  /* every earlier seed level drained */
+        int64_t alen = 0;
+        while (sp < nsched && s->sched[sp].pert == lvl) {
+            int64_t v = s->sched[sp++].id, i = tin[v] - lo;
+            if (hop[i] != lvl) continue;  /* relabeled at a lower hop */
+            s->settled[i] = 1;
+            s->act[alen].pert = pert[i];
+            s->act[alen++].id = v;
+        }
+        for (int64_t j = 0; j < flen; j++) {
+            int64_t i = tin[fr[j]] - lo;
+            s->settled[i] = 1;
+            s->act[alen].pert = pert[i];
+            s->act[alen++].id = fr[j];
+        }
+        sort_keyed(s->act, alen, sizeof(wl_entry));
+        int64_t nlen = 0;
+        for (int64_t j = 0; j < alen; j++) {
+            int64_t v = s->act[j].id, pv = s->act[j].pert;
+            for (int64_t k = indptr[v]; k < indptr[v + 1]; k++) {
+                int64_t w = indices[k];
+                int64_t i = tin[w] - lo;
+                if (i < 0 || i >= size) continue;  /* outside, f included */
+                if (s->settled[i]) continue;
+                int64_t e = edge_ids[k];
+                int64_t c = pv + pert_edge[e];
+                if (hop[i] == lvl + 1) {
+                    if (c < pert[i]) {
+                        pert[i] = c;
+                        par[i] = v;
+                        peid[i] = e;
+                    } else if (c == pert[i] && peid[i] != e) {
+                        return 1;  /* the reference's relaxation tie */
+                    }
+                } else {
+                    hop[i] = lvl + 1;
+                    pert[i] = c;
+                    par[i] = v;
+                    peid[i] = e;
+                    nx[nlen++] = w;
+                }
+            }
+        }
+        int64_t *tmp = fr; fr = nx; nx = tmp;
+        flen = nlen;
+        lvl++;
+    }
+    return 0;
+}
+
+/* The weighted failure sweep in one call: for each failed tree edge
+ * fail_eid[j], whose deeper endpoint c = fail_child[j] roots the Euler
+ * interval [tin[c], tout[c]), the subtree's replacement row
+ * (engine/base.py::replacement_failure is the spec), written straight
+ * into the repl_* planes at row_off[j] .. row_off[j + 1] in preorder.
+ * hop0/pert0 are the tree's labels (hop0 -1 where unreachable).
+ *
+ * Per failure, the seeded (hop, pert) relaxation of the reference's
+ * restricted Dijkstra: the intake takes the crossing-edge seeds in the
+ * reference's order through its running minimum, and the levels settle
+ * in (pert, vertex) order - the reference heap's pop order - relaxing
+ * each settled vertex's edges in CSR order into the interval, so every
+ * target meets the reference's candidates in the reference's order.
+ * Top-down only: seed labels at the next level are incumbents and
+ * those at higher hops are stale, and a bottom-up step would read
+ * either as unreached.  State is indexed by preorder position, tin[w] -
+ * tin[c], so a failure touches its own row and an O(subtree) scratch,
+ * never an n-wide layer.
+ *
+ * Unreached entries read hop -1, pert 0, parents -1.  Returns the
+ * number of complete rows: nfail, or the index of the first failure
+ * whose intake or relaxation met a tie (its row is partial), or 0 on
+ * allocation failure.  The caller reruns the failures from there on
+ * the reference, which decides the outcome and raises its own error. */
+int64_t repro_weighted_sweep(
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *edge_ids,
+    const int64_t *pert_edge,
+    const int64_t *hop0,
+    const int64_t *pert0,
+    const int64_t *tin,
+    const int64_t *tout,
+    const int64_t *preorder,
+    int64_t nfail,
+    const int64_t *fail_eid,
+    const int64_t *fail_child,
+    const int64_t *row_off,
+    int64_t *repl_hop,
+    int64_t *repl_pert,
+    int64_t *repl_parent,
+    int64_t *repl_parent_eid)
+{
+    int64_t width = 1;
+    for (int64_t j = 0; j < nfail; j++) {
+        int64_t c = fail_child[j];
+        if (tout[c] - tin[c] > width)
+            width = tout[c] - tin[c];
+    }
+    size_t w = (size_t)width;
+    ws_scratch s = {
+        malloc(w * sizeof(wl_entry)),
+        malloc(w * sizeof(wl_entry)),
+        malloc(w * sizeof(int64_t)),
+        malloc(w * sizeof(int64_t)),
+        malloc(w),
+    };
+    int64_t done = 0;
+    if (s.sched && s.act && s.fr && s.nx && s.settled) {
+        for (; done < nfail; done++) {
+            int64_t c = fail_child[done], off = row_off[done];
+            if (sweep_one(indptr, indices, edge_ids, pert_edge, hop0, pert0,
+                          tin, preorder, fail_eid[done], tin[c], tout[c], &s,
+                          repl_hop + off, repl_pert + off, repl_parent + off,
+                          repl_parent_eid + off))
+                break;
+        }
+    }
+    free(s.sched); free(s.act); free(s.fr); free(s.nx); free(s.settled);
+    return done;
 }
 
 /* The Pcons detour batch's escape tables, read off the stacked state

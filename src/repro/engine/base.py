@@ -50,8 +50,7 @@ Contract
   kernel meets a possible tie or an invalid seed, transparently rerun
   on it, which is the only implementation of tie and seed-error
   semantics.  No backend overrides ``seeded_shortest_paths``: seeded
-  runs reach array kernels only stacked, inside
-  ``weighted_failure_sweep``.
+  runs reach array kernels only inside ``weighted_failure_sweep``.
 * **Target radius.**  ``shortest_paths(..., targets=T)`` may stop
   early: with ``R`` the largest hop count among ``T``, every vertex
   within ``R`` hops reads exactly what the full run reads, and every
@@ -332,9 +331,10 @@ class TraversalEngine:
         ``seeded_shortest_paths`` recompute of the failed subtree
         produces, yielded in :class:`ReplacementRows` blocks.  This
         reference implementation *is* that per-edge loop, one block per
-        edge; array backends stack the subtree recomputes into shared
-        level passes and yield a block per stacked chunk.  Lazy:
-        nothing is computed until the first block is consumed.
+        edge; array backends batch the subtree recomputes and yield a
+        block per batch (csr: one C pass over every failure, or stacked
+        chunks on its numpy tier).  Lazy: nothing is computed until the
+        first block is consumed.
         """
         if eids is None:
             eids = tree.tree_edges()

@@ -1,9 +1,10 @@
 """Compile-on-demand loader for the ``csr`` engine's C kernels.
 
 ``_ckernels.c`` (the sweep hot pair - ordered BFS + Euler walk, subtree
-recompute - the weighted stacked-level relaxation, the detour batch's
-escape pass, and Phase S1's interference existence query) ships as
-source; no wheel, no build step at install time.
+recompute - the weighted stacked-level relaxation of source runs, the
+one-pass weighted failure sweep, the detour batch's escape pass, and
+Phase S1's interference existence query) ships as source; no wheel, no
+build step at install time.
 The first time the csr engine needs its kernels this module
 
 1. finds a system C compiler (``$REPRO_CC`` override > ``$CC`` >
@@ -214,8 +215,14 @@ class KernelLib:
         self.weighted_levels = dll.repro_weighted_levels
         self.weighted_levels.restype = i64
         self.weighted_levels.argtypes = [
-            i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
             i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+        ]
+        self.weighted_sweep = dll.repro_weighted_sweep
+        self.weighted_sweep.restype = i64
+        self.weighted_sweep.argtypes = [
+            ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
         self.detour_escapes = dll.repro_detour_escapes
         self.detour_escapes.restype = i64

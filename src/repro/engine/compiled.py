@@ -3,27 +3,34 @@
 :class:`CompiledEngine` is the engine the registry serves as ``csr``.
 It subclasses the numpy :class:`~repro.engine.csr_engine.CSREngine` and
 replaces the kernels the library spends its time in - the sweep hot
-pair (ordered base BFS + Euler walk, per-failure subtree recompute) and
+pair (ordered base BFS + Euler walk, per-failure subtree recompute),
 the weighted ``(hops, pert_sum)`` level relaxation behind ``run_pcons``
-(its SPT and detour batch) and ``weighted_failure_sweep`` - with the
-flat C loops of ``_ckernels.c``, compiled on demand and loaded
-by :mod:`repro.engine.cbuild`.  The C functions read the same cached
+(its SPT and detour batch) and the seeded twin of that relaxation
+behind ``weighted_failure_sweep`` - with the flat C loops of
+``_ckernels.c``, compiled on demand and loaded by
+:mod:`repro.engine.cbuild`.  The C functions read the same cached
 CSR int64 arrays and boolean masks through raw pointers and fill
 caller-allocated numpy outputs, so results are **bit-identical** to the
 numpy kernels (same adjacency-order tie-breaking, same weighted settle
 order, enforced by the parity suites with and without ``REPRO_CC=0``)
 while skipping numpy's per-level array orchestration.
 
-The weighted routing goes through ``CSREngine._weighted_levels``, so
-every weighted array surface - single-source, the stacked detour
-batch, the chunked weighted failure sweep - lands on the one C kernel,
-seed intake included.  The Python-side gating is unchanged: the
+Source runs go through ``CSREngine._weighted_levels`` - single-source
+calls and the stacked detour batch land on the one C relaxation, seed
+intake included.  The weighted failure sweep goes through
+``CSREngine._sweep_pass``: one C call over every failed tree edge
+enumerates each subtree's crossing-edge seeds, relaxes the subtree top
+down and writes its row straight into the ``repl_*`` planes, indexed
+by preorder position, so no failure gets an ``n``-wide layer of state;
+the numpy tier's stacked, chunked sweep runs only without the kernels.
+The Python-side gating is unchanged: the
 exact scheme's ``2**eid`` perturbations are not int64-representable, so
 :func:`~repro.engine.weighted_kernels.weighted_plan` routes them to the
 big-int reference Dijkstra before any kernel - numpy or C - is
-considered.  When the C kernel detects the reference's order-dependent
-tie event, a seed tie or an invalid seed, it bails out and the call
-reruns on that reference, which raises its
+considered.  When a C kernel detects the reference's order-dependent
+tie event, a seed tie or an invalid seed, it bails out and the call -
+for the sweep, the failures from the one that met it - reruns on that
+reference, which raises its
 :class:`~repro.errors.TieBreakError` or
 :class:`~repro.errors.GraphError`, message and all.
 
@@ -47,8 +54,8 @@ the detour chunks only on the numpy tier.
 
 Kernels, all in ``_ckernels.c``: ``repro_bfs_order``,
 ``repro_bfs_euler``, ``repro_recompute_subtree``,
-``repro_weighted_levels``, ``repro_detour_escapes`` and
-``repro_exists_live_partner``.
+``repro_weighted_levels``, ``repro_weighted_sweep``,
+``repro_detour_escapes`` and ``repro_exists_live_partner``.
 
 Every method asks :func:`~repro.engine.cbuild.kernel_library` per call
 and runs the inherited path when it returns None: with no working
@@ -66,6 +73,7 @@ import numpy as np
 
 from repro._types import EdgeId, Vertex
 from repro.engine import cbuild
+from repro.engine.base import ReplacementRows
 from repro.engine.csr import CSRAdjacency, csr_view
 from repro.engine.csr_engine import CSREngine, _edge_ok_mask
 from repro.engine.kernels import FailureSweep, _tree_edge_children
@@ -122,7 +130,8 @@ class CompiledFailureSweep(FailureSweep):
 
     Construction performs the ordered base BFS *and* the Euler walk in
     one foreign call; ``_recompute_subtree`` fills the post-failure
-    distance vector in another.  ``tree_child`` and ``failed`` (with
+    distance vector in another, into the handle's one output buffer,
+    and returns a copy.  ``tree_child`` and ``failed`` (with
     its no-op short-circuit) are inherited and read the same tree-edge
     map - the arrays have the same dtypes, shapes, and values as the
     numpy sweep's.
@@ -182,8 +191,10 @@ class CompiledFailureSweep(FailureSweep):
         self._tout = tout
         self._preorder = preorder[:visited]
         # The fixed arrays' pointers, taken once (the handle keeps the
-        # arrays alive): each recompute passes only its failed edge, its
-        # subtree interval and its output.
+        # arrays alive): each recompute passes only its failed edge and
+        # its subtree interval, and fills the handle's one output
+        # buffer, whose copy it returns.
+        self._out = np.empty(n, dtype=np.int64)
         self._graph_ptrs = (
             n, _ptr(csr.indptr), _ptr(csr.indices), _ptr(csr.edge_ids),
             _ptr(edge_ok),
@@ -191,12 +202,12 @@ class CompiledFailureSweep(FailureSweep):
         self._tin_ptr = _ptr(tin)
         self._preorder_ptr = _ptr(preorder)
         self._base_ptr = _ptr(dist)
+        self._out_ptr = _ptr(self._out)
 
     def _recompute_subtree(self, eid: int, child: int) -> np.ndarray:
         kernels = self._kernels
         if kernels is None:
             return super()._recompute_subtree(eid, child)
-        out = np.empty(self.csr.num_vertices, dtype=np.int64)
         rc = kernels.recompute_subtree(
             *self._graph_ptrs,
             eid,
@@ -205,11 +216,11 @@ class CompiledFailureSweep(FailureSweep):
             int(self._tout[child]),
             self._preorder_ptr,
             self._base_ptr,
-            _ptr(out),
+            self._out_ptr,
         )
         if rc != 0:  # allocation failure inside the kernel
             return super()._recompute_subtree(eid, child)
-        return out
+        return self._out.copy()
 
 
 class CompiledEngine(CSREngine):
@@ -235,7 +246,7 @@ class CompiledEngine(CSREngine):
     def replacement_backend(self) -> str:
         if self._kernels() is None:
             return "inherited numpy " + CSREngine.replacement_backend
-        return "compiled C stacked subtree sweep (random scheme) + reference fallback"
+        return "compiled C one-pass subtree sweep (random scheme) + reference fallback"
 
     @property
     def detour_backend(self) -> str:
@@ -309,13 +320,12 @@ class CompiledEngine(CSREngine):
         *,
         edge_ok: Optional[np.ndarray] = None,
         vertex_ok: Optional[np.ndarray] = None,
-        allowed_ok: Optional[np.ndarray] = None,
         num_vertices: Optional[int] = None,
         stacked: bool = False,
-        state=None,
         targets=None,
     ):
-        """The weighted relaxation routed through the C kernel.
+        """The weighted relaxation of a source run routed through the C
+        kernel.
 
         The whole traversal - seed intake, the level loop and the
         targets' stop rule - is one GIL-free foreign call over the raw
@@ -329,20 +339,16 @@ class CompiledEngine(CSREngine):
         if kernels is None:
             return super()._weighted_levels(
                 csr, perts, seeds,
-                edge_ok=edge_ok, vertex_ok=vertex_ok, allowed_ok=allowed_ok,
-                num_vertices=num_vertices, stacked=stacked, state=state,
-                targets=targets,
+                edge_ok=edge_ok, vertex_ok=vertex_ok,
+                num_vertices=num_vertices, stacked=stacked, targets=targets,
             )
         n = csr.num_vertices if num_vertices is None else num_vertices
         tgt_ptr, tgt = (None, None) if targets is None else targets
-        if state is not None:
-            settled, hop_t, pert_t, parent, parent_eid = state
-        else:
-            hop_t = np.full(n, -1, dtype=np.int64)
-            pert_t = np.zeros(n, dtype=np.int64)
-            parent = np.full(n, -1, dtype=np.int64)
-            parent_eid = np.full(n, -1, dtype=np.int64)
-            settled = np.zeros(n, dtype=bool)
+        hop_t = np.full(n, -1, dtype=np.int64)
+        pert_t = np.zeros(n, dtype=np.int64)
+        parent = np.full(n, -1, dtype=np.int64)
+        parent_eid = np.full(n, -1, dtype=np.int64)
+        settled = np.zeros(n, dtype=bool)
         cols = tuple(
             np.ascontiguousarray(c, dtype=np.int64)
             for c in (seeds.hop, seeds.pert, seeds.vertex,
@@ -357,7 +363,6 @@ class CompiledEngine(CSREngine):
             _ptr(perts),
             _ptr(edge_ok),
             _ptr(vertex_ok),
-            _ptr(allowed_ok),
             _ptr(tgt_ptr),
             _ptr(tgt),
             len(cols[0]),
@@ -371,6 +376,52 @@ class CompiledEngine(CSREngine):
         if rc != 0:
             return None
         return settled, hop_t, pert_t, parent, parent_eid
+
+    def _sweep_pass(
+        self,
+        csr,
+        perts: np.ndarray,
+        eids: List[EdgeId],
+        children: List[Vertex],
+        tree_arrays,
+    ):
+        """Every failure's row in one C call, filled straight into the
+        ``repl_*`` planes (None without the kernels: the numpy tier's
+        stacked chunks).  The kernel stops at the first failure whose
+        intake or relaxation meets a tie, or before the first on a
+        scratch allocation failure; the rows before it stand."""
+        kernels = self._kernels()
+        if kernels is None:
+            return None
+        hop0, pert0, tin, tout, preorder = tree_arrays
+        fail_eid = np.asarray(eids, dtype=np.int64)
+        fail_child = np.asarray(children, dtype=np.int64)
+        offsets = np.zeros(len(eids) + 1, dtype=np.int64)
+        np.cumsum(tout[fail_child] - tin[fail_child], out=offsets[1:])
+        planes = np.empty((4, int(offsets[-1])), dtype=np.int64)
+        done = kernels.weighted_sweep(
+            _ptr(csr.indptr),
+            _ptr(csr.indices),
+            _ptr(csr.edge_ids),
+            _ptr(perts),
+            _ptr(hop0),
+            _ptr(pert0),
+            _ptr(tin),
+            _ptr(tout),
+            _ptr(preorder),
+            len(eids),
+            _ptr(fail_eid),
+            _ptr(fail_child),
+            _ptr(offsets),
+            *(_ptr(plane) for plane in planes),
+        )
+        end = int(offsets[done])
+        return done, ReplacementRows(
+            eids[:done],
+            children[:done],
+            offsets[: done + 1].tolist(),
+            *(plane[:end].tolist() for plane in planes),
+        )
 
     def _escape_pass(
         self,

@@ -18,7 +18,7 @@ reference Dijkstra.  A relaxation (numpy or C) that meets a possible
 tie or an invalid seed returns ``None``, and the call reruns on the
 reference the same way - so distances, parents, parent edges and tie
 errors are the reference's, bit for bit.  ``seeded_shortest_paths`` is
-the reference's own: seeded runs reach the kernels only stacked, inside
+the reference's own: seeded runs reach the kernels only inside
 ``weighted_failure_sweep``.
 
 The batched primitives (``weighted_failure_sweep`` and
@@ -39,12 +39,16 @@ be represented, and chunks whose relaxation hands the call back, rerun
 on the reference: the detour batch path by path, the sweep edge by
 edge through :func:`~repro.engine.base.replacement_failure`.
 
-The sweep chunks by the ``_STACK_STREAM`` expansion budget on both
-tiers.  The detour batch does so only here, on the numpy tier, whose
-level passes stream every layer's frontier at once: the compiled
-engine's C relaxation runs its layers one after another, so it sizes
-its detour chunks by a stacked-state budget of its own
-(``_detour_per_chunk``).
+The stacking and chunking of the sweep belong to this numpy tier
+alone (``_sweep_chunk``, by the ``_STACK_STREAM`` expansion budget):
+the compiled engine fills every failure's row in one C pass over the
+compact Euler-keyed rows, with no ``B * n`` state, through the
+``_sweep_pass`` hook, and hands the failures from the first tie on
+back to the reference.  The detour batch chunks by ``_STACK_STREAM``
+only here too, since this tier's level passes stream every layer's
+frontier at once: the compiled engine's C relaxation runs its layers
+one after another, so it sizes its detour chunks by a stacked-state
+budget of its own (``_detour_per_chunk``).
 """
 
 from __future__ import annotations
@@ -293,19 +297,19 @@ class CSREngine(PythonEngine):
         *,
         edge_ok: Optional[np.ndarray] = None,
         vertex_ok: Optional[np.ndarray] = None,
-        allowed_ok: Optional[np.ndarray] = None,
         num_vertices: Optional[int] = None,
         stacked: bool = False,
-        state=None,
         targets=None,
     ):
-        """Engine hook behind every weighted relaxation.
+        """Engine hook behind every source run's weighted relaxation
+        (every seed at hop 0: ``shortest_paths`` and the detour batch).
 
         Same contract as :func:`weighted_levels` - including ``None``
         to hand the call back to the reference - but the expansion is
         described structurally (``stacked``) instead of as an opaque
         closure, so subclasses can route the relaxation elsewhere - the
-        compiled engine overrides this with its C kernel.  ``targets``
+        compiled engine overrides this with its C kernel, which serves
+        source runs only.  ``targets``
         (the ``(tgt_ptr, tgt)`` arrays of :func:`_target_arrays` or
         :func:`_detour_layers`, layer ``b``'s targets as global ids,
         source-seeded runs only) asks for the stop rule's outcome; this
@@ -319,10 +323,8 @@ class CSREngine(PythonEngine):
             seeds,
             edge_ok=edge_ok,
             vertex_ok=vertex_ok,
-            allowed_ok=allowed_ok,
             num_vertices=num_vertices,
             expand=stacked_expander(csr) if stacked else None,
-            state=state,
         )
         if levels is not None and targets is not None:
             _blank_beyond_radius(levels, *targets, csr.num_vertices)
@@ -491,7 +493,25 @@ class CSREngine(PythonEngine):
                 graph, weights, tree, eids=edge_list
             )
             return
-        csr, perts, children, sizes, tree_arrays = setup
+        csr, perts, children, tree_arrays = setup
+        swept = self._sweep_pass(csr, perts, edge_list, children, tree_arrays)
+        if swept is not None:
+            done, rows = swept
+            if done:
+                yield rows
+            if done < len(edge_list):
+                # A tie at failure ``done`` (or no scratch for the pass):
+                # the reference reruns from there and raises its error.
+                yield from super().weighted_failure_sweep(
+                    graph, weights, tree, eids=edge_list[done:]
+                )
+            return
+        # Chunk by subtree expansion: prefix sums of the preorder-ordered
+        # degrees give each failed subtree's half-edge count in O(1).
+        _, _, tin, tout, preorder = tree_arrays
+        deg_pre = (csr.indptr[1:] - csr.indptr[:-1])[preorder]
+        cum = np.concatenate([[0], np.cumsum(deg_pre)])
+        sizes = [int(cum[tout[c]] - cum[tin[c]]) for c in children]
         n = csr.num_vertices
         max_batch = max(1, _STACK_STATE // max(1, n))
         chunks = list(_stream_chunks(sizes, _STACK_STREAM, max_batch))
@@ -516,9 +536,8 @@ class CSREngine(PythonEngine):
     def _sweep_setup(self, graph: Graph, weights, tree, edge_list):
         """The weighted sweep's per-call setup, or None on a gate failure.
 
-        Returns ``(csr, perts, children, sizes, tree_arrays)``: the
-        gated perturbation plan, each failed edge's deeper endpoint, the
-        per-subtree expansion sizes that chunking packs by, and the
+        Returns ``(csr, perts, children, tree_arrays)``: the gated
+        perturbation plan, each failed edge's deeper endpoint, and the
         tree's int64 ``(hop, pert, tin, tout, preorder)`` arrays,
         converted from its lists once per call.  None when the plan
         cannot represent the assignment (or its largest crossing-edge
@@ -546,12 +565,24 @@ class CSREngine(PythonEngine):
             return None
         # Raises for every id that is not a tree edge.
         children = [tree.edge_child(eid) for eid in edge_list]
-        # Chunk by subtree expansion: prefix sums of the preorder-ordered
-        # degrees give each failed subtree's half-edge count in O(1).
-        deg_pre = (csr.indptr[1:] - csr.indptr[:-1])[preorder]
-        cum = np.concatenate([[0], np.cumsum(deg_pre)])
-        sizes = [int(cum[tout[c]] - cum[tin[c]]) for c in children]
-        return csr, perts, children, sizes, (hop0, pert0, tin, tout, preorder)
+        return csr, perts, children, (hop0, pert0, tin, tout, preorder)
+
+    def _sweep_pass(
+        self,
+        csr,
+        perts: np.ndarray,
+        eids: List[EdgeId],
+        children: List[Vertex],
+        tree_arrays,
+    ):
+        """Engine hook: the sweep's rows in one pass over every failure,
+        as ``(done, rows)`` - ``rows`` holds the rows of ``eids[:done]``
+        in one block, and a ``done`` short of ``len(eids)`` hands the
+        failures from ``eids[done]`` on back to the reference.  The
+        numpy tier has no such pass and returns None (it stacks the
+        subtree recomputes in chunks); the compiled engine runs it in
+        C."""
+        return None
 
     def _sweep_chunk(
         self,
@@ -569,8 +600,9 @@ class CSREngine(PythonEngine):
         preorder: np.ndarray,
         state,
     ) -> Iterator[ReplacementRows]:
-        """One stacked chunk of subtree recomputes (layer = failed edge),
-        yielded as one :class:`ReplacementRows` block."""
+        """One stacked chunk of subtree recomputes (layer = failed edge)
+        on the numpy relaxation, yielded as one :class:`ReplacementRows`
+        block."""
         n = csr.num_vertices
         B = len(eids)
         children_np = np.asarray(children, dtype=np.int64)
@@ -609,13 +641,13 @@ class CSREngine(PythonEngine):
         # The failed edge needs no per-layer ban: its outer endpoint is
         # outside the allowed subtree, so allowed_ok already blocks it.
         views = tuple(buf[: B * n] for buf in state[:5])
-        levels = self._weighted_levels(
+        levels = weighted_levels(
             csr,
             perts,
             sa,
             allowed_ok=allowed_ok,
             num_vertices=B * n,
-            stacked=True,
+            expand=stacked_expander(csr),
             state=views,
         )
 

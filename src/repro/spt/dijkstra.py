@@ -31,7 +31,7 @@ other call site goes through ``engine.shortest_paths`` /
 ``engine.seeded_shortest_paths``, which lets array backends substitute
 the fast kernels of :mod:`repro.engine.weighted_kernels` for
 single-source runs when the weight scheme permits (seeded runs reach
-them only stacked, through ``weighted_failure_sweep``).  This module is
+them only through ``weighted_failure_sweep``).  This module is
 the only implementation of tie and seed-error semantics (which tie
 raises first, which seed is refused, and the messages): an array kernel
 that meets a possible tie or an invalid seed hands the whole call back

@@ -12,8 +12,8 @@ naive ``O(n * m)``.
 Phase S0 picks a replacement path for *every* pair ``<v, e>`` with ``e``
 on ``pi(s, v)``, and every caller reads the whole table, so
 :class:`ReplacementEngine` fills it in its constructor with one pass of
-the engine's ``weighted_failure_sweep`` (the csr engine stacks the
-subtree recomputes into shared per-level kernels).  The sweep's
+the engine's ``weighted_failure_sweep`` (the csr engine fills every
+row in one C pass over the failed subtrees).  The sweep's
 reference implementation *is* the per-edge recompute
 (:func:`repro.engine.base.replacement_failure`), and
 ``tests/test_weighted_parity.py`` enforces the two bit-identical.

@@ -134,7 +134,7 @@ class ShortestPathTree:
 
         The composite weight splits as ``dist = (hops << shift) + pert``;
         ``depth`` already holds the hop components, this returns the
-        other half.  Shared by the csr engine's stacked sweep and the
+        other half.  Shared by the csr engine's weighted sweep and the
         snapshot writer so the decomposition never diverges.
         """
         w = self.weights if weights is None else weights

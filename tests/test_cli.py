@@ -338,6 +338,14 @@ class TestRun:
         out = capsys.readouterr().out
         assert "[E2]" in out and "points" in out
 
+    def test_run_negative_jobs_fails_before_running_anything(self, capsys):
+        """A negative --jobs is a clean error, reported before E2 runs:
+        nothing on stdout, one error line on stderr, exit 1."""
+        assert main(["run", "E2", "--quick", "--jobs", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --jobs must be >= 0, got -1\n"
+
     def test_run_unknown_id_fails_before_running_anything(self, capsys):
         """An unknown id (E14 is retired) is a clean error, reported
         before E2 runs: nothing on stdout, the available ids on stderr."""

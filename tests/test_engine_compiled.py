@@ -355,8 +355,9 @@ def test_sweep_handle_returns_its_base_for_no_op_failures(tier, masked):
     """The handle contract verify's no-op shortcut reads: ``failed(e) is
     base_distances()`` for every non-tree edge, every masked-out edge
     and every id that names no edge; a base-tree edge gives a fresh
-    array equal to the python BFS under that failure.  The tree-edge
-    map behind ``tree_child`` agrees with the endpoint test it replaced."""
+    array equal to the python BFS under that failure, which later
+    failures leave as it is.  The tree-edge map behind ``tree_child``
+    agrees with the endpoint test it replaced."""
     graph = connected_gnp_graph(60, 0.1, seed=4)
     m = graph.num_edges
     allowed = {e for e in range(m) if e % 3} if masked else None
@@ -367,7 +368,7 @@ def test_sweep_handle_returns_its_base_for_no_op_failures(tier, masked):
     base = handle.base_distances()
     csr, parent_eid = handle.csr, handle._parent_eid
     python = get_engine("python")
-    tree_edges = 0
+    kept = []
     for eid in range(m):
         u, v = int(csr.edge_u[eid]), int(csr.edge_v[eid])
         child = u if parent_eid[u] == eid else v if parent_eid[v] == eid else None
@@ -376,13 +377,15 @@ def test_sweep_handle_returns_its_base_for_no_op_failures(tier, masked):
         if child is None:
             assert out is base
             continue
-        tree_edges += 1
         assert allowed is None or eid in allowed
         assert out is not base and out.flags.writeable
-        assert out.tolist() == python.distances(
+        expected = python.distances(
             graph, 0, banned_edges={eid}, allowed_edges=allowed
         )
-    assert tree_edges == sum(1 for d in base.tolist() if d > 0)
+        assert out.tolist() == expected
+        kept.append((out, expected))
+    assert len(kept) == sum(1 for d in base.tolist() if d > 0)
+    assert all(out.tolist() == expected for out, expected in kept)
     for eid in (-1, m, 10**9):
         assert handle.tree_child(eid) is None
         assert handle.failed(eid) is base

@@ -169,12 +169,11 @@ def test_compiled_weighted_floors(monkeypatch):
     ``run_pcons``, >= 1.5x ``weighted_failure_sweep``, C over numpy).
     This test keeps a scaled-down version in every tier-1 run: on
     mid-size instances the pcons margin is already the full one
-    (measured ~2.4x at n=1000), while the sweep margin is structurally
-    thinner (the shared numpy seed-intake fraction grows as the
-    instance shrinks; measured ~1.4x at n=2500), so its floor here is
-    1.1x - enough to catch the compiled path silently degrading to the
-    inherited numpy kernels."""
-    from repro.engine import cbuild, engine_context, get_engine
+    (measured ~2.4x at n=1000).  The sweep's floor here stays 1.1x,
+    far below its one-pass C margin (~7x at n=2500: 56-69 ms on numpy,
+    7.5-9.7 ms in C) - enough to catch the compiled path silently
+    degrading to the inherited numpy kernels."""
+    from repro.engine import ReplacementRows, cbuild, engine_context, get_engine
     from repro.engine.csr_engine import CSREngine
 
     if cbuild.kernel_library() is None:
@@ -201,21 +200,62 @@ def test_compiled_weighted_floors(monkeypatch):
     tree = build_spt(sweep_graph, weights, 0)
     sweeps = {}
     for name, eng in (("numpy", CSREngine()), ("c", get_engine("csr"))):
-        out = list(eng.weighted_failure_sweep(sweep_graph, weights, tree))
-        sweeps[name] = (
-            _best_of(
-                3,
-                lambda: list(
-                    eng.weighted_failure_sweep(sweep_graph, weights, tree)
-                ),
-            ),
-            out,
-        )
+        def sweep():
+            return ReplacementRows.concat(
+                eng.weighted_failure_sweep(sweep_graph, weights, tree)
+            )
+
+        out = sweep()
+        sweeps[name] = (_best_of(3, sweep), out)
+    # The contract binds the concatenated rows, not the blocking.
     assert sweeps["numpy"][1] == sweeps["c"][1]
     sweep_speedup = sweeps["numpy"][0] / sweeps["c"][0]
     assert sweep_speedup >= 1.1, (
         f"C weighted sweep speedup {sweep_speedup:.2f}x below the 1.1x "
         f"floor (numpy {sweeps['numpy'][0]:.3f}s, C {sweeps['c'][0]:.3f}s)"
+    )
+
+
+#: Traced-memory bound of the C weighted sweep, per row entry.
+SWEEP_BYTES_PER_ENTRY = 1024
+
+
+def test_compiled_sweep_memory_grows_with_its_rows():
+    """The C sweep writes each failure's row straight into the output
+    planes and keeps scratch the size of its largest subtree, so the
+    traced peak of a whole sweep grows with its row entries, not with
+    failures times n: at most ``SWEEP_BYTES_PER_ENTRY`` per entry on
+    G(1500, 30/1499), 3,932 entries (~220 B each measured).  A stacked
+    ``B * n`` relaxation state reads ~20 KB per entry there."""
+    import tracemalloc
+
+    from repro.engine import ReplacementRows, cbuild, get_engine
+    from repro.spt import build_spt, make_weights
+
+    if cbuild.kernel_library() is None:
+        pytest.skip("no C compiler (or the kernels failed to build)")
+    graph = connected_gnp_graph(1500, 30 / 1499, seed=4)
+    weights = make_weights(graph, "random", seed=1)
+    tree = build_spt(graph, weights, 0)
+    engine = get_engine("csr")
+
+    def sweep():
+        return ReplacementRows.concat(
+            engine.weighted_failure_sweep(graph, weights, tree)
+        )
+
+    sweep()  # builds the cached CSR view and perturbation export
+    tracemalloc.start()
+    try:
+        rows = sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = len(rows.repl_hop)
+    assert peak <= SWEEP_BYTES_PER_ENTRY * entries, (
+        f"sweep peak {peak} B over {entries} row entries "
+        f"({peak / entries:.0f} B each) above the "
+        f"{SWEEP_BYTES_PER_ENTRY} B bound"
     )
 
 

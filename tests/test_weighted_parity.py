@@ -11,7 +11,7 @@ detect a possible tie or an invalid seed and hand the call back to the
 reference, which alone decides the error and its message.
 
 The batched replacement sweep (PR 4) extends the contract: the
-stacked ``weighted_failure_sweep`` must be bit-identical to the
+batched ``weighted_failure_sweep`` must be bit-identical to the
 per-edge loop it amortizes, across engines, both weight schemes,
 disconnected subtrees included.  The Pcons detour batch
 (``batched_shortest_paths``) takes T0 paths and hands back each
@@ -149,26 +149,24 @@ def test_shortest_paths_parity(instance, wseed):
 @settings(max_examples=40, **COMMON)
 @given(graph_with_source(max_vertices=28), st.integers(0, 5))
 def test_seeded_parity_subtree_recompute(pair, wseed):
-    """Seeded runs in the replacement-engine shape: per failed tree edge,
-    recompute inside the subtree, seeded from the crossing edges."""
+    """Seeded runs in the replacement-engine shape: the fast engine's
+    sweep over a subset of the tree edges (the first six) gives, row for
+    row, the reference's per-edge recompute of each failed subtree,
+    seeded from the crossing edges - or ends on the same tie."""
     g, source = pair
     w = make_weights(g, RANDOM, seed=wseed)
     tree = build_spt(g, w, source)
-    for eid in tree.tree_edges()[:6]:
-        child = tree.edge_child(eid)
-        sub = list(tree.subtree_vertices(child))
-        sub_set = set(sub)
-        seeds = []
-        for b in sub:
-            for a, cross in g.adjacency(b):
-                if cross == eid or a in sub_set:
-                    continue
-                if tree.dist[a] is None:
-                    continue
-                seeds.append((tree.dist[a] + w[cross], b, a, cross))
-        run_both(
-            "seeded_shortest_paths", g, w, seeds, allowed_vertices=sub_set
-        )
+    eids = tree.tree_edges()[:6]
+    outcomes = []
+    for rows in (
+        lambda: CSR.weighted_failure_sweep(g, w, tree, eids),
+        lambda: (replacement_failure(PY, g, w, tree, eid) for eid in eids),
+    ):
+        try:
+            outcomes.append(("ok", ReplacementRows.concat(rows())))
+        except TieBreakError as exc:
+            outcomes.append(("tie", str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("vertex", [-2**70, 2**41, 2**70])
@@ -351,7 +349,8 @@ def test_degenerate_weights_compiled_tie_set_identical(pair, salt):
 )
 def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
     """With the C kernels loaded, a bail hands the call straight back to
-    the reference: the numpy relaxation never reruns it."""
+    the reference: the numpy relaxation never reruns it.  A sweep hands
+    back from the failure that met the tie, keeping the rows before it."""
     import repro.engine.csr_engine as ce
 
     # A tie-free SPT whose sweep meets a seed tie: 4 hangs under 1
@@ -369,6 +368,17 @@ def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
     def numpy_relaxation(*args, **kwargs):
         raise AssertionError("the numpy relaxation ran")
 
+    # A tie-free SPT whose sweep meets a relaxation tie: failing (0, 1)
+    # seeds 1 from 4 at (hop 2, pert 5) and 2 from 5 at (3, 6), and 1
+    # then relaxes (1, 2) to (3, 6) as well.  Failing (0, 3) is clean.
+    kite = Graph(6, [(0, 1), (1, 2), (0, 4), (4, 1), (0, 3), (3, 5), (5, 2)])
+    kite_w = WeightAssignment(
+        weights=[big + p for p in (1, 1, 2, 3, 4, 1, 1)],
+        shift=16, scheme=RANDOM, seed=0,
+    )
+    kite_tree = build_spt(kite, kite_w, 0)
+    assert kite_tree.parent[2] == 1
+
     monkeypatch.setattr(ce, "weighted_levels", numpy_relaxation)
     engine = get_engine("csr")
     g = cycle_graph(6)
@@ -377,8 +387,44 @@ def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
         engine.shortest_paths(g, w, 0)
     with pytest.raises(TieBreakError, match="equal-weight paths"):
         list(engine.batched_shortest_paths(*pendant_c6(3), [[6, 1], [6, 0]]))
-    with pytest.raises(TieBreakError, match="equal-weight seeds for vertex 4"):
-        list(engine.weighted_failure_sweep(fan, fan_w, fan_tree, [3]))
+    # Sweeps whose tie sits at the first failure, and after a clean one:
+    # the clean rows come first, then the reference's own error.
+    for graph, weights, tree, eids, message in (
+        (fan, fan_w, fan_tree, [3], "equal-weight seeds for vertex 4 "),
+        (fan, fan_w, fan_tree, [1, 3], "equal-weight seeds for vertex 4 "),
+        (kite, kite_w, kite_tree, [4, 0], "equal-weight paths to vertex 2 "),
+    ):
+        blocks = []
+        with pytest.raises(TieBreakError) as raised:
+            blocks.extend(engine.weighted_failure_sweep(graph, weights, tree, eids))
+        assert str(raised.value).startswith(message)
+        assert ReplacementRows.concat(blocks) == ReplacementRows.concat(
+            replacement_failure(PY, graph, weights, tree, eid)
+            for eid in eids[:-1]
+        )
+
+
+def test_sweep_relaxes_a_level_in_pert_order():
+    """Failing (0, 1) seeds 3, 4 and 5 at hop 2 with perts 4, 5 and 3
+    from 2.  A level settles in (pert, vertex) order - the reference
+    heap's pop order - so their candidates reach 6 as 10 (from 5), 10
+    (from 3), 6 (from 4), and the second 10 ties; in vertex order they
+    would arrive as 10, 6, 10 and never tie.  Every engine raises the
+    reference's error."""
+    g = Graph(7, [
+        (0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
+        (3, 6), (4, 6), (5, 6),
+    ])
+    big = 1 << 16
+    w = WeightAssignment(
+        weights=[big + p for p in (1, 1, 1, 2, 1, 3, 4, 2, 6, 1, 7)],
+        shift=16, scheme=RANDOM, seed=0,
+    )
+    tree = build_spt(g, w, 0)
+    assert [tree.parent[v] for v in (3, 4, 5, 6)] == [1, 1, 1, 4]
+    for engine in (PY, CSR, CSREngine()):
+        with pytest.raises(TieBreakError, match="equal-weight paths to vertex 6 "):
+            list(engine.weighted_failure_sweep(g, w, tree, [0]))
 
 
 # ----------------------------------------------------------------------
@@ -608,8 +654,9 @@ def test_batched_banned_source_raises_on_both():
 
 
 def test_sweep_chunking_boundaries_are_invisible():
-    """Force one-edge chunks: results must not change (chunking is an
-    internal batching decision, not part of the contract)."""
+    """Force one-edge chunks on the numpy tier: its rows must equal the
+    fast engine's (chunking is an internal batching decision, not part
+    of the contract; the C tier fills every row in one pass)."""
     import repro.engine.csr_engine as ce
 
     g = gnp_random_graph(50, 0.12, seed=9)
@@ -619,7 +666,7 @@ def test_sweep_chunking_boundaries_are_invisible():
     old = ce._STACK_STREAM
     try:
         ce._STACK_STREAM = 1  # one subtree per chunk
-        tiny = list(CSR.weighted_failure_sweep(g, w, tree))
+        tiny = list(NUMPY_CSR.weighted_failure_sweep(g, w, tree))
     finally:
         ce._STACK_STREAM = old
     assert ReplacementRows.concat(whole) == ReplacementRows.concat(tiny)
