@@ -26,6 +26,16 @@ against the numpy tier (``CSREngine()``), and only with the C kernels:
   over the compact rows; the ratio catches it falling back to a
   stacked ``B * n`` state (699 layers of 700 entries here).
 
+One more runs on perfbench's ``build-lb-gadget`` input, the Theorem 5.1
+gadget (n = 917, m = 1492), where ``auto`` picks the exact scheme
+(``pert(e) = 2**eid``), also only with the C kernels:
+
+* the weighted sweep over every tree edge plus the detour batch over
+  every T0 path, on the C tier against the python engine.  The C
+  kernels take the exact scheme under its path-max order; the ratio
+  catches them handing it back to the big-int reference, which is what
+  the python engine runs.
+
 Outputs are asserted bit-identical between engines first (the
 replacement rows, and every search's escape table), so each timing row
 doubles as a parity certificate.  The acceptance floor is a 2x
@@ -33,7 +43,9 @@ csr-over-python speedup on the combined (sweep + detours) time of the
 full-size instance - the detours dominate it - plus a looser
 per-component sanity floor (the sweep's absolute time is sub-second on
 G(n, p), so its ratio is noise-prone), plus C-over-numpy floors on the
-dense detours and the dense sweep.  The floors and the measured ratios
+dense detours and the dense sweep, plus a C-over-reference floor on the
+exact-scheme gadget, which quick mode keeps too: a reference fallback
+reads about 1x there.  The floors and the measured ratios
 land in ``params["floors"]`` / ``derived["speedups"]``, where
 ``tools/perf_guard.py`` reads them.  Quick mode
 (``REPRO_BENCH_QUICK=1``) shrinks the sparse instance, times the dense
@@ -57,6 +69,7 @@ from repro.engine import ReplacementRows, cbuild, engine_context, get_engine
 from repro.engine.csr_engine import CSREngine
 from repro.graphs import connected_gnp_graph, gnp_random_graph
 from repro.harness import ExperimentRecord, save_record
+from repro.lower_bounds.single_source import build_theorem51
 from repro.spt.replacement import ReplacementEngine
 from repro.spt.spt_tree import build_spt
 from repro.spt.weights import make_weights
@@ -78,8 +91,19 @@ DENSE_FLOOR = 12.0
 #: reads 10-14x.
 DENSE_SWEEP_FLOOR = 5.0
 
-#: Quick-mode sanity floor for every ratio: the small instance only
-#: proves csr is not pathologically slower, not the real margins.
+#: C-over-reference floor on the exact-scheme gadget's sweep plus
+#: detour batch (full-size run): about half the 7.9-8.6x it measured
+#: when the C kernels took the exact scheme (51-56 against 404-462 ms),
+#: and far above the ~1x of a fall back to the reference.
+EXACT_FLOOR = 4.0
+
+#: Quick-mode floor of the same ratio.  The gadget keeps its full size
+#: in quick mode, one run per engine, so this floor still fails a
+#: silent fall back to the reference.
+EXACT_QUICK_FLOOR = 2.0
+
+#: Quick-mode sanity floor for every other ratio: the small instance
+#: only proves csr is not pathologically slower, not the real margins.
 _QUICK_SANITY = 1.0
 
 #: Detour sample cap: enough sources to dominate dispatch overhead
@@ -134,6 +158,42 @@ def _dense(seed: int, quick: bool):
         "dense detours": (len(paths), detours),
         "dense sweep": (len(rows.repl_eids), sweep),
     }
+
+
+def _exact(quick: bool):
+    """The weighted sweep plus the detour batch on the exact-scheme
+    gadget, C tier against the python engine: ``(graph, batches,
+    timings)``.  The rows and the escape tables must agree."""
+    lb = build_theorem51(917, 0.2, d=12, k=4, x_size=12)
+    graph, source = lb.graph, lb.source
+    weights = make_weights(graph)
+    assert weights.scheme == "exact"
+    tree = build_spt(graph, weights, source)
+    paths = [tree.path_vertices(v) for v in tree.preorder if v != source]
+
+    def run(engine):
+        rows = ReplacementRows.concat(
+            engine.weighted_failure_sweep(graph, weights, tree)
+        )
+        return rows, [
+            found.escapes
+            for found in engine.batched_shortest_paths(graph, weights, paths)
+        ]
+
+    timings, outputs = {}, {}
+    rounds = 1 if quick else 3
+    for name in ("csr", "python"):
+        engine = get_engine(name)
+        best = None
+        for _ in range(rounds):
+            gc.collect()
+            t0 = time.perf_counter()
+            outputs[name] = run(engine)
+            elapsed = time.perf_counter() - t0
+            best = elapsed if best is None else min(best, elapsed)
+        timings[name] = best
+    assert outputs["csr"] == outputs["python"]
+    return graph, len(tree.tree_edges()) + len(paths), timings
 
 
 def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed):
@@ -194,15 +254,17 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
             timings[name]["detours"] = time.perf_counter() - t0
     assert digests["python"] == digests["csr"]
 
-    dense = None
+    dense = exact = None
     if cbuild.kernel_library() is not None:
         dense = _dense(bench_seed, quick_mode)
+        exact = _exact(quick_mode)
 
     if quick_mode:
         floors = dict.fromkeys(
             ("combined", "sweep", "detours", "dense_detours", "dense_sweep"),
             _QUICK_SANITY,
         )
+        floors["exact"] = EXACT_QUICK_FLOOR
     else:
         floors = {
             "combined": SPEEDUP_FLOOR,
@@ -210,6 +272,7 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
             "detours": COMPONENT_FLOOR,
             "dense_detours": DENSE_FLOOR,
             "dense_sweep": DENSE_SWEEP_FLOOR,
+            "exact": EXACT_FLOOR,
         }
 
     record = ExperimentRecord(
@@ -267,6 +330,19 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
             speedups[component.replace(" ", "_")] = round(
                 dense_t["numpy"] / max(dense_t["csr"], 1e-9), 3
             )
+    if exact is not None:
+        exact_graph, batches, exact_t = exact
+        for name in ("csr", "python"):
+            record.add_row(
+                "exact sweep + detours", name,
+                get_engine(name).replacement_backend,
+                exact_graph.num_vertices, exact_graph.num_edges, batches,
+                round(exact_t[name], 4),
+                round(exact_t["python"] / max(exact_t[name], 1e-9), 2),
+            )
+        speedups["exact"] = round(
+            exact_t["python"] / max(exact_t["csr"], 1e-9), 3
+        )
     record.derived["speedups"] = speedups
     record.note(
         "sweep = the ReplacementEngine constructor via weighted_failure_sweep; "
@@ -283,11 +359,20 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
         "over the numpy tier (CSREngine()); run only with the C kernels"
     )
     record.note(
+        "exact sweep + detours = weighted_failure_sweep over every tree "
+        "edge plus batched_shortest_paths over every T0 path of the "
+        "Theorem 5.1 gadget (perfbench's build-lb-gadget input, exact "
+        f"scheme), {'one run' if quick_mode else 'best of 3'} per engine; "
+        "speedup is over the python engine (the big-int reference); run "
+        "only with the C kernels"
+    )
+    record.note(
         f"acceptance floors (full-size instance, >= 50k edges, random "
         f"scheme): {SPEEDUP_FLOOR}x combined, {COMPONENT_FLOOR}x per "
         f"component, {DENSE_FLOOR}x C over numpy on the dense detours, "
-        f"{DENSE_SWEEP_FLOOR}x on the dense sweep; "
-        f"quick mode: {_QUICK_SANITY}x sanity floors"
+        f"{DENSE_SWEEP_FLOOR}x on the dense sweep, {EXACT_FLOOR}x C over "
+        f"the reference on the exact gadget; quick mode: {_QUICK_SANITY}x "
+        f"sanity floors, {EXACT_QUICK_FLOOR}x on the exact gadget"
     )
     print()
     print(record.render())

@@ -85,21 +85,15 @@ class PairRecord:
 
 
 class PairSet:
-    """An indexed collection of pair records.
+    """The pair records of a Pcons run, in pair-id order.
 
-    Provides the groupings the construction phases keep asking for:
-    by terminal vertex, by failing edge, and by pair id.
+    :meth:`get` looks a record up by its ``(v, eid)`` key, through a map
+    it builds on its first call.
     """
 
     def __init__(self, pairs: Sequence[PairRecord]) -> None:
         self.pairs: List[PairRecord] = list(pairs)
-        self.by_vertex: Dict[Vertex, List[PairRecord]] = {}
-        self.by_edge: Dict[EdgeId, List[PairRecord]] = {}
-        self.by_key: Dict[Tuple[Vertex, EdgeId], PairRecord] = {}
-        for rec in self.pairs:
-            self.by_vertex.setdefault(rec.v, []).append(rec)
-            self.by_edge.setdefault(rec.eid, []).append(rec)
-            self.by_key[rec.key()] = rec
+        self._by_key: Optional[Dict[Tuple[Vertex, EdgeId], PairRecord]] = None
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -109,7 +103,10 @@ class PairSet:
 
     def get(self, v: Vertex, eid: EdgeId) -> Optional[PairRecord]:
         """Look up the record for ``<v, e>`` (``None`` if absent)."""
-        return self.by_key.get((v, eid))
+        by_key = self._by_key
+        if by_key is None:
+            by_key = self._by_key = {rec.key(): rec for rec in self.pairs}
+        return by_key.get((v, eid))
 
     def uncovered(self) -> List[PairRecord]:
         """All uncovered pairs (the paper's ``UP``)."""

@@ -7,11 +7,14 @@ replacement path ``P_{v,e} in SP(s, v, G \\ {e})``:
    (formally: ``dist(s, v, G'(v) \\ {e}) = dist(s, v, G \\ {e})`` with
    ``G'(v) = (G \\ E(v, G)) + E(v, T0)``), the pair is covered and the
    last edge is that tree edge.  Implementation note: the test reduces
-   to checking whether some tree edge ``(w, v) != e`` is *tight*, i.e.
-   ``dist(s, w, G\\e) + W(w, v) == dist(s, v, G\\e)`` - shortest-path
-   prefixes cannot pass through ``v``, and uniqueness of ``W``-shortest
-   paths means at most one tree edge can be tight.  A brute force
-   checks the equivalence:
+   to checking whether some tree edge ``(w, v) != e`` is *hop-tight*,
+   i.e. ``hops(s, w, G\\e) + 1 == hops(s, v, G\\e)``, and the last
+   edge is the hop-tight one of least ``dist(s, w, G\\e) + W(w, v)``.
+   ``v`` and its tree neighbours - its parent unless ``v`` is ``e``'s
+   child, and its children - all lie in ``e``'s failed subtree, so the
+   test reads ``e``'s replacement row alone: its hop plane for every
+   pair, its perturbation plane only when two neighbours tie the
+   smallest hop.  A brute force checks the equivalence:
    ``tests/test_pcons.py::TestCoveredPairs::test_covered_definition_via_bruteforce``.
 2. *Uncovered pairs.*  Otherwise ``P_{v,e}`` must be *new-ending*; per the
    paper it is chosen with its (unique, Claim 4.4) divergence point as
@@ -154,23 +157,32 @@ def _run_once(
     engine = ReplacementEngine(tree)
     stats = PconsStats()
     w_arr = weights.weights
+    shift = weights.shift
+    tin, depth = tree.tin, tree.depth
+    parent, parent_eid, children = tree.parent, tree.parent_eid, tree.children
 
     records: List[PairRecord] = []
     # Vertices needing a detour Dijkstra, with their pending uncovered pairs.
     pending_by_vertex: Dict[Vertex, List[PairRecord]] = {}
 
+    # pi(s, v)'s edges, root side first, as (child, eid, e's row base):
+    # an ancestor stack, whose first depth[v] - 1 entries are the edges
+    # above v's parent edge when the preorder reaches v.
+    path_edges: List[Tuple[Vertex, EdgeId, int]] = []
     for v in tree.preorder:
         if v == source:
             continue
-        path_vertices = tree.path_vertices(v)  # [s=u_0, ..., u_k=v]
-        depth_v = tree.depth[v]
-        # Tree edges incident to v (used by the covered test): parent + children.
-        tree_nbrs: List[Tuple[Vertex, EdgeId]] = [(tree.parent[v], tree.parent_eid[v])]
-        tree_nbrs.extend((c, tree.parent_eid[c]) for c in tree.children[v])
+        depth_v = depth[v]
+        row_v, hops, perts = engine._row(parent_eid[v])
+        del path_edges[depth_v - 1:]
+        path_edges.append((v, parent_eid[v], row_v))
+        tin_v = tin[v]
+        # Tree edges incident to v (used by the covered test): parent +
+        # children, each as (tin of its other end, edge id).
+        tree_nbrs: List[Tuple[int, EdgeId]] = [(tin[parent[v]], parent_eid[v])]
+        tree_nbrs.extend((tin[c], parent_eid[c]) for c in children[v])
 
-        for idx in range(1, len(path_vertices)):
-            child = path_vertices[idx]
-            eid = tree.parent_eid[child]
+        for idx, (child, eid, base) in enumerate(path_edges, 1):
             rec = PairRecord(
                 pair_id=len(records),
                 v=v,
@@ -182,34 +194,42 @@ def _run_once(
             records.append(rec)
             stats.num_pairs += 1
 
-            new_dist = engine.dist_after_failure(eid, v)
-            if new_dist is None:
+            # e's row holds v and every tree neighbour the covered test
+            # reads (module doc), at base + tin.
+            hop_v = hops[base + tin_v]
+            if hop_v < 0:
                 rec.disconnected = True
                 stats.num_disconnected += 1
                 continue
-            rec.new_dist = new_dist
+            rec.new_dist = (hop_v << shift) + perts[base + tin_v]
 
             # Covered test (paper: hop distances): some replacement path
             # ending with a tree edge (w, v) != e attains the hop-optimal
             # replacement distance.  Candidate weight d_w + W(w, v) is a
-            # valid walk avoiding e, so it is >= new_dist; hop equality is
-            # exactly the paper's dist(s,v,G'(v)\e) == dist(s,v,G\e) test.
-            # Among hop-tight candidates, the W-minimum reproduces
-            # SP(s, v, G'(v)\e, W)'s last edge.
-            best_cand: Optional[int] = None
-            best_eid: Optional[EdgeId] = None
-            for w, weid in tree_nbrs:
+            # valid walk avoiding e whose hop part is hop(w) + 1, so hop
+            # equality is exactly the paper's dist(s,v,G'(v)\e) ==
+            # dist(s,v,G\e) test.  Among hop-tight candidates the
+            # W-minimum, first among equals, reproduces
+            # SP(s, v, G'(v)\e, W)'s last edge; W is summed only when
+            # a second candidate ties the smallest hop.
+            best_hop = -1
+            best_pos = best_eid = best_w = None
+            for tin_w, weid in tree_nbrs:
                 if weid == eid:
                     continue
-                dw = engine.dist_after_failure(eid, w)
-                if dw is None:
+                pos = base + tin_w
+                hw = hops[pos]
+                if hw < 0 or (best_eid is not None and hw > best_hop):
                     continue
-                cand = dw + w_arr[weid]
-                if best_cand is None or cand < best_cand:
-                    best_cand = cand
-                    best_eid = weid
-            shift = weights.shift
-            if best_cand is not None and (best_cand >> shift) == (new_dist >> shift):
+                if best_eid is None or hw < best_hop:
+                    best_hop, best_pos, best_eid, best_w = hw, pos, weid, None
+                    continue
+                if best_w is None:
+                    best_w = perts[best_pos] + w_arr[best_eid]
+                cand = perts[pos] + w_arr[weid]
+                if cand < best_w:
+                    best_pos, best_eid, best_w = pos, weid, cand
+            if best_eid is not None and best_hop + 1 == hop_v:
                 rec.covered = True
                 rec.last_eid = best_eid
                 stats.num_covered += 1
@@ -272,7 +292,7 @@ def _fill_detours(
     # no edge, so the composite sum dist_W(s, u_j) + delta(j) carries
     # nothing into the hop bits and its hop part is exactly this.
     best_hops: Optional[int] = None
-    best_j = -1
+    best_j = last_j = -1
     for i in range(k):
         entry = table[i]
         if entry is not None and (best_hops is None or i + entry[0] < best_hops):
@@ -299,23 +319,25 @@ def _fill_detours(
                 "internal inconsistency: divergence index without a detour "
                 f"entry (v={v}, eid={rec.eid}, j_star={j_star})"
             )
+        if j_star != last_j:  # pairs of one j* share its detour
+            last_j = j_star
+            detour = _extract_detour(escapes, path_vertices[j_star], entry, v)
+            # Last edge of P_{v,e} = the detour edge entering v.
+            if len(detour) == 2:
+                last_eid = entry[2]  # direct edge (u_j, v)
+            else:
+                last_eid = int(escapes.parent_eid[detour[-2]])
+                if last_eid < 0:
+                    raise ReproError(
+                        "internal inconsistency: detour tail has no parent "
+                        f"edge (v={v}, eid={rec.eid}, j_star={j_star}, "
+                        f"tail={detour[-2]})"
+                    )
         rec.div_index = j_star
         rec.divergence = path_vertices[j_star]
-        detour = _extract_detour(escapes, path_vertices[j_star], entry, v)
         rec.detour = detour
         stats.total_detour_length += len(detour) - 1
-        # Last edge of P_{v,e} = the detour edge entering v.
-        if len(detour) == 2:
-            rec.last_eid = entry[2]  # direct edge (u_j, v)
-        else:
-            last_eid = int(escapes.parent_eid[detour[-2]])
-            if last_eid < 0:
-                raise ReproError(
-                    "internal inconsistency: detour tail has no parent edge "
-                    f"(v={v}, eid={rec.eid}, j_star={j_star}, "
-                    f"tail={detour[-2]})"
-                )
-            rec.last_eid = last_eid
+        rec.last_eid = last_eid
 
 
 def _extract_detour(

@@ -21,13 +21,14 @@ Engine contract (details in :mod:`repro.engine.base`)
   tie-broken Dijkstra.  The csr engine runs the random weight scheme's
   single-source calls on the array kernels of
   :mod:`repro.engine.weighted_kernels` (the composite weight splits
-  into an ``int64`` ``(hops, pert_sum)`` pair); the exact scheme's
-  big-int perturbations, and any call whose kernel meets a possible tie
-  or an invalid seed, transparently fall back to the shared reference
-  implementation.  Seeded calls are the reference's on every engine.
-  Given ``targets``, an unseeded run stops at their hop radius.  Each
-  engine reports its weighted capability via ``weighted_backend``
-  (shown by ``repro engines``).
+  into an ``int64`` ``(hops, pert_sum)`` pair), and the exact scheme's
+  on its C kernels, which compare ``2**eid`` sums by their largest
+  edge id; the exact scheme without the C kernels, and any call whose
+  kernel meets a possible tie or an invalid seed, transparently fall
+  back to the shared reference implementation.  Seeded calls are the
+  reference's on every engine.  Given ``targets``, an unseeded run
+  stops at their hop radius.  Each engine reports its weighted
+  capability via ``weighted_backend`` (shown by ``repro engines``).
 * ``weighted_failure_sweep``: the batched replacement sweep -
   replacement rows for *all* tree-edge failures (``ReplacementRows``,
   the oracle snapshot's layout) in one amortized pass.  The reference

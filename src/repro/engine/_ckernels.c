@@ -73,6 +73,22 @@
  *   candidates in the same adjacency order under the same strict
  *   comparison, on the (hops, pert) pair instead of the big-int
  *   composite.
+ *
+ * Bit-identity under the exact scheme (pert(e) = 2**e), which no int64
+ * holds: the three weighted kernels take a NULL pert_edge and compare
+ * same-hop candidates by the path-max order instead (path_lighter).  A
+ * perturbation sum is then the set of its path's edge ids, and of two
+ * sums the larger holds the largest id of their symmetric difference.
+ * Two candidates P(u1) + e1 and P(u2) + e2 for one vertex differ only
+ * below a = LCA(u1, u2) in the traversal's own tree: neither e1 nor e2
+ * lies on a tree path, since they lead to a vertex nothing has settled.
+ * So the lighter one is the side whose largest edge id below a (entry
+ * edge included) is smaller, and the two are never equal.  The climb
+ * decides every comparison the reference's big-int heap makes, with no
+ * perturbation sums; no two candidates tie, so every label is the
+ * unique minimum whatever order the candidates arrive in, and the
+ * levels need no (pert, id) settle sort.  The caller rebuilds the
+ * big-int sums where a result needs them, from the parents.
  */
 
 #include <stdint.h>
@@ -407,7 +423,56 @@ static void sort_keyed(void *base, int64_t n, size_t size)
  * constant). */
 #define BU_COST 1
 
-/* What one relaxation reads and writes. */
+/* The tree the exact scheme's comparisons climb: parents par/peid,
+ * except at the vertices whose tin lies in [lo, lo + size) - a failed
+ * subtree's row, size 0 for none - which read rpar/rpeid at tin - lo.
+ * Roots have parent -1. */
+typedef struct {
+    const int64_t *par;
+    const int64_t *peid;
+    const int64_t *tin;
+    int64_t lo;
+    int64_t size;
+    const int64_t *rpar;
+    const int64_t *rpeid;
+} path_tree;
+
+/* One step of a climb: *u moves to its parent and *m takes the edge
+ * between them when it is larger.  Returns 0, moving nothing, at a
+ * root. */
+static int climb(const path_tree *t, int64_t *u, int64_t *m)
+{
+    int64_t x = *u, i = t->size ? t->tin[x] - t->lo : -1, p, e;
+    if (0 <= i && i < t->size) {
+        p = t->rpar[i];
+        e = t->rpeid[i];
+    } else {
+        p = t->par[x];
+        e = t->peid[x];
+    }
+    if (p < 0)
+        return 0;
+    if (e > *m)
+        *m = e;
+    *u = p;
+    return 1;
+}
+
+/* The exact scheme's order (see the header): whether P(u1) + e1 is
+ * lighter than P(u2) + e2, for u1 and u2 at one hop of the tree t.  The
+ * two climb in lockstep to their common ancestor, each side keeping its
+ * largest edge id, entry edge included; the side with the smaller one
+ * is lighter.  Each comparison costs the distance to the ancestor. */
+static int path_lighter(const path_tree *t, int64_t u1, int64_t e1,
+                        int64_t u2, int64_t e2)
+{
+    while (u1 != u2 && climb(t, &u1, &e1) && climb(t, &u2, &e2))
+        ;
+    return e1 < e2;
+}
+
+/* What one relaxation reads and writes.  pert_edge NULL selects the
+ * exact scheme's order, over tree = the relaxation's own parents. */
 typedef struct {
     int64_t n_base;
     const int64_t *indptr;
@@ -421,6 +486,7 @@ typedef struct {
     int64_t *pert_t;
     int64_t *parent;
     int64_t *parent_eid;
+    path_tree tree;
 } wl_graph;
 
 /* Per-layer scratch, n_base entries each: a level's entries, the
@@ -442,14 +508,16 @@ typedef struct {
  * different edge is the reference's tie event.  Any other unsettled
  * target is unlabeled - a label is first set one level past its
  * parent's and settles at its own level - so it takes the candidate,
- * joins nx[*nlen ..) and leaves *udeg.  Returns 1 on the tie event,
- * else 0. */
+ * joins nx[*nlen ..) and leaves *udeg.  Under the exact order the
+ * running minimum is path_lighter's and no pert is kept.  Returns 1 on
+ * the tie event, else 0. */
 static int64_t top_down_step(
     const wl_graph *g, int64_t off, int64_t lvl,
     const wl_entry *act, int64_t alen, int64_t *nx, int64_t *nlen,
     int64_t *udeg)
 {
     const int64_t *indptr = g->indptr;
+    const int exact = g->pert_edge == NULL;
     for (int64_t j = 0; j < alen; j++) {
         int64_t v = act[j].id;
         int64_t local = v - off;
@@ -461,8 +529,16 @@ static int64_t top_down_step(
             int64_t w = x + off;
             if (g->settled[w]) continue;
             if (g->vertex_ok && !g->vertex_ok[w]) continue;
-            int64_t c = pv + g->pert_edge[e];
             if (g->hop_t[w] == lvl + 1) {
+                if (exact) {
+                    if (path_lighter(&g->tree, v, e, g->parent[w],
+                                     g->parent_eid[w])) {
+                        g->parent[w] = v;
+                        g->parent_eid[w] = e;
+                    }
+                    continue;
+                }
+                int64_t c = pv + g->pert_edge[e];
                 if (c < g->pert_t[w]) {
                     g->pert_t[w] = c;
                     g->parent[w] = v;
@@ -473,7 +549,7 @@ static int64_t top_down_step(
             } else {
                 *udeg -= indptr[x + 1] - indptr[x];
                 g->hop_t[w] = lvl + 1;
-                g->pert_t[w] = c;
+                g->pert_t[w] = exact ? 0 : pv + g->pert_edge[e];
                 g->parent[w] = v;
                 g->parent_eid[w] = e;
                 nx[(*nlen)++] = w;
@@ -486,9 +562,10 @@ static int64_t top_down_step(
 /* The bottom-up step of one layer: each vertex of the unvisited list
  * that is still unlabeled gathers, through the top-down filters, its
  * neighbours settled at this level, sorts them into settle order and
- * replays them through the same running minimum and tie rule.  Labeled
- * vertices join nx[*nlen ..), leave *udeg and drop off the list.
- * Returns 1 on the tie event, else 0. */
+ * replays them through the same running minimum and tie rule; under the
+ * exact order it keeps path_lighter's minimum, which needs no order.
+ * Labeled vertices join nx[*nlen ..), leave *udeg and drop off the
+ * list.  Returns 1 on the tie event, else 0. */
 static int64_t bottom_up_step(
     const wl_graph *g, int64_t off, int64_t lvl,
     int64_t *unv, int64_t *ucnt, bu_cand *cand, int64_t *nx,
@@ -516,17 +593,29 @@ static int64_t bottom_up_step(
             unv[keep++] = w;
             continue;
         }
-        sort_keyed(cand, nc, sizeof(bu_cand));
-        int64_t best = cand[0].key.pert + g->pert_edge[cand[0].eid];
-        int64_t par = cand[0].key.id, pe = cand[0].eid;
-        for (int64_t c = 1; c < nc; c++) {
-            int64_t val = cand[c].key.pert + g->pert_edge[cand[c].eid];
-            if (val < best) {
-                best = val;
-                par = cand[c].key.id;
-                pe = cand[c].eid;
-            } else if (val == best && cand[c].eid != pe) {
-                return 1;
+        int64_t best = 0, par = cand[0].key.id, pe = cand[0].eid;
+        if (g->pert_edge == NULL) {
+            for (int64_t c = 1; c < nc; c++) {
+                if (path_lighter(&g->tree, cand[c].key.id, cand[c].eid,
+                                 par, pe)) {
+                    par = cand[c].key.id;
+                    pe = cand[c].eid;
+                }
+            }
+        } else {
+            sort_keyed(cand, nc, sizeof(bu_cand));
+            best = cand[0].key.pert + g->pert_edge[cand[0].eid];
+            par = cand[0].key.id;
+            pe = cand[0].eid;
+            for (int64_t c = 1; c < nc; c++) {
+                int64_t val = cand[c].key.pert + g->pert_edge[cand[c].eid];
+                if (val < best) {
+                    best = val;
+                    par = cand[c].key.id;
+                    pe = cand[c].eid;
+                } else if (val == best && cand[c].eid != pe) {
+                    return 1;
+                }
             }
         }
         g->hop_t[w] = lvl + 1;
@@ -592,7 +681,8 @@ static int64_t run_layer(
             rc = bottom_up_step(g, off, lvl, s->unv, &ucnt, s->cand, nx,
                                 &nlen, &udeg);
         } else {
-            sort_keyed(s->act, alen, sizeof(wl_entry));
+            if (g->pert_edge)  /* the exact order needs no settle order */
+                sort_keyed(s->act, alen, sizeof(wl_entry));
             rc = top_down_step(g, off, lvl, s->act, alen, nx, &nlen, &udeg);
         }
         if (rc != 0)
@@ -665,6 +755,11 @@ static int64_t run_layer(
  * hop R, and it expands exactly the vertices the reference expands
  * before that pop, so both meet the same ties.  A layer with an
  * unreachable target runs to completion.
+ *
+ * A NULL pert_edge selects the exact scheme's order: every comparison
+ * is path_lighter's climb over the relaxation's own parents, pert_t
+ * stays 0 past the intake, and the levels take no settle sort (see the
+ * header).  No relaxation tie exists under it.
  *
  * Returns 0 on completion; on any bail-out the caller hands the call
  * back to the reference Dijkstra, which decides the outcome: 1 =
@@ -739,6 +834,7 @@ int64_t repro_weighted_levels(
         const wl_graph g = {
             n_base, indptr, indices, edge_ids, pert_edge, edge_ok,
             vertex_ok, settled, hop_t, pert_t, parent, parent_eid,
+            {parent, parent_eid, NULL, 0, 0, NULL, NULL},
         };
         for (int64_t lo = 0, hi; lo < nsrc && rc == 0; lo = hi) {
             int64_t b = src[lo] / n_base;
@@ -765,17 +861,24 @@ typedef struct {
 
 /* One failed tree edge f of the weighted sweep, whose deeper endpoint's
  * Euler interval is [lo, hi): its row (hop, pert, par, peid: entry i
- * is the vertex at preorder position lo + i).  Returns 1 on a seed tie
- * or a relaxation tie, else 0 (see repro_weighted_sweep). */
+ * is the vertex at preorder position lo + i).  Under the exact order
+ * (pert_edge NULL) comparisons climb t0: T0 outside the interval, the
+ * row inside it, and pert stays 0.  Returns 1 on a seed tie or a
+ * relaxation tie, else 0 (see repro_weighted_sweep). */
 static int64_t sweep_one(
     const int64_t *indptr, const int64_t *indices, const int64_t *edge_ids,
     const int64_t *pert_edge, const int64_t *hop0, const int64_t *pert0,
     const int64_t *tin, const int64_t *preorder, int64_t f, int64_t lo,
-    int64_t hi, const ws_scratch *s, int64_t *hop, int64_t *pert,
-    int64_t *par, int64_t *peid)
+    int64_t hi, const ws_scratch *s, path_tree t0, int64_t *hop,
+    int64_t *pert, int64_t *par, int64_t *peid)
 {
     const int64_t size = hi - lo;
     const int64_t *sub = preorder + lo;
+    const int exact = pert_edge == NULL;
+    t0.lo = lo;
+    t0.size = size;
+    t0.rpar = par;
+    t0.rpeid = peid;
     for (int64_t i = 0; i < size; i++) {
         hop[i] = par[i] = peid[i] = -1;
         pert[i] = 0;
@@ -795,7 +898,18 @@ static int64_t sweep_one(
             int64_t a = indices[k];
             if (tin[a] >= lo && tin[a] < hi) continue;  /* internal edge */
             if (hop0[a] < 0) continue;                  /* dead outer end */
-            int64_t h = hop0[a] + 1, p = pert0[a] + pert_edge[e];
+            int64_t h = hop0[a] + 1;
+            if (exact) {
+                if (hop[i] == -1 || h < hop[i]
+                    || (h == hop[i]
+                        && path_lighter(&t0, a, e, par[i], peid[i]))) {
+                    hop[i] = h;
+                    par[i] = a;
+                    peid[i] = e;
+                }
+                continue;
+            }
+            int64_t p = pert0[a] + pert_edge[e];
             if (hop[i] == -1 || h < hop[i] || (h == hop[i] && p < pert[i])) {
                 hop[i] = h;
                 pert[i] = p;
@@ -839,7 +953,8 @@ static int64_t sweep_one(
             s->act[alen].pert = pert[i];
             s->act[alen++].id = fr[j];
         }
-        sort_keyed(s->act, alen, sizeof(wl_entry));
+        if (!exact)  /* the exact order needs no settle order */
+            sort_keyed(s->act, alen, sizeof(wl_entry));
         int64_t nlen = 0;
         for (int64_t j = 0; j < alen; j++) {
             int64_t v = s->act[j].id, pv = s->act[j].pert;
@@ -849,6 +964,17 @@ static int64_t sweep_one(
                 if (i < 0 || i >= size) continue;  /* outside, f included */
                 if (s->settled[i]) continue;
                 int64_t e = edge_ids[k];
+                if (exact) {
+                    if (hop[i] != lvl + 1) {
+                        hop[i] = lvl + 1;
+                        nx[nlen++] = w;
+                    } else if (!path_lighter(&t0, v, e, par[i], peid[i])) {
+                        continue;
+                    }
+                    par[i] = v;
+                    peid[i] = e;
+                    continue;
+                }
                 int64_t c = pv + pert_edge[e];
                 if (hop[i] == lvl + 1) {
                     if (c < pert[i]) {
@@ -879,7 +1005,8 @@ static int64_t sweep_one(
  * interval [tin[c], tout[c]), the subtree's replacement row
  * (engine/base.py::replacement_failure is the spec), written straight
  * into the repl_* planes at row_off[j] .. row_off[j + 1] in preorder.
- * hop0/pert0 are the tree's labels (hop0 -1 where unreachable).
+ * hop0/pert0 are the tree's labels (hop0 -1 where unreachable) and
+ * par0/peid0 its parents (-1 at the root).
  *
  * Per failure, the seeded (hop, pert) relaxation of the reference's
  * restricted Dijkstra: the intake takes the crossing-edge seeds in the
@@ -893,6 +1020,12 @@ static int64_t sweep_one(
  * tin[c], so a failure touches its own row and an O(subtree) scratch,
  * never an n-wide layer.
  *
+ * A NULL pert_edge selects the exact scheme's order (see the header;
+ * pert0 may be NULL then): the intake's comparisons climb T0 from the
+ * seeds' outer ends, the relaxation's climb the row's parents inside
+ * the interval and T0's outside it, every pert entry reads 0 and no
+ * tie exists.
+ *
  * Unreached entries read hop -1, pert 0, parents -1.  Returns the
  * number of complete rows: nfail, or the index of the first failure
  * whose intake or relaxation met a tie (its row is partial), or 0 on
@@ -905,6 +1038,8 @@ int64_t repro_weighted_sweep(
     const int64_t *pert_edge,
     const int64_t *hop0,
     const int64_t *pert0,
+    const int64_t *par0,
+    const int64_t *peid0,
     const int64_t *tin,
     const int64_t *tout,
     const int64_t *preorder,
@@ -931,14 +1066,15 @@ int64_t repro_weighted_sweep(
         malloc(w * sizeof(int64_t)),
         malloc(w),
     };
+    const path_tree t0 = {par0, peid0, tin, 0, 0, NULL, NULL};
     int64_t done = 0;
     if (s.sched && s.act && s.fr && s.nx && s.settled) {
         for (; done < nfail; done++) {
             int64_t c = fail_child[done], off = row_off[done];
             if (sweep_one(indptr, indices, edge_ids, pert_edge, hop0, pert0,
                           tin, preorder, fail_eid[done], tin[c], tout[c], &s,
-                          repl_hop + off, repl_pert + off, repl_parent + off,
-                          repl_parent_eid + off))
+                          t0, repl_hop + off, repl_pert + off,
+                          repl_parent + off, repl_parent_eid + off))
                 break;
         }
     }
@@ -948,7 +1084,9 @@ int64_t repro_weighted_sweep(
 
 /* The Pcons detour batch's escape tables, read off the stacked state
  * repro_weighted_levels left behind (engine/base.py: escape_table is
- * the spec).  Path b occupies path[path_ptr[b] .. path_ptr[b+1]) as
+ * the spec) - parent and parent_eid included, which the exact order's
+ * comparisons climb when pert_edge is NULL (pert is not read then; see
+ * the header).  Path b occupies path[path_ptr[b] .. path_ptr[b+1]) as
  * [u_0, ..., u_k = v] and was searched in layer b (global ids
  * b * n_base + x) from v with u_0 .. u_{k-1} banned.  For each j < k,
  * u_j's edges (u_j, w, e) are scanned in CSR order - the adjacency
@@ -972,10 +1110,13 @@ int64_t repro_detour_escapes(
     const uint8_t *settled,
     const int64_t *hop,
     const int64_t *pert,
+    const int64_t *parent,
+    const int64_t *parent_eid,
     int64_t *esc_hop,
     int64_t *esc_w,
     int64_t *esc_eid)
 {
+    const path_tree t = {parent, parent_eid, NULL, 0, 0, NULL, NULL};
     for (int64_t b = 0; b < n_paths; b++) {
         int64_t first = path_ptr[b], last = path_ptr[b + 1] - 1;
         int64_t off = b * n_base;
@@ -991,13 +1132,15 @@ int64_t repro_detour_escapes(
                 int64_t gw = off + w;
                 if (!settled[gw])
                     continue;
-                int64_t h = hop[gw] + 1;
-                int64_t p = pert[gw] + pert_edge[edge_ids[k]];
-                if (bh < 0 || h < bh || (h == bh && p < bp)) {
+                int64_t h = hop[gw] + 1, e = edge_ids[k];
+                int64_t p = pert_edge ? pert[gw] + pert_edge[e] : 0;
+                if (bh < 0 || h < bh
+                    || (h == bh && (pert_edge ? p < bp
+                                    : path_lighter(&t, gw, e, off + bw, be)))) {
                     bh = h;
                     bp = p;
                     bw = w;
-                    be = edge_ids[k];
+                    be = e;
                 }
             }
             esc_hop[i] = bh;

@@ -42,15 +42,18 @@ Contract
   full composite ``hops << shift`` overflows ``int64``, but the two
   components fit fixed width *separately* for the random scheme, which
   is how the csr engine's array kernels
-  (:mod:`repro.engine.weighted_kernels`) implement the contract.
-  Backends advertise how they run weighted traversals via
-  :attr:`TraversalEngine.weighted_backend`.  Any weighted call may be
-  handed back to the reference: assignments a backend cannot represent
-  (the exact scheme's ``2**eid`` perturbations), and calls whose
-  kernel meets a possible tie or an invalid seed, transparently rerun
-  on it, which is the only implementation of tie and seed-error
-  semantics.  No backend overrides ``seeded_shortest_paths``: seeded
-  runs reach array kernels only inside ``weighted_failure_sweep``.
+  (:mod:`repro.engine.weighted_kernels`) implement the contract.  The
+  exact scheme's ``2**eid`` sums fit no fixed width; the csr engine's C
+  kernels compare them by the largest edge id below two paths' common
+  ancestor instead (``_ckernels.c``).  Backends advertise how they run
+  weighted traversals via :attr:`TraversalEngine.weighted_backend`.
+  Any weighted call may be handed back to the reference: assignments a
+  backend cannot represent (the exact scheme, on csr's numpy tier), and
+  calls whose kernel meets a possible tie or an invalid seed,
+  transparently rerun on it, which is the only implementation of tie
+  and seed-error semantics.  No backend overrides
+  ``seeded_shortest_paths``: seeded runs reach array kernels only
+  inside ``weighted_failure_sweep``.
 * **Target radius.**  ``shortest_paths(..., targets=T)`` may stop
   early: with ``R`` the largest hop count among ``T``, every vertex
   within ``R`` hops reads exactly what the full run reads, and every
@@ -64,7 +67,10 @@ Contract
 * **Results.**  Array backends hand back
   :meth:`~repro.spt.result.ShortestPathResult.from_levels` results,
   whose big-int ``dist`` list is built on first read;
-  ``dist_at(v)`` reads one distance without building it.
+  ``dist_at(v)`` reads one distance without building it.  Under the
+  exact scheme the perturbation sums are rebuilt from the parents before
+  the result is handed back, in hop order
+  (:func:`~repro.engine.weighted_kernels.exact_pert_sums`).
 * **The batched replacement sweep** (PR 4).  ``weighted_failure_sweep``
   yields, for the failed tree edges of a
   :class:`~repro.spt.spt_tree.ShortestPathTree`, the replacement rows

@@ -221,13 +221,14 @@ class KernelLib:
         self.weighted_sweep = dll.repro_weighted_sweep
         self.weighted_sweep.restype = i64
         self.weighted_sweep.argtypes = [
-            ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
             i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
         self.detour_escapes = dll.repro_detour_escapes
         self.detour_escapes.restype = i64
         self.detour_escapes.argtypes = [
-            i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            ptr, ptr, ptr,
         ]
         self.exists_live_partner = dll.repro_exists_live_partner
         self.exists_live_partner.restype = i64

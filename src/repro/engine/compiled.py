@@ -23,14 +23,21 @@ enumerates each subtree's crossing-edge seeds, relaxes the subtree top
 down and writes its row straight into the ``repl_*`` planes, indexed
 by preorder position, so no failure gets an ``n``-wide layer of state;
 the numpy tier's stacked, chunked sweep runs only without the kernels.
-The Python-side gating is unchanged: the
-exact scheme's ``2**eid`` perturbations are not int64-representable, so
-:func:`~repro.engine.weighted_kernels.weighted_plan` routes them to the
-big-int reference Dijkstra before any kernel - numpy or C - is
-considered.  When a C kernel detects the reference's order-dependent
-tie event, a seed tie or an invalid seed, it bails out and the call -
-for the sweep, the failures from the one that met it - reruns on that
-reference, which raises its
+The random scheme reaches the kernels through
+:func:`~repro.engine.weighted_kernels.weighted_plan`'s int64
+perturbations.  The exact scheme's ``2**eid`` perturbations fit no
+int64, so the plan step's ``_exact_order`` hook hands the three
+weighted kernels no perturbation array at all: they then compare
+same-hop paths by climbing to their common ancestor and reading the
+largest edge id on each side, which orders ``2**eid`` sums exactly and
+never ties (``_ckernels.c``).  Only the results that carry big-int sums
+get them back, rebuilt from the parents: ``shortest_paths``'s (hence
+``build_spt``'s) and the sweep's ``repl_pert`` plane; the detour batch
+needs none.  Without the kernels the exact scheme stays on the big-int
+reference Dijkstra.  When a C kernel detects the reference's
+order-dependent tie event (random scheme only), a seed tie or an
+invalid seed, it bails out and the call - for the sweep, the failures
+from the one that met it - reruns on that reference, which raises its
 :class:`~repro.errors.TieBreakError` or
 :class:`~repro.errors.GraphError`, message and all.
 
@@ -78,9 +85,10 @@ from repro.engine.csr import CSRAdjacency, csr_view
 from repro.engine.csr_engine import CSREngine, _edge_ok_mask
 from repro.engine.kernels import FailureSweep, _tree_edge_children
 from repro.engine.python_engine import _check_source
-from repro.engine.weighted_kernels import SeedArrays
+from repro.engine.weighted_kernels import SeedArrays, exact_pert_sums
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
+from repro.spt.weights import EXACT
 
 __all__ = ["CompiledEngine", "CompiledFailureSweep"]
 
@@ -240,19 +248,19 @@ class CompiledEngine(CSREngine):
     def weighted_backend(self) -> str:
         if self._kernels() is None:
             return "inherited numpy " + CSREngine.weighted_backend
-        return "compiled C levels (random scheme) + reference fallback"
+        return "compiled C levels + reference fallback"
 
     @property
     def replacement_backend(self) -> str:
         if self._kernels() is None:
             return "inherited numpy " + CSREngine.replacement_backend
-        return "compiled C one-pass subtree sweep (random scheme) + reference fallback"
+        return "compiled C one-pass subtree sweep + reference fallback"
 
     @property
     def detour_backend(self) -> str:
         if self._kernels() is None:
             return "inherited numpy " + CSREngine.detour_backend
-        return "compiled C stacked levels (random scheme) + reference fallback"
+        return "compiled C stacked levels + reference fallback"
 
     @property
     def interference_backend(self) -> str:
@@ -262,6 +270,11 @@ class CompiledEngine(CSREngine):
 
     def _kernels(self) -> Optional[cbuild.KernelLib]:
         return cbuild.kernel_library()
+
+    def _exact_order(self, weights) -> bool:
+        """The C kernels take the exact scheme under its path-max order
+        (``_ckernels.c``); without them it stays on the reference."""
+        return weights.scheme == EXACT and self._kernels() is not None
 
     def exists_live_partners(
         self,
@@ -337,6 +350,10 @@ class CompiledEngine(CSREngine):
         """
         kernels = self._kernels()
         if kernels is None:
+            if perts is None:
+                # The exact order, and the kernels went away between
+                # chunks of a batch: the reference takes the chunk.
+                return None
             return super()._weighted_levels(
                 csr, perts, seeds,
                 edge_ok=edge_ok, vertex_ok=vertex_ok,
@@ -380,7 +397,8 @@ class CompiledEngine(CSREngine):
     def _sweep_pass(
         self,
         csr,
-        perts: np.ndarray,
+        tree,
+        perts: Optional[np.ndarray],
         eids: List[EdgeId],
         children: List[Vertex],
         tree_arrays,
@@ -389,15 +407,26 @@ class CompiledEngine(CSREngine):
         ``repl_*`` planes (None without the kernels: the numpy tier's
         stacked chunks).  The kernel stops at the first failure whose
         intake or relaxation meets a tie, or before the first on a
-        scratch allocation failure; the rows before it stand."""
+        scratch allocation failure; the rows before it stand.
+
+        Under the exact order (``perts`` None) the kernel compares paths
+        by climbing T0's parents and the row's, and leaves the
+        ``repl_pert`` plane to the big-int rebuild here: an entry's sum
+        is its parent's - T0's outside the failed subtree, the row's
+        inside it - plus ``2**`` its parent edge."""
         kernels = self._kernels()
         if kernels is None:
             return None
         hop0, pert0, tin, tout, preorder = tree_arrays
+        par0 = peid0 = None
+        if perts is None:
+            par0 = np.asarray(tree.parent, dtype=np.int64)
+            peid0 = np.asarray(tree.parent_eid, dtype=np.int64)
         fail_eid = np.asarray(eids, dtype=np.int64)
         fail_child = np.asarray(children, dtype=np.int64)
+        sizes = tout[fail_child] - tin[fail_child]
         offsets = np.zeros(len(eids) + 1, dtype=np.int64)
-        np.cumsum(tout[fail_child] - tin[fail_child], out=offsets[1:])
+        np.cumsum(sizes, out=offsets[1:])
         planes = np.empty((4, int(offsets[-1])), dtype=np.int64)
         done = kernels.weighted_sweep(
             _ptr(csr.indptr),
@@ -406,6 +435,8 @@ class CompiledEngine(CSREngine):
             _ptr(perts),
             _ptr(hop0),
             _ptr(pert0),
+            _ptr(par0),
+            _ptr(peid0),
             _ptr(tin),
             _ptr(tout),
             _ptr(preorder),
@@ -416,11 +447,27 @@ class CompiledEngine(CSREngine):
             *(_ptr(plane) for plane in planes),
         )
         end = int(offsets[done])
+        hop, pert, parent, parent_eid = (plane[:end] for plane in planes)
+        if perts is None:
+            # Each entry's parent as a position of the rebuild: T0's
+            # vertex id outside the row's subtree, n + its entry inside.
+            row = np.repeat(np.arange(done), sizes[:done])
+            at = tin[parent] - tin[fail_child[row]]
+            inside = (parent >= 0) & (at >= 0) & (at < sizes[row])
+            src = np.where(inside, len(tin) + offsets[row] + at, parent)
+            pert_plane = exact_pert_sums(
+                hop, src, parent_eid, tree.dist_perturbations()
+            )
+        else:
+            pert_plane = pert.tolist()
         return done, ReplacementRows(
             eids[:done],
             children[:done],
             offsets[: done + 1].tolist(),
-            *(plane[:end].tolist() for plane in planes),
+            hop.tolist(),
+            pert_plane,
+            parent.tolist(),
+            parent_eid.tolist(),
         )
 
     def _escape_pass(
@@ -437,7 +484,6 @@ class CompiledEngine(CSREngine):
         kernels = self._kernels()
         if kernels is None:
             return None
-        settled, hop, pert = levels[:3]
         out = np.empty((3, flat.size), dtype=np.int64)
         kernels.detour_escapes(
             csr.num_vertices,
@@ -448,9 +494,7 @@ class CompiledEngine(CSREngine):
             len(path_ptr) - 1,
             _ptr(path_ptr),
             _ptr(flat),
-            _ptr(settled),
-            _ptr(hop),
-            _ptr(pert),
+            *(_ptr(state) for state in levels),
             *(_ptr(row) for row in out),
         )
         return out

@@ -12,12 +12,15 @@ Single-source weighted traversals (``shortest_paths``) take the fast
 path of :mod:`repro.engine.weighted_kernels` whenever
 :func:`~repro.engine.weighted_kernels.weighted_plan` proves the
 assignment array-representable (the random scheme on any graph this
-library can build); the exact scheme's ``2**eid`` perturbations are
-arbitrary-precision and transparently fall back to the shared big-int
-reference Dijkstra.  A relaxation (numpy or C) that meets a possible
-tie or an invalid seed returns ``None``, and the call reruns on the
-reference the same way - so distances, parents, parent edges and tie
-errors are the reference's, bit for bit.  ``seeded_shortest_paths`` is
+library can build).  The exact scheme's ``2**eid`` perturbations are
+arbitrary-precision: on this numpy tier they transparently fall back to
+the shared big-int reference Dijkstra, while the compiled engine's C
+kernels take them under their path-max order through the
+``_exact_order`` hook of every weighted entry point's plan step.  A
+relaxation (numpy or C) that meets a possible tie or an invalid seed
+returns ``None``, and the call reruns on the reference the same way -
+so distances, parents, parent edges and tie errors are the
+reference's, bit for bit.  ``seeded_shortest_paths`` is
 the reference's own: seeded runs reach the kernels only inside
 ``weighted_failure_sweep``.
 
@@ -289,6 +292,14 @@ class CSREngine(PythonEngine):
         return FailureSweep(csr, source, edge_ok=edge_ok)
 
     # -- weighted traversals (array fast path + reference fallback) ----
+    def _exact_order(self, weights) -> bool:
+        """Engine hook of every weighted entry point's plan step: whether
+        the kernels run ``weights`` under the exact scheme's order, with
+        no perturbation array (``perts`` None; see ``_ckernels.c``).
+        This numpy tier has no such kernel and leaves the exact scheme
+        to the reference; the compiled engine takes it in C."""
+        return False
+
     def _weighted_levels(
         self,
         csr,
@@ -342,7 +353,7 @@ class CSREngine(PythonEngine):
     ):
         targets = _check_targets(targets, graph.num_vertices)
         perts = weighted_plan(graph, weights)
-        if perts is not None:
+        if perts is not None or self._exact_order(weights):
             _check_source(graph, source)
             if banned_vertices and source in banned_vertices:
                 raise GraphError(f"source {source} is banned")
@@ -356,6 +367,8 @@ class CSREngine(PythonEngine):
                 targets=_target_arrays(targets),
             )
             if levels is not None:
+                if perts is None:  # the exact order keeps no sums
+                    levels = levels[:2] + (None,) + levels[3:]
                 return assemble_result(source, weights.shift, *levels)
         return super().shortest_paths(
             graph,
@@ -374,7 +387,7 @@ class CSREngine(PythonEngine):
         paths: Iterable[Sequence[Vertex]],
     ) -> Iterator[DetourEscapes]:
         perts = weighted_plan(graph, weights)
-        if perts is None:
+        if perts is None and not self._exact_order(weights):
             yield from super().batched_shortest_paths(graph, weights, paths)
             return
         csr = csr_view(graph)
@@ -494,7 +507,9 @@ class CSREngine(PythonEngine):
             )
             return
         csr, perts, children, tree_arrays = setup
-        swept = self._sweep_pass(csr, perts, edge_list, children, tree_arrays)
+        swept = self._sweep_pass(
+            csr, tree, perts, edge_list, children, tree_arrays
+        )
         if swept is not None:
             done, rows = swept
             if done:
@@ -537,32 +552,38 @@ class CSREngine(PythonEngine):
         """The weighted sweep's per-call setup, or None on a gate failure.
 
         Returns ``(csr, perts, children, tree_arrays)``: the gated
-        perturbation plan, each failed edge's deeper endpoint, and the
-        tree's int64 ``(hop, pert, tin, tout, preorder)`` arrays,
-        converted from its lists once per call.  None when the plan
-        cannot represent the assignment (or its largest crossing-edge
-        seed); the caller then runs the reference loops.
+        perturbation plan (None under the exact order), each failed
+        edge's deeper endpoint, and the tree's int64 ``(hop, pert, tin,
+        tout, preorder)`` arrays, converted from its lists once per call
+        (``pert`` None under the exact order, whose sums do not fit).
+        None when the plan cannot represent the assignment (or its
+        largest crossing-edge seed); the caller then runs the reference
+        loops.
         """
-        export = weights.pert_array()
-        if export is None or weighted_plan(graph, weights) is None:
-            return None
+        exact = self._exact_order(weights)
+        if not exact:
+            export = weights.pert_array()
+            if export is None or weighted_plan(graph, weights) is None:
+                return None
         csr = csr_view(graph)
         # Per-vertex tree metadata, decomposed once for the sweep.
-        pert0_list = tree.dist_perturbations(weights)
-        max_pert0 = max(pert0_list, default=0)
         hop0 = np.asarray(tree.depth, dtype=np.int64)
-        pert0 = np.asarray(pert0_list, dtype=np.int64)
         tin = np.asarray(tree.tin, dtype=np.int64)
         tout = np.asarray(tree.tout, dtype=np.int64)
         preorder = np.asarray(tree.preorder, dtype=np.int64)
-        # Re-gate with the largest possible crossing-edge seed: the plan
-        # must prove seed + path perturbations never carry into the hop
-        # bits.
-        perts = weighted_plan(
-            graph, weights, max_seed_pert=max_pert0 + export[1]
-        )
-        if perts is None:
-            return None
+        perts = pert0 = None
+        if not exact:
+            pert0_list = tree.dist_perturbations(weights)
+            pert0 = np.asarray(pert0_list, dtype=np.int64)
+            # Re-gate with the largest possible crossing-edge seed: the
+            # plan must prove seed + path perturbations never carry into
+            # the hop bits.
+            perts = weighted_plan(
+                graph, weights,
+                max_seed_pert=max(pert0_list, default=0) + export[1],
+            )
+            if perts is None:
+                return None
         # Raises for every id that is not a tree edge.
         children = [tree.edge_child(eid) for eid in edge_list]
         return csr, perts, children, (hop0, pert0, tin, tout, preorder)
@@ -570,7 +591,8 @@ class CSREngine(PythonEngine):
     def _sweep_pass(
         self,
         csr,
-        perts: np.ndarray,
+        tree,
+        perts: Optional[np.ndarray],
         eids: List[EdgeId],
         children: List[Vertex],
         tree_arrays,
@@ -581,7 +603,7 @@ class CSREngine(PythonEngine):
         failures from ``eids[done]`` on back to the reference.  The
         numpy tier has no such pass and returns None (it stacks the
         subtree recomputes in chunks); the compiled engine runs it in
-        C."""
+        C, under the exact order too (``perts`` None)."""
         return None
 
     def _sweep_chunk(

@@ -1,4 +1,4 @@
-"""Array kernels for the weighted tie-broken traversal (random scheme).
+"""Array kernels for the weighted tie-broken traversal.
 
 The composite weights of :mod:`repro.spt.weights` encode the
 lexicographic pair ``(hops, pert_sum)`` in one big integer
@@ -33,8 +33,11 @@ only when the per-edge perturbations export to ``int64``
 (:meth:`~repro.spt.weights.WeightAssignment.pert_array`) and no path or
 seed can overflow either the perturbation field (``2**shift``, which
 would carry into the hop bits of the reference's big-int sum) or
-``int64``.  Everything else - the exact scheme in particular - falls
-back to the big-int reference Dijkstra.
+``int64``.  Everything else falls back to the big-int reference
+Dijkstra - the exact scheme too, except on the compiled engine's C
+kernels, which compare its paths by their largest edge id instead of a
+perturbation sum (``_ckernels.c``); :func:`exact_pert_sums` rebuilds
+the big-int sums of their results from the parents.
 
 Stacked (batched) traversals
 ----------------------------
@@ -55,7 +58,7 @@ every seed before it writes anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +74,7 @@ __all__ = [
     "SeedArrays",
     "stacked_expander",
     "unstack_layer",
+    "exact_pert_sums",
 ]
 
 _INT64_LIMIT = 2**63
@@ -162,7 +166,10 @@ def weighted_plan(
     reference: non-random scheme, perturbations that do not fit
     ``int64``, or a graph large enough that a path's perturbation sum
     (plus the largest seed perturbation) could overflow the
-    perturbation field ``2**shift`` or ``int64``.
+    perturbation field ``2**shift`` or ``int64``.  The exact scheme
+    always reads ``None`` here: the csr engine's exact-order hook
+    (``CSREngine._exact_order``) decides whether its C kernels take it
+    with no perturbation array at all.
     """
     if weights.scheme != RANDOM:
         return None
@@ -363,7 +370,7 @@ def assemble_result(
     shift: int,
     settled: np.ndarray,
     hop: np.ndarray,
-    pert: np.ndarray,
+    pert: Optional[np.ndarray],
     parent: np.ndarray,
     parent_eid: np.ndarray,
 ) -> ShortestPathResult:
@@ -375,12 +382,44 @@ def assemble_result(
     :meth:`~repro.spt.result.ShortestPathResult.from_levels`); they are
     bit-identical to the reference's weight sums because the plan
     guaranteed perturbation sums never carry into the hop bits.
+    ``pert`` None - a run under the exact order, which keeps no sums -
+    rebuilds the sums from the parents (:func:`exact_pert_sums`).
     """
+    hop = np.where(settled, hop, -1)
     return ShortestPathResult.from_levels(
         source,
         shift,
-        np.where(settled, hop, -1).tolist(),
-        pert.tolist(),
+        hop.tolist(),
+        exact_pert_sums(hop, parent, parent_eid) if pert is None
+        else pert.tolist(),
         parent.tolist(),
         parent_eid.tolist(),
     )
+
+
+def exact_pert_sums(
+    hop: np.ndarray,
+    src: np.ndarray,
+    eid: np.ndarray,
+    known: Sequence[int] = (),
+) -> List[int]:
+    """The exact scheme's big-int perturbation sums of labels the C
+    kernels computed without them (they compare paths by their largest
+    edge id, see ``_ckernels.c``).
+
+    Under ``pert(e) = 2**e`` a label's sum is its parent's plus
+    ``2**eid``.  Entry ``i`` with ``hop[i] >= 0`` and ``src[i] >= 0``
+    reads ``sums[src[i]] + 2**eid[i]``, where ``sums`` is ``known``
+    followed by the entries themselves; every other entry reads 0.
+    ``src`` names a known sum or an entry of a smaller hop, so one
+    forward pass in hop order - parents first - fills every entry.
+    """
+    n_known = len(known)
+    order = np.flatnonzero((hop >= 0) & (src >= 0))
+    order = order[np.argsort(hop[order], kind="stable")]
+    sums = list(known) + [0] * len(hop)
+    for i, s, e in zip(
+        (order + n_known).tolist(), src[order].tolist(), eid[order].tolist()
+    ):
+        sums[i] = sums[s] + (1 << e)
+    return sums[n_known:]

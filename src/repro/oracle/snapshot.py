@@ -556,12 +556,14 @@ def _check_rows(
 
 
 def _check_perts(
-    pert: Sequence[int], max_pert: int, mapped: bool, path: Path
+    pert: Sequence[int], max_pert: int, scheme: str, mapped: bool, path: Path
 ) -> None:
     """Refuse a ``pert`` plane whose values leave ``[0, max_pert]`` or
     never reach ``max_pert``: the array kernels' overflow gate trusts
-    the header's bound.  Vectorized over a mapped plane, a loop
-    otherwise."""
+    the header's bound.  Under the exact scheme, refuse any plane but
+    ``2**eid``: the C kernels compare exact-scheme paths by their
+    largest edge id, which only those perturbations make right.
+    Vectorized over a mapped plane, a loop otherwise."""
     if not len(pert):
         lo = hi = 0
     elif mapped:
@@ -572,6 +574,10 @@ def _check_perts(
         raise SnapshotError(
             f"{path}: plane 'pert' spans [{lo}, {hi}], but the header's "
             f"max_pert is {max_pert}"
+        )
+    if scheme == EXACT and any(int(p) != 1 << e for e, p in enumerate(pert)):
+        raise SnapshotError(
+            f"{path}: plane 'pert' is not the exact scheme's 2**eid"
         )
 
 
@@ -590,9 +596,10 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
     expected field types, a weight scheme other than ``exact`` or
     ``random`` or a shift other than that scheme's, truncated planes, a
     field table whose planes overlap or disagree with the header's
-    sizes, a ``pert`` plane outside ``[0, max_pert]`` or short of it, a
-    source that is not the tree's root, replacement rows that disagree
-    with the tree planes, or a missing file.
+    sizes, a ``pert`` plane outside ``[0, max_pert]`` or short of it (or,
+    under the exact scheme, other than ``2**eid``), a source that is not
+    the tree's root, replacement rows that disagree with the tree
+    planes, or a missing file.
     """
     path = Path(path)
     if mapped is None or mapped:
@@ -652,7 +659,10 @@ def load_structure(path, *, mapped: Optional[bool] = None) -> OracleStructure:
                 f"{path}: snapshot source {source} is not the tree's root"
             )
         _check_rows(arrays, n, mapped, path)
-        _check_perts(arrays["pert"], meta["weights"]["max_pert"], mapped, path)
+        wmeta = meta["weights"]
+        _check_perts(
+            arrays["pert"], wmeta["max_pert"], wmeta["scheme"], mapped, path
+        )
     except Exception:
         if owner is not None:
             owner.close()

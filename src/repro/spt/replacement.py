@@ -13,7 +13,8 @@ Phase S0 picks a replacement path for *every* pair ``<v, e>`` with ``e``
 on ``pi(s, v)``, and every caller reads the whole table, so
 :class:`ReplacementEngine` fills it in its constructor with one pass of
 the engine's ``weighted_failure_sweep`` (the csr engine fills every
-row in one C pass over the failed subtrees).  The sweep's
+row in one C pass over the failed subtrees, under either weight
+scheme).  The sweep's
 reference implementation *is* the per-edge recompute
 (:func:`repro.engine.base.replacement_failure`), and
 ``tests/test_weighted_parity.py`` enforces the two bit-identical.
@@ -22,8 +23,10 @@ The table has one format from the sweep to the snapshot file
 (:mod:`repro.oracle.snapshot`): the Euler-keyed ``repl_*`` planes of
 :class:`~repro.engine.base.ReplacementRows`, one row per failed edge
 over ``subtree_vertices(child)`` in preorder.  The engine concatenates
-the sweep's blocks and answers from them; ``export_arrays`` hands them
-on unchanged.
+the sweep's blocks and answers from them: ``dist_after_failure`` reads
+one composite, Pcons's covered test reads a row's hop and perturbation
+planes through ``_row``, and ``export_arrays`` hands them on
+unchanged.
 """
 
 from __future__ import annotations
@@ -58,6 +61,15 @@ class ReplacementEngine:
                 rows.repl_eids, rows.repl_child, rows.repl_offsets
             )
         }
+
+    def _row(self, eid: EdgeId) -> Tuple[int, List[int], List[int]]:
+        """Tree edge ``eid``'s row as ``(base, hops, perts)``: a vertex
+        ``x`` of the failed subtree has its entry at ``base + tin[x]`` of
+        the two planes (hop -1 where the failure disconnects it).
+        Pcons's covered test reads the rows this way; ``eid`` must be a
+        tree edge."""
+        rows = self._rows
+        return self._row_of[eid][0], rows.repl_hop, rows.repl_pert
 
     def dist_after_failure(self, eid: EdgeId, v: Vertex) -> Optional[int]:
         """``dist_W(s, v, G \\ {e})``; ``None`` when disconnected.

@@ -235,9 +235,9 @@ def build_spt(
 ) -> ShortestPathTree:
     """Run the weighted traversal under ``weights`` and wrap it as ``T0``.
 
-    Dispatched through the engine layer, so the csr engine's array
-    kernels handle the random weight scheme (the exact scheme falls back
-    to the big-int reference Dijkstra inside the engine).
+    Dispatched through the engine layer, so the csr engine's kernels
+    handle both weight schemes (the exact one on its C kernels only,
+    else on the big-int reference Dijkstra inside the engine).
     """
     from repro.engine.registry import get_engine
 

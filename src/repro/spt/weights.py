@@ -33,8 +33,10 @@ not.  :meth:`WeightAssignment.pert_array` exports the per-edge
 perturbations as a memoized read-only ``int64`` array for the array
 kernels in :mod:`repro.engine.weighted_kernels`; the export is ``None``
 whenever a perturbation cannot be represented (the exact scheme's
-``2**eid`` overflows ``int64`` past 62 edges), in which case engines
-fall back to the big-int reference Dijkstra.
+``2**eid`` overflows ``int64`` past 62 edges).  The exact scheme needs
+no export: the csr engine's C kernels compare its sums of distinct
+powers of two by their largest edge id, and without them engines fall
+back to the big-int reference Dijkstra.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ class WeightAssignment:
     shift:
         ``BIG = 1 << shift``; ``hops(x) = x >> shift``.
     scheme:
-        ``"exact"`` or ``"random"``.
+        ``"exact"`` or ``"random"``.  ``"exact"`` promises
+        ``weights[e] == BIG + 2**e``: the csr engine's C kernels order
+        exact-scheme paths by their edge ids, not by these weights.
     seed:
         Seed used for the random scheme (0 for exact).
     """

@@ -468,6 +468,20 @@ class TestRowCheck:
         with pytest.raises(SnapshotError, match=f"replacement row {row} "):
             load_structure(bad, mapped=mapped)
 
+    def test_exact_pert_plane_other_than_powers_of_two_refused(
+        self, tmp_path, mapped
+    ):
+        """Swapping two exact-scheme perturbations keeps the plane's
+        bounds, but the C kernels order exact-scheme paths by their
+        largest edge id, which only ``2**eid`` makes right: refused."""
+        graph, source, weights = _pinned_input("bridge")
+        snap = tmp_path / "bridge.snap"
+        save_structure(snap, build_spt(graph, weights, source))
+        load_structure(snap, mapped=mapped).close()
+        bad = _with_planes(snap, tmp_path, {"pert": _swap(0, 1)})
+        with pytest.raises(SnapshotError, match="exact scheme's 2\\*\\*eid"):
+            load_structure(bad, mapped=mapped)
+
     def test_untouched_rows_load_and_answer(self, row_snap, tmp_path, mapped):
         tree, snap = row_snap
         structure = load_structure(

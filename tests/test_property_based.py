@@ -84,7 +84,7 @@ def test_pcons_pairs_cover_every_tree_edge_vertex_combination(pair):
         if v == source:
             continue
         expected = set(pc.tree.path_edges(v))
-        got = {rec.eid for rec in pc.pairs.by_vertex.get(v, ())}
+        got = {rec.eid for rec in pc.pairs.pairs if rec.v == v}
         assert got == expected
 
 

@@ -70,6 +70,7 @@ from repro.graphs import (
     star_graph,
     torus_graph,
 )
+from repro.lower_bounds.single_source import build_theorem51
 from repro.spt.result import ShortestPathResult
 from repro.spt.spt_tree import build_spt
 from repro.spt.weights import EXACT, RANDOM, WeightAssignment, make_weights
@@ -794,6 +795,10 @@ def pendant_c6(far):
     return Graph(7, edges), uniform_assignment(8)
 
 
+#: Every ``graphs/builders.py`` family, a small Theorem 5.1 gadget
+#: (n = 91, m = 122: past the 62 edges an int64 holds 2**eid for) and a
+#: disconnected G(n, p).  The deep trees - path, caterpillar, lollipop,
+#: the gadget - give the exact scheme's path-max comparisons long climbs.
 DETOUR_FAMILIES = {
     "empty": empty_graph(4),
     "path": path_graph(7),
@@ -810,6 +815,8 @@ DETOUR_FAMILIES = {
     "barbell": barbell_graph(4, 3),
     "caterpillar": caterpillar_graph(5, 2),
     "gnp": gnp_random_graph(40, 0.12, seed=7),
+    "gnp-disconnected": gnp_random_graph(36, 0.06, seed=3),
+    "lb51-gadget": build_theorem51(80, 0.2, d=4, k=2, x_size=4).graph,
 }
 
 
@@ -1132,15 +1139,110 @@ def test_run_pcons_reseeds_identically_on_tie():
     assert ref.tree.parent_eid == fast.tree.parent_eid
 
 
-def test_exact_scheme_falls_back_and_matches():
-    """Exact scheme on >63 edges cannot export to int64; the csr engine
-    must transparently use the reference and still match it."""
-    g = gnp_random_graph(40, 0.2, seed=7)
-    assert g.num_edges > 63
+# ----------------------------------------------------------------------
+# the exact scheme on the C kernels: the path-max order
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("family", sorted(DETOUR_FAMILIES))
+@settings(max_examples=6, **COMMON)
+@given(data=st.data())
+def test_exact_order_runs_and_sweeps_match_the_reference(family, data):
+    """Under ``pert(e) = 2**e`` the C kernels compare same-hop paths by
+    climbing to their common ancestor, with no perturbation sums: source
+    runs with banned vertices, banned edges and targets, and the
+    weighted sweep over a subset of the tree edges in any order and over
+    all of them (bridges make disconnecting failures), match the python
+    engine bit for bit, big-int sums included.  The escape tables and
+    detours face the same families above."""
+    g = DETOUR_FAMILIES[family]
     w = make_weights(g, EXACT)
-    assert w.pert_array() is None
-    kind, _ = run_both("shortest_paths", g, w, 0)
-    assert kind == "ok"
+    n, m = g.num_vertices, g.num_edges
+    source = data.draw(st.integers(0, n - 1))
+    others = [v for v in range(n) if v != source]
+    kwargs = {}
+    if others and data.draw(st.booleans()):
+        kwargs["banned_vertices"] = set(
+            data.draw(st.lists(st.sampled_from(others), max_size=3))
+        )
+    if m and data.draw(st.booleans()):
+        kwargs["banned_edges"] = set(
+            data.draw(st.lists(st.integers(0, m - 1), max_size=4))
+        )
+    if data.draw(st.booleans()):
+        kwargs["targets"] = set(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+        )
+    assert run_both("shortest_paths", g, w, source, **kwargs)[0] == "ok"
+
+    tree = build_spt(g, w, source)
+    edges = tree.tree_edges()
+    subset = data.draw(st.permutations(edges))[: data.draw(
+        st.integers(0, len(edges))
+    )]
+    for eids in (subset, None):
+        kind, a, b = run_both_batched(
+            "weighted_failure_sweep", g, w, tree, eids
+        )
+        assert kind == "ok"
+        assert ReplacementRows.concat(a) == ReplacementRows.concat(b)
+
+
+def _watch_reference(monkeypatch, *, refuse):
+    """Count - or, with ``refuse``, fail - the reference traversals that
+    array engines hand work to: ``PythonEngine.shortest_paths`` and
+    ``seeded_shortest_paths`` with a ``self`` that is not the python
+    engine.  Returns the counts by name."""
+    from repro.engine.python_engine import PythonEngine
+
+    calls = {}
+    for name in ("shortest_paths", "seeded_shortest_paths"):
+        calls[name] = 0
+        spec = getattr(PythonEngine, name)
+
+        def watched(self, *args, _spec=spec, _name=name, **kwargs):
+            if type(self) is not PythonEngine:
+                if refuse:
+                    raise AssertionError(f"{_name} ran on the reference")
+                calls[_name] += 1
+            return _spec(self, *args, **kwargs)
+
+        monkeypatch.setattr(PythonEngine, name, watched)
+    return calls
+
+
+def _exact_gadget_build(engine):
+    from repro import build_epsilon_ftbfs
+
+    lb = build_theorem51(80, 0.2, d=4, k=2, x_size=4)
+    assert make_weights(lb.graph).scheme == EXACT
+    assert make_weights(lb.graph, EXACT).pert_array() is None
+    with engine_context(engine):
+        return build_epsilon_ftbfs(lb.graph, lb.source, 0.2)
+
+
+@pytest.mark.skipif(
+    cbuild.kernel_library() is None, reason="no C kernels: csr runs on numpy"
+)
+def test_exact_scheme_build_runs_no_reference_traversal_in_c(monkeypatch):
+    """An exact-scheme build on the C tier runs every weighted traversal
+    in its kernels - the SPT, the sweep and the detour batch - and
+    builds the python engine's structure."""
+    expected = _exact_gadget_build("python")
+    _watch_reference(monkeypatch, refuse=True)
+    assert _exact_gadget_build("csr") == expected
+
+
+def test_exact_scheme_build_runs_on_the_reference_without_the_kernels(
+    monkeypatch,
+):
+    """Without the C kernels (``REPRO_CC=0``) csr hands every
+    exact-scheme traversal to the reference: the numpy tier has no exact
+    kernel.  The structure is the python engine's."""
+    expected = _exact_gadget_build("python")
+    monkeypatch.setenv(cbuild.CC_ENV_VAR, "0")
+    calls = _watch_reference(monkeypatch, refuse=False)
+    assert _exact_gadget_build("csr") == expected
+    assert calls["shortest_paths"] > 0
+    assert calls["seeded_shortest_paths"] > 0
 
 
 # ----------------------------------------------------------------------
