@@ -8,9 +8,12 @@ the same G(n, p) instance as ``bench_weighted.py``:
   failed subtrees on the csr engine, stacked numpy chunks without its C
   tier, vs the per-edge reference loop on python);
 * the Pcons detour batch - ``batched_shortest_paths`` over the T0
-  paths of a deep-vertex sample, the exact shape ``run_pcons`` submits:
-  each search bans its path's interior, stops at the radius of the
-  path's off-path neighbours and hands back its escape table.
+  paths of a deep-vertex sample, the shape ``run_pcons`` submits: each
+  search bans its path's interior, stops at the radius of the path's
+  off-path neighbours and hands back its escape table.  The searches
+  here carry no hop cap (``(path, None)``): ``run_pcons`` caps each at
+  the hop its own pairs need, but these components keep timing the
+  uncapped searches their floors were set on.
 
 Those two run on a sparse G(n, p) (degree 12-20), where a detour
 search's levels stay narrow.  Two more components run on the dense
@@ -144,7 +147,9 @@ def _dense(seed: int, quick: bool):
     detours, _ = _c_against_numpy(
         lambda engine: [
             found.escapes
-            for found in engine.batched_shortest_paths(graph, weights, paths)
+            for found in engine.batched_shortest_paths(
+                graph, weights, [(path, None) for path in paths]
+            )
         ],
         1 if quick else 3,
     )
@@ -177,7 +182,9 @@ def _exact(quick: bool):
         )
         return rows, [
             found.escapes
-            for found in engine.batched_shortest_paths(graph, weights, paths)
+            for found in engine.batched_shortest_paths(
+                graph, weights, [(path, None) for path in paths]
+            )
         ]
 
     timings, outputs = {}, {}
@@ -248,7 +255,7 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
             digests[name] = [
                 hashlib.sha256(repr(found.escapes).encode()).hexdigest()
                 for found in get_engine().batched_shortest_paths(
-                    graph, weights, paths
+                    graph, weights, [(path, None) for path in paths]
                 )
             ]
             timings[name]["detours"] = time.perf_counter() - t0
@@ -347,8 +354,8 @@ def test_replacement_sweep_and_detour_speedup(benchmark, quick_mode, bench_seed)
     record.note(
         "sweep = the ReplacementEngine constructor via weighted_failure_sweep; "
         "detours = batched_shortest_paths over the T0 paths of deep "
-        "vertices, each search handing back its escape table; speedup is "
-        "over python"
+        "vertices, with no hop cap, each search handing back its escape "
+        "table; speedup is over python"
     )
     record.note(
         "dense detours = batched_shortest_paths over every T0 path of "

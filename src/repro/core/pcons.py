@@ -34,17 +34,25 @@ replacement path ``P_{v,e} in SP(s, v, G \\ {e})``:
    ``u_0 .. u_{k-1}`` (for ``delta(j)``) and the chosen detour, which
    walks from such a ``w*`` back to ``v`` through vertices no farther
    from ``v`` than ``w*``.  So those neighbours are the search's
-   targets: it stops at their hop radius ``R`` (see the engine
-   contract), and nothing it reads lies beyond ``R``.  A tie beyond
-   ``R`` does not raise, and so does not force a reseed.
+   targets, and it may stop at their hop radius (see the engine
+   contract).  It may also stop at ``c_v = max_i h_i - 1`` hops, where
+   ``h_i = hop(v, G \\ e_i)`` runs over ``v``'s uncovered pairs - known
+   from the replacement rows before any search runs.  The pair at
+   index ``i`` needs the first ``j <= i`` minimising ``L(j)``, and
+   ``L(j*) = h_i``, so its winner has ``hop(w*) = h_i - 1 - j* <= c_v``;
+   an escape whose best ``w`` lies beyond ``c_v`` has ``L(j) >= j + c_v
+   + 2 > max_i h_i`` and never wins.  The search stops at the smaller
+   of the two bounds, ``R``, and nothing it reads lies beyond ``R``.
+   A tie beyond ``R`` does not raise, and so does not force a reseed.
 
 Batched execution: Pcons touches *every* tree edge, and the
 replacement engine fills all of them at construction through the engine
 layer's ``weighted_failure_sweep`` (one amortized pass over all
 failures) before the pair loop runs; the per-vertex detour Dijkstras are
 collected into ``pending_by_vertex`` and dispatched as one
-``batched_shortest_paths`` call over their T0 paths, which derives each
-search's bans and targets from its path and hands back its escape table
+``batched_shortest_paths`` call over their T0 paths and hop caps, which
+derives each search's bans and targets from its path and hands back its
+escape table
 (on the csr engine's C tier, one C pass per stacked chunk computes the
 tables, and no search builds an ``n``-entry list).  ``_fill_detours``
 only picks ``j*`` and walks the chosen detour's parent entries.
@@ -239,19 +247,23 @@ def _run_once(
 
     # All detour Dijkstras in one batched call: the search from v bans
     # pi(s, v) but v, stops at the radius of the vertices the escape
-    # table reads, and comes back as that table; results stream back in
-    # source order, and paths stream in with the engine's consumption
-    # (it reads at most one chunk ahead).
+    # table reads or at the hop cap of v's pairs (module doc), whichever
+    # comes first, and comes back as that table; results stream back in
+    # source order.
     if pending_by_vertex:
         detour_sources = list(pending_by_vertex)
+        paths = [tree.path_vertices(v) for v in detour_sources]
+        caps = [
+            max(rec.new_dist >> shift for rec in pending_by_vertex[v]) - 1
+            for v in detour_sources
+        ]
         searches = get_engine().batched_shortest_paths(
-            graph, weights, (tree.path_vertices(v) for v in detour_sources)
+            graph, weights, zip(paths, caps)
         )
-        for v, escapes in zip(detour_sources, searches):
+        for v, path, escapes in zip(detour_sources, paths, searches):
             stats.num_detour_dijkstras += 1
             _fill_detours(
-                tree, weights, v, tree.path_vertices(v),
-                pending_by_vertex[v], stats, escapes,
+                tree, weights, v, path, pending_by_vertex[v], stats, escapes,
             )
 
     pair_set = PairSet(records)

@@ -26,9 +26,10 @@ Engine contract (details in :mod:`repro.engine.base`)
   edge id; the exact scheme without the C kernels, and any call whose
   kernel meets a possible tie or an invalid seed, transparently fall
   back to the shared reference implementation.  Seeded calls are the
-  reference's on every engine.  Given ``targets``, an unseeded run
-  stops at their hop radius.  Each engine reports its weighted
-  capability via ``weighted_backend`` (shown by ``repro engines``).
+  reference's on every engine.  Given ``targets`` or ``max_hops``, an
+  unseeded run stops at the targets' hop radius or at the cap,
+  whichever comes first.  Each engine reports its weighted capability
+  via ``weighted_backend`` (shown by ``repro engines``).
 * ``weighted_failure_sweep``: the batched replacement sweep -
   replacement rows for *all* tree-edge failures (``ReplacementRows``,
   the oracle snapshot's layout) in one amortized pass.  The reference
@@ -36,11 +37,12 @@ Engine contract (details in :mod:`repro.engine.base`)
   csr engine fills every row in one C pass, or stacks the subtree
   recomputes into shared per-level numpy kernels without its C tier.
   Reported via ``replacement_backend``.
-* ``batched_shortest_paths``: the Pcons detour batch.  It takes T0
-  paths and yields each detour search's escape table
-  (``DetourEscapes``: per path vertex, the cheapest way off the path)
-  with the parents that walk a chosen detour; the reference is
-  ``reference_escapes`` per path.  The csr engine stacks the searches
+* ``batched_shortest_paths``: the Pcons detour batch.  It takes
+  ``(path, max_hops)`` searches - a T0 path and the search's hop cap -
+  and yields each detour search's escape table (``DetourEscapes``: per
+  path vertex, the cheapest way off the path) with the parents that
+  walk a chosen detour; the reference is ``reference_escapes`` per
+  search.  The csr engine stacks the searches
   and, on its C tier, computes every table of a chunk in one C pass
   over the stacked state.  Reported via ``detour_backend``.
 

@@ -55,9 +55,10 @@
  *   seeds: the kernel bails out and the caller hands the call back to
  *   the reference Dijkstra, which raises its own error with its own
  *   message.  Tie and seed-error semantics live only there.
- * - The target stop rule expands exactly the vertices the reference
- *   expands before its first pop at hop R (see repro_weighted_levels),
- *   in the same order, so both meet the same ties.
+ * - The stop rule (targets' radius and hop cap) expands exactly the
+ *   vertices the reference expands before its first pop at hop R (see
+ *   repro_weighted_levels), in the same order, so both meet the same
+ *   ties.
  *
  * Bit-identity with repro/engine/base.py:
  *
@@ -631,12 +632,12 @@ static int64_t bottom_up_step(
 
 /* One layer b of a relaxation, from its sources src[0 .. nsrc) (global
  * ids the intake labeled at hop 0) to the end of its search, each
- * level taking the cheaper direction; tgt_ptr/tgt carry the stop rule
- * (both NULL for none; see repro_weighted_levels). */
+ * level taking the cheaper direction; tgt_ptr/tgt and cap carry the
+ * stop rule (NULL for none; see repro_weighted_levels). */
 static int64_t run_layer(
     const wl_graph *g, const wl_scratch *s, int64_t b,
     const int64_t *src, int64_t nsrc,
-    const int64_t *tgt_ptr, const int64_t *tgt)
+    const int64_t *tgt_ptr, const int64_t *tgt, const int64_t *cap)
 {
     const int64_t n_base = g->n_base, off = b * n_base;
     const int64_t *indptr = g->indptr;
@@ -658,8 +659,8 @@ static int64_t run_layer(
     memcpy(fr, src, (size_t)nsrc * sizeof(int64_t));
     int64_t flen = nsrc;
     for (int64_t lvl = 0; flen > 0; lvl++) {
-        int64_t stop = 0;
-        if (tgt_ptr) {
+        int64_t stop = cap && lvl >= cap[b];
+        if (tgt_ptr && !stop) {
             while (t < t_end && g->hop_t[tgt[t]] != -1)
                 t++;
             stop = t == t_end;
@@ -732,29 +733,36 @@ static int64_t run_layer(
  * as they are labeled) is below the degree sum of the level's vertices
  * - the direction-optimizing BFS of Beamer, Asanovic and Patterson
  * (SC'12), without its early exit, since the running minimum needs
- * every candidate.  On G(700, 62/699), Pcons's radius-3 searches reach
- * ~633 level-2 vertices (~39k half-edges) to label ~1.4 at level 3, and
- * bottom-up scans the few unvisited ones instead.  The constant was
- * measured on the Pcons detour batch of that input (its 699 T0 paths)
- * and on bench_replacement's sparse ones (1,200 deep T0 paths of
- * G(1500, 12/1499) and G(5000, 20/4999)): on the dense input factors
- * 1/4 to 4 read the same (its level-2 steps favour bottom-up ~150 to
- * 1); on G(5000, 20/4999) factors 1/4 to 2 read the same and 4 and 8
- * took 1.4x and 1.9x longer, and on G(1500, 12/1499) 2 took 1.2x longer
- * than 1.  Labels, parents, radii and hand-backs are the same whichever
- * direction a level takes.
+ * every candidate.  A search that reaches most of a dense graph by
+ * its second-to-last level - uncapped searches from G(700, 62/699)'s
+ * T0 paths reached ~633 level-2 vertices (~39k half-edges) to label
+ * ~1.4 at level 3 - takes bottom-up there and scans the few unvisited
+ * vertices instead.  The constant was measured on those uncapped
+ * searches (the 699 T0 paths of that input) and on bench_replacement's
+ * sparse ones (1,200 deep T0 paths of G(1500, 12/1499) and G(5000,
+ * 20/4999)): on the dense input factors 1/4 to 4 read the same (its
+ * level-2 steps favoured bottom-up ~150 to 1); on G(5000, 20/4999)
+ * factors 1/4 to 2 read the same and 4 and 8 took 1.4x and 1.9x
+ * longer, and on G(1500, 12/1499) 2 took 1.2x longer than 1.  Pcons
+ * caps its searches at the hop its pairs need (below), so on G(700,
+ * 62/699) they stop at level 1 or 2 and stay top-down; the
+ * bottom-up step serves the searches that run past the bulk of a dense
+ * graph, such as build_spt's full run on that input.  Labels, parents,
+ * radii and hand-backs are the same whichever direction a level takes.
  *
- * The stop rule (tgt_ptr and tgt, both NULL for none): layer b's
- * targets are the global ids tgt[tgt_ptr[b] .. tgt_ptr[b+1]).  A
- * label's hop is fixed when it is first set, so when a level starts
- * with every target of a layer labeled, that level is the layer's
- * radius R - the largest target hop - and the layer stops: its level-R
+ * The stop rule: layer b stops at its radius R, the smaller of two
+ * bounds, either of which may be absent (NULL).  The targets (tgt_ptr
+ * and tgt) bound it at their largest hop: layer b's targets are the
+ * global ids tgt[tgt_ptr[b] .. tgt_ptr[b+1]), and a label's hop is
+ * fixed when it is first set, so the first level to start with every
+ * target of the layer labeled is that hop.  The cap bounds it at
+ * cap[b] (>= 0) levels.  At level R the layer stops: its level-R
  * entries are marked settled (their labels are final once level R - 1
  * has expanded) but neither sorted nor expanded, and nothing beyond R
  * is ever labeled.  That is the reference's stop at its first pop at
  * hop R, and it expands exactly the vertices the reference expands
  * before that pop, so both meet the same ties.  A layer with an
- * unreachable target runs to completion.
+ * unreachable target and no cap runs to completion.
  *
  * A NULL pert_edge selects the exact scheme's order: every comparison
  * is path_lighter's climb over the relaxation's own parents, pert_t
@@ -776,6 +784,7 @@ int64_t repro_weighted_levels(
     const uint8_t *vertex_ok,
     const int64_t *tgt_ptr,
     const int64_t *tgt,
+    const int64_t *cap,
     int64_t nseeds,
     const int64_t *seed_hop,
     const int64_t *seed_pert,
@@ -840,7 +849,7 @@ int64_t repro_weighted_levels(
             int64_t b = src[lo] / n_base;
             for (hi = lo + 1; hi < nsrc && src[hi] / n_base == b; hi++)
                 ;
-            rc = run_layer(&g, &s, b, src + lo, hi - lo, tgt_ptr, tgt);
+            rc = run_layer(&g, &s, b, src + lo, hi - lo, tgt_ptr, tgt, cap);
         }
     }
     free(src);

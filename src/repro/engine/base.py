@@ -54,16 +54,19 @@ Contract
   and seed-error semantics.  No backend overrides
   ``seeded_shortest_paths``: seeded runs reach array kernels only
   inside ``weighted_failure_sweep``.
-* **Target radius.**  ``shortest_paths(..., targets=T)`` may stop
-  early: with ``R`` the largest hop count among ``T``, every vertex
-  within ``R`` hops reads exactly what the full run reads, and every
-  vertex beyond reads unreachable (``dist`` ``None``, parents ``-1``).
-  A target that the run never labels (unreachable or banned) gives the
-  full run; an empty ``T`` leaves only the source; ``targets=None`` is
-  the full run.  A tie met beyond ``R`` does not raise.  A target id
-  outside ``[0, n)`` raises :class:`~repro.errors.GraphError`.  Seeded
-  runs take no targets: a seed can lower a label's hop count, so ``R``
-  is not fixed while they run.
+* **Target radius and hop cap.**  ``shortest_paths(..., targets=T,
+  max_hops=c)`` may stop early: with ``R`` the smaller of the largest
+  hop count among ``T`` and ``c``, every vertex within ``R`` hops reads
+  exactly what the full run reads, and every vertex beyond reads
+  unreachable (``dist`` ``None``, parents ``-1``).  A target that the
+  run never labels (unreachable or banned) leaves only the cap; an
+  empty ``T``, like ``c = 0``, leaves only the source; ``targets=None``
+  and ``max_hops=None`` each drop their bound, and with both the run is
+  full.  A tie met beyond ``R`` does not raise.  A target id outside
+  ``[0, n)`` and a negative ``max_hops`` raise
+  :class:`~repro.errors.GraphError` before any kernel runs.  Seeded
+  runs take neither: a seed can lower a label's hop count, so ``R`` is
+  not fixed while they run.
 * **Results.**  Array backends hand back
   :meth:`~repro.spt.result.ShortestPathResult.from_levels` results,
   whose big-int ``dist`` list is built on first read;
@@ -83,14 +86,17 @@ Contract
   tie/error *kinds* - which of several simultaneous ties raises first
   is not part of the contract, only that one does).  Backends
   advertise the path via :attr:`TraversalEngine.replacement_backend`.
-* **The Pcons detour batch.**  ``batched_shortest_paths`` takes T0
-  paths ``[u_0, ..., u_k = v]`` and yields one :class:`DetourEscapes`
-  per path, in order: the search from ``v`` that bans ``u_0 ..
-  u_{k-1}`` and stops at the hop radius of :func:`detour_targets`, read
-  as an *escape table* - per ``j < k``, the cheapest way to leave the
-  path at ``u_j`` (:func:`escape_table`) - plus the parent entries
-  that walk a chosen detour back to ``v``.  The reference is
-  :func:`reference_escapes` per path; array backends compute the
+* **The Pcons detour batch.**  ``batched_shortest_paths`` takes
+  ``(path, max_hops)`` searches, ``path`` a T0 path ``[u_0, ..., u_k =
+  v]``, and yields one :class:`DetourEscapes` per search, in order: the
+  search from ``v`` that bans ``u_0 .. u_{k-1}`` and stops at the
+  smaller of the hop radius of :func:`detour_targets` and ``max_hops``
+  (None: no cap), read as an *escape table* - per ``j < k``, the
+  cheapest way to leave the path at ``u_j`` (:func:`escape_table`) -
+  plus the parent entries that walk a chosen detour back to ``v``.
+  Pcons caps each search at the hop its own uncovered pairs need
+  (:mod:`repro.core.pcons`).  The reference is
+  :func:`reference_escapes` per search; array backends compute the
   tables straight from their stacked state and must match it bit for
   bit, tie and error kinds included.  Backends advertise the path via
   :attr:`TraversalEngine.detour_backend`.  The method keeps its
@@ -187,10 +193,12 @@ class DetourEscapes(NamedTuple):
     parents, to walk a chosen detour back to ``v``.
 
     ``escapes[j]`` (``j < k``) is None or ``(hops, w, e)``: see
-    :func:`escape_table`.  ``parent``/``parent_eid`` are indexed by
-    vertex, with vertex ids (``-1`` at ``v`` and wherever the search
-    left a vertex unlabeled); array backends hand back numpy views, so
-    read single entries.
+    :func:`escape_table`.  The search labels nothing beyond its radius,
+    so an entry whose best ``w`` lies beyond it - beyond the cap, say -
+    reads None.  ``parent``/``parent_eid`` are indexed by vertex, with
+    vertex ids (``-1`` at ``v`` and wherever the search left a vertex
+    unlabeled); array backends hand back numpy views, so read single
+    entries.
     """
 
     escapes: List[Optional[Tuple[int, Vertex, EdgeId]]]
@@ -305,9 +313,11 @@ class TraversalEngine:
         banned_vertices: Optional[Set[Vertex]] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         targets: Optional[Iterable[Vertex]] = None,
+        max_hops: Optional[int] = None,
     ):
         """Weighted Dijkstra under composite tie-breaking weights,
-        stopped at the hop radius of ``targets`` when given."""
+        stopped at the hop radius of ``targets`` or at ``max_hops``
+        hops, whichever comes first, when given."""
         raise NotImplementedError
 
     def seeded_shortest_paths(
@@ -351,22 +361,24 @@ class TraversalEngine:
         self,
         graph: Graph,
         weights,
-        paths: Iterable[Sequence[Vertex]],
+        searches: Iterable[Tuple[Sequence[Vertex], Optional[int]]],
     ) -> Iterator[DetourEscapes]:
-        """The Pcons detour batch: one :class:`DetourEscapes` per T0
-        path ``[u_0, ..., u_k = v]`` of ``paths``, in order.
+        """The Pcons detour batch: one :class:`DetourEscapes` per
+        ``(path, max_hops)`` of ``searches`` - a T0 path ``[u_0, ...,
+        u_k = v]`` and its search's hop cap (None: no cap) - in order.
 
-        This reference implementation *is* the per-path loop of
-        :func:`reference_escapes` over ``shortest_paths``.  ``paths``
+        This reference implementation *is* the per-search loop of
+        :func:`reference_escapes` over ``shortest_paths``.  ``searches``
         may be any iterable (callers stream them); a path with a vertex
-        outside ``[0, n)``, an empty path, or a ``v`` that also appears
-        earlier on its path raises GraphError at or before its position
-        in the stream.  Lazy.
+        outside ``[0, n)``, an empty path, a ``v`` that also appears
+        earlier on its path, or a negative ``max_hops`` raises
+        GraphError at or before its position in the stream.  Lazy.
         """
         neighbor_sets: Dict[Vertex, Set[Vertex]] = {}
-        for path in paths:
+        for path, max_hops in searches:
             yield reference_escapes(
-                self.shortest_paths, graph, weights, path, neighbor_sets
+                self.shortest_paths, graph, weights, path, max_hops,
+                neighbor_sets,
             )
 
     # -- Phase S1 interference -----------------------------------------
@@ -474,12 +486,13 @@ def reference_escapes(
     graph: Graph,
     weights,
     path: Sequence[Vertex],
+    max_hops: Optional[int] = None,
     neighbor_sets: Optional[Dict[Vertex, Set[Vertex]]] = None,
 ) -> DetourEscapes:
     """One search of the detour batch, the reference way: ``search`` (a
-    ``shortest_paths``) from ``v = path[-1]`` with ``path[:-1]`` banned
-    and :func:`detour_targets` as its targets, read by
-    :func:`escape_table`."""
+    ``shortest_paths``) from ``v = path[-1]`` with ``path[:-1]`` banned,
+    :func:`detour_targets` as its targets and ``max_hops`` as its cap,
+    read by :func:`escape_table`."""
     check_detour_path(graph, path)
     sp = search(
         graph,
@@ -487,6 +500,7 @@ def reference_escapes(
         path[-1],
         banned_vertices=set(path[:-1]),
         targets=detour_targets(graph, path, neighbor_sets),
+        max_hops=max_hops,
     )
     return DetourEscapes(
         escape_table(graph, weights, path, sp), sp.parent, sp.parent_eid

@@ -215,7 +215,7 @@ class KernelLib:
         self.weighted_levels = dll.repro_weighted_levels
         self.weighted_levels.restype = i64
         self.weighted_levels.argtypes = [
-            i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
             i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
         self.weighted_sweep = dll.repro_weighted_sweep

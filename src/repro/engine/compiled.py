@@ -335,14 +335,14 @@ class CompiledEngine(CSREngine):
         vertex_ok: Optional[np.ndarray] = None,
         num_vertices: Optional[int] = None,
         stacked: bool = False,
-        targets=None,
+        stop=None,
     ):
         """The weighted relaxation of a source run routed through the C
         kernel.
 
-        The whole traversal - seed intake, the level loop and the
-        targets' stop rule - is one GIL-free foreign call over the raw
-        seed columns.  Any non-zero
+        The whole traversal - seed intake, the level loop and the stop
+        rule (targets' radius and hop cap) - is one GIL-free foreign
+        call over the raw seed columns.  Any non-zero
         return (the reference's order-dependent tie event, a seed tie or
         invalid seed, or scratch allocation failure) returns ``None``:
         the caller hands the call back to the reference, which decides
@@ -357,10 +357,10 @@ class CompiledEngine(CSREngine):
             return super()._weighted_levels(
                 csr, perts, seeds,
                 edge_ok=edge_ok, vertex_ok=vertex_ok,
-                num_vertices=num_vertices, stacked=stacked, targets=targets,
+                num_vertices=num_vertices, stacked=stacked, stop=stop,
             )
         n = csr.num_vertices if num_vertices is None else num_vertices
-        tgt_ptr, tgt = (None, None) if targets is None else targets
+        tgt_ptr, tgt, cap = (None, None, None) if stop is None else stop
         hop_t = np.full(n, -1, dtype=np.int64)
         pert_t = np.zeros(n, dtype=np.int64)
         parent = np.full(n, -1, dtype=np.int64)
@@ -382,6 +382,7 @@ class CompiledEngine(CSREngine):
             _ptr(vertex_ok),
             _ptr(tgt_ptr),
             _ptr(tgt),
+            _ptr(cap),
             len(cols[0]),
             *(_ptr(c) for c in cols),
             _ptr(settled),

@@ -34,9 +34,12 @@ sweep additionally enumerates its crossing-edge seeds vectorized from
 the tree's Euler intervals instead of via Python ``adjacency()`` loops,
 and fancy-indexes each chunk's ``ReplacementRows`` out of the stacked
 state.  The detour batch derives each chunk's bans and targets from
-its concatenated T0 paths in numpy; its escape tables come from one C
-pass over the stacked state on the compiled engine, and from
-``assemble_result`` plus the reference scan here.  Chunking bounds the
+its concatenated T0 paths in numpy, and takes each search's hop cap
+beside them; its escape tables come from one C pass over the stacked
+state on the compiled engine, and from ``assemble_result`` plus the
+reference scan here.  The stop rule (targets' radius and cap) cuts the
+C relaxation short; this tier runs each chunk's full relaxation and
+blanks what lies beyond each layer's radius.  Chunking bounds the
 stacked state (``_STACK_STATE`` entries per chunk); plans that cannot
 be represented, and chunks whose relaxation hands the call back, rerun
 on the reference: the detour batch path by path, the sweep edge by
@@ -57,7 +60,7 @@ budget of its own (``_detour_per_chunk``).
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -87,6 +90,7 @@ from repro.engine.weighted_kernels import (
 )
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
+from repro.spt.dijkstra import check_max_hops
 
 __all__ = ["CSREngine"]
 
@@ -169,28 +173,47 @@ def _check_targets(targets, n: int):
     return targets
 
 
-def _target_arrays(targets):
-    """The stop rule's ``(tgt_ptr, tgt)`` arrays for one search's
-    checked targets, or None (no stop rule)."""
-    if targets is None:
+def _cap_array(caps, n: int) -> np.ndarray:
+    """Per-layer hop caps (each checked, None: no cap) as the stop
+    rule's int64 ``cap`` array.  A cap of ``n`` or more cuts nothing -
+    no vertex lies ``n`` hops away - so it is clamped to ``n``."""
+    return np.asarray(
+        [n if c is None else min(c, n) for c in caps], dtype=np.int64
+    )
+
+
+def _stop_arrays(targets, max_hops: Optional[int], n: int):
+    """The stop rule's ``(tgt_ptr, tgt, cap)`` arrays for one search's
+    checked targets and cap (``tgt_ptr``/``tgt`` None without targets,
+    ``cap`` None without a cap), or None (no stop rule)."""
+    if targets is None and max_hops is None:
         return None
-    tgt = np.fromiter(targets, dtype=np.int64, count=len(targets))
-    return np.asarray([0, tgt.size], dtype=np.int64), tgt
+    tgt_ptr = tgt = cap = None
+    if targets is not None:
+        tgt = np.fromiter(targets, dtype=np.int64, count=len(targets))
+        tgt_ptr = np.asarray([0, tgt.size], dtype=np.int64)
+    if max_hops is not None:
+        cap = _cap_array([max_hops], n)
+    return tgt_ptr, tgt, cap
 
 
-def _detour_layers(graph: Graph, csr, paths: list):
-    """One chunk of detour paths as stacked layers.
+def _detour_layers(graph: Graph, csr, searches: list):
+    """One chunk of ``(path, max_hops)`` detour searches as stacked
+    layers.
 
-    Returns ``(path_ptr, flat, sources, vertex_ok, targets)``: the paths
+    Returns ``(path_ptr, flat, sources, vertex_ok, stop)``: the paths
     concatenated (``path_ptr`` delimits path ``b``), each layer's source
     ``v`` as the global id ``b * n + v``, the ban mask (every path
-    vertex but ``v``), and the stop rule's ``(tgt_ptr, tgt)`` - the
-    banned vertices' neighbours off the path, the set
-    :func:`~repro.engine.base.detour_targets` names.  Every path is
-    checked against ``[0, n)`` before it becomes an array.
+    vertex but ``v``), and the stop rule's ``(tgt_ptr, tgt, cap)`` -
+    the targets are the banned vertices' neighbours off the path, the
+    set :func:`~repro.engine.base.detour_targets` names.  Every path is
+    checked against ``[0, n)``, and every cap against a negative value,
+    before it becomes an array.
     """
-    for path in paths:
+    for path, max_hops in searches:
         check_detour_path(graph, path)
+        check_max_hops(max_hops)
+    paths = [path for path, _ in searches]
     n = csr.num_vertices
     B = len(paths)
     lens = np.fromiter(map(len, paths), dtype=np.int64, count=B)
@@ -214,21 +237,29 @@ def _detour_layers(graph: Graph, csr, paths: list):
     tgt = nbrs[vertex_ok[nbrs] & (nbrs != sources[nbrs // n])]
     tgt_ptr = np.zeros(B + 1, dtype=np.int64)
     np.cumsum(np.bincount(tgt // n, minlength=B), out=tgt_ptr[1:])
-    return path_ptr, flat, sources, vertex_ok, (tgt_ptr, tgt)
+    cap = _cap_array([max_hops for _, max_hops in searches], n)
+    return path_ptr, flat, sources, vertex_ok, (tgt_ptr, tgt, cap)
 
 
-def _blank_beyond_radius(levels, tgt_ptr: np.ndarray, tgt: np.ndarray, n: int):
+def _blank_beyond_radius(levels, tgt_ptr, tgt, cap, n: int):
     """The stop rule's outcome, applied after a full relaxation: in each
-    layer whose targets were all reached, every vertex beyond the
-    largest target hop reads unreached."""
+    layer every vertex beyond its radius - the smaller of its cap and,
+    when all its targets were reached, their largest hop - reads
+    unreached."""
     settled, hop, pert, parent, parent_eid = levels
-    layers = len(tgt_ptr) - 1
-    layer_of = np.repeat(np.arange(layers, dtype=np.int64), np.diff(tgt_ptr))
-    reached = settled[tgt]
-    radius = np.zeros(layers, dtype=np.int64)
-    np.maximum.at(radius, layer_of, np.where(reached, hop[tgt], 0))
-    complete = np.bincount(layer_of[~reached], minlength=layers) == 0
-    limit = np.where(complete, radius, np.iinfo(np.int64).max)
+    layers = len(settled) // n
+    limit = np.full(layers, np.iinfo(np.int64).max, dtype=np.int64)
+    if tgt_ptr is not None:
+        layer_of = np.repeat(
+            np.arange(layers, dtype=np.int64), np.diff(tgt_ptr)
+        )
+        reached = settled[tgt]
+        radius = np.zeros(layers, dtype=np.int64)
+        np.maximum.at(radius, layer_of, np.where(reached, hop[tgt], 0))
+        complete = np.bincount(layer_of[~reached], minlength=layers) == 0
+        limit[complete] = radius[complete]
+    if cap is not None:
+        np.minimum(limit, cap, out=limit)
     beyond = hop > np.repeat(limit, n)
     settled[beyond] = False
     hop[beyond] = -1
@@ -310,7 +341,7 @@ class CSREngine(PythonEngine):
         vertex_ok: Optional[np.ndarray] = None,
         num_vertices: Optional[int] = None,
         stacked: bool = False,
-        targets=None,
+        stop=None,
     ):
         """Engine hook behind every source run's weighted relaxation
         (every seed at hop 0: ``shortest_paths`` and the detour batch).
@@ -320,13 +351,13 @@ class CSREngine(PythonEngine):
         described structurally (``stacked``) instead of as an opaque
         closure, so subclasses can route the relaxation elsewhere - the
         compiled engine overrides this with its C kernel, which serves
-        source runs only.  ``targets``
-        (the ``(tgt_ptr, tgt)`` arrays of :func:`_target_arrays` or
-        :func:`_detour_layers`, layer ``b``'s targets as global ids,
-        source-seeded runs only) asks for the stop rule's outcome; this
-        numpy tier runs the full relaxation and blanks what lies beyond
-        each layer's radius, and a tie it meets beyond a radius hands
-        the call back all the same.
+        source runs only.  ``stop`` (the ``(tgt_ptr, tgt, cap)`` arrays
+        of :func:`_stop_arrays` or :func:`_detour_layers`: layer ``b``'s
+        targets as global ids and its hop cap, either pair or ``cap``
+        None for no such bound; source-seeded runs only) asks for the
+        stop rule's outcome; this numpy tier runs the full relaxation
+        and blanks what lies beyond each layer's radius, and a tie it
+        meets beyond a radius hands the call back all the same.
         """
         levels = weighted_levels(
             csr,
@@ -337,8 +368,8 @@ class CSREngine(PythonEngine):
             num_vertices=num_vertices,
             expand=stacked_expander(csr) if stacked else None,
         )
-        if levels is not None and targets is not None:
-            _blank_beyond_radius(levels, *targets, csr.num_vertices)
+        if levels is not None and stop is not None:
+            _blank_beyond_radius(levels, *stop, csr.num_vertices)
         return levels
 
     def shortest_paths(
@@ -350,8 +381,10 @@ class CSREngine(PythonEngine):
         banned_vertices: Optional[Set[Vertex]] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         targets: Optional[Iterable[Vertex]] = None,
+        max_hops: Optional[int] = None,
     ):
         targets = _check_targets(targets, graph.num_vertices)
+        check_max_hops(max_hops)
         perts = weighted_plan(graph, weights)
         if perts is not None or self._exact_order(weights):
             _check_source(graph, source)
@@ -364,7 +397,7 @@ class CSREngine(PythonEngine):
                 SeedArrays.sources(np.asarray([source], dtype=np.int64)),
                 edge_ok=_edge_ok_mask(csr.num_edges, banned_edges=banned_edges),
                 vertex_ok=_vertex_ok_mask(csr.num_vertices, banned_vertices),
-                targets=_target_arrays(targets),
+                stop=_stop_arrays(targets, max_hops, csr.num_vertices),
             )
             if levels is not None:
                 if perts is None:  # the exact order keeps no sums
@@ -377,6 +410,7 @@ class CSREngine(PythonEngine):
             banned_vertices=banned_vertices,
             banned_edges=banned_edges,
             targets=targets,
+            max_hops=max_hops,
         )
 
     # -- batched primitives (stacked layers over one CSR view) ---------
@@ -384,17 +418,17 @@ class CSREngine(PythonEngine):
         self,
         graph: Graph,
         weights,
-        paths: Iterable[Sequence[Vertex]],
+        searches: Iterable[Tuple[Sequence[Vertex], Optional[int]]],
     ) -> Iterator[DetourEscapes]:
         perts = weighted_plan(graph, weights)
         if perts is None and not self._exact_order(weights):
-            yield from super().batched_shortest_paths(graph, weights, paths)
+            yield from super().batched_shortest_paths(graph, weights, searches)
             return
         csr = csr_view(graph)
         per_chunk = self._detour_per_chunk(csr)
         chunk: list = []
-        for path in paths:
-            chunk.append(path)
+        for search in searches:
+            chunk.append(search)
             if len(chunk) >= per_chunk:
                 yield from self._detour_chunk(graph, csr, weights, perts, chunk)
                 chunk = []
@@ -405,8 +439,8 @@ class CSREngine(PythonEngine):
         """Engine hook: paths per detour chunk.  Every full-graph layer
         expands ~2m half-edges, and this tier's level passes stream all
         of a chunk's layers at once, so the chunks follow the
-        ``_STACK_STREAM`` budget; paths stream in, so only one chunk's
-        worth is alive."""
+        ``_STACK_STREAM`` budget; searches stream in, so only one
+        chunk's worth is alive."""
         return max(
             1,
             min(
@@ -423,12 +457,13 @@ class CSREngine(PythonEngine):
         perts: np.ndarray,
         chunk: list,
     ) -> Iterator[DetourEscapes]:
-        """One stacked chunk of detour searches, one layer per path.  A
-        relaxation that hands back reruns every path on the reference;
-        without the C escape pass each layer is read through
-        :func:`assemble_result` and the reference scan."""
+        """One stacked chunk of ``(path, max_hops)`` detour searches,
+        one layer per search.  A relaxation that hands back reruns every
+        search on the reference, caps included; without the C escape
+        pass each layer is read through :func:`assemble_result` and the
+        reference scan."""
         n = csr.num_vertices
-        path_ptr, flat, sources, vertex_ok, targets = _detour_layers(
+        path_ptr, flat, sources, vertex_ok, stop = _detour_layers(
             graph, csr, chunk
         )
         levels = self._weighted_levels(
@@ -438,17 +473,17 @@ class CSREngine(PythonEngine):
             vertex_ok=vertex_ok,
             num_vertices=len(chunk) * n,
             stacked=True,
-            targets=targets,
+            stop=stop,
         )
         if levels is None:
-            for path in chunk:
+            for path, max_hops in chunk:
                 yield reference_escapes(
-                    super().shortest_paths, graph, weights, path
+                    super().shortest_paths, graph, weights, path, max_hops
                 )
             return
         escapes = self._escape_pass(csr, perts, path_ptr, flat, levels)
         if escapes is None:
-            for b, path in enumerate(chunk):
+            for b, (path, _) in enumerate(chunk):
                 sp = assemble_result(
                     path[-1], weights.shift, *unstack_layer(n, b, *levels)
                 )

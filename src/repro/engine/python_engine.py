@@ -122,6 +122,7 @@ class PythonEngine(TraversalEngine):
         banned_vertices: Optional[Set[Vertex]] = None,
         banned_edges: Optional[Set[EdgeId]] = None,
         targets: Optional[Iterable[Vertex]] = None,
+        max_hops: Optional[int] = None,
     ):
         from repro.spt.dijkstra import dijkstra
 
@@ -132,6 +133,7 @@ class PythonEngine(TraversalEngine):
             banned_vertices=banned_vertices,
             banned_edges=banned_edges,
             targets=targets,
+            max_hops=max_hops,
         )
 
     def seeded_shortest_paths(

@@ -10,13 +10,16 @@ This is the workhorse of the whole library.  Key features:
   a failed tree edge.
 * **Seeded frontiers** (``seeds``) start the heap from precomputed
   distances at the subset boundary.
-* **Target radius** (``targets``, unseeded runs only): the run stops
-  before settling any vertex ``R`` or more hops away, where ``R`` is the
-  largest hop count among the targets.  A label's hop count is fixed
-  when the label is first set, so ``R`` is known once the last target
-  has one; every vertex within ``R`` hops keeps its exact result and
-  every vertex beyond reads unreachable.  A target that never gets a
-  label (unreachable, or banned) means a full run.
+* **Target radius and hop cap** (``targets`` and ``max_hops``,
+  unseeded runs only): the run stops before settling any vertex ``R``
+  or more hops away, where ``R`` is the smaller of the largest hop
+  count among the targets and ``max_hops``.  A label's hop count is
+  fixed when the label is first set, so the targets' bound is known
+  once the last target has one; every vertex within ``R`` hops keeps
+  its exact result and every vertex beyond reads unreachable.  A target
+  that never gets a label (unreachable, or banned) leaves only the cap;
+  with neither bound the run is full.  Both are checked at the first
+  pop of each hop level.
 * **Tie detection**: two distinct equal-weight paths to the same vertex
   violate the unique-shortest-path contract of
   :mod:`repro.spt.weights`; under the random scheme this always raises
@@ -49,7 +52,7 @@ from repro.graphs.graph import Graph
 from repro.spt.result import ShortestPathResult
 from repro.spt.weights import WeightAssignment
 
-__all__ = ["ShortestPathResult", "dijkstra", "seeded_dijkstra"]
+__all__ = ["ShortestPathResult", "check_max_hops", "dijkstra", "seeded_dijkstra"]
 
 
 def dijkstra(
@@ -60,11 +63,12 @@ def dijkstra(
     banned_vertices: Optional[Set[Vertex]] = None,
     banned_edges: Optional[Set[EdgeId]] = None,
     targets: Optional[Iterable[Vertex]] = None,
+    max_hops: Optional[int] = None,
 ) -> ShortestPathResult:
     """Single-source shortest paths under the composite weights.
 
-    See the module docstring for the semantics of the keyword filters
-    and of ``targets`` (``None``: a full run).
+    See the module docstring for the semantics of the keyword filters,
+    of ``targets`` and of ``max_hops`` (``None``: no bound).
     """
     n = graph.num_vertices
     if not 0 <= source < n:
@@ -75,6 +79,7 @@ def dijkstra(
         targets = list(targets)
         if targets and (min(targets) < 0 or max(targets) >= n):
             raise GraphError(f"a target lies outside [0, {n})")
+    check_max_hops(max_hops)
     seeds = [(0, source, -1, -1)]
     return _run(
         graph,
@@ -85,7 +90,14 @@ def dijkstra(
         banned_edges=banned_edges,
         allowed_vertices=None,
         targets=targets,
+        max_hops=max_hops,
     )
+
+
+def check_max_hops(max_hops: Optional[int]) -> None:
+    """Raise GraphError for a negative hop cap (``None`` is no cap)."""
+    if max_hops is not None and max_hops < 0:
+        raise GraphError(f"max_hops must be >= 0, got {max_hops}")
 
 
 def seeded_dijkstra(
@@ -125,6 +137,7 @@ def _run(
     banned_edges: Optional[Set[EdgeId]],
     allowed_vertices: Optional[Set[Vertex]],
     targets: Optional[List[Vertex]] = None,
+    max_hops: Optional[int] = None,
 ) -> ShortestPathResult:
     n = graph.num_vertices
     dist: List[Optional[int]] = [None] * n
@@ -151,20 +164,25 @@ def _run(
 
     # The stop rule: the first pop of each hop level (``d >= limit``)
     # comes after every label of that level is set, so if every target
-    # has a label by then, the level is the radius R and the run ends.
-    # ``labeled`` counts the targets seen labeled so far, in list order.
+    # has a label by then, or the level is the cap, the level is the
+    # radius R and the run ends.  ``labeled`` counts the targets seen
+    # labeled so far, in list order.
     shift = weights.shift
-    limit = None if targets is None else 0
+    limit = None if targets is None and max_hops is None else 0
     labeled = 0
     adjacency = graph.adjacency
     while heap:
         d, v = heappop(heap)
         if limit is not None and d >= limit:
-            while labeled < len(targets) and dist[targets[labeled]] is not None:
-                labeled += 1
-            if labeled == len(targets):
+            level = d >> shift
+            if max_hops is not None and level >= max_hops:
                 break
-            limit = ((d >> shift) + 1) << shift
+            if targets is not None:
+                while labeled < len(targets) and dist[targets[labeled]] is not None:
+                    labeled += 1
+                if labeled == len(targets):
+                    break
+            limit = (level + 1) << shift
         if settled[v]:
             continue
         if dist[v] is not None and d > dist[v]:

@@ -6,9 +6,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from repro.engine import available_engines, engine_context, get_engine
+from repro.engine import available_engines, cbuild, engine_context, get_engine
+from repro.engine.base import detour_targets
 from repro.graphs import (
     Graph,
+    barabasi_albert_graph,
     barbell_graph,
     binary_tree_graph,
     broom_graph,
@@ -29,6 +31,7 @@ from repro.graphs import (
     torus_graph,
 )
 from repro.core.pcons import run_pcons
+from repro.harness.workloads import workload
 from repro.spt.weights import EXACT, RANDOM
 
 from tests.conftest import graph_with_source, random_connected_instance
@@ -357,6 +360,22 @@ def reference_pairs(pc):
     return records
 
 
+def source_first(graph, source):
+    """``graph`` with its vertex ids reversed when ``source`` is the
+    last one, so that the source is vertex 0."""
+    n = graph.num_vertices
+    assert source in (0, n - 1)
+    if source == 0:
+        return graph
+    return Graph(n, [(n - 1 - u, n - 1 - v) for u, v in graph.edge_list()])
+
+
+#: Sourced at vertex 0.  The last four bind the two sides of each
+#: detour search's stop rule: on the dense ``gnp`` and on
+#: ``barabasi-albert`` the hop cap of a vertex's pairs comes before its
+#: targets' radius, on the long-stick ``lollipop`` (sourced at the end
+#: of the stick) and on ``clique-bridge`` the targets' radius comes
+#: first.
 FAMILIES = {
     "empty": empty_graph(4),
     "path": path_graph(7),
@@ -377,23 +396,110 @@ FAMILIES = {
         [grid_graph(3, 4), cycle_graph(8)], [((0, 11), (1, 0)), ((0, 5), (1, 4))]
     )[0],
     "gnp": gnp_random_graph(40, 0.12, seed=7),
+    "gnp-dense": gnp_random_graph(120, 0.15, seed=5),
+    "barabasi-albert": barabasi_albert_graph(150, 4, seed=2),
+    "lollipop-long-stick": source_first(*workload("lollipop", n=48)),
+    "clique-bridge": source_first(*workload("clique_bridge", n=30)),
 }
 
+#: Which bound of the stop rule comes first on some detour search of
+#: the family (``test_families_bind_both_sides_of_the_min``).
+BINDING_SIDE = {
+    "gnp-dense": "cap",
+    "barabasi-albert": "cap",
+    "lollipop-long-stick": "targets",
+    "clique-bridge": "targets",
+}
 
-@pytest.mark.parametrize("engine", [
+ENGINES = [
     "python",
     pytest.param("csr", marks=pytest.mark.skipif(
         "csr" not in available_engines(), reason="csr needs numpy")),
-])
+    pytest.param("csr-numpy", marks=pytest.mark.skipif(
+        "csr" not in available_engines(), reason="csr needs numpy")),
+]
+
+
+def pcons_on(engine, monkeypatch, graph, scheme):
+    """``run_pcons`` from vertex 0 on ``engine``; ``csr-numpy`` is csr
+    with its C kernels gated out (``REPRO_CC=0``)."""
+    if engine == "csr-numpy":
+        monkeypatch.setenv(cbuild.CC_ENV_VAR, "0")
+        engine = "csr"
+    with engine_context(engine):
+        return run_pcons(graph, 0, weight_scheme=scheme, seed=3)
+
+
+def detour_caps(pc):
+    """``{v: max_i h_i - 1}`` over each vertex's uncovered pairs: the
+    hop cap of ``v``'s detour search."""
+    caps = {}
+    for rec in pc.pairs:
+        if rec.uncovered:
+            need = pc.weights.hops(rec.new_dist) - 1
+            caps[rec.v] = max(caps.get(rec.v, need), need)
+    return caps
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("scheme", [EXACT, RANDOM])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_detours_equal_full_search_reference(family, scheme, engine):
-    """Radius-cut detour searches change no pair record: every family,
-    both weight schemes, on the spec and on the array engine."""
-    graph = FAMILIES[family]
-    with engine_context(engine):
-        pc = run_pcons(graph, 0, weight_scheme=scheme, seed=3)
+def test_detours_equal_full_search_reference(family, scheme, engine, monkeypatch):
+    """Detour searches cut at the smaller of their targets' radius and
+    their pairs' hop cap change no pair record: every family, both
+    weight schemes, on the spec, on the C tier and on the numpy tier."""
+    pc = pcons_on(engine, monkeypatch, FAMILIES[family], scheme)
     assert pc.pairs.pairs == reference_pairs(pc)
     assert pc.stats.total_detour_length == sum(
         len(rec.detour) - 1 for rec in pc.pairs if rec.uncovered
     )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("family", ["gnp-dense", "clique-bridge", "grid"])
+def test_every_detour_search_is_capped_at_its_pairs_hop(
+    family, engine, monkeypatch
+):
+    """Pcons hands each detour search exactly ``max_i h_i - 1`` as its
+    cap - ``h_i`` the hop length of the vertex's uncovered pairs - with
+    the vertex's T0 path, one search per vertex."""
+    seen = []
+    cls = type(get_engine("python" if engine == "python" else "csr"))
+    batch = cls.batched_shortest_paths
+
+    def spy(self, graph, weights, searches):
+        searches = list(searches)
+        seen.extend(searches)
+        return batch(self, graph, weights, searches)
+
+    monkeypatch.setattr(cls, "batched_shortest_paths", spy)
+    pc = pcons_on(engine, monkeypatch, FAMILIES[family], RANDOM)
+    caps = detour_caps(pc)
+    assert caps
+    assert sorted(seen) == sorted(
+        (pc.tree.path_vertices(v), cap) for v, cap in caps.items()
+    )
+
+
+@pytest.mark.parametrize("family", sorted(BINDING_SIDE))
+def test_families_bind_both_sides_of_the_min(family):
+    """On some detour search of each of these families the named bound
+    is strictly the smaller: the hop cap on the dense ones, the
+    targets' radius on the long-stick lollipop and the clique behind a
+    bridge - so the reference comparison above covers both sides."""
+    graph = FAMILIES[family]
+    pc = run_pcons(graph, 0, weight_scheme=RANDOM, seed=3)
+    spec = get_engine("python")
+    sides = set()
+    for v, cap in detour_caps(pc).items():
+        path = pc.tree.path_vertices(v)
+        full = spec.shortest_paths(
+            graph, pc.weights, v, banned_vertices=set(path[:-1])
+        )
+        hops = [full.dist[t] for t in detour_targets(graph, path)]
+        if None in hops:
+            continue  # an unlabeled target: only the cap bounds the search
+        radius = max((d >> pc.weights.shift for d in hops), default=0)
+        if cap != radius:
+            sides.add("cap" if cap < radius else "targets")
+    assert BINDING_SIDE[family] in sides

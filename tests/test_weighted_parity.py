@@ -19,9 +19,10 @@ search's escape table; the tables, and the detours their parents walk,
 must equal the per-path reference on the python engine, the csr engine
 and csr on its numpy kernels.
 
-Searches given a target set stop at the targets' hop radius ``R``:
-within ``R`` they read what the full run reads, beyond it unreachable,
-on every engine, and a tie beyond ``R`` raises on none of them.
+Searches given a target set or a hop cap stop at the smaller of the
+targets' hop radius and the cap, ``R``: within ``R`` they read what the
+full run reads, beyond it unreachable, on every engine, and a tie beyond
+``R`` raises on none of them.
 
 The fast engine under test follows ``REPRO_ENGINE``: the weighted CI
 matrix reruns this module under ``csr``, which runs its C kernels
@@ -387,7 +388,9 @@ def test_compiled_tie_never_runs_the_numpy_relaxation(monkeypatch):
     with pytest.raises(TieBreakError, match="equal-weight paths"):
         engine.shortest_paths(g, w, 0)
     with pytest.raises(TieBreakError, match="equal-weight paths"):
-        list(engine.batched_shortest_paths(*pendant_c6(3), [[6, 1], [6, 0]]))
+        list(engine.batched_shortest_paths(
+            *pendant_c6(3), uncapped([[6, 1], [6, 0]])
+        ))
     # Sweeps whose tie sits at the first failure, and after a clean one:
     # the clean rows come first, then the reference's own error.
     for graph, weights, tree, eids, message in (
@@ -431,13 +434,18 @@ def test_sweep_relaxes_a_level_in_pert_order():
 # ----------------------------------------------------------------------
 # target radius: searches stop at the hop radius of their targets
 # ----------------------------------------------------------------------
-def expected_truncation(g, w, source, targets, banned=None):
-    """The full run cut at the targets' radius: what a search with
-    ``targets`` must return (the full run when a target goes unlabeled)."""
+def expected_truncation(g, w, source, targets, banned=None, max_hops=None):
+    """The full run cut at the smaller of the targets' radius and
+    ``max_hops``: what a search with ``targets`` and ``max_hops`` must
+    return (``targets=None``, or a target that goes unlabeled, leaves
+    only the cap)."""
     full = PY.shortest_paths(g, w, source, banned_vertices=banned)
-    if any(full.dist[t] is None for t in targets):
+    radius = max_hops
+    if targets is not None and all(full.dist[t] is not None for t in targets):
+        reach = max((full.dist[t] >> w.shift for t in targets), default=0)
+        radius = reach if radius is None else min(radius, reach)
+    if radius is None:
         return full
-    radius = max((full.dist[t] >> w.shift for t in targets), default=0)
     beyond = [
         d is not None and d >> w.shift > radius for d in full.dist
     ]
@@ -451,8 +459,8 @@ def expected_truncation(g, w, source, targets, banned=None):
 
 @st.composite
 def targeted_instance(draw):
-    """(graph, source, scheme, banned, targets): random targets, random
-    vertex bans that may hit a target."""
+    """(graph, source, scheme, banned, targets): random targets (or
+    None), random vertex bans that may hit a target."""
     g, source = draw(graph_with_source(max_vertices=24, connected=False))
     scheme = draw(st.sampled_from([EXACT, RANDOM]))
     others = [v for v in range(g.num_vertices) if v != source]
@@ -461,23 +469,43 @@ def targeted_instance(draw):
     ) else None
     targets = set(
         draw(st.lists(st.integers(0, g.num_vertices - 1), max_size=4))
-    )
+    ) if draw(st.integers(0, 4)) else None
     return g, source, scheme, banned, targets
 
 
-@settings(max_examples=80, **COMMON)
-@given(targeted_instance(), st.integers(0, 3))
-def test_targets_cut_the_full_run_at_their_radius(instance, wseed):
-    """Within the radius the result is the full run's; beyond it every
-    vertex reads unreachable - and an unreachable or banned target
-    gives the full run."""
+@settings(max_examples=120, **COMMON)
+@given(targeted_instance(), st.integers(0, 3), st.data())
+def test_targets_cut_the_full_run_at_their_radius(instance, wseed, data):
+    """Within the radius - the smaller of the targets' hop radius and
+    the drawn cap - the result is the full run's; beyond it every
+    vertex reads unreachable - and no targets, or an unreachable or
+    banned one, leaves only the cap.  The cap is drawn as none, 0,
+    below the targets' radius, above it, or past the source's
+    eccentricity."""
     g, source, scheme, banned, targets = instance
     w = make_weights(g, scheme, seed=wseed)
+    full = PY.shortest_paths(g, w, source, banned_vertices=banned)
+    ecc = max(d >> w.shift for d in full.dist if d is not None)
+    reach = max(
+        (full.dist[t] >> w.shift for t in targets or ()
+         if full.dist[t] is not None),
+        default=0,
+    )
+    max_hops = data.draw(st.sampled_from([
+        None, 0, max(0, reach - 1), reach + 1, ecc + 1, g.num_vertices + 5,
+    ]))
     kind, sp = run_both(
-        "shortest_paths", g, w, source, banned_vertices=banned, targets=targets
+        "shortest_paths", g, w, source, banned_vertices=banned, targets=targets,
+        max_hops=max_hops,
     )
     assert kind == "ok"
-    assert_same_result(expected_truncation(g, w, source, targets, banned), sp)
+    expected = expected_truncation(g, w, source, targets, banned, max_hops)
+    assert_same_result(expected, sp)
+    assert_same_result(expected, NUMPY_CSR.shortest_paths(
+        g, w, source, banned_vertices=banned, targets=targets,
+        max_hops=max_hops,
+    ))
+
 
 
 @settings(max_examples=30, **COMMON)
@@ -517,20 +545,32 @@ def test_empty_targets_leave_only_the_source(pair, scheme):
 
 
 @pytest.mark.parametrize(
-    "targets, kind",
-    [({1, 5}, "ok"), ({2}, "ok"), ({3}, "tie"), ({2, 4}, "ok")],
-    ids=["next-to-source", "radius-2", "tie-within", "radius-2-both-sides"],
+    "targets, max_hops, kind",
+    [
+        ({1, 5}, None, "ok"), ({2}, None, "ok"), ({3}, None, "tie"),
+        ({2, 4}, None, "ok"), ({3}, 2, "ok"), ({3}, 3, "tie"),
+    ],
+    ids=[
+        "next-to-source", "radius-2", "tie-within", "radius-2-both-sides",
+        "tie-beyond-the-cap", "tie-at-the-cap",
+    ],
 )
-def test_even_cycle_tie_raises_only_within_the_radius(targets, kind):
+def test_even_cycle_tie_raises_only_within_the_radius(targets, max_hops, kind):
     """Uniform weights tie at vertex 3, three hops round C6 either way:
-    a radius below 3 never reaches it on either engine, radius 3 does
-    on both."""
+    a radius below 3 - the targets' or the cap's - never reaches it on
+    any engine, radius 3 does on all."""
     g = cycle_graph(6)
     w = uniform_assignment(6)
-    got, sp = run_both("shortest_paths", g, w, 0, targets=targets)
+    got, sp = run_both("shortest_paths", g, w, 0, targets=targets, max_hops=max_hops)
     assert got == kind
     if kind == "ok":
         assert sp.dist[3] is None
+        assert_same_result(
+            sp, NUMPY_CSR.shortest_paths(g, w, 0, targets=targets, max_hops=max_hops)
+        )
+    else:
+        with pytest.raises(TieBreakError):
+            NUMPY_CSR.shortest_paths(g, w, 0, targets=targets, max_hops=max_hops)
 
 
 @pytest.mark.parametrize("bad", [-1, 6, 2**70, -2**70])
@@ -541,18 +581,57 @@ def test_out_of_range_target_raises_on_both(bad):
         kind, _ = run_both("shortest_paths", g, w, 0, targets={1, bad})
         assert kind == "graph-error"
         for paths in ([[0, 1], [bad, 1]], [[0, 1], [1, bad]]):
-            kind, _ = run_detours(g, w, paths)
+            kind, _ = run_detours(g, w, uncapped(paths))
             assert kind == "graph-error"
+
+
+@pytest.mark.parametrize("bad", [-1, -2**70])
+def test_a_negative_cap_raises_before_any_kernel(bad, monkeypatch):
+    """A negative ``max_hops`` raises GraphError on every engine, on
+    single calls and on batched ones, before the csr engine runs a
+    relaxation or an escape pass."""
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran with a negative cap")
+
+    for cls in {type(CSR), CSREngine}:
+        monkeypatch.setattr(cls, "_weighted_levels", kernel)
+        monkeypatch.setattr(cls, "_escape_pass", kernel)
+    g, _ = pendant_c6(3)
+    for scheme in (EXACT, RANDOM):
+        w = make_weights(g, scheme, seed=0)
+        for targets in (None, {1}):
+            kind, _ = run_both(
+                "shortest_paths", g, w, 6, targets=targets, max_hops=bad
+            )
+            assert kind == "graph-error"
+            with pytest.raises(GraphError):
+                NUMPY_CSR.shortest_paths(g, w, 6, targets=targets, max_hops=bad)
+        for searches in ([([6, 0], bad)], [([6, 0], 2), ([6, 1], bad)]):
+            kind, _ = run_detours(g, w, searches)
+            assert kind == "graph-error"
+
+
+def capped_escapes(table, max_hops):
+    """An escape table as a search capped at ``max_hops`` reads it: an
+    entry whose ``w`` lies beyond the cap (``hops - 1 > max_hops``)
+    reads None."""
+    if max_hops is None:
+        return table
+    return [
+        None if entry is None or entry[0] - 1 > max_hops else entry
+        for entry in table
+    ]
 
 
 @settings(max_examples=30, **COMMON)
 @given(graph_with_source(max_vertices=24, connected=False),
        st.sampled_from([EXACT, RANDOM]), st.randoms(use_true_random=False))
 def test_batched_layers_of_different_radius_match_per_call(pair, scheme, rng):
-    """One stacked chunk holding paths of every radius - the source
+    """One stacked chunk holding searches of every radius - the source
     alone (no targets), T0 paths of every depth, and random vertex
-    sequences whose targets may be unreachable - equals the per-path
-    reference and the table of a full search, on every engine."""
+    sequences whose targets may be unreachable, each with a cap of
+    none, 0, 1, 2 or past every hop - equals the per-search reference
+    and the table of a full search cut at the cap, on every engine."""
     g, source = pair
     w = make_weights(g, scheme, seed=3)
     tree = build_spt(g, w, source)
@@ -562,10 +641,15 @@ def test_batched_layers_of_different_radius_match_per_call(pair, scheme, rng):
         if tree.is_reachable(v):
             paths.append(tree.path_vertices(v))
         paths.append(rng.sample(range(n), min(n, rng.randint(1, 4))))
-    kind, out = run_detours(g, w, paths)
+    searches = [
+        (path, rng.choice([None, 0, 1, 2, n + 1])) for path in paths
+    ]
+    kind, out = run_detours(g, w, searches)
     assert kind == "ok"
-    for path, (escapes, _) in zip(paths, out):
-        assert escapes == full_search_escapes(g, w, path)
+    for (path, max_hops), (escapes, _) in zip(searches, out):
+        assert escapes == capped_escapes(
+            full_search_escapes(g, w, path), max_hops
+        )
 
 
 def test_dist_at_reads_without_building_dist():
@@ -634,11 +718,12 @@ def test_batched_shortest_paths_parity(pair, wseed, scheme):
     w = make_weights(g, scheme, seed=wseed)
     tree = build_spt(g, w, source)
     paths = [tree.path_vertices(v) for v in tree.preorder]
-    kind, _ = run_detours(g, w, paths)
+    kind, _ = run_detours(g, w, uncapped(paths))
     if kind != "ok":
         return
     for engine in (CSR, NUMPY_CSR):
-        for path, esc in zip(paths, engine.batched_shortest_paths(g, w, paths)):
+        batch = engine.batched_shortest_paths(g, w, uncapped(paths))
+        for path, esc in zip(paths, batch):
             ref = reference_escapes(PY.shortest_paths, g, w, path)
             assert esc.escapes == ref.escapes
             assert [int(p) for p in esc.parent] == ref.parent
@@ -650,7 +735,7 @@ def test_batched_banned_source_raises_on_both():
     source."""
     g = cycle_graph(6)
     w = make_weights(g, RANDOM, seed=0)
-    kind, _ = run_detours(g, w, [[0, 1], [1, 2, 1]])
+    kind, _ = run_detours(g, w, uncapped([[0, 1], [1, 2, 1]]))
     assert kind == "graph-error"
 
 
@@ -743,12 +828,20 @@ def walk_detours(path, escapes):
     return walked
 
 
-def detour_outcome(engine, g, w, paths):
-    """``(kind, [(escapes, walked detours)])`` of one batch."""
+def uncapped(paths):
+    """``paths`` as detour searches with no hop cap."""
+    return [(path, None) for path in paths]
+
+
+def detour_outcome(engine, g, w, searches):
+    """``(kind, [(escapes, walked detours)])`` of one batch of
+    ``(path, max_hops)`` searches."""
     try:
         return "ok", [
             (esc.escapes, walk_detours(path, esc))
-            for path, esc in zip(paths, engine.batched_shortest_paths(g, w, paths))
+            for (path, _), esc in zip(
+                searches, engine.batched_shortest_paths(g, w, searches)
+            )
         ]
     except TieBreakError:
         return "tie", None
@@ -756,10 +849,10 @@ def detour_outcome(engine, g, w, paths):
         return "graph-error", None
 
 
-def run_detours(g, w, paths):
+def run_detours(g, w, searches):
     """One batch on the python engine, the csr engine and csr on numpy:
     the outcomes (tables and detours, or the error kind) must agree."""
-    outcomes = [detour_outcome(e, g, w, paths) for e in (PY, CSR, NUMPY_CSR)]
+    outcomes = [detour_outcome(e, g, w, searches) for e in (PY, CSR, NUMPY_CSR)]
     assert outcomes[0] == outcomes[1] == outcomes[2], (
         f"engines disagree: python={outcomes[0][0]} {FAST_NAME}="
         f"{outcomes[1][0]} numpy={outcomes[2][0]}"
@@ -833,7 +926,7 @@ def test_escape_tables_and_detours_match_on_every_engine(family, scheme, data):
     tree = build_spt(g, w, data.draw(st.integers(0, g.num_vertices - 1)))
     targets = data.draw(st.lists(st.sampled_from(tree.preorder), max_size=10))
     paths = [tree.path_vertices(v) for v in targets]
-    kind, out = run_detours(g, w, paths)
+    kind, out = run_detours(g, w, uncapped(paths))
     assert kind == "ok"
     for path, (escapes, detours) in zip(paths, out):
         assert escapes == full_search_escapes(g, w, path)
@@ -848,7 +941,9 @@ def test_the_tree_edge_into_v_is_never_an_escape(scheme):
     """On a path graph every edge out of the path is the tree edge
     into ``v``: no escape anywhere, on any engine."""
     g = path_graph(5)
-    kind, out = run_detours(g, make_weights(g, scheme, seed=0), [[0, 1, 2, 3]])
+    kind, out = run_detours(
+        g, make_weights(g, scheme, seed=0), uncapped([[0, 1, 2, 3]])
+    )
     assert kind == "ok"
     assert out[0][0] == [None, None, None]
 
@@ -860,7 +955,7 @@ def test_a_direct_edge_to_v_is_a_one_hop_escape(scheme):
     edge and escapes nothing."""
     g = cycle_graph(5)
     w = make_weights(g, scheme, seed=0)
-    kind, out = run_detours(g, w, [[0, 1, 2, 3, 4]])
+    kind, out = run_detours(g, w, uncapped([[0, 1, 2, 3, 4]]))
     assert kind == "ok"
     escapes, detours = out[0]
     assert escapes == [(1, 4, g.edge_id(0, 4)), None, None, None]
@@ -874,7 +969,7 @@ def test_a_vertex_with_only_path_neighbours_has_no_escape(scheme):
     edge into ``v``)."""
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)])
     w = make_weights(g, scheme, seed=0)
-    kind, out = run_detours(g, w, [[0, 1, 2, 3]])
+    kind, out = run_detours(g, w, uncapped([[0, 1, 2, 3]]))
     assert kind == "ok"
     escapes, detours = out[0]
     assert escapes == [(2, 4, g.edge_id(0, 4)), None, None]
@@ -882,15 +977,17 @@ def test_a_vertex_with_only_path_neighbours_has_no_escape(scheme):
 
 
 @pytest.mark.parametrize(
-    "far, kind", [(1, "ok"), (2, "ok"), (3, "tie")],
-    ids=["radius-1", "radius-2", "tie-within"],
+    "far, max_hops, kind",
+    [(1, None, "ok"), (2, None, "ok"), (3, None, "tie"), (3, 2, "ok")],
+    ids=["radius-1", "radius-2", "tie-within", "tie-beyond-the-cap"],
 )
-def test_a_tie_in_a_chunk_reruns_it_on_the_reference(far, kind):
+def test_a_tie_in_a_chunk_reruns_it_on_the_reference(far, max_hops, kind):
     """The C6 tie inside a chunk, behind a path whose own search is
-    clean: the chunk hands back, and the reference raises on every
-    engine exactly when the tie lies within the radius."""
+    clean: the chunk hands back, and the reference - given the caps -
+    raises on every engine exactly when the tie lies within the
+    radius."""
     g, w = pendant_c6(far)
-    got, _ = run_detours(g, w, [[6, 1], [6, 0]])
+    got, _ = run_detours(g, w, [([6, 1], None), ([6, 0], max_hops)])
     assert got == kind
 
 
@@ -914,8 +1011,10 @@ def test_degenerate_weights_detour_parity(pair, salt):
         while path[-1] != source:
             path.append(parent[path[-1]])
         paths.append(path[::-1])
-    kinds = [run_detours(g, w, [path])[0] for path in paths]
-    assert run_detours(g, w, paths)[0] == ("tie" if "tie" in kinds else "ok")
+    kinds = [run_detours(g, w, uncapped([path]))[0] for path in paths]
+    assert run_detours(g, w, uncapped(paths))[0] == (
+        "tie" if "tie" in kinds else "ok"
+    )
 
 
 @pytest.mark.parametrize("bad", [-1, 7, 2**70, -2**70])
@@ -934,7 +1033,7 @@ def test_a_path_outside_the_graph_raises_before_any_kernel(bad, monkeypatch):
     for paths in ([[6, 0], [6, bad, 1]], [[6, 0], [6, bad]], [[6, 0], []]):
         for engine in (PY, CSR, NUMPY_CSR):
             with pytest.raises(GraphError):
-                list(engine.batched_shortest_paths(g, w, paths))
+                list(engine.batched_shortest_paths(g, w, uncapped(paths)))
 
 
 @pytest.mark.skipif(
@@ -953,7 +1052,9 @@ def test_compiled_batch_builds_no_result_lists(monkeypatch):
     tree = build_spt(g, w, 0)
     paths = [tree.path_vertices(v) for v in tree.preorder]
     monkeypatch.setattr(ce, "assemble_result", assemble)
-    tables = [esc.escapes for esc in CSR.batched_shortest_paths(g, w, paths)]
+    tables = [
+        esc.escapes for esc in CSR.batched_shortest_paths(g, w, uncapped(paths))
+    ]
     assert tables == [full_search_escapes(g, w, path) for path in paths]
 
 
@@ -1028,7 +1129,8 @@ def streamed_detours(engine, g, w, paths):
     """What a batch yields before it ends, and how it ends."""
     found = []
     try:
-        for path, esc in zip(paths, engine.batched_shortest_paths(g, w, paths)):
+        batch = engine.batched_shortest_paths(g, w, uncapped(paths))
+        for path, esc in zip(paths, batch):
             found.append((esc.escapes, walk_detours(path, esc)))
     except TieBreakError:
         return found, "tie"
@@ -1081,7 +1183,9 @@ def test_clean_dense_instance_never_hands_back(monkeypatch):
         for s in (0, 41)
     ]
     expected = [PY.shortest_paths(g, w, s, **kw) for s, kw in calls]
-    tables = [esc.escapes for esc in PY.batched_shortest_paths(g, w, paths)]
+    tables = [
+        esc.escapes for esc in PY.batched_shortest_paths(g, w, uncapped(paths))
+    ]
 
     def reference(*args, **kwargs):
         raise AssertionError("a clean source run handed back to the reference")
@@ -1089,7 +1193,9 @@ def test_clean_dense_instance_never_hands_back(monkeypatch):
     monkeypatch.setattr(PythonEngine, "shortest_paths", reference)
     for (s, kw), ref in zip(calls, expected):
         assert_same_result(ref, CSR.shortest_paths(g, w, s, **kw))
-    assert [esc.escapes for esc in CSR.batched_shortest_paths(g, w, paths)] == tables
+    assert [
+        esc.escapes for esc in CSR.batched_shortest_paths(g, w, uncapped(paths))
+    ] == tables
 
 
 def test_detour_targets_are_the_off_path_neighbours():
