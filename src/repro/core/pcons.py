@@ -53,9 +53,10 @@ collected into ``pending_by_vertex`` and dispatched as one
 ``batched_shortest_paths`` call over their T0 paths and hop caps, which
 derives each search's bans and targets from its path and hands back its
 escape table
-(on the csr engine's C tier, one C pass per stacked chunk computes the
-tables, and no search builds an ``n``-entry list).  ``_fill_detours``
-only picks ``j*`` and walks the chosen detour's parent entries.
+(on the csr engine's C tier, one C call per chunk runs the searches and
+computes the tables, and no search builds an ``n``-entry list).
+``_fill_detours`` only picks ``j*`` and walks the chosen detour's
+parent entries.
 
 Replacement *distances* ``dist(s, v, G \\ {e})`` come from the
 subtree-restricted engine in :mod:`repro.spt.replacement`.

@@ -42,9 +42,10 @@ Engine contract (details in :mod:`repro.engine.base`)
   and yields each detour search's escape table (``DetourEscapes``: per
   path vertex, the cheapest way off the path) with the parents that
   walk a chosen detour; the reference is ``reference_escapes`` per
-  search.  The csr engine stacks the searches
-  and, on its C tier, computes every table of a chunk in one C pass
-  over the stacked state.  Reported via ``detour_backend``.
+  search.  The csr engine runs each chunk of searches as one C call,
+  one search after another on ``n``-entry scratch, or stacks them into
+  shared per-level numpy kernels without its C tier.  Reported via
+  ``detour_backend``.
 
 Built-in engines
 ----------------
@@ -54,7 +55,7 @@ Built-in engines
     Array kernels over a CSR view cached on the graph
     (:mod:`repro.engine.compiled`); registered only when numpy imports,
     and the default then.  The traversal hot paths - the sweep hot pair
-    and the weighted ``(hops, pert_sum)`` stacked relaxation behind
+    and the weighted ``(hops, pert_sum)`` relaxation behind
     ``run_pcons`` and the batched primitives - run as C loops that
     :mod:`repro.engine.cbuild` compiles once on demand and loads via
     ctypes.  With no compiler, under ``REPRO_CC=0`` and after a failed

@@ -2,8 +2,8 @@
  * hot pair (ordered BFS + Euler-interval subtree recompute), the
  * weighted (hops, pert_sum) level relaxation of source runs, its seeded
  * twin that fills the weighted failure sweep's rows, the Pcons detour
- * batch's escape pass over the relaxation's stacked state, and Phase
- * S1's batched interference existence query.
+ * batch (one search per path on that relaxation, read as its escape
+ * table), and Phase S1's batched interference existence query.
  *
  * Compiled on demand by repro.engine.cbuild with the system C compiler
  * and loaded through ctypes; repro/engine/compiled.py is the only
@@ -40,10 +40,11 @@
  *   state verbatim; the numpy path's lexsort-group machinery is a
  *   vectorization workaround for the same sequential semantics, not
  *   extra behavior.
- * - repro_weighted_levels serves source runs only (every seed at hop
- *   0: the Pcons detour searches, build_spt, csr shortest_paths).  It
- *   chooses per layer and per level between that top-down step and a
- *   bottom-up one, in which each unlabeled vertex gathers its
+ * - The relaxation serves source runs only (every seed at hop 0:
+ *   build_spt and csr shortest_paths through repro_weighted_levels, the
+ *   Pcons detour searches through repro_detour_batch).  It chooses per
+ *   level between that top-down step and a bottom-up one, in which
+ *   each unlabeled vertex gathers its
  *   candidates from its own edges and replays them in the settle order
  *   top-down would deliver them in, through the same running minimum -
  *   so it meets the same labels and the same ties.  The choice
@@ -69,10 +70,11 @@
  *   interval.  Seed labels at higher hops are what keep it top-down.
  *   It detects the same seed and relaxation ties and hands the
  *   remaining failures back, from the one that met a tie.
- * - The detour escape pass (repro_detour_escapes) replays
- *   escape_table over the stacked (settled, hop, pert) state: the same
- *   candidates in the same adjacency order under the same strict
- *   comparison, on the (hops, pert) pair instead of the big-int
+ * - The detour batch (repro_detour_batch) replays reference_escapes per
+ *   path: the same bans, targets and cap through the relaxation above,
+ *   then escape_table over the search's (settled, hop, pert) scratch -
+ *   the same candidates in the same adjacency order under the same
+ *   strict comparison, on the (hops, pert) pair instead of the big-int
  *   composite.
  *
  * Bit-identity under the exact scheme (pert(e) = 2**e), which no int64
@@ -363,9 +365,7 @@ int64_t repro_recompute_subtree(
 }
 
 /* A settling vertex: sorted by (pert, id), the reference heap's pop
- * order.  Stacked layers keep this exact within a level too - layer
- * offsets are multiples of n_base, so global-id order within a layer
- * equals local-id order. */
+ * order. */
 typedef struct {
     int64_t pert;
     int64_t id;
@@ -391,7 +391,7 @@ typedef struct {
 
 /* Sorts n records of size bytes, each led by a wl_entry key, by that
  * key: by insertion up to SMALL_SORT records, by qsort beyond.  A
- * layer's level, or one vertex's bottom-up candidates, is often a few
+ * search's level, or one vertex's bottom-up candidates, is often a few
  * dozen records, where qsort's calls and scratch cost more than the
  * moves they save: per-call qsort made the weighted sweep on G(700,
  * 62/699) ~8% slower (13.1-13.2 -> 14.2 ms, best of 20) and took half
@@ -417,7 +417,7 @@ static void sort_keyed(void *base, int64_t n, size_t size)
     }
 }
 
-/* The direction rule: a layer takes the bottom-up step at a level when
+/* The direction rule: a search takes the bottom-up step at a level when
  * BU_COST times the degree sum of its unlabeled allowed vertices is
  * below the degree sum of the level's vertices, which top-down would
  * expand (see repro_weighted_levels for the measurement behind the
@@ -472,10 +472,11 @@ static int path_lighter(const path_tree *t, int64_t u1, int64_t e1,
     return e1 < e2;
 }
 
-/* What one relaxation reads and writes.  pert_edge NULL selects the
- * exact scheme's order, over tree = the relaxation's own parents. */
+/* What one relaxation reads and writes, n entries per state array.
+ * pert_edge NULL selects the exact scheme's order, over tree = the
+ * relaxation's own parents. */
 typedef struct {
-    int64_t n_base;
+    int64_t n;
     const int64_t *indptr;
     const int64_t *indices;
     const int64_t *edge_ids;
@@ -490,7 +491,7 @@ typedef struct {
     path_tree tree;
 } wl_graph;
 
-/* Per-layer scratch, n_base entries each: a level's entries, the
+/* A relaxation's scratch, n entries each: a level's entries, the
  * frontier pair, the unvisited list and one vertex's bottom-up
  * candidates. */
 typedef struct {
@@ -501,7 +502,28 @@ typedef struct {
     bu_cand *cand;
 } wl_scratch;
 
-/* The top-down step of one layer: the level's vertices act[0 .. alen),
+/* Allocates s for n vertices; returns 0, freeing what it got, when one
+ * allocation fails. */
+static int wl_scratch_alloc(wl_scratch *s, int64_t n)
+{
+    size_t width = (size_t)(n > 0 ? n : 1);
+    s->act = malloc(width * sizeof(wl_entry));
+    s->fr = malloc(width * sizeof(int64_t));
+    s->nx = malloc(width * sizeof(int64_t));
+    s->unv = malloc(width * sizeof(int64_t));
+    s->cand = malloc(width * sizeof(bu_cand));
+    if (s->act && s->fr && s->nx && s->unv && s->cand)
+        return 1;
+    free(s->act); free(s->fr); free(s->nx); free(s->unv); free(s->cand);
+    return 0;
+}
+
+static void wl_scratch_free(wl_scratch *s)
+{
+    free(s->act); free(s->fr); free(s->nx); free(s->unv); free(s->cand);
+}
+
+/* The top-down step: the level's vertices act[0 .. alen),
  * in (pert, id) order, stream their out-edges in CSR order through the
  * filters.  A target already labeled at the next level (an earlier
  * arrival) keeps the running minimum: strict improvement overwrites,
@@ -513,7 +535,7 @@ typedef struct {
  * running minimum is path_lighter's and no pert is kept.  Returns 1 on
  * the tie event, else 0. */
 static int64_t top_down_step(
-    const wl_graph *g, int64_t off, int64_t lvl,
+    const wl_graph *g, int64_t lvl,
     const wl_entry *act, int64_t alen, int64_t *nx, int64_t *nlen,
     int64_t *udeg)
 {
@@ -521,13 +543,11 @@ static int64_t top_down_step(
     const int exact = g->pert_edge == NULL;
     for (int64_t j = 0; j < alen; j++) {
         int64_t v = act[j].id;
-        int64_t local = v - off;
         int64_t pv = g->pert_t[v];
-        for (int64_t k = indptr[local]; k < indptr[local + 1]; k++) {
+        for (int64_t k = indptr[v]; k < indptr[v + 1]; k++) {
             int64_t e = g->edge_ids[k];
             if (g->edge_ok && !g->edge_ok[e]) continue;
-            int64_t x = g->indices[k];
-            int64_t w = x + off;
+            int64_t w = g->indices[k];
             if (g->settled[w]) continue;
             if (g->vertex_ok && !g->vertex_ok[w]) continue;
             if (g->hop_t[w] == lvl + 1) {
@@ -548,7 +568,7 @@ static int64_t top_down_step(
                     return 1;
                 }
             } else {
-                *udeg -= indptr[x + 1] - indptr[x];
+                *udeg -= indptr[w + 1] - indptr[w];
                 g->hop_t[w] = lvl + 1;
                 g->pert_t[w] = exact ? 0 : pv + g->pert_edge[e];
                 g->parent[w] = v;
@@ -560,7 +580,7 @@ static int64_t top_down_step(
     return 0;
 }
 
-/* The bottom-up step of one layer: each vertex of the unvisited list
+/* The bottom-up step: each vertex of the unvisited list
  * that is still unlabeled gathers, through the top-down filters, its
  * neighbours settled at this level, sorts them into settle order and
  * replays them through the same running minimum and tie rule; under the
@@ -568,7 +588,7 @@ static int64_t top_down_step(
  * Labeled vertices join nx[*nlen ..), leave *udeg and drop off the
  * list.  Returns 1 on the tie event, else 0. */
 static int64_t bottom_up_step(
-    const wl_graph *g, int64_t off, int64_t lvl,
+    const wl_graph *g, int64_t lvl,
     int64_t *unv, int64_t *ucnt, bu_cand *cand, int64_t *nx,
     int64_t *nlen, int64_t *udeg)
 {
@@ -578,10 +598,9 @@ static int64_t bottom_up_step(
         int64_t w = unv[i];
         if (g->hop_t[w] != -1)
             continue;  /* labeled top-down at an earlier level */
-        int64_t local = w - off;
         int64_t nc = 0;
-        for (int64_t k = indptr[local]; k < indptr[local + 1]; k++) {
-            int64_t u = g->indices[k] + off;
+        for (int64_t k = indptr[w]; k < indptr[w + 1]; k++) {
+            int64_t u = g->indices[k];
             if (!g->settled[u] || g->hop_t[u] != lvl) continue;
             int64_t e = g->edge_ids[k];
             if (g->edge_ok && !g->edge_ok[e]) continue;
@@ -624,46 +643,44 @@ static int64_t bottom_up_step(
         g->parent[w] = par;
         g->parent_eid[w] = pe;
         nx[(*nlen)++] = w;
-        *udeg -= indptr[local + 1] - indptr[local];
+        *udeg -= indptr[w + 1] - indptr[w];
     }
     *ucnt = keep;
     return 0;
 }
 
-/* One layer b of a relaxation, from its sources src[0 .. nsrc) (global
- * ids the intake labeled at hop 0) to the end of its search, each
- * level taking the cheaper direction; tgt_ptr/tgt and cap carry the
- * stop rule (NULL for none; see repro_weighted_levels). */
+/* One relaxation, from its sources src[0 .. nsrc) (the vertices the
+ * intake labeled at hop 0) to the end of its search, each level taking
+ * the cheaper direction.  tgt[0 .. ntgt) and cap carry the stop rule
+ * (ntgt < 0: no targets, cap < 0: no cap; see repro_weighted_levels). */
 static int64_t run_layer(
-    const wl_graph *g, const wl_scratch *s, int64_t b,
+    const wl_graph *g, const wl_scratch *s,
     const int64_t *src, int64_t nsrc,
-    const int64_t *tgt_ptr, const int64_t *tgt, const int64_t *cap)
+    const int64_t *tgt, int64_t ntgt, int64_t cap)
 {
-    const int64_t n_base = g->n_base, off = b * n_base;
     const int64_t *indptr = g->indptr;
     int64_t *fr = s->fr, *nx = s->nx;
 
-    /* The unvisited list: the layer's unlabeled allowed vertices, and
-     * udeg, the degree sum a bottom-up step would scan. */
+    /* The unvisited list: the unlabeled allowed vertices, and udeg, the
+     * degree sum a bottom-up step would scan. */
     int64_t ucnt = 0, udeg = 0;
-    for (int64_t x = 0; x < n_base; x++) {
-        int64_t w = off + x;
+    for (int64_t w = 0; w < g->n; w++) {
         if (g->hop_t[w] != -1) continue;
         if (g->vertex_ok && !g->vertex_ok[w]) continue;
         s->unv[ucnt++] = w;
-        udeg += indptr[x + 1] - indptr[x];
+        udeg += indptr[w + 1] - indptr[w];
     }
 
-    /* tgt[t .. t_end): the layer's targets not yet seen labeled. */
-    int64_t t = tgt_ptr ? tgt_ptr[b] : 0, t_end = tgt_ptr ? tgt_ptr[b + 1] : 0;
+    /* tgt[t .. ntgt): the targets not yet seen labeled. */
+    int64_t t = 0;
     memcpy(fr, src, (size_t)nsrc * sizeof(int64_t));
     int64_t flen = nsrc;
     for (int64_t lvl = 0; flen > 0; lvl++) {
-        int64_t stop = cap && lvl >= cap[b];
-        if (tgt_ptr && !stop) {
-            while (t < t_end && g->hop_t[tgt[t]] != -1)
+        int64_t stop = cap >= 0 && lvl >= cap;
+        if (ntgt >= 0 && !stop) {
+            while (t < ntgt && g->hop_t[tgt[t]] != -1)
                 t++;
-            stop = t == t_end;
+            stop = t == ntgt;
         }
         /* Settle the level: its labels are final once the level before
          * has expanded.  fdeg sums the degrees top-down would scan. */
@@ -673,18 +690,18 @@ static int64_t run_layer(
             g->settled[v] = 1;
             s->act[alen].pert = g->pert_t[v];
             s->act[alen++].id = v;
-            fdeg += indptr[v - off + 1] - indptr[v - off];
+            fdeg += indptr[v + 1] - indptr[v];
         }
         if (stop)
             return 0;  /* lvl is the radius: settled, not expanded */
         int64_t nlen = 0, rc;
         if (BU_COST * udeg < fdeg) {
-            rc = bottom_up_step(g, off, lvl, s->unv, &ucnt, s->cand, nx,
-                                &nlen, &udeg);
+            rc = bottom_up_step(g, lvl, s->unv, &ucnt, s->cand, nx, &nlen,
+                                &udeg);
         } else {
             if (g->pert_edge)  /* the exact order needs no settle order */
                 sort_keyed(s->act, alen, sizeof(wl_entry));
-            rc = top_down_step(g, off, lvl, s->act, alen, nx, &nlen, &udeg);
+            rc = top_down_step(g, lvl, s->act, alen, nx, &nlen, &udeg);
         }
         if (rc != 0)
             return rc;
@@ -694,22 +711,20 @@ static int64_t run_layer(
     return 0;
 }
 
-/* weighted_levels equivalent for source runs - every seed at hop 0:
- * the Pcons detour searches, build_spt, csr shortest_paths - as the
- * level-synchronous two-array (hops, pert_sum) relaxation over n_total
- * = B * n_base stacked layers (pass n_total == n_base for a plain
- * single-layer run).  Seeds arrive as raw columns in the reference's
- * arrival order and go through its sequential running-min intake: a
- * smaller pert overwrites, and equality through a different entry edge
- * is the reference's seed tie.  A seed out of array range, or off hop
- * 0, is refused before it touches anything; both bail (see below).
- * The seeded runs of the weighted sweep run in repro_weighted_sweep.
- * Entry contract: hop_t is -1 and settled 0 at every position.
+/* weighted_levels equivalent for one source run - every seed at hop 0:
+ * build_spt and csr shortest_paths - as the level-synchronous two-array
+ * (hops, pert_sum) relaxation over n vertices; the Pcons detour
+ * searches run the same relaxation through repro_detour_batch.  Seeds
+ * arrive as raw columns in the reference's arrival order and go through
+ * its sequential running-min intake: a smaller pert overwrites, and
+ * equality through a different entry edge is the reference's seed tie.
+ * A seed out of array range, or off hop 0, is refused before it touches
+ * anything; both bail (see below).  The seeded runs of the weighted
+ * sweep run in repro_weighted_sweep.  Entry contract: hop_t is -1 and
+ * settled 0 at every position.
  *
- * Layers share no vertex and a tie in any of them hands the whole call
- * back, so the layers run one after another (run_layer), each from its
- * own sources.  Each level settles its vertices and expands them in
- * one of two directions:
+ * Each level settles its vertices and expands them in one of two
+ * directions:
  *
  * - top-down: the level's vertices, sorted by (pert, id) - the
  *   reference heap's pop order - relax their out-edges in CSR order,
@@ -728,7 +743,7 @@ static int64_t run_layer(
  *   every seed at hop 0, an unlabeled vertex is one no level has
  *   reached yet, which is what makes the gather complete.
  *
- * A layer takes bottom-up at a level when BU_COST times the degree sum
+ * A search takes bottom-up at a level when BU_COST times the degree sum
  * of its unlabeled allowed vertices (its unvisited list, which shrinks
  * as they are labeled) is below the degree sum of the level's vertices
  * - the direction-optimizing BFS of Beamer, Asanovic and Patterson
@@ -750,19 +765,18 @@ static int64_t run_layer(
  * graph, such as build_spt's full run on that input.  Labels, parents,
  * radii and hand-backs are the same whichever direction a level takes.
  *
- * The stop rule: layer b stops at its radius R, the smaller of two
- * bounds, either of which may be absent (NULL).  The targets (tgt_ptr
- * and tgt) bound it at their largest hop: layer b's targets are the
- * global ids tgt[tgt_ptr[b] .. tgt_ptr[b+1]), and a label's hop is
+ * The stop rule: the run stops at its radius R, the smaller of two
+ * bounds, either of which may be absent.  The targets tgt[0 .. ntgt)
+ * (ntgt < 0: none) bound it at their largest hop: a label's hop is
  * fixed when it is first set, so the first level to start with every
- * target of the layer labeled is that hop.  The cap bounds it at
- * cap[b] (>= 0) levels.  At level R the layer stops: its level-R
- * entries are marked settled (their labels are final once level R - 1
- * has expanded) but neither sorted nor expanded, and nothing beyond R
- * is ever labeled.  That is the reference's stop at its first pop at
- * hop R, and it expands exactly the vertices the reference expands
- * before that pop, so both meet the same ties.  A layer with an
- * unreachable target and no cap runs to completion.
+ * target labeled is that hop.  The cap (< 0: none) bounds it at cap
+ * levels.  At level R the run stops: its level-R entries are marked
+ * settled (their labels are final once level R - 1 has expanded) but
+ * neither sorted nor expanded, and nothing beyond R is ever labeled.
+ * That is the reference's stop at its first pop at hop R, and it
+ * expands exactly the vertices the reference expands before that pop,
+ * so both meet the same ties.  A run with an unreachable target and no
+ * cap runs to completion.
  *
  * A NULL pert_edge selects the exact scheme's order: every comparison
  * is path_lighter's climb over the relaxation's own parents, pert_t
@@ -774,17 +788,16 @@ static int64_t run_layer(
  * relaxation tie, 2 = seed tie or refused seed, -1 = allocation
  * failure.  A bail may leave the state mid-run. */
 int64_t repro_weighted_levels(
-    int64_t n_total,
-    int64_t n_base,
+    int64_t n,
     const int64_t *indptr,
     const int64_t *indices,
     const int64_t *edge_ids,
     const int64_t *pert_edge,
     const uint8_t *edge_ok,
     const uint8_t *vertex_ok,
-    const int64_t *tgt_ptr,
+    int64_t ntgt,
     const int64_t *tgt,
-    const int64_t *cap,
+    int64_t cap,
     int64_t nseeds,
     const int64_t *seed_hop,
     const int64_t *seed_pert,
@@ -805,7 +818,7 @@ int64_t repro_weighted_levels(
     int64_t nsrc = 0, rc = 0;
     for (int64_t j = 0; j < nseeds; j++) {
         int64_t v = seed_vertex[j];
-        if (v < 0 || v >= n_total || seed_hop[j] != 0) {
+        if (v < 0 || v >= n || seed_hop[j] != 0) {
             rc = 2;
             break;
         }
@@ -822,38 +835,19 @@ int64_t repro_weighted_levels(
             break;
         }
     }
-    if (rc != 0) {
-        free(src);
-        return rc;
-    }
-    /* Global-id order is layer order: each layer's sources form one run.
-     * A valid seed makes n_total, hence n_base, positive. */
-    qsort(src, (size_t)nsrc, sizeof(int64_t), cmp_int64);
-    size_t width = (size_t)n_base;
-    wl_scratch s = {
-        malloc(width * sizeof(wl_entry)),
-        malloc(width * sizeof(int64_t)),
-        malloc(width * sizeof(int64_t)),
-        malloc(width * sizeof(int64_t)),
-        malloc(width * sizeof(bu_cand)),
-    };
-    if (!s.act || !s.fr || !s.nx || !s.unv || !s.cand) {
+    wl_scratch s;
+    if (rc == 0 && !wl_scratch_alloc(&s, n))
         rc = -1;
-    } else {
+    if (rc == 0) {
         const wl_graph g = {
-            n_base, indptr, indices, edge_ids, pert_edge, edge_ok,
-            vertex_ok, settled, hop_t, pert_t, parent, parent_eid,
+            n, indptr, indices, edge_ids, pert_edge, edge_ok, vertex_ok,
+            settled, hop_t, pert_t, parent, parent_eid,
             {parent, parent_eid, NULL, 0, 0, NULL, NULL},
         };
-        for (int64_t lo = 0, hi; lo < nsrc && rc == 0; lo = hi) {
-            int64_t b = src[lo] / n_base;
-            for (hi = lo + 1; hi < nsrc && src[hi] / n_base == b; hi++)
-                ;
-            rc = run_layer(&g, &s, b, src + lo, hi - lo, tgt_ptr, tgt, cap);
-        }
+        rc = run_layer(&g, &s, src, nsrc, tgt, ntgt, cap);
+        wl_scratch_free(&s);
     }
     free(src);
-    free(s.act); free(s.fr); free(s.nx); free(s.unv); free(s.cand);
     return rc;
 }
 
@@ -1091,24 +1085,76 @@ int64_t repro_weighted_sweep(
     return done;
 }
 
-/* The Pcons detour batch's escape tables, read off the stacked state
- * repro_weighted_levels left behind (engine/base.py: escape_table is
- * the spec) - parent and parent_eid included, which the exact order's
- * comparisons climb when pert_edge is NULL (pert is not read then; see
- * the header).  Path b occupies path[path_ptr[b] .. path_ptr[b+1]) as
- * [u_0, ..., u_k = v] and was searched in layer b (global ids
- * b * n_base + x) from v with u_0 .. u_{k-1} banned.  For each j < k,
- * u_j's edges (u_j, w, e) are scanned in CSR order - the adjacency
- * order - skipping the tree edge (u_{k-1}, v) and every w the search
- * left unsettled (the banned path vertices among them); the smallest
+/* The escape table of one finished detour search (engine/base.py:
+ * escape_table is the spec), for the path p[0 .. k] = [u_0, ..., u_k =
+ * v] it searched from v with u_0 .. u_{k-1} banned.  For each j < k,
+ * u_j's edges (u_j, w, e) are scanned in CSR order - the adjacency order
+ * - skipping the tree edge (u_{k-1}, v) and every w the search left
+ * unsettled (the banned path vertices among them); the smallest
  * (hop(w) + 1, pert(w) + pert_edge[e]) wins, the first among equals
  * (strict <).  Comparing the pair is comparing the reference's
  * composite W(e) + dist(w): u_j, w, ..., v is a simple path, so the
- * plan's bound keeps its perturbation sum below the hop bits.  The
- * winner lands at u_j's position in esc_hop/esc_w/esc_eid; a u_j with
- * no candidate, and each path's last position, get esc_hop = -1. */
-int64_t repro_detour_escapes(
-    int64_t n_base,
+ * plan's bound keeps its perturbation sum below the hop bits.  Under the
+ * exact order (NULL pert_edge) path_lighter's climb over the search's
+ * own parents decides same-hop candidates instead.  The winner lands at
+ * u_j's position in esc_hop/esc_w/esc_eid; a u_j with no candidate,
+ * and the path's last position, get esc_hop = -1. */
+static void escape_scan(
+    const wl_graph *g, const int64_t *p, int64_t k,
+    int64_t *esc_hop, int64_t *esc_w, int64_t *esc_eid)
+{
+    const int64_t *indptr = g->indptr, *pert_edge = g->pert_edge;
+    int64_t v = p[k];
+    esc_hop[k] = esc_w[k] = esc_eid[k] = -1;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t bh = -1, bp = 0, bw = -1, be = -1;
+        int64_t u = p[i];
+        for (int64_t x = indptr[u]; x < indptr[u + 1]; x++) {
+            int64_t w = g->indices[x];
+            if (w == v && i == k - 1)
+                continue;  /* the tree edge (u_{k-1}, v) */
+            if (!g->settled[w])
+                continue;
+            int64_t h = g->hop_t[w] + 1, e = g->edge_ids[x];
+            int64_t c = pert_edge ? g->pert_t[w] + pert_edge[e] : 0;
+            if (bh < 0 || h < bh
+                || (h == bh && (pert_edge ? c < bp
+                                : path_lighter(&g->tree, w, e, bw, be)))) {
+                bh = h;
+                bp = c;
+                bw = w;
+                be = e;
+            }
+        }
+        esc_hop[i] = bh;
+        esc_w[i] = bw;
+        esc_eid[i] = be;
+    }
+}
+
+/* The Pcons detour batch (engine/base.py: reference_escapes is the
+ * spec), one search per path, each on the same n-entry scratch.  Path b
+ * occupies path[path_ptr[b] .. path_ptr[b+1]) as [u_0, ..., u_k = v];
+ * the caller checked every id against [0, n), every cap[b] against a
+ * negative value and every v against the rest of its path.  Per path:
+ *
+ * - ban u_0 .. u_{k-1}; the search's targets are their neighbours that
+ *   are neither banned nor v (detour_targets), each listed once;
+ * - seed v at hop 0 and run the relaxation (run_layer) with those
+ *   targets and cap[b], writing its parents straight into row b of
+ *   parent/parent_eid (n entries from b * n): a labeled vertex's
+ *   parent, -1 at v and wherever the search labeled nothing, which
+ *   the exact order's comparisons climb;
+ * - read the escape table (escape_scan) into the path's positions of
+ *   esc_hop/esc_w/esc_eid;
+ * - lift the bans and target marks and reset settled and hop, so the
+ *   next search starts on clean scratch.
+ *
+ * Returns 0; 1 on the relaxation tie event (random scheme only) and -1
+ * on allocation failure, both of which hand the whole batch back to the
+ * reference, so the rows of a bail are left partial. */
+int64_t repro_detour_batch(
+    int64_t n,
     const int64_t *indptr,
     const int64_t *indices,
     const int64_t *edge_ids,
@@ -1116,48 +1162,70 @@ int64_t repro_detour_escapes(
     int64_t n_paths,
     const int64_t *path_ptr,
     const int64_t *path,
-    const uint8_t *settled,
-    const int64_t *hop,
-    const int64_t *pert,
-    const int64_t *parent,
-    const int64_t *parent_eid,
+    const int64_t *cap,
     int64_t *esc_hop,
     int64_t *esc_w,
-    int64_t *esc_eid)
+    int64_t *esc_eid,
+    int64_t *parent,
+    int64_t *parent_eid)
 {
-    const path_tree t = {parent, parent_eid, NULL, 0, 0, NULL, NULL};
-    for (int64_t b = 0; b < n_paths; b++) {
-        int64_t first = path_ptr[b], last = path_ptr[b + 1] - 1;
-        int64_t off = b * n_base;
-        int64_t v = path[last];
-        esc_hop[last] = esc_w[last] = esc_eid[last] = -1;
-        for (int64_t i = first; i < last; i++) {
-            int64_t bh = -1, bp = 0, bw = -1, be = -1;
-            int64_t u = path[i];
-            for (int64_t k = indptr[u]; k < indptr[u + 1]; k++) {
-                int64_t w = indices[k];
-                if (w == v && i == last - 1)
-                    continue;  /* the tree edge (u_{k-1}, v) */
-                int64_t gw = off + w;
-                if (!settled[gw])
-                    continue;
-                int64_t h = hop[gw] + 1, e = edge_ids[k];
-                int64_t p = pert_edge ? pert[gw] + pert_edge[e] : 0;
-                if (bh < 0 || h < bh
-                    || (h == bh && (pert_edge ? p < bp
-                                    : path_lighter(&t, gw, e, off + bw, be)))) {
-                    bh = h;
-                    bp = p;
-                    bw = w;
-                    be = e;
+    size_t width = (size_t)(n > 0 ? n : 1);
+    uint8_t *settled = calloc(width, 1);
+    uint8_t *vertex_ok = malloc(width);
+    uint8_t *is_tgt = calloc(width, 1);
+    int64_t *hop_t = malloc(width * sizeof(int64_t));
+    int64_t *pert_t = malloc(width * sizeof(int64_t));
+    int64_t *tgt = malloc(width * sizeof(int64_t));
+    wl_scratch s;
+    int64_t rc = -1;
+    if (settled && vertex_ok && is_tgt && hop_t && pert_t && tgt
+        && wl_scratch_alloc(&s, n)) {
+        memset(vertex_ok, 1, width);
+        for (int64_t x = 0; x < n; x++)
+            hop_t[x] = -1;
+        rc = 0;
+        for (int64_t b = 0; b < n_paths && rc == 0; b++) {
+            const int64_t *p = path + path_ptr[b];
+            int64_t k = path_ptr[b + 1] - path_ptr[b] - 1, v = p[k];
+            int64_t *par = parent + b * n, *peid = parent_eid + b * n;
+            for (int64_t x = 0; x < n; x++)
+                par[x] = peid[x] = -1;
+            for (int64_t i = 0; i < k; i++)
+                vertex_ok[p[i]] = 0;
+            int64_t ntgt = 0;
+            for (int64_t i = 0; i < k; i++) {
+                for (int64_t x = indptr[p[i]]; x < indptr[p[i] + 1]; x++) {
+                    int64_t w = indices[x];
+                    if (vertex_ok[w] && w != v && !is_tgt[w]) {
+                        is_tgt[w] = 1;
+                        tgt[ntgt++] = w;
+                    }
                 }
             }
-            esc_hop[i] = bh;
-            esc_w[i] = bw;
-            esc_eid[i] = be;
+            hop_t[v] = 0;
+            pert_t[v] = 0;
+            const wl_graph g = {
+                n, indptr, indices, edge_ids, pert_edge, NULL, vertex_ok,
+                settled, hop_t, pert_t, par, peid,
+                {par, peid, NULL, 0, 0, NULL, NULL},
+            };
+            rc = run_layer(&g, &s, &v, 1, tgt, ntgt, cap[b]);
+            if (rc == 0)
+                escape_scan(&g, p, k, esc_hop + path_ptr[b],
+                            esc_w + path_ptr[b], esc_eid + path_ptr[b]);
+            for (int64_t i = 0; i < k; i++)
+                vertex_ok[p[i]] = 1;
+            for (int64_t i = 0; i < ntgt; i++)
+                is_tgt[tgt[i]] = 0;
+            memset(settled, 0, width);
+            for (int64_t x = 0; x < n; x++)
+                hop_t[x] = -1;
         }
+        wl_scratch_free(&s);
     }
-    return 0;
+    free(settled); free(vertex_ok); free(is_tgt);
+    free(hop_t); free(pert_t); free(tgt);
+    return rc;
 }
 
 /* Phase S1's existence query (InterferenceIndex.exists_live_partner),

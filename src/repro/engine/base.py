@@ -97,8 +97,8 @@ Contract
   Pcons caps each search at the hop its own uncovered pairs need
   (:mod:`repro.core.pcons`).  The reference is
   :func:`reference_escapes` per search; array backends compute the
-  tables straight from their stacked state and must match it bit for
-  bit, tie and error kinds included.  Backends advertise the path via
+  tables straight from their own search state and must match it bit
+  for bit, tie and error kinds included.  Backends advertise the path via
   :attr:`TraversalEngine.detour_backend`.  The method keeps its
   historical name, though it no longer yields search results, because
   the benchmark's layer trace (``perfbench/layers.py``) times it under

@@ -1,10 +1,10 @@
 """Compile-on-demand loader for the ``csr`` engine's C kernels.
 
 ``_ckernels.c`` (the sweep hot pair - ordered BFS + Euler walk, subtree
-recompute - the weighted stacked-level relaxation of source runs, the
-one-pass weighted failure sweep, the detour batch's escape pass, and
-Phase S1's interference existence query) ships as source; no wheel, no
-build step at install time.
+recompute - the weighted level relaxation of source runs, the one-pass
+weighted failure sweep, the one-call Pcons detour batch, and Phase S1's
+interference existence query) ships as source; no wheel, no build step
+at install time.
 The first time the csr engine needs its kernels this module
 
 1. finds a system C compiler (``$REPRO_CC`` override > ``$CC`` >
@@ -215,7 +215,7 @@ class KernelLib:
         self.weighted_levels = dll.repro_weighted_levels
         self.weighted_levels.restype = i64
         self.weighted_levels.argtypes = [
-            i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64,
             i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
         self.weighted_sweep = dll.repro_weighted_sweep
@@ -224,11 +224,11 @@ class KernelLib:
             ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
             i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
-        self.detour_escapes = dll.repro_detour_escapes
-        self.detour_escapes.restype = i64
-        self.detour_escapes.argtypes = [
+        self.detour_batch = dll.repro_detour_batch
+        self.detour_batch.restype = i64
+        self.detour_batch.argtypes = [
             i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-            ptr, ptr, ptr,
+            ptr,
         ]
         self.exists_live_partner = dll.repro_exists_live_partner
         self.exists_live_partner.restype = i64

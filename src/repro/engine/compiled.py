@@ -15,9 +15,11 @@ numpy kernels (same adjacency-order tie-breaking, same weighted settle
 order, enforced by the parity suites with and without ``REPRO_CC=0``)
 while skipping numpy's per-level array orchestration.
 
-Source runs go through ``CSREngine._weighted_levels`` - single-source
-calls and the stacked detour batch land on the one C relaxation, seed
-intake included.  The weighted failure sweep goes through
+Single-source runs go through ``CSREngine._weighted_levels`` to the C
+relaxation, seed intake included.  The Pcons detour batch goes through
+``CSREngine._detour_chunk``: one C call per chunk runs the same
+relaxation once per search, on one ``n``-entry scratch it resets after
+each.  The weighted failure sweep goes through
 ``CSREngine._sweep_pass``: one C call over every failed tree edge
 enumerates each subtree's crossing-edge seeds, relaxes the subtree top
 down and writes its row straight into the ``repl_*`` planes, indexed
@@ -50,19 +52,21 @@ allowed-pairs buckets itself, then runs one early-exit scan per pair,
 with pi-intersection as an Euler-interval test instead of an LCA (why
 that is exact: ``_ckernels.c`` and :mod:`repro.core.interference`).
 
-The Pcons detour batch reads its escape tables straight off the stacked
-relaxation state in one more C call per chunk
-(``repro_detour_escapes``), so no search builds an ``n``-entry list.
-The C relaxation runs a chunk's layers one after another, each level
-top-down or bottom-up (the direction-optimizing step ``_ckernels.c``
-documents), so the detour chunks are sized by a stacked-state budget
-(``_DETOUR_STATE``) rather than by ``_STACK_STREAM``, which now sizes
-the detour chunks only on the numpy tier.
+The detour batch's kernel (``repro_detour_batch``) does per search what
+the numpy tier spreads over its stacked layers: it bans the path,
+collects the targets, runs the capped relaxation (each level top-down
+or bottom-up, the direction-optimizing step ``_ckernels.c``
+documents), reads the escape table and writes the search's parents,
+with vertex ids, into the search's row of two ``B * n`` outputs; no
+search builds an ``n``-entry list.  The searches run one after another,
+so a chunk's size only amortizes the per-chunk Python work, and the
+chunks are sized by the budget of those two outputs (``_DETOUR_STATE``)
+rather than by ``_STACK_STREAM``, which sizes them on the numpy tier.
 
 Kernels, all in ``_ckernels.c``: ``repro_bfs_order``,
 ``repro_bfs_euler``, ``repro_recompute_subtree``,
 ``repro_weighted_levels``, ``repro_weighted_sweep``,
-``repro_detour_escapes`` and ``repro_exists_live_partner``.
+``repro_detour_batch`` and ``repro_exists_live_partner``.
 
 Every method asks :func:`~repro.engine.cbuild.kernel_library` per call
 and runs the inherited path when it returns None: with no working
@@ -74,15 +78,20 @@ Phase S1, identical results either way.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro._types import EdgeId, Vertex
 from repro.engine import cbuild
-from repro.engine.base import ReplacementRows
+from repro.engine.base import DetourEscapes, ReplacementRows
 from repro.engine.csr import CSRAdjacency, csr_view
-from repro.engine.csr_engine import CSREngine, _edge_ok_mask
+from repro.engine.csr_engine import (
+    CSREngine,
+    _cap_array,
+    _check_searches,
+    _edge_ok_mask,
+)
 from repro.engine.kernels import FailureSweep, _tree_edge_children
 from repro.engine.python_engine import _check_source
 from repro.engine.weighted_kernels import SeedArrays, exact_pert_sums
@@ -93,9 +102,10 @@ from repro.spt.weights import EXACT
 __all__ = ["CompiledEngine", "CompiledFailureSweep"]
 
 
-#: Stacked-state budget of one C detour chunk, in ``B * n`` entries: 32
-#: paths at n = 700.  The C relaxation runs its layers one after
-#: another, so a chunk's size only amortizes the per-chunk Python work.
+#: Budget of one C detour chunk's two parent outputs, in ``B * n``
+#: entries each: 32 paths at n = 700.  The kernel runs the searches one
+#: after another on ``n``-entry scratch, so a chunk's size only
+#: amortizes the per-chunk Python work.
 _DETOUR_STATE = 22_400
 
 
@@ -260,7 +270,7 @@ class CompiledEngine(CSREngine):
     def detour_backend(self) -> str:
         if self._kernels() is None:
             return "inherited numpy " + CSREngine.detour_backend
-        return "compiled C stacked levels + reference fallback"
+        return "compiled C per-search detour batch + reference fallback"
 
     @property
     def interference_backend(self) -> str:
@@ -338,7 +348,8 @@ class CompiledEngine(CSREngine):
         stop=None,
     ):
         """The weighted relaxation of a source run routed through the C
-        kernel.
+        kernel (the numpy tier's stacked detour chunks run only without
+        the kernels).
 
         The whole traversal - seed intake, the level loop and the stop
         rule (targets' radius and hop cap) - is one GIL-free foreign
@@ -359,8 +370,8 @@ class CompiledEngine(CSREngine):
                 edge_ok=edge_ok, vertex_ok=vertex_ok,
                 num_vertices=num_vertices, stacked=stacked, stop=stop,
             )
-        n = csr.num_vertices if num_vertices is None else num_vertices
-        tgt_ptr, tgt, cap = (None, None, None) if stop is None else stop
+        n = csr.num_vertices
+        _, tgt, cap = (None, None, None) if stop is None else stop
         hop_t = np.full(n, -1, dtype=np.int64)
         pert_t = np.zeros(n, dtype=np.int64)
         parent = np.full(n, -1, dtype=np.int64)
@@ -373,16 +384,15 @@ class CompiledEngine(CSREngine):
         )
         rc = kernels.weighted_levels(
             n,
-            csr.num_vertices,
             _ptr(csr.indptr),
             _ptr(csr.indices),
             _ptr(csr.edge_ids),
             _ptr(perts),
             _ptr(edge_ok),
             _ptr(vertex_ok),
-            _ptr(tgt_ptr),
+            -1 if tgt is None else len(tgt),
             _ptr(tgt),
-            _ptr(cap),
+            -1 if cap is None else int(cap[0]),
             len(cols[0]),
             *(_ptr(c) for c in cols),
             _ptr(settled),
@@ -471,34 +481,69 @@ class CompiledEngine(CSREngine):
             parent_eid.tolist(),
         )
 
-    def _escape_pass(
+    def _detour_chunk(
         self,
+        graph: Graph,
         csr,
-        perts: np.ndarray,
-        path_ptr: np.ndarray,
-        flat: np.ndarray,
-        levels,
-    ) -> Optional[np.ndarray]:
-        """The chunk's escape tables in one C call over the stacked
-        state (None without the kernels: the numpy tier's per-layer
-        scan)."""
+        weights,
+        perts: Optional[np.ndarray],
+        chunk: list,
+    ) -> Iterator[DetourEscapes]:
+        """A chunk of ``(path, max_hops)`` detour searches, checked whole,
+        in one ``repro_detour_batch`` call (the numpy tier's stacked
+        chunk without the kernels).  Each search's parents land in its
+        row of a ``(B, n)`` pair, which the yielded tables hold as
+        views.  A tie (random scheme only) or a scratch allocation
+        failure hands the chunk back to the reference, path by path and
+        caps included."""
         kernels = self._kernels()
         if kernels is None:
-            return None
-        out = np.empty((3, flat.size), dtype=np.int64)
-        kernels.detour_escapes(
-            csr.num_vertices,
+            yield from super()._detour_chunk(graph, csr, weights, perts, chunk)
+            return
+        _check_searches(graph, chunk)
+        n = csr.num_vertices
+        B = len(chunk)
+        paths = [path for path, _ in chunk]
+        path_ptr = np.zeros(B + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, paths), dtype=np.int64, count=B),
+            out=path_ptr[1:],
+        )
+        flat = np.fromiter(
+            chain.from_iterable(paths), dtype=np.int64, count=int(path_ptr[-1])
+        )
+        cap = _cap_array([max_hops for _, max_hops in chunk], n)
+        escapes = np.empty((3, flat.size), dtype=np.int64)
+        parents = np.empty((2, B, n), dtype=np.int64)
+        rc = kernels.detour_batch(
+            n,
             _ptr(csr.indptr),
             _ptr(csr.indices),
             _ptr(csr.edge_ids),
             _ptr(perts),
-            len(path_ptr) - 1,
+            B,
             _ptr(path_ptr),
             _ptr(flat),
-            *(_ptr(state) for state in levels),
-            *(_ptr(row) for row in out),
+            _ptr(cap),
+            *(_ptr(row) for row in escapes),
+            *(_ptr(plane) for plane in parents),
         )
-        return out
+        if rc != 0:
+            yield from self._reference_chunk(graph, weights, chunk)
+            return
+        hops, ws, eids = escapes.tolist()
+        bounds = path_ptr.tolist()
+        parent, parent_eid = parents
+        for b in range(B):
+            lo, hi = bounds[b], bounds[b + 1] - 1
+            yield DetourEscapes(
+                [
+                    None if h < 0 else (h, w, e)
+                    for h, w, e in zip(hops[lo:hi], ws[lo:hi], eids[lo:hi])
+                ],
+                parent[b],
+                parent_eid[b],
+            )
 
     def _detour_per_chunk(self, csr) -> int:
         """Detour chunks by the ``_DETOUR_STATE`` budget (the numpy

@@ -34,27 +34,28 @@ sweep additionally enumerates its crossing-edge seeds vectorized from
 the tree's Euler intervals instead of via Python ``adjacency()`` loops,
 and fancy-indexes each chunk's ``ReplacementRows`` out of the stacked
 state.  The detour batch derives each chunk's bans and targets from
-its concatenated T0 paths in numpy, and takes each search's hop cap
-beside them; its escape tables come from one C pass over the stacked
-state on the compiled engine, and from ``assemble_result`` plus the
-reference scan here.  The stop rule (targets' radius and cap) cuts the
-C relaxation short; this tier runs each chunk's full relaxation and
-blanks what lies beyond each layer's radius.  Chunking bounds the
-stacked state (``_STACK_STATE`` entries per chunk); plans that cannot
-be represented, and chunks whose relaxation hands the call back, rerun
-on the reference: the detour batch path by path, the sweep edge by
-edge through :func:`~repro.engine.base.replacement_failure`.
+its concatenated T0 paths in numpy, takes each search's hop cap beside
+them, and reads each layer through ``assemble_result`` plus the
+reference scan.  The stop rule (targets' radius and cap) runs inside
+the level loop: once a level has settled, the layers at their radius
+leave the frontier, so none labels anything beyond it.  Chunking bounds
+the stacked state (``_STACK_STATE`` entries per chunk); plans that
+cannot be represented, and chunks whose relaxation hands the call back,
+rerun on the reference: the detour batch path by path, the sweep edge
+by edge through :func:`~repro.engine.base.replacement_failure`.
 
-The stacking and chunking of the sweep belong to this numpy tier
-alone (``_sweep_chunk``, by the ``_STACK_STREAM`` expansion budget):
-the compiled engine fills every failure's row in one C pass over the
-compact Euler-keyed rows, with no ``B * n`` state, through the
-``_sweep_pass`` hook, and hands the failures from the first tie on
-back to the reference.  The detour batch chunks by ``_STACK_STREAM``
-only here too, since this tier's level passes stream every layer's
-frontier at once: the compiled engine's C relaxation runs its layers
-one after another, so it sizes its detour chunks by a stacked-state
-budget of its own (``_detour_per_chunk``).
+The stacking and chunking belong to this numpy tier alone.  The sweep
+stacks its subtree recomputes (``_sweep_chunk``, by the
+``_STACK_STREAM`` expansion budget); the compiled engine fills every
+failure's row in one C pass over the compact Euler-keyed rows, with no
+``B * n`` state, through the ``_sweep_pass`` hook, and hands the
+failures from the first tie on back to the reference.  The detour
+batch stacks one layer per search (``_detour_chunk``, chunked by
+``_STACK_STREAM`` too, since this tier's level passes stream every
+layer's frontier at once); the compiled engine overrides
+``_detour_chunk`` with one C call per chunk that runs the searches one
+after another on ``n``-entry scratch, and sizes its chunks by a budget
+of its own (``_detour_per_chunk``).
 """
 
 from __future__ import annotations
@@ -197,75 +198,50 @@ def _stop_arrays(targets, max_hops: Optional[int], n: int):
     return tgt_ptr, tgt, cap
 
 
-def _detour_layers(graph: Graph, csr, searches: list):
-    """One chunk of ``(path, max_hops)`` detour searches as stacked
-    layers.
-
-    Returns ``(path_ptr, flat, sources, vertex_ok, stop)``: the paths
-    concatenated (``path_ptr`` delimits path ``b``), each layer's source
-    ``v`` as the global id ``b * n + v``, the ban mask (every path
-    vertex but ``v``), and the stop rule's ``(tgt_ptr, tgt, cap)`` -
-    the targets are the banned vertices' neighbours off the path, the
-    set :func:`~repro.engine.base.detour_targets` names.  Every path is
-    checked against ``[0, n)``, and every cap against a negative value,
-    before it becomes an array.
-    """
+def _check_searches(graph: Graph, searches: list) -> None:
+    """Raise GraphError unless every ``(path, max_hops)`` detour search
+    of a chunk has a path within ``[0, n)`` whose ``v`` does not also
+    appear earlier on it, and a non-negative cap (or None) - checked
+    for the whole chunk before any of it reaches a kernel."""
     for path, max_hops in searches:
         check_detour_path(graph, path)
         check_max_hops(max_hops)
+    for path, _ in searches:
+        if path[-1] in path[:-1]:
+            raise GraphError(f"source {path[-1]} is banned")
+
+
+def _detour_layers(csr, searches: list):
+    """One checked chunk of ``(path, max_hops)`` detour searches as
+    stacked layers, for this numpy tier's relaxation.
+
+    Returns ``(sources, vertex_ok, stop)``: each layer's source ``v`` as
+    the global id ``b * n + v``, the ban mask (every path vertex but
+    ``v``), and the stop rule's ``(tgt_ptr, tgt, cap)`` - the targets
+    are the banned vertices' neighbours off the path, the set
+    :func:`~repro.engine.base.detour_targets` names.
+    """
     paths = [path for path, _ in searches]
     n = csr.num_vertices
     B = len(paths)
     lens = np.fromiter(map(len, paths), dtype=np.int64, count=B)
-    path_ptr = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum(lens, out=path_ptr[1:])
     flat = np.fromiter(
-        chain.from_iterable(paths), dtype=np.int64, count=int(path_ptr[-1])
+        chain.from_iterable(paths), dtype=np.int64, count=int(lens.sum())
     )
     gid = flat + np.repeat(np.arange(B, dtype=np.int64) * n, lens)
-    last = path_ptr[1:] - 1
+    last = np.cumsum(lens) - 1
     inner = np.ones(gid.size, dtype=bool)
     inner[last] = False
     banned = gid[inner]
     sources = gid[last]
     vertex_ok = np.ones(B * n, dtype=bool)
     vertex_ok[banned] = False
-    if not vertex_ok[sources].all():
-        b = int(np.argmin(vertex_ok[sources]))
-        raise GraphError(f"source {paths[b][-1]} is banned")
     _, nbrs, _ = stacked_expander(csr)(banned)
     tgt = nbrs[vertex_ok[nbrs] & (nbrs != sources[nbrs // n])]
     tgt_ptr = np.zeros(B + 1, dtype=np.int64)
     np.cumsum(np.bincount(tgt // n, minlength=B), out=tgt_ptr[1:])
     cap = _cap_array([max_hops for _, max_hops in searches], n)
-    return path_ptr, flat, sources, vertex_ok, (tgt_ptr, tgt, cap)
-
-
-def _blank_beyond_radius(levels, tgt_ptr, tgt, cap, n: int):
-    """The stop rule's outcome, applied after a full relaxation: in each
-    layer every vertex beyond its radius - the smaller of its cap and,
-    when all its targets were reached, their largest hop - reads
-    unreached."""
-    settled, hop, pert, parent, parent_eid = levels
-    layers = len(settled) // n
-    limit = np.full(layers, np.iinfo(np.int64).max, dtype=np.int64)
-    if tgt_ptr is not None:
-        layer_of = np.repeat(
-            np.arange(layers, dtype=np.int64), np.diff(tgt_ptr)
-        )
-        reached = settled[tgt]
-        radius = np.zeros(layers, dtype=np.int64)
-        np.maximum.at(radius, layer_of, np.where(reached, hop[tgt], 0))
-        complete = np.bincount(layer_of[~reached], minlength=layers) == 0
-        limit[complete] = radius[complete]
-    if cap is not None:
-        np.minimum(limit, cap, out=limit)
-    beyond = hop > np.repeat(limit, n)
-    settled[beyond] = False
-    hop[beyond] = -1
-    pert[beyond] = 0
-    parent[beyond] = -1
-    parent_eid[beyond] = -1
+    return sources, vertex_ok, (tgt_ptr, tgt, cap)
 
 
 class CSREngine(PythonEngine):
@@ -355,11 +331,11 @@ class CSREngine(PythonEngine):
         of :func:`_stop_arrays` or :func:`_detour_layers`: layer ``b``'s
         targets as global ids and its hop cap, either pair or ``cap``
         None for no such bound; source-seeded runs only) asks for the
-        stop rule's outcome; this numpy tier runs the full relaxation
-        and blanks what lies beyond each layer's radius, and a tie it
-        meets beyond a radius hands the call back all the same.
+        stop rule, which :func:`weighted_levels` applies level by level:
+        a layer at its radius settles that level and expands no further,
+        so it labels nothing beyond it and meets no tie there.
         """
-        levels = weighted_levels(
+        return weighted_levels(
             csr,
             perts,
             seeds,
@@ -367,10 +343,8 @@ class CSREngine(PythonEngine):
             vertex_ok=vertex_ok,
             num_vertices=num_vertices,
             expand=stacked_expander(csr) if stacked else None,
+            stop=stop,
         )
-        if levels is not None and stop is not None:
-            _blank_beyond_radius(levels, *stop, csr.num_vertices)
-        return levels
 
     def shortest_paths(
         self,
@@ -457,15 +431,15 @@ class CSREngine(PythonEngine):
         perts: np.ndarray,
         chunk: list,
     ) -> Iterator[DetourEscapes]:
-        """One stacked chunk of ``(path, max_hops)`` detour searches,
-        one layer per search.  A relaxation that hands back reruns every
-        search on the reference, caps included; without the C escape
-        pass each layer is read through :func:`assemble_result` and the
-        reference scan."""
+        """Engine hook: one chunk of ``(path, max_hops)`` detour
+        searches, checked whole before any kernel runs.  This numpy tier
+        stacks them one layer per search and reads each layer through
+        :func:`assemble_result` and the reference scan; the compiled
+        engine runs the chunk as one C call.  A relaxation that hands
+        back reruns every search on the reference, caps included."""
+        _check_searches(graph, chunk)
         n = csr.num_vertices
-        path_ptr, flat, sources, vertex_ok, stop = _detour_layers(
-            graph, csr, chunk
-        )
+        sources, vertex_ok, stop = _detour_layers(csr, chunk)
         levels = self._weighted_levels(
             csr,
             perts,
@@ -476,54 +450,25 @@ class CSREngine(PythonEngine):
             stop=stop,
         )
         if levels is None:
-            for path, max_hops in chunk:
-                yield reference_escapes(
-                    super().shortest_paths, graph, weights, path, max_hops
-                )
+            yield from self._reference_chunk(graph, weights, chunk)
             return
-        escapes = self._escape_pass(csr, perts, path_ptr, flat, levels)
-        if escapes is None:
-            for b, (path, _) in enumerate(chunk):
-                sp = assemble_result(
-                    path[-1], weights.shift, *unstack_layer(n, b, *levels)
-                )
-                yield DetourEscapes(
-                    escape_table(graph, weights, path, sp),
-                    sp.parent,
-                    sp.parent_eid,
-                )
-            return
-        parent, parent_eid = levels[3], levels[4]
-        parent = np.where(parent >= 0, parent % n, -1)
-        hops, ws, eids = escapes.tolist()
-        bounds = path_ptr.tolist()
-        for b in range(len(chunk)):
-            lo, hi = bounds[b], bounds[b + 1] - 1
-            layer = slice(b * n, (b + 1) * n)
+        for b, (path, _) in enumerate(chunk):
+            sp = assemble_result(
+                path[-1], weights.shift, *unstack_layer(n, b, *levels)
+            )
             yield DetourEscapes(
-                [
-                    None if h < 0 else (h, w, e)
-                    for h, w, e in zip(hops[lo:hi], ws[lo:hi], eids[lo:hi])
-                ],
-                parent[layer],
-                parent_eid[layer],
+                escape_table(graph, weights, path, sp), sp.parent, sp.parent_eid
             )
 
-    def _escape_pass(
-        self,
-        csr,
-        perts: np.ndarray,
-        path_ptr: np.ndarray,
-        flat: np.ndarray,
-        levels,
-    ) -> Optional[np.ndarray]:
-        """Engine hook: the chunk's escape tables as a ``(3, len(flat))``
-        array of ``hops``, ``w`` and ``e`` per entry of the concatenated
-        paths (``hops`` -1 where there is none, and at each path's last
-        entry), read straight from the stacked state.  The numpy tier
-        has no such pass and returns None; the compiled engine runs it
-        in C."""
-        return None
+    def _reference_chunk(
+        self, graph: Graph, weights, chunk: list
+    ) -> Iterator[DetourEscapes]:
+        """A handed-back detour chunk, rerun on the reference path by
+        path, caps included; it raises the reference's own error."""
+        for path, max_hops in chunk:
+            yield reference_escapes(
+                super().shortest_paths, graph, weights, path, max_hops
+            )
 
     def weighted_failure_sweep(
         self,

@@ -41,9 +41,10 @@ the big-int sums of their results from the parents.
 
 Stacked (batched) traversals
 ----------------------------
-Many *independent* weighted traversals of the same graph (the Pcons
-detour Dijkstras, the per-tree-edge replacement recomputes of the
-weighted failure sweep) can share every per-level numpy invocation:
+Many *independent* weighted traversals of the same graph (on this numpy
+tier: the Pcons detour Dijkstras, the per-tree-edge replacement
+recomputes of the weighted failure sweep) can share every per-level
+numpy invocation:
 batch ``b`` runs in its own *layer* of a virtual ``B * n`` vertex space
 (vertex ``v`` of batch ``b`` is the global id ``b * n + v``), and a
 :func:`stacked_expander` maps frontier expansion back onto the one
@@ -195,6 +196,7 @@ def weighted_levels(
     num_vertices: Optional[int] = None,
     expand: Optional[Callable] = None,
     state: Optional[Tuple[np.ndarray, ...]] = None,
+    stop: Optional[Tuple] = None,
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Level-synchronous weighted traversal over the CSR view.
 
@@ -213,6 +215,17 @@ def weighted_levels(
     this run).  Restricted sweeps reuse one buffer across chunks this
     way, resetting only touched positions, instead of paying an
     O(B * n) allocation per chunk.
+
+    ``stop`` (source runs only: every seed at hop 0) is the stop rule's
+    ``(tgt_ptr, tgt, cap)``.  Layer ``b`` - the global ids from ``b *
+    w``, ``w = csr.num_vertices`` - has the targets ``tgt[tgt_ptr[b] :
+    tgt_ptr[b + 1]]`` (global ids) and the hop cap ``cap[b]``; either
+    pair, or ``cap``, is None for no such bound.  Once a level has
+    settled, the entries of every layer that has reached its cap or
+    has all its targets labeled leave the frontier: they stay settled
+    but are not expanded.  A label's hop is fixed when it is first set,
+    so that level is the layer's radius, and the layer labels nothing
+    beyond it and meets no tie there - the C kernel's rule.
     """
     n = csr.num_vertices if num_vertices is None else num_vertices
     if expand is None:
@@ -236,6 +249,13 @@ def weighted_levels(
     )
     if seed_vertices is None:
         return None
+    if stop is not None:
+        width = max(1, csr.num_vertices)
+        layers = n // width
+        tgt_ptr, tgt, cap = stop
+        tgt_layer = None if tgt_ptr is None else np.repeat(
+            np.arange(layers, dtype=np.int64), np.diff(tgt_ptr)
+        )
 
     while buckets:
         h = min(buckets)
@@ -258,6 +278,16 @@ def weighted_levels(
         # settles exactly as its single run would.)
         frontier = frontier[np.argsort(pert_t[frontier], kind="stable")]
         settled[frontier] = True
+        if stop is not None:
+            at_radius = np.zeros(layers, dtype=bool)
+            if cap is not None:
+                at_radius |= cap <= h
+            if tgt_ptr is not None:
+                unlabeled = tgt_layer[hop_t[tgt] == -1]
+                at_radius |= np.bincount(unlabeled, minlength=layers) == 0
+            frontier = frontier[~at_radius[frontier // width]]
+            if frontier.size == 0:
+                continue
 
         srcs, nbrs, eids = expand(frontier)
         keep = ~settled[nbrs]

@@ -585,17 +585,25 @@ def test_out_of_range_target_raises_on_both(bad):
             assert kind == "graph-error"
 
 
+def forbid_kernels(monkeypatch, message):
+    """Make every relaxation entry of the csr engine - numpy and C, the
+    C detour batch included - fail with ``message`` if it runs."""
+    def kernel(*args, **kwargs):
+        raise AssertionError(message)
+
+    for cls in {type(CSR), CSREngine}:
+        monkeypatch.setattr(cls, "_weighted_levels", kernel)
+    lib = cbuild.kernel_library()
+    if lib is not None:
+        monkeypatch.setattr(lib, "detour_batch", kernel)
+
+
 @pytest.mark.parametrize("bad", [-1, -2**70])
 def test_a_negative_cap_raises_before_any_kernel(bad, monkeypatch):
     """A negative ``max_hops`` raises GraphError on every engine, on
     single calls and on batched ones, before the csr engine runs a
-    relaxation or an escape pass."""
-    def kernel(*args, **kwargs):
-        raise AssertionError("a kernel ran with a negative cap")
-
-    for cls in {type(CSR), CSREngine}:
-        monkeypatch.setattr(cls, "_weighted_levels", kernel)
-        monkeypatch.setattr(cls, "_escape_pass", kernel)
+    relaxation or its C detour batch."""
+    forbid_kernels(monkeypatch, "a kernel ran with a negative cap")
     g, _ = pendant_c6(3)
     for scheme in (EXACT, RANDOM):
         w = make_weights(g, scheme, seed=0)
@@ -1020,20 +1028,29 @@ def test_degenerate_weights_detour_parity(pair, salt):
 @pytest.mark.parametrize("bad", [-1, 7, 2**70, -2**70])
 def test_a_path_outside_the_graph_raises_before_any_kernel(bad, monkeypatch):
     """An id outside ``[0, n)`` - or an empty path - raises GraphError
-    on every engine, before the csr engine runs a relaxation or an
-    escape pass on the chunk."""
-    def kernel(*args, **kwargs):
-        raise AssertionError("a kernel ran on an invalid chunk")
-
-    for cls in {type(CSR), CSREngine}:
-        monkeypatch.setattr(cls, "_weighted_levels", kernel)
-        monkeypatch.setattr(cls, "_escape_pass", kernel)
+    on every engine, before the csr engine runs a relaxation or its C
+    detour batch on the chunk."""
+    forbid_kernels(monkeypatch, "a kernel ran on an invalid chunk")
     g, _ = pendant_c6(3)
     w = make_weights(g, RANDOM, seed=0)
     for paths in ([[6, 0], [6, bad, 1]], [[6, 0], [6, bad]], [[6, 0], []]):
         for engine in (PY, CSR, NUMPY_CSR):
             with pytest.raises(GraphError):
                 list(engine.batched_shortest_paths(g, w, uncapped(paths)))
+
+
+def test_a_path_through_its_own_v_raises_before_any_kernel(monkeypatch):
+    """A ``v`` that also appears earlier on its path is a banned source:
+    GraphError on every engine and under both schemes, before the csr
+    engine runs a relaxation or its C detour batch on the chunk."""
+    forbid_kernels(monkeypatch, "a kernel ran on a path through its own v")
+    g, _ = pendant_c6(3)
+    for scheme in (EXACT, RANDOM):
+        w = make_weights(g, scheme, seed=0)
+        for paths in ([[6, 0], [1, 0, 1]], [[6, 6]], [[0, 6, 0], [6, 0]]):
+            for engine in (PY, CSR, NUMPY_CSR):
+                with pytest.raises(GraphError, match="source . is banned"):
+                    list(engine.batched_shortest_paths(g, w, uncapped(paths)))
 
 
 @pytest.mark.skipif(
@@ -1056,6 +1073,69 @@ def test_compiled_batch_builds_no_result_lists(monkeypatch):
         esc.escapes for esc in CSR.batched_shortest_paths(g, w, uncapped(paths))
     ]
     assert tables == [full_search_escapes(g, w, path) for path in paths]
+
+
+def test_numpy_layers_expand_nothing_at_or_beyond_their_radius(monkeypatch):
+    """On the numpy tier each stacked layer stops at its radius ``R``,
+    the smaller of its cap and its targets' largest hop: with the
+    relaxation's expander wrapped, no layer of the detour batch expands
+    a vertex ``R`` or more hops from its ``v``, and the tables still
+    equal the reference's.  Some layers would expand past ``R`` without
+    the stop."""
+    import repro.engine.csr_engine as ce
+
+    g = gnp_random_graph(60, 0.15, seed=7)
+    w = make_weights(g, RANDOM, seed=7)
+    tree = build_spt(g, w, 0)
+    n = g.num_vertices
+    rng = random.Random(7)
+    searches = [
+        (tree.path_vertices(v), rng.choice([None, 0, 1, 2]))
+        for v in tree.preorder
+    ]
+    hops, radius = [], []
+    for path, max_hops in searches:
+        full = PY.shortest_paths(g, w, path[-1], banned_vertices=set(path[:-1]))
+        hop = [None if d is None else d >> w.shift for d in full.dist]
+        targets = detour_targets(g, path)
+        bound = float("inf") if max_hops is None else max_hops
+        if all(hop[t] is not None for t in targets):
+            bound = min(bound, max((hop[t] for t in targets), default=0))
+        hops.append(hop)
+        radius.append(bound)
+    assert any(
+        any(h is not None and h >= r for h in hop) for hop, r in zip(hops, radius)
+    )
+
+    chunks = []  # per relaxation call: the frontiers it expanded
+    relax = ce.weighted_levels
+
+    def recording(*args, **kwargs):
+        expand, expanded = kwargs["expand"], []
+        chunks.append((kwargs["num_vertices"] // n, expanded))
+
+        def wrapped(frontier):
+            expanded.append(frontier.copy())
+            return expand(frontier)
+
+        kwargs["expand"] = wrapped
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(ce, "weighted_levels", recording)
+    tables = [
+        esc.escapes for esc in NUMPY_CSR.batched_shortest_paths(g, w, searches)
+    ]
+    assert tables == [
+        esc.escapes for esc in PY.batched_shortest_paths(g, w, searches)
+    ]
+    first = 0
+    for layers, expanded in chunks:
+        for frontier in expanded:
+            for gid in frontier.tolist():
+                b, x = first + gid // n, gid % n
+                assert hops[b][x] < radius[b], (searches[b], x, hops[b][x])
+        first += layers
+    assert first == len(searches)
 
 
 # ----------------------------------------------------------------------
